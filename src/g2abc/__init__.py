@@ -5,7 +5,6 @@ calculus vs tabulated coefficient formulas) and cross-validated; see
 ``g2abc.gabc.cross_validate`` and the ``g2abc`` command-line tool.
 """
 
-from ._accel import BACKEND
 from .errors import (
     DegreeError,
     G2ABCError,
@@ -46,6 +45,9 @@ from .liealg import LieAlgebra7, bracket, ce_diff, is_unimodular, jacobi_residua
 from .riemann import Connection7, div_torsion, flow_velocity, levi_civita, ricci, u_map
 
 __version__ = "0.1.0"
+
+#: The one kernel path: dense numpy operators (see ``_tables``).
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,9 +1,17 @@
-"""Index and sign tables for the exterior algebra of a 7-dimensional space.
+"""Dense operators of the exterior algebra of a 7-dimensional space.
 
 Degree-k forms are stored as dense coefficient vectors over the basis
 monomials e^I, I running through the lexicographically ordered k-subsets
-of {1,...,7}.  Everything here is built once at import time and shared by
-the numba and numpy kernel backends.
+of {1,...,7}.  Every exterior operation on them is a fixed linear or
+bilinear map on vectors of length at most 35, built here once at import
+time as a dense array with entries in {-1, 0, 1}:
+
+  * ``WEDGE[(k1, k2)][i, j, r]``: coefficient of e^{K_r} in e^{I_i} ^ e^{J_j};
+  * ``CONTRACT[k][m, i, r]``: coefficient of e^{R_r} in iota_{e_{m+1}} e^{I_i};
+  * ``STAR[k][r, i]``: identity-metric Hodge star, a signed permutation
+    matrix, normalised so that e^I ^ star(e^I) = e^{1...7}.
+
+This module imports nothing from the package, so it also runs on its own.
 """
 
 import itertools
@@ -31,72 +39,34 @@ def merge_sign(left, right):
     return -1 if inversions & 1 else 1
 
 
-def _build_wedge_tables():
-    # (k1, k2) -> (ia, ja, ka, sa): out[ka] += sa * a[ia] * b[ja]
-    tables = {}
-    for k1 in DEGREES:
-        for k2 in DEGREES:
-            if k1 + k2 > DIM:
-                continue
-            ia, ja, ka, sa = [], [], [], []
-            for i, left in enumerate(COMBS[k1]):
-                for j, right in enumerate(COMBS[k2]):
-                    s = merge_sign(left, right)
-                    if s == 0:
-                        continue
-                    ia.append(i)
-                    ja.append(j)
-                    ka.append(RANK[k1 + k2][tuple(sorted(left + right))])
-                    sa.append(float(s))
-            tables[(k1, k2)] = (
-                np.asarray(ia, dtype=np.int64),
-                np.asarray(ja, dtype=np.int64),
-                np.asarray(ka, dtype=np.int64),
-                np.asarray(sa, dtype=np.float64),
-            )
-    return tables
+def _wedge_operator(k1, k2):
+    op = np.zeros((DIMS[k1], DIMS[k2], DIMS[k1 + k2]))
+    for i, left in enumerate(COMBS[k1]):
+        for j, right in enumerate(COMBS[k2]):
+            s = merge_sign(left, right)
+            if s:
+                op[i, j, RANK[k1 + k2][tuple(sorted(left + right))]] = s
+    return op
 
 
-def _build_contract_tables():
-    # k -> (ms, ins, outs, sgns): out[outs] += sgns * x[ms] * a[ins]
+def _contract_operator(k):
     # Contraction in the first slot: iota_{e_m} e^I = (-1)^(t-1) e^(I \ m),
     # m the t-th entry of I.
-    tables = {}
-    for k in DEGREES:
-        if k == 0:
-            continue
-        ms, ins, outs, sgns = [], [], [], []
-        for r, comb in enumerate(COMBS[k]):
-            for t, m in enumerate(comb):
-                rest = comb[:t] + comb[t + 1:]
-                ms.append(m - 1)
-                ins.append(r)
-                outs.append(RANK[k - 1][rest])
-                sgns.append(-1.0 if t & 1 else 1.0)
-        tables[k] = (
-            np.asarray(ms, dtype=np.int64),
-            np.asarray(ins, dtype=np.int64),
-            np.asarray(outs, dtype=np.int64),
-            np.asarray(sgns, dtype=np.float64),
-        )
-    return tables
+    op = np.zeros((DIM, DIMS[k], DIMS[k - 1]))
+    for i, comb in enumerate(COMBS[k]):
+        for t, m in enumerate(comb):
+            op[m - 1, i, RANK[k - 1][comb[:t] + comb[t + 1:]]] = -1.0 if t & 1 else 1.0
+    return op
 
 
-def _build_star_tables():
-    # k -> (comp, sgn): identity-metric Hodge star, out[comp[r]] = sgn[r] * a[r],
-    # normalised so that e^I ^ star(e^I) = e^{1...7}.
-    tables = {}
-    for k in DEGREES:
-        comp = np.empty(DIMS[k], dtype=np.int64)
-        sgn = np.empty(DIMS[k], dtype=np.float64)
-        for r, left in enumerate(COMBS[k]):
-            rest = tuple(i for i in TOP if i not in left)
-            comp[r] = RANK[DIM - k][rest]
-            sgn[r] = float(merge_sign(left, rest))
-        tables[k] = (comp, sgn)
-    return tables
+def _star_operator(k):
+    op = np.zeros((DIMS[DIM - k], DIMS[k]))
+    for i, left in enumerate(COMBS[k]):
+        rest = tuple(m for m in TOP if m not in left)
+        op[RANK[DIM - k][rest], i] = merge_sign(left, rest)
+    return op
 
 
-WEDGE_TABLES = _build_wedge_tables()
-CONTRACT_TABLES = _build_contract_tables()
-STAR_TABLES = _build_star_tables()
+WEDGE = {(k1, k2): _wedge_operator(k1, k2) for k1 in DEGREES for k2 in DEGREES if k1 + k2 <= DIM}
+CONTRACT = {k: _contract_operator(k) for k in DEGREES if k > 0}
+STAR = {k: _star_operator(k) for k in DEGREES}

@@ -27,14 +27,40 @@ EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 
 
+DEFAULT_TOL = 1e-9
+
+
+def tolerance(text):
+    """A tolerance: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a number") from None
+    if not np.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} must be finite and non-negative")
+    return value
+
+
+def positive_int(text):
+    """A count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
+    return value
+
+
 def default_tol():
+    """The tolerance G2ABC_TOL sets, else DEFAULT_TOL; a malformed value is an input error."""
     raw = os.environ.get("G2ABC_TOL", "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return 1e-9
+    if not raw:
+        return DEFAULT_TOL
+    try:
+        return tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise G2ABCError(f"G2ABC_TOL: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,13 +251,13 @@ def make_parser():
     p_an = sub.add_parser("analyze", help="full torsion report for a triple file")
     p_an.add_argument("--input", required=True, help="JSON file with matrices A, B, C")
     p_an.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_an.add_argument("--tol", type=float, default=default_tol())
+    p_an.add_argument("--tol", type=tolerance, help="default: G2ABC_TOL, else 1e-9")
 
     p_ver = sub.add_parser("verify", help="cross-validation campaign on generated triples")
     p_ver.add_argument("--case", choices=[*CASES, "all"], default="all")
-    p_ver.add_argument("--trials", type=int, default=100)
+    p_ver.add_argument("--trials", type=positive_int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=default_tol())
+    p_ver.add_argument("--tol", type=tolerance, help="default: G2ABC_TOL, else 1e-9")
     p_ver.add_argument("--json", action="store_true")
 
     p_gen = sub.add_parser("gen", help="write a random triple of a family")
@@ -250,6 +276,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     handlers = {"analyze": cmd_analyze, "verify": cmd_verify, "gen": cmd_gen}
     try:
+        if "tol" in vars(args) and args.tol is None:
+            args.tol = default_tol()
         return handlers[args.command](args)
     except G2ABCError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Sparse exterior algebra on an oriented 7-dimensional inner-product space.
+"""Exterior algebra on an oriented 7-dimensional inner-product space.
 
 Forms are alternating k-forms with constant coefficients, addressed by
 ascending index tuples drawn from {1,...,7} (``e^{127}`` is the key
-``(1, 2, 7)``).  Internally a form of degree k holds a dense vector over
-the C(7,k) basis monomials so the wedge / contraction / star kernels can
-run table-driven; the public ``coeffs`` view is the pruned sparse map.
+``(1, 2, 7)``).  A form of degree k holds a dense vector over the C(7,k)
+basis monomials; the public ``coeffs`` view is the pruned sparse map.
+Wedge, contraction, the Hodge star and the derivation action of a matrix
+are each one product of those vectors with the dense operators of
+``_tables``.
 
 Conventions:
   * monomials are orthonormal for the identity metric,
@@ -15,8 +17,7 @@ Conventions:
 
 import numpy as np
 
-from ._accel import contract_accum, star_apply, wedge_accum
-from ._tables import COMBS, CONTRACT_TABLES, DIM, DIMS, RANK, STAR_TABLES, WEDGE_TABLES
+from ._tables import COMBS, CONTRACT, DIM, DIMS, RANK, STAR, WEDGE
 from .errors import DegreeError, MetricError
 
 #: Coefficients at or below this magnitude are dropped after every operation.
@@ -209,10 +210,10 @@ def wedge(a, b):
     k = a.degree + b.degree
     if k > DIM:
         raise DegreeError(f"wedge of degrees {a.degree} and {b.degree} exceeds {DIM}")
-    ia, ja, ka, sa = WEDGE_TABLES[(a.degree, b.degree)]
-    out = np.zeros(DIMS[k])
-    wedge_accum(ia, ja, ka, sa, a._vals, b._vals, out)
-    return Form(k, out)
+    op = WEDGE[(a.degree, b.degree)]
+    # contract the first factor against the flattened operator, then the second
+    left = (a._vals @ op.reshape(op.shape[0], -1)).reshape(op.shape[1:])
+    return Form(k, b._vals @ left)
 
 
 def contract(x, a):
@@ -222,10 +223,7 @@ def contract(x, a):
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (DIM,):
         raise DegreeError(f"vector must have {DIM} components, got {xv.shape}")
-    ms, ins, outs, sgns = CONTRACT_TABLES[a.degree]
-    out = np.zeros(DIMS[a.degree - 1])
-    contract_accum(ms, ins, outs, sgns, xv, a._vals, out)
-    return Form(a.degree - 1, out)
+    return Form(a.degree - 1, xv @ (a._vals @ CONTRACT[a.degree]))
 
 
 def contract_basis(m, a):
@@ -237,14 +235,11 @@ def contract_basis(m, a):
 
 def hodge(a, m=IDENTITY_METRIC):
     """Hodge star: b ^ hodge(a) = <b, a>_m vol_m for every b of the same degree."""
-    comp, sgn = STAR_TABLES[a.degree]
-    out = np.zeros(DIMS[DIM - a.degree])
+    star = STAR[a.degree]
     if m.is_identity:
-        star_apply(comp, sgn, a._vals, out)
-    else:
-        u = m.gram(a.degree) @ a._vals
-        star_apply(comp, sgn * (m.orientation * m.sqrt_det), u, out)
-    return Form(DIM - a.degree, out)
+        return Form(DIM - a.degree, star @ a._vals)
+    scale = m.orientation * m.sqrt_det
+    return Form(DIM - a.degree, scale * (star @ (m.gram(a.degree) @ a._vals)))
 
 
 def form_inner(a, b, m=IDENTITY_METRIC):
@@ -266,14 +261,12 @@ def matrix_coaction(d, a):
 
     This is the dual action of the vector-space endomorphism x -> d x on
     forms, extended as a derivation of the wedge product; rows/columns of
-    ``d`` are 0-based on e_1..e_7.
+    ``d`` are 0-based on e_1..e_7.  It is sum_ij d[i,j] e^j ^ iota_{e_i} a.
     """
-    out = Form.zero(a.degree)
-    if a.degree == 0:
-        return out
-    dm = np.asarray(d, dtype=np.float64)
-    rows, cols = np.nonzero(dm)
-    for i, j in zip(rows, cols):
-        term = wedge(Form.monomial((j + 1,), dm[i, j]), contract_basis(i + 1, a))
-        out = out + term
-    return out
+    k = a.degree
+    if k == 0:
+        return Form.zero(0)
+    # rows of a @ CONTRACT[k] are iota_{e_i} a; d^T mixes them into the
+    # coefficients of e^j, which WEDGE[(1, k-1)] then multiplies in
+    mixed = np.asarray(d, dtype=np.float64).T @ (a._vals @ CONTRACT[k])
+    return Form(k, mixed.ravel() @ WEDGE[(1, k - 1)].reshape(-1, DIMS[k]))

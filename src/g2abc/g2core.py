@@ -178,22 +178,19 @@ def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
 def full_torsion_from_nabla(s, conn, tol=1e-9):
     """Full torsion tensor from the connection: solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
-    The 35x7 system is solved in the least-squares sense; a residual above
-    tol signals an inconsistent connection/structure pair.
+    The 35x7 system, with one right-hand side per e_i, is solved in the
+    least-squares sense; a residual above tol signals an inconsistent
+    connection/structure pair.
     """
-    gamma = conn.gamma
     columns = np.column_stack([contract_basis(m, s.psi).values for m in range(1, DIM + 1)])
-    T = np.empty((DIM, DIM))
-    for i in range(DIM):
-        # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..)
-        nabla_phi = -1.0 * matrix_coaction(gamma[i].T, s.phi)
-        rhs = nabla_phi.values
-        v, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
-        residual = float(np.max(np.abs(columns @ v - rhs)))
-        if residual > tol:
-            raise TorsionSolveError(f"torsion solve failed: residual {residual:g} > {tol:g}")
-        T[i] = s.metric.matrix @ v
-    return _chop(T)
+    # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..)
+    rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in conn.gamma])
+    v, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
+    residual = float(np.max(np.abs(columns @ v - rhs)))
+    if residual > tol:
+        raise TorsionSolveError(f"torsion solve failed: residual {residual:g} > {tol:g}")
+    # row i of T is metric @ v[:, i]
+    return _chop((s.metric.matrix @ v).T)
 
 
 def torsion_data(s):

@@ -128,6 +128,8 @@ class TripleABC:
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.shape != (4, 4):
                 raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise ValidationError(f"matrix {name} has non-finite entries")
             m = m.copy()
             m.flags.writeable = False
             object.__setattr__(self, name, m)
@@ -804,13 +806,12 @@ def cross_validate(t, tol=1e-9):
     # tabulated theta expansions vs the definitional action
     for mat, mat_name in ((t.A, "A"), (t.B, "B"), (t.C, "C")):
         for which in (7, 1, 2):
-            diff = theta_omega_tabulated(mat, which) - theta(mat, OMEGA[which])
-            for key, v in diff.coeffs.items():
+            printed = theta_omega_tabulated(mat, which)
+            oracle = theta(mat, OMEGA[which])
+            for key, v in (printed - oracle).coeffs.items():
                 if abs(v) > tol:
                     mono = "e" + "".join(map(str, key))
                     report.dual_reports.append(ReferenceCheck(
-                        f"theta_omega{which}[{mat_name}]", mono,
-                        theta_omega_tabulated(mat, which)(*key),
-                        theta(mat, OMEGA[which])(*key)))
+                        f"theta_omega{which}[{mat_name}]", mono, printed(*key), oracle(*key)))
 
     return report

@@ -3,12 +3,15 @@ differential on left-invariant forms."""
 
 import numpy as np
 
-from ._tables import COMBS, DIM, DIMS, RANK, merge_sign
+from ._tables import COMBS, CONTRACT, DIM, DIMS, WEDGE
 from .errors import DegreeError, ValidationError
 from .exterior import Form
 
 #: Instances with a Jacobi residual above this are rejected at construction.
 JACOBI_TOL = 1e-10
+
+#: 0-based (i, j) of the 2-monomials e^{ij}, i < j, in rank order.
+_PAIR_I, _PAIR_J = np.array(COMBS[2]).T - 1
 
 
 def _as_constants(c):
@@ -69,31 +72,13 @@ class LieAlgebra7:
         return self._d_mats[degree]
 
     def _build_d_matrix(self, degree):
-        mat = np.zeros((DIMS[degree + 1], DIMS[degree]))
         if degree == 0:
-            return mat
-        # d e^m = -sum_{i<j} c[i,j,m] e^{ij}, extended as an antiderivation:
-        # d e^I = sum_t (-1)^(t-1) (d e^{i_t}) ^ e^{I \ i_t}.
-        d1 = {}
-        for m in range(DIM):
-            entries = []
-            for i in range(DIM):
-                for j in range(i + 1, DIM):
-                    v = self.c[i, j, m]
-                    if v != 0.0:
-                        entries.append(((i + 1, j + 1), -v))
-            d1[m + 1] = entries
-        for col, comb in enumerate(COMBS[degree]):
-            for t, m in enumerate(comb):
-                rest = comb[:t] + comb[t + 1:]
-                outer = -1.0 if t & 1 else 1.0
-                for pair, v in d1[m]:
-                    s = merge_sign(pair, rest)
-                    if s == 0:
-                        continue
-                    row = RANK[degree + 1][tuple(sorted(pair + rest))]
-                    mat[row, col] += outer * s * v
-        return mat
+            return np.zeros((DIMS[1], DIMS[0]))
+        # d = sum_m (d e^m) ^ iota_{e_m} with d e^m = -sum_{i<j} c[i,j,m] e^{ij};
+        # column m of d1 holds the coefficients of d e^m on the 2-monomials.
+        d1 = -self.c[_PAIR_I, _PAIR_J, :]
+        d_wedge = np.tensordot(d1, WEDGE[(2, degree - 1)], axes=(0, 0))  # (m, o, r)
+        return np.tensordot(CONTRACT[degree], d_wedge, axes=([0, 2], [0, 1])).T
 
 
 def bracket(g, x, y):

@@ -102,6 +102,18 @@ def test_verify_unknown_case_is_input_error(capsys):
     assert main(["verify", "--case", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    assert main(["verify", "--case", "diag", "--trials", trials]) == 1
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "abc"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    assert main(["verify", "--case", "diag", "--trials", "1", "--tol", tol]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -150,6 +162,23 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert report["tol"] == 1e-3
     monkeypatch.delenv("G2ABC_TOL")
     importlib.reload(cli)
+
+
+def test_malformed_env_tolerance_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("G2ABC_TOL", "1e-9x")
+    assert main(["verify", "--case", "diag", "--trials", "1"]) == 1
+    assert "G2ABC_TOL" in capsys.readouterr().err
+    path = write_triple(tmp_path / "t.json", A=DIAG_A)
+    assert main(["analyze", "--input", path]) == 1
+
+
+def test_analyze_rejects_non_finite_matrix(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"A": [[NaN, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],'
+                    ' "B": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],'
+                    ' "C": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}')
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert "matrix A has non-finite entries" in capsys.readouterr().err
 
 
 def test_analyze_rejects_missing_matrix_key(tmp_path, capsys):

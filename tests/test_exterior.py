@@ -1,10 +1,12 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
 from g2abc.errors import DegreeError, MetricError
 from g2abc.exterior import (
     Form,
@@ -14,6 +16,7 @@ from g2abc.exterior import (
     contract_basis,
     form_inner,
     hodge,
+    matrix_coaction,
     volume_form,
     wedge,
 )
@@ -23,6 +26,35 @@ from g2abc.gabc import OMEGA
 from conftest import random_form, random_monomial
 
 TOP = (1, 2, 3, 4, 5, 6, 7)
+
+
+# -- the dense operators -------------------------------------------------------
+
+def test_wedge_operators_are_signed_and_complete():
+    for (k1, k2), op in WEDGE.items():
+        assert op.shape == (DIMS[k1], DIMS[k2], DIMS[k1 + k2])
+        assert set(np.unique(op)) <= {-1.0, 0.0, 1.0}
+        # one entry per pair of disjoint monomials
+        assert np.count_nonzero(op) == comb(7, k1) * comb(7 - k1, k2)
+
+
+def test_contract_operators_remove_each_index_once():
+    for k, op in CONTRACT.items():
+        assert op.shape == (DIM, DIMS[k], DIMS[k - 1])
+        assert set(np.unique(op)) <= {-1.0, 0.0, 1.0}
+        # iota_{e_m} e^I is one signed monomial when m is in I, else zero
+        assert np.array_equal(np.abs(op).sum(axis=2).sum(axis=0), np.full(DIMS[k], k))
+        assert np.abs(op).sum(axis=2).max() == 1.0
+
+
+def test_star_operators_are_involutive_signed_permutations():
+    for k in range(DIM + 1):
+        star = STAR[k]
+        assert star.shape == (DIMS[DIM - k], DIMS[k])
+        assert np.array_equal(np.abs(star).sum(axis=0), np.ones(DIMS[k]))
+        assert np.array_equal(np.abs(star).sum(axis=1), np.ones(DIMS[DIM - k]))
+        # star(star(e^I)) = +e^I in this signature
+        assert np.array_equal(star @ STAR[DIM - k], np.eye(DIMS[DIM - k]))
 
 
 # -- Form construction ---------------------------------------------------------
@@ -298,7 +330,6 @@ def test_opposite_pair_triple_wedges_vanish_on_span3():
 
 
 def test_matrix_coaction_scales_monomials_by_diagonal(rng):
-    from g2abc.exterior import matrix_coaction
     d = np.diag(rng.standard_normal(7))
     for _ in range(20):
         k = int(rng.integers(1, 7))
@@ -307,3 +338,21 @@ def test_matrix_coaction_scales_monomials_by_diagonal(rng):
         got = matrix_coaction(d, Form.monomial(mono))
         assert abs(got(*mono) - expected) <= 1e-12
         assert len(got.coeffs) <= 1
+
+
+def test_matrix_coaction_on_one_forms_is_the_row_action(rng):
+    # e^i -> sum_j d[i,j] e^j; a non-diagonal d tells d from its transpose
+    d = rng.standard_normal((7, 7))
+    for i in range(1, DIM + 1):
+        got = matrix_coaction(d, Form.monomial((i,)))
+        assert np.allclose(got.values, d[i - 1], rtol=0.0, atol=1e-15)
+
+
+def test_matrix_coaction_is_a_derivation(rng):
+    d = rng.standard_normal((7, 7))
+    for ka in range(DIM + 1):
+        for kb in range(DIM + 1 - ka):
+            a, b = random_form(rng, ka), random_form(rng, kb)
+            lhs = matrix_coaction(d, wedge(a, b))
+            rhs = wedge(matrix_coaction(d, a), b) + wedge(a, matrix_coaction(d, b))
+            assert (lhs - rhs).norm_inf() <= 1e-12 * max(1.0, lhs.norm_inf()), (ka, kb)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from g2abc import gabc
 from g2abc.errors import ValidationError
 from g2abc.exterior import Form, form_inner, hodge, wedge
 from g2abc.g2core import (
@@ -55,6 +58,14 @@ def test_non_commuting_pair_rejected():
 def test_wrong_shape_rejected():
     with pytest.raises(ValidationError, match="4x4"):
         TripleABC(A=np.zeros((3, 3)), B=ZERO4, C=ZERO4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    B = ZERO4.copy()
+    B[1, 2] = bad
+    with pytest.raises(ValidationError, match="matrix B has non-finite entries"):
+        make(B=B)
 
 
 def test_build_abelian():
@@ -365,6 +376,21 @@ def test_cross_validate_dual_reports_are_the_documented_misprints():
     }
     # the tau0 a-slot misprint must actually be detected on general triples
     assert ("tau0", "") in labels
+
+
+def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
+    # 18 theta in closed_form_derivatives and 9 per (matrix, omega) pair in
+    # the dual reports, however many coefficients are misprinted
+    calls = Counter()
+    for name in ("theta", "theta_omega_tabulated"):
+        def counted(*args, _name=name, _fn=getattr(gabc, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(gabc, name, counted)
+    for kind in FamilyKind:
+        calls.clear()
+        cross_validate(generate(kind, 0))
+        assert calls == {"theta": 27, "theta_omega_tabulated": 9}, kind
 
 
 def test_cross_validate_divergence_free_key_for_families():
