@@ -52,6 +52,28 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """A seed for numpy's generators: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be non-negative")
+    return value
+
+
+def positive_finite(text):
+    """An entry scale: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not np.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite and positive")
+    return value
+
+
 def default_tol():
     """The tolerance G2ABC_TOL sets, else DEFAULT_TOL; a malformed value is an input error."""
     raw = os.environ.get("G2ABC_TOL", "").strip()
@@ -179,6 +201,7 @@ def cmd_verify(args):
         kind = CASES[case]
         case_worst = 0.0
         case_key = ""
+        case_devs = {}
         for trial in range(args.trials):
             seed = np.random.SeedSequence((args.seed, case_index, trial))
             triple = generate(kind, seed)
@@ -187,18 +210,20 @@ def cmd_verify(args):
                 failures += 1
             for key, val in rep.deviations.items():
                 worst[key] = max(worst.get(key, 0.0), val)
+                case_devs[key] = max(case_devs.get(key, 0.0), val)
                 if val > case_worst:
                     case_worst, case_key = val, key
             for r in rep.dual_reports:
                 ident = (r.formula, r.component)
                 if ident not in duals or duals[ident].delta < r.delta:
                     duals[ident] = r
-        summary.append((case, args.trials, case_worst, case_key))
+        summary.append((case, args.trials, case_worst, case_key, case_devs))
     passed = failures == 0
     if args.json:
         print(json.dumps({
-            "cases": {c: {"trials": n, "worst": w, "worst_quantity": k}
-                      for c, n, w, k in summary},
+            "cases": {c: {"trials": n, "worst": w, "worst_quantity": k,
+                          "worst_deviations": dict(sorted(devs.items()))}
+                      for c, n, w, k, devs in summary},
             "worst_deviations": {k: v for k, v in sorted(worst.items())},
             "dual_reports": [
                 {"formula": f, "component": c, "tabulated": r.tabulated,
@@ -209,7 +234,7 @@ def cmd_verify(args):
             "passed": passed,
         }, sort_keys=True, indent=2))
     else:
-        for case, n, w, k in summary:
+        for case, n, w, k, _ in summary:
             print(f"case {case}: {n} trials, worst deviation {w:.3e} ({k or 'n/a'})")
         print(f"worst per quantity at tol {args.tol:g}:")
         for key, val in sorted(worst.items()):
@@ -256,14 +281,14 @@ def make_parser():
     p_ver = sub.add_parser("verify", help="cross-validation campaign on generated triples")
     p_ver.add_argument("--case", choices=[*CASES, "all"], default="all")
     p_ver.add_argument("--trials", type=positive_int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=non_negative_int, default=0)
     p_ver.add_argument("--tol", type=tolerance, help="default: G2ABC_TOL, else 1e-9")
     p_ver.add_argument("--json", action="store_true")
 
     p_gen = sub.add_parser("gen", help="write a random triple of a family")
     p_gen.add_argument("--case", choices=list(CASES), required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--scale", type=float, default=1.0)
+    p_gen.add_argument("--seed", type=non_negative_int, default=0)
+    p_gen.add_argument("--scale", type=positive_finite, default=1.0)
     p_gen.add_argument("--out", required=True)
     return parser
 

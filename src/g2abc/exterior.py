@@ -67,12 +67,13 @@ class Form:
     def from_coeffs(cls, degree, coeffs):
         """Build a form from an {index tuple: value} map; keys may be unsorted."""
         vals = np.zeros(DIMS[degree])
+        rank = RANK[degree]
         for key, value in coeffs.items():
-            idx, sign = canonical_indices(key)
+            idx, sign = (key, 1) if key in rank else canonical_indices(key)
             if len(idx) != degree:
                 raise DegreeError(f"key {key} has length {len(idx)}, expected {degree}")
             if sign:
-                vals[RANK[degree][idx]] += sign * value
+                vals[rank[idx]] += sign * value
         return cls(degree, vals)
 
     @classmethod

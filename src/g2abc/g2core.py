@@ -3,21 +3,13 @@ symmetric 27-component tensor, and the full torsion tensor by two
 independent routes."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._tables import DIM
+from ._tables import CONTRACT, DIM, DIMS, WEDGE
 from .errors import MetricError, PositivityError, TorsionSolveError
-from .exterior import (
-    Form,
-    Metric7,
-    PRUNE_TOL,
-    contract,
-    contract_basis,
-    hodge,
-    matrix_coaction,
-    wedge,
-)
+from .exterior import Form, Metric7, PRUNE_TOL, contract, hodge, wedge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -43,6 +35,15 @@ def _chop(arr):
     return out
 
 
+def _top_pairing(contractions, eta):
+    """Exactly symmetric (7, 7) matrix of the e^{1...7} coefficients of
+    iota_{e_i}(phi) ^ iota_{e_j}(phi) ^ eta; row i of ``contractions`` is iota_{e_i}(phi)."""
+    # pair[I, J]: top coefficient of e^I ^ e^J ^ eta over the 2-monomials
+    pair = WEDGE[(2, 2)] @ (WEDGE[(4, 3)][:, :, 0] @ eta.values)
+    top = contractions @ pair @ contractions.T
+    return 0.5 * (top + top.T)
+
+
 def induced_metric(phi):
     """Metric and volume scale induced by a positive 3-form.
 
@@ -52,13 +53,7 @@ def induced_metric(phi):
     """
     if phi.degree != 3:
         raise PositivityError("induced_metric expects a 3-form")
-    b = np.empty((DIM, DIM))
-    contractions = [contract_basis(m, phi) for m in range(1, DIM + 1)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            top = wedge(wedge(contractions[i], contractions[j]), phi)
-            b[i, j] = b[j, i] = top.values[0] / 6.0
-    b = _chop(b)
+    b = _chop(_top_pairing(phi.values @ CONTRACT[3], phi) / 6.0)
     det_b = float(np.linalg.det(b))
     if det_b <= 0.0:
         raise PositivityError("not a positive 3-form")
@@ -92,6 +87,20 @@ class G2Structure:
         return cls(phi=STANDARD_PHI, algebra=algebra, metric=Metric7.identity(),
                    psi=STANDARD_PSI, vol_scale=1.0)
 
+    # derived once per structure (cached_property bypasses the frozen __setattr__)
+    @cached_property
+    def dphi(self):
+        return ce_diff(self.algebra, self.phi)
+
+    @cached_property
+    def dpsi(self):
+        return ce_diff(self.algebra, self.psi)
+
+    @cached_property
+    def phi_contractions(self):
+        """(7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi)."""
+        return self.phi.values @ CONTRACT[3]
+
 
 @dataclass(frozen=True)
 class TorsionData:
@@ -114,12 +123,10 @@ def torsion_forms(s):
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
     m = s.metric
-    dphi = ce_diff(s.algebra, s.phi)
-    dpsi = ce_diff(s.algebra, s.psi)
-    star_dphi = hodge(dphi, m)
-    tau0 = hodge(wedge(dphi, s.phi), m).values[0] / 7.0
+    star_dphi = hodge(s.dphi, m)
+    tau0 = hodge(wedge(s.dphi, s.phi), m).values[0] / 7.0
     tau1 = hodge(wedge(star_dphi, s.phi), m) * (-1.0 / 12.0)
-    tau2 = -hodge(dpsi, m) + 4.0 * hodge(wedge(tau1, s.psi), m)
+    tau2 = -hodge(s.dpsi, m) + 4.0 * hodge(wedge(tau1, s.psi), m)
     tau3 = star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi), m)
     return tau0, tau1, tau2, tau3
 
@@ -134,28 +141,21 @@ def tau27_tensor(s, tau3):
     instance).  Without it the two routes differ by exactly that factor on
     the 27-component.
     """
-    m = s.metric
-    out = np.empty((DIM, DIM))
-    contractions = [contract_basis(i, s.phi) for i in range(1, DIM + 1)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            top = hodge(wedge(wedge(contractions[i], contractions[j]), tau3), m)
-            out[i, j] = out[j, i] = 0.25 * top.values[0]
-    return _chop(out)
+    top = _top_pairing(s.phi_contractions, tau3)
+    if not s.metric.is_identity:
+        # the star of a top form scales its coefficient by that of star(e^{1...7})
+        top = top * hodge(Form(DIM, [1.0]), s.metric).values[0]
+    return _chop(0.25 * top)
 
 
 def _two_form_matrix(eta):
-    """Antisymmetric matrix M[i,j] = eta(e_{i+1}, e_{j+1})."""
-    out = np.zeros((DIM, DIM))
-    for (i, j), v in eta.coeffs.items():
-        out[i - 1, j - 1] = v
-        out[j - 1, i - 1] = -v
-    return out
+    """Antisymmetric matrix M[i,j] = eta(e_{i+1}, e_{j+1}), row i being iota_{e_{i+1}} eta."""
+    return eta.values @ CONTRACT[2]
 
 
 def tau1_vector(s, tau1):
     """The vector metrically dual to tau1: g(v, X) = tau1(X)."""
-    covec = np.array([tau1(i) for i in range(1, DIM + 1)])
+    covec = np.array(tau1.values)
     if s.metric.is_identity:
         return covec
     return s.metric.inverse @ covec
@@ -182,9 +182,12 @@ def full_torsion_from_nabla(s, conn, tol=1e-9):
     least-squares sense; a residual above tol signals an inconsistent
     connection/structure pair.
     """
-    columns = np.column_stack([contract_basis(m, s.psi).values for m in range(1, DIM + 1)])
-    # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..)
-    rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in conn.gamma])
+    # column m: iota_{e_{m+1}}(psi)
+    columns = (s.psi.values @ CONTRACT[4]).T
+    # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
+    # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
+    mixed = conn.gamma @ s.phi_contractions  # (i, j, 2-form)
+    rhs = -(mixed.reshape(DIM, -1) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).T
     v, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
     residual = float(np.max(np.abs(columns @ v - rhs)))
     if residual > tol:
@@ -211,10 +214,8 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     torsion_forms; see the README note on conventions.)
     """
     m = s.metric
-    dphi = ce_diff(s.algebra, s.phi)
-    dpsi = ce_diff(s.algebra, s.psi)
-    res1 = (dphi - (tau0 * s.psi + 3.0 * wedge(tau1, s.phi) + hodge(tau3, m))).norm_inf()
-    res2 = (dpsi - (4.0 * wedge(tau1, s.psi) - hodge(tau2, m))).norm_inf()
+    res1 = (s.dphi - (tau0 * s.psi + 3.0 * wedge(tau1, s.phi) + hodge(tau3, m))).norm_inf()
+    res2 = (s.dpsi - (4.0 * wedge(tau1, s.psi) - hodge(tau2, m))).norm_inf()
     return res1, res2
 
 

@@ -15,11 +15,12 @@ generic route; such coefficients are dual-reported, never silently fixed.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import DIM
+from ._tables import COMBS, DIM
 from .errors import ValidationError
 from .exterior import Form, contract, hodge, matrix_coaction, wedge
 from .g2core import (
@@ -33,7 +34,7 @@ from .g2core import (
     tau27_tensor,
     torsion_forms,
 )
-from .liealg import LieAlgebra7, ce_diff
+from .liealg import LieAlgebra7, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
 from .riemann import Connection7, div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
@@ -79,6 +80,9 @@ TAU3_SUPPORT_ANTIDIAGONAL = (
 RICCI_A_BLOCK_ORDER = "(e7, e1, e2) <-> (A, B, C)"
 
 _ANTIDIAG_SLOTS = ((0, 3), (1, 2), (2, 1), (3, 0))
+
+#: The 2-monomials outside the ideal n, where theta's argument must vanish.
+_OFF_N = np.array([not set(key) <= set(N_INDICES) for key in COMBS[2]])
 
 
 # -- matrix shape predicates (exact, by construction of the families) ---------
@@ -146,6 +150,14 @@ class TripleABC:
     def matrices(self):
         return self.A, self.B, self.C
 
+    @functools.cached_property
+    def theta_actions(self):
+        """theta(M, omega_i) for M in (A, B, C, A^T, B^T, C^T), keyed by (name, i);
+        computed once, read by the derivative formulas and the dual reports."""
+        named = (("A", self.A), ("B", self.B), ("C", self.C),
+                 ("At", self.A.T), ("Bt", self.B.T), ("Ct", self.C.T))
+        return {(name, i): theta(M, OMEGA[i]) for name, M in named for i in (7, 1, 2)}
+
     def matches(self, kind):
         if kind is FamilyKind.GENERAL:
             return True
@@ -167,13 +179,9 @@ def structure_constants(A, B, C):
     c = np.zeros((DIM, DIM, DIM))
     for row, M in ((6, A), (0, B), (1, C)):
         m = np.asarray(M, dtype=np.float64)
-        for q in range(4):
-            for p in range(4):
-                v = m[p, q]
-                if v != 0.0:
-                    c[row, 2 + q, 2 + p] = v
-                    c[2 + q, row, 2 + p] = -v
-    return c
+        c[row, 2:6, 2:6] = m.T
+        c[2:6, row, 2:6] = -m.T
+    return c + 0.0  # + 0.0 turns the -0.0 of zero entries into 0.0
 
 
 def build(t):
@@ -191,11 +199,11 @@ def theta(M, eta):
     """
     if eta.degree != 2:
         raise ValidationError("theta acts on 2-forms")
-    if any(i not in N_INDICES for key in eta.coeffs for i in key):
+    if np.any(eta.values[_OFF_N]):
         raise ValidationError("theta acts on 2-forms supported on e3..e6")
     d7 = np.zeros((DIM, DIM))
-    d7[2:6, 2:6] = np.asarray(M, dtype=np.float64)
-    return -1.0 * matrix_coaction(d7, eta)
+    d7[2:6, 2:6] = -np.asarray(M, dtype=np.float64)
+    return matrix_coaction(d7, eta)
 
 
 def _entries(M):
@@ -230,28 +238,22 @@ def theta_omega_tabulated(M, which):
 
 # -- closed-form derivatives ----------------------------------------------------
 
+@functools.cache
 def _e(*indices):
     return Form.monomial(indices)
 
 
 def closed_form_derivatives(t):
     """(dphi, star dphi, dpsi, star dpsi) from the theta-action formulas."""
-    A, B, C = t.matrices()
-    thA = {i: theta(A, OMEGA[i]) for i in (7, 1, 2)}
-    thB = {i: theta(B, OMEGA[i]) for i in (7, 1, 2)}
-    thC = {i: theta(C, OMEGA[i]) for i in (7, 1, 2)}
-    thAt = {i: theta(A.T, OMEGA[i]) for i in (7, 1, 2)}
-    thBt = {i: theta(B.T, OMEGA[i]) for i in (7, 1, 2)}
-    thCt = {i: theta(C.T, OMEGA[i]) for i in (7, 1, 2)}
-
-    dphi = (wedge(thB[7] - thA[1], _e(1, 7))
-            + wedge(thC[7] - thA[2], _e(2, 7))
-            + wedge(thB[2] - thC[1], _e(1, 2)))
-    star_dphi = (wedge(thBt[7] - thAt[1], _e(2,))
-                 - wedge(thCt[7] - thAt[2], _e(1,))
-                 - wedge(thBt[2] - thCt[1], _e(7,)))
-    dpsi = wedge(thA[7] + thB[1] + thC[2], _e(1, 2, 7))
-    star_dpsi = -1.0 * (thAt[7] + thBt[1] + thCt[2])
+    th = t.theta_actions
+    dphi = (wedge(th["B", 7] - th["A", 1], _e(1, 7))
+            + wedge(th["C", 7] - th["A", 2], _e(2, 7))
+            + wedge(th["B", 2] - th["C", 1], _e(1, 2)))
+    star_dphi = (wedge(th["Bt", 7] - th["At", 1], _e(2,))
+                 - wedge(th["Ct", 7] - th["At", 2], _e(1,))
+                 - wedge(th["Bt", 2] - th["Ct", 1], _e(7,)))
+    dpsi = wedge(th["A", 7] + th["B", 1] + th["C", 2], _e(1, 2, 7))
+    star_dpsi = -1.0 * (th["At", 7] + th["Bt", 1] + th["Ct", 2])
     return dphi, star_dphi, dpsi, star_dpsi
 
 
@@ -513,11 +515,9 @@ def closed_form_connection(t):
     gamma = np.zeros((DIM, DIM, DIM))
     for row, M in ((6, t.A), (0, t.B), (1, t.C)):
         am, sm = _skew(M), _sym(M)
-        for q in range(4):
-            for p in range(4):
-                gamma[row, 2 + q, 2 + p] = am[p, q]
-                gamma[2 + q, row, 2 + p] = -sm[p, q]
-                gamma[2 + p, 2 + q, row] = sm[p, q]
+        gamma[row, 2:6, 2:6] = am.T
+        gamma[2:6, row, 2:6] = -sm.T
+        gamma[2:6, 2:6, row] = sm
     return Connection7(gamma=gamma)
 
 
@@ -713,10 +713,8 @@ def cross_validate(t, tol=1e-9):
     dev = report.deviations
 
     # generic route
-    dphi = ce_diff(alg, s.phi)
-    dpsi = ce_diff(alg, s.psi)
-    star_dphi = hodge(dphi, s.metric)
-    star_dpsi = hodge(dpsi, s.metric)
+    star_dphi = hodge(s.dphi, s.metric)
+    star_dpsi = hodge(s.dpsi, s.metric)
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(s, tau3)
     T = full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27)
@@ -734,9 +732,9 @@ def cross_validate(t, tol=1e-9):
 
     # derivatives: theta-action formulas vs the Chevalley-Eilenberg oracle
     cf_dphi, cf_sdphi, cf_dpsi, cf_sdpsi = closed_form_derivatives(t)
-    dev["dphi"] = (cf_dphi - dphi).norm_inf()
+    dev["dphi"] = (cf_dphi - s.dphi).norm_inf()
     dev["star_dphi"] = (cf_sdphi - star_dphi).norm_inf()
-    dev["dpsi"] = (cf_dpsi - dpsi).norm_inf()
+    dev["dpsi"] = (cf_dpsi - s.dpsi).norm_inf()
     dev["star_dpsi"] = (cf_sdpsi - star_dpsi).norm_inf()
 
     # torsion forms: general tabulated tau1, tau2 gate; tau0 and tau3 carry
@@ -744,7 +742,8 @@ def cross_validate(t, tol=1e-9):
     cf = _torsion_general(t)
     dev["tau1"] = (cf.tau1 - tau1).norm_inf()
     dev["tau2"] = (cf.tau2 - tau2).norm_inf()
-    dev["iota_tau1_phi"] = (cf.iota_tau1_phi - contract(tau1_vector(s, tau1), s.phi)).norm_inf()
+    iota = contract(tau1_vector(s, tau1), s.phi)
+    dev["iota_tau1_phi"] = (cf.iota_tau1_phi - iota).norm_inf()
     if abs(cf.tau0 - tau0) > tol:
         report.dual_reports.append(ReferenceCheck("tau0[general]", "", cf.tau0, tau0))
     diff3 = cf.tau3 - tau3
@@ -763,7 +762,6 @@ def cross_validate(t, tol=1e-9):
     dev["tau3_type27_psi"] = wedge(tau3, s.psi).norm_inf()
 
     # support patterns
-    iota = contract(tau1_vector(s, tau1), s.phi)
     dev["support_iota_tau1_phi"] = _form_outside_span(iota, TWO_FORM_SUPPORT)
     dev["support_tau2"] = _form_outside_span(tau2, TWO_FORM_SUPPORT)
     dev["support_tau3"] = _form_outside_span(tau3, TAU3_SUPPORT)
@@ -807,7 +805,7 @@ def cross_validate(t, tol=1e-9):
     for mat, mat_name in ((t.A, "A"), (t.B, "B"), (t.C, "C")):
         for which in (7, 1, 2):
             printed = theta_omega_tabulated(mat, which)
-            oracle = theta(mat, OMEGA[which])
+            oracle = t.theta_actions[mat_name, which]
             for key, v in (printed - oracle).coeffs.items():
                 if abs(v) > tol:
                     mono = "e" + "".join(map(str, key))

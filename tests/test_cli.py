@@ -114,6 +114,22 @@ def test_verify_rejects_bad_tolerance(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--case", "diag", "--trials", "1", "--seed", "-1"]) == 1
+    assert "error: argument --seed" in capsys.readouterr().err
+
+
+def test_verify_json_reports_worst_deviations_per_case(capsys):
+    assert main(["verify", "--case", "all", "--trials", "3", "--seed", "0", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cases = out["cases"]
+    for case in ("skew", "diag", "adiag", "sym"):
+        assert cases[case]["worst_deviations"]["divergence_free"] <= out["tol"]
+    assert "divergence_free" not in cases["general"]["worst_deviations"]
+    for key, val in out["worst_deviations"].items():
+        assert val == max(c["worst_deviations"].get(key, 0.0) for c in cases.values())
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -133,6 +149,21 @@ def test_gen_antidiagonal_shape(tmp_path):
         for slot in ((0, 3), (1, 2), (2, 1), (3, 0)):
             mask[slot] = False
         assert np.all(m[mask] == 0.0)
+
+
+def test_gen_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen", "--case", "diag", "--seed", "-1", "--out", str(out)]) == 1
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big"])
+def test_gen_rejects_bad_scale(tmp_path, capsys, scale):
+    out = tmp_path / "x.json"
+    assert main(["gen", "--case", "diag", "--scale", scale, "--out", str(out)]) == 1
+    assert "error: argument --scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_unwritable_path(capsys):

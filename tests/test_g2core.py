@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from g2abc.errors import PositivityError, TorsionSolveError
-from g2abc.exterior import Form, Metric7, hodge
+from g2abc.exterior import Form, Metric7, contract_basis, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
     G2Structure,
     STANDARD_PHI,
@@ -168,6 +168,68 @@ def test_tau1_vector_pairs_to_tau1():
     v = tau1_vector(s, t1)
     for i in range(1, 8):
         assert abs(v[i - 1] - t1(i)) == 0.0
+
+
+# -- whole-array stages against per-pair references --------------------------------------
+
+def per_pair_top(phi, eta, m):
+    """star(iota_i phi ^ iota_j phi ^ eta) for i <= j, one wedge/wedge/hodge per pair."""
+    contractions = [contract_basis(i, phi) for i in range(1, 8)]
+    out = np.empty((7, 7))
+    for i in range(7):
+        for j in range(i, 7):
+            top = hodge(wedge(wedge(contractions[i], contractions[j]), eta), m)
+            out[i, j] = out[j, i] = top.values[0]
+    return out
+
+
+def per_pair_induced_metric(phi):
+    contractions = [contract_basis(i, phi) for i in range(1, 8)]
+    b = np.empty((7, 7))
+    for i in range(7):
+        for j in range(i, 7):
+            b[i, j] = b[j, i] = wedge(wedge(contractions[i], contractions[j]), phi).values[0] / 6.0
+    return b / np.linalg.det(b) ** (1.0 / 9.0)
+
+
+def per_basis_torsion_from_nabla(s, conn):
+    columns = np.column_stack([contract_basis(m, s.psi).values for m in range(1, 8)])
+    rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in conn.gamma])
+    v = np.linalg.lstsq(columns, rhs, rcond=None)[0]
+    assert np.max(np.abs(columns @ v - rhs)) <= 1e-9
+    return (s.metric.matrix @ v).T
+
+
+def pulled_back_phi(p):
+    """STANDARD_PHI with every e^i replaced by sum_j p[i, j] e^j."""
+    rows = [Form(1, row) for row in p]
+    out = Form.zero(3)
+    for (i, j, k), v in STANDARD_PHI.coeffs.items():
+        out = out + v * wedge(wedge(rows[i - 1], rows[j - 1]), rows[k - 1])
+    return out
+
+
+def whole_array_structures():
+    alg, standard = build(generate(FamilyKind.GENERAL, 61))
+    p = np.eye(7) + 0.3 * np.random.default_rng(62).standard_normal((7, 7))
+    if np.linalg.det(p) < 0:
+        p[:, 0] = -p[:, 0]
+    return alg, [standard, G2Structure.from_phi(alg, pulled_back_phi(p))]
+
+
+def test_whole_array_stages_match_per_pair_references():
+    alg, structures = whole_array_structures()
+    assert structures[0].metric.is_identity and not structures[1].metric.is_identity
+    for s in structures:
+        _, _, _, tau3 = torsion_forms(s)
+        assert not tau3.is_zero()
+        expected = 0.25 * per_pair_top(s.phi, tau3, s.metric)
+        assert np.max(np.abs(tau27_tensor(s, tau3) - expected)) <= 1e-13
+        metric, _ = induced_metric(s.phi)
+        assert np.max(np.abs(metric.matrix - per_pair_induced_metric(s.phi))) <= 1e-13
+        conn = levi_civita(alg, s.metric)
+        expected_T = per_basis_torsion_from_nabla(s, conn)
+        assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected_T)) <= 1e-13
 
 
 # -- classification -------------------------------------------------------------------

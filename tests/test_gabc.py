@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from g2abc import gabc
+from g2abc import g2core, gabc
 from g2abc.errors import ValidationError
 from g2abc.exterior import Form, form_inner, hodge, wedge
 from g2abc.g2core import (
@@ -378,19 +378,33 @@ def test_cross_validate_dual_reports_are_the_documented_misprints():
     assert ("tau0", "") in labels
 
 
-def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
-    # 18 theta in closed_form_derivatives and 9 per (matrix, omega) pair in
-    # the dual reports, however many coefficients are misprinted
+def count_calls(monkeypatch, module, names):
     calls = Counter()
-    for name in ("theta", "theta_omega_tabulated"):
-        def counted(*args, _name=name, _fn=getattr(gabc, name)):
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(gabc, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
+    # the 18 theta of closed_form_derivatives; the dual reports reuse the 9
+    # theta(M, omega_i) among them, however many coefficients are misprinted
+    calls = count_calls(monkeypatch, gabc, ("theta", "theta_omega_tabulated"))
     for kind in FamilyKind:
         calls.clear()
         cross_validate(generate(kind, 0))
-        assert calls == {"theta": 27, "theta_omega_tabulated": 9}, kind
+        assert calls == {"theta": 18, "theta_omega_tabulated": 9}, kind
+
+
+def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
+    calls = count_calls(monkeypatch, g2core, ("ce_diff",))
+    monkeypatch.setattr(gabc, "ce_diff", g2core.ce_diff)  # same counter under gabc's name
+    for kind in FamilyKind:
+        calls.clear()
+        cross_validate(generate(kind, 0))
+        assert calls == {"ce_diff": 2}, kind
 
 
 def test_cross_validate_divergence_free_key_for_families():
