@@ -38,6 +38,7 @@ from .gabc import (
     closed_form_ricci,
     closed_form_torsion,
     cross_validate,
+    cross_validate_many,
     generate,
     theta,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "closed_form_torsion",
     "contract",
     "cross_validate",
+    "cross_validate_many",
     "div_torsion",
     "flow_velocity",
     "form_inner",

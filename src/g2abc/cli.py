@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 input/validation error, 2 verification mismatch.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -12,7 +13,16 @@ import sys
 import numpy as np
 
 from .errors import G2ABCError
-from .gabc import FamilyKind, TripleABC, classify_triple, cross_validate, generate
+from .gabc import (
+    MAX_SCALE,
+    PASS_SIZE,
+    FamilyKind,
+    TripleABC,
+    classify_triple,
+    cross_validate,
+    cross_validate_many,
+    generate,
+)
 
 CASES = {
     "skew": FamilyKind.SKEW,
@@ -64,13 +74,15 @@ def non_negative_int(text):
 
 
 def positive_finite(text):
-    """An entry scale: a finite number above 0."""
+    """An entry scale: a number above 0 and at most gabc.MAX_SCALE."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not np.isfinite(value) or value <= 0.0:
         raise argparse.ArgumentTypeError(f"{text!r} must be finite and positive")
+    if value > MAX_SCALE:
+        raise argparse.ArgumentTypeError(f"{text!r} must be at most {MAX_SCALE:g}")
     return value
 
 
@@ -196,28 +208,28 @@ def cmd_verify(args):
     worst = {}
     failures = 0
     duals = {}
-    summary = []
-    for case_index, case in enumerate(cases):
-        kind = CASES[case]
-        case_worst = 0.0
-        case_key = ""
-        case_devs = {}
-        for trial in range(args.trials):
-            seed = np.random.SeedSequence((args.seed, case_index, trial))
-            triple = generate(kind, seed)
-            rep = cross_validate(triple, tol=args.tol)
+    # per case: [worst deviation, its quantity, worst of each quantity]
+    case_stats = [[0.0, "", {}] for _ in cases]
+    # trial k of case i is seeded by (seed, i, k); the triples are generated
+    # and cross-validated one pass at a time, in case-major order
+    jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
+    while chunk := list(itertools.islice(jobs, PASS_SIZE)):
+        triples = [generate(CASES[cases[i]], np.random.SeedSequence((args.seed, i, k)))
+                   for i, k in chunk]
+        for (case_index, _), rep in zip(chunk, cross_validate_many(triples, tol=args.tol)):
+            stats = case_stats[case_index]
             if not rep.passed:
                 failures += 1
             for key, val in rep.deviations.items():
                 worst[key] = max(worst.get(key, 0.0), val)
-                case_devs[key] = max(case_devs.get(key, 0.0), val)
-                if val > case_worst:
-                    case_worst, case_key = val, key
+                stats[2][key] = max(stats[2].get(key, 0.0), val)
+                if val > stats[0]:
+                    stats[0], stats[1] = val, key
             for r in rep.dual_reports:
                 ident = (r.formula, r.component)
                 if ident not in duals or duals[ident].delta < r.delta:
                     duals[ident] = r
-        summary.append((case, args.trials, case_worst, case_key, case_devs))
+    summary = [(case, args.trials, *stats) for case, stats in zip(cases, case_stats)]
     passed = failures == 0
     if args.json:
         print(json.dumps({

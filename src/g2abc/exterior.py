@@ -4,9 +4,11 @@ Forms are alternating k-forms with constant coefficients, addressed by
 ascending index tuples drawn from {1,...,7} (``e^{127}`` is the key
 ``(1, 2, 7)``).  A form of degree k holds a dense vector over the C(7,k)
 basis monomials; the public ``coeffs`` view is the pruned sparse map.
-Wedge, contraction, the Hodge star and the derivation action of a matrix
-are each one product of those vectors with the dense operators of
-``_tables``.
+A form may also hold a stack of N such vectors, shape (N, C(7,k)): one
+form per trial of a batch.  Wedge, contraction, the Hodge star and the
+derivation action of a matrix are each one product of those vectors with
+the dense operators of ``_tables``, and broadcast a single form against a
+stack.
 
 Conventions:
   * monomials are orthonormal for the identity metric,
@@ -45,12 +47,14 @@ class Form:
     """Alternating form of fixed degree with real coefficients."""
 
     __slots__ = ("degree", "_vals")
+    # numpy arrays of scalars defer to Form.__rmul__ instead of multiplying elementwise
+    __array_ufunc__ = None
 
     def __init__(self, degree, vals):
         if not 0 <= degree <= DIM:
             raise DegreeError(f"degree {degree} outside 0..{DIM}")
         v = np.asarray(vals, dtype=np.float64)
-        if v.shape != (DIMS[degree],):
+        if v.ndim not in (1, 2) or v.shape[-1] != DIMS[degree]:
             raise DegreeError(f"degree-{degree} form needs {DIMS[degree]} coefficients, got {v.shape}")
         v = v.copy()
         v[np.abs(v) <= PRUNE_TOL] = 0.0
@@ -65,16 +69,26 @@ class Form:
 
     @classmethod
     def from_coeffs(cls, degree, coeffs):
-        """Build a form from an {index tuple: value} map; keys may be unsorted."""
-        vals = np.zeros(DIMS[degree])
+        """Build a form from an {index tuple: value} map; keys may be unsorted.
+
+        Values of shape (N,) build a stack of N forms.
+        """
         rank = RANK[degree]
+        columns = {}  # rank -> summed value
         for key, value in coeffs.items():
             idx, sign = (key, 1) if key in rank else canonical_indices(key)
             if len(idx) != degree:
                 raise DegreeError(f"key {key} has length {len(idx)}, expected {degree}")
             if sign:
-                vals[rank[idx]] += sign * value
-        return cls(degree, vals)
+                r = rank[idx]
+                term = value if sign > 0 else -value
+                columns[r] = columns[r] + term if r in columns else term
+        # the longest value shape; the others broadcast into it
+        batch = max(map(np.shape, columns.values()), key=len, default=())
+        vals = np.zeros((DIMS[degree],) + batch)
+        for r, value in columns.items():
+            vals[r] = value
+        return cls(degree, vals.T)
 
     @classmethod
     def monomial(cls, indices, coeff=1.0):
@@ -89,10 +103,16 @@ class Form:
 
     @property
     def values(self):
-        """Dense coefficient vector (read-only)."""
+        """Dense coefficient vector, or (N, C(7,k)) stack of them (read-only)."""
         out = self._vals.view()
         out.flags.writeable = False
         return out
+
+    def __getitem__(self, n):
+        """Form n of a stack."""
+        if self._vals.ndim != 2:
+            raise DegreeError("only a stack of forms can be indexed")
+        return Form(self.degree, self._vals[n])
 
     def __call__(self, *indices):
         """Coefficient of the (possibly unsorted) monomial ``e^indices``."""
@@ -102,9 +122,12 @@ class Form:
         return 0.0 if sign == 0 else sign * float(self._vals[RANK[self.degree][idx]])
 
     def norm_inf(self):
-        return float(np.max(np.abs(self._vals))) if self._vals.size else 0.0
+        """Largest coefficient magnitude; an (N,) array for a stack of forms."""
+        out = np.abs(self._vals).max(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def is_zero(self):
+        """True when every coefficient (of every form of a stack) is zero."""
         return not np.any(self._vals)
 
     # -- linear structure -----------------------------------------------------
@@ -123,7 +146,8 @@ class Form:
         return Form(self.degree, -self._vals)
 
     def __mul__(self, scalar):
-        return Form(self.degree, self._vals * float(scalar))
+        """Scalar multiple; an (N,) array of scalars scales form n by scalar n."""
+        return Form(self.degree, np.asarray(scalar, dtype=np.float64)[..., None] * self._vals)
 
     __rmul__ = __mul__
 
@@ -206,6 +230,22 @@ class Metric7:
 IDENTITY_METRIC = Metric7.identity()
 
 
+def _vecmat(x, m):
+    """x @ m over leading axes: (..., i) and (..., i, r) give (..., r)."""
+    return np.matmul(x[..., None, :], m)[..., 0, :]
+
+
+#: CONTRACT[k] reshaped so that one product gives every iota_{e_m}: (C(7,k), 7 * C(7,k-1)).
+_IOTA = {k: op.transpose(1, 0, 2).reshape(op.shape[1], -1) for k, op in CONTRACT.items()}
+
+
+def contractions(a):
+    """(..., 7, C(7,k-1)) array; row m holds the coefficients of iota_{e_{m+1}} a."""
+    if a.degree == 0:
+        raise DegreeError("cannot contract a 0-form")
+    return (a._vals @ _IOTA[a.degree]).reshape(a._vals.shape[:-1] + (DIM, DIMS[a.degree - 1]))
+
+
 def wedge(a, b):
     """Exterior product.  Graded-commutative; errors when degrees sum past 7."""
     k = a.degree + b.degree
@@ -213,18 +253,17 @@ def wedge(a, b):
         raise DegreeError(f"wedge of degrees {a.degree} and {b.degree} exceeds {DIM}")
     op = WEDGE[(a.degree, b.degree)]
     # contract the first factor against the flattened operator, then the second
-    left = (a._vals @ op.reshape(op.shape[0], -1)).reshape(op.shape[1:])
-    return Form(k, b._vals @ left)
+    left = (a._vals @ op.reshape(op.shape[0], -1)).reshape(a._vals.shape[:-1] + op.shape[1:])
+    return Form(k, _vecmat(b._vals, left))
 
 
 def contract(x, a):
-    """Interior product (iota_x a)(Y, ...) = a(x, Y, ...) by a coefficient vector x."""
-    if a.degree == 0:
-        raise DegreeError("cannot contract a 0-form")
+    """Interior product (iota_x a)(Y, ...) = a(x, Y, ...) by a coefficient vector x
+    (or an (N, 7) stack of them)."""
     xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (DIM,):
+    if xv.shape[-1:] != (DIM,):
         raise DegreeError(f"vector must have {DIM} components, got {xv.shape}")
-    return Form(a.degree - 1, xv @ (a._vals @ CONTRACT[a.degree]))
+    return Form(a.degree - 1, _vecmat(xv, contractions(a)))
 
 
 def contract_basis(m, a):
@@ -238,9 +277,10 @@ def hodge(a, m=IDENTITY_METRIC):
     """Hodge star: b ^ hodge(a) = <b, a>_m vol_m for every b of the same degree."""
     star = STAR[a.degree]
     if m.is_identity:
-        return Form(DIM - a.degree, star @ a._vals)
+        return Form(DIM - a.degree, a._vals @ star.T)
     scale = m.orientation * m.sqrt_det
-    return Form(DIM - a.degree, scale * (star @ (m.gram(a.degree) @ a._vals)))
+    # the Gram matrix is symmetric
+    return Form(DIM - a.degree, scale * (a._vals @ m.gram(a.degree) @ star.T))
 
 
 def form_inner(a, b, m=IDENTITY_METRIC):
@@ -263,11 +303,13 @@ def matrix_coaction(d, a):
     This is the dual action of the vector-space endomorphism x -> d x on
     forms, extended as a derivation of the wedge product; rows/columns of
     ``d`` are 0-based on e_1..e_7.  It is sum_ij d[i,j] e^j ^ iota_{e_i} a.
+    ``d`` of shape (N, 7, 7) acts on form n with matrix n.
     """
     k = a.degree
     if k == 0:
         return Form.zero(0)
-    # rows of a @ CONTRACT[k] are iota_{e_i} a; d^T mixes them into the
-    # coefficients of e^j, which WEDGE[(1, k-1)] then multiplies in
-    mixed = np.asarray(d, dtype=np.float64).T @ (a._vals @ CONTRACT[k])
-    return Form(k, mixed.ravel() @ WEDGE[(1, k - 1)].reshape(-1, DIMS[k]))
+    # d^T mixes the rows iota_{e_i} a into the coefficients of e^j, which
+    # WEDGE[(1, k-1)] then multiplies in
+    mixed = np.asarray(d, dtype=np.float64).swapaxes(-1, -2) @ contractions(a)
+    flat = mixed.reshape(mixed.shape[:-2] + (-1,))
+    return Form(k, flat @ WEDGE[(1, k - 1)].reshape(-1, DIMS[k]))

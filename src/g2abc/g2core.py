@@ -1,15 +1,20 @@
 """G2-structure machinery: induced metric, dual 4-form, torsion forms, the
 symmetric 27-component tensor, and the full torsion tensor by two
-independent routes."""
+independent routes.
+
+A structure on a stack of N algebras (``LieAlgebra7`` of (N, 7, 7, 7)
+constants) yields stacks of forms and (N, ...) arrays throughout."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._tables import CONTRACT, DIM, DIMS, WEDGE
+from ._tables import DIM, DIMS, WEDGE
 from .errors import MetricError, PositivityError, TorsionSolveError
-from .exterior import Form, Metric7, PRUNE_TOL, contract, hodge, wedge
+from .exterior import (
+    IDENTITY_METRIC, PRUNE_TOL, Form, Metric7, contract, contractions, hodge, wedge,
+)
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -35,13 +40,18 @@ def _chop(arr):
     return out
 
 
-def _top_pairing(contractions, eta):
-    """Exactly symmetric (7, 7) matrix of the e^{1...7} coefficients of
-    iota_{e_i}(phi) ^ iota_{e_j}(phi) ^ eta; row i of ``contractions`` is iota_{e_i}(phi)."""
+#: _PAIR_TOP[K, (I, J)]: coefficient of e^{1...7} in e^I ^ e^J ^ e^K, over the
+#: 3-monomials K and pairs of 2-monomials I, J
+_PAIR_TOP = (WEDGE[(2, 2)].reshape(-1, DIMS[4]) @ WEDGE[(4, 3)][:, :, 0]).T
+
+
+def _top_pairing(rows, eta):
+    """Exactly symmetric (..., 7, 7) array of the e^{1...7} coefficients of
+    iota_{e_i}(phi) ^ iota_{e_j}(phi) ^ eta; row i of ``rows`` is iota_{e_i}(phi)."""
     # pair[I, J]: top coefficient of e^I ^ e^J ^ eta over the 2-monomials
-    pair = WEDGE[(2, 2)] @ (WEDGE[(4, 3)][:, :, 0] @ eta.values)
-    top = contractions @ pair @ contractions.T
-    return 0.5 * (top + top.T)
+    pair = (eta.values @ _PAIR_TOP).reshape(eta.values.shape[:-1] + (DIMS[2], DIMS[2]))
+    top = rows @ pair @ rows.swapaxes(-1, -2)
+    return 0.5 * (top + top.swapaxes(-1, -2))
 
 
 def induced_metric(phi):
@@ -53,7 +63,7 @@ def induced_metric(phi):
     """
     if phi.degree != 3:
         raise PositivityError("induced_metric expects a 3-form")
-    b = _chop(_top_pairing(phi.values @ CONTRACT[3], phi) / 6.0)
+    b = _chop(_top_pairing(contractions(phi), phi) / 6.0)
     det_b = float(np.linalg.det(b))
     if det_b <= 0.0:
         raise PositivityError("not a positive 3-form")
@@ -84,7 +94,7 @@ class G2Structure:
     @classmethod
     def standard(cls, algebra):
         """The reference structure; skips recomputing the (identity) metric."""
-        return cls(phi=STANDARD_PHI, algebra=algebra, metric=Metric7.identity(),
+        return cls(phi=STANDARD_PHI, algebra=algebra, metric=IDENTITY_METRIC,
                    psi=STANDARD_PSI, vol_scale=1.0)
 
     # derived once per structure (cached_property bypasses the frozen __setattr__)
@@ -97,9 +107,17 @@ class G2Structure:
         return ce_diff(self.algebra, self.psi)
 
     @cached_property
+    def star_dphi(self):
+        return hodge(self.dphi, self.metric)
+
+    @cached_property
+    def star_dpsi(self):
+        return hodge(self.dpsi, self.metric)
+
+    @cached_property
     def phi_contractions(self):
         """(7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi)."""
-        return self.phi.values @ CONTRACT[3]
+        return contractions(self.phi)
 
 
 @dataclass(frozen=True)
@@ -123,11 +141,10 @@ def torsion_forms(s):
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
     m = s.metric
-    star_dphi = hodge(s.dphi, m)
-    tau0 = hodge(wedge(s.dphi, s.phi), m).values[0] / 7.0
-    tau1 = hodge(wedge(star_dphi, s.phi), m) * (-1.0 / 12.0)
-    tau2 = -hodge(s.dpsi, m) + 4.0 * hodge(wedge(tau1, s.psi), m)
-    tau3 = star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi), m)
+    tau0 = hodge(wedge(s.dphi, s.phi), m).values[..., 0] / 7.0
+    tau1 = hodge(wedge(s.star_dphi, s.phi), m) * (-1.0 / 12.0)
+    tau2 = -s.star_dpsi + 4.0 * hodge(wedge(tau1, s.psi), m)
+    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi), m)
     return tau0, tau1, tau2, tau3
 
 
@@ -150,7 +167,7 @@ def tau27_tensor(s, tau3):
 
 def _two_form_matrix(eta):
     """Antisymmetric matrix M[i,j] = eta(e_{i+1}, e_{j+1}), row i being iota_{e_{i+1}} eta."""
-    return eta.values @ CONTRACT[2]
+    return contractions(eta)
 
 
 def tau1_vector(s, tau1):
@@ -158,7 +175,7 @@ def tau1_vector(s, tau1):
     covec = np.array(tau1.values)
     if s.metric.is_identity:
         return covec
-    return s.metric.inverse @ covec
+    return covec @ s.metric.inverse.T
 
 
 def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
@@ -170,30 +187,39 @@ def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
     if tau27 is None:
         tau27 = tau27_tensor(s, tau3)
     iota = contract(tau1_vector(s, tau1), s.phi)
-    T = (0.25 * tau0) * s.metric.matrix - _two_form_matrix(iota) \
+    T = np.multiply.outer(0.25 * tau0, s.metric.matrix) - _two_form_matrix(iota) \
         - 0.5 * _two_form_matrix(tau2) - tau27
     return _chop(T)
+
+
+@lru_cache(maxsize=8)
+def _torsion_system(psi):
+    """The 35x7 matrix whose column m is iota_{e_{m+1}}(psi), and its
+    pseudo-inverse; every standard structure shares them."""
+    columns = contractions(psi).swapaxes(-1, -2)
+    return columns, np.linalg.pinv(columns)
 
 
 def full_torsion_from_nabla(s, conn, tol=1e-9):
     """Full torsion tensor from the connection: solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
     The 35x7 system, with one right-hand side per e_i, is solved in the
-    least-squares sense; a residual above tol signals an inconsistent
+    least-squares sense through the pseudo-inverse of the system; a residual
+    above tol (on any connection of a stack) signals an inconsistent
     connection/structure pair.
     """
-    # column m: iota_{e_{m+1}}(psi)
-    columns = (s.psi.values @ CONTRACT[4]).T
+    columns, solve = _torsion_system(s.psi)
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
-    mixed = conn.gamma @ s.phi_contractions  # (i, j, 2-form)
-    rhs = -(mixed.reshape(DIM, -1) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).T
-    v, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
+    mixed = conn.gamma @ s.phi_contractions  # (..., i, j, 2-form)
+    rhs = -(mixed.reshape(mixed.shape[:-2] + (-1,))
+            @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
+    v = solve @ rhs
     residual = float(np.max(np.abs(columns @ v - rhs)))
     if residual > tol:
         raise TorsionSolveError(f"torsion solve failed: residual {residual:g} > {tol:g}")
     # row i of T is metric @ v[:, i]
-    return _chop((s.metric.matrix @ v).T)
+    return _chop((s.metric.matrix @ v).swapaxes(-1, -2))
 
 
 def torsion_data(s):
@@ -227,11 +253,12 @@ class TorsionClass:
 
 
 def classify(td, tol=1e-9):
-    """Closed / coclosed / torsion-free flags from the torsion magnitudes."""
-    n0 = float(abs(td.tau0))
+    """Closed / coclosed / torsion-free flags from the torsion magnitudes;
+    for torsion data of a stack, each flag is a list with one bool per member."""
+    n0 = np.abs(td.tau0)
     n1 = td.tau1.norm_inf()
     n2 = td.tau2.norm_inf()
     n3 = td.tau3.norm_inf()
-    return TorsionClass(closed=bool(max(n0, n1, n3) <= tol),
-                        coclosed=bool(max(n1, n2) <= tol),
-                        torsion_free=bool(max(n0, n1, n2, n3) <= tol))
+    flag = lambda *norms: (np.max(norms, axis=0) <= tol).tolist()
+    return TorsionClass(closed=flag(n0, n1, n3), coclosed=flag(n1, n2),
+                        torsion_free=flag(n0, n1, n2, n3))

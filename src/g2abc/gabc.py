@@ -12,6 +12,12 @@ Every geometric quantity is computed twice:
 ``cross_validate`` runs both and reports every disagreement.  The tabulated
 coefficient formulas are kept verbatim even where they disagree with the
 generic route; such coefficients are dual-reported, never silently fixed.
+
+A ``TripleABC`` may hold a stack of N triples, matrices of shape (N, 4, 4).
+Both routes then run once over the stack: the generic route through stacked
+structure constants, the tabulated formulas on (N,) arrays of entries.
+``cross_validate_many`` cross-validates many triples that way, in passes of
+at most ``PASS_SIZE``; ``cross_validate`` is its one-triple case.
 """
 
 import enum
@@ -20,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import COMBS, DIM
+from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
-from .exterior import Form, contract, hodge, matrix_coaction, wedge
+from .exterior import PRUNE_TOL, Form, contract, matrix_coaction, wedge
 from .g2core import (
     G2Structure,
+    TorsionClass,
     TorsionData,
     classify,
     full_torsion_from_forms,
@@ -80,27 +87,30 @@ TAU3_SUPPORT_ANTIDIAGONAL = (
 RICCI_A_BLOCK_ORDER = "(e7, e1, e2) <-> (A, B, C)"
 
 _ANTIDIAG_SLOTS = ((0, 3), (1, 2), (2, 1), (3, 0))
+_OFF_DIAG = ~np.eye(4, dtype=bool)
+_OFF_ANTIDIAG = ~np.eye(4, dtype=bool)[::-1]
 
 #: The 2-monomials outside the ideal n, where theta's argument must vanish.
 _OFF_N = np.array([not set(key) <= set(N_INDICES) for key in COMBS[2]])
 
 
 # -- matrix shape predicates (exact, by construction of the families) ---------
+# Each takes a 4x4 matrix, or an (N, 4, 4) stack and answers per matrix.
+
+def _transpose(M):
+    return M.swapaxes(-1, -2)
 
 def is_diagonal_matrix(M):
-    return bool(np.all(M[~np.eye(4, dtype=bool)] == 0.0))
+    return (M[..., _OFF_DIAG] == 0.0).all(axis=-1)
 
 def is_skew_matrix(M):
-    return bool(np.array_equal(M, -M.T))
+    return (M == -_transpose(M)).all(axis=(-2, -1))
 
 def is_symmetric_matrix(M):
-    return bool(np.array_equal(M, M.T))
+    return (M == _transpose(M)).all(axis=(-2, -1))
 
 def is_antidiagonal_matrix(M):
-    mask = np.ones((4, 4), dtype=bool)
-    for slot in _ANTIDIAG_SLOTS:
-        mask[slot] = False
-    return bool(np.all(M[mask] == 0.0))
+    return (M[..., _OFF_ANTIDIAG] == 0.0).all(axis=-1)
 
 
 class FamilyKind(enum.Enum):
@@ -121,7 +131,11 @@ _FAMILY_PREDICATES = {
 
 @dataclass(frozen=True)
 class TripleABC:
-    """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6."""
+    """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6.
+
+    ``TripleABC.stack`` makes a stack of N validated triples, matrices of
+    shape (N, 4, 4), which every function of the module accepts too.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -147,6 +161,22 @@ class TripleABC:
                 raise ValidationError(
                     f"pairwise commutation violated: max |[{left},{right}]| = {res:g}")
 
+    @classmethod
+    def stack(cls, triples):
+        """The stack of the given single triples, in order."""
+        columns = zip(*(t.matrices() for t in triples))
+        return cls._of_validated(*(np.stack(mats) for mats in columns))
+
+    @classmethod
+    def _of_validated(cls, A, B, C):
+        """A stack of matrices copied from validated triples; the checks hold
+        for each of them already."""
+        t = object.__new__(cls)
+        for name, m in (("A", A), ("B", B), ("C", C)):
+            m.flags.writeable = False
+            object.__setattr__(t, name, m)
+        return t
+
     def matrices(self):
         return self.A, self.B, self.C
 
@@ -155,32 +185,40 @@ class TripleABC:
         """theta(M, omega_i) for M in (A, B, C, A^T, B^T, C^T), keyed by (name, i);
         computed once, read by the derivative formulas and the dual reports."""
         named = (("A", self.A), ("B", self.B), ("C", self.C),
-                 ("At", self.A.T), ("Bt", self.B.T), ("Ct", self.C.T))
+                 ("At", _transpose(self.A)), ("Bt", _transpose(self.B)),
+                 ("Ct", _transpose(self.C)))
         return {(name, i): theta(M, OMEGA[i]) for name, M in named for i in (7, 1, 2)}
 
+    @functools.cached_property
+    def _shapes(self):
+        mats = np.stack(self.matrices())
+        return {kind: pred(mats).all(axis=0) for kind, pred in _FAMILY_PREDICATES.items()}
+
     def matches(self, kind):
+        """Whether all three matrices have the family's shape; per triple of a stack."""
         if kind is FamilyKind.GENERAL:
             return True
-        pred = _FAMILY_PREDICATES[kind]
-        return all(pred(m) for m in self.matrices())
+        return self._shapes[kind]
 
 
 def classify_triple(t):
-    """Most specific family label, checked in a fixed order."""
-    for kind in (FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL,
-                 FamilyKind.SKEW, FamilyKind.SYMMETRIC):
-        if t.matches(kind):
-            return kind
-    return FamilyKind.GENERAL
+    """Most specific family label, checked in a fixed order; for a stack, the
+    list of the labels of its triples."""
+    labels = np.full(t.A.shape[:-2], FamilyKind.GENERAL, dtype=object)
+    # the first matching kind of DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC is written last
+    for kind in (FamilyKind.SYMMETRIC, FamilyKind.SKEW,
+                 FamilyKind.ANTIDIAGONAL, FamilyKind.DIAGONAL):
+        labels[t.matches(kind)] = kind
+    return labels.tolist()
 
 
 def structure_constants(A, B, C):
     """Raw structure constants of g_{A,B,C} (no invariant checks)."""
-    c = np.zeros((DIM, DIM, DIM))
+    c = np.zeros(np.shape(A)[:-2] + (DIM, DIM, DIM))
     for row, M in ((6, A), (0, B), (1, C)):
-        m = np.asarray(M, dtype=np.float64)
-        c[row, 2:6, 2:6] = m.T
-        c[2:6, row, 2:6] = -m.T
+        mt = _transpose(np.asarray(M, dtype=np.float64))
+        c[..., row, 2:6, 2:6] = mt
+        c[..., 2:6, row, 2:6] = -mt
     return c + 0.0  # + 0.0 turns the -0.0 of zero entries into 0.0
 
 
@@ -196,18 +234,22 @@ def theta(M, eta):
     """Natural action on 2-forms of n: (theta(M) eta) = -eta(M.,.) - eta(.,M.).
 
     Implemented from this definition (not from any tabulated expansion).
+    An (N, 4, 4) stack of matrices gives a stack of N forms.
     """
     if eta.degree != 2:
         raise ValidationError("theta acts on 2-forms")
-    if np.any(eta.values[_OFF_N]):
+    if eta.values[..., _OFF_N].any():
         raise ValidationError("theta acts on 2-forms supported on e3..e6")
-    d7 = np.zeros((DIM, DIM))
-    d7[2:6, 2:6] = -np.asarray(M, dtype=np.float64)
+    m = np.asarray(M, dtype=np.float64)
+    d7 = np.zeros(m.shape[:-2] + (DIM, DIM))
+    d7[..., 2:6, 2:6] = -m
     return matrix_coaction(d7, eta)
 
 
 def _entries(M):
-    return tuple(float(v) for v in np.asarray(M, dtype=np.float64).ravel())
+    """The 16 entries of M in row order; (N,) arrays for an (N, 4, 4) stack."""
+    m = np.asarray(M, dtype=np.float64)
+    return tuple(m.reshape(m.shape[:-2] + (16,)).T)
 
 
 def theta_omega_tabulated(M, which):
@@ -412,9 +454,9 @@ def _torsion_skew(t):
 
 
 def _torsion_diagonal(t):
-    a33, a44, a55, a66 = (float(t.A[i, i]) for i in range(4))
-    b33, b44, b55, b66 = (float(t.B[i, i]) for i in range(4))
-    c33, c44, c55, c66 = (float(t.C[i, i]) for i in range(4))
+    a33, a44, a55, a66 = (t.A[..., i, i] for i in range(4))
+    b33, b44, b55, b66 = (t.B[..., i, i] for i in range(4))
+    c33, c44, c55, c66 = (t.C[..., i, i] for i in range(4))
 
     # The e46 coefficient is tabulated as -(b33 - b55); the generic route gives
     # -(b33 + b55).  Kept verbatim; see the dual reports.
@@ -433,9 +475,9 @@ def _torsion_diagonal(t):
 
 
 def _torsion_antidiagonal(t):
-    a36, a45, a54, a63 = (float(t.A[s]) for s in _ANTIDIAG_SLOTS)
-    b36, b45, b54, b63 = (float(t.B[s]) for s in _ANTIDIAG_SLOTS)
-    c36, c45, c54, c63 = (float(t.C[s]) for s in _ANTIDIAG_SLOTS)
+    a36, a45, a54, a63 = (t.A[..., i, j] for i, j in _ANTIDIAG_SLOTS)
+    b36, b45, b54, b63 = (t.B[..., i, j] for i, j in _ANTIDIAG_SLOTS)
+    c36, c45, c54, c63 = (t.C[..., i, j] for i, j in _ANTIDIAG_SLOTS)
 
     tau0 = (2.0 / 7.0) * (c54 - c45 + c63 - c36)
 
@@ -483,7 +525,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     The family-specific tables require the matching matrix shape; the
     symmetric case has no table of its own and dispatches to the general one.
     """
-    if kind is not FamilyKind.GENERAL and not t.matches(kind):
+    if kind is not FamilyKind.GENERAL and not np.all(t.matches(kind)):
         raise ValidationError(f"triple does not have the {kind.value} shape")
     if kind is FamilyKind.SKEW:
         return _torsion_skew(t)
@@ -497,11 +539,11 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
 # -- closed-form connection, Ricci, divergence ---------------------------------
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _transpose(M))
 
 
 def _skew(M):
-    return 0.5 * (M - M.T)
+    return 0.5 * (M - _transpose(M))
 
 
 def closed_form_connection(t):
@@ -512,12 +554,12 @@ def closed_form_connection(t):
               = -S(M_Y) X                          X in n, Y in a
               = sum_l <S(D^l) X, Y> e_l            X, Y in n
     """
-    gamma = np.zeros((DIM, DIM, DIM))
+    gamma = np.zeros(t.A.shape[:-2] + (DIM, DIM, DIM))
     for row, M in ((6, t.A), (0, t.B), (1, t.C)):
         am, sm = _skew(M), _sym(M)
-        gamma[row, 2:6, 2:6] = am.T
-        gamma[2:6, row, 2:6] = -sm.T
-        gamma[2:6, 2:6, row] = sm
+        gamma[..., row, 2:6, 2:6] = _transpose(am)
+        gamma[..., 2:6, row, 2:6] = -_transpose(sm)
+        gamma[..., 2:6, 2:6, row] = sm
     return Connection7(gamma=gamma)
 
 
@@ -528,17 +570,17 @@ def closed_form_ricci(t):
     The a-block ordering is RICCI_A_BLOCK_ORDER.
     """
     A, B, C = t.matrices()
-    ric = np.zeros((DIM, DIM))
-    comm = lambda M: M @ M.T - M.T @ M
-    ric[2:6, 2:6] = 0.5 * (comm(A) + comm(B) + comm(C))
+    ric = np.zeros(A.shape[:-2] + (DIM, DIM))
+    comm = lambda M: M @ _transpose(M) - _transpose(M) @ M
+    ric[..., 2:6, 2:6] = 0.5 * (comm(A) + comm(B) + comm(C))
     sa, sb, sc = _sym(A), _sym(B), _sym(C)
-    tr = lambda M, N: float(np.trace(M @ N))
-    ric[6, 6] = -tr(sa, sa)
-    ric[0, 0] = -tr(sb, sb)
-    ric[1, 1] = -tr(sc, sc)
-    ric[6, 0] = ric[0, 6] = -tr(sa, B)
-    ric[6, 1] = ric[1, 6] = -tr(sa, C)
-    ric[0, 1] = ric[1, 0] = -tr(sb, C)
+    tr = lambda M, N: np.trace(M @ N, axis1=-2, axis2=-1)
+    ric[..., 6, 6] = -tr(sa, sa)
+    ric[..., 0, 0] = -tr(sb, sb)
+    ric[..., 1, 1] = -tr(sc, sc)
+    ric[..., 6, 0] = ric[..., 0, 6] = -tr(sa, B)
+    ric[..., 6, 1] = ric[..., 1, 6] = -tr(sa, C)
+    ric[..., 0, 1] = ric[..., 1, 0] = -tr(sb, C)
     return ric
 
 
@@ -554,14 +596,15 @@ def closed_form_divergence(t, tau27):
     per-family vanishing theorems are insensitive to it (each term vanishes
     separately there).
     """
-    div = np.zeros(DIM)
-    block = np.asarray(tau27, dtype=np.float64)[2:6, 2:6]
+    block = np.asarray(tau27, dtype=np.float64)[..., 2:6, 2:6]
+    div = np.zeros(block.shape[:-2] + (DIM,))
+    diag = lambda M: np.diagonal(M, axis1=-2, axis2=-1)
     for row, M in ((6, t.A), (0, t.B), (1, t.C)):
         sm = _sym(M)
-        diag_term = float(np.sum(np.diag(M) * np.diag(block)))
+        diag_term = np.sum(diag(M) * diag(block), axis=-1)
         off = sm * block
-        off_term = float(np.sum(off) - np.sum(np.diag(off)))
-        div[row] = -diag_term - off_term
+        off_term = np.sum(off, axis=(-2, -1)) - np.sum(diag(off), axis=-1)
+        div[..., row] = -diag_term - off_term
     return div
 
 
@@ -582,11 +625,16 @@ def _random_rotation(rng):
     return q
 
 
+#: Largest ``scale`` of generate: entries are drawn from [-scale, scale],
+#: whose width must be a finite float.
+MAX_SCALE = np.finfo(np.float64).max / 2
+
+
 def generate(kind, seed, scale=1.0):
     """Random triple of the requested family; deterministic in the seed.
 
-    Entries are kept within [-scale, scale]; all family invariants hold by
-    construction (and are re-validated by TripleABC).
+    Entries are kept within [-scale, scale], 0 < scale <= MAX_SCALE; all
+    family invariants hold by construction (and are re-validated by TripleABC).
     """
     rng = np.random.default_rng(seed)
     if kind is FamilyKind.SKEW:
@@ -679,25 +727,76 @@ class CrossValidationReport:
         return key, self.deviations[key]
 
 
-def _form_outside_span(form, support):
+@functools.cache
+def _off_support(degree, support):
+    """Mask of the degree-k monomials outside ``support``."""
     allowed = set(support)
-    vals = [abs(v) for k, v in form.coeffs.items() if k not in allowed]
-    return max(vals, default=0.0)
+    return np.array([key not in allowed for key in COMBS[degree]])
+
+
+def _form_outside_span(form, support):
+    """Largest coefficient magnitude outside ``support``, per form of a stack."""
+    outside = form.values[..., _off_support(form.degree, support)]
+    return np.abs(outside).max(axis=-1, initial=0.0)
+
+
+def _max_abs(x, axes=1):
+    """Largest magnitude over the last ``axes`` axes, per triple of a stack."""
+    x = np.abs(x)
+    return x.reshape(x.shape[:x.ndim - axes] + (-1,)).max(axis=-1)
+
+
+def _dual_coefficients(formulas, degree, printed, oracle, tol, reports):
+    """Append to reports[n] one ReferenceCheck per coefficient where the
+    tabulated and the computed value of formula f for triple n differ by more
+    than tol.  ``printed`` and ``oracle`` hold the coefficient vectors of
+    every formula, stacked on a leading axis; differences at or below
+    PRUNE_TOL count as zero, as in a Form."""
+    printed, oracle = np.asarray(printed), np.asarray(oracle)
+    diff = printed - oracle
+    shape = (len(formulas), len(reports), DIMS[degree])
+    hits = np.nonzero(np.abs(diff).reshape(shape) > max(tol, PRUNE_TOL))
+    if not hits[0].size:
+        return
+    printed = np.broadcast_to(printed, diff.shape).reshape(shape)
+    oracle = np.broadcast_to(oracle, diff.shape).reshape(shape)
+    for f, n, r in zip(*hits):
+        mono = "e" + "".join(map(str, COMBS[degree][r]))
+        reports[n].append(ReferenceCheck(formulas[f], mono, float(printed[f, n, r]),
+                                         float(oracle[f, n, r])))
 
 
 def _compare_torsion(label, cf, tau0, tau1, tau2, tau3, tol, reports):
-    """Coefficient-wise dual reports of a tabulated torsion set vs the oracle."""
-    if abs(cf.tau0 - tau0) > tol:
-        reports.append(ReferenceCheck(f"tau0[{label}]", "", cf.tau0, tau0))
+    """Coefficient-wise dual reports of a tabulated torsion set vs the oracle;
+    reports[n] collects those of triple n of a stack."""
+    tabulated = np.broadcast_to(cf.tau0, np.shape(tau0)).ravel()
+    computed = np.ravel(tau0)
+    for n in np.flatnonzero(np.abs(tabulated - computed) > tol):
+        reports[n].append(ReferenceCheck(f"tau0[{label}]", "", float(tabulated[n]),
+                                         float(computed[n])))
     for name, printed, oracle in (("tau1", cf.tau1, tau1),
                                   ("tau2", cf.tau2, tau2),
                                   ("tau3", cf.tau3, tau3)):
-        diff = printed - oracle
-        for key, v in diff.coeffs.items():
-            if abs(v) > tol:
-                mono = "e" + "".join(map(str, key))
-                reports.append(ReferenceCheck(
-                    f"{name}[{label}]", mono, printed(*key), oracle(*key)))
+        _dual_coefficients([f"{name}[{label}]"], printed.degree, printed.values,
+                           oracle.values, tol, reports)
+
+
+#: Triples per array pass of cross_validate_many; bounds the memory a pass holds.
+PASS_SIZE = 32
+
+#: Gated deviations that apply to the triples of one family only.
+_FAMILY_DEVIATIONS = {
+    FamilyKind.SKEW: ("divergence_free",),
+    FamilyKind.SYMMETRIC: ("divergence_free",),
+    FamilyKind.DIAGONAL: ("divergence_free", "tau27_diagonal_nn", "support_tau3_diagonal"),
+    FamilyKind.ANTIDIAGONAL: ("divergence_free", "tau27_antidiagonal_pairs",
+                              "support_tau3_antidiagonal"),
+    FamilyKind.GENERAL: (),
+}
+
+_A_ROWS = [k - 1 for k in A_INDICES]
+#: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
+_ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
 
 
 def cross_validate(t, tol=1e-9):
@@ -705,16 +804,33 @@ def cross_validate(t, tol=1e-9):
 
     Gated quantities (the ``deviations`` dict) are the ones the two routes
     must agree on; tabulated formulas known to carry misprints are compared
-    coefficient-wise into ``dual_reports`` instead and never gate.
+    coefficient-wise into ``dual_reports`` instead and never gate.  This is
+    the pass of cross_validate_many, run on the one triple.
     """
+    return _cross_validate_pass(t, tol)[0]
+
+
+def cross_validate_many(triples, tol=1e-9):
+    """The cross_validate report of every triple, in input order.
+
+    The triples go through array passes of at most PASS_SIZE triples; each
+    pass runs both routes once, over a leading trial axis.
+    """
+    triples = list(triples)
+    return [report for start in range(0, len(triples), PASS_SIZE)
+            for report in _cross_validate_pass(
+                TripleABC.stack(triples[start:start + PASS_SIZE]), tol)]
+
+
+def _cross_validate_pass(t, tol):
+    """Reports of every triple of t, a single triple or a stack, from one run
+    of both routes."""
+    count = t.A.size // 16
     alg, s = build(t)
-    family = classify_triple(t)
-    report = CrossValidationReport(family=family.value, tol=tol)
-    dev = report.deviations
+    dev = {}
+    duals = [[] for _ in range(count)]
 
     # generic route
-    star_dphi = hodge(s.dphi, s.metric)
-    star_dpsi = hodge(s.dpsi, s.metric)
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(s, tau3)
     T = full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27)
@@ -722,20 +838,15 @@ def cross_validate(t, tol=1e-9):
     T_nabla = full_torsion_from_nabla(s, conn)
     ric = ricci(alg, s.metric, conn)
     div = div_torsion(alg, s.metric, conn, T)
-
-    report.tau0, report.tau1, report.tau2, report.tau3 = tau0, tau1, tau2, tau3
-    report.torsion_matrix = T
-    report.divergence = div
-    report.ricci_matrix = ric
-    report.flags = classify(
+    flags = classify(
         TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
 
     # derivatives: theta-action formulas vs the Chevalley-Eilenberg oracle
     cf_dphi, cf_sdphi, cf_dpsi, cf_sdpsi = closed_form_derivatives(t)
     dev["dphi"] = (cf_dphi - s.dphi).norm_inf()
-    dev["star_dphi"] = (cf_sdphi - star_dphi).norm_inf()
+    dev["star_dphi"] = (cf_sdphi - s.star_dphi).norm_inf()
     dev["dpsi"] = (cf_dpsi - s.dpsi).norm_inf()
-    dev["star_dpsi"] = (cf_sdpsi - star_dpsi).norm_inf()
+    dev["star_dpsi"] = (cf_sdpsi - s.star_dpsi).norm_inf()
 
     # torsion forms: general tabulated tau1, tau2 gate; tau0 and tau3 carry
     # known misprints and are compared coefficient-wise into the dual reports
@@ -744,14 +855,7 @@ def cross_validate(t, tol=1e-9):
     dev["tau2"] = (cf.tau2 - tau2).norm_inf()
     iota = contract(tau1_vector(s, tau1), s.phi)
     dev["iota_tau1_phi"] = (cf.iota_tau1_phi - iota).norm_inf()
-    if abs(cf.tau0 - tau0) > tol:
-        report.dual_reports.append(ReferenceCheck("tau0[general]", "", cf.tau0, tau0))
-    diff3 = cf.tau3 - tau3
-    for key, v in diff3.coeffs.items():
-        if abs(v) > tol:
-            mono = "e" + "".join(map(str, key))
-            report.dual_reports.append(ReferenceCheck(
-                "tau3[general]", mono, cf.tau3(*key), tau3(*key)))
+    _compare_torsion("general", cf, tau0, tau1, tau2, tau3, tol, duals)
 
     # reconstruction identities and component types
     rec1, rec2 = reconstruction_residuals(s, tau0, tau1, tau2, tau3)
@@ -767,49 +871,68 @@ def cross_validate(t, tol=1e-9):
     dev["support_tau3"] = _form_outside_span(tau3, TAU3_SUPPORT)
 
     # tau27 block structure: mixed a x n entries vanish
-    mixed = [abs(tau27[k - 1, i - 1]) for k in A_INDICES for i in N_INDICES]
-    dev["tau27_mixed_block"] = max(mixed)
+    dev["tau27_mixed_block"] = _max_abs(tau27[..., _A_ROWS, 2:6], 2)
 
     # torsion tensor: the two routes
-    dev["torsion_routes"] = float(np.max(np.abs(T - T_nabla)))
+    dev["torsion_routes"] = _max_abs(T - T_nabla, 2)
 
     # connection, Ricci, divergence
     conn_cf = closed_form_connection(t)
-    dev["connection"] = float(np.max(np.abs(conn_cf.gamma - conn.gamma)))
-    dev["ricci"] = float(np.max(np.abs(closed_form_ricci(t) - ric)))
+    dev["connection"] = _max_abs(conn_cf.gamma - conn.gamma, 3)
+    dev["ricci"] = _max_abs(closed_form_ricci(t) - ric, 2)
     div_cf = closed_form_divergence(t, tau27)
-    dev["divergence"] = float(np.max(np.abs(div_cf - div)))
-    report.exact_checks["div_components_3_to_6_zero"] = (
-        bool(np.all(div[2:6] == 0.0)) and bool(np.all(div_cf[2:6] == 0.0)))
+    dev["divergence"] = _max_abs(div_cf - div)
+    div_zero = (div[..., 2:6] == 0.0).all(axis=-1) & (div_cf[..., 2:6] == 0.0).all(axis=-1)
 
-    # family-specific content
-    if family is not FamilyKind.GENERAL:
-        dev["divergence_free"] = float(np.max(np.abs(div)))
-    if family is FamilyKind.DIAGONAL:
-        dev["tau27_diagonal_nn"] = float(np.max(np.abs(np.diag(tau27)[2:6])))
-        dev["support_tau3_diagonal"] = _form_outside_span(tau3, TAU3_SUPPORT_DIAGONAL)
-    if family is FamilyKind.ANTIDIAGONAL:
-        dev["tau27_antidiagonal_pairs"] = max(
-            abs(tau27[m - 1, 9 - m - 1]) for m in N_INDICES)
-        dev["support_tau3_antidiagonal"] = _form_outside_span(tau3, TAU3_SUPPORT_ANTIDIAGONAL)
+    # family-specific content, kept below for the triples of that family
+    family_dev = {
+        "divergence_free": _max_abs(div),
+        "tau27_diagonal_nn": _max_abs(np.diagonal(tau27, axis1=-2, axis2=-1)[..., 2:6]),
+        "support_tau3_diagonal": _form_outside_span(tau3, TAU3_SUPPORT_DIAGONAL),
+        "tau27_antidiagonal_pairs": _max_abs(tau27[(...,) + _ANTIDIAG_PAIRS]),
+        "support_tau3_antidiagonal": _form_outside_span(tau3, TAU3_SUPPORT_ANTIDIAGONAL),
+    }
 
-    # per-family tabulated torsion formulas: dual-reported, never gating
+    # per-family tabulated torsion formulas, on the triples of each shape:
+    # dual-reported, never gating
     for kind, label in ((FamilyKind.SKEW, "skew"),
                         (FamilyKind.DIAGONAL, "diagonal"),
                         (FamilyKind.ANTIDIAGONAL, "antidiagonal")):
-        if t.matches(kind):
+        match = t.matches(kind)
+        if match.all():
             _compare_torsion(label, closed_form_torsion(t, kind),
-                             tau0, tau1, tau2, tau3, tol, report.dual_reports)
+                             tau0, tau1, tau2, tau3, tol, duals)
+        elif match.any():
+            sub = TripleABC._of_validated(*(m[match] for m in t.matrices()))
+            _compare_torsion(label, closed_form_torsion(sub, kind), tau0[match], tau1[match],
+                             tau2[match], tau3[match], tol,
+                             [duals[n] for n in np.flatnonzero(match)])
 
     # tabulated theta expansions vs the definitional action
-    for mat, mat_name in ((t.A, "A"), (t.B, "B"), (t.C, "C")):
-        for which in (7, 1, 2):
-            printed = theta_omega_tabulated(mat, which)
-            oracle = t.theta_actions[mat_name, which]
-            for key, v in (printed - oracle).coeffs.items():
-                if abs(v) > tol:
-                    mono = "e" + "".join(map(str, key))
-                    report.dual_reports.append(ReferenceCheck(
-                        f"theta_omega{which}[{mat_name}]", mono, printed(*key), oracle(*key)))
+    pairs = [(mat_name, which) for mat_name in ("A", "B", "C") for which in (7, 1, 2)]
+    _dual_coefficients(
+        [f"theta_omega{which}[{mat_name}]" for mat_name, which in pairs], 2,
+        [theta_omega_tabulated(getattr(t, mat_name), which).values for mat_name, which in pairs],
+        [t.theta_actions[pair].values for pair in pairs], tol, duals)
 
-    return report
+    # one report per triple; a single triple's results become a stack of one
+    rows = lambda x, *tail: np.reshape(x, (count,) + tail)
+    families = rows(np.array(classify_triple(t), dtype=object))
+    flag_rows = [rows(f).tolist() for f in (flags.closed, flags.coclosed, flags.torsion_free)]
+    form_rows = [Form(f.degree, rows(f.values, DIMS[f.degree])) for f in (tau1, tau2, tau3)]
+    tau0, T, div, ric, div_zero = rows(tau0), rows(T, DIM, DIM), rows(div, DIM), \
+        rows(ric, DIM, DIM), rows(div_zero)
+    dev_rows = np.reshape(list(dev.values()), (len(dev), count)).T.tolist()
+    family_rows = {key: rows(values).tolist() for key, values in family_dev.items()}
+    reports = []
+    for n, family in enumerate(families):
+        deviations = dict(zip(dev, dev_rows[n]))
+        deviations.update((key, family_rows[key][n]) for key in _FAMILY_DEVIATIONS[family])
+        reports.append(CrossValidationReport(
+            family=family.value, tol=tol, deviations=deviations,
+            exact_checks={"div_components_3_to_6_zero": bool(div_zero[n])},
+            dual_reports=duals[n],
+            flags=TorsionClass(*(f[n] for f in flag_rows)),
+            tau0=float(tau0[n]), tau1=form_rows[0][n], tau2=form_rows[1][n],
+            tau3=form_rows[2][n], torsion_matrix=T[n], divergence=div[n], ricci_matrix=ric[n]))
+    return reports

@@ -1,5 +1,8 @@
 """Levi-Civita connection on a metric Lie algebra, curvature, Ricci,
-divergence of the full torsion tensor, and the torsion-flow velocity."""
+divergence of the full torsion tensor, and the torsion-flow velocity.
+
+Connections, Ricci tensors and divergences of a stack of N algebras carry
+a leading axis of length N."""
 
 from dataclasses import dataclass
 
@@ -32,14 +35,13 @@ def levi_civita(g, m):
 
     2 <nabla_X Y, Z> = <[X,Y], Z> - <[Y,Z], X> + <[Z,X], Y>.
     """
-    gm = m.matrix
-    cg = np.einsum("ijl,lk->ijk", g.c, gm)  # cg[i,j,k] = <[e_i,e_j], e_k>
+    cg = g.c @ m.matrix  # cg[i,j,k] = <[e_i,e_j], e_k>
     # rhs[i,j,k] = (cg[i,j,k] - cg[j,k,i] + cg[k,i,j]) / 2
-    rhs = 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+    rhs = 0.5 * (cg - np.einsum("...jki->...ijk", cg) + np.einsum("...kij->...ijk", cg))
     if m.is_identity:
         gamma = rhs
     else:
-        gamma = np.einsum("ijl,lk->ijk", rhs, m.inverse)
+        gamma = rhs @ m.inverse
     return Connection7(gamma=_chop(gamma))
 
 
@@ -67,10 +69,21 @@ def riemann_tensor(g, conn):
 
 
 def ricci(g, m, conn):
-    """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i>."""
-    riem = riemann_tensor(g, conn)
-    ric = np.einsum("ijkl,li->jk", riem, m.matrix)
-    return _chop(0.5 * (ric + ric.T))
+    """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i>.
+
+    Contracted term by term from the curvature formula of riemann_tensor,
+    without forming the 4-index tensor:
+    Ric[j,k] = sum_m gamma[j,k,m] t[m] - sum_im gamma[i,k,m] G[j,m,i]
+               - sum_im c[i,j,m] G[m,k,i],
+    with G[a,b,i] = sum_l gamma[a,b,l] g[l,i] and t[m] = sum_i G[i,m,i].
+    """
+    gamma = conn.gamma
+    gg = gamma @ m.matrix
+    trace = np.einsum("...imi->...m", gg)
+    ric = (np.einsum("...jkm,...m->...jk", gamma, trace)
+           - np.einsum("...ikm,...jmi->...jk", gamma, gg)
+           - np.einsum("...ijm,...mki->...jk", g.c, gg))
+    return _chop(0.5 * (ric + ric.swapaxes(-1, -2)))
 
 
 def div_torsion(g, m, conn, T):
@@ -84,9 +97,9 @@ def div_torsion(g, m, conn, T):
     Tm = np.asarray(T, dtype=np.float64)
     # sum_i nabla_{e_i} e_i, chopped like every algebraic intermediate so that
     # structural zeros survive in floating point
-    trace_vec = _chop(np.einsum("iim->m", gamma))
-    term1 = trace_vec @ Tm
-    term2 = np.einsum("ijm,im->j", gamma, Tm)
+    trace_vec = _chop(np.einsum("...iim->...m", gamma))
+    term1 = np.einsum("...m,...mj->...j", trace_vec, Tm)
+    term2 = np.einsum("...ijm,...im->...j", gamma, Tm)
     return -(term1 + term2) + 0.0  # + 0.0 normalises -0.0 entries
 
 

@@ -1,33 +1,7 @@
 import numpy as np
 import pytest
 
-from g2abc._tables import DIMS
-from g2abc.exterior import Form
-
-
-def random_form(rng, degree, scale=1.0):
-    return Form(degree, scale * rng.standard_normal(DIMS[degree]))
-
-
-def random_monomial(rng, degree):
-    indices = tuple(sorted(rng.choice(np.arange(1, 8), size=degree, replace=False)))
-    return indices
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def form_of(degree, coeffs):
-    return Form.from_coeffs(degree, coeffs)
-
-
-ZERO4 = np.zeros((4, 4))
-
-
-def e_matrix(i, j, value=1.0):
-    """4x4 elementary matrix in the 3..6 labelling."""
-    m = np.zeros((4, 4))
-    m[i - 3, j - 3] = value
-    return m

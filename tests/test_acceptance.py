@@ -25,13 +25,13 @@ from g2abc.gabc import (
     build,
     closed_form_divergence,
     closed_form_torsion,
-    cross_validate,
+    cross_validate_many,
     generate,
 )
 from g2abc.liealg import ce_diff
 from g2abc.riemann import div_torsion, levi_civita, riemann_tensor
 
-from conftest import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix
 
 ACCEPT_SEED = 20250810
 TRIALS = 100
@@ -47,12 +47,9 @@ def _line(num, ok, detail):
 def campaigns():
     out = {}
     for fam_index, kind in enumerate(FAMILIES):
-        runs = []
-        for trial in range(TRIALS):
-            seed = np.random.SeedSequence((ACCEPT_SEED, fam_index, trial))
-            t = generate(kind, seed)
-            runs.append((t, cross_validate(t)))
-        out[kind] = runs
+        triples = [generate(kind, np.random.SeedSequence((ACCEPT_SEED, fam_index, trial)))
+                   for trial in range(TRIALS)]
+        out[kind] = list(zip(triples, cross_validate_many(triples)))
     return out
 
 

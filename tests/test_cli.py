@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from g2abc import cli, gabc
 from g2abc.cli import main
 
 ZERO = [[0.0] * 4 for _ in range(4)]
@@ -130,6 +131,27 @@ def test_verify_json_reports_worst_deviations_per_case(capsys):
         assert val == max(c["worst_deviations"].get(key, 0.0) for c in cases.values())
 
 
+def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
+    argv = ["verify", "--case", "all", "--trials", "3", "--seed", "4", "--json"]
+    assert main(argv) == 0
+    reference = json.loads(capsys.readouterr().out)
+    # 15 triples in passes of 2: passes straddle the case boundaries
+    monkeypatch.setattr(cli, "PASS_SIZE", 2)
+    monkeypatch.setattr(gabc, "PASS_SIZE", 2)
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    for key in ("passed", "failing_trials"):
+        assert out[key] == reference[key]
+    assert [(d["formula"], d["component"]) for d in out["dual_reports"]] == \
+        [(d["formula"], d["component"]) for d in reference["dual_reports"]]
+    for case, ref in reference["cases"].items():
+        got = out["cases"][case]
+        assert got["trials"] == ref["trials"] == 3
+        assert got["worst_deviations"].keys() == ref["worst_deviations"].keys()
+        for key, val in ref["worst_deviations"].items():
+            assert abs(got["worst_deviations"][key] - val) <= 1e-13, (case, key)
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -158,7 +180,7 @@ def test_gen_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big", "1e308"])
 def test_gen_rejects_bad_scale(tmp_path, capsys, scale):
     out = tmp_path / "x.json"
     assert main(["gen", "--case", "diag", "--scale", scale, "--out", str(out)]) == 1

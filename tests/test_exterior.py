@@ -23,7 +23,7 @@ from g2abc.exterior import (
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
 from g2abc.gabc import OMEGA
 
-from conftest import random_form, random_monomial
+from helpers import random_form, random_monomial
 
 TOP = (1, 2, 3, 4, 5, 6, 7)
 
@@ -356,3 +356,48 @@ def test_matrix_coaction_is_a_derivation(rng):
             lhs = matrix_coaction(d, wedge(a, b))
             rhs = wedge(matrix_coaction(d, a), b) + wedge(a, matrix_coaction(d, b))
             assert (lhs - rhs).norm_inf() <= 1e-12 * max(1.0, lhs.norm_inf()), (ka, kb)
+
+
+# -- stacks of forms ------------------------------------------------------------------
+
+def stack_of(rng, degree, n=4):
+    return Form(degree, rng.standard_normal((n, DIMS[degree])))
+
+
+def assert_rows(stacked, per_row):
+    """Form n of ``stacked`` equals per_row(n) within round-off."""
+    for n in range(len(stacked.values)):
+        assert np.max(np.abs(stacked[n].values - per_row(n).values)) <= 1e-13
+
+
+def test_operators_on_a_stack_match_each_form(rng):
+    for ka, kb in ((0, 3), (1, 2), (2, 2), (3, 4), (2, 5)):
+        a, b = stack_of(rng, ka), stack_of(rng, kb)
+        a1, b1 = random_form(rng, ka), random_form(rng, kb)
+        assert_rows(wedge(a, b), lambda n: wedge(a[n], b[n]))
+        assert_rows(wedge(a, b1), lambda n: wedge(a[n], b1))
+        assert_rows(wedge(a1, b), lambda n: wedge(a1, b[n]))
+    x, x1, a = rng.standard_normal((4, DIM)), rng.standard_normal(DIM), stack_of(rng, 3)
+    assert_rows(contract(x, a), lambda n: contract(x[n], a[n]))
+    assert_rows(contract(x1, a), lambda n: contract(x1, a[n]))
+    assert_rows(contract(x, STANDARD_PHI), lambda n: contract(x[n], STANDARD_PHI))
+    assert_rows(hodge(a), lambda n: hodge(a[n]))
+    d = rng.standard_normal((4, DIM, DIM))
+    assert_rows(matrix_coaction(d, a), lambda n: matrix_coaction(d[n], a[n]))
+    assert_rows(matrix_coaction(d, STANDARD_PHI), lambda n: matrix_coaction(d[n], STANDARD_PHI))
+    assert_rows(matrix_coaction(d[0], a), lambda n: matrix_coaction(d[0], a[n]))
+
+
+def test_stacks_from_coefficient_arrays_scale_and_norm_per_form(rng):
+    values = rng.standard_normal((3, 4))
+    stacked = Form.from_coeffs(2, {(1, 2): values[0], (2, 1): values[1], (3, 4): values[2]})
+    assert stacked.values.shape == (4, DIMS[2])
+    for n in range(4):
+        single = Form.from_coeffs(2, {(1, 2): values[0, n] - values[1, n], (3, 4): values[2, n]})
+        assert np.array_equal(stacked[n].values, single.values)
+    s = rng.standard_normal(4)
+    assert_rows(s * STANDARD_PHI, lambda n: s[n] * STANDARD_PHI)
+    assert_rows(STANDARD_PHI * s, lambda n: STANDARD_PHI * s[n])
+    assert np.array_equal(stacked.norm_inf(), [stacked[n].norm_inf() for n in range(4)])
+    with pytest.raises(DegreeError):
+        STANDARD_PHI[0]

@@ -21,7 +21,7 @@ from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import Connection7, levi_civita
 
-from conftest import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix
 
 
 def make(A=ZERO4, B=ZERO4, C=ZERO4):

@@ -26,6 +26,7 @@ from g2abc.gabc import (
     closed_form_ricci,
     closed_form_torsion,
     cross_validate,
+    cross_validate_many,
     generate,
     structure_constants,
     theta,
@@ -34,7 +35,7 @@ from g2abc.gabc import (
 from g2abc.liealg import ce_diff, is_unimodular, jacobi_residual
 from g2abc.riemann import levi_civita, ricci
 
-from conftest import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -58,6 +59,8 @@ def test_non_commuting_pair_rejected():
 def test_wrong_shape_rejected():
     with pytest.raises(ValidationError, match="4x4"):
         TripleABC(A=np.zeros((3, 3)), B=ZERO4, C=ZERO4)
+    with pytest.raises(ValidationError, match="4x4"):
+        TripleABC(A=np.zeros((2, 4, 4)), B=ZERO4, C=ZERO4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -388,23 +391,107 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def mixed_triples(seed, trials):
+    """`trials` triples of every family, family-major."""
+    return [generate(kind, np.random.SeedSequence((seed, i, k)))
+            for i, kind in enumerate(FamilyKind) for k in range(trials)]
+
+
+def one_pass_runs():
+    """(label, run): cross_validate of one triple per family, then passes of
+    cross_validate_many over 5 and over 15 mixed-family triples."""
+    for kind in FamilyKind:
+        yield kind.value, lambda kind=kind: cross_validate(generate(kind, 0))
+    for trials in (1, 3):
+        yield f"mixed pass of {5 * trials}", \
+            lambda trials=trials: cross_validate_many(mixed_triples(1, trials))
+
+
 def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
     # the 18 theta of closed_form_derivatives; the dual reports reuse the 9
     # theta(M, omega_i) among them, however many coefficients are misprinted
+    # and however many triples one pass holds
     calls = count_calls(monkeypatch, gabc, ("theta", "theta_omega_tabulated"))
-    for kind in FamilyKind:
+    for label, run in one_pass_runs():
         calls.clear()
-        cross_validate(generate(kind, 0))
-        assert calls == {"theta": 18, "theta_omega_tabulated": 9}, kind
+        run()
+        assert calls == {"theta": 18, "theta_omega_tabulated": 9}, label
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
     calls = count_calls(monkeypatch, g2core, ("ce_diff",))
     monkeypatch.setattr(gabc, "ce_diff", g2core.ce_diff)  # same counter under gabc's name
-    for kind in FamilyKind:
+    for label, run in one_pass_runs():
         calls.clear()
-        cross_validate(generate(kind, 0))
-        assert calls == {"ce_diff": 2}, kind
+        run()
+        assert calls == {"ce_diff": 2}, label
+
+
+def test_cross_validate_stars_dphi_and_dpsi_once_per_pass(monkeypatch):
+    derivatives, starred = [], []
+    ce_diff_fn, hodge_fn = g2core.ce_diff, g2core.hodge
+
+    def recorded(*args):
+        derivatives.append(ce_diff_fn(*args))
+        return derivatives[-1]
+
+    def counted(a, *args):
+        starred.append(a)
+        return hodge_fn(a, *args)
+
+    monkeypatch.setattr(g2core, "ce_diff", recorded)
+    for module in (g2core, gabc):
+        if hasattr(module, "hodge"):
+            monkeypatch.setattr(module, "hodge", counted)
+    for label, run in one_pass_runs():
+        derivatives.clear()
+        starred.clear()
+        run()
+        assert len(derivatives) == 2, label
+        assert [sum(a is d for a in starred) for d in derivatives] == [1, 1], label
+
+
+def assert_same_report(a, b, tol=1e-13):
+    assert (a.family, a.flags, a.exact_checks, a.passed) == \
+        (b.family, b.flags, b.exact_checks, b.passed)
+    assert list(a.deviations) == list(b.deviations)
+    for key, value in a.deviations.items():
+        assert abs(value - b.deviations[key]) <= tol, key
+    assert abs(a.tau0 - b.tau0) <= tol
+    for x, y in ((a.tau1, b.tau1), (a.tau2, b.tau2), (a.tau3, b.tau3)):
+        assert (x - y).norm_inf() <= tol
+    for x, y in ((a.torsion_matrix, b.torsion_matrix), (a.ricci_matrix, b.ricci_matrix),
+                 (a.divergence, b.divergence)):
+        assert np.max(np.abs(x - y)) <= tol
+    assert [(r.formula, r.component) for r in a.dual_reports] == \
+        [(r.formula, r.component) for r in b.dual_reports]
+    for r, q in zip(a.dual_reports, b.dual_reports):
+        assert abs(r.tabulated - q.tabulated) <= tol and abs(r.computed - q.computed) <= tol
+
+
+def test_cross_validate_many_matches_cross_validate_one_at_a_time():
+    triples = mixed_triples(7, 8)
+    reports = cross_validate_many(triples)
+    assert len(reports) == len(triples)
+    for t, rep in zip(triples, reports):
+        assert_same_report(cross_validate(t), rep)
+    assert {rep.family for rep in reports} == {kind.value for kind in FamilyKind}
+    assert any(rep.dual_reports for rep in reports)
+
+
+def test_cross_validate_many_does_not_depend_on_order_or_pass_size(monkeypatch):
+    triples = mixed_triples(8, 3)
+    reference = cross_validate_many(triples)
+    order = np.random.default_rng(3).permutation(len(triples))
+    for i, rep in zip(order, cross_validate_many([triples[i] for i in order])):
+        assert_same_report(reference[i], rep)
+    # 15 triples in passes of at most 4: four passes, two CE differentials each
+    monkeypatch.setattr(gabc, "PASS_SIZE", 4)
+    calls = count_calls(monkeypatch, g2core, ("ce_diff",))
+    for ref, rep in zip(reference, cross_validate_many(triples), strict=True):
+        assert_same_report(ref, rep)
+    assert calls == {"ce_diff": 8}
+    assert cross_validate_many([]) == []
 
 
 def test_cross_validate_divergence_free_key_for_families():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from g2abc._tables import DIM, DIMS
 from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import Form, wedge
 from g2abc.gabc import FamilyKind, generate, structure_constants
 from g2abc.liealg import LieAlgebra7, bracket, ce_diff, is_unimodular, jacobi_residual
 
-from conftest import ZERO4, e_matrix, random_form
+from helpers import ZERO4, e_matrix, random_form
 
 
 def algebra_from(A, B=ZERO4, C=ZERO4, check=True):
@@ -140,3 +141,17 @@ def test_ce_diff_top_degree_rejected(rng):
     g = LieAlgebra7.abelian()
     with pytest.raises(DegreeError):
         ce_diff(g, random_form(rng, 7))
+
+
+def test_ce_diff_on_a_stack_of_algebras_matches_each_algebra(rng):
+    triples = [generate(kind, 40) for kind in FamilyKind]
+    stacked = LieAlgebra7(np.stack([structure_constants(*t.matrices()) for t in triples]))
+    assert jacobi_residual(stacked) <= 1e-10
+    singles = [algebra_from(*t.matrices()) for t in triples]
+    assert ce_diff(stacked, random_form(rng, 0)).is_zero()
+    for k in range(1, DIM):
+        a, a_rows = random_form(rng, k), Form(k, rng.standard_normal((5, DIMS[k])))
+        for n, g in enumerate(singles):
+            assert np.max(np.abs(ce_diff(stacked, a)[n].values - ce_diff(g, a).values)) <= 1e-13
+            assert np.max(np.abs(ce_diff(stacked, a_rows)[n].values
+                                 - ce_diff(g, a_rows[n]).values)) <= 1e-13

@@ -15,7 +15,7 @@ from g2abc.riemann import (
     u_map,
 )
 
-from conftest import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -139,6 +139,26 @@ def test_ricci_symmetric(rng):
     alg, s = build(generate(FamilyKind.GENERAL, 130))
     ric = ricci(alg, s.metric, levi_civita(alg, s.metric))
     assert np.array_equal(ric, ric.T)
+
+
+def curvature_contraction(alg, m, conn):
+    """Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> read off the full curvature tensor."""
+    ric = np.einsum("ijkl,li->jk", riemann_tensor(alg, conn), m.matrix)
+    return 0.5 * (ric + ric.T)
+
+
+def test_ricci_is_the_contraction_of_the_curvature_tensor(rng):
+    g = rng.standard_normal((7, 7))
+    metrics = (Metric7.identity(), Metric7(g @ g.T + 7 * np.eye(7)))
+    triples = [generate(kind, 135) for kind in FamilyKind]
+    stacked, _ = build(TripleABC.stack(triples))
+    for m in metrics:
+        conn = levi_civita(stacked, m)
+        ric = ricci(stacked, m, conn)
+        for n, t in enumerate(triples):
+            alg, _ = build(t)
+            expected = curvature_contraction(alg, m, levi_civita(alg, m))
+            assert np.max(np.abs(ric[n] - expected)) <= 1e-12
 
 
 # -- divergence --------------------------------------------------------------------------
