@@ -39,7 +39,9 @@ from .gabc import (
     closed_form_torsion,
     cross_validate,
     cross_validate_many,
+    cross_validate_stack,
     generate,
+    generate_many,
     theta,
 )
 from .liealg import LieAlgebra7, bracket, ce_diff, is_unimodular, jacobi_residual
@@ -81,12 +83,14 @@ __all__ = [
     "contract",
     "cross_validate",
     "cross_validate_many",
+    "cross_validate_stack",
     "div_torsion",
     "flow_velocity",
     "form_inner",
     "full_torsion_from_forms",
     "full_torsion_from_nabla",
     "generate",
+    "generate_many",
     "hodge",
     "induced_metric",
     "is_unimodular",

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 input/validation error, 2 verification mismatch.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -20,8 +21,9 @@ from .gabc import (
     TripleABC,
     classify_triple,
     cross_validate,
-    cross_validate_many,
+    cross_validate_stack,
     generate,
+    generate_many,
 )
 
 CASES = {
@@ -205,31 +207,47 @@ def cmd_analyze(args):
 
 def cmd_verify(args):
     cases = list(CASES) if args.case == "all" else [args.case]
-    worst = {}
     failures = 0
     duals = {}
-    # per case: [worst deviation, its quantity, worst of each quantity]
-    case_stats = [[0.0, "", {}] for _ in cases]
+    # per case index: the worst of each quantity, which quantities gate a
+    # triple of the case, and the worst deviation with its quantity
+    case_max, case_has, case_worst = {}, {}, [(0.0, "")] * len(cases)
     # trial k of case i is seeded by (seed, i, k); the triples are generated
     # and cross-validated one pass at a time, in case-major order
     jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
     while chunk := list(itertools.islice(jobs, PASS_SIZE)):
-        triples = [generate(CASES[cases[i]], np.random.SeedSequence((args.seed, i, k)))
-                   for i, k in chunk]
-        for (case_index, _), rep in zip(chunk, cross_validate_many(triples, tol=args.tol)):
-            stats = case_stats[case_index]
-            if not rep.passed:
-                failures += 1
-            for key, val in rep.deviations.items():
-                worst[key] = max(worst.get(key, 0.0), val)
-                stats[2][key] = max(stats[2].get(key, 0.0), val)
-                if val > stats[0]:
-                    stats[0], stats[1] = val, key
-            for r in rep.dual_reports:
+        stack = TripleABC.stack([
+            generate_many(CASES[cases[i]], [np.random.SeedSequence((args.seed, i, k))
+                                            for _, k in group])
+            for i, group in itertools.groupby(chunk, key=lambda job: job[0])])
+        case_of = [i for i, _ in chunk]
+        for arrays in cross_validate_stack(stack, tol=args.tol):
+            pass_cases, case_of = case_of[:len(arrays.families)], case_of[len(arrays.families):]
+            failures += int(np.count_nonzero(~arrays.passed()))
+            # as a maximum taken from 0.0, NaN and quantities that do not apply never win
+            devs = np.where(arrays.applies & ~np.isnan(arrays.deviations), arrays.deviations, 0.0)
+            start = 0
+            for i, group in itertools.groupby(pass_cases):  # the rows of each case, in order
+                stop = start + len(list(group))
+                rows = devs[start:stop]
+                case_max[i] = np.maximum(case_max.get(i, 0.0), rows.max(axis=0))
+                case_has[i] = case_has.get(i, False) | arrays.applies[start:stop].any(axis=0)
+                j = int(rows.argmax())  # the first maximum in (trial, quantity) order
+                if rows.flat[j] > case_worst[i][0]:
+                    case_worst[i] = (float(rows.flat[j]), arrays.quantities[j % rows.shape[1]])
+                start = stop
+            for r in itertools.chain.from_iterable(arrays.dual_reports):
                 ident = (r.formula, r.component)
                 if ident not in duals or duals[ident].delta < r.delta:
                     duals[ident] = r
-    summary = [(case, args.trials, *stats) for case, stats in zip(cases, case_stats)]
+    quantities = arrays.quantities
+    case_devs = [dict(itertools.compress(zip(quantities, case_max[i].tolist()), case_has[i].tolist()))
+                 for i in range(len(cases))]
+    # every entry of case_max is at least 0.0, and 0.0 where the case lacks the quantity
+    all_max = np.max(list(case_max.values()), axis=0).tolist()
+    all_has = np.any(list(case_has.values()), axis=0).tolist()
+    worst = dict(itertools.compress(zip(quantities, all_max), all_has))
+    summary = [(case, args.trials, *case_worst[i], case_devs[i]) for i, case in enumerate(cases)]
     passed = failures == 0
     if args.json:
         print(json.dumps({
@@ -305,10 +323,15 @@ def make_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call and reused by later ones."""
+    return make_parser()
+
+
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     handlers = {"analyze": cmd_analyze, "verify": cmd_verify, "gen": cmd_gen}

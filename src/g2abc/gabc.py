@@ -16,12 +16,16 @@ generic route; such coefficients are dual-reported, never silently fixed.
 A ``TripleABC`` may hold a stack of N triples, matrices of shape (N, 4, 4).
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas on (N,) arrays of entries.
-``cross_validate_many`` cross-validates many triples that way, in passes of
-at most ``PASS_SIZE``; ``cross_validate`` is its one-triple case.
+``cross_validate_stack`` cross-validates a stack that way, in passes of at
+most ``PASS_SIZE``, and returns the results as arrays; ``cross_validate_many``
+makes one report per triple from them, and ``cross_validate`` is its
+one-triple case.  ``generate_many`` draws a stack of random triples of a
+family at once.
 """
 
 import enum
 import functools
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,12 +133,60 @@ _FAMILY_PREDICATES = {
 }
 
 
+def _checked(A, B, C, lead=()):
+    """A, B, C as read-only float64 copies of shape lead + (4, 4), once they
+    pass the checks of a triple: finite, traceless, pairwise commuting.
+
+    ``lead`` is () for one triple and (N,) for a stack of N; the error for a
+    stack of several names its first failing trial and gives the error that
+    trial would raise on its own.
+    """
+    mats = []
+    for name, m in zip("ABC", (A, B, C)):
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape != lead + (4, 4):
+            raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
+        mats.append(m)
+    mats = np.stack(mats)
+    mats.flags.writeable = False
+    finite_entries = np.isfinite(mats)
+    finite = finite_entries.all(axis=(-2, -1))
+    # a matrix with non-finite entries fails before its trace or commutators are read
+    safe = mats if finite.all() else np.where(finite_entries, mats, 0.0)
+    trace = np.trace(safe, axis1=-2, axis2=-1)
+    left, right = safe[[0, 0, 1]], safe[[1, 2, 2]]
+    commutator = _max_abs(left @ right - right @ left, 2)
+    # a NaN maximum fails its comparison too
+    if not (finite.all() and np.abs(trace).max() <= 1e-12 and commutator.max() <= 1e-10):
+        _raise_first_failure(finite, trace, commutator)
+    return tuple(mats)
+
+
+def _raise_first_failure(finite, trace, commutator):
+    """The error of the first failing trial: the first check it fails, in the
+    order A finite, A traceless, B and C alike, then [A,B], [A,C], [B,C]."""
+    checks = []
+    for q, name in enumerate("ABC"):
+        checks.append((~finite[q], f"matrix {name} has non-finite entries", trace[q]))
+        checks.append((np.abs(trace[q]) > 1e-12, f"matrix {name} is not traceless: tr = {{:g}}",
+                       trace[q]))
+    for p, pair in enumerate(("A,B", "A,C", "B,C")):
+        checks.append((commutator[p] > 1e-10,
+                       f"pairwise commutation violated: max |[{pair}]| = {{:g}}", commutator[p]))
+    bad = np.array([np.ravel(fails) for fails, _, _ in checks])  # (check, trial)
+    n = int(np.argmax(bad.any(axis=0)))
+    _, message, values = checks[int(np.argmax(bad[:, n]))]
+    prefix = f"trial {n}: " if bad.shape[1] > 1 else ""
+    raise ValidationError(prefix + message.format(np.ravel(values)[n]))
+
+
 @dataclass(frozen=True)
 class TripleABC:
     """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6.
 
-    ``TripleABC.stack`` makes a stack of N validated triples, matrices of
-    shape (N, 4, 4), which every function of the module accepts too.
+    ``TripleABC.stack`` and ``generate_many`` make stacks of N validated
+    triples, matrices of shape (N, 4, 4), which every function of the module
+    accepts too.
     """
 
     A: np.ndarray
@@ -142,40 +194,31 @@ class TripleABC:
     C: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "C"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.shape != (4, 4):
-                raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValidationError(f"matrix {name} has non-finite entries")
-            m = m.copy()
-            m.flags.writeable = False
+        for name, m in zip("ABC", _checked(self.A, self.B, self.C)):
             object.__setattr__(self, name, m)
-            tr = float(np.trace(m))
-            if abs(tr) > 1e-12:
-                raise ValidationError(f"matrix {name} is not traceless: tr = {tr:g}")
-        for left, right in (("A", "B"), ("A", "C"), ("B", "C")):
-            lm, rm = getattr(self, left), getattr(self, right)
-            res = float(np.max(np.abs(lm @ rm - rm @ lm)))
-            if res > 1e-10:
-                raise ValidationError(
-                    f"pairwise commutation violated: max |[{left},{right}]| = {res:g}")
 
     @classmethod
     def stack(cls, triples):
-        """The stack of the given single triples, in order."""
+        """The stack of the given triples and stacks of triples, in order."""
         columns = zip(*(t.matrices() for t in triples))
-        return cls._of_validated(*(np.stack(mats) for mats in columns))
+        return cls._of_validated(*(np.concatenate([m.reshape(-1, 4, 4) for m in mats])
+                                   for mats in columns))
 
     @classmethod
     def _of_validated(cls, A, B, C):
-        """A stack of matrices copied from validated triples; the checks hold
-        for each of them already."""
+        """A triple or stack of matrices that passed the checks already."""
         t = object.__new__(cls)
         for name, m in (("A", A), ("B", B), ("C", C)):
             m.flags.writeable = False
             object.__setattr__(t, name, m)
         return t
+
+    def _take(self, index):
+        """The triples of a stack at index (a slice or a mask), carrying their
+        shape masks so that no predicate runs again on them."""
+        sub = self._of_validated(*(m[index] for m in self.matrices()))
+        sub.__dict__["_shapes"] = {kind: mask[index] for kind, mask in self._shapes.items()}
+        return sub
 
     def matrices(self):
         return self.A, self.B, self.C
@@ -610,19 +653,37 @@ def closed_form_divergence(t, tau27):
 
 # -- family generators ----------------------------------------------------------
 
-def _rot_block_pair(x, y):
-    m = np.zeros((4, 4))
-    m[0, 1], m[1, 0] = -x, x
-    m[2, 3], m[3, 2] = -y, y
-    return m
+def _draws(seeds, *draws):
+    """Each draw, a function of a generator, run in order on default_rng(seed)
+    of every seed; the stack over the seeds of each draw's results."""
+    per_seed = [[draw(rng) for draw in draws] for rng in map(np.random.default_rng, seeds)]
+    return [np.array(column) for column in zip(*per_seed)]
 
 
-def _random_rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def _uniform(low, high, size):
+    return lambda rng: rng.uniform(low, high, size=size)
+
+
+def _normals(rng):
+    return rng.standard_normal((4, 4))
+
+
+def _random_rotations(normals):
+    """Rotation from the QR of each 4x4 matrix of normals: Q with the signs
+    of R's diagonal, and its first column negated where det Q < 0."""
+    q, r = np.linalg.qr(normals)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
+
+
+def _traceless_diagonals(d):
+    """The diagonal matrices of the rows of d, their last entry set to make
+    them exactly traceless."""
+    d[..., 3] = -(d[..., 0] + d[..., 1] + d[..., 2])
+    m = np.zeros(d.shape + (4,))
+    m[..., range(4), range(4)] = d
+    return m
 
 
 #: Largest ``scale`` of generate: entries are drawn from [-scale, scale],
@@ -630,56 +691,58 @@ def _random_rotation(rng):
 MAX_SCALE = np.finfo(np.float64).max / 2
 
 
+def generate_many(kind, seeds, scale=1.0):
+    """Stack of random triples of the requested family.  Triple n comes from
+    the draws of ``default_rng(seeds[n])`` alone, so it does not depend on
+    the other seeds or on its place in the stack.
+
+    Entries are kept within [-scale, scale], 0 < scale <= MAX_SCALE; all
+    family invariants hold by construction (and the stack is re-validated
+    by the checks of TripleABC; an error names the trial that fails).
+    """
+    if kind is FamilyKind.SKEW:
+        params, normals = _draws(seeds, _uniform(-scale, scale, (3, 2)), _normals)
+        blocks = np.zeros(params.shape[:-1] + (4, 4))  # rotations in the planes 34 and 56
+        blocks[..., 1, 0], blocks[..., 3, 2] = params[..., 0], params[..., 1]
+        blocks[..., 0, 1], blocks[..., 2, 3] = -params[..., 0], -params[..., 1]
+        q = _random_rotations(normals)[:, None]
+        mats = _skew(q @ blocks @ _transpose(q))  # exact re-antisymmetrisation
+    elif kind is FamilyKind.DIAGONAL:
+        (diagonals,) = _draws(seeds, _uniform(-scale, scale, (3, 4)))
+        mats = _traceless_diagonals(diagonals)
+    elif kind is FamilyKind.SYMMETRIC:
+        normals, diagonals = _draws(seeds, _normals, _uniform(-scale, scale, (3, 4)))
+        q = _random_rotations(normals)[:, None]
+        mats = _sym(q @ _traceless_diagonals(diagonals) @ _transpose(q))  # exact re-symmetrisation
+    elif kind is FamilyKind.ANTIDIAGONAL:
+        base, factors = _draws(seeds, _uniform(-scale, scale, 4),  # (a36, a45, a54, a63)
+                               _uniform(-1.0, 1.0, (2, 2)))
+        # (f36, f45) of A, B, C: A is the base itself
+        f = np.concatenate([np.ones_like(factors[:, :1]), factors], axis=1)
+        mats = np.zeros(f.shape[:-1] + (4, 4))
+        mats[..., 0, 3] = f[..., 0] * base[:, None, 0]
+        mats[..., 3, 0] = f[..., 0] * base[:, None, 3]
+        mats[..., 1, 2] = f[..., 1] * base[:, None, 1]
+        mats[..., 2, 1] = f[..., 1] * base[:, None, 2]
+    elif kind is FamilyKind.GENERAL:
+        m, coeffs = _draws(seeds, _uniform(-1.0, 1.0, (4, 4)), _uniform(-1.0, 1.0, (3, 4)))
+        m2 = m @ m
+        powers = (np.eye(4), m[:, None], m2[:, None], (m2 @ m)[:, None])
+        x = sum(coeffs[..., k, None, None] * p for k, p in enumerate(powers))
+        x = x - (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0) * np.eye(4)
+        top = np.abs(x).max(axis=(-2, -1), keepdims=True)
+        mats = x * (scale / np.maximum(top, scale))  # the largest entry at most scale
+    else:
+        raise ValidationError(f"unknown family kind {kind!r}")
+    return TripleABC._of_validated(*_checked(*np.moveaxis(mats, 1, 0), lead=mats.shape[:1]))
+
+
 def generate(kind, seed, scale=1.0):
     """Random triple of the requested family; deterministic in the seed.
 
-    Entries are kept within [-scale, scale], 0 < scale <= MAX_SCALE; all
-    family invariants hold by construction (and are re-validated by TripleABC).
+    The one-triple case of generate_many.
     """
-    rng = np.random.default_rng(seed)
-    if kind is FamilyKind.SKEW:
-        params = rng.uniform(-scale, scale, size=(3, 2))
-        mats = [_rot_block_pair(x, y) for x, y in params]
-        q = _random_rotation(rng)
-        mats = [_skew(q @ m @ q.T) for m in mats]  # exact re-antisymmetrisation
-    elif kind is FamilyKind.DIAGONAL:
-        mats = []
-        for _ in range(3):
-            d = rng.uniform(-scale, scale, size=4)
-            d[3] = -(d[0] + d[1] + d[2])  # exactly traceless
-            mats.append(np.diag(d))
-    elif kind is FamilyKind.SYMMETRIC:
-        q = _random_rotation(rng)
-        mats = []
-        for _ in range(3):
-            d = rng.uniform(-scale, scale, size=4)
-            d[3] = -(d[0] + d[1] + d[2])
-            mats.append(_sym(q @ np.diag(d) @ q.T))  # exact re-symmetrisation
-    elif kind is FamilyKind.ANTIDIAGONAL:
-        base = rng.uniform(-scale, scale, size=4)  # (a36, a45, a54, a63)
-        factors = rng.uniform(-1.0, 1.0, size=(2, 2))
-        mats = []
-        for f36, f45 in ((1.0, 1.0), tuple(factors[0]), tuple(factors[1])):
-            m = np.zeros((4, 4))
-            m[0, 3] = f36 * base[0]
-            m[3, 0] = f36 * base[3]
-            m[1, 2] = f45 * base[1]
-            m[2, 1] = f45 * base[2]
-            mats.append(m)
-    elif kind is FamilyKind.GENERAL:
-        m = rng.uniform(-1.0, 1.0, size=(4, 4))
-        powers = [np.eye(4), m, m @ m, m @ m @ m]
-        mats = []
-        for coeffs in rng.uniform(-1.0, 1.0, size=(3, 4)):
-            x = sum(c * p for c, p in zip(coeffs, powers))
-            x = x - (np.trace(x) / 4.0) * np.eye(4)
-            top = float(np.max(np.abs(x)))
-            if top > scale:
-                x = x * (scale / top)
-            mats.append(x)
-    else:
-        raise ValidationError(f"unknown family kind {kind!r}")
-    return TripleABC(A=mats[0], B=mats[1], C=mats[2])
+    return TripleABC._of_validated(*(m[0] for m in generate_many(kind, [seed], scale).matrices()))
 
 
 # -- the cross-validator ----------------------------------------------------------
@@ -725,6 +788,56 @@ class CrossValidationReport:
             return ("", 0.0)
         key = max(self.deviations, key=self.deviations.get)
         return key, self.deviations[key]
+
+
+class CrossValidationArrays(typing.NamedTuple):
+    """The results of one cross-validation pass over n triples, as arrays
+    with a leading trial axis; ``reports()`` makes one report per triple.
+
+    Column q of ``deviations`` is the quantity ``quantities[q]``; it gates
+    triple n where ``applies[n, q]`` holds (the family-specific quantities
+    apply to the triples of their family only).  The columns of ``flags``
+    are the closed, coclosed and torsion-free flags.  (A named tuple, not a
+    dataclass: building a 15-field frozen dataclass adds ~2 ms to import.)
+    """
+
+    tol: float
+    families: list
+    quantities: tuple
+    deviations: np.ndarray
+    applies: np.ndarray
+    exact_checks: dict
+    dual_reports: list
+    flags: np.ndarray
+    tau0: np.ndarray
+    tau1: Form
+    tau2: Form
+    tau3: Form
+    torsion_matrix: np.ndarray
+    divergence: np.ndarray
+    ricci_matrix: np.ndarray
+
+    def passed(self):
+        """Per triple: every gating deviation within tol and every exact check true."""
+        ok = ((self.deviations <= self.tol) | ~self.applies).all(axis=1)
+        for check in self.exact_checks.values():
+            ok &= check
+        return ok
+
+    def reports(self):
+        dev_rows, applies = self.deviations.tolist(), self.applies.tolist()
+        flag_rows = self.flags.tolist()
+        exact_rows = {key: check.tolist() for key, check in self.exact_checks.items()}
+        return [CrossValidationReport(
+            family=family.value, tol=self.tol,
+            deviations={q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n]) if a},
+            exact_checks={key: rows[n] for key, rows in exact_rows.items()},
+            dual_reports=self.dual_reports[n],
+            flags=TorsionClass(*flag_rows[n]),
+            tau0=float(self.tau0[n]), tau1=self.tau1[n], tau2=self.tau2[n], tau3=self.tau3[n],
+            torsion_matrix=self.torsion_matrix[n], divergence=self.divergence[n],
+            ricci_matrix=self.ricci_matrix[n])
+            for n, family in enumerate(self.families)]
 
 
 @functools.cache
@@ -781,7 +894,7 @@ def _compare_torsion(label, cf, tau0, tau1, tau2, tau3, tol, reports):
                            oracle.values, tol, reports)
 
 
-#: Triples per array pass of cross_validate_many; bounds the memory a pass holds.
+#: Triples per array pass of cross_validate_stack; bounds the memory a pass holds.
 PASS_SIZE = 32
 
 #: Gated deviations that apply to the triples of one family only.
@@ -805,26 +918,33 @@ def cross_validate(t, tol=1e-9):
     Gated quantities (the ``deviations`` dict) are the ones the two routes
     must agree on; tabulated formulas known to carry misprints are compared
     coefficient-wise into ``dual_reports`` instead and never gate.  This is
-    the pass of cross_validate_many, run on the one triple.
+    the pass of cross_validate_stack, run on the one triple.
     """
-    return _cross_validate_pass(t, tol)[0]
+    return _cross_validate_pass(t, tol).reports()[0]
+
+
+def cross_validate_stack(t, tol=1e-9):
+    """The results of every triple of the stack t, as one CrossValidationArrays
+    per array pass of at most PASS_SIZE triples, in order.  Each pass runs
+    both routes once, over a leading trial axis."""
+    count = len(t.A)
+    return [_cross_validate_pass(t._take(slice(start, start + PASS_SIZE)), tol)
+            for start in range(0, count, PASS_SIZE)]
 
 
 def cross_validate_many(triples, tol=1e-9):
-    """The cross_validate report of every triple, in input order.
-
-    The triples go through array passes of at most PASS_SIZE triples; each
-    pass runs both routes once, over a leading trial axis.
-    """
+    """The cross_validate report of every triple of the given triples and
+    stacks of triples, in input order, from the passes of cross_validate_stack."""
     triples = list(triples)
-    return [report for start in range(0, len(triples), PASS_SIZE)
-            for report in _cross_validate_pass(
-                TripleABC.stack(triples[start:start + PASS_SIZE]), tol)]
+    if not triples:
+        return []
+    return [report for arrays in cross_validate_stack(TripleABC.stack(triples), tol)
+            for report in arrays.reports()]
 
 
 def _cross_validate_pass(t, tol):
-    """Reports of every triple of t, a single triple or a stack, from one run
-    of both routes."""
+    """The CrossValidationArrays of t, a single triple or a stack, from one
+    run of both routes."""
     count = t.A.size // 16
     alg, s = build(t)
     dev = {}
@@ -903,8 +1023,8 @@ def _cross_validate_pass(t, tol):
             _compare_torsion(label, closed_form_torsion(t, kind),
                              tau0, tau1, tau2, tau3, tol, duals)
         elif match.any():
-            sub = TripleABC._of_validated(*(m[match] for m in t.matrices()))
-            _compare_torsion(label, closed_form_torsion(sub, kind), tau0[match], tau1[match],
+            _compare_torsion(label, closed_form_torsion(t._take(match), kind),
+                             tau0[match], tau1[match],
                              tau2[match], tau3[match], tol,
                              [duals[n] for n in np.flatnonzero(match)])
 
@@ -915,24 +1035,17 @@ def _cross_validate_pass(t, tol):
         [theta_omega_tabulated(getattr(t, mat_name), which).values for mat_name, which in pairs],
         [t.theta_actions[pair].values for pair in pairs], tol, duals)
 
-    # one report per triple; a single triple's results become a stack of one
+    # a single triple's results become a stack of one
     rows = lambda x, *tail: np.reshape(x, (count,) + tail)
-    families = rows(np.array(classify_triple(t), dtype=object))
-    flag_rows = [rows(f).tolist() for f in (flags.closed, flags.coclosed, flags.torsion_free)]
-    form_rows = [Form(f.degree, rows(f.values, DIMS[f.degree])) for f in (tau1, tau2, tau3)]
-    tau0, T, div, ric, div_zero = rows(tau0), rows(T, DIM, DIM), rows(div, DIM), \
-        rows(ric, DIM, DIM), rows(div_zero)
-    dev_rows = np.reshape(list(dev.values()), (len(dev), count)).T.tolist()
-    family_rows = {key: rows(values).tolist() for key, values in family_dev.items()}
-    reports = []
-    for n, family in enumerate(families):
-        deviations = dict(zip(dev, dev_rows[n]))
-        deviations.update((key, family_rows[key][n]) for key in _FAMILY_DEVIATIONS[family])
-        reports.append(CrossValidationReport(
-            family=family.value, tol=tol, deviations=deviations,
-            exact_checks={"div_components_3_to_6_zero": bool(div_zero[n])},
-            dual_reports=duals[n],
-            flags=TorsionClass(*(f[n] for f in flag_rows)),
-            tau0=float(tau0[n]), tau1=form_rows[0][n], tau2=form_rows[1][n],
-            tau3=form_rows[2][n], torsion_matrix=T[n], divergence=div[n], ricci_matrix=ric[n]))
-    return reports
+    families = rows(np.array(classify_triple(t), dtype=object)).tolist()
+    quantities = (*dev, *family_dev)
+    values = np.reshape([*dev.values(), *family_dev.values()], (len(quantities), count)).T
+    applies = np.array([[True] * len(dev) + [key in _FAMILY_DEVIATIONS[family] for key in family_dev]
+                        for family in families])
+    return CrossValidationArrays(
+        tol=tol, families=families, quantities=quantities, deviations=values, applies=applies,
+        exact_checks={"div_components_3_to_6_zero": rows(div_zero)}, dual_reports=duals,
+        flags=np.reshape([flags.closed, flags.coclosed, flags.torsion_free], (3, count)).T,
+        tau0=rows(tau0), tau1=Form(1, rows(tau1.values, DIMS[1])),
+        tau2=Form(2, rows(tau2.values, DIMS[2])), tau3=Form(3, rows(tau3.values, DIMS[3])),
+        torsion_matrix=rows(T, DIM, DIM), divergence=rows(div, DIM), ricci_matrix=rows(ric, DIM, DIM))

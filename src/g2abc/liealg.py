@@ -12,6 +12,13 @@ JACOBI_TOL = 1e-10
 
 #: 0-based (i, j) of the 2-monomials e^{ij}, i < j, in rank order.
 _PAIR_I, _PAIR_J = np.array(COMBS[2]).T - 1
+_PAIR_RANK = np.zeros((DIM, DIM), dtype=np.intp)
+_PAIR_RANK[_PAIR_I, _PAIR_J] = np.arange(len(COMBS[2]))
+#: 0-based (i, j, k) of the basis triples i < j < k, and the ranks of their
+#: pairs (i, j), (i, k), (j, k).
+_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(COMBS[3]).T - 1
+_RANK_IJ, _RANK_IK, _RANK_JK = (_PAIR_RANK[a, b] for a, b in (
+    (_TRIPLE_I, _TRIPLE_J), (_TRIPLE_I, _TRIPLE_K), (_TRIPLE_J, _TRIPLE_K)))
 
 
 def _as_constants(c):
@@ -25,15 +32,19 @@ def jacobi_residual(c):
     """Max-abs residual of the Jacobi identity over all basis triples
     (and over every algebra of an (N, 7, 7, 7) stack).
 
-    Accepts a raw structure-constant array or a LieAlgebra7.
+    Accepts a raw structure-constant array or a LieAlgebra7; the constants
+    must be exactly antisymmetric in i, j, as LieAlgebra7 checks.  The
+    Jacobiator is then alternating in (i, j, k), so the 35 triples i < j < k
+    give the maximum over all 343.
     """
-    arr = c.c if isinstance(c, LieAlgebra7) else _as_constants(c)
-    # [[e_i, e_j], e_k] = sum_l c[i,j,l] c[l,k,:], as one (ij, l) x (l, km) product
+    arr = (c if isinstance(c, LieAlgebra7) else LieAlgebra7(c, check=False)).c
+    # t[p, k, m] = [[e_i, e_j], e_k]_m for the pair p = (i, j), i < j
     lead = arr.shape[:-3]
-    t = (arr.reshape(lead + (DIM * DIM, DIM)) @ arr.reshape(lead + (DIM, DIM * DIM))
-         ).reshape(lead + (DIM,) * 4)
-    cyc = t + np.einsum("...kijm->...ijkm", t)
-    cyc += np.einsum("...jkim->...ijkm", t)
+    t = (arr[..., _PAIR_I, _PAIR_J, :] @ arr.reshape(lead + (DIM, DIM * DIM))
+         ).reshape(lead + (len(_PAIR_I), DIM, DIM))
+    # [[e_i, e_j], e_k] + [[e_k, e_i], e_j] + [[e_j, e_k], e_i], with [e_k, e_i] = -[e_i, e_k]
+    cyc = t[..., _RANK_IJ, _TRIPLE_K, :] - t[..., _RANK_IK, _TRIPLE_J, :]
+    cyc += t[..., _RANK_JK, _TRIPLE_I, :]
     return float(np.max(np.abs(cyc, out=cyc)))
 
 
@@ -49,13 +60,13 @@ class LieAlgebra7:
         arr = _as_constants(c)
         if np.max(np.abs(arr + np.swapaxes(arr, -3, -2))) != 0.0:
             raise ValidationError("structure constants are not exactly antisymmetric in i, j")
-        if check:
-            res = jacobi_residual(arr)
-            if res > JACOBI_TOL:
-                raise ValidationError(f"Jacobi identity violated: residual {res:g} > {JACOBI_TOL:g}")
         arr = arr.copy()
         arr.flags.writeable = False
         self.c = arr
+        if check:
+            res = jacobi_residual(self)
+            if res > JACOBI_TOL:
+                raise ValidationError(f"Jacobi identity violated: residual {res:g} > {JACOBI_TOL:g}")
 
     @classmethod
     def abelian(cls):

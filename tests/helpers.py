@@ -4,6 +4,7 @@ import numpy as np
 
 from g2abc._tables import DIMS
 from g2abc.exterior import Form
+from g2abc.gabc import TripleABC
 
 
 def random_form(rng, degree, scale=1.0):
@@ -23,3 +24,8 @@ def e_matrix(i, j, value=1.0):
     m = np.zeros((4, 4))
     m[i - 3, j - 3] = value
     return m
+
+
+def unstack(t):
+    """The triples of a stack, each as a TripleABC of its own."""
+    return [TripleABC(*(m[n] for m in t.matrices())) for n in range(len(t.A))]

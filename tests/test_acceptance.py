@@ -26,12 +26,12 @@ from g2abc.gabc import (
     closed_form_divergence,
     closed_form_torsion,
     cross_validate_many,
-    generate,
+    generate_many,
 )
 from g2abc.liealg import ce_diff
 from g2abc.riemann import div_torsion, levi_civita, riemann_tensor
 
-from helpers import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix, unstack
 
 ACCEPT_SEED = 20250810
 TRIALS = 100
@@ -47,9 +47,9 @@ def _line(num, ok, detail):
 def campaigns():
     out = {}
     for fam_index, kind in enumerate(FAMILIES):
-        triples = [generate(kind, np.random.SeedSequence((ACCEPT_SEED, fam_index, trial)))
-                   for trial in range(TRIALS)]
-        out[kind] = list(zip(triples, cross_validate_many(triples)))
+        stack = generate_many(kind, [np.random.SeedSequence((ACCEPT_SEED, fam_index, trial))
+                                     for trial in range(TRIALS)])
+        out[kind] = list(zip(unstack(stack), cross_validate_many([stack]), strict=True))
     return out
 
 

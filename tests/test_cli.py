@@ -131,6 +131,44 @@ def test_verify_json_reports_worst_deviations_per_case(capsys):
         assert val == max(c["worst_deviations"].get(key, 0.0) for c in cases.values())
 
 
+@pytest.mark.parametrize("pass_size", [32, 2])
+@pytest.mark.parametrize("tol", ["1e-9", "1e-17"])
+def test_verify_json_aggregates_like_the_reports_one_at_a_time(capsys, monkeypatch, tol,
+                                                               pass_size):
+    # passes of 2 split every case, and some pass holds two cases
+    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
+    monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
+    argv = ["verify", "--case", "all", "--trials", "3", "--seed", "5", "--tol", tol, "--json"]
+    main(argv)
+    out = json.loads(capsys.readouterr().out)
+    # the reference: each trial's report, folded in (trial, quantity) order
+    failures, worst, duals = 0, {}, {}
+    for i, case in enumerate(cli.CASES):
+        triples = [gabc.generate(cli.CASES[case], np.random.SeedSequence((5, i, k)))
+                   for k in range(3)]
+        top, top_key, devs = 0.0, "", {}
+        for rep in gabc.cross_validate_many(triples, tol=float(tol)):
+            failures += not rep.passed
+            for key, val in rep.deviations.items():
+                devs[key] = max(devs.get(key, 0.0), val)
+                worst[key] = max(worst.get(key, 0.0), val)
+                if val > top:
+                    top, top_key = val, key
+            for r in rep.dual_reports:
+                ident = (r.formula, r.component)
+                if ident not in duals or duals[ident].delta < r.delta:
+                    duals[ident] = r
+        assert out["cases"][case] == {"trials": 3, "worst": top, "worst_quantity": top_key,
+                                      "worst_deviations": devs}, case
+    assert out["worst_deviations"] == worst
+    assert out["failing_trials"] == failures and out["passed"] == (failures == 0)
+    assert [(d["formula"], d["component"], d["tabulated"], d["computed"])
+            for d in out["dual_reports"]] == \
+        [(f, c, r.tabulated, r.computed) for (f, c), r in sorted(duals.items())]
+    if tol == "1e-17":
+        assert failures > 0
+
+
 def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
     argv = ["verify", "--case", "all", "--trials", "3", "--seed", "4", "--json"]
     assert main(argv) == 0
@@ -156,9 +194,11 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
 
 def test_gen_is_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["gen", "--case", "skew", "--seed", "1", "--out", str(p1)]) == 0
-    assert main(["gen", "--case", "skew", "--seed", "1", "--out", str(p2)]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    for case in ("skew", "diag", "adiag", "sym", "general"):
+        for seed in map(str, range(5)):
+            assert main(["gen", "--case", case, "--seed", seed, "--out", str(p1)]) == 0
+            assert main(["gen", "--case", case, "--seed", seed, "--out", str(p2)]) == 0
+            assert p1.read_bytes() == p2.read_bytes(), (case, seed)
 
 
 def test_gen_antidiagonal_shape(tmp_path):
@@ -239,3 +279,35 @@ def test_analyze_rejects_missing_matrix_key(tmp_path, capsys):
     path.write_text(json.dumps({"A": ZERO, "B": ZERO}))
     assert main(["analyze", "--input", str(path)]) == 1
     assert "missing matrix" in capsys.readouterr().err
+
+
+# -- one process, many requests -------------------------------------------------
+
+def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no state may carry over between calls
+    monkeypatch.delenv("G2ABC_TOL", raising=False)
+    path = tmp_path / "t.json"
+    calls = [
+        (["verify", "--case", "diag", "--trials", "1", "--tol", "1e-3", "--json"], None),
+        (["verify", "--case", "diag", "--trials", "1", "--json"], "1e-4"),
+        (["gen", "--case", "adiag", "--seed", "3", "--out", str(path)], None),
+        (["analyze", "--input", str(path), "--json"], None),
+        (["verify", "--case", "bogus"], None),
+    ]
+
+    def run_all():
+        results = []
+        for argv, env_tol in calls:
+            with monkeypatch.context() as m:
+                if env_tol is not None:
+                    m.setenv("G2ABC_TOL", env_tol)
+                code = cli.main(argv)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    cached = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)  # a fresh parser for every call
+    assert run_all() == cached
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 1]
+    assert [json.loads(cached[n][1])["tol"] for n in (0, 1, 3)] == [1e-3, 1e-4, 1e-9]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from g2abc.gabc import (
     cross_validate,
     cross_validate_many,
     generate,
+    generate_many,
     structure_constants,
     theta,
     theta_omega_tabulated,
@@ -35,7 +37,7 @@ from g2abc.gabc import (
 from g2abc.liealg import ce_diff, is_unimodular, jacobi_residual
 from g2abc.riemann import levi_civita, ricci
 
-from helpers import ZERO4, e_matrix
+from helpers import ZERO4, e_matrix, unstack
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -71,6 +73,24 @@ def test_non_finite_matrix_rejected(bad):
         make(B=B)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({(1, 1, 2, 3): np.inf}, "trial 1: matrix B has non-finite entries"),
+    ({(2, 2, 0, 0): 1.0}, "trial 2: matrix C is not traceless: tr = 1"),
+    ({(1, 0, 0, 1): 1.0, (1, 1, 1, 2): 1.0},  # A = e34, B = e45
+     "trial 1: pairwise commutation violated: max |[A,B]| = 1"),
+    # the first failing trial, with the first check it fails in TripleABC's order
+    ({(0, 1, 0, 1): 1.0, (0, 2, 1, 2): 1.0, (0, 2, 3, 3): 3.0, (2, 0, 3, 3): 2.0},
+     "trial 0: matrix C is not traceless: tr = 3"),
+])
+def test_stacked_checks_name_the_failing_trial(entries, message):
+    # (trial, matrix, row, column) entries set in a stack of three zero triples
+    mats = np.zeros((3, 3, 4, 4))
+    for index, value in entries.items():
+        mats[index] = value
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        gabc._checked(*np.moveaxis(mats, 1, 0), lead=(3,))
+
+
 def test_build_abelian():
     alg, s = build(make())
     assert not np.any(alg.c)
@@ -82,6 +102,27 @@ def test_build_random_triple_is_unimodular_lie_algebra():
     alg, _ = build(t)
     assert is_unimodular(alg)
     assert jacobi_residual(alg) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_generate_many_is_generate_triple_by_triple(kind, scale):
+    seeds = [*range(6), *(np.random.SeedSequence((5, i, k)) for i in range(2) for k in range(3))]
+    singles = []
+    for seed in seeds:
+        try:
+            singles.append(generate(kind, seed, scale))
+        except ValidationError as exc:  # the absolute thresholds of the checks, at large scales
+            singles.append(exc)
+    valid = [n for n, t in enumerate(singles) if isinstance(t, TripleABC)]
+    stack = generate_many(kind, [seeds[n] for n in valid], scale)
+    for row, n in enumerate(valid):
+        for got, want in zip(stack.matrices(), singles[n].matrices(), strict=True):
+            assert np.array_equal(got[row], want)
+    if len(valid) < len(seeds):
+        first = next(n for n in range(len(seeds)) if n not in valid)
+        with pytest.raises(ValidationError, match=re.escape(f"trial {first}: {singles[first]}")):
+            generate_many(kind, seeds, scale)
 
 
 def test_family_classification():
@@ -393,8 +434,9 @@ def count_calls(monkeypatch, module, names):
 
 def mixed_triples(seed, trials):
     """`trials` triples of every family, family-major."""
-    return [generate(kind, np.random.SeedSequence((seed, i, k)))
-            for i, kind in enumerate(FamilyKind) for k in range(trials)]
+    return [t for i, kind in enumerate(FamilyKind)
+            for t in unstack(generate_many(kind, [np.random.SeedSequence((seed, i, k))
+                                                  for k in range(trials)]))]
 
 
 def one_pass_runs():
@@ -425,6 +467,20 @@ def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
         calls.clear()
         run()
         assert calls == {"ce_diff": 2}, label
+
+
+def test_cross_validate_evaluates_each_shape_predicate_once_per_pass(monkeypatch):
+    # the per-family tables run on sub-stacks that carry the pass's shape masks
+    triples = mixed_triples(2, 2)
+    calls = Counter()
+    for kind, predicate in list(gabc._FAMILY_PREDICATES.items()):
+        def counted(M, _kind=kind, _predicate=predicate):
+            calls[_kind] += 1
+            return _predicate(M)
+        monkeypatch.setitem(gabc._FAMILY_PREDICATES, kind, counted)
+    reports = cross_validate_many(triples)
+    assert {rep.family for rep in reports} == {kind.value for kind in FamilyKind}
+    assert calls == {kind: 1 for kind in gabc._FAMILY_PREDICATES}
 
 
 def test_cross_validate_stars_dphi_and_dpsi_once_per_pass(monkeypatch):

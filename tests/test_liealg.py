@@ -57,6 +57,19 @@ def test_jacobi_residual_non_commuting_pair_positive():
     assert jacobi_residual(c) > 0.5
 
 
+def test_jacobi_residual_is_the_maximum_over_all_basis_triples(rng):
+    x = rng.standard_normal((6, 7, 7, 7))
+    c = x - np.swapaxes(x, -3, -2)  # exactly antisymmetric in i, j
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] for every i, j, k
+    nested = np.einsum("nijl,nlkm->nijkm", c, c)
+    cyclic = nested + np.einsum("njkim->nijkm", nested) + np.einsum("nkijm->nijkm", nested)
+    for n in range(len(c)):
+        full = np.max(np.abs(cyclic[n]))
+        assert abs(jacobi_residual(c[n]) - full) <= 1e-15 * full
+    full = np.max(np.abs(cyclic))
+    assert abs(jacobi_residual(c) - full) <= 1e-15 * full
+
+
 def test_constructor_rejects_jacobi_violation():
     c = structure_constants(e_matrix(3, 4), e_matrix(4, 5), ZERO4)
     with pytest.raises(ValidationError, match="Jacobi"):
@@ -68,6 +81,8 @@ def test_constructor_rejects_non_antisymmetric_constants():
     c[0, 1, 2] = 1.0  # missing the mirrored entry
     with pytest.raises(ValidationError, match="antisymmetric"):
         LieAlgebra7(c)
+    with pytest.raises(ValidationError, match="antisymmetric"):
+        jacobi_residual(c)
 
 
 # -- unimodularity -----------------------------------------------------------------
