@@ -15,7 +15,8 @@ generic route; such coefficients are dual-reported, never silently fixed.
 
 A ``TripleABC`` may hold a stack of N triples, matrices of shape (N, 4, 4).
 Both routes then run once over the stack: the generic route through stacked
-structure constants, the tabulated formulas on (N,) arrays of entries.
+structure constants, the tabulated formulas as one product of the (N, 48)
+entries with an operator built once per process from the formula text.
 ``cross_validate_stack`` cross-validates a stack that way, in passes of at
 most ``PASS_SIZE``, and returns the results as arrays; ``cross_validate_many``
 makes one report per triple from them, and ``cross_validate`` is its
@@ -32,7 +33,7 @@ import numpy as np
 
 from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
-from .exterior import PRUNE_TOL, Form, contract, matrix_coaction, wedge
+from .exterior import PRUNE_TOL, Form, _vecmat, contract, matrix_coaction, wedge
 from .g2core import (
     G2Structure,
     TorsionClass,
@@ -156,22 +157,24 @@ def _checked(A, B, C, lead=()):
     trace = np.trace(safe, axis1=-2, axis2=-1)
     left, right = safe[[0, 0, 1]], safe[[1, 2, 2]]
     commutator = _max_abs(left @ right - right @ left, 2)
-    # a NaN maximum fails its comparison too
-    if not (finite.all() and np.abs(trace).max() <= 1e-12 and commutator.max() <= 1e-10):
-        _raise_first_failure(finite, trace, commutator)
+    # relative to max(1, s), s the trial's largest entry: degree 1 for tr, 2 for [X, Y]
+    bound = np.maximum(1.0, np.abs(safe).max(axis=(0, -2, -1)))
+    bad_trace = ~(np.abs(trace) <= 1e-12 * bound)
+    bad_commutator = ~(commutator / bound <= 1e-10 * bound)  # a NaN or inf fails too
+    if not finite.all() or bad_trace.any() or bad_commutator.any():
+        _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator)
     return tuple(mats)
 
 
-def _raise_first_failure(finite, trace, commutator):
+def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     """The error of the first failing trial: the first check it fails, in the
     order A finite, A traceless, B and C alike, then [A,B], [A,C], [B,C]."""
     checks = []
     for q, name in enumerate("ABC"):
         checks.append((~finite[q], f"matrix {name} has non-finite entries", trace[q]))
-        checks.append((np.abs(trace[q]) > 1e-12, f"matrix {name} is not traceless: tr = {{:g}}",
-                       trace[q]))
+        checks.append((bad_trace[q], f"matrix {name} is not traceless: tr = {{:g}}", trace[q]))
     for p, pair in enumerate(("A,B", "A,C", "B,C")):
-        checks.append((commutator[p] > 1e-10,
+        checks.append((bad_commutator[p],
                        f"pairwise commutation violated: max |[{pair}]| = {{:g}}", commutator[p]))
     bad = np.array([np.ravel(fails) for fails, _, _ in checks])  # (check, trial)
     n = int(np.argmax(bad.any(axis=0)))
@@ -213,24 +216,8 @@ class TripleABC:
             object.__setattr__(t, name, m)
         return t
 
-    def _take(self, index):
-        """The triples of a stack at index (a slice or a mask), carrying their
-        shape masks so that no predicate runs again on them."""
-        sub = self._of_validated(*(m[index] for m in self.matrices()))
-        sub.__dict__["_shapes"] = {kind: mask[index] for kind, mask in self._shapes.items()}
-        return sub
-
     def matrices(self):
         return self.A, self.B, self.C
-
-    @functools.cached_property
-    def theta_actions(self):
-        """theta(M, omega_i) for M in (A, B, C, A^T, B^T, C^T), keyed by (name, i);
-        computed once, read by the derivative formulas and the dual reports."""
-        named = (("A", self.A), ("B", self.B), ("C", self.C),
-                 ("At", _transpose(self.A)), ("Bt", _transpose(self.B)),
-                 ("Ct", _transpose(self.C)))
-        return {(name, i): theta(M, OMEGA[i]) for name, M in named for i in (7, 1, 2)}
 
     @functools.cached_property
     def _shapes(self):
@@ -323,14 +310,12 @@ def theta_omega_tabulated(M, which):
 
 # -- closed-form derivatives ----------------------------------------------------
 
-@functools.cache
 def _e(*indices):
     return Form.monomial(indices)
 
 
-def closed_form_derivatives(t):
-    """(dphi, star dphi, dpsi, star dpsi) from the theta-action formulas."""
-    th = t.theta_actions
+def _derivatives_text(th):
+    """(dphi, star dphi, dpsi, star dpsi) from th[M, i] = theta(M, omega_i), M in A..C, At..Ct."""
     dphi = (wedge(th["B", 7] - th["A", 1], _e(1, 7))
             + wedge(th["C", 7] - th["A", 2], _e(2, 7))
             + wedge(th["B", 2] - th["C", 1], _e(1, 2)))
@@ -340,6 +325,12 @@ def closed_form_derivatives(t):
     dpsi = wedge(th["A", 7] + th["B", 1] + th["C", 2], _e(1, 2, 7))
     star_dpsi = -1.0 * (th["At", 7] + th["Bt", 1] + th["Ct", 2])
     return dphi, star_dphi, dpsi, star_dpsi
+
+
+def closed_form_derivatives(t):
+    """(dphi, star dphi, dpsi, star dpsi) from the theta-action formulas (tabulated_values)."""
+    values = tabulated_values(t)
+    return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
 
 
 # -- closed-form torsion --------------------------------------------------------
@@ -567,16 +558,79 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
 
     The family-specific tables require the matching matrix shape; the
     symmetric case has no table of its own and dispatches to the general one.
+    The values are those of tabulated_values.
     """
     if kind is not FamilyKind.GENERAL and not np.all(t.matches(kind)):
         raise ValidationError(f"triple does not have the {kind.value} shape")
-    if kind is FamilyKind.SKEW:
-        return _torsion_skew(t)
-    if kind is FamilyKind.DIAGONAL:
-        return _torsion_diagonal(t)
-    if kind is FamilyKind.ANTIDIAGONAL:
-        return _torsion_antidiagonal(t)
-    return _torsion_general(t)
+    table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
+    values = tabulated_values(t)
+    tau0, *forms = (values[..., _COLUMNS[f"{part}[{table}]"]] for part, _ in _TORSION_PARTS)
+    return ClosedFormTorsion(tau0[..., 0], *map(Form, (d for _, d in _TORSION_PARTS[1:]), forms))
+
+
+# -- the tabulated formulas as one linear operator ------------------------------
+
+_TABLES = (FamilyKind.GENERAL, FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL)
+_THETA_PAIRS = tuple((name, which) for name in "ABC" for which in (7, 1, 2))
+_DERIVATIVES = ("dphi", 4, None), ("star_dphi", 3, None), ("dpsi", 5, None), ("star_dpsi", 2, None)
+_TORSION_PARTS = ("tau0", 0), ("tau1", 1), ("tau2", 2), ("tau3", 3), ("iota_tau1_phi", 2)
+#: The column blocks of tabulated_values: (formula, degree, the family whose triples
+#: dual-report it, or None).  A triple's dual reports come in column order.
+_BLOCKS = (
+    *((f"{part}[{kind.value}]", degree, None if part == "iota_tau1_phi" else kind)
+      for kind in _TABLES for part, degree in _TORSION_PARTS),
+    *((f"theta_omega{which}[{name}]", 2, FamilyKind.GENERAL) for name, which in _THETA_PAIRS),
+    *_DERIVATIVES, *((f"theta(omega{which})[{name}]", 2, None) for name, which in _THETA_PAIRS))
+_STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
+_COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
+_THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
+#: Per column: pruned at PRUNE_TOL as in a Form (all but tau0); the index of its reporting family.
+_PRUNED = np.repeat([degree > 0 for _, degree, _ in _BLOCKS], np.diff(_STARTS))
+_REPORTING = (*_TABLES, None)
+_REPORTED_ON = np.repeat([_REPORTING.index(kind) for _, _, kind in _BLOCKS], np.diff(_STARTS))
+
+
+def _text_values(t):
+    """The columns of tabulated_values, evaluated from the formula text on the stack t."""
+    named = dict(zip("ABC", t.matrices()))
+    named.update((name + "t", _transpose(M)) for name, M in zip("ABC", t.matrices()))
+    th = {(name, i): theta(M, OMEGA[i]) for name, M in named.items() for i in (7, 1, 2)}
+    tables = [table(t) for table in (_torsion_general, _torsion_skew, _torsion_diagonal,
+                                     _torsion_antidiagonal)]
+    columns = [np.reshape(cf.tau0, (-1, 1)) if part == "tau0" else getattr(cf, part).values
+               for cf in tables for part, _ in _TORSION_PARTS]
+    columns += [theta_omega_tabulated(named[name], which).values for name, which in _THETA_PAIRS]
+    columns += [f.values for f in (*_derivatives_text(th), *(th[pair] for pair in _THETA_PAIRS))]
+    return np.concatenate([np.broadcast_to(v, (len(t.A), v.shape[-1])) for v in columns], 1)
+
+
+@functools.cache
+def _operator():
+    """The (48, K) operator of tabulated_values: row k is the formula text on unit triple k."""
+    units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
+    values = _text_values(TripleABC._of_validated(*np.moveaxis(units, 1, 0)))
+    if constant := [f for f, _, _ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
+        raise ValidationError(f"tabulated formulas with a constant term: {', '.join(constant)}")
+    values.flags.writeable = False
+    return values[1:]
+
+
+@functools.cache
+def _column_labels():
+    """(formula, component) of every column of tabulated_values, as a dual report names it."""
+    return [(formula, "e" + "".join(map(str, key)) if degree else "")
+            for formula, degree, _ in _BLOCKS for key in COMBS[degree]]
+
+
+def tabulated_values(t):
+    """Every linear tabulated formula of t in the columns of _BLOCKS, a row per triple
+    of a stack: the 48 entries of (A, B, C) times the operator of the formula text, row
+    by row so that a triple's values do not depend on its stack.  As in a Form,
+    coefficients at or below PRUNE_TOL are zero, but tau0's."""
+    entries = np.concatenate([m.reshape(-1, 16) for m in t.matrices()], axis=1)
+    values = _vecmat(entries, _operator())
+    values[(np.abs(values) <= PRUNE_TOL) & _PRUNED] = 0.0
+    return values.reshape(t.A.shape[:-2] + values.shape[-1:])
 
 
 # -- closed-form connection, Ricci, divergence ---------------------------------
@@ -859,41 +913,6 @@ def _max_abs(x, axes=1):
     return x.reshape(x.shape[:x.ndim - axes] + (-1,)).max(axis=-1)
 
 
-def _dual_coefficients(formulas, degree, printed, oracle, tol, reports):
-    """Append to reports[n] one ReferenceCheck per coefficient where the
-    tabulated and the computed value of formula f for triple n differ by more
-    than tol.  ``printed`` and ``oracle`` hold the coefficient vectors of
-    every formula, stacked on a leading axis; differences at or below
-    PRUNE_TOL count as zero, as in a Form."""
-    printed, oracle = np.asarray(printed), np.asarray(oracle)
-    diff = printed - oracle
-    shape = (len(formulas), len(reports), DIMS[degree])
-    hits = np.nonzero(np.abs(diff).reshape(shape) > max(tol, PRUNE_TOL))
-    if not hits[0].size:
-        return
-    printed = np.broadcast_to(printed, diff.shape).reshape(shape)
-    oracle = np.broadcast_to(oracle, diff.shape).reshape(shape)
-    for f, n, r in zip(*hits):
-        mono = "e" + "".join(map(str, COMBS[degree][r]))
-        reports[n].append(ReferenceCheck(formulas[f], mono, float(printed[f, n, r]),
-                                         float(oracle[f, n, r])))
-
-
-def _compare_torsion(label, cf, tau0, tau1, tau2, tau3, tol, reports):
-    """Coefficient-wise dual reports of a tabulated torsion set vs the oracle;
-    reports[n] collects those of triple n of a stack."""
-    tabulated = np.broadcast_to(cf.tau0, np.shape(tau0)).ravel()
-    computed = np.ravel(tau0)
-    for n in np.flatnonzero(np.abs(tabulated - computed) > tol):
-        reports[n].append(ReferenceCheck(f"tau0[{label}]", "", float(tabulated[n]),
-                                         float(computed[n])))
-    for name, printed, oracle in (("tau1", cf.tau1, tau1),
-                                  ("tau2", cf.tau2, tau2),
-                                  ("tau3", cf.tau3, tau3)):
-        _dual_coefficients([f"{name}[{label}]"], printed.degree, printed.values,
-                           oracle.values, tol, reports)
-
-
 #: Triples per array pass of cross_validate_stack; bounds the memory a pass holds.
 PASS_SIZE = 32
 
@@ -927,9 +946,9 @@ def cross_validate_stack(t, tol=1e-9):
     """The results of every triple of the stack t, as one CrossValidationArrays
     per array pass of at most PASS_SIZE triples, in order.  Each pass runs
     both routes once, over a leading trial axis."""
-    count = len(t.A)
-    return [_cross_validate_pass(t._take(slice(start, start + PASS_SIZE)), tol)
-            for start in range(0, count, PASS_SIZE)]
+    return [_cross_validate_pass(
+                TripleABC._of_validated(*(m[start:start + PASS_SIZE] for m in t.matrices())), tol)
+            for start in range(0, len(t.A), PASS_SIZE)]
 
 
 def cross_validate_many(triples, tol=1e-9):
@@ -946,9 +965,9 @@ def _cross_validate_pass(t, tol):
     """The CrossValidationArrays of t, a single triple or a stack, from one
     run of both routes."""
     count = t.A.size // 16
+    rows = lambda x, *tail: np.reshape(x, (count,) + tail)
     alg, s = build(t)
     dev = {}
-    duals = [[] for _ in range(count)]
 
     # generic route
     tau0, tau1, tau2, tau3 = torsion_forms(s)
@@ -960,22 +979,26 @@ def _cross_validate_pass(t, tol):
     div = div_torsion(alg, s.metric, conn, T)
     flags = classify(
         TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
-
-    # derivatives: theta-action formulas vs the Chevalley-Eilenberg oracle
-    cf_dphi, cf_sdphi, cf_dpsi, cf_sdpsi = closed_form_derivatives(t)
-    dev["dphi"] = (cf_dphi - s.dphi).norm_inf()
-    dev["star_dphi"] = (cf_sdphi - s.star_dphi).norm_inf()
-    dev["dpsi"] = (cf_dpsi - s.dpsi).norm_inf()
-    dev["star_dpsi"] = (cf_sdpsi - s.star_dpsi).norm_inf()
-
-    # torsion forms: general tabulated tau1, tau2 gate; tau0 and tau3 carry
-    # known misprints and are compared coefficient-wise into the dual reports
-    cf = _torsion_general(t)
-    dev["tau1"] = (cf.tau1 - tau1).norm_inf()
-    dev["tau2"] = (cf.tau2 - tau2).norm_inf()
     iota = contract(tau1_vector(s, tau1), s.phi)
-    dev["iota_tau1_phi"] = (cf.iota_tau1_phi - iota).norm_inf()
-    _compare_torsion("general", cf, tau0, tau1, tau2, tau3, tol, duals)
+
+    # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
+    # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
+    tab = rows(tabulated_values(t), -1)
+    torsion = [rows(tau0, 1), *(rows(f.values, -1) for f in (tau1, tau2, tau3, iota))]
+    derivatives = [rows(f.values, -1) for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
+    oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
+                             tab[:, _THETA_DEFINED]], axis=1)
+    diff = np.abs(tab - oracle)
+    gaps = np.where(diff > PRUNE_TOL, diff, 0.0)  # gating: zero at or below PRUNE_TOL, as in a Form
+    for formula in ("dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
+                    "iota_tau1_phi[general]"):
+        dev[formula.split("[")[0]] = gaps[:, _COLUMNS[formula]].max(axis=1)
+    # dual reports: tau0 beyond tol, the rest beyond max(tol, PRUNE_TOL), a table on its shape
+    shapes = np.stack([np.broadcast_to(t.matches(k) if k else False, count) for k in _REPORTING], -1)
+    hits = (diff > np.where(_PRUNED, max(tol, PRUNE_TOL), tol)) & shapes[:, _REPORTED_ON]
+    duals, labels = [[] for _ in range(count)], _column_labels()
+    for n, c, x, y in zip(*np.nonzero(hits), tab[hits].tolist(), oracle[hits].tolist()):
+        duals[n].append(ReferenceCheck(*labels[c], x, y))
 
     # reconstruction identities and component types
     rec1, rec2 = reconstruction_residuals(s, tau0, tau1, tau2, tau3)
@@ -1013,33 +1036,10 @@ def _cross_validate_pass(t, tol):
         "support_tau3_antidiagonal": _form_outside_span(tau3, TAU3_SUPPORT_ANTIDIAGONAL),
     }
 
-    # per-family tabulated torsion formulas, on the triples of each shape:
-    # dual-reported, never gating
-    for kind, label in ((FamilyKind.SKEW, "skew"),
-                        (FamilyKind.DIAGONAL, "diagonal"),
-                        (FamilyKind.ANTIDIAGONAL, "antidiagonal")):
-        match = t.matches(kind)
-        if match.all():
-            _compare_torsion(label, closed_form_torsion(t, kind),
-                             tau0, tau1, tau2, tau3, tol, duals)
-        elif match.any():
-            _compare_torsion(label, closed_form_torsion(t._take(match), kind),
-                             tau0[match], tau1[match],
-                             tau2[match], tau3[match], tol,
-                             [duals[n] for n in np.flatnonzero(match)])
-
-    # tabulated theta expansions vs the definitional action
-    pairs = [(mat_name, which) for mat_name in ("A", "B", "C") for which in (7, 1, 2)]
-    _dual_coefficients(
-        [f"theta_omega{which}[{mat_name}]" for mat_name, which in pairs], 2,
-        [theta_omega_tabulated(getattr(t, mat_name), which).values for mat_name, which in pairs],
-        [t.theta_actions[pair].values for pair in pairs], tol, duals)
-
     # a single triple's results become a stack of one
-    rows = lambda x, *tail: np.reshape(x, (count,) + tail)
     families = rows(np.array(classify_triple(t), dtype=object)).tolist()
     quantities = (*dev, *family_dev)
-    values = np.reshape([*dev.values(), *family_dev.values()], (len(quantities), count)).T
+    values = np.array([np.ravel(v) for v in (*dev.values(), *family_dev.values())]).T
     applies = np.array([[True] * len(dev) + [key in _FAMILY_DEVIATIONS[family] for key in family_dev]
                         for family in families])
     return CrossValidationArrays(

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from collections import Counter
 
@@ -89,6 +90,20 @@ def test_stacked_checks_name_the_failing_trial(entries, message):
         mats[index] = value
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         gabc._checked(*np.moveaxis(mats, 1, 0), lead=(3,))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+@pytest.mark.parametrize("kind", [FamilyKind.SKEW, FamilyKind.SYMMETRIC, FamilyKind.ANTIDIAGONAL])
+def test_generate_validates_its_own_triples_at_large_scales(kind, scale):
+    # the trace and commutator thresholds scale with the largest entry
+    assert len(generate_many(kind, range(200), scale).A) == 200
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e3])
+def test_non_commuting_pair_rejected_at_any_scale(scale):
+    # [A, B] = 2 scale^2 e35: above 1e-10 max(1, scale)^2 at both scales
+    with pytest.raises(ValidationError, match="pairwise commutation violated"):
+        make(A=scale * e_matrix(3, 4), B=2 * scale * e_matrix(4, 5))
 
 
 def test_build_abelian():
@@ -251,6 +266,40 @@ def test_general_table_tau1_tau2_match_oracle():
         cf = closed_form_torsion(t, FamilyKind.GENERAL)
         assert (cf.tau1 - t1).norm_inf() <= 1e-9
         assert (cf.tau2 - t2).norm_inf() <= 1e-9
+
+
+# -- the tabulated formulas as one operator --------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_tabulated_values_agree_with_the_formula_text(scale):
+    for kind in FamilyKind:
+        t = generate_many(kind, range(50), scale)
+        text = gabc._text_values(t)
+        err = np.abs(gabc.tabulated_values(t) - text).max(axis=1)
+        # relative to each triple's largest value, which reaches ~3.5x its largest entry
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1))), kind
+
+
+def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
+    table = gabc._torsion_skew
+    monkeypatch.setattr(gabc, "_torsion_skew",
+                        lambda t: dataclasses.replace(table(t), tau0=table(t).tau0 + 1.0))
+    with pytest.raises(ValidationError, match=re.escape("constant term: tau0[skew]") + "$"):
+        gabc._operator.__wrapped__()
+
+
+def test_tabulated_values_and_dual_reports_do_not_depend_on_the_pass(monkeypatch):
+    triples = mixed_triples(9, 7)  # 35 triples: passes of 32 and 3, or of 2
+    alone = np.array([gabc.tabulated_values(t) for t in triples])
+    reports = [cross_validate(t) for t in triples]
+    assert any(rep.dual_reports for rep in reports)
+    for size in (32, 2):
+        in_passes = [gabc.tabulated_values(TripleABC.stack(triples[i:i + size]))
+                     for i in range(0, len(triples), size)]
+        assert np.array_equal(np.concatenate(in_passes), alone), size
+        monkeypatch.setattr(gabc, "PASS_SIZE", size)
+        for rep, ref in zip(cross_validate_many(triples), reports, strict=True):
+            assert (rep.dual_reports, rep.deviations) == (ref.dual_reports, ref.deviations), size
 
 
 # -- closed-form connection / Ricci / divergence ---------------------------------------
@@ -450,14 +499,16 @@ def one_pass_runs():
 
 
 def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
-    # the 18 theta of closed_form_derivatives; the dual reports reuse the 9
-    # theta(M, omega_i) among them, however many coefficients are misprinted
-    # and however many triples one pass holds
-    calls = count_calls(monkeypatch, gabc, ("theta", "theta_omega_tabulated"))
+    # the formula text runs once per process, to build the operator of
+    # tabulated_values; after a warm-up pass no pass evaluates it again
+    cross_validate(generate(FamilyKind.GENERAL, 0))
+    calls = count_calls(monkeypatch, gabc, (
+        "theta", "theta_omega_tabulated", "_torsion_general", "_torsion_skew",
+        "_torsion_diagonal", "_torsion_antidiagonal"))
     for label, run in one_pass_runs():
-        calls.clear()
         run()
-        assert calls == {"theta": 18, "theta_omega_tabulated": 9}, label
+        assert not calls, label
+    assert gabc._operator.cache_info().misses == 1
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
@@ -470,7 +521,7 @@ def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
 
 
 def test_cross_validate_evaluates_each_shape_predicate_once_per_pass(monkeypatch):
-    # the per-family tables run on sub-stacks that carry the pass's shape masks
+    # the family labels and the family tables' dual reports share the pass's shape masks
     triples = mixed_triples(2, 2)
     calls = Counter()
     for kind, predicate in list(gabc._FAMILY_PREDICATES.items()):
