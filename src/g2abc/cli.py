@@ -13,11 +13,12 @@ import sys
 
 import numpy as np
 
-from .errors import G2ABCError
+from .errors import G2ABCError, ValidationError
 from .gabc import (
     MAX_SCALE,
     PASS_SIZE,
     FamilyKind,
+    ReferenceCheck,
     TripleABC,
     classify_triple,
     cross_validate,
@@ -158,11 +159,7 @@ def build_report(t, tol):
         },
         "deviations": {k: float(v) for k, v in rep.deviations.items()},
         "exact_checks": dict(rep.exact_checks),
-        "dual_reports": [
-            {"formula": r.formula, "component": r.component,
-             "tabulated": r.tabulated, "computed": r.computed}
-            for r in rep.dual_reports
-        ],
+        "dual_reports": [vars(r) for r in rep.dual_reports],
         "passed": rep.passed,
     }
 
@@ -208,6 +205,7 @@ def cmd_analyze(args):
 def cmd_verify(args):
     cases = list(CASES) if args.case == "all" else [args.case]
     failures = 0
+    # per column of the tabulated values: (delta, tabulated, computed) of its first largest delta
     duals = {}
     # per case index: the worst of each quantity, which quantities gate a
     # triple of the case, and the worst deviation with its quantity
@@ -216,30 +214,29 @@ def cmd_verify(args):
     # and cross-validated one pass at a time, in case-major order
     jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
     while chunk := list(itertools.islice(jobs, PASS_SIZE)):
-        stack = TripleABC.stack([
-            generate_many(CASES[cases[i]], [np.random.SeedSequence((args.seed, i, k))
-                                            for _, k in group])
-            for i, group in itertools.groupby(chunk, key=lambda job: job[0])])
-        case_of = [i for i, _ in chunk]
-        for arrays in cross_validate_stack(stack, tol=args.tol):
-            pass_cases, case_of = case_of[:len(arrays.families)], case_of[len(arrays.families):]
-            failures += int(np.count_nonzero(~arrays.passed()))
-            # as a maximum taken from 0.0, NaN and quantities that do not apply never win
-            devs = np.where(arrays.applies & ~np.isnan(arrays.deviations), arrays.deviations, 0.0)
-            start = 0
-            for i, group in itertools.groupby(pass_cases):  # the rows of each case, in order
-                stop = start + len(list(group))
-                rows = devs[start:stop]
-                case_max[i] = np.maximum(case_max.get(i, 0.0), rows.max(axis=0))
-                case_has[i] = case_has.get(i, False) | arrays.applies[start:stop].any(axis=0)
-                j = int(rows.argmax())  # the first maximum in (trial, quantity) order
-                if rows.flat[j] > case_worst[i][0]:
-                    case_worst[i] = (float(rows.flat[j]), arrays.quantities[j % rows.shape[1]])
-                start = stop
-            for r in itertools.chain.from_iterable(arrays.dual_reports):
-                ident = (r.formula, r.component)
-                if ident not in duals or duals[ident].delta < r.delta:
-                    duals[ident] = r
+        try:
+            stack = generate_many([CASES[cases[i]] for i, _ in chunk],
+                                  [np.random.SeedSequence((args.seed, i, k)) for i, k in chunk])
+        except ValidationError as exc:
+            i, k = chunk[exc.trial]
+            raise ValidationError(f"case {cases[i]}, trial {k}: {exc.reason}") from None
+        (arrays,) = cross_validate_stack(stack, tol=args.tol)
+        failures += int(np.count_nonzero(~arrays.passed()))
+        # as a maximum taken from 0.0, NaN and quantities that do not apply never win
+        devs = np.where(arrays.applies & ~np.isnan(arrays.deviations), arrays.deviations, 0.0)
+        start = 0
+        for i, group in itertools.groupby(i for i, _ in chunk):  # the rows of each case, in order
+            stop = start + len(list(group))
+            rows = devs[start:stop]
+            case_max[i] = np.maximum(case_max.get(i, 0.0), rows.max(axis=0))
+            case_has[i] = case_has.get(i, False) | arrays.applies[start:stop].any(axis=0)
+            j = int(rows.argmax())  # the first maximum in (trial, quantity) order
+            if rows.flat[j] > case_worst[i][0]:
+                case_worst[i] = (float(rows.flat[j]), arrays.quantities[j % rows.shape[1]])
+            start = stop
+        for column, x, y in zip(*(a.tolist() for a in arrays.dual_reports[1:])):
+            if column not in duals or duals[column][0] < abs(x - y):
+                duals[column] = (abs(x - y), x, y)
     quantities = arrays.quantities
     case_devs = [dict(itertools.compress(zip(quantities, case_max[i].tolist()), case_has[i].tolist()))
                  for i in range(len(cases))]
@@ -248,6 +245,8 @@ def cmd_verify(args):
     all_has = np.any(list(case_has.values()), axis=0).tolist()
     worst = dict(itertools.compress(zip(quantities, all_max), all_has))
     summary = [(case, args.trials, *case_worst[i], case_devs[i]) for i, case in enumerate(cases)]
+    notes = sorted((ReferenceCheck.of_column(column, x, y) for column, (_, x, y) in duals.items()),
+                   key=lambda r: (r.formula, r.component))
     passed = failures == 0
     if args.json:
         print(json.dumps({
@@ -255,10 +254,7 @@ def cmd_verify(args):
                           "worst_deviations": dict(sorted(devs.items()))}
                       for c, n, w, k, devs in summary},
             "worst_deviations": {k: v for k, v in sorted(worst.items())},
-            "dual_reports": [
-                {"formula": f, "component": c, "tabulated": r.tabulated,
-                 "computed": r.computed}
-                for (f, c), r in sorted(duals.items())],
+            "dual_reports": [vars(r) for r in notes],
             "tol": args.tol,
             "failing_trials": failures,
             "passed": passed,
@@ -270,10 +266,10 @@ def cmd_verify(args):
         for key, val in sorted(worst.items()):
             mark = "ok" if val <= args.tol else "FAIL"
             print(f"  {key:28s} {val:12.3e}  {mark}")
-        if duals:
+        if notes:
             print("tabulated-formula mismatches (dual reports; generic route adjudicates):")
-            for (formula, comp), r in sorted(duals.items()):
-                print(f"  {formula} {comp}: tabulated {r.tabulated:+.12g}"
+            for r in notes:
+                print(f"  {r.formula} {r.component}: tabulated {r.tabulated:+.12g}"
                       f" vs computed {r.computed:+.12g}")
         print("verdict:", "PASS" if passed else f"FAIL ({failures} failing trials)")
     return EXIT_OK if passed else EXIT_MISMATCH

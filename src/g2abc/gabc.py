@@ -20,8 +20,8 @@ entries with an operator built once per process from the formula text.
 ``cross_validate_stack`` cross-validates a stack that way, in passes of at
 most ``PASS_SIZE``, and returns the results as arrays; ``cross_validate_many``
 makes one report per triple from them, and ``cross_validate`` is its
-one-triple case.  ``generate_many`` draws a stack of random triples of a
-family at once.
+one-triple case.  ``generate_many`` draws a stack of random triples, of one
+family or a family per trial, at once.
 """
 
 import enum
@@ -132,6 +132,13 @@ _FAMILY_PREDICATES = {
     FamilyKind.SYMMETRIC: is_symmetric_matrix,
     FamilyKind.ANTIDIAGONAL: is_antidiagonal_matrix,
 }
+#: A shape code has bit b set for the shape _SHAPES[b]; _CODE_SHAPES[code, b] reads it.
+_SHAPES = tuple(_FAMILY_PREDICATES)
+_CODE_SHAPES = np.arange(2 ** len(_SHAPES))[:, None] >> np.arange(len(_SHAPES)) & 1 == 1
+#: Per shape code, its first shape of DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC, else GENERAL.
+_CODE_FAMILY = np.full(len(_CODE_SHAPES), FamilyKind.GENERAL, dtype=object)
+for _kind in (FamilyKind.SYMMETRIC, FamilyKind.SKEW, FamilyKind.ANTIDIAGONAL, FamilyKind.DIAGONAL):
+    _CODE_FAMILY[_CODE_SHAPES[:, _SHAPES.index(_kind)]] = _kind
 
 
 def _checked(A, B, C, lead=()):
@@ -140,7 +147,7 @@ def _checked(A, B, C, lead=()):
 
     ``lead`` is () for one triple and (N,) for a stack of N; the error for a
     stack of several names its first failing trial and gives the error that
-    trial would raise on its own.
+    trial would raise on its own, as its ``reason``, and its index as ``trial``.
     """
     mats = []
     for name, m in zip("ABC", (A, B, C)):
@@ -179,8 +186,10 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     bad = np.array([np.ravel(fails) for fails, _, _ in checks])  # (check, trial)
     n = int(np.argmax(bad.any(axis=0)))
     _, message, values = checks[int(np.argmax(bad[:, n]))]
-    prefix = f"trial {n}: " if bad.shape[1] > 1 else ""
-    raise ValidationError(prefix + message.format(np.ravel(values)[n]))
+    reason = message.format(np.ravel(values)[n])
+    error = ValidationError(f"trial {n}: {reason}" if bad.shape[1] > 1 else reason)
+    error.trial, error.reason = n, reason
+    raise error
 
 
 @dataclass(frozen=True)
@@ -220,26 +229,16 @@ class TripleABC:
         return self.A, self.B, self.C
 
     @functools.cached_property
-    def _shapes(self):
+    def _shape_code(self):
+        """The shape code of the triple, an array of them for a stack."""
         mats = np.stack(self.matrices())
-        return {kind: pred(mats).all(axis=0) for kind, pred in _FAMILY_PREDICATES.items()}
-
-    def matches(self, kind):
-        """Whether all three matrices have the family's shape; per triple of a stack."""
-        if kind is FamilyKind.GENERAL:
-            return True
-        return self._shapes[kind]
+        return sum(p(mats).all(axis=0) << b for b, p in enumerate(_FAMILY_PREDICATES.values()))
 
 
 def classify_triple(t):
     """Most specific family label, checked in a fixed order; for a stack, the
     list of the labels of its triples."""
-    labels = np.full(t.A.shape[:-2], FamilyKind.GENERAL, dtype=object)
-    # the first matching kind of DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC is written last
-    for kind in (FamilyKind.SYMMETRIC, FamilyKind.SKEW,
-                 FamilyKind.ANTIDIAGONAL, FamilyKind.DIAGONAL):
-        labels[t.matches(kind)] = kind
-    return labels.tolist()
+    return np.asarray(_CODE_FAMILY[t._shape_code], dtype=object).tolist()
 
 
 def structure_constants(A, B, C):
@@ -560,7 +559,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     symmetric case has no table of its own and dispatches to the general one.
     The values are those of tabulated_values.
     """
-    if kind is not FamilyKind.GENERAL and not np.all(t.matches(kind)):
+    if kind in _SHAPES and not _CODE_SHAPES[t._shape_code, _SHAPES.index(kind)].all():
         raise ValidationError(f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
     values = tabulated_values(t)
@@ -584,10 +583,13 @@ _BLOCKS = (
 _STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
 _COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
 _THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
-#: Per column: pruned at PRUNE_TOL as in a Form (all but tau0); the index of its reporting family.
+#: Per column: pruned at PRUNE_TOL as in a Form (all but tau0).
 _PRUNED = np.repeat([degree > 0 for _, degree, _ in _BLOCKS], np.diff(_STARTS))
-_REPORTING = (*_TABLES, None)
+#: _CODE_REPORTS[code, column]: whether triples of the shape code dual-report the column:
+#: a family table on triples of its shape, the general one and theta expansions on all.
+_REPORTING = (*_SHAPES, FamilyKind.GENERAL, None)
 _REPORTED_ON = np.repeat([_REPORTING.index(kind) for _, _, kind in _BLOCKS], np.diff(_STARTS))
+_CODE_REPORTS = np.hstack([_CODE_SHAPES, [[True, False]] * len(_CODE_SHAPES)])[:, _REPORTED_ON]
 
 
 def _text_values(t):
@@ -707,21 +709,6 @@ def closed_form_divergence(t, tau27):
 
 # -- family generators ----------------------------------------------------------
 
-def _draws(seeds, *draws):
-    """Each draw, a function of a generator, run in order on default_rng(seed)
-    of every seed; the stack over the seeds of each draw's results."""
-    per_seed = [[draw(rng) for draw in draws] for rng in map(np.random.default_rng, seeds)]
-    return [np.array(column) for column in zip(*per_seed)]
-
-
-def _uniform(low, high, size):
-    return lambda rng: rng.uniform(low, high, size=size)
-
-
-def _normals(rng):
-    return rng.standard_normal((4, 4))
-
-
 def _random_rotations(normals):
     """Rotation from the QR of each 4x4 matrix of normals: Q with the signs
     of R's diagonal, and its first column negated where det Q < 0."""
@@ -745,50 +732,74 @@ def _traceless_diagonals(d):
 MAX_SCALE = np.finfo(np.float64).max / 2
 
 
+def _family_draws(kind, scale):
+    """The draws of one trial of the family, in order, each a function of its generator."""
+    uniform = lambda bound, size: lambda rng: rng.uniform(-bound, bound, size=size)
+    normals = lambda rng: rng.standard_normal((4, 4))  # of a rotation
+    return {
+        FamilyKind.SKEW: (uniform(scale, (3, 2)), normals),
+        FamilyKind.DIAGONAL: (uniform(scale, (3, 4)),),
+        FamilyKind.SYMMETRIC: (normals, uniform(scale, (3, 4))),
+        FamilyKind.ANTIDIAGONAL: (uniform(scale, 4), uniform(1.0, (2, 2))),  # base, factors
+        FamilyKind.GENERAL: (uniform(1.0, (4, 4)), uniform(1.0, (3, 4))),
+    }[kind]
+
+
 def generate_many(kind, seeds, scale=1.0):
-    """Stack of random triples of the requested family.  Triple n comes from
-    the draws of ``default_rng(seeds[n])`` alone, so it does not depend on
-    the other seeds or on its place in the stack.
+    """Stack of random triples, triple n of the family kind[n] (or kind, for a
+    single one).  Triple n comes from the draws of ``default_rng(seeds[n])``
+    alone, so it does not depend on the other trials or on its place.
 
     Entries are kept within [-scale, scale], 0 < scale <= MAX_SCALE; all
-    family invariants hold by construction (and the stack is re-validated
-    by the checks of TripleABC; an error names the trial that fails).
+    family invariants hold by construction.  The stack's rotations come from
+    one QR, and it is re-validated by one run of the checks of TripleABC (an
+    error names the trial that fails, also as its ``trial``).
     """
+    seeds = list(seeds)
+    kinds = list(kind) if isinstance(kind, (list, tuple)) else [kind] * len(seeds)
+    if unknown := set(kinds) - set(FamilyKind):
+        raise ValidationError(f"unknown family kind {unknown.pop()!r}")
+    plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
+    drawn = [[draw(rng) for draw in plans[k]]
+             for k, rng in zip(kinds, map(np.random.default_rng, seeds), strict=True)]
+    normals = {FamilyKind.SKEW: 1, FamilyKind.SYMMETRIC: 0}  # their draw, per rotated family
+    rotated = [n for n, k in enumerate(kinds) if k in normals]
+    q = np.empty((len(seeds), 1, 4, 4))
+    if rotated:
+        q[rotated, 0] = _random_rotations(np.array([drawn[n][normals[kinds[n]]] for n in rotated]))
+    mats = np.empty((len(seeds), 3, 4, 4))
+    for k in plans:
+        at = [n for n, kn in enumerate(kinds) if kn is k]
+        mats[at] = _family_matrices(k, [np.array(d) for d in zip(*(drawn[n] for n in at))],
+                                    q[at], scale)
+    return TripleABC._of_validated(*_checked(*np.moveaxis(mats, 1, 0), lead=mats.shape[:1]))
+
+
+def _family_matrices(kind, draws, q, scale):
+    """The (n, 3, 4, 4) matrices A, B, C of n trials of a family from their stacked draws."""
     if kind is FamilyKind.SKEW:
-        params, normals = _draws(seeds, _uniform(-scale, scale, (3, 2)), _normals)
+        params = draws[0]
         blocks = np.zeros(params.shape[:-1] + (4, 4))  # rotations in the planes 34 and 56
-        blocks[..., 1, 0], blocks[..., 3, 2] = params[..., 0], params[..., 1]
-        blocks[..., 0, 1], blocks[..., 2, 3] = -params[..., 0], -params[..., 1]
-        q = _random_rotations(normals)[:, None]
-        mats = _skew(q @ blocks @ _transpose(q))  # exact re-antisymmetrisation
-    elif kind is FamilyKind.DIAGONAL:
-        (diagonals,) = _draws(seeds, _uniform(-scale, scale, (3, 4)))
-        mats = _traceless_diagonals(diagonals)
-    elif kind is FamilyKind.SYMMETRIC:
-        normals, diagonals = _draws(seeds, _normals, _uniform(-scale, scale, (3, 4)))
-        q = _random_rotations(normals)[:, None]
-        mats = _sym(q @ _traceless_diagonals(diagonals) @ _transpose(q))  # exact re-symmetrisation
-    elif kind is FamilyKind.ANTIDIAGONAL:
-        base, factors = _draws(seeds, _uniform(-scale, scale, 4),  # (a36, a45, a54, a63)
-                               _uniform(-1.0, 1.0, (2, 2)))
-        # (f36, f45) of A, B, C: A is the base itself
+        blocks[..., [1, 3, 0, 2], [0, 2, 1, 3]] = np.concatenate([params, -params], axis=-1)
+        return _skew(q @ blocks @ _transpose(q))  # exact re-antisymmetrisation
+    if kind is FamilyKind.DIAGONAL:
+        return _traceless_diagonals(draws[0])
+    if kind is FamilyKind.SYMMETRIC:
+        return _sym(q @ _traceless_diagonals(draws[1]) @ _transpose(q))  # exact re-symmetrisation
+    if kind is FamilyKind.ANTIDIAGONAL:
+        base, factors = draws
+        # entries (36, 45, 54, 63) of A, B, C: the base times (f36, f45, f45, f36), f = 1 for A
         f = np.concatenate([np.ones_like(factors[:, :1]), factors], axis=1)
         mats = np.zeros(f.shape[:-1] + (4, 4))
-        mats[..., 0, 3] = f[..., 0] * base[:, None, 0]
-        mats[..., 3, 0] = f[..., 0] * base[:, None, 3]
-        mats[..., 1, 2] = f[..., 1] * base[:, None, 1]
-        mats[..., 2, 1] = f[..., 1] * base[:, None, 2]
-    elif kind is FamilyKind.GENERAL:
-        m, coeffs = _draws(seeds, _uniform(-1.0, 1.0, (4, 4)), _uniform(-1.0, 1.0, (3, 4)))
-        m2 = m @ m
-        powers = (np.eye(4), m[:, None], m2[:, None], (m2 @ m)[:, None])
-        x = sum(coeffs[..., k, None, None] * p for k, p in enumerate(powers))
-        x = x - (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0) * np.eye(4)
-        top = np.abs(x).max(axis=(-2, -1), keepdims=True)
-        mats = x * (scale / np.maximum(top, scale))  # the largest entry at most scale
-    else:
-        raise ValidationError(f"unknown family kind {kind!r}")
-    return TripleABC._of_validated(*_checked(*np.moveaxis(mats, 1, 0), lead=mats.shape[:1]))
+        mats[..., range(4), range(3, -1, -1)] = f[..., [0, 1, 1, 0]] * base[:, None]
+        return mats
+    m, coeffs = draws  # GENERAL
+    m2 = m @ m
+    powers = (np.eye(4), m[:, None], m2[:, None], (m2 @ m)[:, None])
+    x = sum(coeffs[..., k, None, None] * p for k, p in enumerate(powers))
+    x = x - (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0) * np.eye(4)
+    top = np.abs(x).max(axis=(-2, -1), keepdims=True)
+    return x * (scale / np.maximum(top, scale))  # the largest entry at most scale
 
 
 def generate(kind, seed, scale=1.0):
@@ -814,6 +825,11 @@ class ReferenceCheck:
     def delta(self):
         return abs(self.tabulated - self.computed)
 
+    @classmethod
+    def of_column(cls, column, tabulated, computed):
+        """The check of a column of tabulated_values, named by its (formula, component)."""
+        return cls(*_column_labels()[column], tabulated, computed)
+
 
 @dataclass
 class CrossValidationReport:
@@ -837,12 +853,6 @@ class CrossValidationReport:
         return (all(v <= self.tol for v in self.deviations.values())
                 and all(self.exact_checks.values()))
 
-    def worst(self):
-        if not self.deviations:
-            return ("", 0.0)
-        key = max(self.deviations, key=self.deviations.get)
-        return key, self.deviations[key]
-
 
 class CrossValidationArrays(typing.NamedTuple):
     """The results of one cross-validation pass over n triples, as arrays
@@ -851,8 +861,9 @@ class CrossValidationArrays(typing.NamedTuple):
     Column q of ``deviations`` is the quantity ``quantities[q]``; it gates
     triple n where ``applies[n, q]`` holds (the family-specific quantities
     apply to the triples of their family only).  The columns of ``flags``
-    are the closed, coclosed and torsion-free flags.  (A named tuple, not a
-    dataclass: building a 15-field frozen dataclass adds ~2 ms to import.)
+    are the closed, coclosed and torsion-free flags, and ``dual_reports`` the
+    arrays (trial, column of tabulated_values, tabulated, computed).  (A named
+    tuple, not a dataclass: building a 15-field frozen dataclass adds ~2 ms.)
     """
 
     tol: float
@@ -861,7 +872,7 @@ class CrossValidationArrays(typing.NamedTuple):
     deviations: np.ndarray
     applies: np.ndarray
     exact_checks: dict
-    dual_reports: list
+    dual_reports: tuple
     flags: np.ndarray
     tau0: np.ndarray
     tau1: Form
@@ -882,11 +893,14 @@ class CrossValidationArrays(typing.NamedTuple):
         dev_rows, applies = self.deviations.tolist(), self.applies.tolist()
         flag_rows = self.flags.tolist()
         exact_rows = {key: check.tolist() for key, check in self.exact_checks.items()}
+        duals = [[] for _ in self.families]
+        for n, *check in zip(*(a.tolist() for a in self.dual_reports)):
+            duals[n].append(ReferenceCheck.of_column(*check))
         return [CrossValidationReport(
             family=family.value, tol=self.tol,
             deviations={q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n]) if a},
             exact_checks={key: rows[n] for key, rows in exact_rows.items()},
-            dual_reports=self.dual_reports[n],
+            dual_reports=duals[n],
             flags=TorsionClass(*flag_rows[n]),
             tau0=float(self.tau0[n]), tau1=self.tau1[n], tau2=self.tau2[n], tau3=self.tau3[n],
             torsion_matrix=self.torsion_matrix[n], divergence=self.divergence[n],
@@ -916,15 +930,16 @@ def _max_abs(x, axes=1):
 #: Triples per array pass of cross_validate_stack; bounds the memory a pass holds.
 PASS_SIZE = 32
 
-#: Gated deviations that apply to the triples of one family only.
+#: Gated deviations that apply to the triples of some families only, with those families.
 _FAMILY_DEVIATIONS = {
-    FamilyKind.SKEW: ("divergence_free",),
-    FamilyKind.SYMMETRIC: ("divergence_free",),
-    FamilyKind.DIAGONAL: ("divergence_free", "tau27_diagonal_nn", "support_tau3_diagonal"),
-    FamilyKind.ANTIDIAGONAL: ("divergence_free", "tau27_antidiagonal_pairs",
-                              "support_tau3_antidiagonal"),
-    FamilyKind.GENERAL: (),
+    "divergence_free": _SHAPES,  # the four families of the theorem, all but GENERAL
+    "tau27_diagonal_nn": (FamilyKind.DIAGONAL,),
+    "support_tau3_diagonal": (FamilyKind.DIAGONAL,),
+    "tau27_antidiagonal_pairs": (FamilyKind.ANTIDIAGONAL,),
+    "support_tau3_antidiagonal": (FamilyKind.ANTIDIAGONAL,),
 }
+#: _CODE_APPLIES[code, q]: whether the q-th of them gates the family of the shape code.
+_CODE_APPLIES = np.array([[f in fs for fs in _FAMILY_DEVIATIONS.values()] for f in _CODE_FAMILY])
 
 _A_ROWS = [k - 1 for k in A_INDICES]
 #: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
@@ -967,6 +982,7 @@ def _cross_validate_pass(t, tol):
     count = t.A.size // 16
     rows = lambda x, *tail: np.reshape(x, (count,) + tail)
     alg, s = build(t)
+    code = rows(t._shape_code)
     dev = {}
 
     # generic route
@@ -994,11 +1010,8 @@ def _cross_validate_pass(t, tol):
                     "iota_tau1_phi[general]"):
         dev[formula.split("[")[0]] = gaps[:, _COLUMNS[formula]].max(axis=1)
     # dual reports: tau0 beyond tol, the rest beyond max(tol, PRUNE_TOL), a table on its shape
-    shapes = np.stack([np.broadcast_to(t.matches(k) if k else False, count) for k in _REPORTING], -1)
-    hits = (diff > np.where(_PRUNED, max(tol, PRUNE_TOL), tol)) & shapes[:, _REPORTED_ON]
-    duals, labels = [[] for _ in range(count)], _column_labels()
-    for n, c, x, y in zip(*np.nonzero(hits), tab[hits].tolist(), oracle[hits].tolist()):
-        duals[n].append(ReferenceCheck(*labels[c], x, y))
+    hits = (diff > np.where(_PRUNED, max(tol, PRUNE_TOL), tol)) & _CODE_REPORTS[code]
+    duals = (*np.nonzero(hits), tab[hits], oracle[hits])
 
     # reconstruction identities and component types
     rec1, rec2 = reconstruction_residuals(s, tau0, tau1, tau2, tau3)
@@ -1037,13 +1050,12 @@ def _cross_validate_pass(t, tol):
     }
 
     # a single triple's results become a stack of one
-    families = rows(np.array(classify_triple(t), dtype=object)).tolist()
-    quantities = (*dev, *family_dev)
-    values = np.array([np.ravel(v) for v in (*dev.values(), *family_dev.values())]).T
-    applies = np.array([[True] * len(dev) + [key in _FAMILY_DEVIATIONS[family] for key in family_dev]
-                        for family in families])
+    family_dev = map(family_dev.get, _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
+    values = np.array([np.ravel(v) for v in (*dev.values(), *family_dev)]).T
+    applies = np.concatenate([np.ones((count, len(dev)), dtype=bool), _CODE_APPLIES[code]], axis=1)
     return CrossValidationArrays(
-        tol=tol, families=families, quantities=quantities, deviations=values, applies=applies,
+        tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=(*dev, *_FAMILY_DEVIATIONS),
+        deviations=values, applies=applies,
         exact_checks={"div_components_3_to_6_zero": rows(div_zero)}, dual_reports=duals,
         flags=np.reshape([flags.closed, flags.coclosed, flags.torsion_free], (3, count)).T,
         tau0=rows(tau0), tau1=Form(1, rows(tau1.values, DIMS[1])),

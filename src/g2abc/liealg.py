@@ -7,7 +7,8 @@ from ._tables import COMBS, DIM, DIMS, WEDGE
 from .errors import DegreeError, ValidationError
 from .exterior import Form, contractions
 
-#: Instances with a Jacobi residual above this are rejected at construction.
+#: Instances with a Jacobi residual above this times max(1, s)^2 are rejected at
+#: construction, s = max|c| of the algebra (the Jacobiator is quadratic in c).
 JACOBI_TOL = 1e-10
 
 #: 0-based (i, j) of the 2-monomials e^{ij}, i < j, in rank order.
@@ -38,6 +39,11 @@ def jacobi_residual(c):
     give the maximum over all 343.
     """
     arr = (c if isinstance(c, LieAlgebra7) else LieAlgebra7(c, check=False)).c
+    return float(np.max(_jacobi_residuals(arr)))
+
+
+def _jacobi_residuals(arr):
+    """The residual of jacobi_residual per algebra of the constants arr."""
     # t[p, k, m] = [[e_i, e_j], e_k]_m for the pair p = (i, j), i < j
     lead = arr.shape[:-3]
     t = (arr[..., _PAIR_I, _PAIR_J, :] @ arr.reshape(lead + (DIM, DIM * DIM))
@@ -45,7 +51,7 @@ def jacobi_residual(c):
     # [[e_i, e_j], e_k] + [[e_k, e_i], e_j] + [[e_j, e_k], e_i], with [e_k, e_i] = -[e_i, e_k]
     cyc = t[..., _RANK_IJ, _TRIPLE_K, :] - t[..., _RANK_IK, _TRIPLE_J, :]
     cyc += t[..., _RANK_JK, _TRIPLE_I, :]
-    return float(np.max(np.abs(cyc, out=cyc)))
+    return np.abs(cyc, out=cyc).max(axis=(-2, -1))
 
 
 class LieAlgebra7:
@@ -64,9 +70,12 @@ class LieAlgebra7:
         arr.flags.writeable = False
         self.c = arr
         if check:
-            res = jacobi_residual(self)
-            if res > JACOBI_TOL:
-                raise ValidationError(f"Jacobi identity violated: residual {res:g} > {JACOBI_TOL:g}")
+            res, b = _jacobi_residuals(arr), np.maximum(1.0, np.abs(arr).max(axis=(-3, -2, -1)))
+            bad = np.ravel(~(res / b <= JACOBI_TOL * b))  # per algebra; b * b could overflow
+            if bad.any():
+                n = bad.argmax()
+                raise ValidationError(f"Jacobi identity violated: residual {res.flat[n]:g} > "
+                                      f"{JACOBI_TOL * b.flat[n] ** 2:g}")
 
     @classmethod
     def abelian(cls):

@@ -80,9 +80,11 @@ def ricci(g, m, conn):
     gamma = conn.gamma
     gg = gamma @ m.matrix
     trace = np.einsum("...imi->...m", gg)
-    ric = (np.einsum("...jkm,...m->...jk", gamma, trace)
-           - np.einsum("...ikm,...jmi->...jk", gamma, gg)
-           - np.einsum("...ijm,...mki->...jk", g.c, gg))
+    rows = lambda x: x.reshape(x.shape[:-3] + (DIM, DIM * DIM))  # (a, b, c) -> (a, (b, c))
+    cols = lambda x: x.reshape(x.shape[:-3] + (DIM * DIM, DIM))  # (a, b, c) -> ((a, b), c)
+    ric = ((gamma @ trace[..., None, :, None])[..., 0]
+           - rows(gg) @ cols(np.moveaxis(gamma, -1, -3))  # G[j,m,i] gamma[i,k,m] over (m, i)
+           + rows(g.c) @ cols(np.moveaxis(gg, -1, -3)))  # c[j,i,m] = -c[i,j,m]; G[m,k,i]
     return _chop(0.5 * (ric + ric.swapaxes(-1, -2)))
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,6 +189,53 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
         assert got["worst_deviations"].keys() == ref["worst_deviations"].keys()
         for key, val in ref["worst_deviations"].items():
             assert abs(got["worst_deviations"][key] - val) <= 1e-13, (case, key)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkeypatch, json_flag):
+    # 35 triples in passes of 32 and 3: the first holds every case, the second
+    # only general triples, which need no rotation
+    calls, built = Counter(), []
+    for module, name in ((gabc, "_checked"), (np.linalg, "qr")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    init = gabc.ReferenceCheck.__init__
+
+    def recorded(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(gabc.ReferenceCheck, "__init__", recorded)
+    assert main(["verify", "--case", "all", "--trials", "7", "--seed", "2", *json_flag]) == 0
+    out = capsys.readouterr().out
+    printed = len(json.loads(out)["dual_reports"]) if json_flag else out.count(" vs computed ")
+    assert calls == {"_checked": 2, "qr": 1}
+    assert printed > 0 and len(built) == printed
+
+
+@pytest.mark.parametrize("case, pass_size", [("sym", 32), ("all", 32), ("all", 2)])
+def test_verify_names_the_case_and_trial_of_a_rejected_triple(capsys, monkeypatch, case,
+                                                              pass_size):
+    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
+    monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
+    # the draws of trial 3 of case sym, case index i of the request: its normals, then its diagonals
+    i = list(cli.CASES).index("sym") if case == "all" else 0
+    rng = np.random.default_rng(np.random.SeedSequence((4, i, 3)))
+    rng.standard_normal((4, 4))
+    bad = rng.uniform(-1.0, 1.0, (3, 4))[:, :3]
+    traceless_diagonals = gabc._traceless_diagonals
+
+    def drawn(d):  # adds e34 to A and e45 to B where the draw is trial 3's
+        m = traceless_diagonals(d)
+        hit = (d[..., :3] == bad).all(axis=(-2, -1))
+        m[hit, 0, 0, 1] = m[hit, 1, 1, 2] = 1.0
+        return m
+    monkeypatch.setattr(gabc, "_traceless_diagonals", drawn)
+    assert main(["verify", "--case", case, "--trials", "5", "--seed", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: case sym, trial 3: pairwise commutation violated: ")
+    assert not captured.out
 
 
 # -- gen ----------------------------------------------------------------------

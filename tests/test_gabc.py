@@ -95,8 +95,12 @@ def test_stacked_checks_name_the_failing_trial(entries, message):
 @pytest.mark.parametrize("scale", [1e3, 1e5])
 @pytest.mark.parametrize("kind", [FamilyKind.SKEW, FamilyKind.SYMMETRIC, FamilyKind.ANTIDIAGONAL])
 def test_generate_validates_its_own_triples_at_large_scales(kind, scale):
-    # the trace and commutator thresholds scale with the largest entry
-    assert len(generate_many(kind, range(200), scale).A) == 200
+    # the trace and commutator thresholds scale with the largest entry, and so
+    # does the Jacobi threshold of build, checked per algebra of the stack
+    stack = generate_many(kind, range(200), scale)
+    assert len(stack.A) == 200
+    alg, _ = build(stack)
+    assert 1e-10 < jacobi_residual(alg) <= 1e-10 * scale ** 2
 
 
 @pytest.mark.parametrize("scale", [1e-5, 1e3])
@@ -138,6 +142,19 @@ def test_generate_many_is_generate_triple_by_triple(kind, scale):
         first = next(n for n in range(len(seeds)) if n not in valid)
         with pytest.raises(ValidationError, match=re.escape(f"trial {first}: {singles[first]}")):
             generate_many(kind, seeds, scale)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_generate_many_with_mixed_kinds_is_generate_triple_by_triple(scale):
+    seeds = [*range(6), *(np.random.SeedSequence((5, i, k)) for i in range(2) for k in range(3))]
+    kinds = list(FamilyKind)
+    # every family at every seed in one call, the families interleaved
+    order = [(kinds[(n + j) % len(kinds)], seed) for n, seed in enumerate(seeds)
+             for j in range(len(kinds))]
+    stack = generate_many([kind for kind, _ in order], [seed for _, seed in order], scale)
+    for row, (kind, seed) in enumerate(order):
+        for got, want in zip(stack.matrices(), generate(kind, seed, scale).matrices(), strict=True):
+            assert got[row].tobytes() == want.tobytes(), (kind, seed)  # signs of zeros too
 
 
 def test_family_classification():

@@ -76,6 +76,25 @@ def test_constructor_rejects_jacobi_violation():
         LieAlgebra7(c)
 
 
+def test_jacobi_threshold_scales_with_the_largest_constant_of_each_algebra():
+    # the Jacobiator is quadratic in c: x * c0 has the residual x^2 * r0
+    c0 = structure_constants(e_matrix(3, 4), e_matrix(4, 5), ZERO4)
+    r0 = jacobi_residual(c0)
+    assert np.max(np.abs(c0)) == 1.0 and r0 > 0.5
+    below, above = (np.sqrt(r / r0) for r in (0.5e-10, 2e-10))  # both far below 1
+    LieAlgebra7(below * c0)
+    with pytest.raises(ValidationError, match="Jacobi identity violated"):
+        LieAlgebra7(above * c0)  # nothing looser at max|c| <= 1
+    with pytest.raises(ValidationError, match=r"Jacobi identity violated: residual 1e\+06 > 0\.0001"):
+        LieAlgebra7(1e3 * c0)
+    # per algebra of a stack: a large algebra does not widen the bound of a small one
+    large = structure_constants(*generate(FamilyKind.SYMMETRIC, 0, 1e3).matrices())
+    assert jacobi_residual(large) > 1e-10
+    LieAlgebra7(np.stack([below * c0, large]))
+    with pytest.raises(ValidationError, match="Jacobi identity violated"):
+        LieAlgebra7(np.stack([large, above * c0]))
+
+
 def test_constructor_rejects_non_antisymmetric_constants():
     c = np.zeros((7, 7, 7))
     c[0, 1, 2] = 1.0  # missing the mirrored entry
