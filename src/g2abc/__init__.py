@@ -8,12 +8,10 @@ calculus vs tabulated coefficient formulas) and cross-validated; see
 from .errors import (
     DegreeError,
     G2ABCError,
-    MetricError,
-    PositivityError,
     TorsionSolveError,
     ValidationError,
 )
-from .exterior import Form, Metric7, contract, form_inner, hodge, wedge
+from .exterior import Form, contract, form_inner, hodge, wedge
 from .g2core import (
     G2Structure,
     STANDARD_PHI,
@@ -22,7 +20,6 @@ from .g2core import (
     classify,
     full_torsion_from_forms,
     full_torsion_from_nabla,
-    induced_metric,
     tau27_tensor,
     torsion_data,
     torsion_forms,
@@ -61,9 +58,6 @@ __all__ = [
     "G2ABCError",
     "G2Structure",
     "LieAlgebra7",
-    "Metric7",
-    "MetricError",
-    "PositivityError",
     "STANDARD_PHI",
     "STANDARD_PSI",
     "TorsionData",
@@ -92,7 +86,6 @@ __all__ = [
     "generate",
     "generate_many",
     "hodge",
-    "induced_metric",
     "is_unimodular",
     "jacobi_residual",
     "levi_civita",

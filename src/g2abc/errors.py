@@ -9,16 +9,19 @@ class DegreeError(G2ABCError):
     """Form degree out of range for the requested operation."""
 
 
-class MetricError(G2ABCError):
-    """Metric fails a structural requirement (symmetry, positivity, frame)."""
-
-
-class PositivityError(G2ABCError):
-    """A 3-form is not positive: it does not induce a Riemannian metric."""
-
-
 class ValidationError(G2ABCError):
-    """Input data violates a declared invariant."""
+    """Input data violates a declared invariant.
+
+    An error about trial n of a stack carries ``trial`` = n and ``reason``,
+    its message without the trial."""
+
+    @classmethod
+    def of_trial(cls, n, count, reason):
+        """The error of trial n of count trials; its message names the trial
+        when there are several."""
+        error = cls(f"trial {n}: {reason}" if count > 1 else reason)
+        error.trial, error.reason = n, reason
+        return error
 
 
 class TorsionSolveError(G2ABCError):

@@ -1,4 +1,4 @@
-"""Exterior algebra on an oriented 7-dimensional inner-product space.
+"""Exterior algebra on oriented Euclidean 7-space with orthonormal basis e_1..e_7.
 
 Forms are alternating k-forms with constant coefficients, addressed by
 ascending index tuples drawn from {1,...,7} (``e^{127}`` is the key
@@ -11,7 +11,7 @@ the dense operators of ``_tables``, and broadcast a single form against a
 stack.
 
 Conventions:
-  * monomials are orthonormal for the identity metric,
+  * monomials are orthonormal,
   * the volume form is ``+e^{1234567}``,
   * ``e^I`` with a non-ascending ``I`` is normalised with the sign of the
     sorting permutation.
@@ -20,7 +20,7 @@ Conventions:
 import numpy as np
 
 from ._tables import COMBS, CONTRACT, DIM, DIMS, RANK, STAR, WEDGE
-from .errors import DegreeError, MetricError
+from .errors import DegreeError
 
 #: Coefficients at or below this magnitude are dropped after every operation.
 PRUNE_TOL = 1e-14
@@ -164,72 +164,6 @@ class Form:
         return f"Form({self.degree}, {terms})"
 
 
-class Metric7:
-    """Symmetric positive-definite inner product plus an orientation sign.
-
-    The orientation is relative to ``e^{1234567}``; the metric volume form
-    is ``orientation * sqrt(det g) * e^{1234567}``.
-    """
-
-    __slots__ = ("matrix", "orientation", "_inv", "_sqrt_det", "_grams", "is_identity")
-
-    def __init__(self, matrix, orientation=1):
-        g = np.asarray(matrix, dtype=np.float64)
-        if g.shape != (DIM, DIM):
-            raise MetricError(f"metric must be {DIM}x{DIM}, got {g.shape}")
-        if orientation not in (1, -1):
-            raise MetricError("orientation must be +1 or -1")
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise MetricError("metric is not symmetric")
-        eigs = np.linalg.eigvalsh(g)
-        if eigs[0] <= 0:
-            raise MetricError(f"metric is not positive-definite (min eigenvalue {eigs[0]:g})")
-        self.matrix = 0.5 * (g + g.T)
-        self.matrix.flags.writeable = False
-        self.orientation = int(orientation)
-        self.is_identity = orientation == 1 and np.array_equal(self.matrix, np.eye(DIM))
-        self._inv = None
-        self._sqrt_det = None
-        self._grams = {}
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(DIM))
-
-    @property
-    def inverse(self):
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.matrix)
-        return self._inv
-
-    @property
-    def sqrt_det(self):
-        if self._sqrt_det is None:
-            self._sqrt_det = float(np.sqrt(np.linalg.det(self.matrix)))
-        return self._sqrt_det
-
-    def gram(self, degree):
-        """Gram matrix of the degree-k monomials: <e^I, e^J> = det(g^{-1}[I, J])."""
-        if degree not in self._grams:
-            if self.is_identity:
-                self._grams[degree] = np.eye(DIMS[degree])
-            else:
-                ginv = self.inverse
-                combs = COMBS[degree]
-                gram = np.empty((DIMS[degree], DIMS[degree]))
-                for a, left in enumerate(combs):
-                    li = [i - 1 for i in left]
-                    for b, right in enumerate(combs):
-                        ri = [j - 1 for j in right]
-                        gram[a, b] = np.linalg.det(ginv[np.ix_(li, ri)]) if degree else 1.0
-                gram = 0.5 * (gram + gram.T)
-                self._grams[degree] = gram
-        return self._grams[degree]
-
-
-IDENTITY_METRIC = Metric7.identity()
-
-
 def _vecmat(x, m):
     """x @ m over leading axes: (..., i) and (..., i, r) give (..., r)."""
     return np.matmul(x[..., None, :], m)[..., 0, :]
@@ -273,28 +207,16 @@ def contract_basis(m, a):
     return contract(x, a)
 
 
-def hodge(a, m=IDENTITY_METRIC):
-    """Hodge star: b ^ hodge(a) = <b, a>_m vol_m for every b of the same degree."""
-    star = STAR[a.degree]
-    if m.is_identity:
-        return Form(DIM - a.degree, a._vals @ star.T)
-    scale = m.orientation * m.sqrt_det
-    # the Gram matrix is symmetric
-    return Form(DIM - a.degree, scale * (a._vals @ m.gram(a.degree) @ star.T))
+def hodge(a):
+    """Hodge star: b ^ hodge(a) = <b, a> e^{1...7} for every b of the same degree."""
+    return Form(DIM - a.degree, a._vals @ STAR[a.degree].T)
 
 
-def form_inner(a, b, m=IDENTITY_METRIC):
-    """Inner product of two same-degree forms; monomials are m-orthonormal for m = id."""
+def form_inner(a, b):
+    """Inner product of two same-degree forms; the monomials are orthonormal."""
     if a.degree != b.degree:
         raise DegreeError(f"inner product needs equal degrees, got {a.degree} and {b.degree}")
-    if m.is_identity:
-        return float(a._vals @ b._vals)
-    return float(a._vals @ m.gram(a.degree) @ b._vals)
-
-
-def volume_form(m=IDENTITY_METRIC):
-    """Metric volume form carrying the stored orientation."""
-    return Form.monomial(tuple(range(1, DIM + 1)), m.orientation * m.sqrt_det)
+    return float(a._vals @ b._vals)
 
 
 def matrix_coaction(d, a):

@@ -1,20 +1,20 @@
-"""G2-structure machinery: induced metric, dual 4-form, torsion forms, the
-symmetric 27-component tensor, and the full torsion tensor by two
-independent routes.
+"""G2-structure machinery: the standard 3-form and its dual 4-form, torsion
+forms, the symmetric 27-component tensor, and the full torsion tensor by two
+independent routes.  The basis e_1..e_7 is orthonormal for the standard
+3-form, so every metric quantity is taken in the identity metric.
 
 A structure on a stack of N algebras (``LieAlgebra7`` of (N, 7, 7, 7)
 constants) yields stacks of forms and (N, ...) arrays throughout."""
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from ._tables import DIM, DIMS, WEDGE
-from .errors import MetricError, PositivityError, TorsionSolveError
-from .exterior import (
-    IDENTITY_METRIC, PRUNE_TOL, Form, Metric7, contract, contractions, hodge, wedge,
-)
+from .errors import TorsionSolveError
+from .exterior import PRUNE_TOL, Form, contract, contractions, hodge, wedge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -45,57 +45,15 @@ def _chop(arr):
 _PAIR_TOP = (WEDGE[(2, 2)].reshape(-1, DIMS[4]) @ WEDGE[(4, 3)][:, :, 0]).T
 
 
-def _top_pairing(rows, eta):
-    """Exactly symmetric (..., 7, 7) array of the e^{1...7} coefficients of
-    iota_{e_i}(phi) ^ iota_{e_j}(phi) ^ eta; row i of ``rows`` is iota_{e_i}(phi)."""
-    # pair[I, J]: top coefficient of e^I ^ e^J ^ eta over the 2-monomials
-    pair = (eta.values @ _PAIR_TOP).reshape(eta.values.shape[:-1] + (DIMS[2], DIMS[2]))
-    top = rows @ pair @ rows.swapaxes(-1, -2)
-    return 0.5 * (top + top.swapaxes(-1, -2))
-
-
-def induced_metric(phi):
-    """Metric and volume scale induced by a positive 3-form.
-
-    Solves (1/6) iota_X(phi) ^ iota_Y(phi) ^ phi = b(X, Y) e^{1...7} and
-    normalises: g = b (det b)^(-1/9), vol scale sqrt(det g) = (det b)^(1/9).
-    Raises PositivityError when phi is not positive.
-    """
-    if phi.degree != 3:
-        raise PositivityError("induced_metric expects a 3-form")
-    b = _chop(_top_pairing(contractions(phi), phi) / 6.0)
-    det_b = float(np.linalg.det(b))
-    if det_b <= 0.0:
-        raise PositivityError("not a positive 3-form")
-    vol_scale = det_b ** (1.0 / 9.0)
-    try:
-        metric = Metric7(b / vol_scale)
-    except MetricError as exc:
-        raise PositivityError(f"not a positive 3-form: {exc}") from exc
-    return metric, vol_scale
-
-
 @dataclass(frozen=True)
 class G2Structure:
-    """A positive 3-form on a Lie algebra together with its derived data."""
+    """The standard 3-form on a Lie algebra together with its derived data."""
 
-    phi: Form
     algebra: object
-    metric: Metric7
-    psi: Form
-    vol_scale: float
-
-    @classmethod
-    def from_phi(cls, algebra, phi):
-        metric, vol_scale = induced_metric(phi)
-        return cls(phi=phi, algebra=algebra, metric=metric, psi=hodge(phi, metric),
-                   vol_scale=vol_scale)
-
-    @classmethod
-    def standard(cls, algebra):
-        """The reference structure; skips recomputing the (identity) metric."""
-        return cls(phi=STANDARD_PHI, algebra=algebra, metric=IDENTITY_METRIC,
-                   psi=STANDARD_PSI, vol_scale=1.0)
+    phi: ClassVar[Form] = STANDARD_PHI
+    psi: ClassVar[Form] = STANDARD_PSI
+    #: (7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi).
+    phi_contractions: ClassVar[np.ndarray] = contractions(STANDARD_PHI)
 
     # derived once per structure (cached_property bypasses the frozen __setattr__)
     @cached_property
@@ -108,16 +66,11 @@ class G2Structure:
 
     @cached_property
     def star_dphi(self):
-        return hodge(self.dphi, self.metric)
+        return hodge(self.dphi)
 
     @cached_property
     def star_dpsi(self):
-        return hodge(self.dpsi, self.metric)
-
-    @cached_property
-    def phi_contractions(self):
-        """(7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi)."""
-        return contractions(self.phi)
+        return hodge(self.dpsi)
 
 
 @dataclass(frozen=True)
@@ -140,11 +93,10 @@ def torsion_forms(s):
     tau2 = -star(dpsi) + 4 star(tau1 ^ psi)
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
-    m = s.metric
-    tau0 = hodge(wedge(s.dphi, s.phi), m).values[..., 0] / 7.0
-    tau1 = hodge(wedge(s.star_dphi, s.phi), m) * (-1.0 / 12.0)
-    tau2 = -s.star_dpsi + 4.0 * hodge(wedge(tau1, s.psi), m)
-    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi), m)
+    tau0 = hodge(wedge(s.dphi, s.phi)).values[..., 0] / 7.0
+    tau1 = hodge(wedge(s.star_dphi, s.phi)) * (-1.0 / 12.0)
+    tau2 = -s.star_dpsi + 4.0 * hodge(wedge(tau1, s.psi))
+    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi))
     return tau0, tau1, tau2, tau3
 
 
@@ -158,24 +110,12 @@ def tau27_tensor(s, tau3):
     instance).  Without it the two routes differ by exactly that factor on
     the 27-component.
     """
-    top = _top_pairing(s.phi_contractions, tau3)
-    if not s.metric.is_identity:
-        # the star of a top form scales its coefficient by that of star(e^{1...7})
-        top = top * hodge(Form(DIM, [1.0]), s.metric).values[0]
-    return _chop(0.25 * top)
-
-
-def _two_form_matrix(eta):
-    """Antisymmetric matrix M[i,j] = eta(e_{i+1}, e_{j+1}), row i being iota_{e_{i+1}} eta."""
-    return contractions(eta)
-
-
-def tau1_vector(s, tau1):
-    """The vector metrically dual to tau1: g(v, X) = tau1(X)."""
-    covec = np.array(tau1.values)
-    if s.metric.is_identity:
-        return covec
-    return covec @ s.metric.inverse.T
+    rows = s.phi_contractions
+    # pair[I, J]: top coefficient of e^I ^ e^J ^ tau3 over the 2-monomials
+    pair = (tau3.values @ _PAIR_TOP).reshape(tau3.values.shape[:-1] + (DIMS[2], DIMS[2]))
+    top = rows @ pair @ rows.swapaxes(-1, -2)
+    # 1/4 of the symmetrised pairing, so that the tensor is exactly symmetric
+    return _chop(0.125 * (top + top.swapaxes(-1, -2)))
 
 
 def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
@@ -186,40 +126,41 @@ def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
     """
     if tau27 is None:
         tau27 = tau27_tensor(s, tau3)
-    iota = contract(tau1_vector(s, tau1), s.phi)
-    T = np.multiply.outer(0.25 * tau0, s.metric.matrix) - _two_form_matrix(iota) \
-        - 0.5 * _two_form_matrix(tau2) - tau27
+    iota = contract(tau1.values, s.phi)  # the vector dual to tau1 has its coefficients
+    T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - contractions(iota) \
+        - 0.5 * contractions(tau2) - tau27
     return _chop(T)
 
 
-@lru_cache(maxsize=8)
-def _torsion_system(psi):
-    """The 35x7 matrix whose column m is iota_{e_{m+1}}(psi), and its
-    pseudo-inverse; every standard structure shares them."""
-    columns = contractions(psi).swapaxes(-1, -2)
-    return columns, np.linalg.pinv(columns)
+#: The 35x7 system of the torsion solve: column m is iota_{e_{m+1}}(psi).  Its
+#: columns are orthogonal of squared norm 4, so A^T A = 4 I exactly and the
+#: least-squares solution of A v = rhs is A^T rhs / 4.
+PSI_COLUMNS = contractions(STANDARD_PSI).T
 
 
 def full_torsion_from_nabla(s, conn, tol=1e-9):
     """Full torsion tensor from the connection: solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
     The 35x7 system, with one right-hand side per e_i, is solved in the
-    least-squares sense through the pseudo-inverse of the system; a residual
-    above tol (on any connection of a stack) signals an inconsistent
-    connection/structure pair.
+    least-squares sense as PSI_COLUMNS^T rhs / 4.  A residual above
+    tol * max(1, max|gamma|) on any connection of a stack (the right-hand
+    side is linear in gamma) signals an inconsistent connection/structure pair.
     """
-    columns, solve = _torsion_system(s.psi)
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
     mixed = conn.gamma @ s.phi_contractions  # (..., i, j, 2-form)
     rhs = -(mixed.reshape(mixed.shape[:-2] + (-1,))
             @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
-    v = solve @ rhs
-    residual = float(np.max(np.abs(columns @ v - rhs)))
-    if residual > tol:
-        raise TorsionSolveError(f"torsion solve failed: residual {residual:g} > {tol:g}")
-    # row i of T is metric @ v[:, i]
-    return _chop((s.metric.matrix @ v).swapaxes(-1, -2))
+    v = 0.25 * (PSI_COLUMNS.T @ rhs)
+    residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
+    bound = tol * np.maximum(1.0, np.abs(conn.gamma).max(axis=(-3, -2, -1)))
+    bad = np.ravel(residual > bound)
+    if bad.any():
+        n = bad.argmax()
+        raise TorsionSolveError(
+            f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
+    # row i of T is v[:, i]
+    return _chop(v.swapaxes(-1, -2))
 
 
 def torsion_data(s):
@@ -239,9 +180,8 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     (The sign of the star(tau2) term is pinned by the tau2 definition used in
     torsion_forms; see the README note on conventions.)
     """
-    m = s.metric
-    res1 = (s.dphi - (tau0 * s.psi + 3.0 * wedge(tau1, s.phi) + hodge(tau3, m))).norm_inf()
-    res2 = (s.dpsi - (4.0 * wedge(tau1, s.psi) - hodge(tau2, m))).norm_inf()
+    res1 = (s.dphi - (tau0 * s.psi + 3.0 * wedge(tau1, s.phi) + hodge(tau3))).norm_inf()
+    res2 = (s.dpsi - (4.0 * wedge(tau1, s.psi) - hodge(tau2))).norm_inf()
     return res1, res2
 
 

@@ -42,7 +42,6 @@ from .g2core import (
     full_torsion_from_forms,
     full_torsion_from_nabla,
     reconstruction_residuals,
-    tau1_vector,
     tau27_tensor,
     torsion_forms,
 )
@@ -186,10 +185,7 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     bad = np.array([np.ravel(fails) for fails, _, _ in checks])  # (check, trial)
     n = int(np.argmax(bad.any(axis=0)))
     _, message, values = checks[int(np.argmax(bad[:, n]))]
-    reason = message.format(np.ravel(values)[n])
-    error = ValidationError(f"trial {n}: {reason}" if bad.shape[1] > 1 else reason)
-    error.trial, error.reason = n, reason
-    raise error
+    raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,7 @@ def structure_constants(A, B, C):
 def build(t):
     """Lie algebra and reference G2-structure of a validated triple."""
     alg = LieAlgebra7(structure_constants(t.A, t.B, t.C))
-    return alg, G2Structure.standard(alg)
+    return alg, G2Structure(alg)
 
 
 # -- the representation of sl(4) on 2-forms of n -------------------------------
@@ -989,13 +985,13 @@ def _cross_validate_pass(t, tol):
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(s, tau3)
     T = full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27)
-    conn = levi_civita(alg, s.metric)
+    conn = levi_civita(alg)
     T_nabla = full_torsion_from_nabla(s, conn)
-    ric = ricci(alg, s.metric, conn)
-    div = div_torsion(alg, s.metric, conn, T)
+    ric = ricci(alg, conn)
+    div = div_torsion(alg, conn, T)
     flags = classify(
         TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
-    iota = contract(tau1_vector(s, tau1), s.phi)
+    iota = contract(tau1.values, s.phi)
 
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle

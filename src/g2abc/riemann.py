@@ -1,5 +1,6 @@
-"""Levi-Civita connection on a metric Lie algebra, curvature, Ricci,
-divergence of the full torsion tensor, and the torsion-flow velocity.
+"""Levi-Civita connection of the metric making e_1..e_7 orthonormal on a Lie
+algebra, curvature, Ricci, divergence of the full torsion tensor, and the
+torsion-flow velocity.
 
 Connections, Ricci tensors and divergences of a stack of N algebras carry
 a leading axis of length N."""
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import DIM
-from .errors import MetricError
 from .exterior import contract
 from .g2core import _chop
 
@@ -20,43 +20,35 @@ class Connection7:
 
     gamma: np.ndarray
 
-    def residuals(self, g, m):
+    def residuals(self, g):
         """(metric-compatibility, torsion-freeness) max-abs residuals."""
-        gm = m.matrix
-        compat = np.einsum("ijl,lk->ijk", self.gamma, gm)
-        compat_res = float(np.max(np.abs(compat + compat.transpose(0, 2, 1))))
+        compat_res = float(np.max(np.abs(self.gamma + self.gamma.transpose(0, 2, 1))))
         torsion_res = float(np.max(np.abs(
             self.gamma - self.gamma.transpose(1, 0, 2) - g.c)))
         return compat_res, torsion_res
 
 
-def levi_civita(g, m):
-    """Levi-Civita connection of a left-invariant metric, by the Koszul formula:
+def levi_civita(g):
+    """Levi-Civita connection of the left-invariant metric, by the Koszul formula:
 
     2 <nabla_X Y, Z> = <[X,Y], Z> - <[Y,Z], X> + <[Z,X], Y>.
     """
-    cg = g.c @ m.matrix  # cg[i,j,k] = <[e_i,e_j], e_k>
-    # rhs[i,j,k] = (cg[i,j,k] - cg[j,k,i] + cg[k,i,j]) / 2
-    rhs = 0.5 * (cg - np.einsum("...jki->...ijk", cg) + np.einsum("...kij->...ijk", cg))
-    if m.is_identity:
-        gamma = rhs
-    else:
-        gamma = rhs @ m.inverse
+    c = g.c  # c[i,j,k] = <[e_i,e_j], e_k>
+    # gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
+    gamma = 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
     return Connection7(gamma=_chop(gamma))
 
 
-def u_map(g, m, x, y):
+def u_map(g, x, y):
     """The symmetric bilinear part of the connection:
 
     2 <U(X,Y), Z> = <[Z,X], Y> - <[Y,Z], X>;   nabla_X Y = [X,Y]/2 + U(X,Y).
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    gm = m.matrix
-    zx = np.einsum("kil,i,lm,m->k", g.c, xv, gm, yv)   # <[e_k, x], y>
-    yz = np.einsum("jkl,j,lm,m->k", g.c, yv, gm, xv)   # <[y, e_k], x>
-    rhs = 0.5 * (zx - yz)
-    return rhs if m.is_identity else m.inverse @ rhs
+    zx = np.einsum("kil,i,l->k", g.c, xv, yv)   # <[e_k, x], y>
+    yz = np.einsum("jkl,j,l->k", g.c, yv, xv)   # <[y, e_k], x>
+    return 0.5 * (zx - yz)
 
 
 def riemann_tensor(g, conn):
@@ -68,33 +60,31 @@ def riemann_tensor(g, conn):
     return grad2 - grad2.transpose(1, 0, 2, 3) - rbrack
 
 
-def ricci(g, m, conn):
+def ricci(g, conn):
     """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i>.
 
     Contracted term by term from the curvature formula of riemann_tensor,
     without forming the 4-index tensor:
-    Ric[j,k] = sum_m gamma[j,k,m] t[m] - sum_im gamma[i,k,m] G[j,m,i]
-               - sum_im c[i,j,m] G[m,k,i],
-    with G[a,b,i] = sum_l gamma[a,b,l] g[l,i] and t[m] = sum_i G[i,m,i].
+    Ric[j,k] = sum_m gamma[j,k,m] t[m] - sum_im gamma[i,k,m] gamma[j,m,i]
+               - sum_im c[i,j,m] gamma[m,k,i],
+    with t[m] = sum_i gamma[i,m,i].
     """
     gamma = conn.gamma
-    gg = gamma @ m.matrix
-    trace = np.einsum("...imi->...m", gg)
+    trace = np.einsum("...imi->...m", gamma)
     rows = lambda x: x.reshape(x.shape[:-3] + (DIM, DIM * DIM))  # (a, b, c) -> (a, (b, c))
     cols = lambda x: x.reshape(x.shape[:-3] + (DIM * DIM, DIM))  # (a, b, c) -> ((a, b), c)
+    moved = cols(np.moveaxis(gamma, -1, -3))  # moved[(m, i), k] = gamma[i, k, m]
     ric = ((gamma @ trace[..., None, :, None])[..., 0]
-           - rows(gg) @ cols(np.moveaxis(gamma, -1, -3))  # G[j,m,i] gamma[i,k,m] over (m, i)
-           + rows(g.c) @ cols(np.moveaxis(gg, -1, -3)))  # c[j,i,m] = -c[i,j,m]; G[m,k,i]
+           - rows(gamma) @ moved  # gamma[j,m,i] gamma[i,k,m] over (m, i)
+           + rows(g.c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]
     return _chop(0.5 * (ric + ric.swapaxes(-1, -2)))
 
 
-def div_torsion(g, m, conn, T):
-    """Divergence of a left-invariant (0,2) tensor in an orthonormal frame:
+def div_torsion(g, conn, T):
+    """Divergence of a left-invariant (0,2) tensor in the orthonormal frame e_1..e_7:
 
     <div T, e_j> = -sum_i T(nabla_{e_i} e_i, e_j) - sum_i T(e_i, nabla_{e_i} e_j).
     """
-    if not m.is_identity:
-        raise MetricError("div_torsion requires an orthonormal frame (identity metric)")
     gamma = conn.gamma
     Tm = np.asarray(T, dtype=np.float64)
     # sum_i nabla_{e_i} e_i, chopped like every algebraic intermediate so that

@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
-from g2abc.errors import DegreeError, MetricError
+from g2abc.errors import DegreeError
 from g2abc.exterior import (
     Form,
-    Metric7,
     PRUNE_TOL,
     contract,
     contract_basis,
     form_inner,
     hodge,
     matrix_coaction,
-    volume_form,
     wedge,
 )
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
@@ -181,24 +179,6 @@ def test_wedge_with_star_recovers_inner_product(rng):
         a, b = random_form(rng, k), random_form(rng, k)
         top = wedge(a, hodge(b))
         assert abs(top(*TOP) - form_inner(a, b)) <= 1e-12
-
-
-def test_star_general_metric_defining_identity(rng):
-    g = rng.standard_normal((7, 7))
-    m = Metric7(g @ g.T + 7 * np.eye(7))
-    vol = volume_form(m)
-    for k in range(8):
-        a, b = random_form(rng, k), random_form(rng, k)
-        lhs = wedge(b, hodge(a, m))
-        dev = (lhs - form_inner(b, a, m) * vol).norm_inf()
-        assert dev <= 1e-9
-
-
-def test_non_positive_metric_rejected():
-    with pytest.raises(MetricError):
-        Metric7(np.diag([1.0, 1, 1, 1, 1, 1, -1]))
-    with pytest.raises(MetricError):
-        Metric7(np.eye(7) + 0.1 * np.triu(np.ones((7, 7)), 1))
 
 
 # -- inner products ---------------------------------------------------------------

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from g2abc.errors import PositivityError, TorsionSolveError
-from g2abc.exterior import Form, Metric7, contract_basis, hodge, matrix_coaction, wedge
+from g2abc.errors import TorsionSolveError
+from g2abc.exterior import Form, contract_basis, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
-    G2Structure,
+    PSI_COLUMNS,
     STANDARD_PHI,
     STANDARD_PSI,
     classify,
-    full_torsion_from_forms,
     full_torsion_from_nabla,
-    induced_metric,
     reconstruction_residuals,
-    tau1_vector,
     tau27_tensor,
     torsion_data,
     torsion_forms,
 )
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
-from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import Connection7, levi_civita
 
 from helpers import ZERO4, e_matrix
@@ -34,32 +30,8 @@ DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 # -- induced metric -----------------------------------------------------------
 
 def test_standard_phi_induces_identity_metric():
-    m, vol_scale = induced_metric(STANDARD_PHI)
-    assert np.array_equal(m.matrix, np.eye(7))
-    assert vol_scale == 1.0
-
-
-def test_scaled_basis_pullback_metric():
-    # substitute e^1 -> 2 e^1: the induced metric is the pullback diag(4,1,...,1)
-    scaled = Form.from_coeffs(3, {
-        key: (2.0 if 1 in key else 1.0) * val for key, val in STANDARD_PHI.coeffs.items()
-    })
-    m, vol_scale = induced_metric(scaled)
-    expected = np.diag([4.0, 1, 1, 1, 1, 1, 1])
-    assert np.max(np.abs(m.matrix - expected)) <= 1e-12
-    assert abs(vol_scale - 2.0) <= 1e-12
-    s = G2Structure.from_phi(LieAlgebra7.abelian(), scaled)
-    assert (s.psi - hodge(scaled, m)).is_zero()
-
-
-def test_zero_form_is_not_positive():
-    with pytest.raises(PositivityError):
-        induced_metric(Form.zero(3))
-
-
-def test_negated_phi_is_not_positive():
-    with pytest.raises(PositivityError):
-        induced_metric(-1.0 * STANDARD_PHI)
+    # the premise of every metric quantity of the package: e_1..e_7 is orthonormal
+    assert np.array_equal(per_pair_induced_metric(STANDARD_PHI), np.eye(7))
 
 
 # -- torsion forms ---------------------------------------------------------------
@@ -141,7 +113,7 @@ def test_diagonal_example_full_torsion_is_minus_half_tau2():
 def test_routes_agree_on_diag_example():
     alg, s = make(A=DIAG_A)
     td = torsion_data(s)
-    conn = levi_civita(alg, s.metric)
+    conn = levi_civita(alg)
     assert np.max(np.abs(td.T - full_torsion_from_nabla(s, conn))) <= 1e-9
 
 
@@ -150,40 +122,71 @@ def test_routes_agree_on_random_commuting_triples():
         for seed in range(8):
             alg, s = build(generate(kind, 70 + 10 * trial + seed))
             td = torsion_data(s)
-            conn = levi_civita(alg, s.metric)
+            conn = levi_civita(alg)
             dev = np.max(np.abs(td.T - full_torsion_from_nabla(s, conn)))
             assert dev <= 1e-9, (kind, seed, dev)
 
 
 def test_torsion_solve_rejects_inconsistent_connection(rng):
     _, s = build(generate(FamilyKind.GENERAL, 80))
-    bogus = Connection7(gamma=rng.standard_normal((7, 7, 7)))
+    bogus = rng.standard_normal((7, 7, 7))
     with pytest.raises(TorsionSolveError, match="torsion solve failed"):
-        full_torsion_from_nabla(s, bogus)
+        full_torsion_from_nabla(s, Connection7(gamma=bogus))
+    # below max|gamma| = 1 the bound stays tol itself
+    with pytest.raises(TorsionSolveError, match=r"torsion solve failed: .* > 1e-09$"):
+        full_torsion_from_nabla(s, Connection7(gamma=1e-8 * bogus / np.abs(bogus).max()))
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])
+@pytest.mark.parametrize("kind", [FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL,
+                                  FamilyKind.SYMMETRIC])
+def test_torsion_solve_residual_scales_with_the_connection(kind, scale):
+    # the right-hand side is linear in gamma, so is the rounding of the solve
+    stack, s = build(TripleABC.stack([generate(kind, seed, scale) for seed in range(5)]))
+    conn = levi_civita(stack)
+    T = torsion_data(s).T
+    assert np.abs(conn.gamma).max() > 1e6
+    assert np.max(np.abs(full_torsion_from_nabla(s, conn) - T)) <= 1e-9 * scale
+
+
+def test_torsion_system_is_exactly_orthogonal():
+    # the solve A^T rhs / 4 is the least-squares solution because A^T A = 4 I exactly
+    assert np.array_equal(PSI_COLUMNS, contractions(STANDARD_PSI).T)
+    assert np.array_equal(PSI_COLUMNS.T @ PSI_COLUMNS, 4.0 * np.eye(7))
 
 
 def test_tau1_vector_pairs_to_tau1():
+    # the assembly contracts phi with the vector v, v_i = tau1(e_i), dual to tau1:
+    # the antisymmetric part of T is -(iota_v phi + tau2 / 2)
     _, s = build(generate(FamilyKind.GENERAL, 90))
-    _, t1, _, _ = torsion_forms(s)
-    v = tau1_vector(s, t1)
+    td = torsion_data(s)
+    assert not td.tau1.is_zero()
+    iota = Form.zero(2)
     for i in range(1, 8):
-        assert abs(v[i - 1] - t1(i)) == 0.0
+        iota = iota + td.tau1(i) * contract_basis(i, s.phi)
+    expected = -(iota + 0.5 * td.tau2)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            got = 0.5 * (td.T[i - 1, j - 1] - td.T[j - 1, i - 1])
+            assert abs(got - expected(i, j)) <= 1e-12
 
 
 # -- whole-array stages against per-pair references --------------------------------------
 
-def per_pair_top(phi, eta, m):
+def per_pair_top(phi, eta):
     """star(iota_i phi ^ iota_j phi ^ eta) for i <= j, one wedge/wedge/hodge per pair."""
     contractions = [contract_basis(i, phi) for i in range(1, 8)]
     out = np.empty((7, 7))
     for i in range(7):
         for j in range(i, 7):
-            top = hodge(wedge(wedge(contractions[i], contractions[j]), eta), m)
+            top = hodge(wedge(wedge(contractions[i], contractions[j]), eta))
             out[i, j] = out[j, i] = top.values[0]
     return out
 
 
 def per_pair_induced_metric(phi):
+    """The metric of a positive 3-form: (1/6) iota_i phi ^ iota_j phi ^ phi = b_ij e^{1...7},
+    normalised to g = b (det b)^(-1/9)."""
     contractions = [contract_basis(i, phi) for i in range(1, 8)]
     b = np.empty((7, 7))
     for i in range(7):
@@ -197,39 +200,18 @@ def per_basis_torsion_from_nabla(s, conn):
     rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in conn.gamma])
     v = np.linalg.lstsq(columns, rhs, rcond=None)[0]
     assert np.max(np.abs(columns @ v - rhs)) <= 1e-9
-    return (s.metric.matrix @ v).T
-
-
-def pulled_back_phi(p):
-    """STANDARD_PHI with every e^i replaced by sum_j p[i, j] e^j."""
-    rows = [Form(1, row) for row in p]
-    out = Form.zero(3)
-    for (i, j, k), v in STANDARD_PHI.coeffs.items():
-        out = out + v * wedge(wedge(rows[i - 1], rows[j - 1]), rows[k - 1])
-    return out
-
-
-def whole_array_structures():
-    alg, standard = build(generate(FamilyKind.GENERAL, 61))
-    p = np.eye(7) + 0.3 * np.random.default_rng(62).standard_normal((7, 7))
-    if np.linalg.det(p) < 0:
-        p[:, 0] = -p[:, 0]
-    return alg, [standard, G2Structure.from_phi(alg, pulled_back_phi(p))]
+    return v.T
 
 
 def test_whole_array_stages_match_per_pair_references():
-    alg, structures = whole_array_structures()
-    assert structures[0].metric.is_identity and not structures[1].metric.is_identity
-    for s in structures:
-        _, _, _, tau3 = torsion_forms(s)
-        assert not tau3.is_zero()
-        expected = 0.25 * per_pair_top(s.phi, tau3, s.metric)
-        assert np.max(np.abs(tau27_tensor(s, tau3) - expected)) <= 1e-13
-        metric, _ = induced_metric(s.phi)
-        assert np.max(np.abs(metric.matrix - per_pair_induced_metric(s.phi))) <= 1e-13
-        conn = levi_civita(alg, s.metric)
-        expected_T = per_basis_torsion_from_nabla(s, conn)
-        assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected_T)) <= 1e-13
+    alg, s = build(generate(FamilyKind.GENERAL, 61))
+    _, _, _, tau3 = torsion_forms(s)
+    assert not tau3.is_zero()
+    expected = 0.25 * per_pair_top(s.phi, tau3)
+    assert np.max(np.abs(tau27_tensor(s, tau3) - expected)) <= 1e-13
+    conn = levi_civita(alg)
+    expected_T = per_basis_torsion_from_nabla(s, conn)
+    assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected_T)) <= 1e-13
 
 
 # -- classification -------------------------------------------------------------------
@@ -259,5 +241,5 @@ def test_skew_rotation_block_full_torsion_structure():
     expected = np.zeros((7, 7))
     expected[6, 6] = 1.0
     assert np.max(np.abs(td.T - expected)) <= 1e-15
-    conn = levi_civita(alg, s.metric)
+    conn = levi_civita(alg)
     assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected)) <= 1e-15

@@ -340,7 +340,7 @@ def test_connection_matches_koszul_exactly():
             t = generate(kind, 220 + seed)
             alg, s = build(t)
             dev = np.max(np.abs(closed_form_connection(t).gamma
-                                - levi_civita(alg, s.metric).gamma))
+                                - levi_civita(alg).gamma))
             assert dev <= 1e-12, (kind, seed, dev)
 
 
@@ -366,7 +366,7 @@ def test_ricci_antidiagonal_example():
     expected[1, 1] = -0.5
     assert np.max(np.abs(ric - expected)) <= 1e-15
     alg, s = build(t)
-    oracle = ricci(alg, s.metric, levi_civita(alg, s.metric))
+    oracle = ricci(alg, levi_civita(alg))
     assert np.max(np.abs(ric - oracle)) <= 1e-12
 
 
@@ -376,7 +376,7 @@ def test_ricci_matches_curvature_oracle():
         for seed in range(5):
             t = generate(kind, 240 + seed)
             alg, s = build(t)
-            oracle = ricci(alg, s.metric, levi_civita(alg, s.metric))
+            oracle = ricci(alg, levi_civita(alg))
             assert np.max(np.abs(closed_form_ricci(t) - oracle)) <= 1e-9
 
 
@@ -398,7 +398,7 @@ def test_divergence_closed_form_matches_generic():
         t0, t1, t2, t3 = torsion_forms(s)
         tau27 = tau27_tensor(s, t3)
         T = full_torsion_from_forms(s, t0, t1, t2, t3, tau27)
-        generic = div_torsion(alg, s.metric, levi_civita(alg, s.metric), T)
+        generic = div_torsion(alg, levi_civita(alg), T)
         closed = closed_form_divergence(t, tau27)
         assert np.max(np.abs(generic - closed)) <= 1e-9
         assert np.all(closed[2:6] == 0.0) and np.all(generic[2:6] == 0.0)
@@ -693,9 +693,8 @@ def test_torsion_support_patterns():
         t = generate(FamilyKind.GENERAL, 310 + seed)
         _, s = build(t)
         _, t1, t2, t3 = torsion_forms(s)
-        from g2abc.g2core import tau1_vector
         from g2abc.exterior import contract
-        iota = contract(tau1_vector(s, t1), s.phi)
+        iota = contract(t1.values, s.phi)
         assert set(iota.coeffs) <= set(TWO_FORM_SUPPORT)
         assert set(t2.coeffs) <= set(TWO_FORM_SUPPORT)
         assert set(t3.coeffs) <= set(TAU3_SUPPORT)

@@ -85,14 +85,19 @@ def test_jacobi_threshold_scales_with_the_largest_constant_of_each_algebra():
     LieAlgebra7(below * c0)
     with pytest.raises(ValidationError, match="Jacobi identity violated"):
         LieAlgebra7(above * c0)  # nothing looser at max|c| <= 1
-    with pytest.raises(ValidationError, match=r"Jacobi identity violated: residual 1e\+06 > 0\.0001"):
+    with pytest.raises(ValidationError, match=r"^Jacobi identity violated: residual 1e\+06 > 0\.0001"):
         LieAlgebra7(1e3 * c0)
     # per algebra of a stack: a large algebra does not widen the bound of a small one
     large = structure_constants(*generate(FamilyKind.SYMMETRIC, 0, 1e3).matrices())
     assert jacobi_residual(large) > 1e-10
     LieAlgebra7(np.stack([below * c0, large]))
-    with pytest.raises(ValidationError, match="Jacobi identity violated"):
+    with pytest.raises(ValidationError, match="^trial 1: Jacobi identity violated") as err:
         LieAlgebra7(np.stack([large, above * c0]))
+    assert err.value.trial == 1 and str(err.value) == f"trial 1: {err.value.reason}"
+    # a stack of one algebra is named like a single algebra
+    with pytest.raises(ValidationError, match="^Jacobi identity violated") as err:
+        LieAlgebra7((above * c0)[None])
+    assert err.value.trial == 0 and str(err.value) == err.value.reason
 
 
 def test_constructor_rejects_non_antisymmetric_constants():

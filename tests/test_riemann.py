@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from g2abc.errors import MetricError
-from g2abc.exterior import Form, Metric7, contract_basis
+from g2abc.exterior import contract_basis
 from g2abc.g2core import STANDARD_PSI, torsion_data
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.liealg import LieAlgebra7
@@ -43,12 +41,12 @@ def so3_plus_r4():
 
 def test_abelian_connection_is_flat_zero():
     alg, s = make()
-    assert not np.any(levi_civita(alg, s.metric).gamma)
+    assert not np.any(levi_civita(alg).gamma)
 
 
 def test_connection_within_a_vanishes():
     alg, s = make(A=DIAG_A, B=np.diag([1.0, -1.0, 1.0, -1.0]))
-    gamma = levi_civita(alg, s.metric).gamma
+    gamma = levi_civita(alg).gamma
     for i in (1, 2, 7):
         for j in (1, 2, 7):
             assert not np.any(gamma[i - 1, j - 1])
@@ -56,7 +54,7 @@ def test_connection_within_a_vanishes():
 
 def test_diag_example_connection_entries():
     alg, s = make(A=DIAG_A)
-    gamma = levi_civita(alg, s.metric).gamma
+    gamma = levi_civita(alg).gamma
     assert not np.any(gamma[6, 2])                       # nabla_{e7} e3 = 0
     assert np.array_equal(gamma[2, 6], -basis_vec(3))    # nabla_{e3} e7 = -e3
 
@@ -64,18 +62,9 @@ def test_diag_example_connection_entries():
 def test_connection_invariants_on_random_triples():
     for trial, kind in enumerate(FamilyKind):
         alg, s = build(generate(kind, 100 + trial))
-        conn = levi_civita(alg, s.metric)
-        compat, torsion = conn.residuals(alg, s.metric)
+        conn = levi_civita(alg)
+        compat, torsion = conn.residuals(alg)
         assert compat <= 1e-10 and torsion <= 1e-10
-
-
-def test_connection_general_metric_invariants(rng):
-    alg, _ = make(A=DIAG_A)
-    g = rng.standard_normal((7, 7))
-    m = Metric7(g @ g.T + 7 * np.eye(7))
-    conn = levi_civita(alg, m)
-    compat, torsion = conn.residuals(alg, m)
-    assert compat <= 1e-10 and torsion <= 1e-10
 
 
 # -- U map ---------------------------------------------------------------------------
@@ -84,29 +73,28 @@ def test_u_map_symmetric(rng):
     alg, s = build(generate(FamilyKind.GENERAL, 110))
     for _ in range(20):
         x, y = rng.standard_normal(7), rng.standard_normal(7)
-        assert np.max(np.abs(u_map(alg, s.metric, x, y) - u_map(alg, s.metric, y, x))) <= 1e-12
+        assert np.max(np.abs(u_map(alg, x, y) - u_map(alg, y, x))) <= 1e-12
 
 
 def test_u_map_diag_example():
     alg, s = make(A=DIAG_A)
-    u = u_map(alg, s.metric, basis_vec(3), basis_vec(3))
+    u = u_map(alg, basis_vec(3), basis_vec(3))
     assert np.array_equal(u, basis_vec(7))  # <S(A)e3, e3> e7 = a33 e7
 
 
 def test_u_map_vanishes_for_bi_invariant_metric(rng):
     alg = so3_plus_r4()
-    m = Metric7.identity()
     for _ in range(20):
         x, y = rng.standard_normal(7), rng.standard_normal(7)
-        assert np.max(np.abs(u_map(alg, m, x, y))) <= 1e-12
+        assert np.max(np.abs(u_map(alg, x, y))) <= 1e-12
 
 
 def test_u_map_decomposes_connection(rng):
     alg, s = build(generate(FamilyKind.GENERAL, 115))
-    gamma = levi_civita(alg, s.metric).gamma
+    gamma = levi_civita(alg).gamma
     for i in range(7):
         for j in range(7):
-            expected = 0.5 * alg.c[i, j] + u_map(alg, s.metric, basis_vec(i + 1), basis_vec(j + 1))
+            expected = 0.5 * alg.c[i, j] + u_map(alg, basis_vec(i + 1), basis_vec(j + 1))
             assert np.max(np.abs(gamma[i, j] - expected)) <= 1e-12
 
 
@@ -114,22 +102,22 @@ def test_u_map_decomposes_connection(rng):
 
 def test_abelian_ricci_zero():
     alg, s = make()
-    conn = levi_civita(alg, s.metric)
-    assert not np.any(ricci(alg, s.metric, conn))
+    conn = levi_civita(alg)
+    assert not np.any(ricci(alg, conn))
 
 
 def test_skew_triples_are_flat():
     for seed in range(5):
         t = generate(FamilyKind.SKEW, 120 + seed)
         alg, s = build(t)
-        conn = levi_civita(alg, s.metric)
+        conn = levi_civita(alg)
         assert np.max(np.abs(riemann_tensor(alg, conn))) <= 1e-9
-        assert np.max(np.abs(ricci(alg, s.metric, conn))) <= 1e-9
+        assert np.max(np.abs(ricci(alg, conn))) <= 1e-9
 
 
 def test_diag_example_ricci_blocks():
     alg, s = make(A=DIAG_A)
-    ric = ricci(alg, s.metric, levi_civita(alg, s.metric))
+    ric = ricci(alg, levi_civita(alg))
     expected = np.zeros((7, 7))
     expected[6, 6] = -4.0  # -tr(A^2) at the e7 slot
     assert np.max(np.abs(ric - expected)) <= 1e-12
@@ -137,36 +125,32 @@ def test_diag_example_ricci_blocks():
 
 def test_ricci_symmetric(rng):
     alg, s = build(generate(FamilyKind.GENERAL, 130))
-    ric = ricci(alg, s.metric, levi_civita(alg, s.metric))
+    ric = ricci(alg, levi_civita(alg))
     assert np.array_equal(ric, ric.T)
 
 
-def curvature_contraction(alg, m, conn):
+def curvature_contraction(alg, conn):
     """Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> read off the full curvature tensor."""
-    ric = np.einsum("ijkl,li->jk", riemann_tensor(alg, conn), m.matrix)
+    ric = np.einsum("ijki->jk", riemann_tensor(alg, conn))
     return 0.5 * (ric + ric.T)
 
 
-def test_ricci_is_the_contraction_of_the_curvature_tensor(rng):
-    g = rng.standard_normal((7, 7))
-    metrics = (Metric7.identity(), Metric7(g @ g.T + 7 * np.eye(7)))
+def test_ricci_is_the_contraction_of_the_curvature_tensor():
     triples = [generate(kind, 135) for kind in FamilyKind]
     stacked, _ = build(TripleABC.stack(triples))
-    for m in metrics:
-        conn = levi_civita(stacked, m)
-        ric = ricci(stacked, m, conn)
-        for n, t in enumerate(triples):
-            alg, _ = build(t)
-            expected = curvature_contraction(alg, m, levi_civita(alg, m))
-            assert np.max(np.abs(ric[n] - expected)) <= 1e-12
+    ric = ricci(stacked, levi_civita(stacked))
+    for n, t in enumerate(triples):
+        alg, _ = build(t)
+        expected = curvature_contraction(alg, levi_civita(alg))
+        assert np.max(np.abs(ric[n] - expected)) <= 1e-12
 
 
 # -- divergence --------------------------------------------------------------------------
 
 def test_divergence_of_zero_tensor():
     alg, s = make(A=DIAG_A)
-    conn = levi_civita(alg, s.metric)
-    assert not np.any(div_torsion(alg, s.metric, conn, np.zeros((7, 7))))
+    conn = levi_civita(alg)
+    assert not np.any(div_torsion(alg, conn, np.zeros((7, 7))))
 
 
 def test_divergence_free_families_small_sample():
@@ -175,24 +159,16 @@ def test_divergence_free_families_small_sample():
         for seed in range(5):
             alg, s = build(generate(kind, 140 + seed))
             td = torsion_data(s)
-            conn = levi_civita(alg, s.metric)
-            div = div_torsion(alg, s.metric, conn, td.T)
+            conn = levi_civita(alg)
+            div = div_torsion(alg, conn, td.T)
             assert np.max(np.abs(div)) <= 1e-9, (kind, seed)
 
 
 def test_closed_example_is_divergence_free():
     alg, s = make(A=DIAG_A)
     td = torsion_data(s)
-    div = div_torsion(alg, s.metric, levi_civita(alg, s.metric), td.T)
+    div = div_torsion(alg, levi_civita(alg), td.T)
     assert not np.any(div)
-
-
-def test_divergence_requires_orthonormal_frame():
-    alg, s = make(A=DIAG_A)
-    m = Metric7(np.diag([2.0, 1, 1, 1, 1, 1, 1]))
-    conn = levi_civita(alg, m)
-    with pytest.raises(MetricError, match="orthonormal"):
-        div_torsion(alg, m, conn, np.zeros((7, 7)))
 
 
 # -- flow velocity --------------------------------------------------------------------------
