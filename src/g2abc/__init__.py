@@ -41,8 +41,8 @@ from .gabc import (
     generate_many,
     theta,
 )
-from .liealg import LieAlgebra7, bracket, ce_diff, is_unimodular, jacobi_residual
-from .riemann import Connection7, div_torsion, flow_velocity, levi_civita, ricci, u_map
+from .liealg import LieAlgebra7, ce_diff, is_unimodular, jacobi_residual
+from .riemann import div_torsion, flow_velocity, levi_civita, ricci, u_map
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
-    "Connection7",
     "DegreeError",
     "FamilyKind",
     "Form",
@@ -64,7 +63,6 @@ __all__ = [
     "TorsionSolveError",
     "TripleABC",
     "ValidationError",
-    "bracket",
     "build",
     "ce_diff",
     "classify",

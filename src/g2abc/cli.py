@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
+from . import gabc
 from .errors import G2ABCError, ValidationError
 from .gabc import (
     MAX_SCALE,
-    PASS_SIZE,
     FamilyKind,
     ReferenceCheck,
     TripleABC,
@@ -117,10 +117,6 @@ def _form_map(form):
     return {"".join(map(str, key)): value for key, value in form.coeffs.items()}
 
 
-def _matrix(arr):
-    return [[float(v) for v in row] for row in np.asarray(arr)]
-
-
 def load_triple(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -141,16 +137,16 @@ def load_triple(path):
 def build_report(t, tol):
     rep = cross_validate(t, tol=tol)
     return {
-        "input": {"A": _matrix(t.A), "B": _matrix(t.B), "C": _matrix(t.C)},
+        "input": {"A": t.A.tolist(), "B": t.B.tolist(), "C": t.C.tolist()},
         "family": rep.family,
         "tol": tol,
         "tau0": rep.tau0,
         "tau1": _form_map(rep.tau1),
         "tau2": _form_map(rep.tau2),
         "tau3": _form_map(rep.tau3),
-        "torsion_matrix": _matrix(rep.torsion_matrix),
-        "div_torsion": [float(v) for v in rep.divergence],
-        "ricci": _matrix(rep.ricci_matrix),
+        "torsion_matrix": rep.torsion_matrix.tolist(),
+        "div_torsion": rep.divergence.tolist(),
+        "ricci": rep.ricci_matrix.tolist(),
         "ricci_block_order": rep.ricci_block_order,
         "flags": {
             "closed": rep.flags.closed,
@@ -213,7 +209,7 @@ def cmd_verify(args):
     # trial k of case i is seeded by (seed, i, k); the triples are generated
     # and cross-validated one pass at a time, in case-major order
     jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
-    while chunk := list(itertools.islice(jobs, PASS_SIZE)):
+    while chunk := list(itertools.islice(jobs, gabc.PASS_SIZE)):
         try:
             stack = generate_many([CASES[cases[i]] for i, _ in chunk],
                                   [np.random.SeedSequence((args.seed, i, k)) for i, k in chunk])
@@ -278,9 +274,9 @@ def cmd_verify(args):
 def cmd_gen(args):
     triple = generate(CASES[args.case], args.seed, scale=args.scale)
     payload = {
-        "A": _matrix(triple.A),
-        "B": _matrix(triple.B),
-        "C": _matrix(triple.C),
+        "A": triple.A.tolist(),
+        "B": triple.B.tolist(),
+        "C": triple.C.tolist(),
         "family": classify_triple(triple).value,
         "seed": args.seed,
     }

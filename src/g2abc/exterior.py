@@ -26,6 +26,13 @@ from .errors import DegreeError
 PRUNE_TOL = 1e-14
 
 
+def prune(values):
+    """A float64 copy of values in which every entry of magnitude at most PRUNE_TOL is 0."""
+    out = np.array(values, dtype=np.float64)
+    out[np.abs(out) <= PRUNE_TOL] = 0.0
+    return out
+
+
 def canonical_indices(indices):
     """Normalise an index tuple to ascending order.
 
@@ -53,11 +60,9 @@ class Form:
     def __init__(self, degree, vals):
         if not 0 <= degree <= DIM:
             raise DegreeError(f"degree {degree} outside 0..{DIM}")
-        v = np.asarray(vals, dtype=np.float64)
+        v = prune(vals)
         if v.ndim not in (1, 2) or v.shape[-1] != DIMS[degree]:
             raise DegreeError(f"degree-{degree} form needs {DIMS[degree]} coefficients, got {v.shape}")
-        v = v.copy()
-        v[np.abs(v) <= PRUNE_TOL] = 0.0
         self.degree = degree
         self._vals = v
 
@@ -150,9 +155,6 @@ class Form:
         return Form(self.degree, np.asarray(scalar, dtype=np.float64)[..., None] * self._vals)
 
     __rmul__ = __mul__
-
-    def __xor__(self, other):
-        return wedge(self, other)
 
     def __repr__(self):
         if self.is_zero():

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._tables import DIM, DIMS, WEDGE
 from .errors import TorsionSolveError
-from .exterior import PRUNE_TOL, Form, contract, contractions, hodge, wedge
+from .exterior import Form, contract, contractions, hodge, prune, wedge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -33,11 +33,8 @@ STANDARD_PSI = Form.from_coeffs(4, {
 if not (hodge(STANDARD_PHI) - STANDARD_PSI).is_zero():  # pragma: no cover
     raise AssertionError("orientation convention broken: hodge(standard phi) != standard psi")
 
-
-def _chop(arr):
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out[np.abs(out) <= PRUNE_TOL] = 0.0
-    return out
+#: (7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi).
+PHI_CONTRACTIONS = contractions(STANDARD_PHI)
 
 
 #: _PAIR_TOP[K, (I, J)]: coefficient of e^{1...7} in e^I ^ e^J ^ e^K, over the
@@ -52,8 +49,6 @@ class G2Structure:
     algebra: object
     phi: ClassVar[Form] = STANDARD_PHI
     psi: ClassVar[Form] = STANDARD_PSI
-    #: (7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi).
-    phi_contractions: ClassVar[np.ndarray] = contractions(STANDARD_PHI)
 
     # derived once per structure (cached_property bypasses the frozen __setattr__)
     @cached_property
@@ -100,7 +95,7 @@ def torsion_forms(s):
     return tau0, tau1, tau2, tau3
 
 
-def tau27_tensor(s, tau3):
+def tau27_tensor(tau3):
     """Symmetric 27-component tensor (1/4) star(iota_{e_i}(phi) ^ iota_{e_j}(phi) ^ tau3).
 
     The 1/4 normalisation is pinned by the defining identity of the full
@@ -110,26 +105,24 @@ def tau27_tensor(s, tau3):
     instance).  Without it the two routes differ by exactly that factor on
     the 27-component.
     """
-    rows = s.phi_contractions
+    rows = PHI_CONTRACTIONS
     # pair[I, J]: top coefficient of e^I ^ e^J ^ tau3 over the 2-monomials
     pair = (tau3.values @ _PAIR_TOP).reshape(tau3.values.shape[:-1] + (DIMS[2], DIMS[2]))
     top = rows @ pair @ rows.swapaxes(-1, -2)
     # 1/4 of the symmetrised pairing, so that the tensor is exactly symmetric
-    return _chop(0.125 * (top + top.swapaxes(-1, -2)))
+    return prune(0.125 * (top + top.swapaxes(-1, -2)))
 
 
-def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
+def full_torsion_from_forms(tau0, tau1, tau2, tau27):
     """Full torsion tensor assembled from the torsion forms:
 
     T(X, Y) = (1/4) tau0 g(X, Y) - iota_{tau1}(phi)(X, Y)
               - (1/2) tau2(X, Y) - tau27(X, Y).
     """
-    if tau27 is None:
-        tau27 = tau27_tensor(s, tau3)
-    iota = contract(tau1.values, s.phi)  # the vector dual to tau1 has its coefficients
+    iota = contract(tau1.values, STANDARD_PHI)  # the vector dual to tau1 has its coefficients
     T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - contractions(iota) \
         - 0.5 * contractions(tau2) - tau27
-    return _chop(T)
+    return prune(T)
 
 
 #: The 35x7 system of the torsion solve: column m is iota_{e_{m+1}}(psi).  Its
@@ -138,8 +131,9 @@ def full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27=None):
 PSI_COLUMNS = contractions(STANDARD_PSI).T
 
 
-def full_torsion_from_nabla(s, conn, tol=1e-9):
-    """Full torsion tensor from the connection: solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
+def full_torsion_from_nabla(gamma, tol=1e-9):
+    """Full torsion tensor from the Levi-Civita connection gamma (nabla_{e_i} e_j =
+    sum_k gamma[i, j, k] e_k): solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
     The 35x7 system, with one right-hand side per e_i, is solved in the
     least-squares sense as PSI_COLUMNS^T rhs / 4.  A residual above
@@ -148,26 +142,26 @@ def full_torsion_from_nabla(s, conn, tol=1e-9):
     """
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
-    mixed = conn.gamma @ s.phi_contractions  # (..., i, j, 2-form)
+    mixed = gamma @ PHI_CONTRACTIONS  # (..., i, j, 2-form)
     rhs = -(mixed.reshape(mixed.shape[:-2] + (-1,))
             @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
     v = 0.25 * (PSI_COLUMNS.T @ rhs)
     residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
-    bound = tol * np.maximum(1.0, np.abs(conn.gamma).max(axis=(-3, -2, -1)))
+    bound = tol * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
     bad = np.ravel(residual > bound)
     if bad.any():
         n = bad.argmax()
         raise TorsionSolveError(
             f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
     # row i of T is v[:, i]
-    return _chop(v.swapaxes(-1, -2))
+    return prune(v.swapaxes(-1, -2))
 
 
 def torsion_data(s):
     """All torsion quantities of a structure, via the generic route."""
     tau0, tau1, tau2, tau3 = torsion_forms(s)
-    tau27 = tau27_tensor(s, tau3)
-    T = full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27)
+    tau27 = tau27_tensor(tau3)
+    T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
     return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T)
 
 

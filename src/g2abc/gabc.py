@@ -13,7 +13,8 @@ Every geometric quantity is computed twice:
 coefficient formulas are kept verbatim even where they disagree with the
 generic route; such coefficients are dual-reported, never silently fixed.
 
-A ``TripleABC`` may hold a stack of N triples, matrices of shape (N, 4, 4).
+A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
+triples as one (N, 3, 4, 4) array.
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
 entries with an operator built once per process from the formula text.
@@ -46,7 +47,7 @@ from .g2core import (
     torsion_forms,
 )
 from .liealg import LieAlgebra7, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
-from .riemann import Connection7, div_torsion, levi_civita, ricci
+from .riemann import div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
 A_INDICES = (1, 2, 7)
@@ -140,36 +141,32 @@ for _kind in (FamilyKind.SYMMETRIC, FamilyKind.SKEW, FamilyKind.ANTIDIAGONAL, Fa
     _CODE_FAMILY[_CODE_SHAPES[:, _SHAPES.index(_kind)]] = _kind
 
 
-def _checked(A, B, C, lead=()):
-    """A, B, C as read-only float64 copies of shape lead + (4, 4), once they
-    pass the checks of a triple: finite, traceless, pairwise commuting.
+def _checked(abc):
+    """abc, the float64 (3, 4, 4) array of the matrices A, B, C of a triple or
+    the (N, 3, 4, 4) array of a stack of N, made read-only once every triple
+    passes the checks: finite, traceless, pairwise commuting.
 
-    ``lead`` is () for one triple and (N,) for a stack of N; the error for a
-    stack of several names its first failing trial and gives the error that
-    trial would raise on its own, as its ``reason``, and its index as ``trial``.
+    The error for a stack of several names its first failing trial and gives
+    the error that trial would raise on its own, as its ``reason``, and its
+    index as ``trial``.
     """
-    mats = []
-    for name, m in zip("ABC", (A, B, C)):
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != lead + (4, 4):
-            raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
-        mats.append(m)
-    mats = np.stack(mats)
-    mats.flags.writeable = False
-    finite_entries = np.isfinite(mats)
+    abc.flags.writeable = False
+    finite_entries = np.isfinite(abc)
     finite = finite_entries.all(axis=(-2, -1))
     # a matrix with non-finite entries fails before its trace or commutators are read
-    safe = mats if finite.all() else np.where(finite_entries, mats, 0.0)
+    safe = abc if finite.all() else np.where(finite_entries, abc, 0.0)
     trace = np.trace(safe, axis1=-2, axis2=-1)
-    left, right = safe[[0, 0, 1]], safe[[1, 2, 2]]
+    left, right = safe[..., [0, 0, 1], :, :], safe[..., [1, 2, 2], :, :]
     commutator = _max_abs(left @ right - right @ left, 2)
     # relative to max(1, s), s the trial's largest entry: degree 1 for tr, 2 for [X, Y]
-    bound = np.maximum(1.0, np.abs(safe).max(axis=(0, -2, -1)))
+    bound = np.maximum(1.0, np.abs(safe).max(axis=(-3, -2, -1)))[..., None]
     bad_trace = ~(np.abs(trace) <= 1e-12 * bound)
     bad_commutator = ~(commutator / bound <= 1e-10 * bound)  # a NaN or inf fails too
     if not finite.all() or bad_trace.any() or bad_commutator.any():
-        _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator)
-    return tuple(mats)
+        # per matrix or pair of a triple first, as _raise_first_failure reads them
+        _raise_first_failure(*(np.moveaxis(x, -1, 0) for x in (
+            finite, trace, commutator, bad_trace, bad_commutator)))
+    return abc
 
 
 def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
@@ -188,37 +185,43 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TripleABC:
-    """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6.
+    """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6, held as
+    one read-only (3, 4, 4) array ``abc``; ``A``, ``B`` and ``C`` are read-only
+    views of it.
 
     ``TripleABC.stack`` and ``generate_many`` make stacks of N validated
-    triples, matrices of shape (N, 4, 4), which every function of the module
-    accepts too.
+    triples, ``abc`` of shape (N, 3, 4, 4) and matrices of shape (N, 4, 4),
+    which every function of the module accepts too.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    abc: np.ndarray
 
-    def __post_init__(self):
-        for name, m in zip("ABC", _checked(self.A, self.B, self.C)):
-            object.__setattr__(self, name, m)
+    def __init__(self, A, B, C):
+        mats = []
+        for name, m in zip("ABC", (A, B, C)):
+            m = np.asarray(m, dtype=np.float64)
+            if m.shape != (4, 4):
+                raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
+            mats.append(m)
+        object.__setattr__(self, "abc", _checked(np.stack(mats)))
+
+    A = property(lambda self: self.abc[..., 0, :, :])
+    B = property(lambda self: self.abc[..., 1, :, :])
+    C = property(lambda self: self.abc[..., 2, :, :])
 
     @classmethod
     def stack(cls, triples):
         """The stack of the given triples and stacks of triples, in order."""
-        columns = zip(*(t.matrices() for t in triples))
-        return cls._of_validated(*(np.concatenate([m.reshape(-1, 4, 4) for m in mats])
-                                   for mats in columns))
+        return cls._of_validated(np.concatenate([t.abc.reshape(-1, 3, 4, 4) for t in triples]))
 
     @classmethod
-    def _of_validated(cls, A, B, C):
-        """A triple or stack of matrices that passed the checks already."""
+    def _of_validated(cls, abc):
+        """The triple or stack of the array abc, which passed the checks already."""
         t = object.__new__(cls)
-        for name, m in (("A", A), ("B", B), ("C", C)):
-            m.flags.writeable = False
-            object.__setattr__(t, name, m)
+        abc.flags.writeable = False
+        object.__setattr__(t, "abc", abc)
         return t
 
     def matrices(self):
@@ -227,8 +230,8 @@ class TripleABC:
     @functools.cached_property
     def _shape_code(self):
         """The shape code of the triple, an array of them for a stack."""
-        mats = np.stack(self.matrices())
-        return sum(p(mats).all(axis=0) << b for b, p in enumerate(_FAMILY_PREDICATES.values()))
+        return sum(p(self.abc).all(axis=-1) << b
+                   for b, p in enumerate(_FAMILY_PREDICATES.values()))
 
 
 def classify_triple(t):
@@ -599,14 +602,14 @@ def _text_values(t):
                for cf in tables for part, _ in _TORSION_PARTS]
     columns += [theta_omega_tabulated(named[name], which).values for name, which in _THETA_PAIRS]
     columns += [f.values for f in (*_derivatives_text(th), *(th[pair] for pair in _THETA_PAIRS))]
-    return np.concatenate([np.broadcast_to(v, (len(t.A), v.shape[-1])) for v in columns], 1)
+    return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[-1])) for v in columns], 1)
 
 
 @functools.cache
 def _operator():
     """The (48, K) operator of tabulated_values: row k is the formula text on unit triple k."""
     units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
-    values = _text_values(TripleABC._of_validated(*np.moveaxis(units, 1, 0)))
+    values = _text_values(TripleABC._of_validated(units))
     if constant := [f for f, _, _ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
         raise ValidationError(f"tabulated formulas with a constant term: {', '.join(constant)}")
     values.flags.writeable = False
@@ -625,10 +628,9 @@ def tabulated_values(t):
     of a stack: the 48 entries of (A, B, C) times the operator of the formula text, row
     by row so that a triple's values do not depend on its stack.  As in a Form,
     coefficients at or below PRUNE_TOL are zero, but tau0's."""
-    entries = np.concatenate([m.reshape(-1, 16) for m in t.matrices()], axis=1)
-    values = _vecmat(entries, _operator())
+    values = _vecmat(t.abc.reshape(-1, 48), _operator())
     values[(np.abs(values) <= PRUNE_TOL) & _PRUNED] = 0.0
-    return values.reshape(t.A.shape[:-2] + values.shape[-1:])
+    return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
 
 
 # -- closed-form connection, Ricci, divergence ---------------------------------
@@ -642,20 +644,20 @@ def _skew(M):
 
 
 def closed_form_connection(t):
-    """Levi-Civita connection of g_{A,B,C}:
+    """Levi-Civita connection gamma of g_{A,B,C} (nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k):
 
     nabla_X Y = 0                                  X, Y in a
               = A(M_X) Y                           X in a, Y in n
               = -S(M_Y) X                          X in n, Y in a
               = sum_l <S(D^l) X, Y> e_l            X, Y in n
     """
-    gamma = np.zeros(t.A.shape[:-2] + (DIM, DIM, DIM))
+    gamma = np.zeros(t.abc.shape[:-3] + (DIM, DIM, DIM))
     for row, M in ((6, t.A), (0, t.B), (1, t.C)):
         am, sm = _skew(M), _sym(M)
         gamma[..., row, 2:6, 2:6] = _transpose(am)
         gamma[..., 2:6, row, 2:6] = -_transpose(sm)
         gamma[..., 2:6, 2:6, row] = sm
-    return Connection7(gamma=gamma)
+    return gamma
 
 
 def closed_form_ricci(t):
@@ -768,7 +770,7 @@ def generate_many(kind, seeds, scale=1.0):
         at = [n for n, kn in enumerate(kinds) if kn is k]
         mats[at] = _family_matrices(k, [np.array(d) for d in zip(*(drawn[n] for n in at))],
                                     q[at], scale)
-    return TripleABC._of_validated(*_checked(*np.moveaxis(mats, 1, 0), lead=mats.shape[:1]))
+    return TripleABC._of_validated(_checked(mats))
 
 
 def _family_matrices(kind, draws, q, scale):
@@ -803,7 +805,7 @@ def generate(kind, seed, scale=1.0):
 
     The one-triple case of generate_many.
     """
-    return TripleABC._of_validated(*(m[0] for m in generate_many(kind, [seed], scale).matrices()))
+    return TripleABC._of_validated(generate_many(kind, [seed], scale).abc[0])
 
 
 # -- the cross-validator ----------------------------------------------------------
@@ -957,9 +959,8 @@ def cross_validate_stack(t, tol=1e-9):
     """The results of every triple of the stack t, as one CrossValidationArrays
     per array pass of at most PASS_SIZE triples, in order.  Each pass runs
     both routes once, over a leading trial axis."""
-    return [_cross_validate_pass(
-                TripleABC._of_validated(*(m[start:start + PASS_SIZE] for m in t.matrices())), tol)
-            for start in range(0, len(t.A), PASS_SIZE)]
+    return [_cross_validate_pass(TripleABC._of_validated(t.abc[start:start + PASS_SIZE]), tol)
+            for start in range(0, len(t.abc), PASS_SIZE)]
 
 
 def cross_validate_many(triples, tol=1e-9):
@@ -975,7 +976,7 @@ def cross_validate_many(triples, tol=1e-9):
 def _cross_validate_pass(t, tol):
     """The CrossValidationArrays of t, a single triple or a stack, from one
     run of both routes."""
-    count = t.A.size // 16
+    count = t.abc.size // 48
     rows = lambda x, *tail: np.reshape(x, (count,) + tail)
     alg, s = build(t)
     code = rows(t._shape_code)
@@ -983,12 +984,12 @@ def _cross_validate_pass(t, tol):
 
     # generic route
     tau0, tau1, tau2, tau3 = torsion_forms(s)
-    tau27 = tau27_tensor(s, tau3)
-    T = full_torsion_from_forms(s, tau0, tau1, tau2, tau3, tau27)
-    conn = levi_civita(alg)
-    T_nabla = full_torsion_from_nabla(s, conn)
-    ric = ricci(alg, conn)
-    div = div_torsion(alg, conn, T)
+    tau27 = tau27_tensor(tau3)
+    T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
+    gamma = levi_civita(alg)
+    T_nabla = full_torsion_from_nabla(gamma)
+    ric = ricci(alg, gamma)
+    div = div_torsion(alg, gamma, T)
     flags = classify(
         TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
     iota = contract(tau1.values, s.phi)
@@ -1029,8 +1030,7 @@ def _cross_validate_pass(t, tol):
     dev["torsion_routes"] = _max_abs(T - T_nabla, 2)
 
     # connection, Ricci, divergence
-    conn_cf = closed_form_connection(t)
-    dev["connection"] = _max_abs(conn_cf.gamma - conn.gamma, 3)
+    dev["connection"] = _max_abs(closed_form_connection(t) - gamma, 3)
     dev["ricci"] = _max_abs(closed_form_ricci(t) - ric, 2)
     div_cf = closed_form_divergence(t, tau27)
     dev["divergence"] = _max_abs(div_cf - div)

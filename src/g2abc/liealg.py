@@ -93,10 +93,6 @@ class LieAlgebra7:
         return self.c[i - 1, j - 1].copy()
 
 
-def bracket(g, x, y):
-    return g.bracket(x, y)
-
-
 def is_unimodular(g, tol=1e-12):
     """True when every adjoint map ad_{e_i} is traceless within tol."""
     traces = np.einsum("ikk->i", g.c)

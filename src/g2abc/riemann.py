@@ -2,41 +2,26 @@
 algebra, curvature, Ricci, divergence of the full torsion tensor, and the
 torsion-flow velocity.
 
-Connections, Ricci tensors and divergences of a stack of N algebras carry
-a leading axis of length N."""
-
-from dataclasses import dataclass
+A connection is the (7, 7, 7) array gamma of its coefficients,
+nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k.  Connections, Ricci tensors and
+divergences of a stack of N algebras carry a leading axis of length N."""
 
 import numpy as np
 
 from ._tables import DIM
-from .exterior import contract
-from .g2core import _chop
-
-
-@dataclass(frozen=True)
-class Connection7:
-    """Connection coefficients: nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k."""
-
-    gamma: np.ndarray
-
-    def residuals(self, g):
-        """(metric-compatibility, torsion-freeness) max-abs residuals."""
-        compat_res = float(np.max(np.abs(self.gamma + self.gamma.transpose(0, 2, 1))))
-        torsion_res = float(np.max(np.abs(
-            self.gamma - self.gamma.transpose(1, 0, 2) - g.c)))
-        return compat_res, torsion_res
+from .exterior import contract, prune
+from .g2core import STANDARD_PSI
 
 
 def levi_civita(g):
-    """Levi-Civita connection of the left-invariant metric, by the Koszul formula:
+    """Levi-Civita connection gamma of the left-invariant metric, by the Koszul formula:
 
     2 <nabla_X Y, Z> = <[X,Y], Z> - <[Y,Z], X> + <[Z,X], Y>.
     """
     c = g.c  # c[i,j,k] = <[e_i,e_j], e_k>
     # gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
     gamma = 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
-    return Connection7(gamma=_chop(gamma))
+    return prune(gamma)
 
 
 def u_map(g, x, y):
@@ -51,17 +36,16 @@ def u_map(g, x, y):
     return 0.5 * (zx - yz)
 
 
-def riemann_tensor(g, conn):
-    """Curvature R[i,j,k,l]: component l of R(e_i, e_j) e_k, with
+def riemann_tensor(g, gamma):
+    """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-    gamma = conn.gamma
     grad2 = np.einsum("jkm,iml->ijkl", gamma, gamma)
     rbrack = np.einsum("ijm,mkl->ijkl", g.c, gamma)
     return grad2 - grad2.transpose(1, 0, 2, 3) - rbrack
 
 
-def ricci(g, conn):
-    """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i>.
+def ricci(g, gamma):
+    """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> of the connection gamma.
 
     Contracted term by term from the curvature formula of riemann_tensor,
     without forming the 4-index tensor:
@@ -69,7 +53,6 @@ def ricci(g, conn):
                - sum_im c[i,j,m] gamma[m,k,i],
     with t[m] = sum_i gamma[i,m,i].
     """
-    gamma = conn.gamma
     trace = np.einsum("...imi->...m", gamma)
     rows = lambda x: x.reshape(x.shape[:-3] + (DIM, DIM * DIM))  # (a, b, c) -> (a, (b, c))
     cols = lambda x: x.reshape(x.shape[:-3] + (DIM * DIM, DIM))  # (a, b, c) -> ((a, b), c)
@@ -77,24 +60,24 @@ def ricci(g, conn):
     ric = ((gamma @ trace[..., None, :, None])[..., 0]
            - rows(gamma) @ moved  # gamma[j,m,i] gamma[i,k,m] over (m, i)
            + rows(g.c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]
-    return _chop(0.5 * (ric + ric.swapaxes(-1, -2)))
+    return prune(0.5 * (ric + ric.swapaxes(-1, -2)))
 
 
-def div_torsion(g, conn, T):
-    """Divergence of a left-invariant (0,2) tensor in the orthonormal frame e_1..e_7:
+def div_torsion(g, gamma, T):
+    """Divergence of a left-invariant (0,2) tensor in the orthonormal frame e_1..e_7,
+    for the connection gamma:
 
     <div T, e_j> = -sum_i T(nabla_{e_i} e_i, e_j) - sum_i T(e_i, nabla_{e_i} e_j).
     """
-    gamma = conn.gamma
     Tm = np.asarray(T, dtype=np.float64)
-    # sum_i nabla_{e_i} e_i, chopped like every algebraic intermediate so that
+    # sum_i nabla_{e_i} e_i, pruned like every algebraic intermediate so that
     # structural zeros survive in floating point
-    trace_vec = _chop(np.einsum("...iim->...m", gamma))
+    trace_vec = prune(np.einsum("...iim->...m", gamma))
     term1 = np.einsum("...m,...mj->...j", trace_vec, Tm)
     term2 = np.einsum("...ijm,...im->...j", gamma, Tm)
     return -(term1 + term2) + 0.0  # + 0.0 normalises -0.0 entries
 
 
-def flow_velocity(s, div_t):
-    """Right-hand side of the torsion flow at this structure: iota_{div T}(psi)."""
-    return contract(np.asarray(div_t, dtype=np.float64), s.psi)
+def flow_velocity(div_t):
+    """Right-hand side of the torsion flow: iota_{div T}(psi)."""
+    return contract(np.asarray(div_t, dtype=np.float64), STANDARD_PSI)

@@ -28,4 +28,4 @@ def e_matrix(i, j, value=1.0):
 
 def unstack(t):
     """The triples of a stack, each as a TripleABC of its own."""
-    return [TripleABC(*(m[n] for m in t.matrices())) for n in range(len(t.A))]
+    return [TripleABC(*abc) for abc in t.abc]

@@ -138,7 +138,6 @@ def test_verify_json_reports_worst_deviations_per_case(capsys):
 def test_verify_json_aggregates_like_the_reports_one_at_a_time(capsys, monkeypatch, tol,
                                                                pass_size):
     # passes of 2 split every case, and some pass holds two cases
-    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
     monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
     argv = ["verify", "--case", "all", "--trials", "3", "--seed", "5", "--tol", tol, "--json"]
     main(argv)
@@ -176,7 +175,6 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
     assert main(argv) == 0
     reference = json.loads(capsys.readouterr().out)
     # 15 triples in passes of 2: passes straddle the case boundaries
-    monkeypatch.setattr(cli, "PASS_SIZE", 2)
     monkeypatch.setattr(gabc, "PASS_SIZE", 2)
     assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
@@ -218,7 +216,6 @@ def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkey
 @pytest.mark.parametrize("case, pass_size", [("sym", 32), ("all", 32), ("all", 2)])
 def test_verify_names_the_case_and_trial_of_a_rejected_triple(capsys, monkeypatch, case,
                                                               pass_size):
-    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
     monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
     # the draws of trial 3 of case sym, case index i of the request: its normals, then its diagonals
     i = list(cli.CASES).index("sym") if case == "all" else 0

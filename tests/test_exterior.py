@@ -16,6 +16,7 @@ from g2abc.exterior import (
     form_inner,
     hodge,
     matrix_coaction,
+    prune,
     wedge,
 )
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
@@ -74,6 +75,16 @@ def test_out_of_range_index_rejected():
 def test_prune_threshold_drops_tiny_coefficients():
     a = Form.from_coeffs(1, {(1,): PRUNE_TOL / 2, (2,): 1.0})
     assert a.coeffs == {(2,): 1.0}
+
+
+def test_prune_zeroes_up_to_the_threshold_in_a_float64_copy():
+    values = np.array([[PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL], [-2 * PRUNE_TOL, 0.0, 1.0]])
+    values.flags.writeable = False
+    out = prune(values)
+    assert out.dtype == np.float64 and out.flags.writeable
+    assert np.array_equal(out, [[0.0, 0.0, 2 * PRUNE_TOL], [-2 * PRUNE_TOL, 0.0, 1.0]])
+    assert values[0, 0] == PRUNE_TOL  # the input is left as it was
+    assert prune([1, 0]).dtype == np.float64
 
 
 # -- wedge ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from g2abc.g2core import (
     torsion_forms,
 )
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
-from g2abc.riemann import Connection7, levi_civita
+from g2abc.riemann import levi_civita
 
 from helpers import ZERO4, e_matrix
 
@@ -70,15 +70,14 @@ def test_reconstruction_identities_random_triples():
 # -- tau27 ---------------------------------------------------------------------------
 
 def test_tau27_zero_for_zero_tau3():
-    _, s = make()
-    assert not np.any(tau27_tensor(s, Form.zero(3)))
+    assert not np.any(tau27_tensor(Form.zero(3)))
 
 
 def test_tau27_mixed_block_vanishes():
     for seed in range(5):
         _, s = build(generate(FamilyKind.GENERAL, 40 + seed))
         _, _, _, t3 = torsion_forms(s)
-        tau27 = tau27_tensor(s, t3)
+        tau27 = tau27_tensor(t3)
         for k in (1, 2, 7):
             for i in (3, 4, 5, 6):
                 assert tau27[k - 1, i - 1] == 0.0
@@ -88,14 +87,14 @@ def test_tau27_diagonal_case_nn_entries_vanish():
     for seed in range(5):
         _, s = build(generate(FamilyKind.DIAGONAL, 50 + seed))
         _, _, _, t3 = torsion_forms(s)
-        tau27 = tau27_tensor(s, t3)
+        tau27 = tau27_tensor(t3)
         assert all(tau27[n - 1, n - 1] == 0.0 for n in (3, 4, 5, 6))
 
 
 def test_tau27_exactly_symmetric():
     _, s = build(generate(FamilyKind.GENERAL, 60))
     _, _, _, t3 = torsion_forms(s)
-    tau27 = tau27_tensor(s, t3)
+    tau27 = tau27_tensor(t3)
     assert np.array_equal(tau27, tau27.T)
 
 
@@ -113,8 +112,7 @@ def test_diagonal_example_full_torsion_is_minus_half_tau2():
 def test_routes_agree_on_diag_example():
     alg, s = make(A=DIAG_A)
     td = torsion_data(s)
-    conn = levi_civita(alg)
-    assert np.max(np.abs(td.T - full_torsion_from_nabla(s, conn))) <= 1e-9
+    assert np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(alg)))) <= 1e-9
 
 
 def test_routes_agree_on_random_commuting_triples():
@@ -122,19 +120,17 @@ def test_routes_agree_on_random_commuting_triples():
         for seed in range(8):
             alg, s = build(generate(kind, 70 + 10 * trial + seed))
             td = torsion_data(s)
-            conn = levi_civita(alg)
-            dev = np.max(np.abs(td.T - full_torsion_from_nabla(s, conn)))
+            dev = np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(alg))))
             assert dev <= 1e-9, (kind, seed, dev)
 
 
 def test_torsion_solve_rejects_inconsistent_connection(rng):
-    _, s = build(generate(FamilyKind.GENERAL, 80))
     bogus = rng.standard_normal((7, 7, 7))
     with pytest.raises(TorsionSolveError, match="torsion solve failed"):
-        full_torsion_from_nabla(s, Connection7(gamma=bogus))
+        full_torsion_from_nabla(bogus)
     # below max|gamma| = 1 the bound stays tol itself
     with pytest.raises(TorsionSolveError, match=r"torsion solve failed: .* > 1e-09$"):
-        full_torsion_from_nabla(s, Connection7(gamma=1e-8 * bogus / np.abs(bogus).max()))
+        full_torsion_from_nabla(1e-8 * bogus / np.abs(bogus).max())
 
 
 @pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])
@@ -143,10 +139,10 @@ def test_torsion_solve_rejects_inconsistent_connection(rng):
 def test_torsion_solve_residual_scales_with_the_connection(kind, scale):
     # the right-hand side is linear in gamma, so is the rounding of the solve
     stack, s = build(TripleABC.stack([generate(kind, seed, scale) for seed in range(5)]))
-    conn = levi_civita(stack)
+    gamma = levi_civita(stack)
     T = torsion_data(s).T
-    assert np.abs(conn.gamma).max() > 1e6
-    assert np.max(np.abs(full_torsion_from_nabla(s, conn) - T)) <= 1e-9 * scale
+    assert np.abs(gamma).max() > 1e6
+    assert np.max(np.abs(full_torsion_from_nabla(gamma) - T)) <= 1e-9 * scale
 
 
 def test_torsion_system_is_exactly_orthogonal():
@@ -195,9 +191,9 @@ def per_pair_induced_metric(phi):
     return b / np.linalg.det(b) ** (1.0 / 9.0)
 
 
-def per_basis_torsion_from_nabla(s, conn):
+def per_basis_torsion_from_nabla(s, gamma):
     columns = np.column_stack([contract_basis(m, s.psi).values for m in range(1, 8)])
-    rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in conn.gamma])
+    rhs = np.column_stack([-matrix_coaction(g.T, s.phi).values for g in gamma])
     v = np.linalg.lstsq(columns, rhs, rcond=None)[0]
     assert np.max(np.abs(columns @ v - rhs)) <= 1e-9
     return v.T
@@ -208,10 +204,10 @@ def test_whole_array_stages_match_per_pair_references():
     _, _, _, tau3 = torsion_forms(s)
     assert not tau3.is_zero()
     expected = 0.25 * per_pair_top(s.phi, tau3)
-    assert np.max(np.abs(tau27_tensor(s, tau3) - expected)) <= 1e-13
-    conn = levi_civita(alg)
-    expected_T = per_basis_torsion_from_nabla(s, conn)
-    assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected_T)) <= 1e-13
+    assert np.max(np.abs(tau27_tensor(tau3) - expected)) <= 1e-13
+    gamma = levi_civita(alg)
+    expected_T = per_basis_torsion_from_nabla(s, gamma)
+    assert np.max(np.abs(full_torsion_from_nabla(gamma) - expected_T)) <= 1e-13
 
 
 # -- classification -------------------------------------------------------------------
@@ -241,5 +237,4 @@ def test_skew_rotation_block_full_torsion_structure():
     expected = np.zeros((7, 7))
     expected[6, 6] = 1.0
     assert np.max(np.abs(td.T - expected)) <= 1e-15
-    conn = levi_civita(alg)
-    assert np.max(np.abs(full_torsion_from_nabla(s, conn) - expected)) <= 1e-15
+    assert np.max(np.abs(full_torsion_from_nabla(levi_civita(alg)) - expected)) <= 1e-15

@@ -5,7 +5,7 @@ from g2abc._tables import DIM, DIMS
 from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import Form, wedge
 from g2abc.gabc import FamilyKind, generate, structure_constants
-from g2abc.liealg import LieAlgebra7, bracket, ce_diff, is_unimodular, jacobi_residual
+from g2abc.liealg import LieAlgebra7, ce_diff, is_unimodular, jacobi_residual
 
 from helpers import ZERO4, e_matrix, random_form
 
@@ -24,21 +24,21 @@ def basis_vec(i):
 
 def test_bracket_matches_matrix_action():
     g = algebra_from(e_matrix(3, 4))
-    assert np.array_equal(bracket(g, basis_vec(7), basis_vec(4)), basis_vec(3))
+    assert np.array_equal(g.bracket(basis_vec(7), basis_vec(4)), basis_vec(3))
     others = [(i, j) for i in range(1, 8) for j in range(i + 1, 8) if (i, j) != (4, 7)]
     assert all(not np.any(g.basis_bracket(i, j)) for i, j in others)
 
 
 def test_a_part_is_abelian():
     g = algebra_from(np.diag([1.0, 2.0, -1.0, -2.0]))
-    assert not np.any(bracket(g, basis_vec(1), basis_vec(2)))
+    assert not np.any(g.bracket(basis_vec(1), basis_vec(2)))
 
 
 def test_bracket_of_vector_with_itself_vanishes(rng):
     g = algebra_from(*generate(FamilyKind.GENERAL, 5).matrices())
     for _ in range(50):
         x = rng.standard_normal(7)
-        assert np.max(np.abs(bracket(g, x, x))) < 1e-12
+        assert np.max(np.abs(g.bracket(x, x))) < 1e-12
 
 
 # -- Jacobi ---------------------------------------------------------------------

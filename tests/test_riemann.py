@@ -41,12 +41,12 @@ def so3_plus_r4():
 
 def test_abelian_connection_is_flat_zero():
     alg, s = make()
-    assert not np.any(levi_civita(alg).gamma)
+    assert not np.any(levi_civita(alg))
 
 
 def test_connection_within_a_vanishes():
     alg, s = make(A=DIAG_A, B=np.diag([1.0, -1.0, 1.0, -1.0]))
-    gamma = levi_civita(alg).gamma
+    gamma = levi_civita(alg)
     for i in (1, 2, 7):
         for j in (1, 2, 7):
             assert not np.any(gamma[i - 1, j - 1])
@@ -54,7 +54,7 @@ def test_connection_within_a_vanishes():
 
 def test_diag_example_connection_entries():
     alg, s = make(A=DIAG_A)
-    gamma = levi_civita(alg).gamma
+    gamma = levi_civita(alg)
     assert not np.any(gamma[6, 2])                       # nabla_{e7} e3 = 0
     assert np.array_equal(gamma[2, 6], -basis_vec(3))    # nabla_{e3} e7 = -e3
 
@@ -62,9 +62,11 @@ def test_diag_example_connection_entries():
 def test_connection_invariants_on_random_triples():
     for trial, kind in enumerate(FamilyKind):
         alg, s = build(generate(kind, 100 + trial))
-        conn = levi_civita(alg)
-        compat, torsion = conn.residuals(alg)
-        assert compat <= 1e-10 and torsion <= 1e-10
+        gamma = levi_civita(alg)
+        # metric compatibility: <nabla_X e_j, e_k> = -<e_j, nabla_X e_k>
+        assert np.max(np.abs(gamma + gamma.transpose(0, 2, 1))) <= 1e-10
+        # torsion-freeness: nabla_{e_i} e_j - nabla_{e_j} e_i = [e_i, e_j]
+        assert np.max(np.abs(gamma - gamma.transpose(1, 0, 2) - alg.c)) <= 1e-10
 
 
 # -- U map ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ def test_u_map_vanishes_for_bi_invariant_metric(rng):
 
 def test_u_map_decomposes_connection(rng):
     alg, s = build(generate(FamilyKind.GENERAL, 115))
-    gamma = levi_civita(alg).gamma
+    gamma = levi_civita(alg)
     for i in range(7):
         for j in range(7):
             expected = 0.5 * alg.c[i, j] + u_map(alg, basis_vec(i + 1), basis_vec(j + 1))
@@ -102,17 +104,16 @@ def test_u_map_decomposes_connection(rng):
 
 def test_abelian_ricci_zero():
     alg, s = make()
-    conn = levi_civita(alg)
-    assert not np.any(ricci(alg, conn))
+    assert not np.any(ricci(alg, levi_civita(alg)))
 
 
 def test_skew_triples_are_flat():
     for seed in range(5):
         t = generate(FamilyKind.SKEW, 120 + seed)
         alg, s = build(t)
-        conn = levi_civita(alg)
-        assert np.max(np.abs(riemann_tensor(alg, conn))) <= 1e-9
-        assert np.max(np.abs(ricci(alg, conn))) <= 1e-9
+        gamma = levi_civita(alg)
+        assert np.max(np.abs(riemann_tensor(alg, gamma))) <= 1e-9
+        assert np.max(np.abs(ricci(alg, gamma))) <= 1e-9
 
 
 def test_diag_example_ricci_blocks():
@@ -129,9 +130,9 @@ def test_ricci_symmetric(rng):
     assert np.array_equal(ric, ric.T)
 
 
-def curvature_contraction(alg, conn):
+def curvature_contraction(alg, gamma):
     """Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> read off the full curvature tensor."""
-    ric = np.einsum("ijki->jk", riemann_tensor(alg, conn))
+    ric = np.einsum("ijki->jk", riemann_tensor(alg, gamma))
     return 0.5 * (ric + ric.T)
 
 
@@ -149,8 +150,7 @@ def test_ricci_is_the_contraction_of_the_curvature_tensor():
 
 def test_divergence_of_zero_tensor():
     alg, s = make(A=DIAG_A)
-    conn = levi_civita(alg)
-    assert not np.any(div_torsion(alg, conn, np.zeros((7, 7))))
+    assert not np.any(div_torsion(alg, levi_civita(alg), np.zeros((7, 7))))
 
 
 def test_divergence_free_families_small_sample():
@@ -159,8 +159,7 @@ def test_divergence_free_families_small_sample():
         for seed in range(5):
             alg, s = build(generate(kind, 140 + seed))
             td = torsion_data(s)
-            conn = levi_civita(alg)
-            div = div_torsion(alg, conn, td.T)
+            div = div_torsion(alg, levi_civita(alg), td.T)
             assert np.max(np.abs(div)) <= 1e-9, (kind, seed)
 
 
@@ -174,18 +173,15 @@ def test_closed_example_is_divergence_free():
 # -- flow velocity --------------------------------------------------------------------------
 
 def test_flow_velocity_zero_at_critical_points():
-    _, s = make()
-    assert flow_velocity(s, np.zeros(7)).is_zero()
+    assert flow_velocity(np.zeros(7)).is_zero()
 
 
 def test_flow_velocity_e1_contraction():
-    _, s = make()
-    got = flow_velocity(s, basis_vec(1))
+    got = flow_velocity(basis_vec(1))
     assert got.coeffs == {(2, 5, 6): 1.0, (2, 3, 4): 1.0, (4, 5, 7): 1.0, (3, 6, 7): 1.0}
 
 
 def test_flow_velocity_e7_matches_contraction_table():
-    _, s = make()
-    got = flow_velocity(s, basis_vec(7))
+    got = flow_velocity(basis_vec(7))
     assert (got - contract_basis(7, STANDARD_PSI)).is_zero()
     assert got(2, 4, 6) == 1.0
