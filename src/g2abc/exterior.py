@@ -3,7 +3,8 @@
 Forms are alternating k-forms with constant coefficients, addressed by
 ascending index tuples drawn from {1,...,7} (``e^{127}`` is the key
 ``(1, 2, 7)``).  A form of degree k holds a dense vector over the C(7,k)
-basis monomials; the public ``coeffs`` view is the pruned sparse map.
+basis monomials; the public ``coeffs`` view is the sparse map of its
+nonzero coefficients.
 A form may also hold a stack of N such vectors, shape (N, C(7,k)): one
 form per trial of a batch.  Wedge, contraction, the Hodge star and the
 derivation action of a matrix are each one product of those vectors with
@@ -21,17 +22,6 @@ import numpy as np
 
 from ._tables import COMBS, CONTRACT, DIM, DIMS, RANK, STAR, WEDGE
 from .errors import DegreeError
-
-#: Coefficients at or below this magnitude are dropped after every operation.
-PRUNE_TOL = 1e-14
-
-
-def prune(values):
-    """A float64 copy of values in which every entry of magnitude at most PRUNE_TOL is 0."""
-    out = np.array(values, dtype=np.float64)
-    out[np.abs(out) <= PRUNE_TOL] = 0.0
-    return out
-
 
 def canonical_indices(indices):
     """Normalise an index tuple to ascending order.
@@ -60,7 +50,7 @@ class Form:
     def __init__(self, degree, vals):
         if not 0 <= degree <= DIM:
             raise DegreeError(f"degree {degree} outside 0..{DIM}")
-        v = prune(vals)
+        v = np.array(vals, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != DIMS[degree]:
             raise DegreeError(f"degree-{degree} form needs {DIMS[degree]} coefficients, got {v.shape}")
         self.degree = degree

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._tables import DIM, DIMS, WEDGE
 from .errors import TorsionSolveError
-from .exterior import Form, contract, contractions, hodge, prune, wedge
+from .exterior import Form, contract, contractions, hodge, wedge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -110,7 +110,7 @@ def tau27_tensor(tau3):
     pair = (tau3.values @ _PAIR_TOP).reshape(tau3.values.shape[:-1] + (DIMS[2], DIMS[2]))
     top = rows @ pair @ rows.swapaxes(-1, -2)
     # 1/4 of the symmetrised pairing, so that the tensor is exactly symmetric
-    return prune(0.125 * (top + top.swapaxes(-1, -2)))
+    return 0.125 * (top + top.swapaxes(-1, -2))
 
 
 def full_torsion_from_forms(tau0, tau1, tau2, tau27):
@@ -122,7 +122,7 @@ def full_torsion_from_forms(tau0, tau1, tau2, tau27):
     iota = contract(tau1.values, STANDARD_PHI)  # the vector dual to tau1 has its coefficients
     T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - contractions(iota) \
         - 0.5 * contractions(tau2) - tau27
-    return prune(T)
+    return T + 0.0  # + 0.0 normalises -0.0 entries
 
 
 #: The 35x7 system of the torsion solve: column m is iota_{e_{m+1}}(psi).  Its
@@ -154,7 +154,7 @@ def full_torsion_from_nabla(gamma, tol=1e-9):
         raise TorsionSolveError(
             f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
     # row i of T is v[:, i]
-    return prune(v.swapaxes(-1, -2))
+    return v.swapaxes(-1, -2)
 
 
 def torsion_data(s):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
-from .exterior import PRUNE_TOL, Form, _vecmat, contract, matrix_coaction, wedge
+from .exterior import Form, _vecmat, contract, matrix_coaction, wedge
 from .g2core import (
     G2Structure,
     TorsionClass,
@@ -582,8 +582,6 @@ _BLOCKS = (
 _STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
 _COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
 _THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
-#: Per column: pruned at PRUNE_TOL as in a Form (all but tau0).
-_PRUNED = np.repeat([degree > 0 for _, degree, _ in _BLOCKS], np.diff(_STARTS))
 #: _CODE_REPORTS[code, column]: whether triples of the shape code dual-report the column:
 #: a family table on triples of its shape, the general one and theta expansions on all.
 _REPORTING = (*_SHAPES, FamilyKind.GENERAL, None)
@@ -626,10 +624,8 @@ def _column_labels():
 def tabulated_values(t):
     """Every linear tabulated formula of t in the columns of _BLOCKS, a row per triple
     of a stack: the 48 entries of (A, B, C) times the operator of the formula text, row
-    by row so that a triple's values do not depend on its stack.  As in a Form,
-    coefficients at or below PRUNE_TOL are zero, but tau0's."""
+    by row so that a triple's values do not depend on its stack."""
     values = _vecmat(t.abc.reshape(-1, 48), _operator())
-    values[(np.abs(values) <= PRUNE_TOL) & _PRUNED] = 0.0
     return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
 
 
@@ -959,8 +955,9 @@ def cross_validate_stack(t, tol=1e-9):
     """The results of every triple of the stack t, as one CrossValidationArrays
     per array pass of at most PASS_SIZE triples, in order.  Each pass runs
     both routes once, over a leading trial axis."""
-    return [_cross_validate_pass(TripleABC._of_validated(t.abc[start:start + PASS_SIZE]), tol)
-            for start in range(0, len(t.abc), PASS_SIZE)]
+    abc = t.abc.reshape(-1, 3, 4, 4)  # a single triple is a stack of one
+    return [_cross_validate_pass(TripleABC._of_validated(abc[start:start + PASS_SIZE]), tol)
+            for start in range(0, len(abc), PASS_SIZE)]
 
 
 def cross_validate_many(triples, tol=1e-9):
@@ -1002,12 +999,11 @@ def _cross_validate_pass(t, tol):
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
     diff = np.abs(tab - oracle)
-    gaps = np.where(diff > PRUNE_TOL, diff, 0.0)  # gating: zero at or below PRUNE_TOL, as in a Form
     for formula in ("dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
                     "iota_tau1_phi[general]"):
-        dev[formula.split("[")[0]] = gaps[:, _COLUMNS[formula]].max(axis=1)
-    # dual reports: tau0 beyond tol, the rest beyond max(tol, PRUNE_TOL), a table on its shape
-    hits = (diff > np.where(_PRUNED, max(tol, PRUNE_TOL), tol)) & _CODE_REPORTS[code]
+        dev[formula.split("[")[0]] = diff[:, _COLUMNS[formula]].max(axis=1)
+    # dual reports: every coefficient beyond tol, a family table only on its shape
+    hits = (diff > tol) & _CODE_REPORTS[code]
     duals = (*np.nonzero(hits), tab[hits], oracle[hits])
 
     # reconstruction identities and component types

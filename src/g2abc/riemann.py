@@ -9,7 +9,7 @@ divergences of a stack of N algebras carry a leading axis of length N."""
 import numpy as np
 
 from ._tables import DIM
-from .exterior import contract, prune
+from .exterior import contract
 from .g2core import STANDARD_PSI
 
 
@@ -20,8 +20,7 @@ def levi_civita(g):
     """
     c = g.c  # c[i,j,k] = <[e_i,e_j], e_k>
     # gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
-    gamma = 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
-    return prune(gamma)
+    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
 
 
 def u_map(g, x, y):
@@ -60,7 +59,7 @@ def ricci(g, gamma):
     ric = ((gamma @ trace[..., None, :, None])[..., 0]
            - rows(gamma) @ moved  # gamma[j,m,i] gamma[i,k,m] over (m, i)
            + rows(g.c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]
-    return prune(0.5 * (ric + ric.swapaxes(-1, -2)))
+    return 0.5 * (ric + ric.swapaxes(-1, -2))
 
 
 def div_torsion(g, gamma, T):
@@ -70,9 +69,7 @@ def div_torsion(g, gamma, T):
     <div T, e_j> = -sum_i T(nabla_{e_i} e_i, e_j) - sum_i T(e_i, nabla_{e_i} e_j).
     """
     Tm = np.asarray(T, dtype=np.float64)
-    # sum_i nabla_{e_i} e_i, pruned like every algebraic intermediate so that
-    # structural zeros survive in floating point
-    trace_vec = prune(np.einsum("...iim->...m", gamma))
+    trace_vec = np.einsum("...iim->...m", gamma)  # sum_i nabla_{e_i} e_i
     term1 = np.einsum("...m,...mj->...j", trace_vec, Tm)
     term2 = np.einsum("...ijm,...im->...j", gamma, Tm)
     return -(term1 + term2) + 0.0  # + 0.0 normalises -0.0 entries

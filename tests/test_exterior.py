@@ -10,13 +10,11 @@ from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
 from g2abc.errors import DegreeError
 from g2abc.exterior import (
     Form,
-    PRUNE_TOL,
     contract,
     contract_basis,
     form_inner,
     hodge,
     matrix_coaction,
-    prune,
     wedge,
 )
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
@@ -72,19 +70,16 @@ def test_out_of_range_index_rejected():
         Form.from_coeffs(1, {(8,): 1.0})
 
 
-def test_prune_threshold_drops_tiny_coefficients():
-    a = Form.from_coeffs(1, {(1,): PRUNE_TOL / 2, (2,): 1.0})
-    assert a.coeffs == {(2,): 1.0}
-
-
-def test_prune_zeroes_up_to_the_threshold_in_a_float64_copy():
-    values = np.array([[PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL], [-2 * PRUNE_TOL, 0.0, 1.0]])
-    values.flags.writeable = False
-    out = prune(values)
-    assert out.dtype == np.float64 and out.flags.writeable
-    assert np.array_equal(out, [[0.0, 0.0, 2 * PRUNE_TOL], [-2 * PRUNE_TOL, 0.0, 1.0]])
-    assert values[0, 0] == PRUNE_TOL  # the input is left as it was
-    assert prune([1, 0]).dtype == np.float64
+def test_form_keeps_tiny_coefficients_in_a_float64_copy():
+    a = Form.from_coeffs(1, {(1,): 1e-20, (2,): 1.0})
+    assert a.coeffs == {(1,): 1e-20, (2,): 1.0}
+    assert hodge(a).coeffs == {(2, 3, 4, 5, 6, 7): 1e-20, (1, 3, 4, 5, 6, 7): -1.0}
+    assert wedge(a, Form.monomial((3,))).coeffs == {(1, 3): 1e-20, (2, 3): 1.0}
+    values = np.array([1, 0, 0, 0, 0, 0, 0])
+    b = Form(1, values)
+    assert b.values.dtype == np.float64
+    values[0] = 2  # the form holds a copy
+    assert b.coeffs == {(1,): 1.0}
 
 
 # -- wedge ----------------------------------------------------------------------

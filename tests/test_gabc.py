@@ -382,6 +382,16 @@ def test_ricci_antidiagonal_example():
     assert np.max(np.abs(ric - oracle)) <= 1e-12
 
 
+def test_generic_ricci_keeps_its_scale_at_small_scales():
+    # at scale 1e-8 every entry of Ric is about 1e-16: nothing may be zeroed
+    t = generate(FamilyKind.ANTIDIAGONAL, 3, 1e-8)
+    alg, _ = build(t)
+    generic = ricci(alg, levi_civita(alg))
+    closed = closed_form_ricci(t)
+    assert np.any(generic)
+    assert np.max(np.abs(generic - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
 def test_ricci_matches_curvature_oracle():
     assert RICCI_A_BLOCK_ORDER == "(e7, e1, e2) <-> (A, B, C)"
     for kind in FamilyKind:
@@ -629,6 +639,15 @@ def test_cross_validate_many_does_not_depend_on_order_or_pass_size(monkeypatch):
         assert_same_report(ref, rep)
     assert calls == {"ce_diff": 8}
     assert cross_validate_many([]) == []
+
+
+def test_cross_validate_stack_takes_a_single_triple_as_a_stack_of_one(monkeypatch):
+    t = generate(FamilyKind.GENERAL, 0)
+    monkeypatch.setattr(gabc, "PASS_SIZE", 2)
+    passes = gabc.cross_validate_stack(t)
+    assert len(passes) == 1
+    (rep,) = passes[0].reports()
+    assert_same_report(cross_validate(t), rep, tol=0.0)
 
 
 def test_cross_validate_divergence_free_key_for_families():
