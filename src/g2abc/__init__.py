@@ -11,7 +11,7 @@ from .errors import (
     TorsionSolveError,
     ValidationError,
 )
-from .exterior import Form, contract, form_inner, hodge, wedge
+from .exterior import Form, contract, hodge, wedge
 from .g2core import (
     G2Structure,
     STANDARD_PHI,
@@ -41,8 +41,8 @@ from .gabc import (
     generate_many,
     theta,
 )
-from .liealg import LieAlgebra7, ce_diff, is_unimodular, jacobi_residual
-from .riemann import div_torsion, flow_velocity, levi_civita, ricci, u_map
+from .liealg import LieAlgebra7, ce_diff
+from .riemann import div_torsion, flow_velocity, levi_civita, ricci
 
 __version__ = "0.1.0"
 
@@ -78,20 +78,16 @@ __all__ = [
     "cross_validate_stack",
     "div_torsion",
     "flow_velocity",
-    "form_inner",
     "full_torsion_from_forms",
     "full_torsion_from_nabla",
     "generate",
     "generate_many",
     "hodge",
-    "is_unimodular",
-    "jacobi_residual",
     "levi_civita",
     "ricci",
     "tau27_tensor",
     "theta",
     "torsion_data",
     "torsion_forms",
-    "u_map",
     "wedge",
 ]

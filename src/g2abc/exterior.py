@@ -192,23 +192,9 @@ def contract(x, a):
     return Form(a.degree - 1, _vecmat(xv, contractions(a)))
 
 
-def contract_basis(m, a):
-    """Interior product by the basis vector e_m (1-based)."""
-    x = np.zeros(DIM)
-    x[m - 1] = 1.0
-    return contract(x, a)
-
-
 def hodge(a):
     """Hodge star: b ^ hodge(a) = <b, a> e^{1...7} for every b of the same degree."""
     return Form(DIM - a.degree, a._vals @ STAR[a.degree].T)
-
-
-def form_inner(a, b):
-    """Inner product of two same-degree forms; the monomials are orthonormal."""
-    if a.degree != b.degree:
-        raise DegreeError(f"inner product needs equal degrees, got {a.degree} and {b.degree}")
-    return float(a._vals @ b._vals)
 
 
 def matrix_coaction(d, a):

@@ -20,8 +20,8 @@ structure constants, the tabulated formulas as one product of the (N, 48)
 entries with an operator built once per process from the formula text.
 ``cross_validate_stack`` cross-validates a stack that way, in passes of at
 most ``PASS_SIZE``, and returns the results as arrays; ``cross_validate_many``
-makes one report per triple from them, and ``cross_validate`` is its
-one-triple case.  ``generate_many`` draws a stack of random triples, of one
+makes one report per triple from them, and ``cross_validate`` runs one triple
+as a stack of one.  ``generate_many`` draws a stack of random triples, of one
 family or a family per trial, at once.
 """
 
@@ -946,9 +946,9 @@ def cross_validate(t, tol=1e-9):
     Gated quantities (the ``deviations`` dict) are the ones the two routes
     must agree on; tabulated formulas known to carry misprints are compared
     coefficient-wise into ``dual_reports`` instead and never gate.  This is
-    the pass of cross_validate_stack, run on the one triple.
+    the pass of cross_validate_stack, run on the triple as a stack of one.
     """
-    return _cross_validate_pass(t, tol).reports()[0]
+    return cross_validate_stack(t, tol)[0].reports()[0]
 
 
 def cross_validate_stack(t, tol=1e-9):
@@ -971,12 +971,10 @@ def cross_validate_many(triples, tol=1e-9):
 
 
 def _cross_validate_pass(t, tol):
-    """The CrossValidationArrays of t, a single triple or a stack, from one
-    run of both routes."""
-    count = t.abc.size // 48
-    rows = lambda x, *tail: np.reshape(x, (count,) + tail)
+    """The CrossValidationArrays of t, a stack of n triples (a single triple is
+    a stack of one), from one run of both routes."""
     alg, s = build(t)
-    code = rows(t._shape_code)
+    code = t._shape_code
     dev = {}
 
     # generic route
@@ -986,16 +984,16 @@ def _cross_validate_pass(t, tol):
     gamma = levi_civita(alg)
     T_nabla = full_torsion_from_nabla(gamma)
     ric = ricci(alg, gamma)
-    div = div_torsion(alg, gamma, T)
+    div = div_torsion(gamma, T)
     flags = classify(
         TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
     iota = contract(tau1.values, s.phi)
 
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
-    tab = rows(tabulated_values(t), -1)
-    torsion = [rows(tau0, 1), *(rows(f.values, -1) for f in (tau1, tau2, tau3, iota))]
-    derivatives = [rows(f.values, -1) for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
+    tab = tabulated_values(t)
+    torsion = [tau0[:, None], *(f.values for f in (tau1, tau2, tau3, iota))]
+    derivatives = [f.values for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
     diff = np.abs(tab - oracle)
@@ -1041,15 +1039,13 @@ def _cross_validate_pass(t, tol):
         "support_tau3_antidiagonal": _form_outside_span(tau3, TAU3_SUPPORT_ANTIDIAGONAL),
     }
 
-    # a single triple's results become a stack of one
     family_dev = map(family_dev.get, _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
-    values = np.array([np.ravel(v) for v in (*dev.values(), *family_dev)]).T
-    applies = np.concatenate([np.ones((count, len(dev)), dtype=bool), _CODE_APPLIES[code]], axis=1)
+    values = np.array([*dev.values(), *family_dev]).T
+    applies = np.hstack([np.ones((len(code), len(dev)), dtype=bool), _CODE_APPLIES[code]])
     return CrossValidationArrays(
         tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=(*dev, *_FAMILY_DEVIATIONS),
         deviations=values, applies=applies,
-        exact_checks={"div_components_3_to_6_zero": rows(div_zero)}, dual_reports=duals,
-        flags=np.reshape([flags.closed, flags.coclosed, flags.torsion_free], (3, count)).T,
-        tau0=rows(tau0), tau1=Form(1, rows(tau1.values, DIMS[1])),
-        tau2=Form(2, rows(tau2.values, DIMS[2])), tau3=Form(3, rows(tau3.values, DIMS[3])),
-        torsion_matrix=rows(T, DIM, DIM), divergence=rows(div, DIM), ricci_matrix=rows(ric, DIM, DIM))
+        exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
+        flags=np.array([flags.closed, flags.coclosed, flags.torsion_free]).T,
+        tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
+        torsion_matrix=T, divergence=div, ricci_matrix=ric)

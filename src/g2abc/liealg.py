@@ -29,21 +29,9 @@ def _as_constants(c):
     return arr
 
 
-def jacobi_residual(c):
-    """Max-abs residual of the Jacobi identity over all basis triples
-    (and over every algebra of an (N, 7, 7, 7) stack).
-
-    Accepts a raw structure-constant array or a LieAlgebra7; the constants
-    must be exactly antisymmetric in i, j, as LieAlgebra7 checks.  The
-    Jacobiator is then alternating in (i, j, k), so the 35 triples i < j < k
-    give the maximum over all 343.
-    """
-    arr = (c if isinstance(c, LieAlgebra7) else LieAlgebra7(c, check=False)).c
-    return float(np.max(_jacobi_residuals(arr)))
-
-
 def _jacobi_residuals(arr):
-    """The residual of jacobi_residual per algebra of the constants arr."""
+    """Max-abs Jacobi residual per algebra of the constants arr, exactly antisymmetric
+    in i, j: the Jacobiator is then alternating, so 35 triples i < j < k give the max."""
     # t[p, k, m] = [[e_i, e_j], e_k]_m for the pair p = (i, j), i < j
     lead = arr.shape[:-3]
     t = (arr[..., _PAIR_I, _PAIR_J, :] @ arr.reshape(lead + (DIM, DIM * DIM))
@@ -62,41 +50,20 @@ class LieAlgebra7:
 
     __slots__ = ("c",)
 
-    def __init__(self, c, check=True):
+    def __init__(self, c):
         arr = _as_constants(c)
         if np.max(np.abs(arr + np.swapaxes(arr, -3, -2))) != 0.0:
             raise ValidationError("structure constants are not exactly antisymmetric in i, j")
         arr = arr.copy()
         arr.flags.writeable = False
         self.c = arr
-        if check:
-            res, b = _jacobi_residuals(arr), np.maximum(1.0, np.abs(arr).max(axis=(-3, -2, -1)))
-            bad = np.ravel(~(res / b <= JACOBI_TOL * b))  # per algebra; b * b could overflow
-            if bad.any():
-                n = int(bad.argmax())
-                raise ValidationError.of_trial(
-                    n, bad.size, f"Jacobi identity violated: residual {res.flat[n]:g} > "
-                                 f"{JACOBI_TOL * b.flat[n] ** 2:g}")
-
-    @classmethod
-    def abelian(cls):
-        return cls(np.zeros((DIM, DIM, DIM)))
-
-    def bracket(self, x, y):
-        """[x, y] for coefficient vectors x, y."""
-        xv = np.asarray(x, dtype=np.float64)
-        yv = np.asarray(y, dtype=np.float64)
-        return np.einsum("i,j,ijk->k", xv, yv, self.c)
-
-    def basis_bracket(self, i, j):
-        """[e_i, e_j] for 1-based basis labels."""
-        return self.c[i - 1, j - 1].copy()
-
-
-def is_unimodular(g, tol=1e-12):
-    """True when every adjoint map ad_{e_i} is traceless within tol."""
-    traces = np.einsum("ikk->i", g.c)
-    return bool(np.max(np.abs(traces)) <= tol)
+        res, b = _jacobi_residuals(arr), np.maximum(1.0, np.abs(arr).max(axis=(-3, -2, -1)))
+        bad = np.ravel(~(res / b <= JACOBI_TOL * b))  # per algebra; b * b could overflow
+        if bad.any():
+            n = int(bad.argmax())
+            raise ValidationError.of_trial(
+                n, bad.size, f"Jacobi identity violated: residual {res.flat[n]:g} > "
+                             f"{JACOBI_TOL * b.flat[n] ** 2:g}")
 
 
 def ce_diff(g, a):

@@ -23,18 +23,6 @@ def levi_civita(g):
     return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
 
 
-def u_map(g, x, y):
-    """The symmetric bilinear part of the connection:
-
-    2 <U(X,Y), Z> = <[Z,X], Y> - <[Y,Z], X>;   nabla_X Y = [X,Y]/2 + U(X,Y).
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    zx = np.einsum("kil,i,l->k", g.c, xv, yv)   # <[e_k, x], y>
-    yz = np.einsum("jkl,j,l->k", g.c, yv, xv)   # <[y, e_k], x>
-    return 0.5 * (zx - yz)
-
-
 def riemann_tensor(g, gamma):
     """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
@@ -62,7 +50,7 @@ def ricci(g, gamma):
     return 0.5 * (ric + ric.swapaxes(-1, -2))
 
 
-def div_torsion(g, gamma, T):
+def div_torsion(gamma, T):
     """Divergence of a left-invariant (0,2) tensor in the orthonormal frame e_1..e_7,
     for the connection gamma:
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from g2abc._tables import DIMS
-from g2abc.exterior import Form
+from g2abc._tables import DIM, DIMS
+from g2abc.exterior import Form, contract
 from g2abc.gabc import TripleABC
+from g2abc.liealg import _jacobi_residuals
 
 
 def random_form(rng, degree, scale=1.0):
@@ -24,6 +25,21 @@ def e_matrix(i, j, value=1.0):
     m = np.zeros((4, 4))
     m[i - 3, j - 3] = value
     return m
+
+
+def contract_basis(m, a):
+    """Interior product of the form a by the basis vector e_m (1-based)."""
+    return contract(np.eye(DIM)[m - 1], a)
+
+
+def form_inner(a, b):
+    """Inner product of two same-degree forms; the monomials are orthonormal."""
+    return float(a.values @ b.values)
+
+
+def jacobi_residual(c):
+    """Largest Jacobi residual of the structure constants c (over a whole stack)."""
+    return float(np.max(_jacobi_residuals(np.asarray(c, dtype=np.float64))))
 
 
 def unstack(t):

@@ -197,7 +197,7 @@ def test_criterion_8_spot_values():
     td = torsion_data(s)
     assert td.tau2.coeffs == {(3, 4): -2.0, (5, 6): 2.0}
     assert ce_diff(alg, s.phi).is_zero()
-    div = div_torsion(alg, levi_civita(alg), td.T)
+    div = div_torsion(levi_civita(alg), td.T)
     assert not np.any(div)
     assert not np.any(closed_form_divergence(diag, td.tau27))
 

@@ -11,8 +11,6 @@ from g2abc.errors import DegreeError
 from g2abc.exterior import (
     Form,
     contract,
-    contract_basis,
-    form_inner,
     hodge,
     matrix_coaction,
     wedge,
@@ -20,7 +18,7 @@ from g2abc.exterior import (
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
 from g2abc.gabc import OMEGA
 
-from helpers import random_form, random_monomial
+from helpers import contract_basis, form_inner, random_form, random_monomial
 
 TOP = (1, 2, 3, 4, 5, 6, 7)
 
@@ -193,11 +191,6 @@ def test_inner_products_of_omegas():
     assert form_inner(OMEGA[1], OMEGA[2]) == 0.0
     assert form_inner(OMEGA[7], OMEGA[7]) == 2.0
     assert form_inner(Form.monomial((1, 2)), Form.monomial((1, 2))) == 1.0
-
-
-def test_inner_degree_mismatch():
-    with pytest.raises(DegreeError):
-        form_inner(Form.monomial((1,)), Form.monomial((1, 2)))
 
 
 # -- the contraction and wedge tables of the reference 3-form ---------------------

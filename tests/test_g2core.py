@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from g2abc.errors import TorsionSolveError
-from g2abc.exterior import Form, contract_basis, contractions, hodge, matrix_coaction, wedge
+from g2abc.exterior import Form, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
     PSI_COLUMNS,
     STANDARD_PHI,
@@ -17,7 +17,7 @@ from g2abc.g2core import (
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.riemann import levi_civita
 
-from helpers import ZERO4, e_matrix
+from helpers import ZERO4, contract_basis, e_matrix
 
 
 def make(A=ZERO4, B=ZERO4, C=ZERO4):

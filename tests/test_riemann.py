@@ -1,6 +1,5 @@
 import numpy as np
 
-from g2abc.exterior import contract_basis
 from g2abc.g2core import STANDARD_PSI, torsion_data
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.liealg import LieAlgebra7
@@ -10,10 +9,9 @@ from g2abc.riemann import (
     levi_civita,
     ricci,
     riemann_tensor,
-    u_map,
 )
 
-from helpers import ZERO4, e_matrix
+from helpers import ZERO4, contract_basis
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -57,6 +55,7 @@ def test_diag_example_connection_entries():
     gamma = levi_civita(alg)
     assert not np.any(gamma[6, 2])                       # nabla_{e7} e3 = 0
     assert np.array_equal(gamma[2, 6], -basis_vec(3))    # nabla_{e3} e7 = -e3
+    assert np.array_equal(gamma[2, 2], basis_vec(7))     # nabla_{e3} e3 = U(e3, e3) = a33 e7
 
 
 def test_connection_invariants_on_random_triples():
@@ -71,32 +70,20 @@ def test_connection_invariants_on_random_triples():
 
 # -- U map ---------------------------------------------------------------------------
 
-def test_u_map_symmetric(rng):
-    alg, s = build(generate(FamilyKind.GENERAL, 110))
-    for _ in range(20):
-        x, y = rng.standard_normal(7), rng.standard_normal(7)
-        assert np.max(np.abs(u_map(alg, x, y) - u_map(alg, y, x))) <= 1e-12
-
-
-def test_u_map_diag_example():
-    alg, s = make(A=DIAG_A)
-    u = u_map(alg, basis_vec(3), basis_vec(3))
-    assert np.array_equal(u, basis_vec(7))  # <S(A)e3, e3> e7 = a33 e7
-
-
-def test_u_map_vanishes_for_bi_invariant_metric(rng):
+def test_connection_of_a_bi_invariant_metric_is_half_the_bracket():
+    # U vanishes for a bi-invariant metric, so nabla_X Y = [X, Y] / 2
     alg = so3_plus_r4()
-    for _ in range(20):
-        x, y = rng.standard_normal(7), rng.standard_normal(7)
-        assert np.max(np.abs(u_map(alg, x, y))) <= 1e-12
+    assert np.max(np.abs(levi_civita(alg) - 0.5 * alg.c)) <= 1e-12
 
 
 def test_u_map_decomposes_connection(rng):
+    # nabla_X Y = [X,Y]/2 + U(X,Y) with 2 <U(X,Y), Z> = <[Z,X], Y> - <[Y,Z], X>
     alg, s = build(generate(FamilyKind.GENERAL, 115))
     gamma = levi_civita(alg)
     for i in range(7):
         for j in range(7):
-            expected = 0.5 * alg.c[i, j] + u_map(alg, basis_vec(i + 1), basis_vec(j + 1))
+            u = 0.5 * (alg.c[:, i, j] - alg.c[j, :, i])  # U(e_i, e_j)
+            expected = 0.5 * alg.c[i, j] + u
             assert np.max(np.abs(gamma[i, j] - expected)) <= 1e-12
 
 
@@ -150,7 +137,7 @@ def test_ricci_is_the_contraction_of_the_curvature_tensor():
 
 def test_divergence_of_zero_tensor():
     alg, s = make(A=DIAG_A)
-    assert not np.any(div_torsion(alg, levi_civita(alg), np.zeros((7, 7))))
+    assert not np.any(div_torsion(levi_civita(alg), np.zeros((7, 7))))
 
 
 def test_divergence_free_families_small_sample():
@@ -159,14 +146,14 @@ def test_divergence_free_families_small_sample():
         for seed in range(5):
             alg, s = build(generate(kind, 140 + seed))
             td = torsion_data(s)
-            div = div_torsion(alg, levi_civita(alg), td.T)
+            div = div_torsion(levi_civita(alg), td.T)
             assert np.max(np.abs(div)) <= 1e-9, (kind, seed)
 
 
 def test_closed_example_is_divergence_free():
     alg, s = make(A=DIAG_A)
     td = torsion_data(s)
-    div = div_torsion(alg, levi_civita(alg), td.T)
+    div = div_torsion(levi_civita(alg), td.T)
     assert not np.any(div)
 
 
