@@ -37,6 +37,11 @@ def form_inner(a, b):
     return float(a.values @ b.values)
 
 
+def is_unimodular(g, tol=1e-12):
+    """True when every adjoint map ad_{e_i} of the algebra g is traceless within tol."""
+    return bool(np.max(np.abs(np.einsum("...ikk->...i", g.c))) <= tol)
+
+
 def jacobi_residual(c):
     """Largest Jacobi residual of the structure constants c (over a whole stack)."""
     return float(np.max(_jacobi_residuals(np.asarray(c, dtype=np.float64))))

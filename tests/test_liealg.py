@@ -7,7 +7,7 @@ from g2abc.exterior import Form, wedge
 from g2abc.gabc import FamilyKind, generate, structure_constants
 from g2abc.liealg import LieAlgebra7, ce_diff
 
-from helpers import ZERO4, e_matrix, jacobi_residual, random_form
+from helpers import ZERO4, e_matrix, is_unimodular, jacobi_residual, random_form
 
 
 def algebra_from(A, B=ZERO4, C=ZERO4):
@@ -105,6 +105,23 @@ def test_constructor_rejects_non_antisymmetric_constants():
     c[0, 1, 2] = 1.0  # missing the mirrored entry
     with pytest.raises(ValidationError, match="antisymmetric"):
         LieAlgebra7(c)
+
+
+# -- unimodularity: every ad_{e_i} is traceless -------------------------------------
+
+def test_unimodular_for_traceless_triples():
+    g = algebra_from(*generate(FamilyKind.DIAGONAL, 2).matrices())
+    assert is_unimodular(g)
+
+
+def test_abelian_is_unimodular():
+    g = algebra_from(ZERO4)
+    assert not np.any(g.c) and is_unimodular(g)
+
+
+def test_non_traceless_matrix_breaks_unimodularity():
+    g = algebra_from(np.diag([1.0, 0.0, 0.0, 0.0]))  # still a Lie algebra: the check passes
+    assert not is_unimodular(g)
 
 
 # -- Chevalley-Eilenberg differential ------------------------------------------------

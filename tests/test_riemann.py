@@ -55,7 +55,6 @@ def test_diag_example_connection_entries():
     gamma = levi_civita(alg)
     assert not np.any(gamma[6, 2])                       # nabla_{e7} e3 = 0
     assert np.array_equal(gamma[2, 6], -basis_vec(3))    # nabla_{e3} e7 = -e3
-    assert np.array_equal(gamma[2, 2], basis_vec(7))     # nabla_{e3} e3 = U(e3, e3) = a33 e7
 
 
 def test_connection_invariants_on_random_triples():
@@ -70,10 +69,30 @@ def test_connection_invariants_on_random_triples():
 
 # -- U map ---------------------------------------------------------------------------
 
-def test_connection_of_a_bi_invariant_metric_is_half_the_bracket():
-    # U vanishes for a bi-invariant metric, so nabla_X Y = [X, Y] / 2
+def u_map(alg):
+    """U[i, j] = U(e_i, e_j), the part of the connection beyond [e_i, e_j] / 2."""
+    return levi_civita(alg) - 0.5 * alg.c
+
+
+def test_u_map_symmetric(rng):
+    alg, s = build(generate(FamilyKind.GENERAL, 110))
+    u = u_map(alg)
+    for _ in range(20):
+        x, y = rng.standard_normal(7), rng.standard_normal(7)
+        uxy = np.einsum("i,j,ijk->k", x, y, u)
+        uyx = np.einsum("i,j,ijk->k", y, x, u)
+        assert np.max(np.abs(uxy - uyx)) <= 1e-12
+
+
+def test_u_map_diag_example():
+    alg, s = make(A=DIAG_A)
+    assert np.array_equal(u_map(alg)[2, 2], basis_vec(7))  # <S(A)e3, e3> e7 = a33 e7
+
+
+def test_u_map_vanishes_for_bi_invariant_metric():
+    # so nabla_X Y = [X, Y] / 2
     alg = so3_plus_r4()
-    assert np.max(np.abs(levi_civita(alg) - 0.5 * alg.c)) <= 1e-12
+    assert np.max(np.abs(u_map(alg))) <= 1e-12
 
 
 def test_u_map_decomposes_connection(rng):
