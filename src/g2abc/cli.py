@@ -15,8 +15,10 @@ import numpy as np
 
 from . import gabc
 from .errors import G2ABCError, ValidationError
+from .g2core import DEFAULT_TOL
 from .gabc import (
     MAX_SCALE,
+    RICCI_A_BLOCK_ORDER,
     FamilyKind,
     ReferenceCheck,
     TripleABC,
@@ -38,9 +40,6 @@ CASES = {
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
-
-
-DEFAULT_TOL = 1e-9
 
 
 def tolerance(text):
@@ -105,12 +104,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    @staticmethod
-    def exit_with(message):
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_INPUT
+        raise SystemExit(EXIT_INPUT)
 
 
 def _form_map(form):
@@ -121,10 +116,12 @@ def load_triple(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise G2ABCError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise G2ABCError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise G2ABCError(f"{path} must hold a JSON object with matrices A, B, C")
     try:
         mats = {name: np.asarray(data[name], dtype=np.float64) for name in ("A", "B", "C")}
     except KeyError as exc:
@@ -147,12 +144,8 @@ def build_report(t, tol):
         "torsion_matrix": rep.torsion_matrix.tolist(),
         "div_torsion": rep.divergence.tolist(),
         "ricci": rep.ricci_matrix.tolist(),
-        "ricci_block_order": rep.ricci_block_order,
-        "flags": {
-            "closed": rep.flags.closed,
-            "coclosed": rep.flags.coclosed,
-            "torsion_free": rep.flags.torsion_free,
-        },
+        "ricci_block_order": RICCI_A_BLOCK_ORDER,
+        "flags": vars(rep.flags),
         "deviations": {k: float(v) for k, v in rep.deviations.items()},
         "exact_checks": dict(rep.exact_checks),
         "dual_reports": [vars(r) for r in rep.dual_reports],
@@ -160,41 +153,37 @@ def build_report(t, tol):
     }
 
 
-def _print_text_report(report, out):
-    print(f"family: {report['family']}", file=out)
+def _print_text_report(report):
+    print(f"family: {report['family']}")
     flags = report["flags"]
     kinds = [name for name in ("closed", "coclosed", "torsion_free") if flags[name]]
-    print(f"class: {', '.join(kinds) if kinds else 'generic (none of closed/coclosed)'}", file=out)
-    print(f"tau0 = {report['tau0']:.12g}", file=out)
+    print(f"class: {', '.join(kinds) if kinds else 'generic (none of closed/coclosed)'}")
+    print(f"tau0 = {report['tau0']:.12g}")
     for name in ("tau1", "tau2", "tau3"):
         coeffs = report[name]
         if coeffs:
             body = "  ".join(f"{v:+.12g} e{k}" for k, v in sorted(coeffs.items()))
         else:
             body = "0"
-        print(f"{name} = {body}", file=out)
+        print(f"{name} = {body}")
     div = report["div_torsion"]
-    print("div T =", "  ".join(f"{v:+.12g}" for v in div), file=out)
+    print("div T =", "  ".join(f"{v:+.12g}" for v in div))
     worst = max(report["deviations"].items(), key=lambda kv: kv[1])
     print(f"cross-validation: worst deviation {worst[1]:.3e} ({worst[0]}), "
-          f"tol {report['tol']:g}", file=out)
+          f"tol {report['tol']:g}")
     for dual in report["dual_reports"]:
         print(f"  note: {dual['formula']} {dual['component']}: tabulated "
-              f"{dual['tabulated']:.12g} vs computed {dual['computed']:.12g}", file=out)
-    print(f"passed: {report['passed']}", file=out)
+              f"{dual['tabulated']:.12g} vs computed {dual['computed']:.12g}")
+    print(f"passed: {report['passed']}")
 
 
 def cmd_analyze(args):
-    try:
-        triple = load_triple(args.input)
-    except G2ABCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    triple = load_triple(args.input)
     report = build_report(triple, args.tol)
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        _print_text_report(report, sys.stdout)
+        _print_text_report(report)
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
 
@@ -285,8 +274,7 @@ def cmd_gen(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise G2ABCError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 

@@ -129,15 +129,17 @@ def full_torsion_from_forms(tau0, tau1, tau2, tau27):
 #: columns are orthogonal of squared norm 4, so A^T A = 4 I exactly and the
 #: least-squares solution of A v = rhs is A^T rhs / 4.
 PSI_COLUMNS = contractions(STANDARD_PSI).T
+#: Largest residual of a torsion solve, relative to max(1, max|gamma|).
+SOLVE_TOL = 1e-9
 
 
-def full_torsion_from_nabla(gamma, tol=1e-9):
+def full_torsion_from_nabla(gamma):
     """Full torsion tensor from the Levi-Civita connection gamma (nabla_{e_i} e_j =
     sum_k gamma[i, j, k] e_k): solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
     The 35x7 system, with one right-hand side per e_i, is solved in the
     least-squares sense as PSI_COLUMNS^T rhs / 4.  A residual above
-    tol * max(1, max|gamma|) on any connection of a stack (the right-hand
+    SOLVE_TOL * max(1, max|gamma|) on any connection of a stack (the right-hand
     side is linear in gamma) signals an inconsistent connection/structure pair.
     """
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
@@ -147,7 +149,7 @@ def full_torsion_from_nabla(gamma, tol=1e-9):
             @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
     v = 0.25 * (PSI_COLUMNS.T @ rhs)
     residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
-    bound = tol * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
+    bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
     bad = np.ravel(residual > bound)
     if bad.any():
         n = bad.argmax()
@@ -186,7 +188,11 @@ class TorsionClass:
     torsion_free: bool
 
 
-def classify(td, tol=1e-9):
+#: The default tolerance of classify and of the cross-validation.
+DEFAULT_TOL = 1e-9
+
+
+def classify(td, tol=DEFAULT_TOL):
     """Closed / coclosed / torsion-free flags from the torsion magnitudes;
     for torsion data of a stack, each flag is a list with one bool per member."""
     n0 = np.abs(td.tau0)

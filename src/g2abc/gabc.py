@@ -36,21 +36,18 @@ from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
 from .exterior import Form, _vecmat, contract, matrix_coaction, wedge
 from .g2core import (
+    DEFAULT_TOL,
     G2Structure,
     TorsionClass,
-    TorsionData,
     classify,
-    full_torsion_from_forms,
     full_torsion_from_nabla,
     reconstruction_residuals,
-    tau27_tensor,
-    torsion_forms,
+    torsion_data,
 )
 from .liealg import LieAlgebra7, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
 from .riemann import div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
-A_INDICES = (1, 2, 7)
 
 #: Fundamental 2-forms on the ideal n (self-dual for the induced 4-dim star).
 OMEGA = {
@@ -90,6 +87,8 @@ TAU3_SUPPORT_ANTIDIAGONAL = (
 #: Resolution of the a-block ordering of the closed-form Ricci operator,
 #: validated against the curvature oracle (see cross_validate).
 RICCI_A_BLOCK_ORDER = "(e7, e1, e2) <-> (A, B, C)"
+#: The 0-based rows of e7, e1, e2, the elements of a acting on n by A, B, C.
+_ABC_ROWS = (6, 0, 1)
 
 _ANTIDIAG_SLOTS = ((0, 3), (1, 2), (2, 1), (3, 0))
 _OFF_DIAG = ~np.eye(4, dtype=bool)
@@ -243,7 +242,7 @@ def classify_triple(t):
 def structure_constants(A, B, C):
     """Raw structure constants of g_{A,B,C} (no invariant checks)."""
     c = np.zeros(np.shape(A)[:-2] + (DIM, DIM, DIM))
-    for row, M in ((6, A), (0, B), (1, C)):
+    for row, M in zip(_ABC_ROWS, (A, B, C)):
         mt = _transpose(np.asarray(M, dtype=np.float64))
         c[..., row, 2:6, 2:6] = mt
         c[..., 2:6, row, 2:6] = -mt
@@ -648,7 +647,7 @@ def closed_form_connection(t):
               = sum_l <S(D^l) X, Y> e_l            X, Y in n
     """
     gamma = np.zeros(t.abc.shape[:-3] + (DIM, DIM, DIM))
-    for row, M in ((6, t.A), (0, t.B), (1, t.C)):
+    for row, M in zip(_ABC_ROWS, t.matrices()):
         am, sm = _skew(M), _sym(M)
         gamma[..., row, 2:6, 2:6] = _transpose(am)
         gamma[..., 2:6, row, 2:6] = -_transpose(sm)
@@ -668,12 +667,13 @@ def closed_form_ricci(t):
     ric[..., 2:6, 2:6] = 0.5 * (comm(A) + comm(B) + comm(C))
     sa, sb, sc = _sym(A), _sym(B), _sym(C)
     tr = lambda M, N: np.trace(M @ N, axis1=-2, axis2=-1)
-    ric[..., 6, 6] = -tr(sa, sa)
-    ric[..., 0, 0] = -tr(sb, sb)
-    ric[..., 1, 1] = -tr(sc, sc)
-    ric[..., 6, 0] = ric[..., 0, 6] = -tr(sa, B)
-    ric[..., 6, 1] = ric[..., 1, 6] = -tr(sa, C)
-    ric[..., 0, 1] = ric[..., 1, 0] = -tr(sb, C)
+    ra, rb, rc = _ABC_ROWS
+    ric[..., ra, ra] = -tr(sa, sa)
+    ric[..., rb, rb] = -tr(sb, sb)
+    ric[..., rc, rc] = -tr(sc, sc)
+    ric[..., ra, rb] = ric[..., rb, ra] = -tr(sa, B)
+    ric[..., ra, rc] = ric[..., rc, ra] = -tr(sa, C)
+    ric[..., rb, rc] = ric[..., rc, rb] = -tr(sb, C)
     return ric
 
 
@@ -692,7 +692,7 @@ def closed_form_divergence(t, tau27):
     block = np.asarray(tau27, dtype=np.float64)[..., 2:6, 2:6]
     div = np.zeros(block.shape[:-2] + (DIM,))
     diag = lambda M: np.diagonal(M, axis1=-2, axis2=-1)
-    for row, M in ((6, t.A), (0, t.B), (1, t.C)):
+    for row, M in zip(_ABC_ROWS, t.matrices()):
         sm = _sym(M)
         diag_term = np.sum(diag(M) * diag(block), axis=-1)
         off = sm * block
@@ -827,8 +827,12 @@ class ReferenceCheck:
 
 @dataclass
 class CrossValidationReport:
+    """One triple's results, as CrossValidationArrays.reports makes them: the
+    deviations that gate its family, and ``passed``, CrossValidationArrays.passed."""
+
     family: str
     tol: float
+    passed: bool
     deviations: dict = field(default_factory=dict)
     exact_checks: dict = field(default_factory=dict)
     dual_reports: list = field(default_factory=list)
@@ -840,12 +844,6 @@ class CrossValidationReport:
     torsion_matrix: np.ndarray = None
     divergence: np.ndarray = None
     ricci_matrix: np.ndarray = None
-    ricci_block_order: str = RICCI_A_BLOCK_ORDER
-
-    @property
-    def passed(self):
-        return (all(v <= self.tol for v in self.deviations.values())
-                and all(self.exact_checks.values()))
 
 
 class CrossValidationArrays(typing.NamedTuple):
@@ -884,6 +882,7 @@ class CrossValidationArrays(typing.NamedTuple):
         return ok
 
     def reports(self):
+        passed = self.passed().tolist()
         dev_rows, applies = self.deviations.tolist(), self.applies.tolist()
         flag_rows = self.flags.tolist()
         exact_rows = {key: check.tolist() for key, check in self.exact_checks.items()}
@@ -891,7 +890,7 @@ class CrossValidationArrays(typing.NamedTuple):
         for n, *check in zip(*(a.tolist() for a in self.dual_reports)):
             duals[n].append(ReferenceCheck.of_column(*check))
         return [CrossValidationReport(
-            family=family.value, tol=self.tol,
+            family=family.value, tol=self.tol, passed=passed[n],
             deviations={q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n]) if a},
             exact_checks={key: rows[n] for key, rows in exact_rows.items()},
             dual_reports=duals[n],
@@ -935,12 +934,11 @@ _FAMILY_DEVIATIONS = {
 #: _CODE_APPLIES[code, q]: whether the q-th of them gates the family of the shape code.
 _CODE_APPLIES = np.array([[f in fs for fs in _FAMILY_DEVIATIONS.values()] for f in _CODE_FAMILY])
 
-_A_ROWS = [k - 1 for k in A_INDICES]
 #: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
 
 
-def cross_validate(t, tol=1e-9):
+def cross_validate(t, tol=DEFAULT_TOL):
     """Run every tabulated formula against its generic-route counterpart.
 
     Gated quantities (the ``deviations`` dict) are the ones the two routes
@@ -951,7 +949,7 @@ def cross_validate(t, tol=1e-9):
     return cross_validate_stack(t, tol)[0].reports()[0]
 
 
-def cross_validate_stack(t, tol=1e-9):
+def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The results of every triple of the stack t, as one CrossValidationArrays
     per array pass of at most PASS_SIZE triples, in order.  Each pass runs
     both routes once, over a leading trial axis."""
@@ -960,7 +958,7 @@ def cross_validate_stack(t, tol=1e-9):
             for start in range(0, len(abc), PASS_SIZE)]
 
 
-def cross_validate_many(triples, tol=1e-9):
+def cross_validate_many(triples, tol=DEFAULT_TOL):
     """The cross_validate report of every triple of the given triples and
     stacks of triples, in input order, from the passes of cross_validate_stack."""
     triples = list(triples)
@@ -971,28 +969,26 @@ def cross_validate_many(triples, tol=1e-9):
 
 
 def _cross_validate_pass(t, tol):
-    """The CrossValidationArrays of t, a stack of n triples (a single triple is
-    a stack of one), from one run of both routes."""
+    """The CrossValidationArrays of t, a stack of n triples, from one run of
+    both routes: the generic route from torsion_data and the connection, the
+    tabulated one from tabulated_values and the closed forms."""
     alg, s = build(t)
     code = t._shape_code
     dev = {}
 
     # generic route
-    tau0, tau1, tau2, tau3 = torsion_forms(s)
-    tau27 = tau27_tensor(tau3)
-    T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
+    td = torsion_data(s)
     gamma = levi_civita(alg)
     T_nabla = full_torsion_from_nabla(gamma)
     ric = ricci(alg, gamma)
-    div = div_torsion(gamma, T)
-    flags = classify(
-        TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T), tol)
-    iota = contract(tau1.values, s.phi)
+    div = div_torsion(gamma, td.T)
+    flags = classify(td, tol)
+    iota = contract(td.tau1.values, s.phi)
 
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
-    torsion = [tau0[:, None], *(f.values for f in (tau1, tau2, tau3, iota))]
+    torsion = [td.tau0[:, None], *(f.values for f in (td.tau1, td.tau2, td.tau3, iota))]
     derivatives = [f.values for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
@@ -1005,38 +1001,38 @@ def _cross_validate_pass(t, tol):
     duals = (*np.nonzero(hits), tab[hits], oracle[hits])
 
     # reconstruction identities and component types
-    rec1, rec2 = reconstruction_residuals(s, tau0, tau1, tau2, tau3)
+    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, td.tau3)
     dev["reconstruction_dphi"] = rec1
     dev["reconstruction_dpsi"] = rec2
-    dev["tau2_type14"] = wedge(tau2, s.psi).norm_inf()
-    dev["tau3_type27_phi"] = wedge(tau3, s.phi).norm_inf()
-    dev["tau3_type27_psi"] = wedge(tau3, s.psi).norm_inf()
+    dev["tau2_type14"] = wedge(td.tau2, s.psi).norm_inf()
+    dev["tau3_type27_phi"] = wedge(td.tau3, s.phi).norm_inf()
+    dev["tau3_type27_psi"] = wedge(td.tau3, s.psi).norm_inf()
 
     # support patterns
     dev["support_iota_tau1_phi"] = _form_outside_span(iota, TWO_FORM_SUPPORT)
-    dev["support_tau2"] = _form_outside_span(tau2, TWO_FORM_SUPPORT)
-    dev["support_tau3"] = _form_outside_span(tau3, TAU3_SUPPORT)
+    dev["support_tau2"] = _form_outside_span(td.tau2, TWO_FORM_SUPPORT)
+    dev["support_tau3"] = _form_outside_span(td.tau3, TAU3_SUPPORT)
 
     # tau27 block structure: mixed a x n entries vanish
-    dev["tau27_mixed_block"] = _max_abs(tau27[..., _A_ROWS, 2:6], 2)
+    dev["tau27_mixed_block"] = _max_abs(td.tau27[..., _ABC_ROWS, 2:6], 2)
 
     # torsion tensor: the two routes
-    dev["torsion_routes"] = _max_abs(T - T_nabla, 2)
+    dev["torsion_routes"] = _max_abs(td.T - T_nabla, 2)
 
     # connection, Ricci, divergence
     dev["connection"] = _max_abs(closed_form_connection(t) - gamma, 3)
     dev["ricci"] = _max_abs(closed_form_ricci(t) - ric, 2)
-    div_cf = closed_form_divergence(t, tau27)
+    div_cf = closed_form_divergence(t, td.tau27)
     dev["divergence"] = _max_abs(div_cf - div)
     div_zero = (div[..., 2:6] == 0.0).all(axis=-1) & (div_cf[..., 2:6] == 0.0).all(axis=-1)
 
     # family-specific content, kept below for the triples of that family
     family_dev = {
         "divergence_free": _max_abs(div),
-        "tau27_diagonal_nn": _max_abs(np.diagonal(tau27, axis1=-2, axis2=-1)[..., 2:6]),
-        "support_tau3_diagonal": _form_outside_span(tau3, TAU3_SUPPORT_DIAGONAL),
-        "tau27_antidiagonal_pairs": _max_abs(tau27[(...,) + _ANTIDIAG_PAIRS]),
-        "support_tau3_antidiagonal": _form_outside_span(tau3, TAU3_SUPPORT_ANTIDIAGONAL),
+        "tau27_diagonal_nn": _max_abs(np.diagonal(td.tau27, axis1=-2, axis2=-1)[..., 2:6]),
+        "support_tau3_diagonal": _form_outside_span(td.tau3, TAU3_SUPPORT_DIAGONAL),
+        "tau27_antidiagonal_pairs": _max_abs(td.tau27[(...,) + _ANTIDIAG_PAIRS]),
+        "support_tau3_antidiagonal": _form_outside_span(td.tau3, TAU3_SUPPORT_ANTIDIAGONAL),
     }
 
     family_dev = map(family_dev.get, _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
@@ -1047,5 +1043,5 @@ def _cross_validate_pass(t, tol):
         deviations=values, applies=applies,
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
         flags=np.array([flags.closed, flags.coclosed, flags.torsion_free]).T,
-        tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
-        torsion_matrix=T, divergence=div, ricci_matrix=ric)
+        tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
+        torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

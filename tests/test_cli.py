@@ -61,6 +61,22 @@ def test_analyze_rejects_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"A": "\xff"}', "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 7: "
+                       "invalid start byte"),
+    (b"[1, 2, 3]", "{} must hold a JSON object with matrices A, B, C"),
+    (b"42", "{} must hold a JSON object with matrices A, B, C"),
+    (b'{"A": [], "B": [], "C": "x"}',
+     "{} holds non-numeric matrix data: could not convert string to float: 'x'"),
+])
+def test_analyze_rejects_malformed_file(tmp_path, capsys, content, message):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    assert main(["analyze", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path)}\n" and not captured.out
+
+
 def test_analyze_rejects_missing_file(capsys):
     assert main(["analyze", "--input", "/nonexistent/x.json"]) == 1
 
@@ -115,6 +131,12 @@ def test_verify_rejects_trials_below_one(capsys, trials):
 def test_verify_rejects_bad_tolerance(capsys, tol):
     assert main(["verify", "--case", "diag", "--trials", "1", "--tol", tol]) == 1
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed"])
+def test_verify_rejects_a_non_integer(capsys, option):
+    assert main(["verify", "--case", "diag", option, "x"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: 'x' is not an integer\n")
 
 
 def test_verify_rejects_negative_seed(capsys):
@@ -257,6 +279,14 @@ def test_gen_antidiagonal_shape(tmp_path):
         for slot in ((0, 3), (1, 2), (2, 1), (3, 0)):
             mask[slot] = False
         assert np.all(m[mask] == 0.0)
+
+
+def test_gen_writes_the_generated_triple_at_the_given_scale(tmp_path):
+    path = tmp_path / "adiag.json"
+    assert main(["gen", "--case", "adiag", "--seed", "1", "--scale", "1e3", "--out", str(path)]) == 0
+    t = gabc.generate(gabc.FamilyKind.ANTIDIAGONAL, 1, 1e3)
+    assert json.loads(path.read_text()) == {"A": t.A.tolist(), "B": t.B.tolist(),
+                                            "C": t.C.tolist(), "family": "antidiagonal", "seed": 1}
 
 
 def test_gen_rejects_negative_seed(tmp_path, capsys):

@@ -367,6 +367,31 @@ def test_operators_on_a_stack_match_each_form(rng):
     assert_rows(matrix_coaction(d[0], a), lambda n: matrix_coaction(d[0], a[n]))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Form(8, []), DegreeError, "degree 8 outside 0..7"),
+    (lambda: Form(2, np.zeros(20)), DegreeError, "degree-2 form needs 21 coefficients, got (20,)"),
+    (lambda: Form.from_coeffs(2, {(1, 2, 3): 1.0}), DegreeError,
+     "key (1, 2, 3) has length 3, expected 2"),
+    (lambda: STANDARD_PHI(1, 2), DegreeError, "expected 3 indices, got 2"),
+    (lambda: contract(np.ones(6), STANDARD_PHI), DegreeError,
+     "vector must have 7 components, got (6,)"),
+    (lambda: STANDARD_PHI + STANDARD_PSI, TypeError,
+     "unsupported operand type(s) for +: 'Form' and 'Form'"),
+    (lambda: STANDARD_PHI - STANDARD_PSI, TypeError,
+     "unsupported operand type(s) for -: 'Form' and 'Form'"),
+])
+def test_malformed_form_operations_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_repr_lists_the_nonzero_coefficients():
+    assert repr(Form.zero(2)) == "Form(2, 0)"
+    assert repr(Form.from_coeffs(2, {(3, 4): -2.0, (2, 1): -1.5})) == "Form(2, +1.5*e12 -2*e34)"
+    assert repr(Form(0, [3.0])) == "Form(0, +3)"
+
+
 def test_stacks_from_coefficient_arrays_scale_and_norm_per_form(rng):
     values = rng.standard_normal((3, 4))
     stacked = Form.from_coeffs(2, {(1, 2): values[0], (2, 1): values[1], (3, 4): values[2]})

@@ -200,6 +200,17 @@ def test_theta_rejects_support_outside_ideal():
         theta(DIAG_A, Form.monomial((1, 3)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_many(["bogus"], [0]), "unknown family kind 'bogus'"),
+    (lambda: theta(DIAG_A, Form.monomial((3,))), "theta acts on 2-forms"),
+    (lambda: theta_omega_tabulated(DIAG_A, 3), "which must be one of 7, 1, 2"),
+])
+def test_malformed_arguments_raise(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
 def test_theta_is_a_lie_algebra_action(rng):
     for _ in range(20):
         m = rng.standard_normal((4, 4))

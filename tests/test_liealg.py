@@ -107,6 +107,18 @@ def test_constructor_rejects_non_antisymmetric_constants():
         LieAlgebra7(c)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LieAlgebra7(np.zeros((6, 7, 7))), ValidationError,
+     "structure constants must be 7x7x7, got (6, 7, 7)"),
+    (lambda: ce_diff(LieAlgebra7(np.zeros((7, 7, 7))), np.zeros(7)), DegreeError,
+     "ce_diff expects a Form"),
+])
+def test_malformed_arguments_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 # -- unimodularity: every ad_{e_i} is traceless -------------------------------------
 
 def test_unimodular_for_traceless_triples():
