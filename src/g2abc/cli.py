@@ -112,6 +112,11 @@ def _form_map(form):
     return {"".join(map(str, key)): value for key, value in form.coeffs.items()}
 
 
+def _numbers_only(x):
+    """Whether x holds only JSON numbers; numpy's float cast also takes "1" and true."""
+    return all(map(_numbers_only, x)) if type(x) is list else type(x) in (int, float)
+
+
 def load_triple(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,8 +131,11 @@ def load_triple(path):
         mats = {name: np.asarray(data[name], dtype=np.float64) for name in ("A", "B", "C")}
     except KeyError as exc:
         raise G2ABCError(f"{path} is missing matrix {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise G2ABCError(f"{path} holds non-numeric matrix data: {exc}") from exc
+    if bad := [name for name in mats if not _numbers_only(data[name])]:
+        raise G2ABCError(f"{path} holds non-numeric matrix data: matrix {bad[0]} "
+                         "has an entry that is a string, a boolean or null")
     return TripleABC(A=mats["A"], B=mats["B"], C=mats["C"])
 
 

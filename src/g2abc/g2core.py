@@ -14,7 +14,7 @@ import numpy as np
 
 from ._tables import DIM, DIMS, WEDGE
 from .errors import TorsionSolveError
-from .exterior import Form, contract, contractions, hodge, wedge
+from .exterior import Form, _vecmat, contractions, hodge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -35,6 +35,19 @@ if not (hodge(STANDARD_PHI) - STANDARD_PSI).is_zero():  # pragma: no cover
 
 #: (7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi).
 PHI_CONTRACTIONS = contractions(STANDARD_PHI)
+#: PHI_WEDGE[k] and PSI_WEDGE[k]: the (C(7,k), C(7,k+3)) and (C(7,k), C(7,k+4))
+#: matrices of a -> a ^ phi and a -> a ^ psi on k-forms, for the degrees the
+#: torsion forms and their type checks use; _vecmat(a.values, PHI_WEDGE[k]) is a ^ phi.
+PHI_WEDGE = {k: _vecmat(STANDARD_PHI.values, WEDGE[(k, 3)]) for k in (1, 3, 4)}
+PSI_WEDGE = {k: _vecmat(STANDARD_PSI.values, WEDGE[(k, 4)]) for k in (1, 2, 3)}
+
+
+def _wedge_phi(a):
+    return Form(a.degree + 3, _vecmat(a.values, PHI_WEDGE[a.degree]))
+
+
+def _wedge_psi(a):
+    return Form(a.degree + 4, _vecmat(a.values, PSI_WEDGE[a.degree]))
 
 
 #: _PAIR_TOP[K, (I, J)]: coefficient of e^{1...7} in e^I ^ e^J ^ e^K, over the
@@ -88,10 +101,10 @@ def torsion_forms(s):
     tau2 = -star(dpsi) + 4 star(tau1 ^ psi)
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
-    tau0 = hodge(wedge(s.dphi, s.phi)).values[..., 0] / 7.0
-    tau1 = hodge(wedge(s.star_dphi, s.phi)) * (-1.0 / 12.0)
-    tau2 = -s.star_dpsi + 4.0 * hodge(wedge(tau1, s.psi))
-    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(wedge(tau1, s.phi))
+    tau0 = hodge(_wedge_phi(s.dphi)).values[..., 0] / 7.0
+    tau1 = hodge(_wedge_phi(s.star_dphi)) * (-1.0 / 12.0)
+    tau2 = -s.star_dpsi + 4.0 * hodge(_wedge_psi(tau1))
+    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(_wedge_phi(tau1))
     return tau0, tau1, tau2, tau3
 
 
@@ -119,7 +132,7 @@ def full_torsion_from_forms(tau0, tau1, tau2, tau27):
     T(X, Y) = (1/4) tau0 g(X, Y) - iota_{tau1}(phi)(X, Y)
               - (1/2) tau2(X, Y) - tau27(X, Y).
     """
-    iota = contract(tau1.values, STANDARD_PHI)  # the vector dual to tau1 has its coefficients
+    iota = Form(2, _vecmat(tau1.values, PHI_CONTRACTIONS))  # tau1's dual vector, same coefficients
     T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - contractions(iota) \
         - 0.5 * contractions(tau2) - tau27
     return T + 0.0  # + 0.0 normalises -0.0 entries
@@ -168,7 +181,7 @@ def torsion_data(s):
 
 
 def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
-    """Max-abs residuals of the two defining identities of the torsion forms:
+    """The residual 4- and 5-forms of the two defining identities of the torsion forms:
 
     dphi = tau0 psi + 3 tau1 ^ phi + star(tau3)
     dpsi = 4 tau1 ^ psi - star(tau2)
@@ -176,8 +189,8 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     (The sign of the star(tau2) term is pinned by the tau2 definition used in
     torsion_forms; see the README note on conventions.)
     """
-    res1 = (s.dphi - (tau0 * s.psi + 3.0 * wedge(tau1, s.phi) + hodge(tau3))).norm_inf()
-    res2 = (s.dpsi - (4.0 * wedge(tau1, s.psi) - hodge(tau2))).norm_inf()
+    res1 = s.dphi - (tau0 * s.psi + 3.0 * _wedge_phi(tau1) + hodge(tau3))
+    res2 = s.dpsi - (4.0 * _wedge_psi(tau1) - hodge(tau2))
     return res1, res2
 
 
@@ -192,13 +205,18 @@ class TorsionClass:
 DEFAULT_TOL = 1e-9
 
 
+#: _FLAG_NORMS[f, q]: whether flag f of TorsionClass needs the magnitude of tau_q within tol.
+_FLAG_NORMS = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+
+
+def _flags(td, tol):
+    """The closed, coclosed and torsion-free flags as a (3,) bool array, (3, n) for a stack."""
+    norms = [np.abs(td.tau0), td.tau1.norm_inf(), td.tau2.norm_inf(), td.tau3.norm_inf()]
+    # a flag fails where one of its magnitudes is not within tol (a NaN is not)
+    return ~(_FLAG_NORMS @ ~(np.array(norms) <= tol))
+
+
 def classify(td, tol=DEFAULT_TOL):
     """Closed / coclosed / torsion-free flags from the torsion magnitudes;
     for torsion data of a stack, each flag is a list with one bool per member."""
-    n0 = np.abs(td.tau0)
-    n1 = td.tau1.norm_inf()
-    n2 = td.tau2.norm_inf()
-    n3 = td.tau3.norm_inf()
-    flag = lambda *norms: (np.max(norms, axis=0) <= tol).tolist()
-    return TorsionClass(closed=flag(n0, n1, n3), coclosed=flag(n1, n2),
-                        torsion_free=flag(n0, n1, n2, n3))
+    return TorsionClass(*_flags(td, tol).tolist())

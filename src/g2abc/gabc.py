@@ -34,12 +34,15 @@ import numpy as np
 
 from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
-from .exterior import Form, _vecmat, contract, matrix_coaction, wedge
+from .exterior import Form, _vecmat, matrix_coaction, wedge
 from .g2core import (
     DEFAULT_TOL,
+    PHI_CONTRACTIONS,
+    PHI_WEDGE,
+    PSI_WEDGE,
     G2Structure,
     TorsionClass,
-    classify,
+    _flags,
     full_torsion_from_nabla,
     reconstruction_residuals,
     torsion_data,
@@ -89,6 +92,8 @@ TAU3_SUPPORT_ANTIDIAGONAL = (
 RICCI_A_BLOCK_ORDER = "(e7, e1, e2) <-> (A, B, C)"
 #: The 0-based rows of e7, e1, e2, the elements of a acting on n by A, B, C.
 _ABC_ROWS = (6, 0, 1)
+#: The a x a block of a 7x7 matrix, rows and columns in the order of _ABC_ROWS.
+_A_BLOCK = np.ix_(_ABC_ROWS, _ABC_ROWS)
 
 _ANTIDIAG_SLOTS = ((0, 3), (1, 2), (2, 1), (3, 0))
 _OFF_DIAG = ~np.eye(4, dtype=bool)
@@ -156,7 +161,7 @@ def _checked(abc):
     safe = abc if finite.all() else np.where(finite_entries, abc, 0.0)
     trace = np.trace(safe, axis1=-2, axis2=-1)
     left, right = safe[..., [0, 0, 1], :, :], safe[..., [1, 2, 2], :, :]
-    commutator = _max_abs(left @ right - right @ left, 2)
+    commutator = np.abs(left @ right - right @ left).max(axis=(-2, -1))
     # relative to max(1, s), s the trial's largest entry: degree 1 for tr, 2 for [X, Y]
     bound = np.maximum(1.0, np.abs(safe).max(axis=(-3, -2, -1)))[..., None]
     bad_trace = ~(np.abs(trace) <= 1e-12 * bound)
@@ -646,34 +651,27 @@ def closed_form_connection(t):
               = -S(M_Y) X                          X in n, Y in a
               = sum_l <S(D^l) X, Y> e_l            X, Y in n
     """
+    sym = _sym(t.abc).swapaxes(-3, -2)  # (..., i, M, l): S(M)_il, M = A, B, C at _ABC_ROWS
     gamma = np.zeros(t.abc.shape[:-3] + (DIM, DIM, DIM))
-    for row, M in zip(_ABC_ROWS, t.matrices()):
-        am, sm = _skew(M), _sym(M)
-        gamma[..., row, 2:6, 2:6] = _transpose(am)
-        gamma[..., 2:6, row, 2:6] = -_transpose(sm)
-        gamma[..., 2:6, 2:6, row] = sm
+    gamma[..., _ABC_ROWS, 2:6, 2:6] = _transpose(_skew(t.abc))
+    gamma[..., 2:6, _ABC_ROWS, 2:6] = -sym  # S(M) is symmetric
+    gamma[..., 2:6, 2:6, _ABC_ROWS] = _transpose(sym)
     return gamma
 
 
 def closed_form_ricci(t):
     """Ricci tensor of g_{A,B,C}: zero a x n block, (1/2) sum [X, X^T] on n x n,
-    and minus the Gram matrix of traces tr(S(X) Y) on a x a.
+    and minus the Gram matrix of traces tr(S(X) Y) = tr(S(X) S(Y)) on a x a.
 
+    Each block is one expression over the whole stack; the Gram matrix is the trace
+    of one stacked product, so tr(S(X) S(X)) sums in the order of a 4x4 product.
     The a-block ordering is RICCI_A_BLOCK_ORDER.
     """
-    A, B, C = t.matrices()
-    ric = np.zeros(A.shape[:-2] + (DIM, DIM))
-    comm = lambda M: M @ _transpose(M) - _transpose(M) @ M
-    ric[..., 2:6, 2:6] = 0.5 * (comm(A) + comm(B) + comm(C))
-    sa, sb, sc = _sym(A), _sym(B), _sym(C)
-    tr = lambda M, N: np.trace(M @ N, axis1=-2, axis2=-1)
-    ra, rb, rc = _ABC_ROWS
-    ric[..., ra, ra] = -tr(sa, sa)
-    ric[..., rb, rb] = -tr(sb, sb)
-    ric[..., rc, rc] = -tr(sc, sc)
-    ric[..., ra, rb] = ric[..., rb, ra] = -tr(sa, B)
-    ric[..., ra, rc] = ric[..., rc, ra] = -tr(sa, C)
-    ric[..., rb, rc] = ric[..., rc, rb] = -tr(sb, C)
+    abc, sym = t.abc, _sym(t.abc)
+    ric = np.zeros(abc.shape[:-3] + (DIM, DIM))
+    ric[..., 2:6, 2:6] = 0.5 * (abc @ _transpose(abc) - _transpose(abc) @ abc).sum(axis=-3)
+    gram = np.trace(sym[..., :, None, :, :] @ sym[..., None, :, :, :], axis1=-2, axis2=-1)
+    ric[(...,) + _A_BLOCK] = -gram
     return ric
 
 
@@ -683,21 +681,14 @@ def closed_form_divergence(t, tau27):
     <div T, e_j> = -sum_{3 <= i, l <= 6} S(D^j)_il tau27(e_i, e_l)   for j = 1, 2, 7,
     and exactly zero for j = 3..6.
 
-    Expanding: minus the diagonal sum (D^j)_nn tau27(e_n, e_n) and minus the
-    off-diagonal sum S(D^j)_il tau27(e_i, e_l).  The sign of the off-diagonal
-    term is pinned by agreement with the generic frame-sum divergence; the
-    per-family vanishing theorems are insensitive to it (each term vanishes
-    separately there).
+    One product-sum over the stack; as diag S(D^j) = diag D^j, it holds the diagonal
+    term -sum_n (D^j)_nn tau27(e_n, e_n).  The sign of the off-diagonal part is
+    pinned by agreement with the generic frame-sum divergence; the per-family
+    vanishing theorems are insensitive to it (each term vanishes separately there).
     """
-    block = np.asarray(tau27, dtype=np.float64)[..., 2:6, 2:6]
-    div = np.zeros(block.shape[:-2] + (DIM,))
-    diag = lambda M: np.diagonal(M, axis1=-2, axis2=-1)
-    for row, M in zip(_ABC_ROWS, t.matrices()):
-        sm = _sym(M)
-        diag_term = np.sum(diag(M) * diag(block), axis=-1)
-        off = sm * block
-        off_term = np.sum(off, axis=(-2, -1)) - np.sum(diag(off), axis=-1)
-        div[..., row] = -diag_term - off_term
+    block = np.asarray(tau27, dtype=np.float64)[..., None, 2:6, 2:6]
+    div = np.zeros(block.shape[:-3] + (DIM,))
+    div[..., _ABC_ROWS] = -(_sym(t.abc) * block).sum(axis=(-2, -1))
     return div
 
 
@@ -908,18 +899,6 @@ def _off_support(degree, support):
     return np.array([key not in allowed for key in COMBS[degree]])
 
 
-def _form_outside_span(form, support):
-    """Largest coefficient magnitude outside ``support``, per form of a stack."""
-    outside = form.values[..., _off_support(form.degree, support)]
-    return np.abs(outside).max(axis=-1, initial=0.0)
-
-
-def _max_abs(x, axes=1):
-    """Largest magnitude over the last ``axes`` axes, per triple of a stack."""
-    x = np.abs(x)
-    return x.reshape(x.shape[:x.ndim - axes] + (-1,)).max(axis=-1)
-
-
 #: Triples per array pass of cross_validate_stack; bounds the memory a pass holds.
 PASS_SIZE = 32
 
@@ -971,77 +950,72 @@ def cross_validate_many(triples, tol=DEFAULT_TOL):
 def _cross_validate_pass(t, tol):
     """The CrossValidationArrays of t, a stack of n triples, from one run of
     both routes: the generic route from torsion_data and the connection, the
-    tabulated one from tabulated_values and the closed forms."""
+    tabulated one from tabulated_values and the closed forms.  A gated quantity is
+    the largest magnitude of its residual, an (n, k) block; one reduction takes all."""
     alg, s = build(t)
     code = t._shape_code
-    dev = {}
+    n = len(code)
 
     # generic route
     td = torsion_data(s)
+    tau2, tau3 = td.tau2.values, td.tau3.values
     gamma = levi_civita(alg)
-    T_nabla = full_torsion_from_nabla(gamma)
     ric = ricci(alg, gamma)
     div = div_torsion(gamma, td.T)
-    flags = classify(td, tol)
-    iota = contract(td.tau1.values, s.phi)
+    iota = _vecmat(td.tau1.values, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
 
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
-    torsion = [td.tau0[:, None], *(f.values for f in (td.tau1, td.tau2, td.tau3, iota))]
+    torsion = [td.tau0[:, None], td.tau1.values, tau2, tau3, iota]
     derivatives = [f.values for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
-    diff = np.abs(tab - oracle)
-    for formula in ("dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
-                    "iota_tau1_phi[general]"):
-        dev[formula.split("[")[0]] = diff[:, _COLUMNS[formula]].max(axis=1)
+    delta = tab - oracle
+    res = {formula.split("[")[0]: delta[:, _COLUMNS[formula]] for formula in (
+        "dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
+        "iota_tau1_phi[general]")}
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    hits = (diff > tol) & _CODE_REPORTS[code]
+    hits = (np.abs(delta) > tol) & _CODE_REPORTS[code]
     duals = (*np.nonzero(hits), tab[hits], oracle[hits])
 
-    # reconstruction identities and component types
+    # reconstruction identities, component types, support patterns, the tau27 a x n block
     rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, td.tau3)
-    dev["reconstruction_dphi"] = rec1
-    dev["reconstruction_dpsi"] = rec2
-    dev["tau2_type14"] = wedge(td.tau2, s.psi).norm_inf()
-    dev["tau3_type27_phi"] = wedge(td.tau3, s.phi).norm_inf()
-    dev["tau3_type27_psi"] = wedge(td.tau3, s.psi).norm_inf()
+    res["reconstruction_dphi"], res["reconstruction_dpsi"] = rec1.values, rec2.values
+    res["tau2_type14"] = _vecmat(tau2, PSI_WEDGE[2])
+    res["tau3_type27_phi"] = _vecmat(tau3, PHI_WEDGE[3])
+    res["tau3_type27_psi"] = _vecmat(tau3, PSI_WEDGE[3])
+    res["support_iota_tau1_phi"] = iota[:, _off_support(2, TWO_FORM_SUPPORT)]
+    res["support_tau2"] = tau2[:, _off_support(2, TWO_FORM_SUPPORT)]
+    res["support_tau3"] = tau3[:, _off_support(3, TAU3_SUPPORT)]
+    res["tau27_mixed_block"] = td.tau27[:, _ABC_ROWS, 2:6].reshape(n, -1)
 
-    # support patterns
-    dev["support_iota_tau1_phi"] = _form_outside_span(iota, TWO_FORM_SUPPORT)
-    dev["support_tau2"] = _form_outside_span(td.tau2, TWO_FORM_SUPPORT)
-    dev["support_tau3"] = _form_outside_span(td.tau3, TAU3_SUPPORT)
-
-    # tau27 block structure: mixed a x n entries vanish
-    dev["tau27_mixed_block"] = _max_abs(td.tau27[..., _ABC_ROWS, 2:6], 2)
-
-    # torsion tensor: the two routes
-    dev["torsion_routes"] = _max_abs(td.T - T_nabla, 2)
-
-    # connection, Ricci, divergence
-    dev["connection"] = _max_abs(closed_form_connection(t) - gamma, 3)
-    dev["ricci"] = _max_abs(closed_form_ricci(t) - ric, 2)
+    # the two routes: torsion tensor, connection, Ricci, divergence
+    res["torsion_routes"] = (td.T - full_torsion_from_nabla(gamma)).reshape(n, -1)
+    res["connection"] = (closed_form_connection(t) - gamma).reshape(n, -1)
+    res["ricci"] = (closed_form_ricci(t) - ric).reshape(n, -1)
     div_cf = closed_form_divergence(t, td.tau27)
-    dev["divergence"] = _max_abs(div_cf - div)
-    div_zero = (div[..., 2:6] == 0.0).all(axis=-1) & (div_cf[..., 2:6] == 0.0).all(axis=-1)
+    res["divergence"] = div_cf - div
+    div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
 
     # family-specific content, kept below for the triples of that family
-    family_dev = {
-        "divergence_free": _max_abs(div),
-        "tau27_diagonal_nn": _max_abs(np.diagonal(td.tau27, axis1=-2, axis2=-1)[..., 2:6]),
-        "support_tau3_diagonal": _form_outside_span(td.tau3, TAU3_SUPPORT_DIAGONAL),
-        "tau27_antidiagonal_pairs": _max_abs(td.tau27[(...,) + _ANTIDIAG_PAIRS]),
-        "support_tau3_antidiagonal": _form_outside_span(td.tau3, TAU3_SUPPORT_ANTIDIAGONAL),
+    family_res = {
+        "divergence_free": div,
+        "tau27_diagonal_nn": np.diagonal(td.tau27, axis1=-2, axis2=-1)[:, 2:6],
+        "support_tau3_diagonal": tau3[:, _off_support(3, TAU3_SUPPORT_DIAGONAL)],
+        "tau27_antidiagonal_pairs": td.tau27[(...,) + _ANTIDIAG_PAIRS],
+        "support_tau3_antidiagonal": tau3[:, _off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
     }
+    applies = np.hstack([np.ones((n, len(res)), dtype=bool), _CODE_APPLIES[code]])
+    res.update((q, family_res[q]) for q in _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
 
-    family_dev = map(family_dev.get, _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
-    values = np.array([*dev.values(), *family_dev]).T
-    applies = np.hstack([np.ones((len(code), len(dev)), dtype=bool), _CODE_APPLIES[code]])
+    # no block is empty, so each start opens the block of its quantity; NaN propagates
+    starts = np.cumsum([0] + [block.shape[1] for block in res.values()][:-1])
+    deviations = np.maximum.reduceat(np.abs(np.concatenate(list(res.values()), axis=1)),
+                                     starts, axis=1)
     return CrossValidationArrays(
-        tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=(*dev, *_FAMILY_DEVIATIONS),
-        deviations=values, applies=applies,
+        tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=tuple(res),
+        deviations=deviations, applies=applies,
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
-        flags=np.array([flags.closed, flags.coclosed, flags.torsion_free]).T,
-        tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
+        flags=_flags(td, tol).T, tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
         torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

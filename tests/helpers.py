@@ -4,7 +4,7 @@ import numpy as np
 
 from g2abc._tables import DIM, DIMS
 from g2abc.exterior import Form, contract
-from g2abc.gabc import TripleABC
+from g2abc.gabc import _ABC_ROWS, TripleABC, _skew, _sym
 from g2abc.liealg import _jacobi_residuals
 
 
@@ -50,3 +50,49 @@ def jacobi_residual(c):
 def unstack(t):
     """The triples of a stack, each as a TripleABC of its own."""
     return [TripleABC(*abc) for abc in t.abc]
+
+
+# -- per-matrix transcriptions of the closed forms, as references --------------
+
+def closed_form_connection_reference(t):
+    """gabc.closed_form_connection, one matrix of (A, B, C) at a time."""
+    gamma = np.zeros(t.abc.shape[:-3] + (DIM, DIM, DIM))
+    for row, M in zip(_ABC_ROWS, t.matrices()):
+        am, sm = _skew(M), _sym(M)
+        gamma[..., row, 2:6, 2:6] = am.swapaxes(-1, -2)
+        gamma[..., 2:6, row, 2:6] = -sm.swapaxes(-1, -2)
+        gamma[..., 2:6, 2:6, row] = sm
+    return gamma
+
+
+def closed_form_ricci_reference(t):
+    """gabc.closed_form_ricci, one matrix and one entry of the a x a block at a time."""
+    A, B, C = t.matrices()
+    ric = np.zeros(A.shape[:-2] + (DIM, DIM))
+    comm = lambda M: M @ M.swapaxes(-1, -2) - M.swapaxes(-1, -2) @ M
+    ric[..., 2:6, 2:6] = 0.5 * (comm(A) + comm(B) + comm(C))
+    sa, sb, sc = _sym(A), _sym(B), _sym(C)
+    tr = lambda M, N: np.trace(M @ N, axis1=-2, axis2=-1)
+    ra, rb, rc = _ABC_ROWS
+    ric[..., ra, ra] = -tr(sa, sa)
+    ric[..., rb, rb] = -tr(sb, sb)
+    ric[..., rc, rc] = -tr(sc, sc)
+    ric[..., ra, rb] = ric[..., rb, ra] = -tr(sa, B)
+    ric[..., ra, rc] = ric[..., rc, ra] = -tr(sa, C)
+    ric[..., rb, rc] = ric[..., rc, rb] = -tr(sb, C)
+    return ric
+
+
+def closed_form_divergence_reference(t, tau27):
+    """gabc.closed_form_divergence, one matrix at a time, as the diagonal term
+    -sum_n (D^j)_nn tau27_nn plus the off-diagonal term -sum_{i != l} S(D^j)_il tau27_il."""
+    block = np.asarray(tau27, dtype=np.float64)[..., 2:6, 2:6]
+    div = np.zeros(block.shape[:-2] + (DIM,))
+    diag = lambda M: np.diagonal(M, axis1=-2, axis2=-1)
+    for row, M in zip(_ABC_ROWS, t.matrices()):
+        sm = _sym(M)
+        diag_term = np.sum(diag(M) * diag(block), axis=-1)
+        off = sm * block
+        off_term = np.sum(off, axis=(-2, -1)) - np.sum(diag(off), axis=-1)
+        div[..., row] = -diag_term - off_term
+    return div

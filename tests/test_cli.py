@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,24 @@ def test_analyze_rejects_malformed_file(tmp_path, capsys, content, message):
     assert main(["analyze", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(path)}\n" and not captured.out
+
+
+NOT_A_NUMBER = "has an entry that is a string, a boolean or null"
+
+
+@pytest.mark.parametrize("matrices, message", [
+    # numpy's float cast reads "1" and true as 1.0, so each of the first two is a diagonal triple
+    ({"A": [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, "-1", 0], [0, 0, 0, "-1"]]}, f"matrix A {NOT_A_NUMBER}"),
+    ({"A": [[True, 0, 0, 0], [0, True, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}, f"matrix A {NOT_A_NUMBER}"),
+    ({"B": [[None, 0, 0, 0]] + ZERO[1:]}, f"matrix B {NOT_A_NUMBER}"),
+    ({"C": [[10 ** 400, 0, 0, 0]] + ZERO[1:]}, "int too large to convert to float"),
+])
+def test_analyze_rejects_entries_that_are_not_json_numbers(tmp_path, capsys, matrices, message):
+    path = write_triple(tmp_path / "t.json", **matrices)
+    assert main(["analyze", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} holds non-numeric matrix data: {message}\n"
+    assert not captured.out
 
 
 def test_analyze_rejects_missing_file(capsys):
@@ -387,3 +409,20 @@ def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys, monkeyp
     assert run_all() == cached
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 1]
     assert [json.loads(cached[n][1])["tol"] for n in (0, 1, 3)] == [1e-3, 1e-4, 1e-9]
+
+
+# -- the process ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, status", [
+    (["verify", "--case", "diag", "--trials", "2"], 0),
+    (["verify", "--case", "diag", "--trials", "2", "--tol", "0"], 2),
+    (["verify", "--tol", "nan"], 1),
+])
+def test_python_dash_m_exits_with_the_status_of_the_request(argv, status):
+    # runs __main__ and cli.entry, which turn main's return value into the exit status
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("G2ABC_TOL", None)
+    proc = subprocess.run([sys.executable, "-m", "g2abc", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == status, proc.stderr

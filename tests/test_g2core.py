@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from g2abc.errors import TorsionSolveError
-from g2abc.exterior import Form, contractions, hodge, matrix_coaction, wedge
+from g2abc._tables import DIMS
+from g2abc.exterior import Form, _vecmat, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
+    PHI_WEDGE,
     PSI_COLUMNS,
+    PSI_WEDGE,
     STANDARD_PHI,
     STANDARD_PSI,
+    TorsionClass,
+    TorsionData,
     classify,
     full_torsion_from_nabla,
     reconstruction_residuals,
@@ -64,7 +69,7 @@ def test_reconstruction_identities_random_triples():
         for seed in range(10):
             _, s = build(generate(kind, 300 + 10 * trial + seed))
             res1, res2 = reconstruction_residuals(s, *torsion_forms(s))
-            assert res1 <= 1e-9 and res2 <= 1e-9
+            assert res1.norm_inf() <= 1e-9 and res2.norm_inf() <= 1e-9
 
 
 # -- tau27 ---------------------------------------------------------------------------
@@ -210,7 +215,30 @@ def test_whole_array_stages_match_per_pair_references():
     assert np.max(np.abs(full_torsion_from_nabla(gamma) - expected_T)) <= 1e-13
 
 
+def test_phi_and_psi_product_matrices_are_the_wedge_products(rng):
+    for form, products in ((STANDARD_PHI, PHI_WEDGE), (STANDARD_PSI, PSI_WEDGE)):
+        for k, matrix in products.items():
+            # small integers: every sum is exact, so any summation order gives the same bits
+            a = Form(k, rng.integers(-9, 10, size=(6, DIMS[k])))
+            assert np.array_equal(_vecmat(a.values, matrix), wedge(a, form).values), (form.degree, k)
+            a = Form(k, rng.standard_normal((6, DIMS[k])))
+            assert np.max(np.abs(_vecmat(a.values, matrix) - wedge(a, form).values)) <= 1e-15
+
+
 # -- classification -------------------------------------------------------------------
+
+def test_classify_a_stack_member_by_member():
+    # tau_q of member n is q-th entry of its row: a value of 1 (or NaN) breaks its flags
+    rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                     [np.nan, 0, 0, 0], [0, 0, np.nan, 0]])
+    forms = [Form(k, np.outer(rows[:, k], np.ones(DIMS[k]))) for k in (1, 2, 3)]
+    td = TorsionData(rows[:, 0], *forms, tau27=None, T=None)
+    flags = classify(td, tol=0.5)
+    assert flags.closed == [True, False, False, True, False, False, True]
+    assert flags.coclosed == [True, True, False, False, True, True, False]
+    assert flags.torsion_free == [True, False, False, False, False, False, False]
+    single = TorsionData(0.0, forms[0][2], forms[1][2], forms[2][2], tau27=None, T=None)
+    assert classify(single, tol=0.5) == TorsionClass(False, False, False)
 
 def test_diag_example_closed_not_coclosed():
     _, s = make(A=DIAG_A)

@@ -5,13 +5,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from g2abc import g2core, gabc
+from g2abc import exterior, g2core, gabc
+from g2abc._tables import COMBS
 from g2abc.errors import ValidationError
-from g2abc.exterior import Form, hodge, wedge
+from g2abc.exterior import Form, _vecmat, hodge, wedge
 from g2abc.g2core import (
+    PHI_CONTRACTIONS,
+    PHI_WEDGE,
+    PSI_WEDGE,
     STANDARD_PHI,
     STANDARD_PSI,
+    full_torsion_from_nabla,
+    reconstruction_residuals,
     tau27_tensor,
+    torsion_data,
     torsion_forms,
 )
 from g2abc.gabc import (
@@ -36,9 +43,19 @@ from g2abc.gabc import (
     theta_omega_tabulated,
 )
 from g2abc.liealg import ce_diff
-from g2abc.riemann import levi_civita, ricci
+from g2abc.riemann import div_torsion, levi_civita, ricci
 
-from helpers import ZERO4, e_matrix, form_inner, is_unimodular, jacobi_residual, unstack
+from helpers import (
+    ZERO4,
+    closed_form_connection_reference,
+    closed_form_divergence_reference,
+    closed_form_ricci_reference,
+    e_matrix,
+    form_inner,
+    is_unimodular,
+    jacobi_residual,
+    unstack,
+)
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -435,6 +452,116 @@ def test_divergence_closed_form_matches_generic():
         closed = closed_form_divergence(t, tau27)
         assert np.max(np.abs(generic - closed)) <= 1e-9
         assert np.all(closed[2:6] == 0.0) and np.all(generic[2:6] == 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_whole_stack_closed_forms_match_the_per_matrix_reference(scale):
+    ulp = np.finfo(np.float64).eps
+    t = generate_many(list(FamilyKind) * 8, range(40), scale)
+    tau27 = torsion_data(build(t)[1]).tau27
+    top = lambda x: np.abs(x).max(axis=tuple(range(1, x.ndim)))  # per triple
+    # every connection entry is a single term
+    assert np.array_equal(closed_form_connection(t), closed_form_connection_reference(t))
+    ric = closed_form_ricci_reference(t)
+    assert np.all(top(closed_form_ricci(t) - ric) <= 4 * ulp * top(ric))
+    # the divergence cancels to round-off on four families: measure it by its terms
+    terms = top((np.abs(gabc._sym(t.abc)) * np.abs(tau27[:, None, 2:6, 2:6])).sum(axis=(-2, -1)))
+    div = closed_form_divergence(t, tau27) - closed_form_divergence_reference(t, tau27)
+    assert np.all(top(div) <= 2 * ulp * terms)
+
+
+def test_closed_forms_of_a_triple_do_not_depend_on_its_stack():
+    kinds = [*FamilyKind, FamilyKind.SYMMETRIC, FamilyKind.ANTIDIAGONAL]
+    for scale in (1e-3, 1.0, 1e3):
+        stack = generate_many(kinds, range(7), scale)
+        tau27 = torsion_data(build(stack)[1]).tau27
+        connection, ric = closed_form_connection(stack), closed_form_ricci(stack)
+        div = closed_form_divergence(stack, tau27)
+        for n, t in enumerate(unstack(stack)):
+            assert np.array_equal(closed_form_connection(t), connection[n])
+            assert np.array_equal(closed_form_ricci(t), ric[n])
+            assert np.array_equal(closed_form_divergence(t, tau27[n]), div[n])
+
+
+def pass_residuals(t):
+    """The raw residual of every gated quantity of the pass on the stack t, each
+    recomputed here from the public stages, in the pass's order."""
+    alg, s = build(t)
+    td = torsion_data(s)
+    gamma = levi_civita(alg)
+    div = div_torsion(gamma, td.T)
+    iota = _vecmat(td.tau1.values, PHI_CONTRACTIONS)
+    general = closed_form_torsion(t)
+    # the coefficients of the monomials outside a support
+    outside = lambda form, support: form[:, [key not in support for key in COMBS[len(support[0])]]]
+    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, td.tau3)
+    tau3 = td.tau3.values
+    return {
+        **{name: tab.values - f.values for name, tab, f in zip(
+            ("dphi", "star_dphi", "dpsi", "star_dpsi"), closed_form_derivatives(t),
+            (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi))},
+        "tau1": general.tau1.values - td.tau1.values,
+        "tau2": general.tau2.values - td.tau2.values,
+        "iota_tau1_phi": general.iota_tau1_phi.values - iota,
+        "reconstruction_dphi": rec1.values, "reconstruction_dpsi": rec2.values,
+        "tau2_type14": _vecmat(td.tau2.values, PSI_WEDGE[2]),
+        "tau3_type27_phi": _vecmat(tau3, PHI_WEDGE[3]),
+        "tau3_type27_psi": _vecmat(tau3, PSI_WEDGE[3]),
+        "support_iota_tau1_phi": outside(iota, gabc.TWO_FORM_SUPPORT),
+        "support_tau2": outside(td.tau2.values, gabc.TWO_FORM_SUPPORT),
+        "support_tau3": outside(tau3, gabc.TAU3_SUPPORT),
+        "tau27_mixed_block": td.tau27[:, [6, 0, 1], 2:6],
+        "torsion_routes": td.T - full_torsion_from_nabla(gamma),
+        "connection": closed_form_connection(t) - gamma,
+        "ricci": closed_form_ricci(t) - ricci(alg, gamma),
+        "divergence": closed_form_divergence(t, td.tau27) - div,
+        "divergence_free": div,
+        "tau27_diagonal_nn": td.tau27[:, range(2, 6), range(2, 6)],
+        "support_tau3_diagonal": outside(tau3, gabc.TAU3_SUPPORT_DIAGONAL),
+        "tau27_antidiagonal_pairs": td.tau27[:, range(2, 6), range(5, 1, -1)],
+        "support_tau3_antidiagonal": outside(tau3, gabc.TAU3_SUPPORT_ANTIDIAGONAL),
+    }
+
+
+def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
+    t = TripleABC.stack(mixed_triples(5, 3))
+    (arrays,) = gabc.cross_validate_stack(t)
+    residuals = pass_residuals(t)
+    assert arrays.quantities == tuple(residuals) and len(residuals) == 25
+    for q, (name, residual) in enumerate(residuals.items()):
+        expected = np.abs(residual).reshape(len(residual), -1).max(axis=1)
+        assert np.array_equal(arrays.deviations[:, q], expected), name
+
+
+def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
+    t = TripleABC.stack(mixed_triples(6, 2))
+    (reference,) = gabc.cross_validate_stack(t)
+    assert reference.passed().all()
+    ricci_fn = gabc.closed_form_ricci
+
+    def nan_for_triple_3(t):
+        ric = ricci_fn(t)
+        ric[3, 4, 5] = np.nan
+        return ric
+
+    monkeypatch.setattr(gabc, "closed_form_ricci", nan_for_triple_3)
+    (arrays,) = gabc.cross_validate_stack(t)
+    q = arrays.quantities.index("ricci")
+    assert np.isnan(arrays.deviations[3, q])
+    moved = np.zeros(arrays.deviations.shape, dtype=bool)
+    moved[3, q] = True
+    assert np.array_equal(arrays.deviations[~moved], reference.deviations[~moved])
+    assert arrays.passed().tolist() == [n != 3 for n in range(len(t.abc))]
+
+
+def test_cross_validate_makes_no_wedge_or_contract_call(monkeypatch):
+    # every product with phi or psi in a pass is one of g2core's matrices
+    cross_validate(generate(FamilyKind.GENERAL, 0))  # builds the tabulated operator
+    calls = count_calls(monkeypatch, exterior, ("wedge", "contract"))
+    monkeypatch.setattr(gabc, "wedge", exterior.wedge)
+    for label, run in one_pass_runs():
+        run()
+        assert not calls, label
 
 
 # -- generators ----------------------------------------------------------------------
