@@ -17,7 +17,6 @@ from .g2core import (
     STANDARD_PHI,
     STANDARD_PSI,
     TorsionData,
-    classify,
     full_torsion_from_forms,
     full_torsion_from_nabla,
     tau27_tensor,
@@ -35,7 +34,6 @@ from .gabc import (
     closed_form_ricci,
     closed_form_torsion,
     cross_validate,
-    cross_validate_many,
     cross_validate_stack,
     generate,
     generate_many,
@@ -65,7 +63,6 @@ __all__ = [
     "ValidationError",
     "build",
     "ce_diff",
-    "classify",
     "classify_triple",
     "closed_form_connection",
     "closed_form_derivatives",
@@ -74,7 +71,6 @@ __all__ = [
     "closed_form_torsion",
     "contract",
     "cross_validate",
-    "cross_validate_many",
     "cross_validate_stack",
     "div_torsion",
     "flow_velocity",

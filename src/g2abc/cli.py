@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import gabc
 from .errors import G2ABCError, ValidationError
 from .g2core import DEFAULT_TOL
 from .gabc import (
@@ -40,6 +39,9 @@ CASES = {
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
+
+#: Triples per cross-validation pass of verify; bounds the memory a pass holds.
+PASS_SIZE = 32
 
 
 def tolerance(text):
@@ -123,7 +125,7 @@ def load_triple(path):
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise G2ABCError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise G2ABCError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise G2ABCError(f"{path} must hold a JSON object with matrices A, B, C")
@@ -206,14 +208,14 @@ def cmd_verify(args):
     # trial k of case i is seeded by (seed, i, k); the triples are generated
     # and cross-validated one pass at a time, in case-major order
     jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
-    while chunk := list(itertools.islice(jobs, gabc.PASS_SIZE)):
+    while chunk := list(itertools.islice(jobs, PASS_SIZE)):
         try:
             stack = generate_many([CASES[cases[i]] for i, _ in chunk],
                                   [np.random.SeedSequence((args.seed, i, k)) for i, k in chunk])
         except ValidationError as exc:
             i, k = chunk[exc.trial]
             raise ValidationError(f"case {cases[i]}, trial {k}: {exc.reason}") from None
-        (arrays,) = cross_validate_stack(stack, tol=args.tol)
+        arrays = cross_validate_stack(stack, tol=args.tol)
         failures += int(np.count_nonzero(~arrays.passed()))
         # as a maximum taken from 0.0, NaN and quantities that do not apply never win
         devs = np.where(arrays.applies & ~np.isnan(arrays.deviations), arrays.deviations, 0.0)

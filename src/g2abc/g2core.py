@@ -81,9 +81,10 @@ class G2Structure:
         return hodge(self.dpsi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorsionData:
-    """Torsion forms, the symmetric 27-part and the full torsion tensor matrix."""
+    """Torsion forms, the symmetric 27-part and the full torsion tensor matrix;
+    equality and hashing are by identity."""
 
     tau0: float
     tau1: Form
@@ -201,7 +202,7 @@ class TorsionClass:
     torsion_free: bool
 
 
-#: The default tolerance of classify and of the cross-validation.
+#: The default tolerance of the torsion flags and of the cross-validation.
 DEFAULT_TOL = 1e-9
 
 
@@ -214,9 +215,3 @@ def _flags(td, tol):
     norms = [np.abs(td.tau0), td.tau1.norm_inf(), td.tau2.norm_inf(), td.tau3.norm_inf()]
     # a flag fails where one of its magnitudes is not within tol (a NaN is not)
     return ~(_FLAG_NORMS @ ~(np.array(norms) <= tol))
-
-
-def classify(td, tol=DEFAULT_TOL):
-    """Closed / coclosed / torsion-free flags from the torsion magnitudes;
-    for torsion data of a stack, each flag is a list with one bool per member."""
-    return TorsionClass(*_flags(td, tol).tolist())

@@ -18,11 +18,12 @@ triples as one (N, 3, 4, 4) array.
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
 entries with an operator built once per process from the formula text.
-``cross_validate_stack`` cross-validates a stack that way, in passes of at
-most ``PASS_SIZE``, and returns the results as arrays; ``cross_validate_many``
-makes one report per triple from them, and ``cross_validate`` runs one triple
-as a stack of one.  ``generate_many`` draws a stack of random triples, of one
-family or a family per trial, at once.
+``cross_validate_stack`` cross-validates a stack that way in one pass and
+returns the results as arrays, from which ``reports()`` makes one report per
+triple; ``cross_validate`` runs one triple as a stack of one.  The caller
+bounds the size of a pass (the command line uses ``cli.PASS_SIZE``).
+``generate_many`` draws a stack of random triples, of one family or a family
+per trial, at once.
 """
 
 import enum
@@ -189,15 +190,15 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class TripleABC:
     """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6, held as
     one read-only (3, 4, 4) array ``abc``; ``A``, ``B`` and ``C`` are read-only
     views of it.
 
-    ``TripleABC.stack`` and ``generate_many`` make stacks of N validated
-    triples, ``abc`` of shape (N, 3, 4, 4) and matrices of shape (N, 4, 4),
-    which every function of the module accepts too.
+    ``generate_many`` makes stacks of N validated triples, ``abc`` of shape
+    (N, 3, 4, 4) and matrices of shape (N, 4, 4), which every function of the
+    module accepts too.  Equality and hashing are by identity.
     """
 
     abc: np.ndarray
@@ -214,11 +215,6 @@ class TripleABC:
     A = property(lambda self: self.abc[..., 0, :, :])
     B = property(lambda self: self.abc[..., 1, :, :])
     C = property(lambda self: self.abc[..., 2, :, :])
-
-    @classmethod
-    def stack(cls, triples):
-        """The stack of the given triples and stacks of triples, in order."""
-        return cls._of_validated(np.concatenate([t.abc.reshape(-1, 3, 4, 4) for t in triples]))
 
     @classmethod
     def _of_validated(cls, abc):
@@ -337,7 +333,7 @@ def closed_form_derivatives(t):
 
 # -- closed-form torsion --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormTorsion:
     tau0: float
     tau1: Form
@@ -816,10 +812,11 @@ class ReferenceCheck:
         return cls(*_column_labels()[column], tabulated, computed)
 
 
-@dataclass
+@dataclass(eq=False)
 class CrossValidationReport:
     """One triple's results, as CrossValidationArrays.reports makes them: the
-    deviations that gate its family, and ``passed``, CrossValidationArrays.passed."""
+    deviations that gate its family, and ``passed``, CrossValidationArrays.passed.
+    Equality and hashing are by identity."""
 
     family: str
     tol: float
@@ -899,9 +896,6 @@ def _off_support(degree, support):
     return np.array([key not in allowed for key in COMBS[degree]])
 
 
-#: Triples per array pass of cross_validate_stack; bounds the memory a pass holds.
-PASS_SIZE = 32
-
 #: Gated deviations that apply to the triples of some families only, with those families.
 _FAMILY_DEVIATIONS = {
     "divergence_free": _SHAPES,  # the four families of the theorem, all but GENERAL
@@ -923,35 +917,18 @@ def cross_validate(t, tol=DEFAULT_TOL):
     Gated quantities (the ``deviations`` dict) are the ones the two routes
     must agree on; tabulated formulas known to carry misprints are compared
     coefficient-wise into ``dual_reports`` instead and never gate.  This is
-    the pass of cross_validate_stack, run on the triple as a stack of one.
+    cross_validate_stack, run on the triple as a stack of one.
     """
-    return cross_validate_stack(t, tol)[0].reports()[0]
+    return cross_validate_stack(t, tol).reports()[0]
 
 
 def cross_validate_stack(t, tol=DEFAULT_TOL):
-    """The results of every triple of the stack t, as one CrossValidationArrays
-    per array pass of at most PASS_SIZE triples, in order.  Each pass runs
-    both routes once, over a leading trial axis."""
-    abc = t.abc.reshape(-1, 3, 4, 4)  # a single triple is a stack of one
-    return [_cross_validate_pass(TripleABC._of_validated(abc[start:start + PASS_SIZE]), tol)
-            for start in range(0, len(abc), PASS_SIZE)]
-
-
-def cross_validate_many(triples, tol=DEFAULT_TOL):
-    """The cross_validate report of every triple of the given triples and
-    stacks of triples, in input order, from the passes of cross_validate_stack."""
-    triples = list(triples)
-    if not triples:
-        return []
-    return [report for arrays in cross_validate_stack(TripleABC.stack(triples), tol)
-            for report in arrays.reports()]
-
-
-def _cross_validate_pass(t, tol):
-    """The CrossValidationArrays of t, a stack of n triples, from one run of
-    both routes: the generic route from torsion_data and the connection, the
-    tabulated one from tabulated_values and the closed forms.  A gated quantity is
-    the largest magnitude of its residual, an (n, k) block; one reduction takes all."""
+    """The CrossValidationArrays of t, a stack of n triples (a single triple is a
+    stack of one), from one pass of both routes over a leading trial axis: the
+    generic route from torsion_data and the connection, the tabulated one from
+    tabulated_values and the closed forms.  A gated quantity is the largest
+    magnitude of its residual, an (n, k) block; one reduction takes all."""
+    t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
     alg, s = build(t)
     code = t._shape_code
     n = len(code)

@@ -52,6 +52,11 @@ def unstack(t):
     return [TripleABC(*abc) for abc in t.abc]
 
 
+def stack_of(triples):
+    """The stack of the given (validated) triples, in order, as one TripleABC."""
+    return TripleABC._of_validated(np.stack([t.abc for t in triples]))
+
+
 # -- per-matrix transcriptions of the closed forms, as references --------------
 
 def closed_form_connection_reference(t):

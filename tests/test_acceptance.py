@@ -25,7 +25,7 @@ from g2abc.gabc import (
     build,
     closed_form_divergence,
     closed_form_torsion,
-    cross_validate_many,
+    cross_validate_stack,
     generate_many,
 )
 from g2abc.liealg import ce_diff
@@ -49,7 +49,7 @@ def campaigns():
     for fam_index, kind in enumerate(FAMILIES):
         stack = generate_many(kind, [np.random.SeedSequence((ACCEPT_SEED, fam_index, trial))
                                      for trial in range(TRIALS)])
-        out[kind] = list(zip(unstack(stack), cross_validate_many([stack]), strict=True))
+        out[kind] = list(zip(unstack(stack), cross_validate_stack(stack).reports(), strict=True))
     return out
 
 

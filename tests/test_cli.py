@@ -65,6 +65,16 @@ def test_analyze_rejects_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_analyze_rejects_json_nested_too_deep_for_the_decoder(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"A": ' + "[" * 100000 + "]" * 100000 + ', "B": [], "C": []}')
+    assert main(["analyze", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path} is not valid JSON: maximum recursion depth")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("content, message", [
     (b'{"A": "\xff"}', "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 7: "
                        "invalid start byte"),
@@ -182,7 +192,7 @@ def test_verify_json_reports_worst_deviations_per_case(capsys):
 def test_verify_json_aggregates_like_the_reports_one_at_a_time(capsys, monkeypatch, tol,
                                                                pass_size):
     # passes of 2 split every case, and some pass holds two cases
-    monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
+    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
     argv = ["verify", "--case", "all", "--trials", "3", "--seed", "5", "--tol", tol, "--json"]
     main(argv)
     out = json.loads(capsys.readouterr().out)
@@ -192,7 +202,7 @@ def test_verify_json_aggregates_like_the_reports_one_at_a_time(capsys, monkeypat
         triples = [gabc.generate(cli.CASES[case], np.random.SeedSequence((5, i, k)))
                    for k in range(3)]
         top, top_key, devs = 0.0, "", {}
-        for rep in gabc.cross_validate_many(triples, tol=float(tol)):
+        for rep in (gabc.cross_validate(t, tol=float(tol)) for t in triples):
             failures += not rep.passed
             for key, val in rep.deviations.items():
                 devs[key] = max(devs.get(key, 0.0), val)
@@ -219,7 +229,7 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
     assert main(argv) == 0
     reference = json.loads(capsys.readouterr().out)
     # 15 triples in passes of 2: passes straddle the case boundaries
-    monkeypatch.setattr(gabc, "PASS_SIZE", 2)
+    monkeypatch.setattr(cli, "PASS_SIZE", 2)
     assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     for key in ("passed", "failing_trials"):
@@ -260,7 +270,7 @@ def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkey
 @pytest.mark.parametrize("case, pass_size", [("sym", 32), ("all", 32), ("all", 2)])
 def test_verify_names_the_case_and_trial_of_a_rejected_triple(capsys, monkeypatch, case,
                                                               pass_size):
-    monkeypatch.setattr(gabc, "PASS_SIZE", pass_size)
+    monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
     # the draws of trial 3 of case sym, case index i of the request: its normals, then its diagonals
     i = list(cli.CASES).index("sym") if case == "all" else 0
     rng = np.random.default_rng(np.random.SeedSequence((4, i, 3)))

@@ -10,9 +10,9 @@ from g2abc.g2core import (
     PSI_WEDGE,
     STANDARD_PHI,
     STANDARD_PSI,
-    TorsionClass,
+    DEFAULT_TOL,
     TorsionData,
-    classify,
+    _flags,
     full_torsion_from_nabla,
     reconstruction_residuals,
     tau27_tensor,
@@ -22,7 +22,7 @@ from g2abc.g2core import (
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.riemann import levi_civita
 
-from helpers import ZERO4, contract_basis, e_matrix
+from helpers import ZERO4, contract_basis, e_matrix, stack_of
 
 
 def make(A=ZERO4, B=ZERO4, C=ZERO4):
@@ -47,8 +47,8 @@ def test_abelian_structure_is_torsion_free():
     assert t0 == 0.0 and t1.is_zero() and t2.is_zero() and t3.is_zero()
     td = torsion_data(s)
     assert not np.any(td.T) and not np.any(td.tau27)
-    flags = classify(td)
-    assert flags.torsion_free and flags.closed and flags.coclosed
+    closed, coclosed, torsion_free = _flags(td, DEFAULT_TOL)
+    assert torsion_free and closed and coclosed
 
 
 def test_diagonal_example_torsion():
@@ -143,7 +143,7 @@ def test_torsion_solve_rejects_inconsistent_connection(rng):
                                   FamilyKind.SYMMETRIC])
 def test_torsion_solve_residual_scales_with_the_connection(kind, scale):
     # the right-hand side is linear in gamma, so is the rounding of the solve
-    stack, s = build(TripleABC.stack([generate(kind, seed, scale) for seed in range(5)]))
+    stack, s = build(stack_of([generate(kind, seed, scale) for seed in range(5)]))
     gamma = levi_civita(stack)
     T = torsion_data(s).T
     assert np.abs(gamma).max() > 1e6
@@ -227,30 +227,30 @@ def test_phi_and_psi_product_matrices_are_the_wedge_products(rng):
 
 # -- classification -------------------------------------------------------------------
 
-def test_classify_a_stack_member_by_member():
+def test_torsion_flags_of_a_stack_member_by_member():
     # tau_q of member n is q-th entry of its row: a value of 1 (or NaN) breaks its flags
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                      [np.nan, 0, 0, 0], [0, 0, np.nan, 0]])
     forms = [Form(k, np.outer(rows[:, k], np.ones(DIMS[k]))) for k in (1, 2, 3)]
     td = TorsionData(rows[:, 0], *forms, tau27=None, T=None)
-    flags = classify(td, tol=0.5)
-    assert flags.closed == [True, False, False, True, False, False, True]
-    assert flags.coclosed == [True, True, False, False, True, True, False]
-    assert flags.torsion_free == [True, False, False, False, False, False, False]
+    closed, coclosed, torsion_free = _flags(td, 0.5).tolist()
+    assert closed == [True, False, False, True, False, False, True]
+    assert coclosed == [True, True, False, False, True, True, False]
+    assert torsion_free == [True, False, False, False, False, False, False]
     single = TorsionData(0.0, forms[0][2], forms[1][2], forms[2][2], tau27=None, T=None)
-    assert classify(single, tol=0.5) == TorsionClass(False, False, False)
+    assert _flags(single, 0.5).tolist() == [False, False, False]
 
 def test_diag_example_closed_not_coclosed():
     _, s = make(A=DIAG_A)
-    flags = classify(torsion_data(s))
-    assert flags.closed and not flags.coclosed and not flags.torsion_free
+    closed, coclosed, torsion_free = _flags(torsion_data(s), DEFAULT_TOL)
+    assert closed and not coclosed and not torsion_free
 
 
 def test_skew_example_neither_closed_nor_coclosed():
     A = e_matrix(4, 6) - e_matrix(6, 4)
     _, s = make(A=A)
-    flags = classify(torsion_data(s))
-    assert not flags.closed and not flags.coclosed
+    closed, coclosed, _ = _flags(torsion_data(s), DEFAULT_TOL)
+    assert not closed and not coclosed
 
 
 def test_skew_rotation_block_full_torsion_structure():

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from g2abc import exterior, g2core, gabc
+from g2abc import cli, exterior, g2core, gabc
 from g2abc._tables import COMBS
 from g2abc.errors import ValidationError
 from g2abc.exterior import Form, _vecmat, hodge, wedge
@@ -35,7 +35,7 @@ from g2abc.gabc import (
     closed_form_ricci,
     closed_form_torsion,
     cross_validate,
-    cross_validate_many,
+    cross_validate_stack,
     generate,
     generate_many,
     structure_constants,
@@ -54,6 +54,7 @@ from helpers import (
     form_inner,
     is_unimodular,
     jacobi_residual,
+    stack_of,
     unstack,
 )
 
@@ -346,17 +347,17 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
         gabc._operator.__wrapped__()
 
 
-def test_tabulated_values_and_dual_reports_do_not_depend_on_the_pass(monkeypatch):
+def test_tabulated_values_and_dual_reports_do_not_depend_on_the_pass():
     triples = mixed_triples(9, 7)  # 35 triples: passes of 32 and 3, or of 2
     alone = np.array([gabc.tabulated_values(t) for t in triples])
     reports = [cross_validate(t) for t in triples]
     assert any(rep.dual_reports for rep in reports)
     for size in (32, 2):
-        in_passes = [gabc.tabulated_values(TripleABC.stack(triples[i:i + size]))
-                     for i in range(0, len(triples), size)]
+        passes = [stack_of(triples[i:i + size]) for i in range(0, len(triples), size)]
+        in_passes = [gabc.tabulated_values(t) for t in passes]
         assert np.array_equal(np.concatenate(in_passes), alone), size
-        monkeypatch.setattr(gabc, "PASS_SIZE", size)
-        for rep, ref in zip(cross_validate_many(triples), reports, strict=True):
+        per_pass = [rep for t in passes for rep in cross_validate_stack(t).reports()]
+        for rep, ref in zip(per_pass, reports, strict=True):
             assert (rep.dual_reports, rep.deviations) == (ref.dual_reports, ref.deviations), size
 
 
@@ -524,8 +525,8 @@ def pass_residuals(t):
 
 
 def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
-    t = TripleABC.stack(mixed_triples(5, 3))
-    (arrays,) = gabc.cross_validate_stack(t)
+    t = stack_of(mixed_triples(5, 3))
+    arrays = cross_validate_stack(t)
     residuals = pass_residuals(t)
     assert arrays.quantities == tuple(residuals) and len(residuals) == 25
     for q, (name, residual) in enumerate(residuals.items()):
@@ -534,8 +535,8 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 
 
 def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
-    t = TripleABC.stack(mixed_triples(6, 2))
-    (reference,) = gabc.cross_validate_stack(t)
+    t = stack_of(mixed_triples(6, 2))
+    reference = cross_validate_stack(t)
     assert reference.passed().all()
     ricci_fn = gabc.closed_form_ricci
 
@@ -545,7 +546,7 @@ def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
         return ric
 
     monkeypatch.setattr(gabc, "closed_form_ricci", nan_for_triple_3)
-    (arrays,) = gabc.cross_validate_stack(t)
+    arrays = cross_validate_stack(t)
     q = arrays.quantities.index("ricci")
     assert np.isnan(arrays.deviations[3, q])
     moved = np.zeros(arrays.deviations.shape, dtype=bool)
@@ -667,13 +668,13 @@ def mixed_triples(seed, trials):
 
 
 def one_pass_runs():
-    """(label, run): cross_validate of one triple per family, then passes of
-    cross_validate_many over 5 and over 15 mixed-family triples."""
+    """(label, run): cross_validate of one triple per family, then the reports
+    of cross_validate_stack over 5 and over 15 mixed-family triples."""
     for kind in FamilyKind:
         yield kind.value, lambda kind=kind: cross_validate(generate(kind, 0))
     for trials in (1, 3):
         yield f"mixed pass of {5 * trials}", \
-            lambda trials=trials: cross_validate_many(mixed_triples(1, trials))
+            lambda trials=trials: cross_validate_stack(stack_of(mixed_triples(1, trials))).reports()
 
 
 def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
@@ -707,7 +708,7 @@ def test_cross_validate_evaluates_each_shape_predicate_once_per_pass(monkeypatch
             calls[_kind] += 1
             return _predicate(M)
         monkeypatch.setitem(gabc._FAMILY_PREDICATES, kind, counted)
-    reports = cross_validate_many(triples)
+    reports = cross_validate_stack(stack_of(triples)).reports()
     assert {rep.family for rep in reports} == {kind.value for kind in FamilyKind}
     assert calls == {kind: 1 for kind in gabc._FAMILY_PREDICATES}
 
@@ -754,9 +755,15 @@ def assert_same_report(a, b, tol=1e-13):
         assert abs(r.tabulated - q.tabulated) <= tol and abs(r.computed - q.computed) <= tol
 
 
-def test_cross_validate_many_matches_cross_validate_one_at_a_time():
-    triples = mixed_triples(7, 8)
-    reports = cross_validate_many(triples)
+def test_cross_validate_stack_is_one_pass_that_matches_cross_validate_one_at_a_time(
+        monkeypatch):
+    triples = mixed_triples(7, 8)  # 40 triples, more than the command line puts in a pass
+    assert len(triples) > cli.PASS_SIZE
+    calls = count_calls(monkeypatch, g2core, ("ce_diff",))
+    arrays = cross_validate_stack(stack_of(triples))
+    assert isinstance(arrays, gabc.CrossValidationArrays)
+    assert calls == {"ce_diff": 2}
+    reports = arrays.reports()
     assert len(reports) == len(triples)
     for t, rep in zip(triples, reports):
         assert_same_report(cross_validate(t), rep, tol=0.0)
@@ -764,28 +771,39 @@ def test_cross_validate_many_matches_cross_validate_one_at_a_time():
     assert any(rep.dual_reports for rep in reports)
 
 
-def test_cross_validate_many_does_not_depend_on_order_or_pass_size(monkeypatch):
+def test_cross_validate_stack_does_not_depend_on_order_or_pass_size(monkeypatch):
     triples = mixed_triples(8, 3)
-    reference = cross_validate_many(triples)
+    reference = cross_validate_stack(stack_of(triples)).reports()
     order = np.random.default_rng(3).permutation(len(triples))
-    for i, rep in zip(order, cross_validate_many([triples[i] for i in order])):
+    shuffled = cross_validate_stack(stack_of([triples[i] for i in order])).reports()
+    for i, rep in zip(order, shuffled):
         assert_same_report(reference[i], rep)
     # 15 triples in passes of at most 4: four passes, two CE differentials each
-    monkeypatch.setattr(gabc, "PASS_SIZE", 4)
     calls = count_calls(monkeypatch, g2core, ("ce_diff",))
-    for ref, rep in zip(reference, cross_validate_many(triples), strict=True):
+    in_passes = [rep for start in range(0, len(triples), 4)
+                 for rep in cross_validate_stack(stack_of(triples[start:start + 4])).reports()]
+    for ref, rep in zip(reference, in_passes, strict=True):
         assert_same_report(ref, rep)
     assert calls == {"ce_diff": 8}
-    assert cross_validate_many([]) == []
 
 
-def test_cross_validate_stack_takes_a_single_triple_as_a_stack_of_one(monkeypatch):
+def test_cross_validate_stack_takes_a_single_triple_as_a_stack_of_one():
     t = generate(FamilyKind.GENERAL, 0)
-    monkeypatch.setattr(gabc, "PASS_SIZE", 2)
-    passes = gabc.cross_validate_stack(t)
-    assert len(passes) == 1
-    (rep,) = passes[0].reports()
+    arrays = cross_validate_stack(t)
+    assert arrays.deviations.shape[0] == 1
+    (rep,) = arrays.reports()
     assert_same_report(cross_validate(t), rep, tol=0.0)
+
+
+def test_records_with_array_fields_compare_and_hash_by_identity():
+    t = generate(FamilyKind.SKEW, 0)
+    td = torsion_data(build(t)[1])
+    records = [t, td, closed_form_torsion(t, FamilyKind.SKEW), cross_validate(t)]
+    twins = [generate(FamilyKind.SKEW, 0), torsion_data(build(t)[1]),
+             closed_form_torsion(t, FamilyKind.SKEW), cross_validate(t)]
+    for record, twin in zip(records, twins):
+        assert record == record and record != twin, type(record)
+    assert len(set(records + twins)) == len(records) + len(twins)
 
 
 def test_cross_validate_divergence_free_key_for_families():

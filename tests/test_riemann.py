@@ -11,7 +11,7 @@ from g2abc.riemann import (
     riemann_tensor,
 )
 
-from helpers import ZERO4, contract_basis
+from helpers import ZERO4, contract_basis, stack_of
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -144,7 +144,7 @@ def curvature_contraction(alg, gamma):
 
 def test_ricci_is_the_contraction_of_the_curvature_tensor():
     triples = [generate(kind, 135) for kind in FamilyKind]
-    stacked, _ = build(TripleABC.stack(triples))
+    stacked, _ = build(stack_of(triples))
     ric = ricci(stacked, levi_civita(stacked))
     for n, t in enumerate(triples):
         alg, _ = build(t)
