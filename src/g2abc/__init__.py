@@ -11,7 +11,7 @@ from .errors import (
     TorsionSolveError,
     ValidationError,
 )
-from .exterior import Form, contract, hodge, wedge
+from .exterior import Form, hodge, wedge
 from .g2core import (
     G2Structure,
     STANDARD_PHI,
@@ -29,7 +29,6 @@ from .gabc import (
     build,
     classify_triple,
     closed_form_connection,
-    closed_form_derivatives,
     closed_form_divergence,
     closed_form_ricci,
     closed_form_torsion,
@@ -40,7 +39,7 @@ from .gabc import (
     theta,
 )
 from .liealg import LieAlgebra7, ce_diff
-from .riemann import div_torsion, flow_velocity, levi_civita, ricci
+from .riemann import div_torsion, levi_civita, ricci
 
 __version__ = "0.1.0"
 
@@ -65,15 +64,12 @@ __all__ = [
     "ce_diff",
     "classify_triple",
     "closed_form_connection",
-    "closed_form_derivatives",
     "closed_form_divergence",
     "closed_form_ricci",
     "closed_form_torsion",
-    "contract",
     "cross_validate",
     "cross_validate_stack",
     "div_torsion",
-    "flow_velocity",
     "full_torsion_from_forms",
     "full_torsion_from_nabla",
     "generate",

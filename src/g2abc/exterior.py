@@ -6,10 +6,11 @@ ascending index tuples drawn from {1,...,7} (``e^{127}`` is the key
 basis monomials; the public ``coeffs`` view is the sparse map of its
 nonzero coefficients.
 A form may also hold a stack of N such vectors, shape (N, C(7,k)): one
-form per trial of a batch.  Wedge, contraction, the Hodge star and the
-derivation action of a matrix are each one product of those vectors with
-the dense operators of ``_tables``, and broadcast a single form against a
-stack.
+form per trial of a batch.  Wedge, the contractions by e_1..e_7, the Hodge
+star and the derivation action of a matrix are each one product of those
+vectors with the dense operators of ``_tables``, and broadcast a single
+form against a stack.  ``Form`` is the type of this public API; the stages
+of the torsion pass exchange the bare coefficient arrays instead.
 
 Conventions:
   * monomials are orthonormal,
@@ -103,19 +104,6 @@ class Form:
         out.flags.writeable = False
         return out
 
-    def __getitem__(self, n):
-        """Form n of a stack."""
-        if self._vals.ndim != 2:
-            raise DegreeError("only a stack of forms can be indexed")
-        return Form(self.degree, self._vals[n])
-
-    def __call__(self, *indices):
-        """Coefficient of the (possibly unsorted) monomial ``e^indices``."""
-        idx, sign = canonical_indices(indices)
-        if len(idx) != self.degree:
-            raise DegreeError(f"expected {self.degree} indices, got {len(idx)}")
-        return 0.0 if sign == 0 else sign * float(self._vals[RANK[self.degree][idx]])
-
     def norm_inf(self):
         """Largest coefficient magnitude; an (N,) array for a stack of forms."""
         out = np.abs(self._vals).max(axis=-1)
@@ -146,15 +134,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __repr__(self):
-        if self.is_zero():
-            return f"Form({self.degree}, 0)"
-        terms = " ".join(
-            f"{v:+g}*e{''.join(map(str, k))}" if k else f"{v:+g}"
-            for k, v in sorted(self.coeffs.items())
-        )
-        return f"Form({self.degree}, {terms})"
-
 
 def _vecmat(x, m):
     """x @ m over leading axes: (..., i) and (..., i, r) give (..., r)."""
@@ -165,11 +144,16 @@ def _vecmat(x, m):
 _IOTA = {k: op.transpose(1, 0, 2).reshape(op.shape[1], -1) for k, op in CONTRACT.items()}
 
 
+def _iota_rows(vals, k):
+    """The contractions of the k-form whose coefficient array is vals."""
+    return (vals @ _IOTA[k]).reshape(vals.shape[:-1] + (DIM, DIMS[k - 1]))
+
+
 def contractions(a):
     """(..., 7, C(7,k-1)) array; row m holds the coefficients of iota_{e_{m+1}} a."""
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
-    return (a._vals @ _IOTA[a.degree]).reshape(a._vals.shape[:-1] + (DIM, DIMS[a.degree - 1]))
+    return _iota_rows(a._vals, a.degree)
 
 
 def wedge(a, b):
@@ -181,15 +165,6 @@ def wedge(a, b):
     # contract the first factor against the flattened operator, then the second
     left = (a._vals @ op.reshape(op.shape[0], -1)).reshape(a._vals.shape[:-1] + op.shape[1:])
     return Form(k, _vecmat(b._vals, left))
-
-
-def contract(x, a):
-    """Interior product (iota_x a)(Y, ...) = a(x, Y, ...) by a coefficient vector x
-    (or an (N, 7) stack of them)."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape[-1:] != (DIM,):
-        raise DegreeError(f"vector must have {DIM} components, got {xv.shape}")
-    return Form(a.degree - 1, _vecmat(xv, contractions(a)))
 
 
 def hodge(a):

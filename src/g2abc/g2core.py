@@ -4,7 +4,10 @@ independent routes.  The basis e_1..e_7 is orthonormal for the standard
 3-form, so every metric quantity is taken in the identity metric.
 
 A structure on a stack of N algebras (``LieAlgebra7`` of (N, 7, 7, 7)
-constants) yields stacks of forms and (N, ...) arrays throughout."""
+constants) yields (N, ...) arrays throughout.  The stages exchange a k-form
+as its (..., C(7,k)) coefficient array, and multiply it by phi, psi or the
+star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
+derivatives of a G2Structure and the forms of a TorsionData are ``Form``s."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,9 +15,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._tables import DIM, DIMS, WEDGE
+from ._tables import DIM, DIMS, STAR, WEDGE
 from .errors import TorsionSolveError
-from .exterior import Form, _vecmat, contractions, hodge
+from .exterior import Form, _iota_rows, _vecmat, contractions, hodge
 from .liealg import ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -37,17 +40,9 @@ if not (hodge(STANDARD_PHI) - STANDARD_PSI).is_zero():  # pragma: no cover
 PHI_CONTRACTIONS = contractions(STANDARD_PHI)
 #: PHI_WEDGE[k] and PSI_WEDGE[k]: the (C(7,k), C(7,k+3)) and (C(7,k), C(7,k+4))
 #: matrices of a -> a ^ phi and a -> a ^ psi on k-forms, for the degrees the
-#: torsion forms and their type checks use; _vecmat(a.values, PHI_WEDGE[k]) is a ^ phi.
+#: torsion forms and their type checks use; _vecmat(a, PHI_WEDGE[k]) is a ^ phi.
 PHI_WEDGE = {k: _vecmat(STANDARD_PHI.values, WEDGE[(k, 3)]) for k in (1, 3, 4)}
 PSI_WEDGE = {k: _vecmat(STANDARD_PSI.values, WEDGE[(k, 4)]) for k in (1, 2, 3)}
-
-
-def _wedge_phi(a):
-    return Form(a.degree + 3, _vecmat(a.values, PHI_WEDGE[a.degree]))
-
-
-def _wedge_psi(a):
-    return Form(a.degree + 4, _vecmat(a.values, PSI_WEDGE[a.degree]))
 
 
 #: _PAIR_TOP[K, (I, J)]: coefficient of e^{1...7} in e^I ^ e^J ^ e^K, over the
@@ -84,9 +79,10 @@ class G2Structure:
 @dataclass(frozen=True, eq=False)
 class TorsionData:
     """Torsion forms, the symmetric 27-part and the full torsion tensor matrix;
-    equality and hashing are by identity."""
+    equality and hashing are by identity.  For a stack of N structures tau0 is
+    an (N,) array, the forms are stacks and the tensors (N, 7, 7) arrays."""
 
-    tau0: float
+    tau0: float | np.ndarray
     tau1: Form
     tau2: Form
     tau3: Form
@@ -95,17 +91,18 @@ class TorsionData:
 
 
 def torsion_forms(s):
-    """The four torsion components of d(phi) and d(psi).
+    """The four torsion components of d(phi) and d(psi), as coefficient arrays:
 
     tau0 = (1/7) star(dphi ^ phi)
     tau1 = -(1/12) star(star(dphi) ^ phi)
     tau2 = -star(dpsi) + 4 star(tau1 ^ psi)
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
-    tau0 = hodge(_wedge_phi(s.dphi)).values[..., 0] / 7.0
-    tau1 = hodge(_wedge_phi(s.star_dphi)) * (-1.0 / 12.0)
-    tau2 = -s.star_dpsi + 4.0 * hodge(_wedge_psi(tau1))
-    tau3 = s.star_dphi - tau0 * s.phi - 3.0 * hodge(_wedge_phi(tau1))
+    tau0 = (_vecmat(s.dphi.values, PHI_WEDGE[4]) @ STAR[7].T)[..., 0] / 7.0
+    tau1 = (-1.0 / 12.0) * (_vecmat(s.star_dphi.values, PHI_WEDGE[3]) @ STAR[6].T)
+    tau2 = -s.star_dpsi.values + 4.0 * (_vecmat(tau1, PSI_WEDGE[1]) @ STAR[5].T)
+    tau3 = s.star_dphi.values - np.asarray(tau0)[..., None] * STANDARD_PHI.values \
+        - 3.0 * (_vecmat(tau1, PHI_WEDGE[1]) @ STAR[4].T)
     return tau0, tau1, tau2, tau3
 
 
@@ -121,7 +118,7 @@ def tau27_tensor(tau3):
     """
     rows = PHI_CONTRACTIONS
     # pair[I, J]: top coefficient of e^I ^ e^J ^ tau3 over the 2-monomials
-    pair = (tau3.values @ _PAIR_TOP).reshape(tau3.values.shape[:-1] + (DIMS[2], DIMS[2]))
+    pair = (tau3 @ _PAIR_TOP).reshape(tau3.shape[:-1] + (DIMS[2], DIMS[2]))
     top = rows @ pair @ rows.swapaxes(-1, -2)
     # 1/4 of the symmetrised pairing, so that the tensor is exactly symmetric
     return 0.125 * (top + top.swapaxes(-1, -2))
@@ -133,9 +130,9 @@ def full_torsion_from_forms(tau0, tau1, tau2, tau27):
     T(X, Y) = (1/4) tau0 g(X, Y) - iota_{tau1}(phi)(X, Y)
               - (1/2) tau2(X, Y) - tau27(X, Y).
     """
-    iota = Form(2, _vecmat(tau1.values, PHI_CONTRACTIONS))  # tau1's dual vector, same coefficients
-    T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - contractions(iota) \
-        - 0.5 * contractions(tau2) - tau27
+    iota = _vecmat(tau1, PHI_CONTRACTIONS)  # tau1's dual vector, same coefficients
+    T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - _iota_rows(iota, 2) \
+        - 0.5 * _iota_rows(tau2, 2) - tau27
     return T + 0.0  # + 0.0 normalises -0.0 entries
 
 
@@ -178,11 +175,13 @@ def torsion_data(s):
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(tau3)
     T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
-    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T)
+    return TorsionData(tau0=tau0, tau1=Form(1, tau1), tau2=Form(2, tau2), tau3=Form(3, tau3),
+                       tau27=tau27, T=T)
 
 
 def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
-    """The residual 4- and 5-forms of the two defining identities of the torsion forms:
+    """The coefficient arrays of the residual 4- and 5-forms of the two defining
+    identities of the torsion forms, given as coefficient arrays:
 
     dphi = tau0 psi + 3 tau1 ^ phi + star(tau3)
     dpsi = 4 tau1 ^ psi - star(tau2)
@@ -190,8 +189,9 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     (The sign of the star(tau2) term is pinned by the tau2 definition used in
     torsion_forms; see the README note on conventions.)
     """
-    res1 = s.dphi - (tau0 * s.psi + 3.0 * _wedge_phi(tau1) + hodge(tau3))
-    res2 = s.dpsi - (4.0 * _wedge_psi(tau1) - hodge(tau2))
+    res1 = s.dphi.values - (np.asarray(tau0)[..., None] * STANDARD_PSI.values
+                            + 3.0 * _vecmat(tau1, PHI_WEDGE[1]) + tau3 @ STAR[3].T)
+    res2 = s.dpsi.values - (4.0 * _vecmat(tau1, PSI_WEDGE[1]) - tau2 @ STAR[2].T)
     return res1, res2
 
 

@@ -325,17 +325,11 @@ def _derivatives_text(th):
     return dphi, star_dphi, dpsi, star_dpsi
 
 
-def closed_form_derivatives(t):
-    """(dphi, star dphi, dpsi, star dpsi) from the theta-action formulas (tabulated_values)."""
-    values = tabulated_values(t)
-    return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
-
-
 # -- closed-form torsion --------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormTorsion:
-    tau0: float
+    tau0: float | np.ndarray  # an (N,) array for a stack of N triples
     tau1: Form
     tau2: Form
     tau3: Form
@@ -558,6 +552,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     symmetric case has no table of its own and dispatches to the general one.
     The values are those of tabulated_values.
     """
+    _check_kinds([kind])
     if kind in _SHAPES and not _CODE_SHAPES[t._shape_code, _SHAPES.index(kind)].all():
         raise ValidationError(f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
@@ -726,20 +721,27 @@ def _family_draws(kind, scale):
     }[kind]
 
 
+def _check_kinds(kinds):
+    """Raise a ValidationError on a kind that is not a FamilyKind."""
+    if unknown := set(kinds) - set(FamilyKind):
+        raise ValidationError(f"unknown family kind {unknown.pop()!r}")
+
+
 def generate_many(kind, seeds, scale=1.0):
     """Stack of random triples, triple n of the family kind[n] (or kind, for a
     single one).  Triple n comes from the draws of ``default_rng(seeds[n])``
     alone, so it does not depend on the other trials or on its place.
 
-    Entries are kept within [-scale, scale], 0 < scale <= MAX_SCALE; all
-    family invariants hold by construction.  The stack's rotations come from
-    one QR, and it is re-validated by one run of the checks of TripleABC (an
-    error names the trial that fails, also as its ``trial``).
+    Entries are kept within [-scale, scale] up to a rounding, 0 < scale <=
+    MAX_SCALE, but within [-3 scale, 3 scale] for the diagonal and symmetric
+    families: the last entry of their diagonal (before any rotation) is minus
+    the sum of the other three.  All family invariants hold by construction.
+    The stack's rotations come from one QR, and it is re-validated by one run
+    of the checks of TripleABC (an error names the failing trial, also as its ``trial``).
     """
     seeds = list(seeds)
     kinds = list(kind) if isinstance(kind, (list, tuple)) else [kind] * len(seeds)
-    if unknown := set(kinds) - set(FamilyKind):
-        raise ValidationError(f"unknown family kind {unknown.pop()!r}")
+    _check_kinds(kinds)
     plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
     drawn = [[draw(rng) for draw in plans[k]]
              for k, rng in zip(kinds, map(np.random.default_rng, seeds), strict=True)]
@@ -841,8 +843,9 @@ class CrossValidationArrays(typing.NamedTuple):
     Column q of ``deviations`` is the quantity ``quantities[q]``; it gates
     triple n where ``applies[n, q]`` holds (the family-specific quantities
     apply to the triples of their family only).  The columns of ``flags``
-    are the closed, coclosed and torsion-free flags, and ``dual_reports`` the
-    arrays (trial, column of tabulated_values, tabulated, computed).  (A named
+    are the closed, coclosed and torsion-free flags, ``dual_reports`` the
+    arrays (trial, column of tabulated_values, tabulated, computed), and
+    tau1-tau3 the (n, C(7,k)) coefficient arrays of the torsion forms.  (A named
     tuple, not a dataclass: building a 15-field frozen dataclass adds ~2 ms.)
     """
 
@@ -855,9 +858,9 @@ class CrossValidationArrays(typing.NamedTuple):
     dual_reports: tuple
     flags: np.ndarray
     tau0: np.ndarray
-    tau1: Form
-    tau2: Form
-    tau3: Form
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau3: np.ndarray
     torsion_matrix: np.ndarray
     divergence: np.ndarray
     ricci_matrix: np.ndarray
@@ -883,7 +886,8 @@ class CrossValidationArrays(typing.NamedTuple):
             exact_checks={key: rows[n] for key, rows in exact_rows.items()},
             dual_reports=duals[n],
             flags=TorsionClass(*flag_rows[n]),
-            tau0=float(self.tau0[n]), tau1=self.tau1[n], tau2=self.tau2[n], tau3=self.tau3[n],
+            tau0=float(self.tau0[n]), tau1=Form(1, self.tau1[n]), tau2=Form(2, self.tau2[n]),
+            tau3=Form(3, self.tau3[n]),
             torsion_matrix=self.torsion_matrix[n], divergence=self.divergence[n],
             ricci_matrix=self.ricci_matrix[n])
             for n, family in enumerate(self.families)]
@@ -935,16 +939,16 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
 
     # generic route
     td = torsion_data(s)
-    tau2, tau3 = td.tau2.values, td.tau3.values
+    tau1, tau2, tau3 = td.tau1.values, td.tau2.values, td.tau3.values
     gamma = levi_civita(alg)
     ric = ricci(alg, gamma)
     div = div_torsion(gamma, td.T)
-    iota = _vecmat(td.tau1.values, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
+    iota = _vecmat(tau1, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
 
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
-    torsion = [td.tau0[:, None], td.tau1.values, tau2, tau3, iota]
+    torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]
     derivatives = [f.values for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
@@ -957,8 +961,8 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     duals = (*np.nonzero(hits), tab[hits], oracle[hits])
 
     # reconstruction identities, component types, support patterns, the tau27 a x n block
-    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, td.tau3)
-    res["reconstruction_dphi"], res["reconstruction_dpsi"] = rec1.values, rec2.values
+    res["reconstruction_dphi"], res["reconstruction_dpsi"] = reconstruction_residuals(
+        s, td.tau0, tau1, tau2, tau3)
     res["tau2_type14"] = _vecmat(tau2, PSI_WEDGE[2])
     res["tau3_type27_phi"] = _vecmat(tau3, PHI_WEDGE[3])
     res["tau3_type27_psi"] = _vecmat(tau3, PSI_WEDGE[3])
@@ -994,5 +998,5 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
         tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=tuple(res),
         deviations=deviations, applies=applies,
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
-        flags=_flags(td, tol).T, tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
+        flags=_flags(td, tol).T, tau0=td.tau0, tau1=tau1, tau2=tau2, tau3=tau3,
         torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

@@ -1,6 +1,5 @@
 """Levi-Civita connection of the metric making e_1..e_7 orthonormal on a Lie
-algebra, curvature, Ricci, divergence of the full torsion tensor, and the
-torsion-flow velocity.
+algebra, curvature, Ricci, and the divergence of the full torsion tensor.
 
 A connection is the (7, 7, 7) array gamma of its coefficients,
 nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k.  Connections, Ricci tensors and
@@ -9,8 +8,6 @@ divergences of a stack of N algebras carry a leading axis of length N."""
 import numpy as np
 
 from ._tables import DIM
-from .exterior import contract
-from .g2core import STANDARD_PSI
 
 
 def levi_civita(g):
@@ -61,8 +58,3 @@ def div_torsion(gamma, T):
     term1 = np.einsum("...m,...mj->...j", trace_vec, Tm)
     term2 = np.einsum("...ijm,...im->...j", gamma, Tm)
     return -(term1 + term2) + 0.0  # + 0.0 normalises -0.0 entries
-
-
-def flow_velocity(div_t):
-    """Right-hand side of the torsion flow: iota_{div T}(psi)."""
-    return contract(np.asarray(div_t, dtype=np.float64), STANDARD_PSI)

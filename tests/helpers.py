@@ -3,8 +3,8 @@
 import numpy as np
 
 from g2abc._tables import DIM, DIMS
-from g2abc.exterior import Form, contract
-from g2abc.gabc import _ABC_ROWS, TripleABC, _skew, _sym
+from g2abc.exterior import Form, contractions
+from g2abc.gabc import _ABC_ROWS, _COLUMNS, _DERIVATIVES, TripleABC, _skew, _sym, tabulated_values
 from g2abc.liealg import _jacobi_residuals
 
 
@@ -29,7 +29,12 @@ def e_matrix(i, j, value=1.0):
 
 def contract_basis(m, a):
     """Interior product of the form a by the basis vector e_m (1-based)."""
-    return contract(np.eye(DIM)[m - 1], a)
+    return Form(a.degree - 1, contractions(a)[..., m - 1, :])
+
+
+def member(form, n):
+    """Form n of a stack of forms."""
+    return Form(form.degree, form.values[n])
 
 
 def form_inner(a, b):
@@ -55,6 +60,13 @@ def unstack(t):
 def stack_of(triples):
     """The stack of the given (validated) triples, in order, as one TripleABC."""
     return TripleABC._of_validated(np.stack([t.abc for t in triples]))
+
+
+def tabulated_derivatives(t):
+    """(dphi, star dphi, dpsi, star dpsi) of the theta-action formulas, as Forms
+    read from their columns of tabulated_values."""
+    values = tabulated_values(t)
+    return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
 
 
 # -- per-matrix transcriptions of the closed forms, as references --------------

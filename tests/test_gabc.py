@@ -8,7 +8,7 @@ import pytest
 from g2abc import cli, exterior, g2core, gabc
 from g2abc._tables import COMBS
 from g2abc.errors import ValidationError
-from g2abc.exterior import Form, _vecmat, hodge, wedge
+from g2abc.exterior import Form, _vecmat, contractions, hodge, wedge
 from g2abc.g2core import (
     PHI_CONTRACTIONS,
     PHI_WEDGE,
@@ -30,7 +30,6 @@ from g2abc.gabc import (
     build,
     classify_triple,
     closed_form_connection,
-    closed_form_derivatives,
     closed_form_divergence,
     closed_form_ricci,
     closed_form_torsion,
@@ -55,6 +54,7 @@ from helpers import (
     is_unimodular,
     jacobi_residual,
     stack_of,
+    tabulated_derivatives,
     unstack,
 )
 
@@ -222,6 +222,7 @@ def test_theta_rejects_support_outside_ideal():
     (lambda: generate_many(["bogus"], [0]), "unknown family kind 'bogus'"),
     (lambda: theta(DIAG_A, Form.monomial((3,))), "theta acts on 2-forms"),
     (lambda: theta_omega_tabulated(DIAG_A, 3), "which must be one of 7, 1, 2"),
+    (lambda: closed_form_torsion(make(), "skew"), "unknown family kind 'skew'"),
 ])
 def test_malformed_arguments_raise(call, message):
     with pytest.raises(ValidationError) as err:
@@ -249,24 +250,26 @@ def test_theta_tabulated_mismatches_are_exactly_the_known_ones(rng):
         m = rng.standard_normal((4, 4))
         d1 = theta_omega_tabulated(m, 1) - theta(m, OMEGA[1])
         assert set(d1.coeffs) <= {(3, 5)}
-        assert abs(d1(3, 5) - 2 * m[2, 2]) <= 1e-12  # -(m33-m55) vs -(m33+m55): diff 2*m55
+        # -(m33-m55) vs -(m33+m55): diff 2*m55
+        assert abs(d1.coeffs.get((3, 5), 0.0) - 2 * m[2, 2]) <= 1e-12
         d2 = theta_omega_tabulated(m, 2) - theta(m, OMEGA[2])
         assert set(d2.coeffs) <= {(4, 6)}
-        assert abs(d2(4, 6) - (m[2, 1] - m[0, 1])) <= 1e-12  # m54 printed vs m34 true
+        # m54 printed vs m34 true
+        assert abs(d2.coeffs.get((4, 6), 0.0) - (m[2, 1] - m[0, 1])) <= 1e-12
         assert (theta_omega_tabulated(m, 7) - theta(m, OMEGA[7])).is_zero()
 
 
 # -- closed-form derivatives -------------------------------------------------------
 
 def test_derivatives_vanish_for_abelian():
-    out = closed_form_derivatives(make())
+    out = tabulated_derivatives(make())
     assert all(f.is_zero() for f in out)
 
 
 def test_dpsi_for_diagonal_b_only():
     B = np.diag([1.0, 2.0, -3.0, 0.0])
     t = make(B=B)
-    _, _, dpsi, _ = closed_form_derivatives(t)
+    _, _, dpsi, _ = tabulated_derivatives(t)
     expected = wedge(theta(B, OMEGA[1]), Form.monomial((1, 2, 7)))
     assert (dpsi - expected).is_zero()
 
@@ -275,7 +278,7 @@ def test_derivatives_match_ce_oracle():
     for kind in FamilyKind:
         t = generate(kind, 77)
         alg, s = build(t)
-        dphi, sdphi, dpsi, sdpsi = closed_form_derivatives(t)
+        dphi, sdphi, dpsi, sdpsi = tabulated_derivatives(t)
         assert (dphi - ce_diff(alg, s.phi)).norm_inf() <= 1e-9
         assert (sdphi - hodge(ce_diff(alg, s.phi))).norm_inf() <= 1e-9
         assert (dpsi - ce_diff(alg, s.psi)).norm_inf() <= 1e-9
@@ -323,8 +326,8 @@ def test_general_table_tau1_tau2_match_oracle():
         _, s = build(t)
         _, t1, t2, _ = torsion_forms(s)
         cf = closed_form_torsion(t, FamilyKind.GENERAL)
-        assert (cf.tau1 - t1).norm_inf() <= 1e-9
-        assert (cf.tau2 - t2).norm_inf() <= 1e-9
+        assert (cf.tau1 - Form(1, t1)).norm_inf() <= 1e-9
+        assert (cf.tau2 - Form(2, t2)).norm_inf() <= 1e-9
 
 
 # -- the tabulated formulas as one operator --------------------------------------------
@@ -495,16 +498,16 @@ def pass_residuals(t):
     general = closed_form_torsion(t)
     # the coefficients of the monomials outside a support
     outside = lambda form, support: form[:, [key not in support for key in COMBS[len(support[0])]]]
-    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, td.tau3)
     tau3 = td.tau3.values
+    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1.values, td.tau2.values, tau3)
     return {
         **{name: tab.values - f.values for name, tab, f in zip(
-            ("dphi", "star_dphi", "dpsi", "star_dpsi"), closed_form_derivatives(t),
+            ("dphi", "star_dphi", "dpsi", "star_dpsi"), tabulated_derivatives(t),
             (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi))},
         "tau1": general.tau1.values - td.tau1.values,
         "tau2": general.tau2.values - td.tau2.values,
         "iota_tau1_phi": general.iota_tau1_phi.values - iota,
-        "reconstruction_dphi": rec1.values, "reconstruction_dpsi": rec2.values,
+        "reconstruction_dphi": rec1, "reconstruction_dpsi": rec2,
         "tau2_type14": _vecmat(td.tau2.values, PSI_WEDGE[2]),
         "tau3_type27_phi": _vecmat(tau3, PHI_WEDGE[3]),
         "tau3_type27_psi": _vecmat(tau3, PSI_WEDGE[3]),
@@ -558,11 +561,33 @@ def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
 def test_cross_validate_makes_no_wedge_or_contract_call(monkeypatch):
     # every product with phi or psi in a pass is one of g2core's matrices
     cross_validate(generate(FamilyKind.GENERAL, 0))  # builds the tabulated operator
-    calls = count_calls(monkeypatch, exterior, ("wedge", "contract"))
+    calls = count_calls(monkeypatch, exterior, ("wedge",))
     monkeypatch.setattr(gabc, "wedge", exterior.wedge)
     for label, run in one_pass_runs():
         run()
         assert not calls, label
+
+
+def test_a_pass_builds_the_same_few_forms_whatever_its_size(monkeypatch):
+    # the stages pass coefficient arrays; the Forms are the four derivatives of
+    # the structure and the three torsion forms of torsion_data
+    cross_validate(generate(FamilyKind.GENERAL, 0))  # builds the tabulated operator
+    stacks = {n: generate_many([list(FamilyKind)[k % 5] for k in range(n)], range(n))
+              for n in (1, 4, 32)}
+    built = Counter()
+    init = exterior.Form.__init__
+
+    def counted(form, *args):
+        built["Form"] += 1
+        init(form, *args)
+
+    monkeypatch.setattr(exterior.Form, "__init__", counted)
+    counts = {}
+    for n, stack in stacks.items():
+        built.clear()
+        cross_validate_stack(stack)
+        counts[n] = built["Form"]
+    assert counts[1] == counts[4] == counts[32] <= 7, counts
 
 
 # -- generators ----------------------------------------------------------------------
@@ -606,6 +631,15 @@ def test_generate_scale_bounds_entries():
     # the exact-traceless fourth entry may exceed the draw range, nothing else
     for m in t.matrices():
         assert np.max(np.abs(np.diag(m)[:3])) <= 0.5
+    # so the diagonal and symmetric families reach up to 3 scale; the others
+    # stay within scale, up to a rounding
+    for scale in (1e-3, 1.0, 1e3):
+        for kind in FamilyKind:
+            top = np.abs(generate_many(kind, range(500), scale).abc).max()
+            if kind in (FamilyKind.DIAGONAL, FamilyKind.SYMMETRIC):
+                assert scale < top <= 3 * scale, (kind, scale)
+            else:
+                assert top <= (1 + 4 * np.finfo(np.float64).eps) * scale, (kind, scale)
 
 
 # -- the cross-validator ----------------------------------------------------------------
@@ -881,11 +915,10 @@ def test_torsion_support_patterns():
         t = generate(FamilyKind.GENERAL, 310 + seed)
         _, s = build(t)
         _, t1, t2, t3 = torsion_forms(s)
-        from g2abc.exterior import contract
-        iota = contract(t1.values, s.phi)
+        iota = Form(2, t1 @ contractions(s.phi))
         assert set(iota.coeffs) <= set(TWO_FORM_SUPPORT)
-        assert set(t2.coeffs) <= set(TWO_FORM_SUPPORT)
-        assert set(t3.coeffs) <= set(TAU3_SUPPORT)
+        assert set(Form(2, t2).coeffs) <= set(TWO_FORM_SUPPORT)
+        assert set(Form(3, t3).coeffs) <= set(TAU3_SUPPORT)
 
 
 def test_diag_tau2_misprint_detected_when_b55_nonzero():

@@ -1,17 +1,16 @@
 import numpy as np
 
-from g2abc.g2core import STANDARD_PSI, torsion_data
+from g2abc.g2core import torsion_data
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import (
     div_torsion,
-    flow_velocity,
     levi_civita,
     ricci,
     riemann_tensor,
 )
 
-from helpers import ZERO4, contract_basis, stack_of
+from helpers import ZERO4, stack_of
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -175,19 +174,3 @@ def test_closed_example_is_divergence_free():
     div = div_torsion(levi_civita(alg), td.T)
     assert not np.any(div)
 
-
-# -- flow velocity --------------------------------------------------------------------------
-
-def test_flow_velocity_zero_at_critical_points():
-    assert flow_velocity(np.zeros(7)).is_zero()
-
-
-def test_flow_velocity_e1_contraction():
-    got = flow_velocity(basis_vec(1))
-    assert got.coeffs == {(2, 5, 6): 1.0, (2, 3, 4): 1.0, (4, 5, 7): 1.0, (3, 6, 7): 1.0}
-
-
-def test_flow_velocity_e7_matches_contraction_table():
-    got = flow_velocity(basis_vec(7))
-    assert (got - contract_basis(7, STANDARD_PSI)).is_zero()
-    assert got(2, 4, 6) == 1.0
