@@ -133,11 +133,20 @@ def test_contract_phi_rows():
     assert contract_basis(7, STANDARD_PHI).coeffs == {(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0}
 
 
-def test_contract_psi_rows():
+@pytest.mark.parametrize("m, expected", [
+    (1, {(2, 5, 6): 1.0, (2, 3, 4): 1.0, (4, 5, 7): 1.0, (3, 6, 7): 1.0}),
+    (7, {(1, 3, 6): -1.0, (1, 4, 5): -1.0, (2, 3, 5): -1.0, (2, 4, 6): 1.0}),
+], ids=["e1", "e7"])
+def test_contract_psi_rows(m, expected):
     # iota_{e_m}(psi), the columns of the torsion solve
-    assert contract_basis(1, STANDARD_PSI).coeffs == {
-        (2, 5, 6): 1.0, (2, 3, 4): 1.0, (4, 5, 7): 1.0, (3, 6, 7): 1.0}
-    assert contract_basis(7, STANDARD_PSI).coeffs.get((2, 4, 6), 0.0) == 1.0
+    assert contract_basis(m, STANDARD_PSI).coeffs == expected
+
+
+def test_contract_psi_rows_are_minus_star_of_phi_wedges():
+    # iota_v psi = -*(v ^ phi), through the wedge and star tables instead of CONTRACT
+    for m in range(1, 8):
+        via_star = hodge(wedge(Form.monomial((m,)), STANDARD_PHI))
+        assert np.array_equal(contract_basis(m, STANDARD_PSI).values, -via_star.values)
 
 
 def test_contract_absent_index_is_zero():

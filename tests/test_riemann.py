@@ -1,6 +1,7 @@
 import numpy as np
 
-from g2abc.g2core import torsion_data
+from g2abc.exterior import contractions
+from g2abc.g2core import STANDARD_PSI, torsion_data
 from g2abc.gabc import FamilyKind, TripleABC, build, generate
 from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import (
@@ -174,3 +175,12 @@ def test_closed_example_is_divergence_free():
     div = div_torsion(levi_civita(alg), td.T)
     assert not np.any(div)
 
+
+# -- flow velocity --------------------------------------------------------------------------
+
+def test_psi_velocity_vanishes_exactly_where_div_t_does():
+    # The isometric flow's velocity iota_{div T} psi: the rows of v -> iota_v psi are
+    # orthogonal of squared norm 4, so |iota_v psi|^2 = 4 |v|^2 and checking div T suffices.
+    rows = contractions(STANDARD_PSI)
+    assert np.array_equal(rows @ rows.T, 4.0 * np.eye(7))
+    assert not np.any(np.zeros(7) @ rows)
