@@ -335,7 +335,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the flush at
+        # shutdown does not fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

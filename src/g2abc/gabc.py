@@ -727,21 +727,29 @@ def _check_kinds(kinds):
         raise ValidationError(f"unknown family kind {unknown.pop()!r}")
 
 
+def _check_scale(scale):
+    """Raise a ValidationError unless 0 < scale <= MAX_SCALE; NaN fails it too."""
+    if not 0.0 < scale <= MAX_SCALE:
+        raise ValidationError(f"scale {scale!r} is not in (0, {MAX_SCALE:g}]")
+
+
 def generate_many(kind, seeds, scale=1.0):
     """Stack of random triples, triple n of the family kind[n] (or kind, for a
     single one).  Triple n comes from the draws of ``default_rng(seeds[n])``
     alone, so it does not depend on the other trials or on its place.
 
-    Entries are kept within [-scale, scale] up to a rounding, 0 < scale <=
-    MAX_SCALE, but within [-3 scale, 3 scale] for the diagonal and symmetric
-    families: the last entry of their diagonal (before any rotation) is minus
-    the sum of the other three.  All family invariants hold by construction.
-    The stack's rotations come from one QR, and it is re-validated by one run
-    of the checks of TripleABC (an error names the failing trial, also as its ``trial``).
+    Entries are kept within [-scale, scale] up to a rounding, but within
+    [-3 scale, 3 scale] for the diagonal and symmetric families: the last
+    entry of their diagonal (before any rotation) is minus the sum of the
+    other three.  A scale outside 0 < scale <= MAX_SCALE is a ValidationError.
+    All family invariants hold by construction.  The stack's rotations come
+    from one QR, and it is re-validated by one run of the checks of TripleABC
+    (an error names the failing trial, also as its ``trial``).
     """
     seeds = list(seeds)
     kinds = list(kind) if isinstance(kind, (list, tuple)) else [kind] * len(seeds)
     _check_kinds(kinds)
+    _check_scale(scale)
     plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
     drawn = [[draw(rng) for draw in plans[k]]
              for k, rng in zip(kinds, map(np.random.default_rng, seeds), strict=True)]
@@ -933,6 +941,8 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     tabulated_values and the closed forms.  A gated quantity is the largest
     magnitude of its residual, an (n, k) block; one reduction takes all."""
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
+    if not len(t.abc):
+        raise ValidationError("a cross-validation pass needs at least one triple")
     alg, s = build(t)
     code = t._shape_code
     n = len(code)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from g2abc._tables import DIM, DIMS
+from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP
 from g2abc.exterior import Form, contractions
 from g2abc.gabc import _ABC_ROWS, _COLUMNS, _DERIVATIVES, TripleABC, _skew, _sym, tabulated_values
 from g2abc.liealg import _jacobi_residuals
@@ -67,6 +67,46 @@ def tabulated_derivatives(t):
     read from their columns of tabulated_values."""
     values = tabulated_values(t)
     return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
+
+
+# -- the dense operators, one entry at a time, as references --------------------
+
+def merge_sign(left, right):
+    """Sign of sorting the concatenation of two ascending tuples; 0 if they share an index."""
+    if set(left) & set(right):
+        return 0
+    inversions = sum(1 for x in left for y in right if x > y)
+    return -1 if inversions & 1 else 1
+
+
+def wedge_operator_reference(k1, k2):
+    """_tables.WEDGE[(k1, k2)], entry by entry from the sorting permutation."""
+    op = np.zeros((DIMS[k1], DIMS[k2], DIMS[k1 + k2]))
+    for i, left in enumerate(COMBS[k1]):
+        for j, right in enumerate(COMBS[k2]):
+            s = merge_sign(left, right)
+            if s:
+                op[i, j, RANK[k1 + k2][tuple(sorted(left + right))]] = s
+    return op
+
+
+def contract_operator_reference(k):
+    """_tables.CONTRACT[k], entry by entry: iota_{e_m} e^I = (-1)^(t-1) e^(I \\ m),
+    m the t-th entry of I."""
+    op = np.zeros((DIM, DIMS[k], DIMS[k - 1]))
+    for i, comb in enumerate(COMBS[k]):
+        for t, m in enumerate(comb):
+            op[m - 1, i, RANK[k - 1][comb[:t] + comb[t + 1:]]] = -1.0 if t & 1 else 1.0
+    return op
+
+
+def star_operator_reference(k):
+    """_tables.STAR[k], entry by entry: star e^I = sign(I, I^c) e^(I^c)."""
+    op = np.zeros((DIMS[DIM - k], DIMS[k]))
+    for i, left in enumerate(COMBS[k]):
+        rest = tuple(m for m in TOP if m not in left)
+        op[RANK[DIM - k][rest], i] = merge_sign(left, rest)
+    return op
 
 
 # -- per-matrix transcriptions of the closed forms, as references --------------

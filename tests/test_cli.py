@@ -423,6 +423,13 @@ def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys, monkeyp
 
 # -- the process ---------------------------------------------------------------
 
+def python_dash_m_env():
+    """The environment of a `python -m g2abc` child that imports this tree's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("G2ABC_TOL", None)
+    return env
+
+
 @pytest.mark.parametrize("argv, status", [
     (["verify", "--case", "diag", "--trials", "2"], 0),
     (["verify", "--case", "diag", "--trials", "2", "--tol", "0"], 2),
@@ -430,9 +437,21 @@ def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys, monkeyp
 ])
 def test_python_dash_m_exits_with_the_status_of_the_request(argv, status):
     # runs __main__ and cli.entry, which turn main's return value into the exit status
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("G2ABC_TOL", None)
-    proc = subprocess.run([sys.executable, "-m", "g2abc", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "g2abc", *argv], env=python_dash_m_env(),
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == status, proc.stderr
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_closed_output_pipe_exits_1_without_a_traceback(json_flag):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes, so its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "g2abc", "verify", "--case", "diag",
+                               "--trials", "2", *json_flag], env=python_dash_m_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                              check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

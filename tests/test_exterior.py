@@ -1,11 +1,13 @@
 import itertools
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2abc import _tables
 from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
 from g2abc.errors import DegreeError
 from g2abc.exterior import (
@@ -18,7 +20,16 @@ from g2abc.exterior import (
 from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
 from g2abc.gabc import OMEGA
 
-from helpers import contract_basis, form_inner, member, random_form, random_monomial
+from helpers import (
+    contract_basis,
+    contract_operator_reference,
+    form_inner,
+    member,
+    random_form,
+    random_monomial,
+    star_operator_reference,
+    wedge_operator_reference,
+)
 
 TOP = (1, 2, 3, 4, 5, 6, 7)
 
@@ -50,6 +61,37 @@ def test_star_operators_are_involutive_signed_permutations():
         assert np.array_equal(np.abs(star).sum(axis=1), np.ones(DIMS[DIM - k]))
         # star(star(e^I)) = +e^I in this signature
         assert np.array_equal(star @ STAR[DIM - k], np.eye(DIMS[DIM - k]))
+
+
+def same_array(got, want):
+    """Same dtype, shape and bytes."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("table, keys, reference", [
+    (WEDGE, [(k1, k2) for k1 in range(DIM + 1) for k2 in range(DIM + 1 - k1)],
+     lambda key: wedge_operator_reference(*key)),
+    (CONTRACT, list(range(1, DIM + 1)), contract_operator_reference),
+    (STAR, list(range(DIM + 1)), star_operator_reference),
+], ids=["WEDGE", "CONTRACT", "STAR"])
+def test_operators_match_the_entrywise_reference(table, keys, reference):
+    # the whole-array builders of _tables against the definition by sorting permutation
+    assert list(table) == keys
+    for key in keys:
+        assert same_array(table[key], reference(key)), key
+
+
+def test_tables_module_runs_on_its_own():
+    # the source of _tables in a bare namespace, as perfbench's tables_build_ms runs it
+    path = Path(_tables.__file__)
+    namespace = {"__name__": "tables_probe"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    for name in ("COMBS", "RANK", "DIMS", "TOP"):
+        assert namespace[name] == getattr(_tables, name)
+    for name in ("WEDGE", "CONTRACT", "STAR"):
+        got, want = namespace[name], getattr(_tables, name)
+        assert list(got) == list(want)
+        assert all(same_array(got[key], want[key]) for key in want)
 
 
 # -- Form construction ---------------------------------------------------------

@@ -22,6 +22,7 @@ from g2abc.g2core import (
     torsion_forms,
 )
 from g2abc.gabc import (
+    MAX_SCALE,
     OMEGA,
     OMEGA_BAR,
     RICCI_A_BLOCK_ORDER,
@@ -228,6 +229,22 @@ def test_malformed_arguments_raise(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert type(err.value) is ValidationError and str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf, 1e308])
+def test_generate_rejects_a_scale_outside_its_range(kind, scale):
+    message = f"scale {scale!r} is not in (0, {MAX_SCALE:g}]"
+    # raised before any draw, so also without a numpy warning (warnings fail tier-1)
+    for call in (lambda: generate(kind, 0, scale), lambda: generate_many(kind, [0, 1], scale)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert type(err.value) is ValidationError and str(err.value) == message
+
+
+def test_cross_validate_stack_rejects_an_empty_stack():
+    with pytest.raises(ValidationError, match="needs at least one triple"):
+        cross_validate_stack(generate_many(FamilyKind.DIAGONAL, []))
 
 
 def test_theta_is_a_lie_algebra_action(rng):
