@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .errors import G2ABCError, ValidationError
+from .exterior import Form
 from .g2core import DEFAULT_TOL
 from .gabc import (
     MAX_SCALE,
@@ -110,8 +111,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _form_map(form):
-    return {"".join(map(str, key)): value for key, value in form.coeffs.items()}
+def _form_map(degree, values):
+    return {"".join(map(str, key)): value for key, value in Form(degree, values).coeffs.items()}
 
 
 def _numbers_only(x):
@@ -148,9 +149,9 @@ def build_report(t, tol):
         "family": rep.family,
         "tol": tol,
         "tau0": rep.tau0,
-        "tau1": _form_map(rep.tau1),
-        "tau2": _form_map(rep.tau2),
-        "tau3": _form_map(rep.tau3),
+        "tau1": _form_map(1, rep.tau1),
+        "tau2": _form_map(2, rep.tau2),
+        "tau3": _form_map(3, rep.tau3),
         "torsion_matrix": rep.torsion_matrix.tolist(),
         "div_torsion": rep.divergence.tolist(),
         "ricci": rep.ricci_matrix.tolist(),
@@ -178,7 +179,8 @@ def _print_text_report(report):
         print(f"{name} = {body}")
     div = report["div_torsion"]
     print("div T =", "  ".join(f"{v:+.12g}" for v in div))
-    worst = max(report["deviations"].items(), key=lambda kv: kv[1])
+    # a NaN deviation is the worst: it compares greater than no number
+    worst = max(report["deviations"].items(), key=lambda kv: (np.isnan(kv[1]), kv[1]))
     print(f"cross-validation: worst deviation {worst[1]:.3e} ({worst[0]}), "
           f"tol {report['tol']:g}")
     for dual in report["dual_reports"]:

@@ -9,8 +9,9 @@ A form may also hold a stack of N such vectors, shape (N, C(7,k)): one
 form per trial of a batch.  Wedge, the contractions by e_1..e_7, the Hodge
 star and the derivation action of a matrix are each one product of those
 vectors with the dense operators of ``_tables``, and broadcast a single
-form against a stack.  ``Form`` is the type of this public API; the stages
-of the torsion pass exchange the bare coefficient arrays instead.
+form against a stack.  ``Form`` is the type of this public API and of the
+text of the tabulated formulas; the stages of the torsion pass exchange the
+bare coefficient arrays instead, and every result object holds them.
 
 Conventions:
   * monomials are orthonormal,
@@ -87,8 +88,8 @@ class Form:
         return cls(degree, vals.T)
 
     @classmethod
-    def monomial(cls, indices, coeff=1.0):
-        return cls.from_coeffs(len(tuple(indices)), {tuple(indices): coeff})
+    def monomial(cls, indices):
+        return cls.from_coeffs(len(tuple(indices)), {tuple(indices): 1.0})
 
     # -- views ----------------------------------------------------------------
 

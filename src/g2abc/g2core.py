@@ -7,7 +7,8 @@ A structure on a stack of N algebras (``LieAlgebra7`` of (N, 7, 7, 7)
 constants) yields (N, ...) arrays throughout.  The stages exchange a k-form
 as its (..., C(7,k)) coefficient array, and multiply it by phi, psi or the
 star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
-derivatives of a G2Structure and the forms of a TorsionData are ``Form``s."""
+derivatives of a G2Structure and the forms of a TorsionData are such arrays
+too.  ``Form`` is left for phi and psi and for the differential ``ce_diff``."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +53,8 @@ _PAIR_TOP = (WEDGE[(2, 2)].reshape(-1, DIMS[4]) @ WEDGE[(4, 3)][:, :, 0]).T
 
 @dataclass(frozen=True)
 class G2Structure:
-    """The standard 3-form on a Lie algebra together with its derived data."""
+    """The standard 3-form on a Lie algebra together with its derived data: the
+    coefficient arrays of dphi, star dphi, dpsi and star dpsi."""
 
     algebra: object
     phi: ClassVar[Form] = STANDARD_PHI
@@ -61,31 +63,31 @@ class G2Structure:
     # derived once per structure (cached_property bypasses the frozen __setattr__)
     @cached_property
     def dphi(self):
-        return ce_diff(self.algebra, self.phi)
+        return ce_diff(self.algebra, self.phi).values
 
     @cached_property
     def dpsi(self):
-        return ce_diff(self.algebra, self.psi)
+        return ce_diff(self.algebra, self.psi).values
 
     @cached_property
     def star_dphi(self):
-        return hodge(self.dphi)
+        return self.dphi @ STAR[4].T
 
     @cached_property
     def star_dpsi(self):
-        return hodge(self.dpsi)
+        return self.dpsi @ STAR[5].T
 
 
 @dataclass(frozen=True, eq=False)
 class TorsionData:
     """Torsion forms, the symmetric 27-part and the full torsion tensor matrix;
     equality and hashing are by identity.  For a stack of N structures tau0 is
-    an (N,) array, the forms are stacks and the tensors (N, 7, 7) arrays."""
+    an (N,) array, the forms (N, C(7,k)) arrays and the tensors (N, 7, 7) arrays."""
 
     tau0: float | np.ndarray
-    tau1: Form
-    tau2: Form
-    tau3: Form
+    tau1: np.ndarray  # the (..., C(7,k)) coefficient arrays of the forms
+    tau2: np.ndarray
+    tau3: np.ndarray
     tau27: np.ndarray
     T: np.ndarray
 
@@ -98,10 +100,10 @@ def torsion_forms(s):
     tau2 = -star(dpsi) + 4 star(tau1 ^ psi)
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
-    tau0 = (_vecmat(s.dphi.values, PHI_WEDGE[4]) @ STAR[7].T)[..., 0] / 7.0
-    tau1 = (-1.0 / 12.0) * (_vecmat(s.star_dphi.values, PHI_WEDGE[3]) @ STAR[6].T)
-    tau2 = -s.star_dpsi.values + 4.0 * (_vecmat(tau1, PSI_WEDGE[1]) @ STAR[5].T)
-    tau3 = s.star_dphi.values - np.asarray(tau0)[..., None] * STANDARD_PHI.values \
+    tau0 = (_vecmat(s.dphi, PHI_WEDGE[4]) @ STAR[7].T)[..., 0] / 7.0
+    tau1 = (-1.0 / 12.0) * (_vecmat(s.star_dphi, PHI_WEDGE[3]) @ STAR[6].T)
+    tau2 = -s.star_dpsi + 4.0 * (_vecmat(tau1, PSI_WEDGE[1]) @ STAR[5].T)
+    tau3 = s.star_dphi - np.asarray(tau0)[..., None] * STANDARD_PHI.values \
         - 3.0 * (_vecmat(tau1, PHI_WEDGE[1]) @ STAR[4].T)
     return tau0, tau1, tau2, tau3
 
@@ -175,8 +177,7 @@ def torsion_data(s):
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(tau3)
     T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
-    return TorsionData(tau0=tau0, tau1=Form(1, tau1), tau2=Form(2, tau2), tau3=Form(3, tau3),
-                       tau27=tau27, T=T)
+    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T)
 
 
 def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
@@ -189,9 +190,9 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     (The sign of the star(tau2) term is pinned by the tau2 definition used in
     torsion_forms; see the README note on conventions.)
     """
-    res1 = s.dphi.values - (np.asarray(tau0)[..., None] * STANDARD_PSI.values
-                            + 3.0 * _vecmat(tau1, PHI_WEDGE[1]) + tau3 @ STAR[3].T)
-    res2 = s.dpsi.values - (4.0 * _vecmat(tau1, PSI_WEDGE[1]) - tau2 @ STAR[2].T)
+    res1 = s.dphi - (np.asarray(tau0)[..., None] * STANDARD_PSI.values
+                     + 3.0 * _vecmat(tau1, PHI_WEDGE[1]) + tau3 @ STAR[3].T)
+    res2 = s.dpsi - (4.0 * _vecmat(tau1, PSI_WEDGE[1]) - tau2 @ STAR[2].T)
     return res1, res2
 
 
@@ -212,6 +213,6 @@ _FLAG_NORMS = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
 
 def _flags(td, tol):
     """The closed, coclosed and torsion-free flags as a (3,) bool array, (3, n) for a stack."""
-    norms = [np.abs(td.tau0), td.tau1.norm_inf(), td.tau2.norm_inf(), td.tau3.norm_inf()]
+    norms = [np.abs(td.tau0), *(np.abs(f).max(axis=-1) for f in (td.tau1, td.tau2, td.tau3))]
     # a flag fails where one of its magnitudes is not within tol (a NaN is not)
     return ~(_FLAG_NORMS @ ~(np.array(norms) <= tol))

@@ -20,7 +20,8 @@ structure constants, the tabulated formulas as one product of the (N, 48)
 entries with an operator built once per process from the formula text.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
-triple; ``cross_validate`` runs one triple as a stack of one.  The caller
+triple (a form, there and in ``ClosedFormTorsion``, is its coefficient
+array); ``cross_validate`` runs one triple as a stack of one.  The caller
 bounds the size of a pass (the command line uses ``cli.PASS_SIZE``).
 ``generate_many`` draws a stack of random triples, of one family or a family
 per trial, at once.
@@ -28,6 +29,7 @@ per trial, at once.
 
 import enum
 import functools
+import numbers
 import typing
 from dataclasses import dataclass, field
 
@@ -330,10 +332,10 @@ def _derivatives_text(th):
 @dataclass(frozen=True, eq=False)
 class ClosedFormTorsion:
     tau0: float | np.ndarray  # an (N,) array for a stack of N triples
-    tau1: Form
-    tau2: Form
-    tau3: Form
-    iota_tau1_phi: Form
+    tau1: np.ndarray  # the (..., C(7,k)) coefficient arrays of the forms
+    tau2: np.ndarray
+    tau3: np.ndarray
+    iota_tau1_phi: np.ndarray
 
 
 def _iota_tau1_phi(k1, k2, k7):
@@ -420,8 +422,7 @@ def _torsion_general(t):
         (5, 6, 7): -sev * (2 * a56 - 5 * c54 + 2 * a34 - 2 * c36 - 2 * a65 - 5 * c63
                            - 2 * a43 - 2 * c45 - 5 * b64 + 2 * b35 + 5 * b53 - 2 * b46),
     })
-    return ClosedFormTorsion(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
-                             iota_tau1_phi=_iota_tau1_phi(k1, k2, k7))
+    return tau0, tau1, tau2, tau3, _iota_tau1_phi(k1, k2, k7)
 
 
 def _torsion_skew(t):
@@ -475,8 +476,7 @@ def _torsion_skew(t):
         (4, 6, 7): half * (-b65 - b43 + a64 - a53),
         (5, 6, 7): sev * (4 * a65 + 3 * c63 + 4 * a43 + 3 * c54 - 3 * b53 + 3 * b64),
     })
-    return ClosedFormTorsion(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
-                             iota_tau1_phi=_iota_tau1_phi(k1, k2, k7))
+    return tau0, tau1, tau2, tau3, _iota_tau1_phi(k1, k2, k7)
 
 
 def _torsion_diagonal(t):
@@ -496,8 +496,7 @@ def _torsion_diagonal(t):
         (2, 4, 6): (a33 + a55), (2, 5, 6): (b33 + b44), (3, 5, 7): -(c33 + c55),
         (3, 6, 7): (b44 + b55), (4, 5, 7): -(b44 + b55), (4, 6, 7): -(c33 + c55),
     })
-    return ClosedFormTorsion(tau0=0.0, tau1=Form.zero(1), tau2=tau2, tau3=tau3,
-                             iota_tau1_phi=Form.zero(2))
+    return 0.0, Form.zero(1), tau2, tau3, Form.zero(2)
 
 
 def _torsion_antidiagonal(t):
@@ -541,8 +540,7 @@ def _torsion_antidiagonal(t):
         (5, 6, 7): sev * (5 * c54 + 2 * c45 + 5 * c63 + 2 * c36),
     })
     k2 = 0.0
-    return ClosedFormTorsion(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
-                             iota_tau1_phi=_iota_tau1_phi(k1, k2, k7))
+    return tau0, tau1, tau2, tau3, _iota_tau1_phi(k1, k2, k7)
 
 
 def closed_form_torsion(t, kind=FamilyKind.GENERAL):
@@ -558,7 +556,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
     values = tabulated_values(t)
     tau0, *forms = (values[..., _COLUMNS[f"{part}[{table}]"]] for part, _ in _TORSION_PARTS)
-    return ClosedFormTorsion(tau0[..., 0], *map(Form, (d for _, d in _TORSION_PARTS[1:]), forms))
+    return ClosedFormTorsion(tau0[..., 0], *forms)
 
 
 # -- the tabulated formulas as one linear operator ------------------------------
@@ -589,10 +587,10 @@ def _text_values(t):
     named = dict(zip("ABC", t.matrices()))
     named.update((name + "t", _transpose(M)) for name, M in zip("ABC", t.matrices()))
     th = {(name, i): theta(M, OMEGA[i]) for name, M in named.items() for i in (7, 1, 2)}
-    tables = [table(t) for table in (_torsion_general, _torsion_skew, _torsion_diagonal,
-                                     _torsion_antidiagonal)]
-    columns = [np.reshape(cf.tau0, (-1, 1)) if part == "tau0" else getattr(cf, part).values
-               for cf in tables for part, _ in _TORSION_PARTS]
+    columns = []
+    for table in (_torsion_general, _torsion_skew, _torsion_diagonal, _torsion_antidiagonal):
+        tau0, *forms = table(t)  # the parts of _TORSION_PARTS
+        columns += [np.reshape(tau0, (-1, 1)), *(f.values for f in forms)]
     columns += [theta_omega_tabulated(named[name], which).values for name, which in _THETA_PAIRS]
     columns += [f.values for f in (*_derivatives_text(th), *(th[pair] for pair in _THETA_PAIRS))]
     return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[-1])) for v in columns], 1)
@@ -733,6 +731,12 @@ def _check_scale(scale):
         raise ValidationError(f"scale {scale!r} is not in (0, {MAX_SCALE:g}]")
 
 
+def _check_tol(tol):
+    """Raise a ValidationError unless tol is a real number with 0 <= tol < inf; NaN fails it too."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise ValidationError(f"tolerance {tol!r} is not a number in [0, inf)")
+
+
 def generate_many(kind, seeds, scale=1.0):
     """Stack of random triples, triple n of the family kind[n] (or kind, for a
     single one).  Triple n comes from the draws of ``default_rng(seeds[n])``
@@ -836,9 +840,9 @@ class CrossValidationReport:
     dual_reports: list = field(default_factory=list)
     flags: object = None
     tau0: float = 0.0
-    tau1: Form = None
-    tau2: Form = None
-    tau3: Form = None
+    tau1: np.ndarray = None  # the C(7,k) coefficients of the torsion forms
+    tau2: np.ndarray = None
+    tau3: np.ndarray = None
     torsion_matrix: np.ndarray = None
     divergence: np.ndarray = None
     ricci_matrix: np.ndarray = None
@@ -894,8 +898,7 @@ class CrossValidationArrays(typing.NamedTuple):
             exact_checks={key: rows[n] for key, rows in exact_rows.items()},
             dual_reports=duals[n],
             flags=TorsionClass(*flag_rows[n]),
-            tau0=float(self.tau0[n]), tau1=Form(1, self.tau1[n]), tau2=Form(2, self.tau2[n]),
-            tau3=Form(3, self.tau3[n]),
+            tau0=float(self.tau0[n]), tau1=self.tau1[n], tau2=self.tau2[n], tau3=self.tau3[n],
             torsion_matrix=self.torsion_matrix[n], divergence=self.divergence[n],
             ricci_matrix=self.ricci_matrix[n])
             for n, family in enumerate(self.families)]
@@ -939,7 +942,9 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     stack of one), from one pass of both routes over a leading trial axis: the
     generic route from torsion_data and the connection, the tabulated one from
     tabulated_values and the closed forms.  A gated quantity is the largest
-    magnitude of its residual, an (n, k) block; one reduction takes all."""
+    magnitude of its residual, an (n, k) block; one reduction takes all.
+    A tol outside 0 <= tol < inf is a ValidationError."""
+    _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
     if not len(t.abc):
         raise ValidationError("a cross-validation pass needs at least one triple")
@@ -949,7 +954,7 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
 
     # generic route
     td = torsion_data(s)
-    tau1, tau2, tau3 = td.tau1.values, td.tau2.values, td.tau3.values
+    tau1, tau2, tau3 = td.tau1, td.tau2, td.tau3
     gamma = levi_civita(alg)
     ric = ricci(alg, gamma)
     div = div_torsion(gamma, td.T)
@@ -959,7 +964,7 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
     torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]
-    derivatives = [f.values for f in (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi)]
+    derivatives = [s.dphi, s.star_dphi, s.dpsi, s.star_dpsi]
     oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
                              tab[:, _THETA_DEFINED]], axis=1)
     delta = tab - oracle

@@ -1,11 +1,21 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP
 from g2abc.exterior import Form, contractions
 from g2abc.gabc import _ABC_ROWS, _COLUMNS, _DERIVATIVES, TripleABC, _skew, _sym, tabulated_values
 from g2abc.liealg import _jacobi_residuals
+
+
+def python_dash_m_env():
+    """The environment of a `python -m g2abc` child that imports this tree's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("G2ABC_TOL", None)
+    return env
 
 
 def random_form(rng, degree, scale=1.0):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from g2abc.cli import main as cli_main
+from g2abc.exterior import Form
 from g2abc.g2core import tau27_tensor, torsion_data, torsion_forms
 from g2abc.gabc import (
     FamilyKind,
@@ -195,7 +196,7 @@ def test_criterion_8_spot_values():
     diag = TripleABC(A=np.diag([1.0, 1.0, -1.0, -1.0]), B=ZERO4, C=ZERO4)
     alg, s = build(diag)
     td = torsion_data(s)
-    assert td.tau2.coeffs == {(3, 4): -2.0, (5, 6): 2.0}
+    assert Form(2, td.tau2).coeffs == {(3, 4): -2.0, (5, 6): 2.0}
     assert ce_diff(alg, s.phi).is_zero()
     div = div_torsion(levi_civita(alg), td.T)
     assert not np.any(div)

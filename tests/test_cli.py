@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from g2abc import cli, gabc
 from g2abc.cli import main
+
+from helpers import python_dash_m_env
 
 ZERO = [[0.0] * 4 for _ in range(4)]
 DIAG_A = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
@@ -118,6 +119,18 @@ def test_analyze_text_output(tmp_path, capsys):
     assert main(["analyze", "--input", path]) == 0
     out = capsys.readouterr().out
     assert "family: diagonal" in out and "passed: True" in out
+
+
+def test_analyze_text_output_names_a_nan_deviation_as_the_worst(tmp_path, capsys):
+    # at 1e160 the Ricci tensor overflows to NaN; the other deviations are 0
+    path = write_triple(tmp_path / "t.json", A=(1e160 * np.array(DIAG_A)).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["analyze", "--input", path]) == 2
+        text = capsys.readouterr().out
+        assert main(["analyze", "--input", path, "--json"]) == 2
+    assert np.isnan(json.loads(capsys.readouterr().out)["deviations"]["ricci"])
+    assert "cross-validation: worst deviation nan (ricci), tol 1e-09\n" in text
+    assert text.endswith("passed: False\n")
 
 
 # -- verify ------------------------------------------------------------------
@@ -422,13 +435,6 @@ def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys, monkeyp
 
 
 # -- the process ---------------------------------------------------------------
-
-def python_dash_m_env():
-    """The environment of a `python -m g2abc` child that imports this tree's package."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    env.pop("G2ABC_TOL", None)
-    return env
-
 
 @pytest.mark.parametrize("argv, status", [
     (["verify", "--case", "diag", "--trials", "2"], 0),

@@ -148,8 +148,8 @@ def test_graded_anticommutativity_on_monomials(rng):
     for _ in range(10_000):
         ka = int(rng.integers(0, 5))
         kb = int(rng.integers(0, 8 - ka))
-        a = Form.monomial(random_monomial(rng, ka), float(rng.integers(-3, 4)) or 1.0)
-        b = Form.monomial(random_monomial(rng, kb), float(rng.integers(-3, 4)) or 1.0)
+        a = Form.monomial(random_monomial(rng, ka)) * (float(rng.integers(-3, 4)) or 1.0)
+        b = Form.monomial(random_monomial(rng, kb)) * (float(rng.integers(-3, 4)) or 1.0)
         sign = -1.0 if (ka * kb) % 2 else 1.0
         assert (wedge(a, b) - sign * wedge(b, a)).is_zero()
 
