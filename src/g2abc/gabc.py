@@ -134,18 +134,21 @@ class FamilyKind(enum.Enum):
 
 
 _FAMILY_PREDICATES = {
-    FamilyKind.SKEW: is_skew_matrix,
     FamilyKind.DIAGONAL: is_diagonal_matrix,
-    FamilyKind.SYMMETRIC: is_symmetric_matrix,
     FamilyKind.ANTIDIAGONAL: is_antidiagonal_matrix,
+    FamilyKind.SKEW: is_skew_matrix,
+    FamilyKind.SYMMETRIC: is_symmetric_matrix,
 }
-#: A shape code has bit b set for the shape _SHAPES[b]; _CODE_SHAPES[code, b] reads it.
-_SHAPES = tuple(_FAMILY_PREDICATES)
-_CODE_SHAPES = np.arange(2 ** len(_SHAPES))[:, None] >> np.arange(len(_SHAPES)) & 1 == 1
-#: Per shape code, its first shape of DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC, else GENERAL.
-_CODE_FAMILY = np.full(len(_CODE_SHAPES), FamilyKind.GENERAL, dtype=object)
-for _kind in (FamilyKind.SYMMETRIC, FamilyKind.SKEW, FamilyKind.ANTIDIAGONAL, FamilyKind.DIAGONAL):
-    _CODE_FAMILY[_CODE_SHAPES[:, _SHAPES.index(_kind)]] = _kind
+#: The families in priority order: a triple's family is the first whose shape it has.
+_FAMILIES = (*_FAMILY_PREDICATES, FamilyKind.GENERAL)
+
+
+def _shapes(abc):
+    """(..., 5) flags: whether the triple abc (each of a stack) has each shape of _FAMILIES."""
+    shapes = np.ones(abc.shape[:-3] + (len(_FAMILIES),), dtype=bool)
+    for k, predicate in enumerate(_FAMILY_PREDICATES.values()):
+        shapes[..., k] = predicate(abc).all(axis=-1)
+    return shapes
 
 
 def _checked(abc):
@@ -208,6 +211,8 @@ class TripleABC:
     def __init__(self, A, B, C):
         mats = []
         for name, m in zip("ABC", (A, B, C)):
+            if np.iscomplexobj(m):  # a float64 cast would drop the imaginary parts
+                raise ValidationError(f"matrix {name} has complex entries")
             m = np.asarray(m, dtype=np.float64)
             if m.shape != (4, 4):
                 raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
@@ -229,17 +234,12 @@ class TripleABC:
     def matrices(self):
         return self.A, self.B, self.C
 
-    @functools.cached_property
-    def _shape_code(self):
-        """The shape code of the triple, an array of them for a stack."""
-        return sum(p(self.abc).all(axis=-1) << b
-                   for b, p in enumerate(_FAMILY_PREDICATES.values()))
-
 
 def classify_triple(t):
-    """Most specific family label, checked in a fixed order; for a stack, the
-    list of the labels of its triples."""
-    return np.asarray(_CODE_FAMILY[t._shape_code], dtype=object).tolist()
+    """Most specific family label: the first of DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC whose
+    shape the triple has, else GENERAL; for a stack, the list of the labels of its triples."""
+    family = _shapes(t.abc).argmax(axis=-1)
+    return [_FAMILIES[f] for f in family.tolist()] if family.ndim else _FAMILIES[family]
 
 
 def structure_constants(A, B, C):
@@ -551,7 +551,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     The values are those of tabulated_values.
     """
     _check_kinds([kind])
-    if kind in _SHAPES and not _CODE_SHAPES[t._shape_code, _SHAPES.index(kind)].all():
+    if not _shapes(t.abc)[..., _FAMILIES.index(kind)].all():
         raise ValidationError(f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
     values = tabulated_values(t)
@@ -574,12 +574,13 @@ _BLOCKS = (
     *_DERIVATIVES, *((f"theta(omega{which})[{name}]", 2, None) for name, which in _THETA_PAIRS))
 _STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
 _COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
-_THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
-#: _CODE_REPORTS[code, column]: whether triples of the shape code dual-report the column:
-#: a family table on triples of its shape, the general one and theta expansions on all.
-_REPORTING = (*_SHAPES, FamilyKind.GENERAL, None)
-_REPORTED_ON = np.repeat([_REPORTING.index(kind) for _, _, kind in _BLOCKS], np.diff(_STARTS))
-_CODE_REPORTS = np.hstack([_CODE_SHAPES, [[True, False]] * len(_CODE_SHAPES)])[:, _REPORTED_ON]
+#: The columns before the definitional theta block, each compared with its oracle.
+_COMPARED = _COLUMNS["theta(omega7)[A]"].start
+#: Per compared column, whether any triple dual-reports it, and the column of _shapes that picks
+#: those that do: for a family table the triples of its shape, for the rest of them all triples.
+_REPORTED = np.repeat([kind is not None for _, _, kind in _BLOCKS], np.diff(_STARTS))[:_COMPARED]
+_REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for _, _, kind in _BLOCKS],
+                         np.diff(_STARTS))[:_COMPARED]
 
 
 def _text_values(t):
@@ -726,8 +727,9 @@ def _check_kinds(kinds):
 
 
 def _check_scale(scale):
-    """Raise a ValidationError unless 0 < scale <= MAX_SCALE; NaN fails it too."""
-    if not 0.0 < scale <= MAX_SCALE:
+    """Raise a ValidationError unless scale is a real number with 0 < scale <= MAX_SCALE;
+    NaN fails it too."""
+    if not (isinstance(scale, numbers.Real) and 0.0 < scale <= MAX_SCALE):
         raise ValidationError(f"scale {scale!r} is not in (0, {MAX_SCALE:g}]")
 
 
@@ -745,18 +747,21 @@ def generate_many(kind, seeds, scale=1.0):
     Entries are kept within [-scale, scale] up to a rounding, but within
     [-3 scale, 3 scale] for the diagonal and symmetric families: the last
     entry of their diagonal (before any rotation) is minus the sum of the
-    other three.  A scale outside 0 < scale <= MAX_SCALE is a ValidationError.
+    other three.  A scale outside 0 < scale <= MAX_SCALE, or a list of kinds
+    whose length is not that of seeds, is a ValidationError.
     All family invariants hold by construction.  The stack's rotations come
     from one QR, and it is re-validated by one run of the checks of TripleABC
     (an error names the failing trial, also as its ``trial``).
     """
     seeds = list(seeds)
     kinds = list(kind) if isinstance(kind, (list, tuple)) else [kind] * len(seeds)
+    if len(kinds) != len(seeds):
+        raise ValidationError(f"{len(kinds)} family kinds for {len(seeds)} seeds")
     _check_kinds(kinds)
     _check_scale(scale)
     plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
     drawn = [[draw(rng) for draw in plans[k]]
-             for k, rng in zip(kinds, map(np.random.default_rng, seeds), strict=True)]
+             for k, rng in zip(kinds, map(np.random.default_rng, seeds))]
     normals = {FamilyKind.SKEW: 1, FamilyKind.SYMMETRIC: 0}  # their draw, per rotated family
     rotated = [n for n, k in enumerate(kinds) if k in normals]
     q = np.empty((len(seeds), 1, 4, 4))
@@ -913,14 +918,14 @@ def _off_support(degree, support):
 
 #: Gated deviations that apply to the triples of some families only, with those families.
 _FAMILY_DEVIATIONS = {
-    "divergence_free": _SHAPES,  # the four families of the theorem, all but GENERAL
+    "divergence_free": _FAMILIES[:-1],  # the four families of the theorem, all but GENERAL
     "tau27_diagonal_nn": (FamilyKind.DIAGONAL,),
     "support_tau3_diagonal": (FamilyKind.DIAGONAL,),
     "tau27_antidiagonal_pairs": (FamilyKind.ANTIDIAGONAL,),
     "support_tau3_antidiagonal": (FamilyKind.ANTIDIAGONAL,),
 }
-#: _CODE_APPLIES[code, q]: whether the q-th of them gates the family of the shape code.
-_CODE_APPLIES = np.array([[f in fs for fs in _FAMILY_DEVIATIONS.values()] for f in _CODE_FAMILY])
+#: _FAMILY_APPLIES[f, q]: whether the q-th of them gates the family _FAMILIES[f].
+_FAMILY_APPLIES = np.array([[f in fs for fs in _FAMILY_DEVIATIONS.values()] for f in _FAMILIES])
 
 #: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
@@ -949,8 +954,8 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     if not len(t.abc):
         raise ValidationError("a cross-validation pass needs at least one triple")
     alg, s = build(t)
-    code = t._shape_code
-    n = len(code)
+    shapes = _shapes(t.abc)
+    n, family = len(shapes), shapes.argmax(axis=1)  # family: each triple's index in _FAMILIES
 
     # generic route
     td = torsion_data(s)
@@ -963,17 +968,17 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
+    compared = tab[:, :_COMPARED]
     torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]
     derivatives = [s.dphi, s.star_dphi, s.dpsi, s.star_dpsi]
-    oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _THETA_DEFINED], *derivatives,
-                             tab[:, _THETA_DEFINED]], axis=1)
-    delta = tab - oracle
+    oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _COMPARED:], *derivatives], axis=1)
+    delta = compared - oracle
     res = {formula.split("[")[0]: delta[:, _COLUMNS[formula]] for formula in (
         "dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
         "iota_tau1_phi[general]")}
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    hits = (np.abs(delta) > tol) & _CODE_REPORTS[code]
-    duals = (*np.nonzero(hits), tab[hits], oracle[hits])
+    hits = (np.abs(delta) > tol) & shapes[:, _REPORTED_ON] & _REPORTED
+    duals = (*np.nonzero(hits), compared[hits], oracle[hits])
 
     # reconstruction identities, component types, support patterns, the tau27 a x n block
     res["reconstruction_dphi"], res["reconstruction_dpsi"] = reconstruction_residuals(
@@ -1002,15 +1007,15 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
         "tau27_antidiagonal_pairs": td.tau27[(...,) + _ANTIDIAG_PAIRS],
         "support_tau3_antidiagonal": tau3[:, _off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
     }
-    applies = np.hstack([np.ones((n, len(res)), dtype=bool), _CODE_APPLIES[code]])
-    res.update((q, family_res[q]) for q in _FAMILY_DEVIATIONS)  # in the order of _CODE_APPLIES
+    applies = np.hstack([np.ones((n, len(res)), dtype=bool), _FAMILY_APPLIES[family]])
+    res.update((q, family_res[q]) for q in _FAMILY_DEVIATIONS)  # in the order of _FAMILY_APPLIES
 
     # no block is empty, so each start opens the block of its quantity; NaN propagates
     starts = np.cumsum([0] + [block.shape[1] for block in res.values()][:-1])
     deviations = np.maximum.reduceat(np.abs(np.concatenate(list(res.values()), axis=1)),
                                      starts, axis=1)
     return CrossValidationArrays(
-        tol=tol, families=_CODE_FAMILY[code].tolist(), quantities=tuple(res),
+        tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=tuple(res),
         deviations=deviations, applies=applies,
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
         flags=_flags(td, tol).T, tau0=td.tau0, tau1=tau1, tau2=tau2, tau3=tau3,

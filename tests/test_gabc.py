@@ -197,6 +197,39 @@ def test_family_classification():
     assert classify_triple(generate(FamilyKind.GENERAL, 1)) is FamilyKind.GENERAL
 
 
+GATES = ("dphi", "star_dphi", "dpsi", "star_dpsi", "tau1", "tau2", "iota_tau1_phi",
+         "reconstruction_dphi", "reconstruction_dpsi", "tau2_type14", "tau3_type27_phi",
+         "tau3_type27_psi", "support_iota_tau1_phi", "support_tau2", "support_tau3",
+         "tau27_mixed_block", "torsion_routes", "connection", "ricci", "divergence",
+         "divergence_free")
+
+
+@pytest.mark.parametrize("A, family, family_gates, duals", [
+    # every shape at once
+    (ZERO4, FamilyKind.DIAGONAL, ("tau27_diagonal_nn", "support_tau3_diagonal"), []),
+    # diagonal and symmetric
+    (np.diag([1.0, 2.0, -1.0, -2.0]), FamilyKind.DIAGONAL,
+     ("tau27_diagonal_nn", "support_tau3_diagonal"),
+     [("tau3[general]", "e136"), ("theta_omega1[A]", "e35")]),
+    # antidiagonal and symmetric
+    (np.fliplr(np.diag([1.0, 2.0, 2.0, 1.0])), FamilyKind.ANTIDIAGONAL,
+     ("tau27_antidiagonal_pairs", "support_tau3_antidiagonal"), [("theta_omega2[A]", "e46")]),
+    # antidiagonal and skew
+    (np.fliplr(np.diag([1.0, 2.0, -2.0, -1.0])), FamilyKind.ANTIDIAGONAL,
+     ("tau27_antidiagonal_pairs", "support_tau3_antidiagonal"), [("theta_omega2[A]", "e46")]),
+], ids=["zero", "diagonal", "antidiagonal-symmetric", "antidiagonal-skew"])
+def test_a_triple_of_several_shapes_takes_the_first_family_in_priority_order(
+        A, family, family_gates, duals):
+    # DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC, else GENERAL: the label picks the gates,
+    # while each family table is dual-reported on every triple that has its shape
+    t = make(A=A)
+    assert classify_triple(t) is family
+    for rep in (cross_validate(t), cross_validate_stack(stack_of([t, t])).reports()[1]):
+        assert rep.family == family.value
+        assert tuple(rep.deviations) == GATES + family_gates
+        assert [(d.formula, d.component) for d in rep.dual_reports] == duals
+
+
 # -- theta ----------------------------------------------------------------------
 
 def test_theta_diagonal_on_omega7():
@@ -221,6 +254,9 @@ def test_theta_rejects_support_outside_ideal():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: generate_many(["bogus"], [0]), "unknown family kind 'bogus'"),
+    (lambda: generate_many([FamilyKind.DIAGONAL, FamilyKind.SKEW], [1]),
+     "2 family kinds for 1 seeds"),
+    (lambda: make(A=1j * np.diag([1.0, -1.0, 0.0, 0.0])), "matrix A has complex entries"),
     (lambda: theta(DIAG_A, Form.monomial((3,))), "theta acts on 2-forms"),
     (lambda: theta_omega_tabulated(DIAG_A, 3), "which must be one of 7, 1, 2"),
     (lambda: closed_form_torsion(make(), "skew"), "unknown family kind 'skew'"),
@@ -232,7 +268,7 @@ def test_malformed_arguments_raise(call, message):
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
-@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf, 1e308, "2", 1j])
 def test_generate_rejects_a_scale_outside_its_range(kind, scale):
     message = f"scale {scale!r} is not in (0, {MAX_SCALE:g}]"
     # raised before any draw, so also without a numpy warning (warnings fail tier-1)
