@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
+from ._tables import COMBS
 from .errors import G2ABCError, ValidationError
-from .exterior import Form
 from .g2core import DEFAULT_TOL
 from .gabc import (
     MAX_SCALE,
@@ -111,8 +111,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+#: _KEYS[k][r]: the name of the rank-r monomial of degree k in a report, "127" for e^{127}.
+_KEYS = {k: ["".join(map(str, key)) for key in COMBS[k]] for k in (1, 2, 3)}
+
+
 def _form_map(degree, values):
-    return {"".join(map(str, key)): value for key, value in Form(degree, values).coeffs.items()}
+    """The nonzero coefficients of the coefficient array values by monomial name, in rank
+    order; NaN is kept and -0.0 dropped, as ``Form.coeffs`` does."""
+    return {key: value for key, value in zip(_KEYS[degree], values.tolist()) if value != 0.0}
 
 
 def _numbers_only(x):

@@ -126,6 +126,10 @@ def tau27_tensor(tau3):
     return 0.125 * (top + top.swapaxes(-1, -2))
 
 
+#: The metric g of the orthonormal basis e_1..e_7, the identity matrix.
+_IDENTITY = np.eye(DIM)
+
+
 def full_torsion_from_forms(tau0, tau1, tau2, tau27):
     """Full torsion tensor assembled from the torsion forms:
 
@@ -133,7 +137,7 @@ def full_torsion_from_forms(tau0, tau1, tau2, tau27):
               - (1/2) tau2(X, Y) - tau27(X, Y).
     """
     iota = _vecmat(tau1, PHI_CONTRACTIONS)  # tau1's dual vector, same coefficients
-    T = np.multiply.outer(0.25 * tau0, np.eye(DIM)) - _iota_rows(iota, 2) \
+    T = np.multiply.outer(0.25 * tau0, _IDENTITY) - _iota_rows(iota, 2) \
         - 0.5 * _iota_rows(tau2, 2) - tau27
     return T + 0.0  # + 0.0 normalises -0.0 entries
 

@@ -94,7 +94,7 @@ TAU3_SUPPORT_ANTIDIAGONAL = (
 #: validated against the curvature oracle (see cross_validate).
 RICCI_A_BLOCK_ORDER = "(e7, e1, e2) <-> (A, B, C)"
 #: The 0-based rows of e7, e1, e2, the elements of a acting on n by A, B, C.
-_ABC_ROWS = (6, 0, 1)
+_ABC_ROWS = np.array((6, 0, 1))
 #: The a x a block of a 7x7 matrix, rows and columns in the order of _ABC_ROWS.
 _A_BLOCK = np.ix_(_ABC_ROWS, _ABC_ROWS)
 
@@ -195,6 +195,22 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
 
 
+def _real_entries(name, m):
+    """The float64 array of the entries of the matrix name, which must be real numbers
+    (held as Python objects, a Fraction is one): a float64 cast would drop imaginary
+    parts, and take "1" and True as numbers."""
+    try:
+        m = np.asarray(m)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValidationError(f"matrix {name} must be 4x4, got rows of unequal lengths") from None
+    if m.dtype.kind == "c":
+        raise ValidationError(f"matrix {name} has complex entries")
+    if m.dtype.kind not in "iufO" or m.dtype.kind == "O" and not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in m.flat):
+        raise ValidationError(f"matrix {name} has an entry that is not a real number")
+    return np.asarray(m, dtype=np.float64)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class TripleABC:
     """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6, held as
@@ -211,9 +227,7 @@ class TripleABC:
     def __init__(self, A, B, C):
         mats = []
         for name, m in zip("ABC", (A, B, C)):
-            if np.iscomplexobj(m):  # a float64 cast would drop the imaginary parts
-                raise ValidationError(f"matrix {name} has complex entries")
-            m = np.asarray(m, dtype=np.float64)
+            m = _real_entries(name, m)
             if m.shape != (4, 4):
                 raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
             mats.append(m)
@@ -242,14 +256,28 @@ def classify_triple(t):
     return [_FAMILIES[f] for f in family.tolist()] if family.ndim else _FAMILIES[family]
 
 
+def _scatter_of_constants():
+    """(source, target, sign) of structure_constants.  Entry (i, j) of the matrix q of
+    (A, B, C), column 4 q + j of their side-by-side (4, 12) rows, is the e_{i+3}
+    coefficient of [e_r, e_{j+3}] and minus that of [e_{j+3}, e_r], r = _ABC_ROWS[q]."""
+    q, i, j = np.indices((3, 4, 4)).reshape(3, -1)
+    r = _ABC_ROWS[q]
+    target = [np.ravel_multi_index(index, (DIM,) * 3) for index in ((r, j + 2, i + 2),
+                                                                      (j + 2, r, i + 2))]
+    return np.tile(12 * i + 4 * q + j, 2), np.concatenate(target), np.repeat([1.0, -1.0], 48)
+
+
+_SC_SOURCE, _SC_TARGET, _SC_SIGN = _scatter_of_constants()
+
+
 def structure_constants(A, B, C):
-    """Raw structure constants of g_{A,B,C} (no invariant checks)."""
-    c = np.zeros(np.shape(A)[:-2] + (DIM, DIM, DIM))
-    for row, M in zip(_ABC_ROWS, (A, B, C)):
-        mt = _transpose(np.asarray(M, dtype=np.float64))
-        c[..., row, 2:6, 2:6] = mt
-        c[..., 2:6, row, 2:6] = -mt
-    return c + 0.0  # + 0.0 turns the -0.0 of zero entries into 0.0
+    """Raw structure constants of g_{A,B,C} (no invariant checks): one scatter of the
+    48 entries, each to its two places with their signs."""
+    rows = np.concatenate([A, B, C], axis=-1, dtype=np.float64)
+    lead = rows.shape[:-2]
+    c = np.zeros(lead + (DIM ** 3,))
+    c[..., _SC_TARGET] = rows.reshape(lead + (48,))[..., _SC_SOURCE] * _SC_SIGN
+    return c.reshape(lead + (DIM,) * 3) + 0.0  # + 0.0 turns the -0.0 of zero entries into 0.0
 
 
 def build(t):
@@ -574,13 +602,21 @@ _BLOCKS = (
     *_DERIVATIVES, *((f"theta(omega{which})[{name}]", 2, None) for name, which in _THETA_PAIRS))
 _STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
 _COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
-#: The columns before the definitional theta block, each compared with its oracle.
-_COMPARED = _COLUMNS["theta(omega7)[A]"].start
+#: The tabulated formulas whose differences from their oracles gate every triple.
+_GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
+          "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
+#: The columns of tabulated_values compared with an oracle, in column order: those a gate
+#: reads or a triple may dual-report.  The rest are the family tables' iota_tau1_phi, which
+#: only closed_form_torsion returns, and the definitional theta, the oracle of the expansions.
+_COMPARED = np.flatnonzero(np.repeat([kind is not None or formula in _GATED
+                                      for formula, _, kind in _BLOCKS], np.diff(_STARTS)))
 #: Per compared column, whether any triple dual-reports it, and the column of _shapes that picks
 #: those that do: for a family table the triples of its shape, for the rest of them all triples.
-_REPORTED = np.repeat([kind is not None for _, _, kind in _BLOCKS], np.diff(_STARTS))[:_COMPARED]
+_REPORTED = np.repeat([kind is not None for _, _, kind in _BLOCKS], np.diff(_STARTS))[_COMPARED]
 _REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for _, _, kind in _BLOCKS],
-                         np.diff(_STARTS))[:_COMPARED]
+                         np.diff(_STARTS))[_COMPARED]
+#: The definitional theta columns, the oracle of the tabulated theta expansions.
+_THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
 
 
 def _text_values(t):
@@ -721,9 +757,9 @@ def _family_draws(kind, scale):
 
 
 def _check_kinds(kinds):
-    """Raise a ValidationError on a kind that is not a FamilyKind."""
-    if unknown := set(kinds) - set(FamilyKind):
-        raise ValidationError(f"unknown family kind {unknown.pop()!r}")
+    """Raise a ValidationError on the first kind that is not a FamilyKind."""
+    if unknown := [kind for kind in kinds if not isinstance(kind, FamilyKind)]:
+        raise ValidationError(f"unknown family kind {unknown[0]!r}")
 
 
 def _check_scale(scale):
@@ -739,29 +775,40 @@ def _check_tol(tol):
         raise ValidationError(f"tolerance {tol!r} is not a number in [0, inf)")
 
 
+def _generator(seeds, n):
+    """``default_rng(seeds[n])``; a seed it rejects is a ValidationError naming trial n."""
+    try:
+        return np.random.default_rng(seeds[n])
+    except (TypeError, ValueError) as exc:  # -1, 1.5, "a"
+        reason = f"seed {seeds[n]!r} is not a valid seed: {exc}"
+        raise ValidationError.of_trial(n, len(seeds), reason) from None
+
+
 def generate_many(kind, seeds, scale=1.0):
     """Stack of random triples, triple n of the family kind[n] (or kind, for a
-    single one).  Triple n comes from the draws of ``default_rng(seeds[n])``
-    alone, so it does not depend on the other trials or on its place.
+    single one; a list, tuple or numpy array holds a kind per seed).  Triple n
+    comes from the draws of ``default_rng(seeds[n])`` alone, so it does not
+    depend on the other trials or on its place.
 
     Entries are kept within [-scale, scale] up to a rounding, but within
     [-3 scale, 3 scale] for the diagonal and symmetric families: the last
     entry of their diagonal (before any rotation) is minus the sum of the
-    other three.  A scale outside 0 < scale <= MAX_SCALE, or a list of kinds
-    whose length is not that of seeds, is a ValidationError.
-    All family invariants hold by construction.  The stack's rotations come
-    from one QR, and it is re-validated by one run of the checks of TripleABC
-    (an error names the failing trial, also as its ``trial``).
+    other three.  A scale outside 0 < scale <= MAX_SCALE, kinds whose number
+    is not that of seeds, or a seed ``default_rng`` rejects is a
+    ValidationError.  All family invariants hold by construction.  The
+    stack's rotations come from one QR, and it is re-validated by one run of
+    the checks of TripleABC.  An error about one trial names it, also as its
+    ``trial``.
     """
     seeds = list(seeds)
-    kinds = list(kind) if isinstance(kind, (list, tuple)) else [kind] * len(seeds)
+    kinds = list(kind) if isinstance(kind, (list, tuple, np.ndarray)) else [kind] * len(seeds)
     if len(kinds) != len(seeds):
         raise ValidationError(f"{len(kinds)} family kinds for {len(seeds)} seeds")
     _check_kinds(kinds)
     _check_scale(scale)
     plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
     drawn = [[draw(rng) for draw in plans[k]]
-             for k, rng in zip(kinds, map(np.random.default_rng, seeds))]
+             for k, rng in zip(kinds, (_generator(seeds, n) for n in range(len(seeds))))]
     normals = {FamilyKind.SKEW: 1, FamilyKind.SYMMETRIC: 0}  # their draw, per rotated family
     rotated = [n for n, k in enumerate(kinds) if k in normals]
     q = np.empty((len(seeds), 1, 4, 4))
@@ -909,7 +956,6 @@ class CrossValidationArrays(typing.NamedTuple):
             for n, family in enumerate(self.families)]
 
 
-@functools.cache
 def _off_support(degree, support):
     """Mask of the degree-k monomials outside ``support``."""
     allowed = set(support)
@@ -924,11 +970,57 @@ _FAMILY_DEVIATIONS = {
     "tau27_antidiagonal_pairs": (FamilyKind.ANTIDIAGONAL,),
     "support_tau3_antidiagonal": (FamilyKind.ANTIDIAGONAL,),
 }
-#: _FAMILY_APPLIES[f, q]: whether the q-th of them gates the family _FAMILIES[f].
-_FAMILY_APPLIES = np.array([[f in fs for fs in _FAMILY_DEVIATIONS.values()] for f in _FAMILIES])
 
 #: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
+
+
+def _pass_layout():
+    """The layout of a pass's gated deviations, which depends on no triple.
+
+    A pass concatenates the sources below, one row per triple, in this order.  Each
+    gated quantity reads some columns of one source; the returned column index gathers
+    every quantity's columns from the concatenation, quantity by quantity, and the
+    starts open each quantity's block for np.maximum.reduceat.
+    """
+    widths = {  # of one triple's source
+        "delta": len(_COMPARED),  # tabulated minus oracle, on the compared columns
+        "reconstruction_dphi": DIMS[4], "reconstruction_dpsi": DIMS[5], "tau2_type14": DIMS[6],
+        "tau3_type27_phi": DIMS[6], "tau3_type27_psi": DIMS[7], "iota": DIMS[2], "tau2": DIMS[2],
+        "tau3": DIMS[3], "tau27": DIM ** 2, "torsion_routes": DIM ** 2, "connection": DIM ** 3,
+        "ricci": DIM ** 2, "divergence": DIM, "div": DIM,  # div T's residual, and div T
+    }
+    ends = np.cumsum(list(widths.values()))
+    at = {name: np.arange(end - width, end) for (name, width), end in zip(widths.items(), ends)}
+    in_delta = np.full(_STARTS[-1], -1)  # column of tabulated_values -> column of delta
+    in_delta[_COMPARED] = at["delta"]
+    tau27 = at["tau27"].reshape(DIM, DIM)
+    columns = {
+        **{formula.split("[")[0]: in_delta[_COLUMNS[formula]] for formula in _GATED},
+        **{name: at[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
+                                       "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
+        "support_iota_tau1_phi": at["iota"][_off_support(2, TWO_FORM_SUPPORT)],
+        "support_tau2": at["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
+        "support_tau3": at["tau3"][_off_support(3, TAU3_SUPPORT)],
+        "tau27_mixed_block": tau27[_ABC_ROWS, 2:6],
+        **{name: at[name] for name in ("torsion_routes", "connection", "ricci", "divergence")},
+        # the quantities of _FAMILY_DEVIATIONS, which gate only the triples of their families
+        "divergence_free": at["div"],
+        "tau27_diagonal_nn": np.diagonal(tau27)[2:6],
+        "support_tau3_diagonal": at["tau3"][_off_support(3, TAU3_SUPPORT_DIAGONAL)],
+        "tau27_antidiagonal_pairs": tau27[_ANTIDIAG_PAIRS],
+        "support_tau3_antidiagonal": at["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
+    }
+    applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in columns] for f in _FAMILIES]
+    starts = np.cumsum([0] + [block.size for block in columns.values()][:-1])
+    return (tuple(columns), np.concatenate([np.ravel(block) for block in columns.values()]),
+            starts, np.array(applies))
+
+
+#: The gated quantities; the columns of the pass's concatenated sources that hold their
+#: residuals, quantity by quantity; the start of each quantity's block in those columns
+#: (no block is empty); and _APPLIES[f, q], whether quantity q gates family _FAMILIES[f].
+_QUANTITIES, _GATHER, _QUANTITY_STARTS, _APPLIES = _pass_layout()
 
 
 def cross_validate(t, tol=DEFAULT_TOL):
@@ -947,7 +1039,8 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     stack of one), from one pass of both routes over a leading trial axis: the
     generic route from torsion_data and the connection, the tabulated one from
     tabulated_values and the closed forms.  A gated quantity is the largest
-    magnitude of its residual, an (n, k) block; one reduction takes all.
+    magnitude of its residual, an (n, k) block; one gather of the import-time
+    layout _GATHER collects every block and one reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
     _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
@@ -965,58 +1058,36 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     div = div_torsion(gamma, td.T)
     iota = _vecmat(tau1, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
 
-    # each tabulated value vs its counterpart in the columns of _BLOCKS: the tables vs the
+    # each compared tabulated value vs its counterpart, in column order: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
-    compared = tab[:, :_COMPARED]
-    torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]
+    compared = tab.take(_COMPARED, axis=1)  # C-ordered, unlike tab[:, _COMPARED]
+    torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]  # the parts of the general table
     derivatives = [s.dphi, s.star_dphi, s.dpsi, s.star_dpsi]
-    oracle = np.concatenate([*torsion * len(_TABLES), tab[:, _COMPARED:], *derivatives], axis=1)
+    oracle = np.concatenate([*torsion, *torsion[:-1] * (len(_TABLES) - 1), tab[:, _THETA_DEFINED],
+                             *derivatives], axis=1)
     delta = compared - oracle
-    res = {formula.split("[")[0]: delta[:, _COLUMNS[formula]] for formula in (
-        "dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]", "tau2[general]",
-        "iota_tau1_phi[general]")}
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    hits = (np.abs(delta) > tol) & shapes[:, _REPORTED_ON] & _REPORTED
-    duals = (*np.nonzero(hits), compared[hits], oracle[hits])
+    rows, columns = np.nonzero((np.abs(delta) > tol) & shapes[:, _REPORTED_ON] & _REPORTED)
+    duals = (rows, _COMPARED[columns], compared[rows, columns], oracle[rows, columns])
 
-    # reconstruction identities, component types, support patterns, the tau27 a x n block
-    res["reconstruction_dphi"], res["reconstruction_dpsi"] = reconstruction_residuals(
-        s, td.tau0, tau1, tau2, tau3)
-    res["tau2_type14"] = _vecmat(tau2, PSI_WEDGE[2])
-    res["tau3_type27_phi"] = _vecmat(tau3, PHI_WEDGE[3])
-    res["tau3_type27_psi"] = _vecmat(tau3, PSI_WEDGE[3])
-    res["support_iota_tau1_phi"] = iota[:, _off_support(2, TWO_FORM_SUPPORT)]
-    res["support_tau2"] = tau2[:, _off_support(2, TWO_FORM_SUPPORT)]
-    res["support_tau3"] = tau3[:, _off_support(3, TAU3_SUPPORT)]
-    res["tau27_mixed_block"] = td.tau27[:, _ABC_ROWS, 2:6].reshape(n, -1)
-
-    # the two routes: torsion tensor, connection, Ricci, divergence
-    res["torsion_routes"] = (td.T - full_torsion_from_nabla(gamma)).reshape(n, -1)
-    res["connection"] = (closed_form_connection(t) - gamma).reshape(n, -1)
-    res["ricci"] = (closed_form_ricci(t) - ric).reshape(n, -1)
     div_cf = closed_form_divergence(t, td.tau27)
-    res["divergence"] = div_cf - div
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
-
-    # family-specific content, kept below for the triples of that family
-    family_res = {
-        "divergence_free": div,
-        "tau27_diagonal_nn": np.diagonal(td.tau27, axis1=-2, axis2=-1)[:, 2:6],
-        "support_tau3_diagonal": tau3[:, _off_support(3, TAU3_SUPPORT_DIAGONAL)],
-        "tau27_antidiagonal_pairs": td.tau27[(...,) + _ANTIDIAG_PAIRS],
-        "support_tau3_antidiagonal": tau3[:, _off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
-    }
-    applies = np.hstack([np.ones((n, len(res)), dtype=bool), _FAMILY_APPLIES[family]])
-    res.update((q, family_res[q]) for q in _FAMILY_DEVIATIONS)  # in the order of _FAMILY_APPLIES
-
-    # no block is empty, so each start opens the block of its quantity; NaN propagates
-    starts = np.cumsum([0] + [block.shape[1] for block in res.values()][:-1])
-    deviations = np.maximum.reduceat(np.abs(np.concatenate(list(res.values()), axis=1)),
-                                     starts, axis=1)
+    # the sources of the gated residuals, in the order of _pass_layout: the compared
+    # tabulated values, reconstruction identities, component types, the forms of the
+    # support patterns, tau27, the two routes (torsion tensor, connection, Ricci,
+    # divergence) and div T
+    sources = [delta, *reconstruction_residuals(s, td.tau0, tau1, tau2, tau3),
+               _vecmat(tau2, PSI_WEDGE[2]), _vecmat(tau3, PHI_WEDGE[3]),
+               _vecmat(tau3, PSI_WEDGE[3]), iota, tau2, tau3, td.tau27,
+               td.T - full_torsion_from_nabla(gamma), closed_form_connection(t) - gamma,
+               closed_form_ricci(t) - ric, div_cf - div, div]
+    residuals = np.concatenate([x.reshape(n, -1) for x in sources], axis=1).take(_GATHER, axis=1)
+    # each start opens the block of its quantity; NaN propagates
+    deviations = np.maximum.reduceat(np.abs(residuals, out=residuals), _QUANTITY_STARTS, axis=1)
     return CrossValidationArrays(
-        tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=tuple(res),
-        deviations=deviations, applies=applies,
+        tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=_QUANTITIES,
+        deviations=deviations, applies=_APPLIES[family],
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
         flags=_flags(td, tol).T, tau0=td.tau0, tau1=tau1, tau2=tau2, tau3=tau3,
         torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

@@ -40,7 +40,7 @@ def ricci(g, gamma):
     trace = np.einsum("...imi->...m", gamma)
     rows = lambda x: x.reshape(x.shape[:-3] + (DIM, DIM * DIM))  # (a, b, c) -> (a, (b, c))
     cols = lambda x: x.reshape(x.shape[:-3] + (DIM * DIM, DIM))  # (a, b, c) -> ((a, b), c)
-    moved = cols(np.moveaxis(gamma, -1, -3))  # moved[(m, i), k] = gamma[i, k, m]
+    moved = cols(gamma.swapaxes(-1, -2).swapaxes(-2, -3))  # moved[(m, i), k] = gamma[i, k, m]
     ric = ((gamma @ trace[..., None, :, None])[..., 0]
            - rows(gamma) @ moved  # gamma[j,m,i] gamma[i,k,m] over (m, i)
            + rows(g.c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]

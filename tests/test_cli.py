@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from g2abc import cli, gabc
+from g2abc._tables import DIMS
 from g2abc.cli import main
+from g2abc.exterior import Form
 
 from helpers import python_dash_m_env
 
@@ -40,6 +42,18 @@ def test_analyze_diag_example(tmp_path, capsys):
     assert report["div_torsion"] == [0.0] * 7
     assert report["flags"]["closed"] and not report["flags"]["coclosed"]
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_report_coefficient_maps_are_those_of_forms(degree):
+    # NaN kept, -0.0 and 0.0 dropped, in rank order, as Form.coeffs gives them
+    rng = np.random.default_rng(degree)
+    values = rng.standard_normal(DIMS[degree])
+    values[rng.permutation(DIMS[degree])[:3]] = [np.nan, -0.0, 0.0]
+    got = cli._form_map(degree, values)
+    expected = {"".join(map(str, key)): v for key, v in Form(degree, values).coeffs.items()}
+    assert repr(list(got.items())) == repr(list(expected.items()))
+    assert len(got) == DIMS[degree] - 2 and all(type(v) is float for v in got.values())
 
 
 def test_analyze_is_deterministic(tmp_path, capsys):

@@ -143,6 +143,26 @@ def test_non_commuting_pair_rejected_at_any_scale(scale):
         make(A=scale * e_matrix(3, 4), B=2 * scale * e_matrix(4, 5))
 
 
+def structure_constants_reference(A, B, C):
+    """gabc.structure_constants, one matrix at a time: [e_r, v] = M v on n, r the row of M."""
+    c = np.zeros(np.shape(A)[:-2] + (7, 7, 7))
+    for row, M in zip((6, 0, 1), (A, B, C)):
+        c[..., row, 2:6, 2:6] = np.swapaxes(M, -1, -2)
+        c[..., 2:6, row, 2:6] = -np.swapaxes(M, -1, -2)
+    return c + 0.0
+
+
+def test_structure_constants_match_the_per_matrix_reference():
+    stack = generate_many(list(FamilyKind) * 2, range(10))
+    mats = np.array(stack.abc)
+    mats[0, 1, 2, 3] = -0.0  # a signed zero of the input becomes 0.0 in both places
+    for abc in (mats, mats[3]):
+        got, expected = structure_constants(*np.moveaxis(abc, -3, 0)), \
+            structure_constants_reference(*np.moveaxis(abc, -3, 0))
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert structure_constants(e_matrix(3, 4), ZERO4, ZERO4)[6, 3, 2] == 1.0  # [e7, e4] = e3
+
+
 def test_build_abelian():
     alg, s = build(make())
     assert not np.any(alg.c)
@@ -257,6 +277,18 @@ def test_theta_rejects_support_outside_ideal():
     (lambda: generate_many([FamilyKind.DIAGONAL, FamilyKind.SKEW], [1]),
      "2 family kinds for 1 seeds"),
     (lambda: make(A=1j * np.diag([1.0, -1.0, 0.0, 0.0])), "matrix A has complex entries"),
+    # entries that are Python objects, strings or booleans: not cast to floats
+    (lambda: make(B=np.full((4, 4), 0j, dtype=object)),
+     "matrix B has an entry that is not a real number"),
+    (lambda: make(C=np.full((4, 4), "a", dtype=object)),
+     "matrix C has an entry that is not a real number"),
+    (lambda: make(A=np.full((4, 4), "1")), "matrix A has an entry that is not a real number"),
+    (lambda: make(B=np.zeros((4, 4), dtype=bool)),
+     "matrix B has an entry that is not a real number"),
+    (lambda: make(C=[[0.0] * 4] * 3 + [[0.0, None, 0.0, 0.0]]),
+     "matrix C has an entry that is not a real number"),
+    (lambda: make(A=[[0.0] * 4] * 3 + [[0.0]]),
+     "matrix A must be 4x4, got rows of unequal lengths"),
     (lambda: theta(DIAG_A, Form.monomial((3,))), "theta acts on 2-forms"),
     (lambda: theta_omega_tabulated(DIAG_A, 3), "which must be one of 7, 1, 2"),
     (lambda: closed_form_torsion(make(), "skew"), "unknown family kind 'skew'"),
@@ -265,6 +297,35 @@ def test_malformed_arguments_raise(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert type(err.value) is ValidationError and str(err.value) == message
+
+
+def test_a_matrix_of_python_real_numbers_is_taken_as_floats():
+    from fractions import Fraction
+    entries = np.diag([Fraction(1, 2), Fraction(-1, 2), 0, 0])  # an object array
+    assert entries.dtype == object
+    assert make(A=entries).abc.tobytes() == make(A=np.diag([0.5, -0.5, 0.0, 0.0])).abc.tobytes()
+
+
+@pytest.mark.parametrize("seeds, trial, seed", [([-1], 0, -1), ([1.5], 0, 1.5), (["a"], 0, "a"),
+                                                ([0, 1, -2], 2, -2)])
+def test_generate_rejects_a_seed_that_numpy_rejects(seeds, trial, seed):
+    calls = [lambda: generate_many(FamilyKind.SKEW, seeds)]
+    if len(seeds) == 1:
+        calls.append(lambda: generate(FamilyKind.SKEW, seeds[0]))
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        prefix = f"trial {trial}: " if len(seeds) > 1 else ""
+        assert type(err.value) is ValidationError and err.value.trial == trial
+        assert str(err.value).startswith(f"{prefix}seed {seed!r} is not a valid seed: ")
+
+
+def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_seed():
+    kinds = [FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.SKEW]
+    stack = generate_many(np.array(kinds), [0, 1, 2])
+    assert stack.abc.tobytes() == generate_many(kinds, [0, 1, 2]).abc.tobytes()
+    with pytest.raises(ValidationError, match="^3 family kinds for 2 seeds$"):
+        generate_many(np.array(kinds), [0, 1])
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
@@ -602,6 +663,31 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
         assert np.array_equal(arrays.deviations[:, q], expected), name
 
 
+def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
+    # one triple per family; each column of tabulated_values moved by 1 in turn
+    t = stack_of(mixed_triples(9, 1))
+    values = gabc.tabulated_values(t)
+    reference = cross_validate_stack(t)
+    labels = gabc._column_labels()
+    seen = []
+    for column in range(values.shape[1]):
+        moved = values.copy()
+        moved[:, column] += 1.0
+        monkeypatch.setattr(gabc, "tabulated_values", lambda t: moved)
+        arrays = cross_validate_stack(t)
+        gated = not np.array_equal(arrays.deviations[arrays.applies],
+                                   reference.deviations[reference.applies])
+        reported = column in arrays.dual_reports[1].tolist()
+        if column in gabc._COMPARED:
+            assert gated or reported, labels[column]
+        seen.append(gated or reported or not all(
+            np.array_equal(x, y) for x, y in zip(arrays.dual_reports, reference.dual_reports)))
+    # the columns a pass does not read: the family tables' iota_tau1_phi
+    unread = {labels[column][0] for column, read in enumerate(seen) if not read}
+    assert unread == {f"iota_tau1_phi[{kind}]" for kind in ("skew", "diagonal", "antidiagonal")}
+    assert len(gabc._COMPARED) == 641 - 63
+
+
 def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
     t = stack_of(mixed_triples(6, 2))
     reference = cross_validate_stack(t)
@@ -787,6 +873,23 @@ def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
         run()
         assert not calls, label
     assert gabc._operator.cache_info().misses == 1
+
+
+def test_a_pass_builds_no_layout_after_a_warm_up(monkeypatch):
+    # the gather of the gated residuals, its reduceat starts and the applies rows
+    # are built once at import: a pass looks up no support mask and sums no widths
+    stacks = [generate(kind, 0) for kind in FamilyKind]
+    stacks += [stack_of(mixed_triples(1, trials)) for trials in (1, 3)]
+    cross_validate_stack(stacks[0])
+    calls = Counter()
+    for module, name in ((gabc, "_off_support"), (np, "cumsum"), (np, "hstack")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    for stack in stacks:
+        cross_validate_stack(stack).reports()
+        assert not calls, len(stack.abc)
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
