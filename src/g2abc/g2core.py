@@ -3,8 +3,8 @@ forms, the symmetric 27-component tensor, and the full torsion tensor by two
 independent routes.  The basis e_1..e_7 is orthonormal for the standard
 3-form, so every metric quantity is taken in the identity metric.
 
-A structure on a stack of N algebras (``LieAlgebra7`` of (N, 7, 7, 7)
-constants) yields (N, ...) arrays throughout.  The stages exchange a k-form
+A structure on a stack of N algebras, the (N, 7, 7, 7) array of their
+structure constants, yields (N, ...) arrays throughout.  The stages exchange a k-form
 as its (..., C(7,k)) coefficient array, and multiply it by phi, psi or the
 star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
 derivatives of a G2Structure and the forms of a TorsionData are such arrays
@@ -51,23 +51,23 @@ PSI_WEDGE = {k: _vecmat(STANDARD_PSI.values, WEDGE[(k, 4)]) for k in (1, 2, 3)}
 _PAIR_TOP = (WEDGE[(2, 2)].reshape(-1, DIMS[4]) @ WEDGE[(4, 3)][:, :, 0]).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class G2Structure:
-    """The standard 3-form on a Lie algebra together with its derived data: the
-    coefficient arrays of dphi, star dphi, dpsi and star dpsi."""
+    """The standard 3-form on the algebra of the structure constants c with the arrays
+    of dphi, star dphi, dpsi and star dpsi; equality and hashing are by identity."""
 
-    algebra: object
+    c: np.ndarray
     phi: ClassVar[Form] = STANDARD_PHI
     psi: ClassVar[Form] = STANDARD_PSI
 
     # derived once per structure (cached_property bypasses the frozen __setattr__)
     @cached_property
     def dphi(self):
-        return ce_diff(self.algebra, self.phi).values
+        return ce_diff(self.c, self.phi).values
 
     @cached_property
     def dpsi(self):
-        return ce_diff(self.algebra, self.psi).values
+        return ce_diff(self.c, self.psi).values
 
     @cached_property
     def star_dphi(self):

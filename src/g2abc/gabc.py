@@ -50,7 +50,7 @@ from .g2core import (
     reconstruction_residuals,
     torsion_data,
 )
-from .liealg import LieAlgebra7, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
+from .liealg import ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
 from .riemann import div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
@@ -281,9 +281,10 @@ def structure_constants(A, B, C):
 
 
 def build(t):
-    """Lie algebra and reference G2-structure of a validated triple."""
-    alg = LieAlgebra7(structure_constants(t.A, t.B, t.C))
-    return alg, G2Structure(alg)
+    """Read-only structure constants c and reference G2-structure of a validated triple."""
+    c = structure_constants(t.A, t.B, t.C)
+    c.flags.writeable = False
+    return c, G2Structure(c)
 
 
 # -- the representation of sl(4) on 2-forms of n -------------------------------
@@ -776,8 +777,10 @@ def _check_tol(tol):
 
 
 def _generator(seeds, n):
-    """``default_rng(seeds[n])``; a seed it rejects is a ValidationError naming trial n."""
+    """``default_rng(seeds[n])``; None, a bool or a seed it rejects is a ValidationError."""
     try:
+        if seeds[n] is None or isinstance(seeds[n], bool):  # fresh entropy; True would be 1
+            raise TypeError("expected an integer or a SeedSequence, not None or a bool")
         return np.random.default_rng(seeds[n])
     except (TypeError, ValueError) as exc:  # -1, 1.5, "a"
         reason = f"seed {seeds[n]!r} is not a valid seed: {exc}"
@@ -794,8 +797,8 @@ def generate_many(kind, seeds, scale=1.0):
     [-3 scale, 3 scale] for the diagonal and symmetric families: the last
     entry of their diagonal (before any rotation) is minus the sum of the
     other three.  A scale outside 0 < scale <= MAX_SCALE, kinds whose number
-    is not that of seeds, or a seed ``default_rng`` rejects is a
-    ValidationError.  All family invariants hold by construction.  The
+    is not that of seeds, or a seed that is None, a bool or one ``default_rng``
+    rejects is a ValidationError.  All family invariants hold by construction.  The
     stack's rotations come from one QR, and it is re-validated by one run of
     the checks of TripleABC.  An error about one trial names it, also as its
     ``trial``.
@@ -1046,15 +1049,15 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
     if not len(t.abc):
         raise ValidationError("a cross-validation pass needs at least one triple")
-    alg, s = build(t)
+    c, s = build(t)
     shapes = _shapes(t.abc)
     n, family = len(shapes), shapes.argmax(axis=1)  # family: each triple's index in _FAMILIES
 
     # generic route
     td = torsion_data(s)
     tau1, tau2, tau3 = td.tau1, td.tau2, td.tau3
-    gamma = levi_civita(alg)
-    ric = ricci(alg, gamma)
+    gamma = levi_civita(c)
+    ric = ricci(c, gamma)
     div = div_torsion(gamma, td.T)
     iota = _vecmat(tau1, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
 

@@ -1,5 +1,6 @@
-"""7-dimensional Lie algebras by structure constants and their Chevalley-Eilenberg
-differential on left-invariant forms."""
+"""7-dimensional Lie algebras as the (7, 7, 7) array c of structure constants,
+[e_i, e_j] = sum_k c[i,j,k] e_k (0-based), or (N, 7, 7, 7) for a stack of N: the
+checked constructor LieAlgebra7 and the Chevalley-Eilenberg differential."""
 
 import numpy as np
 
@@ -22,13 +23,6 @@ _RANK_IJ, _RANK_IK, _RANK_JK = (_PAIR_RANK[a, b] for a, b in (
     (_TRIPLE_I, _TRIPLE_J), (_TRIPLE_I, _TRIPLE_K), (_TRIPLE_J, _TRIPLE_K)))
 
 
-def _as_constants(c):
-    arr = np.asarray(c, dtype=np.float64)
-    if arr.shape[-3:] != (DIM, DIM, DIM) or arr.ndim > 4:
-        raise ValidationError(f"structure constants must be {DIM}x{DIM}x{DIM}, got {arr.shape}")
-    return arr
-
-
 def _jacobi_residuals(arr):
     """Max-abs Jacobi residual per algebra of the constants arr, exactly antisymmetric
     in i, j: the Jacobiator is then alternating, so 35 triples i < j < k give the max."""
@@ -43,18 +37,19 @@ def _jacobi_residuals(arr):
 
 
 class LieAlgebra7:
-    """Lie algebra on e_1..e_7 with [e_i, e_j] = sum_k c[i,j,k] e_k  (0-based array).
-
-    ``c`` of shape (N, 7, 7, 7) holds a stack of N algebras.
-    """
+    """Checked constructor for an algebra that a user builds: ``c`` is a read-only float64
+    copy of constants that are exactly antisymmetric and satisfy Jacobi.  The pass does not
+    use it: the Jacobi residual of g_{A,B,C} is the largest entry of [A,B], [A,C] and
+    [B,C], which TripleABC bounds by the same JACOBI_TOL * max(1, s)^2."""
 
     __slots__ = ("c",)
 
     def __init__(self, c):
-        arr = _as_constants(c)
+        arr = np.array(c, dtype=np.float64)  # a copy
+        if arr.shape[-3:] != (DIM, DIM, DIM) or arr.ndim > 4:
+            raise ValidationError(f"structure constants must be {DIM}x{DIM}x{DIM}, got {arr.shape}")
         if np.max(np.abs(arr + np.swapaxes(arr, -3, -2))) != 0.0:
             raise ValidationError("structure constants are not exactly antisymmetric in i, j")
-        arr = arr.copy()
         arr.flags.writeable = False
         self.c = arr
         res, b = _jacobi_residuals(arr), np.maximum(1.0, np.abs(arr).max(axis=(-3, -2, -1)))
@@ -66,8 +61,8 @@ class LieAlgebra7:
                              f"{JACOBI_TOL * b.flat[n] ** 2:g}")
 
 
-def ce_diff(g, a):
-    """Chevalley-Eilenberg differential of a left-invariant form.
+def ce_diff(c, a):
+    """Chevalley-Eilenberg differential of a left-invariant form on the algebra c.
 
     On 1-forms (d alpha)(X, Y) = -alpha([X, Y]); antiderivation in general:
     d a = sum_m (d e^m) ^ iota_{e_m} a.  A stack of algebras differentiates
@@ -79,7 +74,7 @@ def ce_diff(g, a):
         raise DegreeError("cannot differentiate a top-degree form")
     k = a.degree
     # d e^m = -sum_{i<j} c[i,j,m] e^{ij}: row p of d1 holds c[i_p, j_p, :]
-    d1 = g.c[..., _PAIR_I, _PAIR_J, :]
+    d1 = c[..., _PAIR_I, _PAIR_J, :]
     if k == 0:
         return Form.zero(1)
     # mixed[p, q]: coefficient of e^{I_p} ^ e^{Q_q} in sum_m (d e^m) ^ iota_{e_m} a

@@ -1,34 +1,34 @@
 """Levi-Civita connection of the metric making e_1..e_7 orthonormal on a Lie
 algebra, curvature, Ricci, and the divergence of the full torsion tensor.
 
-A connection is the (7, 7, 7) array gamma of its coefficients,
-nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k.  Connections, Ricci tensors and
-divergences of a stack of N algebras carry a leading axis of length N."""
+An algebra is its (7, 7, 7) array c of structure constants, a connection the
+(7, 7, 7) array gamma of nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k.  Connections,
+Ricci tensors and divergences of a stack of N algebras, (N, 7, 7, 7) constants,
+carry a leading axis of length N."""
 
 import numpy as np
 
 from ._tables import DIM
 
 
-def levi_civita(g):
+def levi_civita(c):
     """Levi-Civita connection gamma of the left-invariant metric, by the Koszul formula:
 
-    2 <nabla_X Y, Z> = <[X,Y], Z> - <[Y,Z], X> + <[Z,X], Y>.
+    2 <nabla_X Y, Z> = <[X,Y], Z> - <[Y,Z], X> + <[Z,X], Y>,  c[i,j,k] = <[e_i,e_j], e_k>.
     """
-    c = g.c  # c[i,j,k] = <[e_i,e_j], e_k>
-    # gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
-    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
+    # gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2, the last two terms as views
+    return 0.5 * (c - c.swapaxes(-1, -2).swapaxes(-2, -3) + c.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
-def riemann_tensor(g, gamma):
+def riemann_tensor(c, gamma):
     """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
     grad2 = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    rbrack = np.einsum("ijm,mkl->ijkl", g.c, gamma)
+    rbrack = np.einsum("ijm,mkl->ijkl", c, gamma)
     return grad2 - grad2.transpose(1, 0, 2, 3) - rbrack
 
 
-def ricci(g, gamma):
+def ricci(c, gamma):
     """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> of the connection gamma.
 
     Contracted term by term from the curvature formula of riemann_tensor,
@@ -43,7 +43,7 @@ def ricci(g, gamma):
     moved = cols(gamma.swapaxes(-1, -2).swapaxes(-2, -3))  # moved[(m, i), k] = gamma[i, k, m]
     ric = ((gamma @ trace[..., None, :, None])[..., 0]
            - rows(gamma) @ moved  # gamma[j,m,i] gamma[i,k,m] over (m, i)
-           + rows(g.c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]
+           + rows(c) @ moved)  # c[j,i,m] = -c[i,j,m]; gamma[m,k,i] = moved[(i, m), k]
     return 0.5 * (ric + ric.swapaxes(-1, -2))
 
 

@@ -52,9 +52,10 @@ def form_inner(a, b):
     return float(a.values @ b.values)
 
 
-def is_unimodular(g, tol=1e-12):
-    """True when every adjoint map ad_{e_i} of the algebra g is traceless within tol."""
-    return bool(np.max(np.abs(np.einsum("...ikk->...i", g.c))) <= tol)
+def is_unimodular(c, tol=1e-12):
+    """True when every adjoint map ad_{e_i} of the algebra of the structure constants c
+    is traceless within tol."""
+    return bool(np.max(np.abs(np.einsum("...ikk->...i", c))) <= tol)
 
 
 def jacobi_residual(c):

@@ -131,9 +131,9 @@ def test_criterion_5_connection_and_ricci(campaigns):
     worst_ric = max(_worst(campaigns[kind], "ricci") for kind in FAMILIES)
     worst_riem = 0.0
     for t, _ in campaigns[FamilyKind.SKEW]:
-        alg, s = build(t)
-        conn = levi_civita(alg)
-        worst_riem = max(worst_riem, float(np.max(np.abs(riemann_tensor(alg, conn)))))
+        c, s = build(t)
+        conn = levi_civita(c)
+        worst_riem = max(worst_riem, float(np.max(np.abs(riemann_tensor(c, conn)))))
     ok = worst_conn <= 1e-12 and worst_ric <= 1e-9 and worst_riem <= 1e-9
     _line(5, ok, f"connection table vs Koszul {worst_conn:.1e} (<=1e-12), Ricci closed "
                  f"form vs curvature oracle {worst_ric:.1e}, skew Riemann tensor {worst_riem:.1e}")
@@ -194,11 +194,11 @@ def test_criterion_8_spot_values():
     assert abs(closed_form_torsion(adiag, FamilyKind.ANTIDIAGONAL).tau0 - (-2.0 / 7.0)) <= 1e-15
 
     diag = TripleABC(A=np.diag([1.0, 1.0, -1.0, -1.0]), B=ZERO4, C=ZERO4)
-    alg, s = build(diag)
+    c, s = build(diag)
     td = torsion_data(s)
     assert Form(2, td.tau2).coeffs == {(3, 4): -2.0, (5, 6): 2.0}
-    assert ce_diff(alg, s.phi).is_zero()
-    div = div_torsion(levi_civita(alg), td.T)
+    assert ce_diff(c, s.phi).is_zero()
+    div = div_torsion(levi_civita(c), td.T)
     assert not np.any(div)
     assert not np.any(closed_form_divergence(diag, td.tau27))
 

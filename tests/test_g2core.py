@@ -115,17 +115,17 @@ def test_diagonal_example_full_torsion_is_minus_half_tau2():
 
 
 def test_routes_agree_on_diag_example():
-    alg, s = make(A=DIAG_A)
+    c, s = make(A=DIAG_A)
     td = torsion_data(s)
-    assert np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(alg)))) <= 1e-9
+    assert np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(c)))) <= 1e-9
 
 
 def test_routes_agree_on_random_commuting_triples():
     for trial, kind in enumerate(FamilyKind):
         for seed in range(8):
-            alg, s = build(generate(kind, 70 + 10 * trial + seed))
+            c, s = build(generate(kind, 70 + 10 * trial + seed))
             td = torsion_data(s)
-            dev = np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(alg))))
+            dev = np.max(np.abs(td.T - full_torsion_from_nabla(levi_civita(c))))
             assert dev <= 1e-9, (kind, seed, dev)
 
 
@@ -206,12 +206,12 @@ def per_basis_torsion_from_nabla(s, gamma):
 
 
 def test_whole_array_stages_match_per_pair_references():
-    alg, s = build(generate(FamilyKind.GENERAL, 61))
+    c, s = build(generate(FamilyKind.GENERAL, 61))
     _, _, _, tau3 = torsion_forms(s)
     assert np.any(tau3)
     expected = 0.25 * per_pair_top(s.phi, Form(3, tau3))
     assert np.max(np.abs(tau27_tensor(tau3) - expected)) <= 1e-13
-    gamma = levi_civita(alg)
+    gamma = levi_civita(c)
     expected_T = per_basis_torsion_from_nabla(s, gamma)
     assert np.max(np.abs(full_torsion_from_nabla(gamma) - expected_T)) <= 1e-13
 
@@ -258,7 +258,7 @@ def test_skew_rotation_block_full_torsion_structure():
     # A = rotation generator in the (3,4)-plane: tau0 = 4/7, tau1 = tau2 = 0,
     # and the assembly (1/4) tau0 g - tau27 collapses to the single entry T = E77.
     A = e_matrix(3, 4) - e_matrix(4, 3)
-    alg, s = make(A=A)
+    c, s = make(A=A)
     td = torsion_data(s)
     assert abs(td.tau0 - 4.0 / 7.0) <= 1e-15
     assert not np.any(td.tau1) and not np.any(td.tau2)
@@ -266,4 +266,4 @@ def test_skew_rotation_block_full_torsion_structure():
     expected = np.zeros((7, 7))
     expected[6, 6] = 1.0
     assert np.max(np.abs(td.T - expected)) <= 1e-15
-    assert np.max(np.abs(full_torsion_from_nabla(levi_civita(alg)) - expected)) <= 1e-15
+    assert np.max(np.abs(full_torsion_from_nabla(levi_civita(c)) - expected)) <= 1e-15

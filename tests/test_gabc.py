@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2abc import cli, exterior, g2core, gabc
+from g2abc import cli, exterior, g2core, gabc, liealg
 from g2abc._tables import COMBS, STAR
 from g2abc.errors import ValidationError
 from g2abc.exterior import Form, _vecmat, contractions, hodge, wedge
@@ -128,12 +129,12 @@ def test_stacked_checks_name_the_failing_trial(entries, message):
 @pytest.mark.parametrize("scale", [1e3, 1e5])
 @pytest.mark.parametrize("kind", [FamilyKind.SKEW, FamilyKind.SYMMETRIC, FamilyKind.ANTIDIAGONAL])
 def test_generate_validates_its_own_triples_at_large_scales(kind, scale):
-    # the trace and commutator thresholds scale with the largest entry, and so
-    # does the Jacobi threshold of build, checked per algebra of the stack
+    # the trace and commutator thresholds scale with the largest entry, so the Jacobi
+    # residual of the constants (the largest commutator entry) stays within the scaled bound
     stack = generate_many(kind, range(200), scale)
     assert len(stack.A) == 200
-    alg, _ = build(stack)
-    assert 1e-10 < jacobi_residual(alg.c) <= 1e-10 * scale ** 2
+    c, _ = build(stack)
+    assert 1e-10 < jacobi_residual(c) <= 1e-10 * scale ** 2
 
 
 @pytest.mark.parametrize("scale", [1e-5, 1e3])
@@ -164,16 +165,16 @@ def test_structure_constants_match_the_per_matrix_reference():
 
 
 def test_build_abelian():
-    alg, s = build(make())
-    assert not np.any(alg.c)
+    c, s = build(make())
+    assert not np.any(c) and not c.flags.writeable and s.c is c
     assert (s.phi - STANDARD_PHI).is_zero() and (s.psi - STANDARD_PSI).is_zero()
 
 
 def test_build_random_triple_is_unimodular_lie_algebra():
     t = generate(FamilyKind.GENERAL, 33)
-    alg, _ = build(t)
-    assert is_unimodular(alg)
-    assert jacobi_residual(alg.c) <= 1e-10
+    c, _ = build(t)
+    assert is_unimodular(c)
+    assert jacobi_residual(c) <= 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -320,6 +321,27 @@ def test_generate_rejects_a_seed_that_numpy_rejects(seeds, trial, seed):
         assert str(err.value).startswith(f"{prefix}seed {seed!r} is not a valid seed: ")
 
 
+@pytest.mark.parametrize("seeds, trial, seed", [([None], 0, None), ([True], 0, True),
+                                                ([False], 0, False), ([0, 1, None], 2, None),
+                                                ([3, True], 1, True)])
+def test_generate_rejects_none_and_bool_seeds(seeds, trial, seed):
+    # None would draw fresh entropy on every call, and True would be the seed 1
+    calls = [lambda: generate_many(FamilyKind.SKEW, seeds)]
+    if len(seeds) == 1:
+        calls.append(lambda: generate(FamilyKind.SKEW, seeds[0]))
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        prefix = f"trial {trial}: " if len(seeds) > 1 else ""
+        assert type(err.value) is ValidationError and err.value.trial == trial
+        assert str(err.value) == f"{prefix}seed {seed!r} is not a valid seed: expected an " \
+                                 "integer or a SeedSequence, not None or a bool"
+    # integers of any type and seed sequences still pass, each the same triple
+    same = [generate(FamilyKind.SKEW, s).abc.tobytes()
+            for s in (1, np.int64(1), np.uint8(1), np.random.SeedSequence(1))]
+    assert same == same[:1] * 4
+
+
 def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_seed():
     kinds = [FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.SKEW]
     stack = generate_many(np.array(kinds), [0, 1, 2])
@@ -403,12 +425,12 @@ def test_dpsi_for_diagonal_b_only():
 def test_derivatives_match_ce_oracle():
     for kind in FamilyKind:
         t = generate(kind, 77)
-        alg, s = build(t)
+        c, s = build(t)
         dphi, sdphi, dpsi, sdpsi = tabulated_derivatives(t)
-        assert (dphi - ce_diff(alg, s.phi)).norm_inf() <= 1e-9
-        assert (sdphi - hodge(ce_diff(alg, s.phi))).norm_inf() <= 1e-9
-        assert (dpsi - ce_diff(alg, s.psi)).norm_inf() <= 1e-9
-        assert (sdpsi - hodge(ce_diff(alg, s.psi))).norm_inf() <= 1e-9
+        assert (dphi - ce_diff(c, s.phi)).norm_inf() <= 1e-9
+        assert (sdphi - hodge(ce_diff(c, s.phi))).norm_inf() <= 1e-9
+        assert (dpsi - ce_diff(c, s.psi)).norm_inf() <= 1e-9
+        assert (sdpsi - hodge(ce_diff(c, s.psi))).norm_inf() <= 1e-9
 
 
 # -- closed-form torsion tables ------------------------------------------------------
@@ -509,8 +531,8 @@ def test_connection_matches_koszul_exactly():
     for kind in FamilyKind:
         for seed in range(5):
             t = generate(kind, 220 + seed)
-            alg, s = build(t)
-            dev = np.max(np.abs(closed_form_connection(t) - levi_civita(alg)))
+            c, s = build(t)
+            dev = np.max(np.abs(closed_form_connection(t) - levi_civita(c)))
             assert dev <= 1e-12, (kind, seed, dev)
 
 
@@ -535,16 +557,16 @@ def test_ricci_antidiagonal_example():
     expected[2:6, 2:6] = 0.5 * np.diag([1.0, 0.0, 0.0, -1.0])
     expected[1, 1] = -0.5
     assert np.max(np.abs(ric - expected)) <= 1e-15
-    alg, s = build(t)
-    oracle = ricci(alg, levi_civita(alg))
+    c, s = build(t)
+    oracle = ricci(c, levi_civita(c))
     assert np.max(np.abs(ric - oracle)) <= 1e-12
 
 
 def test_generic_ricci_keeps_its_scale_at_small_scales():
     # at scale 1e-8 every entry of Ric is about 1e-16: nothing may be zeroed
     t = generate(FamilyKind.ANTIDIAGONAL, 3, 1e-8)
-    alg, _ = build(t)
-    generic = ricci(alg, levi_civita(alg))
+    c, _ = build(t)
+    generic = ricci(c, levi_civita(c))
     closed = closed_form_ricci(t)
     assert np.any(generic)
     assert np.max(np.abs(generic - closed)) <= 1e-12 * np.max(np.abs(closed))
@@ -555,8 +577,8 @@ def test_ricci_matches_curvature_oracle():
     for kind in FamilyKind:
         for seed in range(5):
             t = generate(kind, 240 + seed)
-            alg, s = build(t)
-            oracle = ricci(alg, levi_civita(alg))
+            c, s = build(t)
+            oracle = ricci(c, levi_civita(c))
             assert np.max(np.abs(closed_form_ricci(t) - oracle)) <= 1e-9
 
 
@@ -574,11 +596,11 @@ def test_divergence_closed_form_matches_generic():
     from g2abc.riemann import div_torsion
     for seed in range(6):
         t = generate(FamilyKind.GENERAL, 260 + seed)
-        alg, s = build(t)
+        c, s = build(t)
         t0, t1, t2, t3 = torsion_forms(s)
         tau27 = tau27_tensor(t3)
         T = full_torsion_from_forms(t0, t1, t2, tau27)
-        generic = div_torsion(levi_civita(alg), T)
+        generic = div_torsion(levi_civita(c), T)
         closed = closed_form_divergence(t, tau27)
         assert np.max(np.abs(generic - closed)) <= 1e-9
         assert np.all(closed[2:6] == 0.0) and np.all(generic[2:6] == 0.0)
@@ -616,9 +638,9 @@ def test_closed_forms_of_a_triple_do_not_depend_on_its_stack():
 def pass_residuals(t):
     """The raw residual of every gated quantity of the pass on the stack t, each
     recomputed here from the public stages, in the pass's order."""
-    alg, s = build(t)
+    c, s = build(t)
     td = torsion_data(s)
-    gamma = levi_civita(alg)
+    gamma = levi_civita(c)
     div = div_torsion(gamma, td.T)
     iota = _vecmat(td.tau1, PHI_CONTRACTIONS)
     general = closed_form_torsion(t)
@@ -643,7 +665,7 @@ def pass_residuals(t):
         "tau27_mixed_block": td.tau27[:, [6, 0, 1], 2:6],
         "torsion_routes": td.T - full_torsion_from_nabla(gamma),
         "connection": closed_form_connection(t) - gamma,
-        "ricci": closed_form_ricci(t) - ricci(alg, gamma),
+        "ricci": closed_form_ricci(t) - ricci(c, gamma),
         "divergence": closed_form_divergence(t, td.tau27) - div,
         "divergence_free": div,
         "tau27_diagonal_nn": td.tau27[:, range(2, 6), range(2, 6)],
@@ -890,6 +912,33 @@ def test_a_pass_builds_no_layout_after_a_warm_up(monkeypatch):
     for stack in stacks:
         cross_validate_stack(stack).reports()
         assert not calls, len(stack.abc)
+
+
+def test_a_pass_constructs_no_algebra_and_checks_no_jacobi_identity(monkeypatch, capsys):
+    # TripleABC's checks bound the Jacobi residual of g_{A,B,C} already, so a pass
+    # takes the structure constants as they are; ce_diff is differentiated under
+    # every name the package binds it by, as a tracer of liealg.ce_diff sees it
+    calls = Counter()
+    for name in ("_jacobi_residuals", "ce_diff"):
+        def counted(*args, _name=name, _fn=getattr(liealg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in (liealg, g2core, gabc):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted)
+    init = liealg.LieAlgebra7.__init__
+
+    def constructed(self, c):
+        calls["LieAlgebra7"] += 1
+        init(self, c)
+    monkeypatch.setattr(liealg.LieAlgebra7, "__init__", constructed)
+    for label, run in one_pass_runs():
+        calls.clear()
+        run()
+        assert calls == {"ce_diff": 2}, label
+    calls.clear()  # 35 triples in passes of 32 and 3
+    assert cli.main(["verify", "--case", "all", "--trials", "7", "--seed", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] and calls == {"ce_diff": 4}
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):

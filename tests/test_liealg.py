@@ -4,14 +4,15 @@ import pytest
 from g2abc._tables import DIM, DIMS
 from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import Form, wedge
-from g2abc.gabc import FamilyKind, generate, structure_constants
-from g2abc.liealg import LieAlgebra7, ce_diff
+from g2abc.gabc import FamilyKind, _checked, generate, generate_many, structure_constants
+from g2abc.liealg import LieAlgebra7, _jacobi_residuals, ce_diff
 
 from helpers import ZERO4, e_matrix, is_unimodular, jacobi_residual, member, random_form
 
 
 def algebra_from(A, B=ZERO4, C=ZERO4):
-    return LieAlgebra7(structure_constants(A, B, C))
+    """The structure constants of g_{A,B,C}, through the checked constructor."""
+    return LieAlgebra7(structure_constants(A, B, C)).c
 
 
 def basis_vec(i):
@@ -24,21 +25,21 @@ def basis_vec(i):
 
 def test_bracket_matches_matrix_action():
     g = algebra_from(e_matrix(3, 4))
-    assert np.array_equal(g.c[6, 3], basis_vec(3))  # [e7, e4] = e3
+    assert np.array_equal(g[6, 3], basis_vec(3))  # [e7, e4] = e3
     others = [(i, j) for i in range(1, 8) for j in range(i + 1, 8) if (i, j) != (4, 7)]
-    assert all(not np.any(g.c[i - 1, j - 1]) for i, j in others)
+    assert all(not np.any(g[i - 1, j - 1]) for i, j in others)
 
 
 def test_a_part_is_abelian():
     g = algebra_from(np.diag([1.0, 2.0, -1.0, -2.0]))
-    assert not np.any(g.c[0, 1])  # [e1, e2] = 0
+    assert not np.any(g[0, 1])  # [e1, e2] = 0
 
 
 def test_bracket_of_vector_with_itself_vanishes(rng):
     g = algebra_from(*generate(FamilyKind.GENERAL, 5).matrices())
     for _ in range(50):
         x = rng.standard_normal(7)
-        assert np.max(np.abs(np.einsum("i,j,ijk->k", x, x, g.c))) < 1e-12
+        assert np.max(np.abs(np.einsum("i,j,ijk->k", x, x, g))) < 1e-12
 
 
 # -- Jacobi ---------------------------------------------------------------------
@@ -107,10 +108,59 @@ def test_constructor_rejects_non_antisymmetric_constants():
         LieAlgebra7(c)
 
 
+def traceless_triples(rng, n, scale):
+    """n random triples of traceless 4x4 matrices, as an (n, 3, 4, 4) array."""
+    x = rng.standard_normal((n, 3, 4, 4))
+    return scale * (x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4 * np.eye(4))
+
+
+def near_the_commutator_bound(rng, n, scale):
+    """n general triples of the given scale with A moved along a random traceless
+    matrix, so that the largest commutator entry is 0.98 to 1.02 times its bound
+    1e-10 max(1, s)^2, which is also the Jacobi bound of the triple's algebra."""
+    abc = np.array(generate_many(FamilyKind.GENERAL, range(n), scale).abc)
+    x = traceless_triples(rng, n, 1.0)[:, 0]
+    b, c = abc[:, 1], abc[:, 2]
+    spread = np.abs(np.concatenate([x @ b - b @ x, x @ c - c @ x], axis=-1)).max(axis=(-2, -1))
+    bound = 1e-10 * np.maximum(1.0, np.abs(abc).max(axis=(-3, -2, -1))) ** 2
+    target = rng.uniform(0.98, 1.02, n) * bound
+    abc[:, 0] += (target / spread)[:, None, None] * x
+    return abc
+
+
+def largest_commutator_entry(abc):
+    left, right = abc[..., [0, 0, 1], :, :], abc[..., [1, 2, 2], :, :]
+    return np.abs(left @ right - right @ left).max(axis=(-3, -2, -1))
+
+
+def rejects(check, *args):
+    """The trial that the ValidationError of check(*args) names, or None if it passes."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return exc.trial
+    return None
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_triple_checks_reject_exactly_what_the_jacobi_check_rejects(rng, scale):
+    # the pass builds no LieAlgebra7: on g_{A,B,C} the Jacobi residual is the largest
+    # entry of [A,B], [A,C] and [B,C], which TripleABC bounds by the same 1e-10 max(1, s)^2
+    abc = np.concatenate([traceless_triples(rng, 40, scale),
+                          near_the_commutator_bound(rng, 200, scale)])
+    c = structure_constants(*np.moveaxis(abc, -3, 0))
+    assert np.array_equal(_jacobi_residuals(c), largest_commutator_entry(abc))  # bit for bit
+    verdicts = [rejects(_checked, abc[n].copy()) for n in range(len(abc))]
+    assert verdicts == [rejects(LieAlgebra7, c[n]) for n in range(len(abc))]
+    near = verdicts[40:]
+    assert near.count(None) > 50 and near.count(0) > 50  # both sides of the bound
+    assert rejects(_checked, abc[40:].copy()) == rejects(LieAlgebra7, c[40:]) == near.index(0)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: LieAlgebra7(np.zeros((6, 7, 7))), ValidationError,
      "structure constants must be 7x7x7, got (6, 7, 7)"),
-    (lambda: ce_diff(LieAlgebra7(np.zeros((7, 7, 7))), np.zeros(7)), DegreeError,
+    (lambda: ce_diff(np.zeros((7, 7, 7)), np.zeros(7)), DegreeError,
      "ce_diff expects a Form"),
 ])
 def test_malformed_arguments_raise(call, error, message):
@@ -128,7 +178,7 @@ def test_unimodular_for_traceless_triples():
 
 def test_abelian_is_unimodular():
     g = algebra_from(ZERO4)
-    assert not np.any(g.c) and is_unimodular(g)
+    assert not np.any(g) and is_unimodular(g)
 
 
 def test_non_traceless_matrix_breaks_unimodularity():
@@ -188,15 +238,15 @@ def test_ce_diff_leibniz(rng):
 
 
 def test_ce_diff_top_degree_rejected(rng):
-    g = LieAlgebra7(np.zeros((7, 7, 7)))
+    g = np.zeros((7, 7, 7))
     with pytest.raises(DegreeError):
         ce_diff(g, random_form(rng, 7))
 
 
 def test_ce_diff_on_a_stack_of_algebras_matches_each_algebra(rng):
     triples = [generate(kind, 40) for kind in FamilyKind]
-    stacked = LieAlgebra7(np.stack([structure_constants(*t.matrices()) for t in triples]))
-    assert jacobi_residual(stacked.c) <= 1e-10
+    stacked = LieAlgebra7(np.stack([structure_constants(*t.matrices()) for t in triples])).c
+    assert jacobi_residual(stacked) <= 1e-10
     singles = [algebra_from(*t.matrices()) for t in triples]
     assert ce_diff(stacked, random_form(rng, 0)).is_zero()
     for k in range(1, DIM):

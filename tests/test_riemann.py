@@ -32,51 +32,51 @@ def so3_plus_r4():
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = 1.0
         c[j, i, k] = -1.0
-    return LieAlgebra7(c)
+    return LieAlgebra7(c).c  # built by the user, so checked
 
 
 # -- Levi-Civita ------------------------------------------------------------------
 
 def test_abelian_connection_is_flat_zero():
-    alg, s = make()
-    assert not np.any(levi_civita(alg))
+    c, s = make()
+    assert not np.any(levi_civita(c))
 
 
 def test_connection_within_a_vanishes():
-    alg, s = make(A=DIAG_A, B=np.diag([1.0, -1.0, 1.0, -1.0]))
-    gamma = levi_civita(alg)
+    c, s = make(A=DIAG_A, B=np.diag([1.0, -1.0, 1.0, -1.0]))
+    gamma = levi_civita(c)
     for i in (1, 2, 7):
         for j in (1, 2, 7):
             assert not np.any(gamma[i - 1, j - 1])
 
 
 def test_diag_example_connection_entries():
-    alg, s = make(A=DIAG_A)
-    gamma = levi_civita(alg)
+    c, s = make(A=DIAG_A)
+    gamma = levi_civita(c)
     assert not np.any(gamma[6, 2])                       # nabla_{e7} e3 = 0
     assert np.array_equal(gamma[2, 6], -basis_vec(3))    # nabla_{e3} e7 = -e3
 
 
 def test_connection_invariants_on_random_triples():
     for trial, kind in enumerate(FamilyKind):
-        alg, s = build(generate(kind, 100 + trial))
-        gamma = levi_civita(alg)
+        c, s = build(generate(kind, 100 + trial))
+        gamma = levi_civita(c)
         # metric compatibility: <nabla_X e_j, e_k> = -<e_j, nabla_X e_k>
         assert np.max(np.abs(gamma + gamma.transpose(0, 2, 1))) <= 1e-10
         # torsion-freeness: nabla_{e_i} e_j - nabla_{e_j} e_i = [e_i, e_j]
-        assert np.max(np.abs(gamma - gamma.transpose(1, 0, 2) - alg.c)) <= 1e-10
+        assert np.max(np.abs(gamma - gamma.transpose(1, 0, 2) - c)) <= 1e-10
 
 
 # -- U map ---------------------------------------------------------------------------
 
-def u_map(alg):
+def u_map(c):
     """U[i, j] = U(e_i, e_j), the part of the connection beyond [e_i, e_j] / 2."""
-    return levi_civita(alg) - 0.5 * alg.c
+    return levi_civita(c) - 0.5 * c
 
 
 def test_u_map_symmetric(rng):
-    alg, s = build(generate(FamilyKind.GENERAL, 110))
-    u = u_map(alg)
+    c, s = build(generate(FamilyKind.GENERAL, 110))
+    u = u_map(c)
     for _ in range(20):
         x, y = rng.standard_normal(7), rng.standard_normal(7)
         uxy = np.einsum("i,j,ijk->k", x, y, u)
@@ -85,60 +85,60 @@ def test_u_map_symmetric(rng):
 
 
 def test_u_map_diag_example():
-    alg, s = make(A=DIAG_A)
-    assert np.array_equal(u_map(alg)[2, 2], basis_vec(7))  # <S(A)e3, e3> e7 = a33 e7
+    c, s = make(A=DIAG_A)
+    assert np.array_equal(u_map(c)[2, 2], basis_vec(7))  # <S(A)e3, e3> e7 = a33 e7
 
 
 def test_u_map_vanishes_for_bi_invariant_metric():
     # so nabla_X Y = [X, Y] / 2
-    alg = so3_plus_r4()
-    assert np.max(np.abs(u_map(alg))) <= 1e-12
+    c = so3_plus_r4()
+    assert np.max(np.abs(u_map(c))) <= 1e-12
 
 
 def test_u_map_decomposes_connection(rng):
     # nabla_X Y = [X,Y]/2 + U(X,Y) with 2 <U(X,Y), Z> = <[Z,X], Y> - <[Y,Z], X>
-    alg, s = build(generate(FamilyKind.GENERAL, 115))
-    gamma = levi_civita(alg)
+    c, s = build(generate(FamilyKind.GENERAL, 115))
+    gamma = levi_civita(c)
     for i in range(7):
         for j in range(7):
-            u = 0.5 * (alg.c[:, i, j] - alg.c[j, :, i])  # U(e_i, e_j)
-            expected = 0.5 * alg.c[i, j] + u
+            u = 0.5 * (c[:, i, j] - c[j, :, i])  # U(e_i, e_j)
+            expected = 0.5 * c[i, j] + u
             assert np.max(np.abs(gamma[i, j] - expected)) <= 1e-12
 
 
 # -- curvature ------------------------------------------------------------------------
 
 def test_abelian_ricci_zero():
-    alg, s = make()
-    assert not np.any(ricci(alg, levi_civita(alg)))
+    c, s = make()
+    assert not np.any(ricci(c, levi_civita(c)))
 
 
 def test_skew_triples_are_flat():
     for seed in range(5):
         t = generate(FamilyKind.SKEW, 120 + seed)
-        alg, s = build(t)
-        gamma = levi_civita(alg)
-        assert np.max(np.abs(riemann_tensor(alg, gamma))) <= 1e-9
-        assert np.max(np.abs(ricci(alg, gamma))) <= 1e-9
+        c, s = build(t)
+        gamma = levi_civita(c)
+        assert np.max(np.abs(riemann_tensor(c, gamma))) <= 1e-9
+        assert np.max(np.abs(ricci(c, gamma))) <= 1e-9
 
 
 def test_diag_example_ricci_blocks():
-    alg, s = make(A=DIAG_A)
-    ric = ricci(alg, levi_civita(alg))
+    c, s = make(A=DIAG_A)
+    ric = ricci(c, levi_civita(c))
     expected = np.zeros((7, 7))
     expected[6, 6] = -4.0  # -tr(A^2) at the e7 slot
     assert np.max(np.abs(ric - expected)) <= 1e-12
 
 
 def test_ricci_symmetric(rng):
-    alg, s = build(generate(FamilyKind.GENERAL, 130))
-    ric = ricci(alg, levi_civita(alg))
+    c, s = build(generate(FamilyKind.GENERAL, 130))
+    ric = ricci(c, levi_civita(c))
     assert np.array_equal(ric, ric.T)
 
 
-def curvature_contraction(alg, gamma):
+def curvature_contraction(c, gamma):
     """Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> read off the full curvature tensor."""
-    ric = np.einsum("ijki->jk", riemann_tensor(alg, gamma))
+    ric = np.einsum("ijki->jk", riemann_tensor(c, gamma))
     return 0.5 * (ric + ric.T)
 
 
@@ -147,32 +147,32 @@ def test_ricci_is_the_contraction_of_the_curvature_tensor():
     stacked, _ = build(stack_of(triples))
     ric = ricci(stacked, levi_civita(stacked))
     for n, t in enumerate(triples):
-        alg, _ = build(t)
-        expected = curvature_contraction(alg, levi_civita(alg))
+        c, _ = build(t)
+        expected = curvature_contraction(c, levi_civita(c))
         assert np.max(np.abs(ric[n] - expected)) <= 1e-12
 
 
 # -- divergence --------------------------------------------------------------------------
 
 def test_divergence_of_zero_tensor():
-    alg, s = make(A=DIAG_A)
-    assert not np.any(div_torsion(levi_civita(alg), np.zeros((7, 7))))
+    c, s = make(A=DIAG_A)
+    assert not np.any(div_torsion(levi_civita(c), np.zeros((7, 7))))
 
 
 def test_divergence_free_families_small_sample():
     for kind in (FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL,
                  FamilyKind.SYMMETRIC):
         for seed in range(5):
-            alg, s = build(generate(kind, 140 + seed))
+            c, s = build(generate(kind, 140 + seed))
             td = torsion_data(s)
-            div = div_torsion(levi_civita(alg), td.T)
+            div = div_torsion(levi_civita(c), td.T)
             assert np.max(np.abs(div)) <= 1e-9, (kind, seed)
 
 
 def test_closed_example_is_divergence_free():
-    alg, s = make(A=DIAG_A)
+    c, s = make(A=DIAG_A)
     td = torsion_data(s)
-    div = div_torsion(levi_civita(alg), td.T)
+    div = div_torsion(levi_civita(c), td.T)
     assert not np.any(div)
 
 
