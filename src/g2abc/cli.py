@@ -213,13 +213,13 @@ def cmd_verify(args):
     # per case index: the worst of each quantity, which quantities gate a
     # triple of the case, and the worst deviation with its quantity
     case_max, case_has, case_worst = {}, {}, [(0.0, "")] * len(cases)
-    # trial k of case i is seeded by (seed, i, k); the triples are generated
-    # and cross-validated one pass at a time, in case-major order
+    # trial k of case i is trial k of the case's family under the seed, whatever the other
+    # cases; the triples are generated and cross-validated one pass at a time, case-major
     jobs = ((i, k) for i in range(len(cases)) for k in range(args.trials))
     while chunk := list(itertools.islice(jobs, PASS_SIZE)):
         try:
-            stack = generate_many([CASES[cases[i]] for i, _ in chunk],
-                                  [np.random.SeedSequence((args.seed, i, k)) for i, k in chunk])
+            stack = generate_many([CASES[cases[i]] for i, _ in chunk], args.seed,
+                                  [k for _, k in chunk])
         except ValidationError as exc:
             i, k = chunk[exc.trial]
             raise ValidationError(f"case {cases[i]}, trial {k}: {exc.reason}") from None

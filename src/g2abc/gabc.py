@@ -24,11 +24,13 @@ triple (a form, there and in ``ClosedFormTorsion``, is its coefficient
 array); ``cross_validate`` runs one triple as a stack of one.  The caller
 bounds the size of a pass (the command line uses ``cli.PASS_SIZE``).
 ``generate_many`` draws a stack of random triples, of one family or a family
-per trial, at once.
+per trial, at once; each is a function of its address (seed, family, trial)
+alone.
 """
 
 import enum
 import functools
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -50,7 +52,7 @@ from .g2core import (
     reconstruction_residuals,
     torsion_data,
 )
-from .liealg import ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
+from .liealg import _real_array, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
 from .riemann import div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
@@ -195,22 +197,6 @@ def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
     raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
 
 
-def _real_entries(name, m):
-    """The float64 array of the entries of the matrix name, which must be real numbers
-    (held as Python objects, a Fraction is one): a float64 cast would drop imaginary
-    parts, and take "1" and True as numbers."""
-    try:
-        m = np.asarray(m)
-    except ValueError:  # nested sequences of unequal lengths
-        raise ValidationError(f"matrix {name} must be 4x4, got rows of unequal lengths") from None
-    if m.dtype.kind == "c":
-        raise ValidationError(f"matrix {name} has complex entries")
-    if m.dtype.kind not in "iufO" or m.dtype.kind == "O" and not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in m.flat):
-        raise ValidationError(f"matrix {name} has an entry that is not a real number")
-    return np.asarray(m, dtype=np.float64)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class TripleABC:
     """Three traceless pairwise-commuting 4x4 matrices, labelled 3..6, held as
@@ -227,7 +213,7 @@ class TripleABC:
     def __init__(self, A, B, C):
         mats = []
         for name, m in zip("ABC", (A, B, C)):
-            m = _real_entries(name, m)
+            m = _real_array(f"matrix {name}", m, "4x4")
             if m.shape != (4, 4):
                 raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
             mats.append(m)
@@ -721,40 +707,61 @@ def closed_form_divergence(t, tau27):
 
 # -- family generators ----------------------------------------------------------
 
-def _random_rotations(normals):
-    """Rotation from the QR of each 4x4 matrix of normals: Q with the signs
-    of R's diagonal, and its first column negated where det Q < 0."""
-    q, r = np.linalg.qr(normals)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    return q
+#: Uniforms in [0, 1) per trial.  Trial k of family f under seed S reads them from the
+#: Philox4x64 stream keyed by ``np.random.Philox(S)``: the Philox outputs at counter words
+#: (8k + j, index of f in FamilyKind, 0, 0), j = 0..7, four doubles per output.  So a triple
+#: is a function of (S, f, k) alone.
+BLOCK = 32
+#: Largest trial index: every counter word 0 of its block, 8k + 7, fits in 64 bits.
+MAX_TRIAL = 2 ** 61 - 1
+_FAMILY_INDEX = {kind: index for index, kind in enumerate(FamilyKind)}
+
+#: The table of the blocks: each family's parameters, by name, as (first index in the
+#: block, shape, range).  A parameter of range "scale" is drawn from [-scale, scale] as
+#: scale (2u - 1), one of range "unit" from [-1, 1] as 2u - 1, and "rotation" takes the
+#: six uniforms of _rotations as they are.  A family leaves the rest of its block unread.
+_BLOCK_LAYOUT = {
+    FamilyKind.SKEW: {"angles": (0, (3, 2), "scale"), "rotation": (6, (6,), "rotation")},
+    FamilyKind.DIAGONAL: {"diagonals": (0, (3, 3), "scale")},
+    FamilyKind.SYMMETRIC: {"rotation": (0, (6,), "rotation"), "diagonals": (6, (3, 3), "scale")},
+    FamilyKind.ANTIDIAGONAL: {"base": (0, (4,), "scale"), "factors": (4, (2, 2), "unit")},
+    FamilyKind.GENERAL: {"matrix": (0, (4, 4), "unit"), "coefficients": (16, (3, 4), "unit")},
+}
+
+#: Entry (i, j) of the matrices of x -> p x and x -> x q on the quaternions, basis
+#: (1, i, j, k): component i ^ j (bitwise) of p or q, times these signs.
+_QUATERNION_INDEX = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_QUATERNION_SIGNS = np.array([
+    [[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]],  # left, by p
+    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]],  # right, by q
+])
 
 
-def _traceless_diagonals(d):
-    """The diagonal matrices of the rows of d, their last entry set to make
-    them exactly traceless."""
-    d[..., 3] = -(d[..., 0] + d[..., 1] + d[..., 2])
-    m = np.zeros(d.shape + (4,))
-    m[..., range(4), range(4)] = d
-    return m
+def _rotations(u):
+    """Rotations of n, Haar-distributed on SO(4), from the (..., 6) uniforms u: g = L(p) R(q),
+    L(p) and R(q) the matrices of x -> p x and x -> x q, each orthogonal with determinant 1.
+
+    The unit quaternions p and q come from three uniforms u0, u1, u2 each, as
+    (r0 sin a1, r1 sin a2, r0 cos a1, r1 cos a2) with r0 = sqrt(1 - u0), r1 = sqrt(u0)
+    and a = 2 pi u: uniform on S^3 (Shoemake, Uniform random rotations, 1992).  As
+    (p, q) -> L(p) R(q) is the double cover S^3 x S^3 -> SO(4), g is Haar.
+    """
+    u = u.reshape(u.shape[:-1] + (2, 3))  # p's uniforms, then q's
+    radius = np.sqrt(u[..., :1] * [-1.0, 1.0] + [1.0, 0.0])  # sqrt(1 - u0), sqrt(u0)
+    angle = (2.0 * np.pi) * u[..., 1:]
+    pq = np.concatenate([radius * np.sin(angle), radius * np.cos(angle)], axis=-1)
+    left_right = pq[..., _QUATERNION_INDEX] * _QUATERNION_SIGNS
+    return left_right[..., 0, :, :] @ left_right[..., 1, :, :]
+
+
+def _traceless(d):
+    """The rows of d, (..., 3), each followed by minus its sum: traceless diagonals."""
+    return np.concatenate([d, -d.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 #: Largest ``scale`` of generate: entries are drawn from [-scale, scale],
 #: whose width must be a finite float.
 MAX_SCALE = np.finfo(np.float64).max / 2
-
-
-def _family_draws(kind, scale):
-    """The draws of one trial of the family, in order, each a function of its generator."""
-    uniform = lambda bound, size: lambda rng: rng.uniform(-bound, bound, size=size)
-    normals = lambda rng: rng.standard_normal((4, 4))  # of a rotation
-    return {
-        FamilyKind.SKEW: (uniform(scale, (3, 2)), normals),
-        FamilyKind.DIAGONAL: (uniform(scale, (3, 4)),),
-        FamilyKind.SYMMETRIC: (normals, uniform(scale, (3, 4))),
-        FamilyKind.ANTIDIAGONAL: (uniform(scale, 4), uniform(1.0, (2, 2))),  # base, factors
-        FamilyKind.GENERAL: (uniform(1.0, (4, 4)), uniform(1.0, (3, 4))),
-    }[kind]
 
 
 def _check_kinds(kinds):
@@ -776,88 +783,124 @@ def _check_tol(tol):
         raise ValidationError(f"tolerance {tol!r} is not a number in [0, inf)")
 
 
-def _generator(seeds, n):
-    """``default_rng(seeds[n])``; None, a bool or a seed it rejects is a ValidationError."""
+def _trial_indices(trials):
+    """trials as a list of ints; one that is not an integer in [0, MAX_TRIAL] (a bool is
+    not) is a ValidationError that names its place in trials."""
+    for n, k in enumerate(trials):
+        if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                and 0 <= k <= MAX_TRIAL):
+            raise ValidationError.of_trial(
+                n, len(trials), f"trial index {k!r} is not an integer in [0, {MAX_TRIAL}]")
+    return [int(k) for k in trials]
+
+
+def _philox(seed):
+    """``np.random.Philox(seed)``, whose key numpy derives from the seed; None, a bool or a
+    seed that numpy rejects is a ValidationError."""
     try:
-        if seeds[n] is None or isinstance(seeds[n], bool):  # fresh entropy; True would be 1
+        if seed is None or isinstance(seed, bool):  # fresh entropy; True would be 1
             raise TypeError("expected an integer or a SeedSequence, not None or a bool")
-        return np.random.default_rng(seeds[n])
+        return np.random.Philox(seed)
     except (TypeError, ValueError) as exc:  # -1, 1.5, "a"
-        reason = f"seed {seeds[n]!r} is not a valid seed: {exc}"
-        raise ValidationError.of_trial(n, len(seeds), reason) from None
+        raise ValidationError(f"seed {seed!r} is not a valid seed: {exc}") from None
 
 
-def generate_many(kind, seeds, scale=1.0):
-    """Stack of random triples, triple n of the family kind[n] (or kind, for a
-    single one; a list, tuple or numpy array holds a kind per seed).  Triple n
-    comes from the draws of ``default_rng(seeds[n])`` alone, so it does not
-    depend on the other trials or on its place.
+def _runs(seed, kinds, trials):
+    """(start, stop, u) for each run of consecutive trials of one family in trials: the
+    rows start..stop-1, and their (stop - start, BLOCK) uniforms from one state set of the
+    seed's stream and one draw."""
+    bits = _philox(seed)
+    rng, state = np.random.Generator(bits), bits.state
+    starts = [m for m in range(len(trials))
+              if not m or kinds[m] is not kinds[m - 1] or trials[m] != trials[m - 1] + 1]
+    for start, stop in zip(starts, [*starts[1:], len(trials)]):
+        # the 256-bit counter is stepped before each output of four words: set it one below
+        counter = (_FAMILY_INDEX[kinds[start]] << 64) + BLOCK // 4 * trials[start] - 1
+        state["state"]["counter"] = np.array([counter >> shift & 0xFFFF_FFFF_FFFF_FFFF
+                                              for shift in (0, 64, 128, 192)], dtype=np.uint64)
+        state["buffer_pos"] = 4  # nothing buffered
+        bits.state = state
+        yield start, stop, rng.random((stop - start, BLOCK))
 
-    Entries are kept within [-scale, scale] up to a rounding, but within
-    [-3 scale, 3 scale] for the diagonal and symmetric families: the last
-    entry of their diagonal (before any rotation) is minus the sum of the
-    other three.  A scale outside 0 < scale <= MAX_SCALE, kinds whose number
-    is not that of seeds, or a seed that is None, a bool or one ``default_rng``
-    rejects is a ValidationError.  All family invariants hold by construction.  The
-    stack's rotations come from one QR, and it is re-validated by one run of
-    the checks of TripleABC.  An error about one trial names it, also as its
-    ``trial``.
+
+def generate_many(kind, seed, trials, scale=1.0):
+    """Stack of random triples, row n trial trials[n] of the family kind[n] (or kind, for
+    a single one; a list, tuple or numpy array holds a kind per trial) under the seed.
+    A triple is a function of (seed, family, trial) alone (see BLOCK), so it does not
+    depend on the other rows or on its place: ``generate_many(kind, seed, range(n))``
+    holds trials 0..n-1, and so does any stack of those trials of that family.
+
+    The parameters of a trial are fixed slices of its block, by the table _BLOCK_LAYOUT;
+    the rotations of the skew and symmetric families come from two unit quaternions each
+    (_rotations).  Entries are kept within [-scale, scale] up to a rounding, but within
+    [-3 scale, 3 scale] for the diagonal and symmetric families: the last entry of their
+    diagonal (before any rotation) is minus the sum of the other three.  A scale outside
+    0 < scale <= MAX_SCALE, kinds whose number is not that of trials, a trial index that
+    is not an integer in [0, MAX_TRIAL], or a seed that is None, a bool or one
+    ``np.random.Philox`` rejects is a ValidationError.  All family invariants hold by
+    construction, and the stack is re-validated by one run of the checks of TripleABC.
+    An error about one row names it, also as its ``trial``.
     """
-    seeds = list(seeds)
-    kinds = list(kind) if isinstance(kind, (list, tuple, np.ndarray)) else [kind] * len(seeds)
-    if len(kinds) != len(seeds):
-        raise ValidationError(f"{len(kinds)} family kinds for {len(seeds)} seeds")
+    trials = list(trials)
+    kinds = list(kind) if isinstance(kind, (list, tuple, np.ndarray)) else [kind] * len(trials)
+    if len(kinds) != len(trials):
+        raise ValidationError(f"{len(kinds)} family kinds for {len(trials)} trials")
     _check_kinds(kinds)
     _check_scale(scale)
-    plans = {k: _family_draws(k, scale) for k in dict.fromkeys(kinds)}
-    drawn = [[draw(rng) for draw in plans[k]]
-             for k, rng in zip(kinds, (_generator(seeds, n) for n in range(len(seeds))))]
-    normals = {FamilyKind.SKEW: 1, FamilyKind.SYMMETRIC: 0}  # their draw, per rotated family
-    rotated = [n for n, k in enumerate(kinds) if k in normals]
-    q = np.empty((len(seeds), 1, 4, 4))
-    if rotated:
-        q[rotated, 0] = _random_rotations(np.array([drawn[n][normals[kinds[n]]] for n in rotated]))
-    mats = np.empty((len(seeds), 3, 4, 4))
-    for k in plans:
-        at = [n for n, kn in enumerate(kinds) if kn is k]
-        mats[at] = _family_matrices(k, [np.array(d) for d in zip(*(drawn[n] for n in at))],
-                                    q[at], scale)
+    trials = _trial_indices(trials)
+    mats = np.empty((len(trials), 3, 4, 4))
+    for start, stop, u in _runs(seed, kinds, trials):
+        mats[start:stop] = _family_matrices(kinds[start], u, scale)
     return TripleABC._of_validated(_checked(mats))
 
 
-def _family_matrices(kind, draws, q, scale):
-    """The (n, 3, 4, 4) matrices A, B, C of n trials of a family from their stacked draws."""
+def _parameters(kind, u, scale):
+    """The parameters of n trials of a family by name, read from their (n, BLOCK) uniforms
+    u as _BLOCK_LAYOUT lays them out."""
+    bound = {"scale": scale, "unit": 1.0}
+    p = {}
+    for name, (first, shape, spread) in _BLOCK_LAYOUT[kind].items():
+        x = u[:, first:first + math.prod(shape)].reshape((-1, *shape))
+        p[name] = _rotations(x) if spread == "rotation" else bound[spread] * (2.0 * x - 1.0)
+    return p
+
+
+def _family_matrices(kind, u, scale):
+    """The (n, 3, 4, 4) matrices A, B, C of n trials of a family from their (n, BLOCK) blocks."""
+    p = _parameters(kind, u, scale)
     if kind is FamilyKind.SKEW:
-        params = draws[0]
-        blocks = np.zeros(params.shape[:-1] + (4, 4))  # rotations in the planes 34 and 56
-        blocks[..., [1, 3, 0, 2], [0, 2, 1, 3]] = np.concatenate([params, -params], axis=-1)
-        return _skew(q @ blocks @ _transpose(q))  # exact re-antisymmetrisation
+        # g J g^T for J = t1 (e4 e3^T - e3 e4^T) + t2 (e6 e5^T - e5 e6^T): W - W^T, with
+        # W = t1 g4 g3^T + t2 g6 g5^T for the columns g3..g6 of g, is exactly skew
+        g = p["rotation"][:, None]
+        w = (g[..., [1, 3]] * p["angles"][..., None, :]) @ _transpose(g[..., [0, 2]])
+        return w - _transpose(w)
     if kind is FamilyKind.DIAGONAL:
-        return _traceless_diagonals(draws[0])
+        mats = np.zeros(p["diagonals"].shape[:-1] + (16,))
+        mats[..., ::5] = _traceless(p["diagonals"])  # entries 33, 44, 55, 66
+        return mats.reshape(-1, 3, 4, 4)
     if kind is FamilyKind.SYMMETRIC:
-        return _sym(q @ _traceless_diagonals(draws[1]) @ _transpose(q))  # exact re-symmetrisation
+        g = p["rotation"][:, None]  # g D g^T, made exactly symmetric
+        return _sym((g * _traceless(p["diagonals"])[..., None, :]) @ _transpose(g))
     if kind is FamilyKind.ANTIDIAGONAL:
-        base, factors = draws
+        base, factors = p["base"], p["factors"]
         # entries (36, 45, 54, 63) of A, B, C: the base times (f36, f45, f45, f36), f = 1 for A
         f = np.concatenate([np.ones_like(factors[:, :1]), factors], axis=1)
-        mats = np.zeros(f.shape[:-1] + (4, 4))
-        mats[..., range(4), range(3, -1, -1)] = f[..., [0, 1, 1, 0]] * base[:, None]
-        return mats
-    m, coeffs = draws  # GENERAL
+        mats = np.zeros(f.shape[:-1] + (16,))
+        mats[..., 3:13:3] = f[..., [0, 1, 1, 0]] * base[:, None]
+        return mats.reshape(-1, 3, 4, 4)
+    m = p["matrix"]  # GENERAL: three cubic polynomials in m, made traceless
     m2 = m @ m
-    powers = (np.eye(4), m[:, None], m2[:, None], (m2 @ m)[:, None])
-    x = sum(coeffs[..., k, None, None] * p for k, p in enumerate(powers))
+    powers = np.stack([np.broadcast_to(np.eye(4), m.shape), m, m2, m2 @ m], axis=-3)
+    x = (p["coefficients"] @ powers.reshape(-1, 4, 16)).reshape(-1, 3, 4, 4)
     x = x - (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0) * np.eye(4)
     top = np.abs(x).max(axis=(-2, -1), keepdims=True)
     return x * (scale / np.maximum(top, scale))  # the largest entry at most scale
 
 
 def generate(kind, seed, scale=1.0):
-    """Random triple of the requested family; deterministic in the seed.
-
-    The one-triple case of generate_many.
-    """
-    return TripleABC._of_validated(generate_many(kind, [seed], scale).abc[0])
+    """Random triple of the requested family: trial 0 of the family under the seed,
+    ``generate_many(kind, seed, [0], scale)``."""
+    return TripleABC._of_validated(generate_many(kind, seed, [0], scale).abc[0])
 
 
 # -- the cross-validator ----------------------------------------------------------

@@ -2,6 +2,8 @@
 [e_i, e_j] = sum_k c[i,j,k] e_k (0-based), or (N, 7, 7, 7) for a stack of N: the
 checked constructor LieAlgebra7 and the Chevalley-Eilenberg differential."""
 
+import numbers
+
 import numpy as np
 
 from ._tables import COMBS, DIM, DIMS, WEDGE
@@ -36,16 +38,35 @@ def _jacobi_residuals(arr):
     return np.abs(cyc, out=cyc).max(axis=(-2, -1))
 
 
+def _real_array(what, x, shape):
+    """The float64 array of x, the entries of what, which must be real numbers (held as
+    Python objects, a Fraction is one): a float64 cast would drop imaginary parts, and
+    take "1" and True as numbers.  shape names the expected shape, for nested sequences
+    of unequal lengths."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValidationError(f"{what} must be {shape}, got rows of unequal lengths") from None
+    if x.dtype.kind == "c":
+        raise ValidationError(f"{what} has complex entries")
+    if x.dtype.kind not in "iufO" or x.dtype.kind == "O" and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x.flat):
+        raise ValidationError(f"{what} has an entry that is not a real number")
+    return np.asarray(x, dtype=np.float64)
+
+
 class LieAlgebra7:
     """Checked constructor for an algebra that a user builds: ``c`` is a read-only float64
-    copy of constants that are exactly antisymmetric and satisfy Jacobi.  The pass does not
-    use it: the Jacobi residual of g_{A,B,C} is the largest entry of [A,B], [A,C] and
-    [B,C], which TripleABC bounds by the same JACOBI_TOL * max(1, s)^2."""
+    copy of constants that are real numbers, exactly antisymmetric and satisfy Jacobi.
+    Complex, boolean, string and other non-real entries are a ValidationError, as in
+    TripleABC, not cast.  The pass does not use it: the Jacobi residual of g_{A,B,C} is
+    the largest entry of [A,B], [A,C] and [B,C], which TripleABC bounds by the same
+    JACOBI_TOL * max(1, s)^2."""
 
     __slots__ = ("c",)
 
     def __init__(self, c):
-        arr = np.array(c, dtype=np.float64)  # a copy
+        arr = _real_array("array c of structure constants", c, "7x7x7").copy()
         if arr.shape[-3:] != (DIM, DIM, DIM) or arr.ndim > 4:
             raise ValidationError(f"structure constants must be {DIM}x{DIM}x{DIM}, got {arr.shape}")
         if np.max(np.abs(arr + np.swapaxes(arr, -3, -2))) != 0.0:

@@ -22,10 +22,11 @@ def levi_civita(c):
 
 def riemann_tensor(c, gamma):
     """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
-    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-    grad2 = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    rbrack = np.einsum("ijm,mkl->ijkl", c, gamma)
-    return grad2 - grad2.transpose(1, 0, 2, 3) - rbrack
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z; (N, 7, 7, 7, 7) for
+    a stack of N."""
+    grad2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+    rbrack = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+    return grad2 - grad2.swapaxes(-4, -3) - rbrack
 
 
 def ricci(c, gamma):

@@ -226,8 +226,7 @@ def test_verify_json_aggregates_like_the_reports_one_at_a_time(capsys, monkeypat
     # the reference: each trial's report, folded in (trial, quantity) order
     failures, worst, duals = 0, {}, {}
     for i, case in enumerate(cli.CASES):
-        triples = [gabc.generate(cli.CASES[case], np.random.SeedSequence((5, i, k)))
-                   for k in range(3)]
+        triples = [gabc.generate_many(cli.CASES[case], 5, [k]) for k in range(3)]
         top, top_key, devs = 0.0, "", {}
         for rep in (gabc.cross_validate(t, tol=float(tol)) for t in triples):
             failures += not rep.passed
@@ -273,10 +272,11 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkeypatch, json_flag):
-    # 35 triples in passes of 32 and 3: the first holds every case, the second
-    # only general triples, which need no rotation
+    # 35 triples in passes of 32 and 3: the first holds every case, the second only
+    # general triples; each pass keys one Philox stream and draws no per-trial generator
     calls, built = Counter(), []
-    for module, name in ((gabc, "_checked"), (np.linalg, "qr")):
+    for module, name in ((gabc, "_checked"), (np.random, "Philox"), (np.random, "SeedSequence"),
+                         (np.random, "default_rng"), (np.linalg, "qr")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -290,7 +290,7 @@ def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkey
     assert main(["verify", "--case", "all", "--trials", "7", "--seed", "2", *json_flag]) == 0
     out = capsys.readouterr().out
     printed = len(json.loads(out)["dual_reports"]) if json_flag else out.count(" vs computed ")
-    assert calls == {"_checked": 2, "qr": 1}
+    assert calls == {"_checked": 2, "Philox": 2}
     assert printed > 0 and len(built) == printed
 
 
@@ -298,26 +298,62 @@ def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkey
 def test_verify_names_the_case_and_trial_of_a_rejected_triple(capsys, monkeypatch, case,
                                                               pass_size):
     monkeypatch.setattr(cli, "PASS_SIZE", pass_size)
-    # the draws of trial 3 of case sym, case index i of the request: its normals, then its diagonals
-    i = list(cli.CASES).index("sym") if case == "all" else 0
-    rng = np.random.default_rng(np.random.SeedSequence((4, i, 3)))
-    rng.standard_normal((4, 4))
-    bad = rng.uniform(-1.0, 1.0, (3, 4))[:, :3]
-    traceless_diagonals = gabc._traceless_diagonals
+    # the block of trial 3 of the symmetric family under seed 4, whatever the other cases:
+    # the Philox stream of the seed from counter (8 * 3, index of SYMMETRIC in FamilyKind),
+    # set one step below, as numpy steps it before each output
+    bits = np.random.Philox(4)
+    state = bits.state
+    state["state"]["counter"][:2] = [8 * 3 - 1, list(gabc.FamilyKind).index(cli.CASES["sym"])]
+    bits.state = state
+    bad = np.random.Generator(bits).random(gabc.BLOCK)
+    family_matrices = gabc._family_matrices
 
-    def drawn(d):  # adds e34 to A and e45 to B where the draw is trial 3's
-        m = traceless_diagonals(d)
-        hit = (d[..., :3] == bad).all(axis=(-2, -1))
+    def drawn(kind, u, scale):  # adds e34 to A and e45 to B where the block is trial 3's
+        m = family_matrices(kind, u, scale)
+        hit = (u == bad).all(axis=-1)
         m[hit, 0, 0, 1] = m[hit, 1, 1, 2] = 1.0
         return m
-    monkeypatch.setattr(gabc, "_traceless_diagonals", drawn)
+    monkeypatch.setattr(gabc, "_family_matrices", drawn)
     assert main(["verify", "--case", case, "--trials", "5", "--seed", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: case sym, trial 3: pairwise commutation violated: ")
     assert not captured.out
 
 
+def test_verify_draws_each_case_s_trials_whatever_the_other_cases_and_trials(monkeypatch):
+    # trial k of a case is trial k of its family under the seed: the diag triples of
+    # --case diag are those of --case all, and the first of --trials 5 are --trials 3
+    stacks = []
+    validate = cli.cross_validate_stack
+
+    def recorded(stack, tol):
+        stacks.append(stack.abc)
+        return validate(stack, tol)
+    monkeypatch.setattr(cli, "cross_validate_stack", recorded)
+    triples = {}
+    for case, trials in (("diag", 3), ("diag", 5), ("all", 3)):
+        stacks.clear()
+        assert main(["verify", "--case", case, "--trials", str(trials), "--seed", "6",
+                     "--json"]) == 0
+        triples[case, trials] = np.concatenate(stacks)
+    diag = gabc.generate_many(gabc.FamilyKind.DIAGONAL, 6, range(5)).abc
+    assert triples["diag", 5].tobytes() == diag.tobytes()
+    assert triples["diag", 3].tobytes() == diag[:3].tobytes()
+    at = list(cli.CASES).index("diag")
+    assert triples["all", 3][3 * at:3 * at + 3].tobytes() == diag[:3].tobytes()
+
+
 # -- gen ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["skew", "diag", "adiag", "sym", "general"])
+def test_gen_writes_trial_0_of_the_family(tmp_path, case):
+    path = tmp_path / "t.json"
+    assert main(["gen", "--case", case, "--seed", "8", "--out", str(path)]) == 0
+    t = gabc.generate_many(cli.CASES[case], 8, range(3)).abc[0]
+    data = json.loads(path.read_text())
+    assert [data[name] for name in "ABC"] == t.tolist()
+    assert data["family"] == cli.CASES[case].value and data["seed"] == 8
+
 
 def test_gen_is_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

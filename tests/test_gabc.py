@@ -84,7 +84,7 @@ def test_triple_holds_one_read_only_array_with_matrix_views():
     t = make(A=A, B=np.diag([1.0, -1.0, 1.0, -1.0]))
     A[0, 0] = 5.0  # the triple holds a copy
     assert t.abc.shape == (3, 4, 4) and np.array_equal(t.abc[0], DIAG_A)
-    stack = generate_many(FamilyKind.GENERAL, range(3))
+    stack = generate_many(FamilyKind.GENERAL, 0, range(3))
     assert stack.abc.shape == (3, 3, 4, 4)
     for triple in (t, stack):
         assert not triple.abc.flags.writeable
@@ -131,7 +131,7 @@ def test_stacked_checks_name_the_failing_trial(entries, message):
 def test_generate_validates_its_own_triples_at_large_scales(kind, scale):
     # the trace and commutator thresholds scale with the largest entry, so the Jacobi
     # residual of the constants (the largest commutator entry) stays within the scaled bound
-    stack = generate_many(kind, range(200), scale)
+    stack = generate_many(kind, 0, range(200), scale)
     assert len(stack.A) == 200
     c, _ = build(stack)
     assert 1e-10 < jacobi_residual(c) <= 1e-10 * scale ** 2
@@ -154,7 +154,7 @@ def structure_constants_reference(A, B, C):
 
 
 def test_structure_constants_match_the_per_matrix_reference():
-    stack = generate_many(list(FamilyKind) * 2, range(10))
+    stack = generate_many(list(FamilyKind) * 2, 0, range(10))
     mats = np.array(stack.abc)
     mats[0, 1, 2, 3] = -0.0  # a signed zero of the input becomes 0.0 in both places
     for abc in (mats, mats[3]):
@@ -177,37 +177,101 @@ def test_build_random_triple_is_unimodular_lie_algebra():
     assert jacobi_residual(c) <= 1e-10
 
 
+#: Trial indices out of order, with a repeat, a gap and the largest index.
+TRIALS = [3, 0, 1, 2, 7, 3, 8, gabc.MAX_TRIAL, 4]
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("kind", list(FamilyKind))
 def test_generate_many_is_generate_triple_by_triple(kind, scale):
-    seeds = [*range(6), *(np.random.SeedSequence((5, i, k)) for i in range(2) for k in range(3))]
     singles = []
-    for seed in seeds:
+    for k in TRIALS:
         try:
-            singles.append(generate(kind, seed, scale))
+            singles.append(generate_many(kind, 5, [k], scale))
         except ValidationError as exc:  # the absolute thresholds of the checks, at large scales
             singles.append(exc)
     valid = [n for n, t in enumerate(singles) if isinstance(t, TripleABC)]
-    stack = generate_many(kind, [seeds[n] for n in valid], scale)
+    stack = generate_many(kind, 5, [TRIALS[n] for n in valid], scale)
     for row, n in enumerate(valid):
-        assert np.array_equal(stack.abc[row], singles[n].abc)
-    if len(valid) < len(seeds):
-        first = next(n for n in range(len(seeds)) if n not in valid)
+        assert stack.abc[row].tobytes() == singles[n].abc.tobytes()
+    assert generate(kind, 5, scale).abc.tobytes() == singles[1].abc[0].tobytes()  # trial 0
+    if len(valid) < len(TRIALS):
+        first = next(n for n in range(len(TRIALS)) if n not in valid)
         with pytest.raises(ValidationError, match=re.escape(f"trial {first}: {singles[first]}")):
-            generate_many(kind, seeds, scale)
+            generate_many(kind, 5, TRIALS, scale)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_generate_many_with_mixed_kinds_is_generate_triple_by_triple(scale):
-    seeds = [*range(6), *(np.random.SeedSequence((5, i, k)) for i in range(2) for k in range(3))]
     kinds = list(FamilyKind)
-    # every family at every seed in one call, the families interleaved
-    order = [(kinds[(n + j) % len(kinds)], seed) for n, seed in enumerate(seeds)
+    # every family at every trial in one call, the families interleaved
+    order = [(kinds[(n + j) % len(kinds)], k) for n, k in enumerate(TRIALS)
              for j in range(len(kinds))]
-    stack = generate_many([kind for kind, _ in order], [seed for _, seed in order], scale)
-    for row, (kind, seed) in enumerate(order):
+    stack = generate_many([kind for kind, _ in order], 5, [k for _, k in order], scale)
+    for row, (kind, k) in enumerate(order):
         # signs of zeros too
-        assert stack.abc[row].tobytes() == generate(kind, seed, scale).abc.tobytes(), (kind, seed)
+        assert stack.abc[row].tobytes() == generate_many(kind, 5, [k], scale).abc.tobytes(), \
+            (kind, k)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 70])
+def test_a_family_draws_the_same_trials_whatever_the_other_families(seed):
+    # verify lays a pass out case-major: the diag rows of a pass over all five families are
+    # the trials of a diag-only pass, byte for byte, and so is every other family's
+    n = 6
+    kinds = [kind for kind in FamilyKind for _ in range(n)]
+    stack = generate_many(kinds, seed, [k for _ in FamilyKind for k in range(n)])
+    for f, kind in enumerate(FamilyKind):
+        alone = generate_many(kind, seed, range(n)).abc
+        assert stack.abc[f * n:(f + 1) * n].tobytes() == alone.tobytes(), kind
+        # the first trials do not depend on how many follow
+        assert generate_many(kind, seed, range(2)).abc.tobytes() == alone[:2].tobytes()
+    # the family, not its place or the seed alone, picks the stream
+    diag = generate_many(FamilyKind.DIAGONAL, seed, range(n)).abc
+    assert not np.array_equal(diag, generate_many(FamilyKind.DIAGONAL, seed + 1, range(n)).abc)
+
+
+def test_a_trial_reads_its_block_at_its_counter():
+    # trial k of family f under seed S: the 32 doubles of the Philox stream keyed by
+    # Philox(S), from the outputs at counter word 0 = 8k..8k+7 and word 1 = f's index in
+    # FamilyKind.  numpy steps the counter before each output of four words, so a stream
+    # set at counter c yields the outputs at c + 1, c + 2, ...: the whole block from 8k - 1,
+    # and its last 28 doubles from 8k, which also serves k = 0
+    key = np.random.Philox(11).state["state"]["key"]
+    doubles = lambda raw: (raw >> np.uint64(11)) * 2.0 ** -53  # as Generator.random makes them
+    for kind, k in [(FamilyKind.SKEW, 0), (FamilyKind.GENERAL, 0), (FamilyKind.DIAGONAL, 5),
+                    (FamilyKind.SYMMETRIC, gabc.MAX_TRIAL)]:
+        f = list(FamilyKind).index(kind)
+        (_, _, u), = gabc._runs(11, [kind], [k])
+        assert u.shape == (1, gabc.BLOCK)
+        counter = lambda c: np.array([c, f, 0, 0], dtype=np.uint64)
+        tail = np.random.Philox(key=key, counter=counter(8 * k)).random_raw(28)
+        assert np.array_equal(u[0, 4:], doubles(tail)), (kind, k)
+        if k:
+            block = np.random.Philox(key=key, counter=counter(8 * k - 1)).random_raw(32)
+            assert np.array_equal(u[0], doubles(block)), (kind, k)
+
+
+def test_block_layout_reads_disjoint_slices_of_the_block():
+    for kind in FamilyKind:
+        used = []
+        for first, shape, spread in gabc._BLOCK_LAYOUT[kind].values():
+            used += range(first, first + int(np.prod(shape)))
+            assert spread in ("scale", "unit", "rotation")
+        assert len(used) == len(set(used)) and max(used) < gabc.BLOCK, kind
+
+
+def test_rotations_are_haar_distributed_on_so4():
+    # 20 000 rotations from the uniforms of a fixed stream: orthogonal with determinant 1
+    # to round-off, and with the first two moments of Haar measure on SO(4),
+    # E[g_ij] = 0 and E[g_ij^2] = 1/4
+    u = np.random.Generator(np.random.Philox(2024)).random((20000, 6))
+    g = gabc._rotations(u)
+    assert g.shape == (20000, 4, 4)
+    assert np.abs(g @ g.swapaxes(-1, -2) - np.eye(4)).max() <= 1e-14
+    assert np.abs(np.linalg.det(g) - 1.0).max() <= 1e-14
+    assert np.abs(g.mean(axis=0)).max() <= 0.02
+    assert np.abs((g ** 2).mean(axis=0) - 0.25).max() <= 0.01
 
 
 def test_family_classification():
@@ -274,9 +338,9 @@ def test_theta_rejects_support_outside_ideal():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: generate_many(["bogus"], [0]), "unknown family kind 'bogus'"),
-    (lambda: generate_many([FamilyKind.DIAGONAL, FamilyKind.SKEW], [1]),
-     "2 family kinds for 1 seeds"),
+    (lambda: generate_many(["bogus"], 0, [0]), "unknown family kind 'bogus'"),
+    (lambda: generate_many([FamilyKind.DIAGONAL, FamilyKind.SKEW], 0, [1]),
+     "2 family kinds for 1 trials"),
     (lambda: make(A=1j * np.diag([1.0, -1.0, 0.0, 0.0])), "matrix A has complex entries"),
     # entries that are Python objects, strings or booleans: not cast to floats
     (lambda: make(B=np.full((4, 4), 0j, dtype=object)),
@@ -307,34 +371,26 @@ def test_a_matrix_of_python_real_numbers_is_taken_as_floats():
     assert make(A=entries).abc.tobytes() == make(A=np.diag([0.5, -0.5, 0.0, 0.0])).abc.tobytes()
 
 
-@pytest.mark.parametrize("seeds, trial, seed", [([-1], 0, -1), ([1.5], 0, 1.5), (["a"], 0, "a"),
-                                                ([0, 1, -2], 2, -2)])
-def test_generate_rejects_a_seed_that_numpy_rejects(seeds, trial, seed):
-    calls = [lambda: generate_many(FamilyKind.SKEW, seeds)]
-    if len(seeds) == 1:
-        calls.append(lambda: generate(FamilyKind.SKEW, seeds[0]))
-    for call in calls:
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", [0, -2]])
+def test_generate_rejects_a_seed_that_numpy_rejects(seed):
+    for call in (lambda: generate_many(FamilyKind.SKEW, seed, range(3)),
+                 lambda: generate(FamilyKind.SKEW, seed)):
         with pytest.raises(ValidationError) as err:
             call()
-        prefix = f"trial {trial}: " if len(seeds) > 1 else ""
-        assert type(err.value) is ValidationError and err.value.trial == trial
-        assert str(err.value).startswith(f"{prefix}seed {seed!r} is not a valid seed: ")
+        # one seed keys every trial, so the error names no trial
+        assert type(err.value) is ValidationError and not hasattr(err.value, "trial")
+        assert str(err.value).startswith(f"seed {seed!r} is not a valid seed: ")
 
 
-@pytest.mark.parametrize("seeds, trial, seed", [([None], 0, None), ([True], 0, True),
-                                                ([False], 0, False), ([0, 1, None], 2, None),
-                                                ([3, True], 1, True)])
-def test_generate_rejects_none_and_bool_seeds(seeds, trial, seed):
+@pytest.mark.parametrize("seed", [None, True, False])
+def test_generate_rejects_none_and_bool_seeds(seed):
     # None would draw fresh entropy on every call, and True would be the seed 1
-    calls = [lambda: generate_many(FamilyKind.SKEW, seeds)]
-    if len(seeds) == 1:
-        calls.append(lambda: generate(FamilyKind.SKEW, seeds[0]))
-    for call in calls:
+    for call in (lambda: generate_many(FamilyKind.SKEW, seed, range(3)),
+                 lambda: generate(FamilyKind.SKEW, seed)):
         with pytest.raises(ValidationError) as err:
             call()
-        prefix = f"trial {trial}: " if len(seeds) > 1 else ""
-        assert type(err.value) is ValidationError and err.value.trial == trial
-        assert str(err.value) == f"{prefix}seed {seed!r} is not a valid seed: expected an " \
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"seed {seed!r} is not a valid seed: expected an " \
                                  "integer or a SeedSequence, not None or a bool"
     # integers of any type and seed sequences still pass, each the same triple
     same = [generate(FamilyKind.SKEW, s).abc.tobytes()
@@ -342,12 +398,26 @@ def test_generate_rejects_none_and_bool_seeds(seeds, trial, seed):
     assert same == same[:1] * 4
 
 
-def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_seed():
+@pytest.mark.parametrize("trials, n", [([-1], 0), ([0, 1, -2], 2), ([0, True], 1), ([1.0], 0),
+                                       ([None], 0), (["1"], 0), ([0, gabc.MAX_TRIAL + 1], 1)])
+def test_generate_many_rejects_a_trial_index_outside_its_range(trials, n):
+    with pytest.raises(ValidationError) as err:
+        generate_many(FamilyKind.DIAGONAL, 0, trials)
+    prefix = f"trial {n}: " if len(trials) > 1 else ""
+    assert type(err.value) is ValidationError and err.value.trial == n
+    assert str(err.value) == f"{prefix}trial index {trials[n]!r} is not an integer in " \
+                             f"[0, {gabc.MAX_TRIAL}]"
+    # integers of any type are trial indices
+    same = generate_many(FamilyKind.DIAGONAL, 0, [np.int64(3), np.uint8(4), 5])
+    assert same.abc.tobytes() == generate_many(FamilyKind.DIAGONAL, 0, range(3, 6)).abc.tobytes()
+
+
+def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_trial():
     kinds = [FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.SKEW]
-    stack = generate_many(np.array(kinds), [0, 1, 2])
-    assert stack.abc.tobytes() == generate_many(kinds, [0, 1, 2]).abc.tobytes()
-    with pytest.raises(ValidationError, match="^3 family kinds for 2 seeds$"):
-        generate_many(np.array(kinds), [0, 1])
+    stack = generate_many(np.array(kinds), 0, [0, 1, 2])
+    assert stack.abc.tobytes() == generate_many(kinds, 0, [0, 1, 2]).abc.tobytes()
+    with pytest.raises(ValidationError, match="^3 family kinds for 2 trials$"):
+        generate_many(np.array(kinds), 0, [0, 1])
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
@@ -355,7 +425,7 @@ def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_seed():
 def test_generate_rejects_a_scale_outside_its_range(kind, scale):
     message = f"scale {scale!r} is not in (0, {MAX_SCALE:g}]"
     # raised before any draw, so also without a numpy warning (warnings fail tier-1)
-    for call in (lambda: generate(kind, 0, scale), lambda: generate_many(kind, [0, 1], scale)):
+    for call in (lambda: generate(kind, 0, scale), lambda: generate_many(kind, 0, [0, 1], scale)):
         with pytest.raises(ValidationError) as err:
             call()
         assert type(err.value) is ValidationError and str(err.value) == message
@@ -375,7 +445,7 @@ def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
 
 def test_cross_validate_stack_rejects_an_empty_stack():
     with pytest.raises(ValidationError, match="needs at least one triple"):
-        cross_validate_stack(generate_many(FamilyKind.DIAGONAL, []))
+        cross_validate_stack(generate_many(FamilyKind.DIAGONAL, 0, []))
 
 
 def test_theta_is_a_lie_algebra_action(rng):
@@ -483,7 +553,7 @@ def test_general_table_tau1_tau2_match_oracle():
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_tabulated_values_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
-        t = generate_many(kind, range(50), scale)
+        t = generate_many(kind, 0, range(50), scale)
         text = gabc._text_values(t)
         err = np.abs(gabc.tabulated_values(t) - text).max(axis=1)
         # relative to each triple's largest value, which reaches ~3.5x its largest entry
@@ -609,7 +679,7 @@ def test_divergence_closed_form_matches_generic():
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_whole_stack_closed_forms_match_the_per_matrix_reference(scale):
     ulp = np.finfo(np.float64).eps
-    t = generate_many(list(FamilyKind) * 8, range(40), scale)
+    t = generate_many(list(FamilyKind) * 8, 0, range(40), scale)
     tau27 = torsion_data(build(t)[1]).tau27
     top = lambda x: np.abs(x).max(axis=tuple(range(1, x.ndim)))  # per triple
     # every connection entry is a single term
@@ -625,7 +695,7 @@ def test_whole_stack_closed_forms_match_the_per_matrix_reference(scale):
 def test_closed_forms_of_a_triple_do_not_depend_on_its_stack():
     kinds = [*FamilyKind, FamilyKind.SYMMETRIC, FamilyKind.ANTIDIAGONAL]
     for scale in (1e-3, 1.0, 1e3):
-        stack = generate_many(kinds, range(7), scale)
+        stack = generate_many(kinds, 0, range(7), scale)
         tau27 = torsion_data(build(stack)[1]).tau27
         connection, ric = closed_form_connection(stack), closed_form_ricci(stack)
         div = closed_form_divergence(stack, tau27)
@@ -745,7 +815,7 @@ def test_a_pass_builds_the_same_few_forms_whatever_its_size(monkeypatch):
     # the stages pass coefficient arrays; the Forms are the two results of ce_diff,
     # the differentials of phi and psi
     cross_validate(generate(FamilyKind.GENERAL, 0))  # builds the tabulated operator
-    stacks = {n: generate_many([list(FamilyKind)[k % 5] for k in range(n)], range(n))
+    stacks = {n: generate_many([list(FamilyKind)[k % 5] for k in range(n)], 0, range(n))
               for n in (1, 4, 32)}
     built = Counter()
     init = exterior.Form.__init__
@@ -808,7 +878,7 @@ def test_generate_scale_bounds_entries():
     # stay within scale, up to a rounding
     for scale in (1e-3, 1.0, 1e3):
         for kind in FamilyKind:
-            top = np.abs(generate_many(kind, range(500), scale).abc).max()
+            top = np.abs(generate_many(kind, 0, range(500), scale).abc).max()
             if kind in (FamilyKind.DIAGONAL, FamilyKind.SYMMETRIC):
                 assert scale < top <= 3 * scale, (kind, scale)
             else:
@@ -869,9 +939,8 @@ def count_calls(monkeypatch, module, names):
 
 def mixed_triples(seed, trials):
     """`trials` triples of every family, family-major."""
-    return [t for i, kind in enumerate(FamilyKind)
-            for t in unstack(generate_many(kind, [np.random.SeedSequence((seed, i, k))
-                                                  for k in range(trials)]))]
+    return [t for kind in FamilyKind
+            for t in unstack(generate_many(kind, seed, range(trials)))]
 
 
 def one_pass_runs():
@@ -912,6 +981,24 @@ def test_a_pass_builds_no_layout_after_a_warm_up(monkeypatch):
     for stack in stacks:
         cross_validate_stack(stack).reports()
         assert not calls, len(stack.abc)
+
+
+def test_a_pass_draws_no_per_trial_generator_after_a_warm_up(monkeypatch):
+    # a stack of every family keys one Philox stream, and the draws and the pass make no
+    # SeedSequence, default_rng, QR or determinant
+    kinds = [kind for kind in FamilyKind for _ in range(4)]
+    trials = [k for _ in FamilyKind for k in range(4)]
+    cross_validate_stack(generate_many(kinds, 0, trials))
+    calls = Counter()
+    for module, name in ((np.random, "SeedSequence"), (np.random, "default_rng"),
+                         (np.random, "Philox"), (np.linalg, "qr"), (np.linalg, "det")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    for seed in range(3):
+        cross_validate_stack(generate_many(kinds, seed, trials)).reports()
+    assert calls == {"Philox": 3}
 
 
 def test_a_pass_constructs_no_algebra_and_checks_no_jacobi_identity(monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -118,7 +121,7 @@ def near_the_commutator_bound(rng, n, scale):
     """n general triples of the given scale with A moved along a random traceless
     matrix, so that the largest commutator entry is 0.98 to 1.02 times its bound
     1e-10 max(1, s)^2, which is also the Jacobi bound of the triple's algebra."""
-    abc = np.array(generate_many(FamilyKind.GENERAL, range(n), scale).abc)
+    abc = np.array(generate_many(FamilyKind.GENERAL, 0, range(n), scale).abc)
     x = traceless_triples(rng, n, 1.0)[:, 0]
     b, c = abc[:, 1], abc[:, 2]
     spread = np.abs(np.concatenate([x @ b - b @ x, x @ c - c @ x], axis=-1)).max(axis=(-2, -1))
@@ -167,6 +170,45 @@ def test_malformed_arguments_raise(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
+
+
+def so3_constants(dtype=np.float64):
+    """The constants of so(3) + R^4, [e1,e2] = e3 and cyclically, as an array of dtype."""
+    c = np.zeros((7, 7, 7), dtype=dtype)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k], c[j, i, k] = 1, -1
+    return c
+
+
+@pytest.mark.parametrize("entries, message", [
+    # antisymmetric and Jacobi as complex numbers; a float64 cast would drop the 1j
+    (so3_constants() * (1 + 1j), "has complex entries"),
+    (so3_constants(complex).astype(object), "has an entry that is not a real number"),
+    (so3_constants(bool), "has an entry that is not a real number"),  # True would be 1.0
+    (so3_constants().astype(str), "has an entry that is not a real number"),
+    (so3_constants().astype(str).astype(object), "has an entry that is not a real number"),
+    (np.where(so3_constants() == 0, None, so3_constants()),
+     "has an entry that is not a real number"),
+    ([[[0.0] * 7] * 7] * 6 + [[[0.0] * 7] * 6 + [[0.0]]],
+     "must be 7x7x7, got rows of unequal lengths"),
+])
+def test_lie_algebra_rejects_entries_that_are_not_real_numbers(entries, message):
+    # no ComplexWarning or other warning on the way: the input is refused as it is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            LieAlgebra7(entries)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "array c of structure constants " + message
+
+
+def test_lie_algebra_takes_real_numbers_of_any_type():
+    exact = so3_constants(object)
+    exact[exact == 1] = Fraction(1)
+    for entries in (exact, so3_constants(np.int8), so3_constants(np.float32),
+                    so3_constants().tolist()):
+        c = LieAlgebra7(entries).c
+        assert c.dtype == np.float64 and c.tobytes() == so3_constants().tobytes()
 
 
 # -- unimodularity: every ad_{e_i} is traceless -------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 
 from g2abc.exterior import contractions
 from g2abc.g2core import STANDARD_PSI, torsion_data
-from g2abc.gabc import FamilyKind, TripleABC, build, generate
+from g2abc.gabc import FamilyKind, TripleABC, build, generate, generate_many
 from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import (
     div_torsion,
@@ -150,6 +150,17 @@ def test_ricci_is_the_contraction_of_the_curvature_tensor():
         c, _ = build(t)
         expected = curvature_contraction(c, levi_civita(c))
         assert np.max(np.abs(ric[n] - expected)) <= 1e-12
+
+
+def test_riemann_tensor_takes_a_stack_of_algebras():
+    stack = generate_many(FamilyKind.GENERAL, 0, range(3))
+    c, _ = build(stack)
+    curvature = riemann_tensor(c, levi_civita(c))
+    assert curvature.shape == (3, 7, 7, 7, 7)
+    for n in range(3):
+        one = c[n]
+        assert np.array_equal(curvature[n], riemann_tensor(one, levi_civita(one)))
+    assert np.any(curvature)
 
 
 # -- divergence --------------------------------------------------------------------------
