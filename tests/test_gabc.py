@@ -876,7 +876,7 @@ def test_generate_scale_bounds_entries():
         assert np.max(np.abs(np.diag(m)[:3])) <= 0.5
     # so the diagonal and symmetric families reach up to 3 scale; the others
     # stay within scale, up to a rounding
-    for scale in (1e-3, 1.0, 1e3):
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
         for kind in FamilyKind:
             top = np.abs(generate_many(kind, 0, range(500), scale).abc).max()
             if kind in (FamilyKind.DIAGONAL, FamilyKind.SYMMETRIC):
