@@ -8,16 +8,26 @@ structure constants, yields (N, ...) arrays throughout.  The stages exchange a k
 as its (..., C(7,k)) coefficient array, and multiply it by phi, psi or the
 star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
 derivatives of a G2Structure and the forms of a TorsionData are such arrays
-too.  ``Form`` is left for phi and psi and for the differential ``ce_diff``."""
+too.  ``Form`` is left for phi and psi and for the differential ``ce_diff``.
 
+Every stage from (dphi, dpsi) on is linear.  ``torsion_forms``, ``tau27_tensor``,
+``full_torsion_from_forms`` and ``reconstruction_residuals`` are the stepwise
+definitions.  At import they run once on the 56 unit vectors of [dphi, dpsi], and
+give the (56, 310) operator TAIL of the torsion tail: the stars, the torsion forms,
+iota_{tau1}(phi), tau27, T, the reconstruction residuals and the type products.
+``torsion_data`` is one product with TAIL.  The build reads nothing of ``gabc``, so
+the generic route borrows nothing from the tabulated one."""
+
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
 from ._tables import DIM, DIMS, STAR, WEDGE
-from .errors import TorsionSolveError
+from .errors import TorsionSolveError, ValidationError
 from .exterior import Form, _iota_rows, _vecmat, contractions, hodge
 from .liealg import ce_diff
 
@@ -82,7 +92,8 @@ class G2Structure:
 class TorsionData:
     """Torsion forms, the symmetric 27-part and the full torsion tensor matrix;
     equality and hashing are by identity.  For a stack of N structures tau0 is
-    an (N,) array, the forms (N, C(7,k)) arrays and the tensors (N, 7, 7) arrays."""
+    an (N,) array, the forms (N, C(7,k)) arrays and the tensors (N, 7, 7) arrays.
+    ``tail`` is the (..., 310) torsion tail they are read from (see TAIL)."""
 
     tau0: float | np.ndarray
     tau1: np.ndarray  # the (..., C(7,k)) coefficient arrays of the forms
@@ -90,6 +101,7 @@ class TorsionData:
     tau3: np.ndarray
     tau27: np.ndarray
     T: np.ndarray
+    tail: np.ndarray
 
 
 def torsion_forms(s):
@@ -176,14 +188,6 @@ def full_torsion_from_nabla(gamma):
     return v.swapaxes(-1, -2)
 
 
-def torsion_data(s):
-    """All torsion quantities of a structure, via the generic route."""
-    tau0, tau1, tau2, tau3 = torsion_forms(s)
-    tau27 = tau27_tensor(tau3)
-    T = full_torsion_from_forms(tau0, tau1, tau2, tau27)
-    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, tau27=tau27, T=T)
-
-
 def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
     """The coefficient arrays of the residual 4- and 5-forms of the two defining
     identities of the torsion forms, given as coefficient arrays:
@@ -198,6 +202,72 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
                      + 3.0 * _vecmat(tau1, PHI_WEDGE[1]) + tau3 @ STAR[3].T)
     res2 = s.dpsi - (4.0 * _vecmat(tau1, PSI_WEDGE[1]) - tau2 @ STAR[2].T)
     return res1, res2
+
+
+# -- the torsion tail as one linear operator --------------------------------------
+
+#: The blocks of the torsion tail in column order, with the width of one structure's block:
+#: the stars of dphi and dpsi, the torsion forms, iota_{tau1}(phi), tau27, T, the two
+#: reconstruction residuals, and the type products tau2 ^ psi, tau3 ^ phi and tau3 ^ psi.
+#: tau0..tau3 and iota_{tau1}(phi) are consecutive, in the order of gabc's torsion tables.
+_TAIL_WIDTHS = {
+    "star_dphi": DIMS[3], "star_dpsi": DIMS[2], "tau0": 1, "tau1": DIMS[1], "tau2": DIMS[2],
+    "tau3": DIMS[3], "iota_tau1_phi": DIMS[2], "tau27": DIM ** 2, "T": DIM ** 2,
+    "reconstruction_dphi": DIMS[4], "reconstruction_dpsi": DIMS[5],
+    "tau2_type14": DIMS[6], "tau3_type27_phi": DIMS[6], "tau3_type27_psi": DIMS[7],
+}
+#: TAIL_COLUMNS[name]: the slice of the columns of the torsion tail that hold block name.
+TAIL_COLUMNS = {name: slice(end - width, end) for (name, width), end in zip(
+    _TAIL_WIDTHS.items(), itertools.accumulate(_TAIL_WIDTHS.values()))}
+
+
+def _tail_stages(s):
+    """The blocks of the torsion tail of the derivatives s, in the order of _TAIL_WIDTHS,
+    by the stepwise definitions."""
+    tau0, tau1, tau2, tau3 = torsion_forms(s)
+    tau27 = tau27_tensor(tau3)
+    return (s.star_dphi, s.star_dpsi, tau0, tau1, tau2, tau3, _vecmat(tau1, PHI_CONTRACTIONS),
+            tau27, full_torsion_from_forms(tau0, tau1, tau2, tau27),
+            *reconstruction_residuals(s, tau0, tau1, tau2, tau3),
+            _vecmat(tau2, PSI_WEDGE[2]), _vecmat(tau3, PHI_WEDGE[3]), _vecmat(tau3, PSI_WEDGE[3]))
+
+
+def _tail_operator():
+    """The read-only (56, 310) operator of the torsion tail: row k is _tail_stages on the
+    k-th unit vector of [dphi, dpsi].  The stages run on a zero row too, which must stay
+    zero, since every stage is linear.  Each row is a stack of one, so that every product
+    of the build is taken row by row: as one (57, 35) stack, tau27_tensor's product with
+    _PAIR_TOP went to OpenBLAS's threads and took about 16 ms, not 0.04 ms, on a 2-vCPU
+    virtual machine."""
+    width = DIMS[4] + DIMS[5]
+    units = np.eye(width + 1, width, k=-1)[:, None, :]  # the zero row, then the unit rows
+    dphi, dpsi = units[..., :DIMS[4]], units[..., DIMS[4]:]
+    s = SimpleNamespace(dphi=dphi, dpsi=dpsi, star_dphi=dphi @ STAR[4].T,
+                        star_dpsi=dpsi @ STAR[5].T)
+    blocks = [np.reshape(b, (width + 1, -1)) for b in _tail_stages(s)]
+    if constant := [name for name, b in zip(_TAIL_WIDTHS, blocks) if b[0].any()]:  # not linear
+        raise ValidationError(f"torsion stages with a constant term: {', '.join(constant)}")
+    values = np.concatenate(blocks, axis=1)[1:]
+    values.flags.writeable = False
+    return values
+
+
+#: The torsion tail of the generic route: [dphi, dpsi] @ TAIL holds the blocks of _TAIL_WIDTHS
+#: at the columns of TAIL_COLUMNS.  It is built from the stepwise stages above, which stay
+#: the definitions, and from nothing of gabc.
+TAIL = _tail_operator()
+
+
+def torsion_data(s):
+    """All torsion quantities of a structure, via the generic route: one product of
+    [dphi, dpsi] with TAIL, row by row so that a structure's values do not depend on its
+    stack, read through the import-time slices of TAIL_COLUMNS."""
+    tail = _vecmat(np.concatenate((s.dphi, s.dpsi), axis=-1), TAIL)
+    at, tensor = TAIL_COLUMNS, tail.shape[:-1] + (DIM, DIM)
+    return TorsionData(tau0=tail[..., at["tau0"].start], tau1=tail[..., at["tau1"]],
+                       tau2=tail[..., at["tau2"]], tau3=tail[..., at["tau3"]],
+                       tau27=tail[..., at["tau27"]].reshape(tensor),
+                       T=tail[..., at["T"]].reshape(tensor), tail=tail)
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,12 @@ from .errors import ValidationError
 from .exterior import Form, _vecmat, matrix_coaction, wedge
 from .g2core import (
     DEFAULT_TOL,
-    PHI_CONTRACTIONS,
-    PHI_WEDGE,
-    PSI_WEDGE,
+    TAIL,
+    TAIL_COLUMNS,
     G2Structure,
     TorsionClass,
     _flags,
     full_torsion_from_nabla,
-    reconstruction_residuals,
     torsion_data,
 )
 from .liealg import _real_array, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
@@ -101,30 +99,13 @@ _ABC_ROWS = np.array((6, 0, 1))
 _A_BLOCK = np.ix_(_ABC_ROWS, _ABC_ROWS)
 
 _ANTIDIAG_SLOTS = ((0, 3), (1, 2), (2, 1), (3, 0))
-_OFF_DIAG = ~np.eye(4, dtype=bool)
-_OFF_ANTIDIAG = ~np.eye(4, dtype=bool)[::-1]
 
 #: The 2-monomials outside the ideal n, where theta's argument must vanish.
 _OFF_N = np.array([not set(key) <= set(N_INDICES) for key in COMBS[2]])
 
 
-# -- matrix shape predicates (exact, by construction of the families) ---------
-# Each takes a 4x4 matrix, or an (N, 4, 4) stack and answers per matrix.
-
 def _transpose(M):
     return M.swapaxes(-1, -2)
-
-def is_diagonal_matrix(M):
-    return (M[..., _OFF_DIAG] == 0.0).all(axis=-1)
-
-def is_skew_matrix(M):
-    return (M == -_transpose(M)).all(axis=(-2, -1))
-
-def is_symmetric_matrix(M):
-    return (M == _transpose(M)).all(axis=(-2, -1))
-
-def is_antidiagonal_matrix(M):
-    return (M[..., _OFF_ANTIDIAG] == 0.0).all(axis=-1)
 
 
 class FamilyKind(enum.Enum):
@@ -135,21 +116,39 @@ class FamilyKind(enum.Enum):
     GENERAL = "general"
 
 
-_FAMILY_PREDICATES = {
-    FamilyKind.DIAGONAL: is_diagonal_matrix,
-    FamilyKind.ANTIDIAGONAL: is_antidiagonal_matrix,
-    FamilyKind.SKEW: is_skew_matrix,
-    FamilyKind.SYMMETRIC: is_symmetric_matrix,
-}
 #: The families in priority order: a triple's family is the first whose shape it has.
-_FAMILIES = (*_FAMILY_PREDICATES, FamilyKind.GENERAL)
+_FAMILIES = (FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL, FamilyKind.SKEW, FamilyKind.SYMMETRIC,
+             FamilyKind.GENERAL)
+
+
+def _shape_comparisons():
+    """The exact comparisons that make up a triple's shapes, family by family of
+    _FAMILIES[:-1]: entry left of the 48 entries of (A, B, C) must equal sign times entry
+    right, its transpose partner.  Sign 0 compares with zero: every entry off the diagonal
+    (DIAGONAL) or off the antidiagonal (ANTIDIAGONAL).  Sign -1 takes M_ij = -M_ji for
+    i <= j (SKEW), and sign 1 M_ij = M_ji for i < j (SYMMETRIC).  Returns left, right,
+    sign and the start of each family's comparisons."""
+    i, j = np.divmod(np.arange(16), 4)
+    matrix = 16 * np.arange(3)[:, None]  # the offset of A, B and C among the 48 entries
+    families = ((i != j, 0.0), (i + j != 3, 0.0), (i <= j, -1.0), (i < j, 1.0))
+    left = [(matrix + 4 * i[mask] + j[mask]).ravel() for mask, _ in families]
+    right = [(matrix + 4 * j[mask] + i[mask]).ravel() for mask, _ in families]
+    sign = [np.full(len(x), sign) for x, (_, sign) in zip(left, families)]
+    starts = np.cumsum([0] + [len(x) for x in left[:-1]])
+    return np.concatenate(left), np.concatenate(right), np.concatenate(sign), starts
+
+
+_SHAPE_LEFT, _SHAPE_RIGHT, _SHAPE_SIGN, _SHAPE_STARTS = _shape_comparisons()
 
 
 def _shapes(abc):
-    """(..., 5) flags: whether the triple abc (each of a stack) has each shape of _FAMILIES."""
-    shapes = np.ones(abc.shape[:-3] + (len(_FAMILIES),), dtype=bool)
-    for k, predicate in enumerate(_FAMILY_PREDICATES.values()):
-        shapes[..., k] = predicate(abc).all(axis=-1)
+    """(..., 5) flags: whether the triple abc (each of a stack) has each shape of _FAMILIES,
+    from one signed gather of its entries and one reduction per family.  The entries are
+    finite, so 0 times an entry is a zero; -0.0 counts as zero, as it compares equal to it."""
+    flat = abc.reshape(abc.shape[:-3] + (48,))
+    equal = flat[..., _SHAPE_LEFT] == _SHAPE_SIGN * flat[..., _SHAPE_RIGHT]
+    shapes = np.ones(abc.shape[:-3] + (len(_FAMILIES),), dtype=bool)  # GENERAL: every triple
+    np.logical_and.reduceat(equal, _SHAPE_STARTS, axis=-1, out=shapes[..., :-1])
     return shapes
 
 
@@ -604,6 +603,10 @@ _REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for _, _, 
                          np.diff(_STARTS))[_COMPARED]
 #: The definitional theta columns, the oracle of the tabulated theta expansions.
 _THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
+#: The oracles of the general table's _TORSION_PARTS, and of a family table's (all but
+#: iota_tau1_phi), in the torsion tail, which holds them consecutively in that order.
+_GENERAL_PARTS = slice(TAIL_COLUMNS["tau0"].start, TAIL_COLUMNS["iota_tau1_phi"].stop)
+_FAMILY_PARTS = slice(TAIL_COLUMNS["tau0"].start, TAIL_COLUMNS["tau3"].stop)
 
 
 def _text_values(t):
@@ -1031,13 +1034,13 @@ def _pass_layout():
     """
     widths = {  # of one triple's source
         "delta": len(_COMPARED),  # tabulated minus oracle, on the compared columns
-        "reconstruction_dphi": DIMS[4], "reconstruction_dpsi": DIMS[5], "tau2_type14": DIMS[6],
-        "tau3_type27_phi": DIMS[6], "tau3_type27_psi": DIMS[7], "iota": DIMS[2], "tau2": DIMS[2],
-        "tau3": DIMS[3], "tau27": DIM ** 2, "torsion_routes": DIM ** 2, "connection": DIM ** 3,
-        "ricci": DIM ** 2, "divergence": DIM, "div": DIM,  # div T's residual, and div T
+        "tail": TAIL.shape[1],  # the generic route's torsion tail
+        "torsion_routes": DIM ** 2, "connection": DIM ** 3, "ricci": DIM ** 2,
+        "divergence": DIM, "div": DIM,  # div T's residual, and div T
     }
     ends = np.cumsum(list(widths.values()))
     at = {name: np.arange(end - width, end) for (name, width), end in zip(widths.items(), ends)}
+    at.update((name, at["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
     in_delta = np.full(_STARTS[-1], -1)  # column of tabulated_values -> column of delta
     in_delta[_COMPARED] = at["delta"]
     tau27 = at["tau27"].reshape(DIM, DIM)
@@ -1045,7 +1048,7 @@ def _pass_layout():
         **{formula.split("[")[0]: in_delta[_COLUMNS[formula]] for formula in _GATED},
         **{name: at[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
                                        "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
-        "support_iota_tau1_phi": at["iota"][_off_support(2, TWO_FORM_SUPPORT)],
+        "support_iota_tau1_phi": at["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
         "support_tau2": at["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
         "support_tau3": at["tau3"][_off_support(3, TAU3_SUPPORT)],
         "tau27_mixed_block": tau27[_ABC_ROWS, 2:6],
@@ -1098,20 +1101,19 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
 
     # generic route
     td = torsion_data(s)
-    tau1, tau2, tau3 = td.tau1, td.tau2, td.tau3
+    tail = td.tail
     gamma = levi_civita(c)
     ric = ricci(c, gamma)
     div = div_torsion(gamma, td.T)
-    iota = _vecmat(tau1, PHI_CONTRACTIONS)  # iota_{tau1}(phi)
 
     # each compared tabulated value vs its counterpart, in column order: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
     tab = tabulated_values(t)
     compared = tab.take(_COMPARED, axis=1)  # C-ordered, unlike tab[:, _COMPARED]
-    torsion = [td.tau0[:, None], tau1, tau2, tau3, iota]  # the parts of the general table
-    derivatives = [s.dphi, s.star_dphi, s.dpsi, s.star_dpsi]
-    oracle = np.concatenate([*torsion, *torsion[:-1] * (len(_TABLES) - 1), tab[:, _THETA_DEFINED],
-                             *derivatives], axis=1)
+    derivatives = [s.dphi, tail[:, TAIL_COLUMNS["star_dphi"]], s.dpsi,
+                   tail[:, TAIL_COLUMNS["star_dpsi"]]]
+    oracle = np.concatenate([tail[:, _GENERAL_PARTS], *[tail[:, _FAMILY_PARTS]] * (len(_TABLES) - 1),
+                             tab[:, _THETA_DEFINED], *derivatives], axis=1)
     delta = compared - oracle
     # dual reports: every coefficient beyond tol, a family table only on its shape
     rows, columns = np.nonzero((np.abs(delta) > tol) & shapes[:, _REPORTED_ON] & _REPORTED)
@@ -1120,13 +1122,10 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     div_cf = closed_form_divergence(t, td.tau27)
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
     # the sources of the gated residuals, in the order of _pass_layout: the compared
-    # tabulated values, reconstruction identities, component types, the forms of the
-    # support patterns, tau27, the two routes (torsion tensor, connection, Ricci,
-    # divergence) and div T
-    sources = [delta, *reconstruction_residuals(s, td.tau0, tau1, tau2, tau3),
-               _vecmat(tau2, PSI_WEDGE[2]), _vecmat(tau3, PHI_WEDGE[3]),
-               _vecmat(tau3, PSI_WEDGE[3]), iota, tau2, tau3, td.tau27,
-               td.T - full_torsion_from_nabla(gamma), closed_form_connection(t) - gamma,
+    # tabulated values, the torsion tail (reconstruction identities, component types, the
+    # forms of the support patterns, tau27), the two routes (torsion tensor, connection,
+    # Ricci, divergence) and div T
+    sources = [delta, tail, td.T - full_torsion_from_nabla(gamma), closed_form_connection(t) - gamma,
                closed_form_ricci(t) - ric, div_cf - div, div]
     residuals = np.concatenate([x.reshape(n, -1) for x in sources], axis=1).take(_GATHER, axis=1)
     # each start opens the block of its quantity; NaN propagates
@@ -1135,5 +1134,5 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
         tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=_QUANTITIES,
         deviations=deviations, applies=_APPLIES[family],
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
-        flags=_flags(td, tol).T, tau0=td.tau0, tau1=tau1, tau2=tau2, tau3=tau3,
+        flags=_flags(td, tol).T, tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
         torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

@@ -120,6 +120,34 @@ def star_operator_reference(k):
     return op
 
 
+# -- the family shapes, one predicate per family and matrix, as references ------
+# Each takes a 4x4 matrix, or an (N, 4, 4) stack, and answers per matrix.
+
+def is_diagonal_matrix(M):
+    return (M[..., ~np.eye(4, dtype=bool)] == 0.0).all(axis=-1)
+
+
+def is_antidiagonal_matrix(M):
+    return (M[..., ~np.eye(4, dtype=bool)[::-1]] == 0.0).all(axis=-1)
+
+
+def is_skew_matrix(M):
+    return (M == -M.swapaxes(-1, -2)).all(axis=(-2, -1))
+
+
+def is_symmetric_matrix(M):
+    return (M == M.swapaxes(-1, -2)).all(axis=(-2, -1))
+
+
+def shapes_reference(abc):
+    """gabc._shapes of the (..., 3, 4, 4) array abc by the predicates above: per triple,
+    whether all three matrices have each shape, in the priority order of gabc._FAMILIES
+    (DIAGONAL, ANTIDIAGONAL, SKEW, SYMMETRIC, then GENERAL, which every triple has)."""
+    flags = [predicate(abc).all(axis=-1) for predicate in (
+        is_diagonal_matrix, is_antidiagonal_matrix, is_skew_matrix, is_symmetric_matrix)]
+    return np.stack([*flags, np.ones_like(flags[0])], axis=-1)
+
+
 # -- per-matrix transcriptions of the closed forms, as references --------------
 
 def closed_form_connection_reference(t):

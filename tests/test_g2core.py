@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from g2abc.errors import TorsionSolveError
-from g2abc._tables import DIMS
+from g2abc import g2core
+from g2abc.errors import TorsionSolveError, ValidationError
+from g2abc._tables import DIMS, STAR
 from g2abc.exterior import Form, _vecmat, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
     PHI_WEDGE,
@@ -11,6 +14,8 @@ from g2abc.g2core import (
     STANDARD_PHI,
     STANDARD_PSI,
     DEFAULT_TOL,
+    TAIL,
+    TAIL_COLUMNS,
     TorsionData,
     _flags,
     full_torsion_from_nabla,
@@ -19,10 +24,10 @@ from g2abc.g2core import (
     torsion_data,
     torsion_forms,
 )
-from g2abc.gabc import FamilyKind, TripleABC, build, generate
+from g2abc.gabc import FamilyKind, TripleABC, build, generate, generate_many
 from g2abc.riemann import levi_civita
 
-from helpers import ZERO4, contract_basis, e_matrix, stack_of
+from helpers import ZERO4, contract_basis, e_matrix, stack_of, unstack
 
 
 def make(A=ZERO4, B=ZERO4, C=ZERO4):
@@ -101,6 +106,70 @@ def test_tau27_exactly_symmetric():
     _, _, _, t3 = torsion_forms(s)
     tau27 = tau27_tensor(t3)
     assert np.array_equal(tau27, tau27.T)
+
+
+# -- the torsion tail: the stages as one operator --------------------------------------
+
+#: A block of the torsion tail may differ from its stepwise definition by this many eps
+#: times max(1, max|x|), x = [dphi, dpsi]: both round their sums of at most 56 terms, in
+#: different orders.  The largest difference seen on the inputs below was 4.7.
+TAIL_EPS = 16
+
+
+def derivatives_of(x):
+    """The stand-in for a G2Structure whose [dphi, dpsi] is x, for the stepwise stages."""
+    dphi, dpsi = x[..., :DIMS[4]], x[..., DIMS[4]:]
+    return SimpleNamespace(dphi=dphi, dpsi=dpsi, star_dphi=dphi @ STAR[4].T,
+                           star_dpsi=dpsi @ STAR[5].T)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_torsion_tail_matches_the_stepwise_stages(scale):
+    rng = np.random.default_rng(7)
+    structures = [derivatives_of(scale * rng.standard_normal((16, 56))),
+                  *(build(generate_many(kind, 3, range(8), scale))[1] for kind in FamilyKind)]
+    for s in structures:
+        td = torsion_data(s)
+        x = np.concatenate((s.dphi, s.dpsi), axis=-1)
+        bound = TAIL_EPS * np.finfo(np.float64).eps * max(1.0, np.abs(x).max())
+        for (name, columns), block in zip(TAIL_COLUMNS.items(), g2core._tail_stages(s)):
+            assert np.abs(td.tail[:, columns] - block.reshape(len(x), -1)).max() <= bound, name
+        # the fields are the tail's blocks
+        assert np.array_equal(td.tau0, td.tail[:, TAIL_COLUMNS["tau0"]][:, 0])
+        for name in ("tau1", "tau2", "tau3", "tau27", "T"):
+            assert np.array_equal(getattr(td, name).reshape(len(x), -1),
+                                  td.tail[:, TAIL_COLUMNS[name]]), name
+
+
+def test_a_structures_torsion_tail_does_not_depend_on_its_stack():
+    stack = generate_many([*FamilyKind, FamilyKind.SYMMETRIC, FamilyKind.GENERAL], 0, range(7))
+    tail = torsion_data(build(stack)[1]).tail
+    assert tail.tobytes() == np.concatenate(
+        [torsion_data(build(stack_of(unstack(stack)[n:n + 3]))[1]).tail for n in (0, 3)]
+        + [torsion_data(build(unstack(stack)[6])[1]).tail[None]]).tobytes()
+
+
+def test_a_torsion_tail_with_a_constant_term_does_not_build(monkeypatch):
+    assert np.array_equal(g2core._tail_operator(), TAIL) and not TAIL.flags.writeable
+    assert TAIL.shape == (DIMS[4] + DIMS[5], 310)
+    stepwise = g2core.tau27_tensor
+    monkeypatch.setattr(g2core, "tau27_tensor", lambda tau3: stepwise(tau3) + 1.0)
+    with pytest.raises(ValidationError, match="constant term: tau27, T$"):
+        g2core._tail_operator()
+
+
+def test_four_gated_identities_hold_for_every_dphi_and_dpsi():
+    # The gates reconstruction_dphi, reconstruction_dpsi, tau3_type27_phi and
+    # tau3_type27_psi read blocks of TAIL that are 0, or round-off, on every (dphi, dpsi),
+    # not only on the derivatives of a G2-structure: the stages define tau0..tau3 so that
+    # they hold.  Of the type checks, only tau2_type14 ties dphi to dpsi.
+    blocks = {name: TAIL[:, columns] for name, columns in TAIL_COLUMNS.items()}
+    for name in ("reconstruction_dphi", "reconstruction_dpsi", "tau3_type27_phi"):
+        assert not blocks[name].any(), name
+    assert 0.0 < np.abs(blocks["tau3_type27_psi"]).max() <= np.finfo(np.float64).eps
+    assert np.count_nonzero(blocks["tau3_type27_psi"]) == 7
+    type14 = blocks["tau2_type14"]
+    assert type14[:DIMS[4]].any() and type14[DIMS[4]:].any()
 
 
 # -- the full torsion tensor: both routes ----------------------------------------------
@@ -233,12 +302,12 @@ def test_torsion_flags_of_a_stack_member_by_member():
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                      [np.nan, 0, 0, 0], [0, 0, np.nan, 0]])
     forms = [np.outer(rows[:, k], np.ones(DIMS[k])) for k in (1, 2, 3)]
-    td = TorsionData(rows[:, 0], *forms, tau27=None, T=None)
+    td = TorsionData(rows[:, 0], *forms, tau27=None, T=None, tail=None)
     closed, coclosed, torsion_free = _flags(td, 0.5).tolist()
     assert closed == [True, False, False, True, False, False, True]
     assert coclosed == [True, True, False, False, True, True, False]
     assert torsion_free == [True, False, False, False, False, False, False]
-    single = TorsionData(0.0, *(f[2] for f in forms), tau27=None, T=None)
+    single = TorsionData(0.0, *(f[2] for f in forms), tau27=None, T=None, tail=None)
     assert _flags(single, 0.5).tolist() == [False, False, False]
 
 def test_diag_example_closed_not_coclosed():

@@ -9,15 +9,12 @@ import pytest
 from g2abc import cli, exterior, g2core, gabc, liealg
 from g2abc._tables import COMBS, STAR
 from g2abc.errors import ValidationError
-from g2abc.exterior import Form, _vecmat, contractions, hodge, wedge
+from g2abc.exterior import Form, contractions, hodge, wedge
 from g2abc.g2core import (
-    PHI_CONTRACTIONS,
-    PHI_WEDGE,
-    PSI_WEDGE,
     STANDARD_PHI,
     STANDARD_PSI,
+    TAIL_COLUMNS,
     full_torsion_from_nabla,
-    reconstruction_residuals,
     tau27_tensor,
     torsion_data,
     torsion_forms,
@@ -55,6 +52,7 @@ from helpers import (
     form_inner,
     is_unimodular,
     jacobi_residual,
+    shapes_reference,
     stack_of,
     tabulated_derivatives,
     unstack,
@@ -707,17 +705,18 @@ def test_closed_forms_of_a_triple_do_not_depend_on_its_stack():
 
 def pass_residuals(t):
     """The raw residual of every gated quantity of the pass on the stack t, each
-    recomputed here from the public stages, in the pass's order."""
+    recomputed here from the public stages and the blocks of the torsion tail, in the
+    pass's order."""
     c, s = build(t)
     td = torsion_data(s)
+    block = lambda name: td.tail[:, TAIL_COLUMNS[name]]
     gamma = levi_civita(c)
     div = div_torsion(gamma, td.T)
-    iota = _vecmat(td.tau1, PHI_CONTRACTIONS)
+    iota = block("iota_tau1_phi")
     general = closed_form_torsion(t)
     # the coefficients of the monomials outside a support
     outside = lambda form, support: form[:, [key not in support for key in COMBS[len(support[0])]]]
     tau3 = td.tau3
-    rec1, rec2 = reconstruction_residuals(s, td.tau0, td.tau1, td.tau2, tau3)
     return {
         **{name: tab.values - f for name, tab, f in zip(
             ("dphi", "star_dphi", "dpsi", "star_dpsi"), tabulated_derivatives(t),
@@ -725,10 +724,8 @@ def pass_residuals(t):
         "tau1": general.tau1 - td.tau1,
         "tau2": general.tau2 - td.tau2,
         "iota_tau1_phi": general.iota_tau1_phi - iota,
-        "reconstruction_dphi": rec1, "reconstruction_dpsi": rec2,
-        "tau2_type14": _vecmat(td.tau2, PSI_WEDGE[2]),
-        "tau3_type27_phi": _vecmat(tau3, PHI_WEDGE[3]),
-        "tau3_type27_psi": _vecmat(tau3, PSI_WEDGE[3]),
+        **{name: block(name) for name in ("reconstruction_dphi", "reconstruction_dpsi",
+                                          "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
         "support_iota_tau1_phi": outside(iota, gabc.TWO_FORM_SUPPORT),
         "support_tau2": outside(td.tau2, gabc.TWO_FORM_SUPPORT),
         "support_tau3": outside(tau3, gabc.TAU3_SUPPORT),
@@ -1038,21 +1035,30 @@ def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
 
 
 def test_cross_validate_evaluates_each_shape_predicate_once_per_pass(monkeypatch):
-    # the family labels and the family tables' dual reports share the pass's shape masks
+    # the family labels and the family tables' dual reports share the pass's shape masks,
+    # computed once by one gather of the entries
     triples = mixed_triples(2, 2)
-    calls = Counter()
-    for kind, predicate in list(gabc._FAMILY_PREDICATES.items()):
-        def counted(M, _kind=kind, _predicate=predicate):
-            calls[_kind] += 1
-            return _predicate(M)
-        monkeypatch.setitem(gabc._FAMILY_PREDICATES, kind, counted)
+    calls = count_calls(monkeypatch, gabc, ("_shapes",))
     reports = cross_validate_stack(stack_of(triples)).reports()
     assert {rep.family for rep in reports} == {kind.value for kind in FamilyKind}
-    assert calls == {kind: 1 for kind in gabc._FAMILY_PREDICATES}
+    assert calls == {"_shapes": 1}
+    # the gather gives the shapes of the per-matrix predicates: on every family, on the
+    # triples of several shapes, on the zero triple, with -0.0 for some zeros, and with
+    # each entry of each triple moved in turn
+    several = [ZERO4, np.diag([1.0, 2.0, -1.0, -2.0]), np.fliplr(np.diag([1.0, 2.0, 2.0, 1.0])),
+               np.fliplr(np.diag([1.0, 2.0, -2.0, -1.0]))]
+    abc = np.array([t.abc for t in triples] + [make(A=A).abc for A in several])
+    signed = np.where(np.random.default_rng(0).random(abc.shape) < 0.5, -abc, abc)
+    assert np.signbit(signed[signed == 0.0]).any()
+    moved = np.repeat(abc, 48, axis=0).reshape(-1, 48)
+    moved[np.arange(len(moved)), np.tile(np.arange(48), len(abc))] += 0.5
+    for x in (abc, signed, moved.reshape(-1, 3, 4, 4), abc[-4]):
+        assert np.array_equal(gabc._shapes(x), shapes_reference(x))
 
 
 def test_cross_validate_stars_dphi_and_dpsi_once_per_pass(monkeypatch):
-    # every star of g2core is a product x @ STAR[k].T: record each x
+    # every star of g2core is a product x @ STAR[k].T: record each x.  A pass takes the
+    # stars of dphi and dpsi from the torsion tail instead, with no product with STAR
     derivatives, starred = [], []
     ce_diff_fn = g2core.ce_diff
 
@@ -1078,9 +1084,13 @@ def test_cross_validate_stars_dphi_and_dpsi_once_per_pass(monkeypatch):
         derivatives.clear()
         starred.clear()
         run()
-        assert len(derivatives) == 2, label
-        assert [sum(np.shares_memory(x, d.values) for x in starred)
-                for d in derivatives] == [1, 1], label
+        assert len(derivatives) == 2 and not starred, label
+    # STAR[4] and STAR[5] are signed permutations, so the tail's stars are bit for bit
+    monkeypatch.undo()
+    _, s = build(stack_of(mixed_triples(1, 3)))
+    tail = torsion_data(s).tail
+    assert np.array_equal(tail[:, TAIL_COLUMNS["star_dphi"]], s.dphi @ STAR[4].T)
+    assert np.array_equal(tail[:, TAIL_COLUMNS["star_dpsi"]], s.dpsi @ STAR[5].T)
 
 
 def assert_same_report(a, b, tol=1e-13):
