@@ -18,6 +18,7 @@ from .errors import G2ABCError, ValidationError
 from .g2core import DEFAULT_TOL
 from .gabc import (
     MAX_SCALE,
+    MAX_TRIAL,
     RICCI_A_BLOCK_ORDER,
     FamilyKind,
     ReferenceCheck,
@@ -25,7 +26,6 @@ from .gabc import (
     classify_triple,
     cross_validate,
     cross_validate_stack,
-    generate,
     generate_many,
 )
 
@@ -68,7 +68,7 @@ def positive_int(text):
 
 
 def non_negative_int(text):
-    """A seed for numpy's generators: an integer of at least 0."""
+    """A seed for numpy's generators, or a trial index: an integer of at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -279,13 +279,15 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    triple = generate(CASES[args.case], args.seed, scale=args.scale)
+    # trial K of the family under the seed: the triple that verify --seed checks as trial K
+    triple = generate_many(CASES[args.case], args.seed, [args.trial], scale=args.scale)
     payload = {
-        "A": triple.A.tolist(),
-        "B": triple.B.tolist(),
-        "C": triple.C.tolist(),
-        "family": classify_triple(triple).value,
+        "A": triple.A[0].tolist(),
+        "B": triple.B[0].tolist(),
+        "C": triple.C[0].tolist(),
+        "family": classify_triple(triple)[0].value,
         "seed": args.seed,
+        "trial": args.trial,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     try:
@@ -316,6 +318,8 @@ def make_parser():
     p_gen = sub.add_parser("gen", help="write a random triple of a family")
     p_gen.add_argument("--case", choices=list(CASES), required=True)
     p_gen.add_argument("--seed", type=non_negative_int, default=0)
+    p_gen.add_argument("--trial", type=non_negative_int, default=0,
+                       help=f"the trial of the family under the seed, at most {MAX_TRIAL}")
     p_gen.add_argument("--scale", type=positive_finite, default=1.0)
     p_gen.add_argument("--out", required=True)
     return parser

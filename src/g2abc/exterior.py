@@ -45,7 +45,7 @@ def canonical_indices(indices):
 class Form:
     """Alternating form of fixed degree with real coefficients."""
 
-    __slots__ = ("degree", "_vals")
+    __slots__ = ("degree", "_vals", "_rows")
     # numpy arrays of scalars defer to Form.__rmul__ instead of multiplying elementwise
     __array_ufunc__ = None
 
@@ -57,6 +57,7 @@ class Form:
             raise DegreeError(f"degree-{degree} form needs {DIMS[degree]} coefficients, got {v.shape}")
         self.degree = degree
         self._vals = v
+        self._rows = None  # its contractions, once computed (see contractions)
 
     # -- construction ---------------------------------------------------------
 
@@ -151,10 +152,15 @@ def _iota_rows(vals, k):
 
 
 def contractions(a):
-    """(..., 7, C(7,k-1)) array; row m holds the coefficients of iota_{e_{m+1}} a."""
+    """(..., 7, C(7,k-1)) read-only array; row m holds the coefficients of iota_{e_{m+1}} a.
+    A form computes them once and keeps them, so that a constant form, such as the phi and
+    psi that every ce_diff of a G2-structure contracts, is contracted once per process."""
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
-    return _iota_rows(a._vals, a.degree)
+    if a._rows is None:
+        a._rows = _iota_rows(a._vals, a.degree)
+        a._rows.flags.writeable = False
+    return a._rows
 
 
 def wedge(a, b):

@@ -173,9 +173,11 @@ def full_torsion_from_nabla(gamma):
     """
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
-    mixed = gamma @ PHI_CONTRACTIONS  # (..., i, j, 2-form)
-    rhs = -(mixed.reshape(mixed.shape[:-2] + (-1,))
-            @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
+    gamma = np.asarray(gamma)
+    lead = gamma.shape[:-3]
+    # one (49, 7) @ (7, 21) product per connection; row (i, j) holds that 2-form
+    mixed = gamma.reshape(lead + (DIM * DIM, DIM)) @ PHI_CONTRACTIONS
+    rhs = -(mixed.reshape(lead + (DIM, -1)) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
     v = 0.25 * (PSI_COLUMNS.T @ rhs)
     residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
     bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))

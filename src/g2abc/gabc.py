@@ -17,7 +17,11 @@ A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
 triples as one (N, 3, 4, 4) array.
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
-entries with an operator built once per process from the formula text.
+entries with an operator built once per process from the formula text.  That
+operator keeps only the 286 of its 830 columns that the text does not leave
+identically zero, and one zero column for the rest; ``tabulated_values`` puts
+the product's columns back at their 830 places, and a pass reads the ones it
+compares from the narrow product directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
 triple (a form, there and in ``ClosedFormTorsion``, is its coefficient
@@ -232,6 +236,12 @@ class TripleABC:
 
     def matrices(self):
         return self.A, self.B, self.C
+
+    @functools.cached_property
+    def _symmetric(self):
+        """S(A), S(B), S(C): the symmetric parts, formed on first use and shared by the
+        closed forms (cached_property bypasses the frozen __setattr__)."""
+        return _sym(self.abc)
 
 
 def classify_triple(t):
@@ -601,6 +611,12 @@ _COMPARED = np.flatnonzero(np.repeat([kind is not None or formula in _GATED
 _REPORTED = np.repeat([kind is not None for _, _, kind in _BLOCKS], np.diff(_STARTS))[_COMPARED]
 _REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for _, _, kind in _BLOCKS],
                          np.diff(_STARTS))[_COMPARED]
+#: A triple's shape pattern is sum_f 2^f shapes[f] over the 4 shapes f of _FAMILIES[:-1], and
+#: _DUAL_MASKS[pattern] is shapes[_REPORTED_ON] & _REPORTED, the compared columns it may
+#: dual-report; _PATTERN_SHAPES[pattern] is its shapes, GENERAL always true.
+_PATTERN_BITS = 1 << np.arange(len(_FAMILIES) - 1)
+_PATTERN_SHAPES = np.c_[(np.arange(16)[:, None] & _PATTERN_BITS) > 0, np.ones(16, dtype=bool)]
+_DUAL_MASKS = _PATTERN_SHAPES[:, _REPORTED_ON] & _REPORTED
 #: The definitional theta columns, the oracle of the tabulated theta expansions.
 _THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
 #: The oracles of the general table's _TORSION_PARTS, and of a family table's (all but
@@ -623,15 +639,39 @@ def _text_values(t):
     return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[-1])) for v in columns], 1)
 
 
+class _LiveOperator(typing.NamedTuple):
+    """The operator of tabulated_values on its live columns, those the formula text does not
+    leave identically zero: ``matrix`` holds them in column order, then one zero column that
+    stands for all the others; ``at[k]`` is the column of matrix that holds column k of
+    tabulated_values, and ``compared`` and ``theta_defined`` are ``at`` of the columns of
+    _COMPARED and _THETA_DEFINED."""
+
+    matrix: np.ndarray
+    at: np.ndarray
+    compared: np.ndarray
+    theta_defined: np.ndarray
+
+
 @functools.cache
 def _operator():
-    """The (48, K) operator of tabulated_values: row k is the formula text on unit triple k."""
+    """The _LiveOperator of the (48, K) operator of tabulated_values, whose row k is the
+    formula text on unit triple k.  286 of its 830 columns are live; the rest are the
+    monomials a formula leaves out."""
     units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
     values = _text_values(TripleABC._of_validated(units))
     if constant := [f for f, _, _ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
         raise ValidationError(f"tabulated formulas with a constant term: {', '.join(constant)}")
-    values.flags.writeable = False
-    return values[1:]
+    live = np.flatnonzero(values[1:].any(axis=0))
+    # C-ordered like the full operator: numpy's product then sums each column in the same
+    # order, so a live column's values are bit-identical to the full operator's
+    matrix = np.zeros((48, len(live) + 1))
+    matrix[:, :-1] = values[1:, live]
+    at = np.full(values.shape[1], len(live))
+    at[live] = np.arange(len(live))
+    operator = _LiveOperator(matrix, at, at[_COMPARED], at[_THETA_DEFINED])
+    for array in operator:
+        array.flags.writeable = False
+    return operator
 
 
 @functools.cache
@@ -641,12 +681,19 @@ def _column_labels():
             for formula, degree, _ in _BLOCKS for key in COMBS[degree]]
 
 
+def _live_values(t):
+    """The (n, L + 1) live columns of the tabulated values of the stack t and the
+    _LiveOperator that places them: the (n, 48) entries of (A, B, C) times its matrix, row
+    by row so that a triple's values do not depend on its stack."""
+    operator = _operator()
+    return _vecmat(t.abc.reshape(-1, 48), operator.matrix), operator
+
+
 def tabulated_values(t):
     """Every linear tabulated formula of t in the columns of _BLOCKS, a row per triple
-    of a stack: the 48 entries of (A, B, C) times the operator of the formula text, row
-    by row so that a triple's values do not depend on its stack."""
-    values = _vecmat(t.abc.reshape(-1, 48), _operator())
-    return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
+    of a stack: the live columns of _live_values, each put back at its place."""
+    values, operator = _live_values(t)
+    return values.take(operator.at, axis=1).reshape(t.abc.shape[:-3] + operator.at.shape)
 
 
 # -- closed-form connection, Ricci, divergence ---------------------------------
@@ -667,7 +714,7 @@ def closed_form_connection(t):
               = -S(M_Y) X                          X in n, Y in a
               = sum_l <S(D^l) X, Y> e_l            X, Y in n
     """
-    sym = _sym(t.abc).swapaxes(-3, -2)  # (..., i, M, l): S(M)_il, M = A, B, C at _ABC_ROWS
+    sym = t._symmetric.swapaxes(-3, -2)  # (..., i, M, l): S(M)_il, M = A, B, C at _ABC_ROWS
     gamma = np.zeros(t.abc.shape[:-3] + (DIM, DIM, DIM))
     gamma[..., _ABC_ROWS, 2:6, 2:6] = _transpose(_skew(t.abc))
     gamma[..., 2:6, _ABC_ROWS, 2:6] = -sym  # S(M) is symmetric
@@ -683,7 +730,7 @@ def closed_form_ricci(t):
     of one stacked product, so tr(S(X) S(X)) sums in the order of a 4x4 product.
     The a-block ordering is RICCI_A_BLOCK_ORDER.
     """
-    abc, sym = t.abc, _sym(t.abc)
+    abc, sym = t.abc, t._symmetric
     ric = np.zeros(abc.shape[:-3] + (DIM, DIM))
     ric[..., 2:6, 2:6] = 0.5 * (abc @ _transpose(abc) - _transpose(abc) @ abc).sum(axis=-3)
     gram = np.trace(sym[..., :, None, :, :] @ sym[..., None, :, :, :], axis1=-2, axis2=-1)
@@ -704,7 +751,7 @@ def closed_form_divergence(t, tau27):
     """
     block = np.asarray(tau27, dtype=np.float64)[..., None, 2:6, 2:6]
     div = np.zeros(block.shape[:-3] + (DIM,))
-    div[..., _ABC_ROWS] = -(_sym(t.abc) * block).sum(axis=(-2, -1))
+    div[..., _ABC_ROWS] = -(t._symmetric * block).sum(axis=(-2, -1))
     return div
 
 
@@ -958,8 +1005,10 @@ class CrossValidationArrays(typing.NamedTuple):
     apply to the triples of their family only).  The columns of ``flags``
     are the closed, coclosed and torsion-free flags, ``dual_reports`` the
     arrays (trial, column of tabulated_values, tabulated, computed), and
-    tau1-tau3 the (n, C(7,k)) coefficient arrays of the torsion forms.  (A named
-    tuple, not a dataclass: building a 15-field frozen dataclass adds ~2 ms.)
+    tau1-tau3 the (n, C(7,k)) coefficient arrays of the torsion forms.  ``flags`` is
+    computed from tau0-tau3 and tol when it is read, so a pass that only aggregates
+    deviations never computes it.  (A named tuple, not a dataclass: building a
+    14-field frozen dataclass adds ~2 ms.)
     """
 
     tol: float
@@ -969,7 +1018,6 @@ class CrossValidationArrays(typing.NamedTuple):
     applies: np.ndarray
     exact_checks: dict
     dual_reports: tuple
-    flags: np.ndarray
     tau0: np.ndarray
     tau1: np.ndarray
     tau2: np.ndarray
@@ -977,6 +1025,11 @@ class CrossValidationArrays(typing.NamedTuple):
     torsion_matrix: np.ndarray
     divergence: np.ndarray
     ricci_matrix: np.ndarray
+
+    @property
+    def flags(self):
+        """(n, 3): the closed, coclosed and torsion-free flags of each triple."""
+        return _flags(self, self.tol).T
 
     def passed(self):
         """Per triple: every gating deviation within tol and every exact check true."""
@@ -1087,7 +1140,7 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The CrossValidationArrays of t, a stack of n triples (a single triple is a
     stack of one), from one pass of both routes over a leading trial axis: the
     generic route from torsion_data and the connection, the tabulated one from
-    tabulated_values and the closed forms.  A gated quantity is the largest
+    the live columns of the tabulated values (_live_values) and the closed forms.  A gated quantity is the largest
     magnitude of its residual, an (n, k) block; one gather of the import-time
     layout _GATHER collects every block and one reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
@@ -1108,16 +1161,19 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
 
     # each compared tabulated value vs its counterpart, in column order: the tables vs the
     # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
-    tab = tabulated_values(t)
-    compared = tab.take(_COMPARED, axis=1)  # C-ordered, unlike tab[:, _COMPARED]
+    live, operator = _live_values(t)
+    compared = live.take(operator.compared, axis=1)
     derivatives = [s.dphi, tail[:, TAIL_COLUMNS["star_dphi"]], s.dpsi,
                    tail[:, TAIL_COLUMNS["star_dpsi"]]]
     oracle = np.concatenate([tail[:, _GENERAL_PARTS], *[tail[:, _FAMILY_PARTS]] * (len(_TABLES) - 1),
-                             tab[:, _THETA_DEFINED], *derivatives], axis=1)
+                             live.take(operator.theta_defined, axis=1), *derivatives], axis=1)
     delta = compared - oracle
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    rows, columns = np.nonzero((np.abs(delta) > tol) & shapes[:, _REPORTED_ON] & _REPORTED)
-    duals = (rows, _COMPARED[columns], compared[rows, columns], oracle[rows, columns])
+    reported = np.abs(delta) > tol
+    reported &= _DUAL_MASKS[shapes[:, :-1] @ _PATTERN_BITS]
+    at = np.flatnonzero(reported)
+    rows, columns = np.divmod(at, len(_COMPARED))
+    duals = (rows, _COMPARED[columns], compared.take(at), oracle.take(at))
 
     div_cf = closed_form_divergence(t, td.tau27)
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
@@ -1134,5 +1190,5 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
         tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=_QUANTITIES,
         deviations=deviations, applies=_APPLIES[family],
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
-        flags=_flags(td, tol).T, tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
+        tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
         torsion_matrix=td.T, divergence=div, ricci_matrix=ric)

@@ -381,7 +381,38 @@ def test_gen_writes_the_generated_triple_at_the_given_scale(tmp_path):
     assert main(["gen", "--case", "adiag", "--seed", "1", "--scale", "1e3", "--out", str(path)]) == 0
     t = gabc.generate(gabc.FamilyKind.ANTIDIAGONAL, 1, 1e3)
     assert json.loads(path.read_text()) == {"A": t.A.tolist(), "B": t.B.tolist(),
-                                            "C": t.C.tolist(), "family": "antidiagonal", "seed": 1}
+                                            "C": t.C.tolist(), "family": "antidiagonal", "seed": 1,
+                                            "trial": 0}
+
+
+def test_gen_trial_is_the_trial_verify_checks(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    assert main(["gen", "--case", "sym", "--seed", "5", "--trial", "3", "--out", str(path)]) == 0
+    stack = gabc.generate_many(gabc.FamilyKind.SYMMETRIC, 5, range(4))
+    data = json.loads(path.read_text())
+    assert [data[name] for name in "ABC"] == stack.abc[3].tolist()
+    assert (data["family"], data["seed"], data["trial"]) == ("symmetric", 5, 3)
+    assert main(["analyze", "--input", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    arrays = gabc.cross_validate_stack(stack)
+    row = arrays.reports()[3]
+    assert report["deviations"] == row.deviations and report["passed"] == row.passed
+    assert report["dual_reports"] == [vars(r) for r in row.dual_reports]
+    assert report["flags"] == vars(row.flags) and report["tau0"] == row.tau0
+    assert report["torsion_matrix"] == arrays.torsion_matrix[3].tolist()
+    assert report["div_torsion"] == arrays.divergence[3].tolist()
+    assert report["ricci"] == arrays.ricci_matrix[3].tolist()
+
+
+def test_gen_rejects_a_trial_above_the_largest(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--case", "diag", "--out", str(out), "--trial"]
+    assert main(argv + [str(gabc.MAX_TRIAL + 1)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: trial index {gabc.MAX_TRIAL + 1} is not an integer in [0, {gabc.MAX_TRIAL}]\n"
+    assert not out.exists()
+    assert main(argv + [str(gabc.MAX_TRIAL)]) == 0
+    assert json.loads(out.read_text())["trial"] == gabc.MAX_TRIAL
 
 
 def test_gen_rejects_negative_seed(tmp_path, capsys):

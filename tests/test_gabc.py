@@ -9,7 +9,7 @@ import pytest
 from g2abc import cli, exterior, g2core, gabc, liealg
 from g2abc._tables import COMBS, STAR
 from g2abc.errors import ValidationError
-from g2abc.exterior import Form, contractions, hodge, wedge
+from g2abc.exterior import Form, _vecmat, contractions, hodge, wedge
 from g2abc.g2core import (
     STANDARD_PHI,
     STANDARD_PSI,
@@ -566,15 +566,50 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
         gabc._operator.__wrapped__()
 
 
+def full_operator():
+    """The (48, 830) operator of the formula text on the unit triples, every column kept."""
+    units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
+    return gabc._text_values(gabc.TripleABC._of_validated(units))[1:]
+
+
+def test_live_operator_holds_the_live_columns_of_the_full_one():
+    full, operator = full_operator(), gabc._operator()
+    live = full.any(axis=0)
+    assert operator.matrix.shape == (48, live.sum() + 1) == (48, 287)
+    assert operator.matrix.flags.c_contiguous and not operator.matrix[:, -1].any()
+    assert np.array_equal(operator.matrix[:, operator.at], full)
+    assert np.array_equal(operator.at[~live], np.full((~live).sum(), 286))
+    assert np.array_equal(operator.compared, operator.at[gabc._COMPARED])
+    assert np.array_equal(operator.theta_defined, operator.at[gabc._THETA_DEFINED])
+    assert not any(array.flags.writeable for array in operator)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_live_product_is_the_full_product_bit_for_bit(scale):
+    # every family, and entries that are all nonzero, each product row by row
+    full = full_operator()
+    kinds = list(FamilyKind) * 4
+    abc = generate_many(kinds, 24, range(len(kinds)), scale).abc
+    dense = np.random.default_rng(24).uniform(-scale, scale, (7, 3, 4, 4))
+    for t in (gabc.TripleABC._of_validated(abc), gabc.TripleABC._of_validated(dense)):
+        expected = _vecmat(t.abc.reshape(-1, 48), full)
+        values = gabc.tabulated_values(t)
+        assert np.array_equal(values, expected) and np.array_equal(np.signbit(values),
+                                                                   np.signbit(expected))
+
+
 def test_tabulated_values_and_dual_reports_do_not_depend_on_the_pass():
     triples = mixed_triples(9, 7)  # 35 triples: passes of 32 and 3, or of 2
     alone = np.array([gabc.tabulated_values(t) for t in triples])
+    live_alone = np.concatenate([gabc._live_values(t)[0] for t in triples])
     reports = [cross_validate(t) for t in triples]
     assert any(rep.dual_reports for rep in reports)
     for size in (32, 2):
         passes = [stack_of(triples[i:i + size]) for i in range(0, len(triples), size)]
         in_passes = [gabc.tabulated_values(t) for t in passes]
         assert np.array_equal(np.concatenate(in_passes), alone), size
+        live_in_passes = [gabc._live_values(t)[0] for t in passes]
+        assert np.array_equal(np.concatenate(live_in_passes), live_alone), size
         per_pass = [rep for t in passes for rep in cross_validate_stack(t).reports()]
         for rep, ref in zip(per_pass, reports, strict=True):
             assert (rep.dual_reports, rep.deviations) == (ref.dual_reports, ref.deviations), size
@@ -753,16 +788,24 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 
 
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
-    # one triple per family; each column of tabulated_values moved by 1 in turn
+    # one triple per family; each column of tabulated_values moved by 1 in turn.  The pass
+    # reads the live columns of _live_values through its operator's indices; it gets all
+    # 830 columns here, with the indices of that full layout, so that each moves alone
     t = stack_of(mixed_triples(9, 1))
     values = gabc.tabulated_values(t)
     reference = cross_validate_stack(t)
+    full = np.arange(values.shape[1])
+    layout = gabc._LiveOperator(None, full, gabc._COMPARED, full[gabc._THETA_DEFINED])
+    monkeypatch.setattr(gabc, "_live_values", lambda t: (values, layout))
+    unmoved = cross_validate_stack(t)
+    assert np.array_equal(unmoved.deviations, reference.deviations)
+    assert all(np.array_equal(x, y) for x, y in zip(unmoved.dual_reports, reference.dual_reports))
     labels = gabc._column_labels()
     seen = []
-    for column in range(values.shape[1]):
+    for column in full:
         moved = values.copy()
         moved[:, column] += 1.0
-        monkeypatch.setattr(gabc, "tabulated_values", lambda t: moved)
+        monkeypatch.setattr(gabc, "_live_values", lambda t: (moved, layout))
         arrays = cross_validate_stack(t)
         gated = not np.array_equal(arrays.deviations[arrays.applies],
                                    reference.deviations[reference.applies])
@@ -775,6 +818,37 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
     unread = {labels[column][0] for column, read in enumerate(seen) if not read}
     assert unread == {f"iota_tau1_phi[{kind}]" for kind in ("skew", "diagonal", "antidiagonal")}
     assert len(gabc._COMPARED) == 641 - 63
+
+
+def test_dual_report_masks_are_those_of_every_shape_pattern():
+    assert gabc._DUAL_MASKS.shape == (16, len(gabc._COMPARED))
+    for pattern in range(16):
+        shapes = np.array([[pattern >> f & 1 for f in range(4)] + [1]], dtype=bool)
+        assert shapes[:, :-1] @ gabc._PATTERN_BITS == [pattern]
+        expected = shapes[:, gabc._REPORTED_ON] & gabc._REPORTED
+        assert np.array_equal(gabc._DUAL_MASKS[[pattern]], expected), pattern
+
+
+def test_a_verify_request_computes_no_flags(monkeypatch, capsys):
+    def flags(td, tol):
+        raise AssertionError("a verify request computed the torsion flags")
+    monkeypatch.setattr(gabc, "_flags", flags)
+    assert cli.main(["verify", "--case", "all", "--trials", "3", "--seed", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_flags_are_those_of_the_torsion_forms_of_the_pass():
+    t = stack_of(mixed_triples(3, 2) + [make()])  # the zero triple is torsion-free
+    seen = set()
+    for tol in (1e-9, 0.05, 0.5):
+        arrays = cross_validate_stack(t, tol)
+        forms = SimpleNamespace(**{name: getattr(arrays, name)
+                                   for name in ("tau0", "tau1", "tau2", "tau3")})
+        expected = g2core._flags(forms, tol).T
+        assert np.array_equal(arrays.flags, expected)
+        assert [list(vars(rep.flags).values()) for rep in arrays.reports()] == expected.tolist()
+        seen.update(map(tuple, expected.tolist()))
+    assert len(seen) > 2
 
 
 def test_a_nan_residual_fails_only_its_quantity_and_triple(monkeypatch):
@@ -1023,6 +1097,20 @@ def test_a_pass_constructs_no_algebra_and_checks_no_jacobi_identity(monkeypatch,
     calls.clear()  # 35 triples in passes of 32 and 3
     assert cli.main(["verify", "--case", "all", "--trials", "7", "--seed", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] and calls == {"ce_diff": 4}
+
+
+def test_a_pass_contracts_no_constant_form(monkeypatch):
+    # phi and psi keep their contractions, so ce_diff reaches them without contracting again
+    for form in (g2core.STANDARD_PHI, g2core.STANDARD_PSI):
+        assert contractions(form) is contractions(form) and not contractions(form).flags.writeable
+    contracted = count_calls(monkeypatch, exterior, ("_iota_rows",))
+    differentiated = count_calls(monkeypatch, liealg, ("ce_diff",))
+    for module in (g2core, gabc):  # the same counter under every name
+        monkeypatch.setattr(module, "ce_diff", liealg.ce_diff)
+    for label, run in one_pass_runs():
+        differentiated.clear()
+        run()
+        assert not contracted and differentiated == {"ce_diff": 2}, label
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):
