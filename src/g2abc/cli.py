@@ -327,8 +327,11 @@ def make_parser():
 
 @functools.cache
 def _parser():
-    """The parser of main, built on its first call and reused by later ones."""
+    """The parser of main, built once and reused by every call."""
     return make_parser()
+
+
+_parser()  # built at import, so that every call of main, the first one too, does the same work
 
 
 def main(argv=None):

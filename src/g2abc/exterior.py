@@ -45,7 +45,7 @@ def canonical_indices(indices):
 class Form:
     """Alternating form of fixed degree with real coefficients."""
 
-    __slots__ = ("degree", "_vals", "_rows")
+    __slots__ = ("degree", "_vals", "_rows", "_ce")
     # numpy arrays of scalars defer to Form.__rmul__ instead of multiplying elementwise
     __array_ufunc__ = None
 
@@ -58,6 +58,7 @@ class Form:
         self.degree = degree
         self._vals = v
         self._rows = None  # its contractions, once computed (see contractions)
+        self._ce = None  # the operator of its CE differential, once built (see liealg.ce_diff)
 
     # -- construction ---------------------------------------------------------
 
@@ -153,8 +154,9 @@ def _iota_rows(vals, k):
 
 def contractions(a):
     """(..., 7, C(7,k-1)) read-only array; row m holds the coefficients of iota_{e_{m+1}} a.
-    A form computes them once and keeps them, so that a constant form, such as the phi and
-    psi that every ce_diff of a G2-structure contracts, is contracted once per process."""
+    A form computes them once and keeps them, as it keeps the operator of its
+    Chevalley-Eilenberg differential that liealg builds from them: a constant form, such as
+    the phi and psi of a G2-structure, is contracted once per process."""
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     if a._rows is None:
@@ -188,10 +190,11 @@ def matrix_coaction(d, a):
     ``d`` of shape (N, 7, 7) acts on form n with matrix n.
     """
     k = a.degree
-    if k == 0:
-        return Form.zero(0)
+    d = np.asarray(d, dtype=np.float64)
+    if k == 0:  # a derivation kills the scalars: one zero per matrix and form of the stacks
+        return Form(0, np.zeros(np.broadcast_shapes(d.shape[:-2], a._vals.shape[:-1]) + (1,)))
     # d^T mixes the rows iota_{e_i} a into the coefficients of e^j, which
     # WEDGE[(1, k-1)] then multiplies in
-    mixed = np.asarray(d, dtype=np.float64).swapaxes(-1, -2) @ contractions(a)
+    mixed = d.swapaxes(-1, -2) @ contractions(a)
     flat = mixed.reshape(mixed.shape[:-2] + (-1,))
     return Form(k, flat @ WEDGE[(1, k - 1)].reshape(-1, DIMS[k]))

@@ -10,6 +10,10 @@ star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
 derivatives of a G2Structure and the forms of a TorsionData are such arrays
 too.  ``Form`` is left for phi and psi and for the differential ``ce_diff``.
 
+The maps into the generic route are fixed operators as well: phi and psi keep the
+operators of their ``ce_diff`` on the structure constants, built here at import, and
+NABLA_PHI takes a connection to the right-hand sides nabla_{e_i} phi of the torsion solve.
+
 Every stage from (dphi, dpsi) on is linear.  ``torsion_forms``, ``tau27_tensor``,
 ``full_torsion_from_forms`` and ``reconstruction_residuals`` are the stepwise
 definitions.  At import they run once on the 56 unit vectors of [dphi, dpsi], and
@@ -28,8 +32,8 @@ import numpy as np
 
 from ._tables import DIM, DIMS, STAR, WEDGE
 from .errors import TorsionSolveError, ValidationError
-from .exterior import Form, _iota_rows, _vecmat, contractions, hodge
-from .liealg import ce_diff
+from .exterior import Form, _iota_rows, _vecmat, contractions, hodge, matrix_coaction
+from .liealg import _ce_operator, ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
 STANDARD_PHI = Form.from_coeffs(3, {
@@ -49,6 +53,9 @@ if not (hodge(STANDARD_PHI) - STANDARD_PSI).is_zero():  # pragma: no cover
 
 #: (7, 21) array; row i holds the coefficients of iota_{e_{i+1}}(phi).
 PHI_CONTRACTIONS = contractions(STANDARD_PHI)
+# phi and psi keep the operators of their ce_diff; built here, no pass builds them
+_ce_operator(STANDARD_PHI)
+_ce_operator(STANDARD_PSI)
 #: PHI_WEDGE[k] and PSI_WEDGE[k]: the (C(7,k), C(7,k+3)) and (C(7,k), C(7,k+4))
 #: matrices of a -> a ^ phi and a -> a ^ psi on k-forms, for the degrees the
 #: torsion forms and their type checks use; _vecmat(a, PHI_WEDGE[k]) is a ^ phi.
@@ -162,11 +169,20 @@ PSI_COLUMNS = contractions(STANDARD_PSI).T
 SOLVE_TOL = 1e-9
 
 
+#: The (49, 35) operator of nabla phi on one row of a connection: row 7j + k is the 3-form
+#: -e^{j+1} ^ iota_{e_{k+1}}(phi), -matrix_coaction of the unit matrix E_{kj}, so that
+#: gamma[i].ravel() @ NABLA_PHI is nabla_{e_{i+1}} phi.  It is read-only, with entries 0, +-1.
+NABLA_PHI = -matrix_coaction(np.eye(DIM * DIM).reshape(-1, DIM, DIM).swapaxes(-1, -2),
+                             STANDARD_PHI).values
+NABLA_PHI.flags.writeable = False
+
+
 def full_torsion_from_nabla(gamma):
     """Full torsion tensor from the Levi-Civita connection gamma (nabla_{e_i} e_j =
     sum_k gamma[i, j, k] e_k): solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
 
-    The 35x7 system, with one right-hand side per e_i, is solved in the
+    The right-hand sides nabla_{e_i} phi are one (7, 49) @ (49, 35) product per connection
+    with NABLA_PHI.  The 35x7 system, with one right-hand side per e_i, is solved in the
     least-squares sense as PSI_COLUMNS^T rhs / 4.  A residual above
     SOLVE_TOL * max(1, max|gamma|) on any connection of a stack (the right-hand
     side is linear in gamma) signals an inconsistent connection/structure pair.
@@ -174,10 +190,7 @@ def full_torsion_from_nabla(gamma):
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
     gamma = np.asarray(gamma)
-    lead = gamma.shape[:-3]
-    # one (49, 7) @ (7, 21) product per connection; row (i, j) holds that 2-form
-    mixed = gamma.reshape(lead + (DIM * DIM, DIM)) @ PHI_CONTRACTIONS
-    rhs = -(mixed.reshape(lead + (DIM, -1)) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
+    rhs = (gamma.reshape(gamma.shape[:-2] + (DIM * DIM,)) @ NABLA_PHI).swapaxes(-1, -2)
     v = 0.25 * (PSI_COLUMNS.T @ rhs)
     residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
     bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))

@@ -674,6 +674,9 @@ def _operator():
     return operator
 
 
+_operator()  # built at import, so that every pass, the first one too, does the same work
+
+
 @functools.cache
 def _column_labels():
     """(formula, component) of every column of tabulated_values, as a dual report names it."""

@@ -1,6 +1,8 @@
 """7-dimensional Lie algebras as the (7, 7, 7) array c of structure constants,
 [e_i, e_j] = sum_k c[i,j,k] e_k (0-based), or (N, 7, 7, 7) for a stack of N: the
-checked constructor LieAlgebra7 and the Chevalley-Eilenberg differential."""
+checked constructor LieAlgebra7 and the Chevalley-Eilenberg differential.  The
+differential of a form is linear in the 147 constants c[i,j,m], i < j, so ce_diff is one
+gather of them and one product with an operator that the form builds once and keeps."""
 
 import numbers
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from ._tables import COMBS, DIM, DIMS, WEDGE
 from .errors import DegreeError, ValidationError
-from .exterior import Form, contractions
+from .exterior import Form, _vecmat, contractions
 
 #: Instances with a Jacobi residual above this times max(1, s)^2 are rejected at
 #: construction, s = max|c| of the algebra (the Jacobiator is quadratic in c).
@@ -82,23 +84,36 @@ class LieAlgebra7:
                              f"{JACOBI_TOL * b.flat[n] ** 2:g}")
 
 
+def _ce_operator(a):
+    """The read-only (..., 147, C(7,k+1)) operator of the Chevalley-Eilenberg differential of
+    the k-form a on the gathered constants c[..., _PAIR_I, _PAIR_J, :]: row 7p + m is the
+    (k+1)-form -e^{I_p} ^ iota_{e_{m+1}} a, I_p the p-th 2-monomial.  The form builds it from
+    its contractions on the first call and keeps it, as it keeps them."""
+    if a._ce is None:
+        k = a.degree
+        op = -np.einsum("...mq,pqo->...pmo", contractions(a), WEDGE[(2, k - 1)])
+        a._ce = op.reshape(op.shape[:-3] + (len(_PAIR_I) * DIM, DIMS[k + 1]))
+        a._ce.flags.writeable = False
+    return a._ce
+
+
 def ce_diff(c, a):
     """Chevalley-Eilenberg differential of a left-invariant form on the algebra c.
 
     On 1-forms (d alpha)(X, Y) = -alpha([X, Y]); antiderivation in general:
-    d a = sum_m (d e^m) ^ iota_{e_m} a.  A stack of algebras differentiates
-    a form (or a stack of forms) once per algebra.
+    d a = sum_m (d e^m) ^ iota_{e_m} a, with d e^m = -sum_{i<j} c[i,j,m] e^{ij}.  That is
+    one product, row by row, of the gathered c[i,j,m], i < j, with the operator the form
+    keeps (_ce_operator).  For phi and psi, where one m at most meets each pair i < j and
+    output monomial, each coefficient sums the same products in the same order as the two
+    steps, the products with the d e^m and then their wedge.  A stack of algebras
+    differentiates a form (or a stack of forms) once per algebra.
     """
     if not isinstance(a, Form):
         raise DegreeError("ce_diff expects a Form")
     if a.degree >= DIM:
         raise DegreeError("cannot differentiate a top-degree form")
     k = a.degree
-    # d e^m = -sum_{i<j} c[i,j,m] e^{ij}: row p of d1 holds c[i_p, j_p, :]
-    d1 = c[..., _PAIR_I, _PAIR_J, :]
-    if k == 0:
-        return Form.zero(1)
-    # mixed[p, q]: coefficient of e^{I_p} ^ e^{Q_q} in sum_m (d e^m) ^ iota_{e_m} a
-    mixed = -(d1 @ contractions(a))
-    flat = mixed.reshape(mixed.shape[:-2] + (-1,))
-    return Form(k + 1, flat @ WEDGE[(2, k - 1)].reshape(-1, DIMS[k + 1]))
+    if k == 0:  # d kills the constants: one zero 1-form per algebra and form of the stacks
+        return Form(1, np.zeros(np.broadcast_shapes(c.shape[:-3], a._vals.shape[:-1]) + (DIM,)))
+    gathered = c[..., _PAIR_I, _PAIR_J, :]
+    return Form(k + 1, _vecmat(gathered.reshape(gathered.shape[:-2] + (-1,)), _ce_operator(a)))

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP
+from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP, WEDGE
 from g2abc.exterior import Form, contractions
 from g2abc.gabc import _ABC_ROWS, _COLUMNS, _DERIVATIVES, TripleABC, _skew, _sym, tabulated_values
-from g2abc.liealg import _jacobi_residuals
+from g2abc.liealg import _PAIR_I, _PAIR_J, _jacobi_residuals
 
 
 def python_dash_m_env():
@@ -78,6 +78,29 @@ def tabulated_derivatives(t):
     read from their columns of tabulated_values."""
     values = tabulated_values(t)
     return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
+
+
+# -- the generic route's products in two steps, as references ------------------
+
+def ce_diff_reference(c, a):
+    """liealg.ce_diff of the k-form a, 1 <= k <= 6, in two steps: the products of the
+    d e^m = -sum_{i<j} c[i,j,m] e^{ij} with the contractions iota_{e_m} a, then their
+    wedge through WEDGE[(2, k-1)]."""
+    k = a.degree
+    # mixed[p, q]: coefficient of e^{I_p} ^ e^{Q_q} in sum_m (d e^m) ^ iota_{e_m} a
+    mixed = -(np.asarray(c)[..., _PAIR_I, _PAIR_J, :] @ contractions(a))
+    flat = mixed.reshape(mixed.shape[:-2] + (-1,))
+    return Form(k + 1, flat @ WEDGE[(2, k - 1)].reshape(-1, DIMS[k + 1]))
+
+
+def nabla_phi_reference(gamma, phi):
+    """The (..., 35, 7) right-hand sides of the torsion solve in two steps: column i is
+    nabla_{e_i} phi = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi, from the (49, 7) @ (7, 21)
+    product of the connection rows with the contractions of phi, then WEDGE[(1, 2)]."""
+    gamma = np.asarray(gamma)
+    lead = gamma.shape[:-3]
+    mixed = gamma.reshape(lead + (DIM * DIM, DIM)) @ contractions(phi)
+    return -(mixed.reshape(lead + (DIM, -1)) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
 
 
 # -- the dense operators, one entry at a time, as references --------------------

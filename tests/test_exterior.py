@@ -397,6 +397,15 @@ def test_matrix_coaction_is_a_derivation(rng):
             assert (lhs - rhs).norm_inf() <= 1e-12 * max(1.0, lhs.norm_inf()), (ka, kb)
 
 
+def test_matrix_coaction_of_a_zero_form_is_a_zero_per_matrix_and_form(rng):
+    d = rng.standard_normal((3, DIM, DIM))
+    one, three = Form(0, [2.0]), Form(0, rng.standard_normal((3, 1)))
+    for m, a in ((d, one), (d[0], three), (d, three)):
+        got = matrix_coaction(m, a)
+        assert got.degree == 0 and got.values.shape == (3, 1) and got.is_zero()
+    assert matrix_coaction(d[0], one).values.shape == (1,)
+
+
 # -- stacks of forms ------------------------------------------------------------------
 
 def stack_of(rng, degree, n=4):

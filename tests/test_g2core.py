@@ -5,9 +5,10 @@ import pytest
 
 from g2abc import g2core
 from g2abc.errors import TorsionSolveError, ValidationError
-from g2abc._tables import DIMS, STAR
+from g2abc._tables import DIM, DIMS, STAR
 from g2abc.exterior import Form, _vecmat, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
+    NABLA_PHI,
     PHI_WEDGE,
     PSI_COLUMNS,
     PSI_WEDGE,
@@ -27,7 +28,7 @@ from g2abc.g2core import (
 from g2abc.gabc import FamilyKind, TripleABC, build, generate, generate_many
 from g2abc.riemann import levi_civita
 
-from helpers import ZERO4, contract_basis, e_matrix, stack_of, unstack
+from helpers import ZERO4, contract_basis, e_matrix, nabla_phi_reference, stack_of, unstack
 
 
 def make(A=ZERO4, B=ZERO4, C=ZERO4):
@@ -217,6 +218,30 @@ def test_torsion_solve_residual_scales_with_the_connection(kind, scale):
     T = torsion_data(s).T
     assert np.abs(gamma).max() > 1e6
     assert np.max(np.abs(full_torsion_from_nabla(gamma) - T)) <= 1e-9 * scale
+
+
+def test_nabla_phi_rows_are_the_coactions_of_the_unit_connection_rows():
+    # gamma[i] = E_jk (1 at j, k) gives nabla_{e_i} phi = -matrix_coaction(E_jk^T, phi)
+    assert NABLA_PHI.shape == (DIM * DIM, DIMS[3]) and not NABLA_PHI.flags.writeable
+    for j in range(DIM):
+        for k in range(DIM):
+            unit = np.zeros((DIM, DIM))
+            unit[j, k] = 1.0
+            assert np.array_equal(NABLA_PHI[DIM * j + k],
+                                  -matrix_coaction(unit.T, STANDARD_PHI).values), (j, k)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_torsion_solve_is_the_two_step_solve_bit_for_bit(scale):
+    # for phi one k at most meets each j and output monomial, so each right-hand side
+    # sums the same products in the same order as the two-step product
+    c, _ = build(generate_many(list(FamilyKind), 43, range(5), scale))
+    gamma = levi_civita(c)
+    for g in (gamma, gamma[:1], gamma[2]):
+        got = full_torsion_from_nabla(g)
+        expected = (0.25 * (PSI_COLUMNS.T @ nabla_phi_reference(g, STANDARD_PHI))).swapaxes(-1, -2)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got),
+                                                                np.signbit(expected))
 
 
 def test_torsion_system_is_exactly_orthogonal():

@@ -1025,9 +1025,8 @@ def one_pass_runs():
 
 
 def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
-    # the formula text runs once per process, to build the operator of
-    # tabulated_values; after a warm-up pass no pass evaluates it again
-    cross_validate(generate(FamilyKind.GENERAL, 0))
+    # the formula text runs once per process, at import, to build the operator of
+    # tabulated_values; no pass evaluates it again, the first one neither
     calls = count_calls(monkeypatch, gabc, (
         "theta", "theta_omega_tabulated", "_torsion_general", "_torsion_skew",
         "_torsion_diagonal", "_torsion_antidiagonal"))
@@ -1100,17 +1099,21 @@ def test_a_pass_constructs_no_algebra_and_checks_no_jacobi_identity(monkeypatch,
 
 
 def test_a_pass_contracts_no_constant_form(monkeypatch):
-    # phi and psi keep their contractions, so ce_diff reaches them without contracting again
+    # phi and psi keep their contractions and, from import on, the operators of their
+    # ce_diff, so ce_diff reaches them without contracting or building again
     for form in (g2core.STANDARD_PHI, g2core.STANDARD_PSI):
         assert contractions(form) is contractions(form) and not contractions(form).flags.writeable
+        assert form._ce is not None and liealg._ce_operator(form) is form._ce
+        assert not form._ce.flags.writeable
     contracted = count_calls(monkeypatch, exterior, ("_iota_rows",))
+    rows_read = count_calls(monkeypatch, liealg, ("contractions",))  # what a build would read
     differentiated = count_calls(monkeypatch, liealg, ("ce_diff",))
     for module in (g2core, gabc):  # the same counter under every name
         monkeypatch.setattr(module, "ce_diff", liealg.ce_diff)
     for label, run in one_pass_runs():
         differentiated.clear()
         run()
-        assert not contracted and differentiated == {"ce_diff": 2}, label
+        assert not contracted and not rows_read and differentiated == {"ce_diff": 2}, label
 
 
 def test_cross_validate_differentiates_phi_and_psi_once(monkeypatch):

@@ -8,9 +8,18 @@ from g2abc._tables import DIM, DIMS
 from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import Form, wedge
 from g2abc.gabc import FamilyKind, _checked, generate, generate_many, structure_constants
-from g2abc.liealg import LieAlgebra7, _jacobi_residuals, ce_diff
+from g2abc.g2core import STANDARD_PHI, STANDARD_PSI
+from g2abc.liealg import LieAlgebra7, _ce_operator, _jacobi_residuals, ce_diff
 
-from helpers import ZERO4, e_matrix, is_unimodular, jacobi_residual, member, random_form
+from helpers import (
+    ZERO4,
+    ce_diff_reference,
+    e_matrix,
+    is_unimodular,
+    jacobi_residual,
+    member,
+    random_form,
+)
 
 
 def algebra_from(A, B=ZERO4, C=ZERO4):
@@ -290,10 +299,58 @@ def test_ce_diff_on_a_stack_of_algebras_matches_each_algebra(rng):
     stacked = LieAlgebra7(np.stack([structure_constants(*t.matrices()) for t in triples])).c
     assert jacobi_residual(stacked) <= 1e-10
     singles = [algebra_from(*t.matrices()) for t in triples]
-    assert ce_diff(stacked, random_form(rng, 0)).is_zero()
     for k in range(1, DIM):
         a, a_rows = random_form(rng, k), Form(k, rng.standard_normal((5, DIMS[k])))
         for n, g in enumerate(singles):
             assert np.max(np.abs(ce_diff(stacked, a).values[n] - ce_diff(g, a).values)) <= 1e-13
             assert np.max(np.abs(ce_diff(stacked, a_rows).values[n]
                                  - ce_diff(g, member(a_rows, n)).values)) <= 1e-13
+
+
+def test_ce_diff_of_a_zero_form_is_a_zero_per_algebra_and_form(rng):
+    stacked = np.stack([structure_constants(*generate(kind, 40).matrices())
+                        for kind in list(FamilyKind)[:3]])
+    one, three = random_form(rng, 0), Form(0, rng.standard_normal((3, 1)))
+    for c, a in ((stacked, one), (stacked[0], three), (stacked, three)):
+        d = ce_diff(c, a)
+        assert d.degree == 1 and d.values.shape == (3, DIM) and d.is_zero()
+    assert ce_diff(stacked[0], one).values.shape == (DIM,)
+
+
+def five_family_constants(seed, scale=1.0):
+    """The (5, 7, 7, 7) structure constants of one generated triple of each family."""
+    kinds = list(FamilyKind)
+    return np.stack([structure_constants(*t.matrices())
+                     for t in (generate(kind, seed, scale) for kind in kinds)])
+
+
+def test_ce_diff_is_the_two_step_differential(rng):
+    # the per-form operator sums the same products as the two steps, in another grouping
+    stacked = five_family_constants(41)
+    for k in range(1, DIM):
+        single, rows = random_form(rng, k), Form(k, rng.standard_normal((5, DIMS[k])))
+        for c in (stacked, stacked[2]):
+            for a in (single, rows):
+                got, expected = ce_diff(c, a).values, ce_diff_reference(c, a).values
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-13, (k, c.shape, a.values.shape)
+
+
+def test_ce_diff_keeps_the_operator_of_each_form(rng):
+    for k in range(1, DIM):
+        for a in (random_form(rng, k), Form(k, rng.standard_normal((3, DIMS[k])))):
+            op = _ce_operator(a)
+            assert op.shape == a.values.shape[:-1] + (21 * DIM, DIMS[k + 1])
+            assert _ce_operator(a) is op and not op.flags.writeable
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_ce_diff_of_phi_and_psi_is_the_two_step_differential_bit_for_bit(scale):
+    # for phi and psi one m at most meets each pair i < j and output monomial, so each
+    # coefficient sums the same products in the same order as the two steps
+    stacked = five_family_constants(42, scale)
+    for form in (STANDARD_PHI, STANDARD_PSI):
+        for c in (stacked, stacked[:1], stacked[3]):
+            got, expected = ce_diff(c, form).values, ce_diff_reference(c, form).values
+            assert np.array_equal(got, expected) and np.array_equal(np.signbit(got),
+                                                                    np.signbit(expected))
