@@ -121,6 +121,59 @@ def _form_map(degree, values):
     return {key: value for key, value in zip(_KEYS[degree], values.tolist()) if value != 0.0}
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(depth):
+    """json's C encoder with sorted keys, whose items start new lines indented to depth."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False,
+                            separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _scalars(children):
+    """Whether no item of the iterable children is a container."""
+    return not any(map(isinstance, children, itertools.repeat(_CONTAINERS)))
+
+
+def _rows_of_scalars(x):
+    """Whether the list x holds non-empty rows of scalars, all of them dicts or all lists."""
+    kind = type(x[0])
+    return (kind in (dict, list) and set(map(type, x)) == {kind} and all(x) and _scalars(
+        itertools.chain.from_iterable(map(dict.values, x) if kind is dict else x)))
+
+
+def _dumps(x, depth=0):
+    """``json.dumps(x, sort_keys=True, indent=2)`` for a tree with str keys, from blocks
+    that json's C encoder lays out.
+
+    An indent sends json to its pure-Python encoder. Here a container of scalars is one
+    call of the C encoder, whose item separator is the line break and indent. So is a
+    list of rows of scalars (a matrix, or the dual reports), at the rows' depth:
+    ensure_ascii escapes every newline in a string, so a closing bracket, the separator
+    and an opening bracket occur together only between two rows, where one replace puts
+    in the rows' own lines. Anything else is laid out child by child.
+    """
+    if not isinstance(x, _CONTAINERS) or not x:
+        return _encoder(depth)(x)
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    is_dict = isinstance(x, dict)
+    if _scalars(x.values() if is_dict else x):
+        body = _encoder(depth + 1)(x)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join([f"{_encoder(0)(key)}: {_dumps(value, depth + 1)}"
+                                   for key, value in sorted(x.items())])
+    elif _rows_of_scalars(x):
+        text = _encoder(depth + 2)(x)
+        opener, closer = text[1], text[-2]
+        rows = text[2:-2].replace(closer + ",\n" + "  " * (depth + 2) + opener,
+                                  inner + closer + "," + inner + opener + inner + "  ")
+        body = opener + inner + "  " + rows + inner + closer
+    else:
+        body = ("," + inner).join([_dumps(value, depth + 1) for value in x])
+    return ("{" if is_dict else "[") + inner + body + outer + ("}" if is_dict else "]")
+
+
 def _numbers_only(x):
     """Whether x holds only JSON numbers; numpy's float cast also takes "1" and true."""
     return all(map(_numbers_only, x)) if type(x) is list else type(x) in (int, float)
@@ -199,7 +252,7 @@ def cmd_analyze(args):
     triple = load_triple(args.input)
     report = build_report(triple, args.tol)
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     else:
         _print_text_report(report)
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
@@ -252,7 +305,7 @@ def cmd_verify(args):
                    key=lambda r: (r.formula, r.component))
     passed = failures == 0
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "cases": {c: {"trials": n, "worst": w, "worst_quantity": k,
                           "worst_deviations": dict(sorted(devs.items()))}
                       for c, n, w, k, devs in summary},
@@ -261,7 +314,7 @@ def cmd_verify(args):
             "tol": args.tol,
             "failing_trials": failures,
             "passed": passed,
-        }, sort_keys=True, indent=2))
+        }))
     else:
         for case, n, w, k, _ in summary:
             print(f"case {case}: {n} trials, worst deviation {w:.3e} ({k or 'n/a'})")
@@ -289,7 +342,7 @@ def cmd_gen(args):
         "seed": args.seed,
         "trial": args.trial,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

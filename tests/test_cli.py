@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from g2abc import cli, gabc
 from g2abc._tables import DIMS
@@ -481,6 +483,79 @@ def test_analyze_rejects_missing_matrix_key(tmp_path, capsys):
     path.write_text(json.dumps({"A": ZERO, "B": ZERO}))
     assert main(["analyze", "--input", str(path)]) == 1
     assert "missing matrix" in capsys.readouterr().err
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+def stdlib_dumps(x):
+    """The layout every --json report and gen file must have, byte for byte."""
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+# quotes, brackets, braces, a newline, a backslash and non-ASCII, which json escapes
+JSON_TEXT = st.text(st.sampled_from('ab"[]{},: \n\\é☃\U0001f600'), max_size=5)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**200, 2**200), st.floats(), JSON_TEXT,
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310, 1e308]))
+# containers of scalars, the empty ones too, and lists of them: the matrices and the
+# dual reports, with an empty row among them now and then
+JSON_ROWS = st.lists(JSON_SCALARS, max_size=4) | st.dictionaries(JSON_TEXT, JSON_SCALARS,
+                                                                  max_size=4)
+JSON_TREES = st.recursive(
+    JSON_SCALARS | JSON_ROWS | st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=4)
+    | st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=250, deadline=None)
+@given(JSON_TREES)
+@example(1.5)
+@example([[1.0, float("nan")], [], [-0.0, 1e308]])
+@example([{"a": "]"}, {"b": "\n[", "c": [[]]}])
+@example({"tau1": {}, "dual_reports": [], "x": [[[], []], [[], []]]})
+def test_writer_lays_out_any_tree_as_json_dumps_with_indent_2(tree):
+    assert cli._dumps(tree) == stdlib_dumps(tree)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "all", "--trials", "2", "--json"],
+    ["analyze", "--input", "{zero}", "--json"],
+    # README's example at 1e160: the Ricci tensor overflows, so the report holds NaN
+    ["analyze", "--input", "{diag_1e160}", "--json"],
+    ["gen", "--case", "general", "--seed", "5", "--trial", "3", "--out", "{out}"],
+])
+def test_requests_write_the_stdlib_bytes_through_json_s_c_encoder(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    inputs = {"zero": write_triple(tmp_path / "zero.json"),
+              "diag_1e160": write_triple(tmp_path / "big.json",
+                                         A=(1e160 * np.array(DIAG_A)).tolist())}
+
+    def run(out):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([arg.format(out=out, **inputs) for arg in argv])
+        return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_dumps", stdlib_dumps)
+        expected = run(tmp_path / "stdlib.json")
+
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    got = run(tmp_path / "writer.json")
+    assert got == expected
+    code, stdout, written = got
+    if "{zero}" in argv:
+        assert '"tau1": {},' in stdout and '"dual_reports": [],' in stdout
+    if "{diag_1e160}" in argv:
+        assert code == 2 and "NaN" in stdout
+    if "{out}" in argv:
+        assert written.endswith(b"\n}\n") and json.loads(written)["trial"] == 3
+    else:
+        assert stdout and written is None
 
 
 # -- one process, many requests -------------------------------------------------
