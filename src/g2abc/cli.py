@@ -17,12 +17,14 @@ from ._tables import COMBS
 from .errors import G2ABCError, ValidationError
 from .g2core import DEFAULT_TOL
 from .gabc import (
-    MAX_SCALE,
     MAX_TRIAL,
     RICCI_A_BLOCK_ORDER,
     FamilyKind,
     ReferenceCheck,
     TripleABC,
+    _check_scale,
+    _check_tol,
+    _trial_indices,
     classify_triple,
     cross_validate,
     cross_validate_stack,
@@ -45,50 +47,33 @@ EXIT_MISMATCH = 2
 PASS_SIZE = 32
 
 
-def tolerance(text):
-    """A tolerance: a finite, non-negative number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a number") from None
-    if not np.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance {text!r} must be finite and non-negative")
-    return value
+def _option(convert, check):
+    """The argparse type of an option: the value convert makes of the text, which check,
+    the library's rule for the option, accepts.  A ValidationError of check is the
+    option's usage error, so that the message names the option."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:  # not a number: the check rejects the text, in its own words
+            value = text
+        try:
+            check(value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
-def positive_int(text):
-    """A count of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
-    return value
+def _at_least(low):
+    """The rule of an integer option of at least low: --trials counts from 1, and a seed is
+    any integer from 0, as numpy takes it."""
+    def check(value):
+        if not (isinstance(value, int) and value >= low):
+            raise ValidationError(f"{value!r} is not an integer of at least {low}")
+    return check
 
 
-def non_negative_int(text):
-    """A seed for numpy's generators, or a trial index: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be non-negative")
-    return value
-
-
-def positive_finite(text):
-    """An entry scale: a number above 0 and at most gabc.MAX_SCALE."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not np.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be finite and positive")
-    if value > MAX_SCALE:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at most {MAX_SCALE:g}")
-    return value
+_TOL = _option(float, _check_tol)
 
 
 def default_tol():
@@ -97,7 +82,7 @@ def default_tol():
     if not raw:
         return DEFAULT_TOL
     try:
-        return tolerance(raw)
+        return _TOL(raw)
     except argparse.ArgumentTypeError as exc:
         raise G2ABCError(f"G2ABC_TOL: {exc}") from None
 
@@ -174,12 +159,9 @@ def _dumps(x, depth=0):
     return ("{" if is_dict else "[") + inner + body + outer + ("}" if is_dict else "]")
 
 
-def _numbers_only(x):
-    """Whether x holds only JSON numbers; numpy's float cast also takes "1" and true."""
-    return all(map(_numbers_only, x)) if type(x) is list else type(x) in (int, float)
-
-
 def load_triple(path):
+    """The triple of the file at path, a JSON object holding the matrices A, B and C as
+    lists, which TripleABC checks."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -189,16 +171,9 @@ def load_triple(path):
         raise G2ABCError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise G2ABCError(f"{path} must hold a JSON object with matrices A, B, C")
-    try:
-        mats = {name: np.asarray(data[name], dtype=np.float64) for name in ("A", "B", "C")}
-    except KeyError as exc:
-        raise G2ABCError(f"{path} is missing matrix {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise G2ABCError(f"{path} holds non-numeric matrix data: {exc}") from exc
-    if bad := [name for name in mats if not _numbers_only(data[name])]:
-        raise G2ABCError(f"{path} holds non-numeric matrix data: matrix {bad[0]} "
-                         "has an entry that is a string, a boolean or null")
-    return TripleABC(A=mats["A"], B=mats["B"], C=mats["C"])
+    if missing := [name for name in "ABC" if name not in data]:
+        raise G2ABCError(f"{path} is missing matrix {missing[0]!r}")
+    return TripleABC(data["A"], data["B"], data["C"])
 
 
 def build_report(t, tol):
@@ -355,25 +330,26 @@ def make_parser():
     parser = _Parser(prog="g2abc",
                      description="Torsion geometry of the G2-structures on g_{A,B,C}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _option(int, _at_least(0))
 
     p_an = sub.add_parser("analyze", help="full torsion report for a triple file")
     p_an.add_argument("--input", required=True, help="JSON file with matrices A, B, C")
     p_an.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_an.add_argument("--tol", type=tolerance, help="default: G2ABC_TOL, else 1e-9")
+    p_an.add_argument("--tol", type=_TOL, help="default: G2ABC_TOL, else 1e-9")
 
     p_ver = sub.add_parser("verify", help="cross-validation campaign on generated triples")
     p_ver.add_argument("--case", choices=[*CASES, "all"], default="all")
-    p_ver.add_argument("--trials", type=positive_int, default=100)
-    p_ver.add_argument("--seed", type=non_negative_int, default=0)
-    p_ver.add_argument("--tol", type=tolerance, help="default: G2ABC_TOL, else 1e-9")
+    p_ver.add_argument("--trials", type=_option(int, _at_least(1)), default=100)
+    p_ver.add_argument("--seed", type=seed, default=0)
+    p_ver.add_argument("--tol", type=_TOL, help="default: G2ABC_TOL, else 1e-9")
     p_ver.add_argument("--json", action="store_true")
 
     p_gen = sub.add_parser("gen", help="write a random triple of a family")
     p_gen.add_argument("--case", choices=list(CASES), required=True)
-    p_gen.add_argument("--seed", type=non_negative_int, default=0)
-    p_gen.add_argument("--trial", type=non_negative_int, default=0,
+    p_gen.add_argument("--seed", type=seed, default=0)
+    p_gen.add_argument("--trial", type=_option(int, lambda k: _trial_indices([k])), default=0,
                        help=f"the trial of the family under the seed, at most {MAX_TRIAL}")
-    p_gen.add_argument("--scale", type=positive_finite, default=1.0)
+    p_gen.add_argument("--scale", type=_option(float, _check_scale), default=1.0)
     p_gen.add_argument("--out", required=True)
     return parser
 

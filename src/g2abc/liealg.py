@@ -42,28 +42,35 @@ def _jacobi_residuals(arr):
 
 def _real_array(what, x, shape):
     """The float64 array of x, the entries of what, which must be real numbers (held as
-    Python objects, a Fraction is one): a float64 cast would drop imaginary parts, and
-    take "1" and True as numbers.  shape names the expected shape, for nested sequences
-    of unequal lengths."""
+    Python objects, a Fraction is one) within float64 range: a float64 cast would drop
+    imaginary parts, and take "1" and True as numbers.  shape names the expected shape,
+    for nested sequences numpy cannot shape."""
     try:
-        x = np.asarray(x)
-    except ValueError:  # nested sequences of unequal lengths
-        raise ValidationError(f"{what} must be {shape}, got rows of unequal lengths") from None
-    if x.dtype.kind == "c":
+        arr = np.asarray(x)
+    except ValueError as exc:  # rows of unequal lengths, or nested deeper than numpy's limit
+        why = ", got rows of unequal lengths" if "inhomogeneous" in str(exc) else f": {exc}"
+        raise ValidationError(f"{what} must be {shape}{why}") from None
+    if arr.dtype.kind == "c":
         raise ValidationError(f"{what} has complex entries")
-    if x.dtype.kind not in "iufO" or x.dtype.kind == "O" and not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x.flat):
+    # numpy reads a True among a sequence's numbers as 1: test its entries as they are
+    entries = arr if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if entries.dtype.kind not in "iufO" or entries.dtype.kind == "O" and not all(
+            issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+            for kind in set(map(type, entries.flat))):
         raise ValidationError(f"{what} has an entry that is not a real number")
-    return np.asarray(x, dtype=np.float64)
+    try:
+        return np.asarray(arr, dtype=np.float64)
+    except OverflowError:  # an integer, or a Fraction, beyond the largest float64
+        raise ValidationError(f"{what} has an entry too large for a float64") from None
 
 
 class LieAlgebra7:
     """Checked constructor for an algebra that a user builds: ``c`` is a read-only float64
     copy of constants that are real numbers, exactly antisymmetric and satisfy Jacobi.
-    Complex, boolean, string and other non-real entries are a ValidationError, as in
-    TripleABC, not cast.  The pass does not use it: the Jacobi residual of g_{A,B,C} is
-    the largest entry of [A,B], [A,C] and [B,C], which TripleABC bounds by the same
-    JACOBI_TOL * max(1, s)^2."""
+    Complex, boolean, string and other non-real entries, and entries beyond the float64
+    range, are a ValidationError, as in TripleABC, not cast.  The pass does not use it:
+    the Jacobi residual of g_{A,B,C} is the largest entry of [A,B], [A,C] and [B,C],
+    which TripleABC bounds by the same JACOBI_TOL * max(1, s)^2."""
 
     __slots__ = ("c",)
 

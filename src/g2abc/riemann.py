@@ -1,5 +1,5 @@
 """Levi-Civita connection of the metric making e_1..e_7 orthonormal on a Lie
-algebra, curvature, Ricci, and the divergence of the full torsion tensor.
+algebra, its Ricci curvature, and the divergence of the full torsion tensor.
 
 An algebra is its (7, 7, 7) array c of structure constants, a connection the
 (7, 7, 7) array gamma of nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k.  Connections,
@@ -20,20 +20,12 @@ def levi_civita(c):
     return 0.5 * (c - c.swapaxes(-1, -2).swapaxes(-2, -3) + c.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
-def riemann_tensor(c, gamma):
-    """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
-    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z; (N, 7, 7, 7, 7) for
-    a stack of N."""
-    grad2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-    rbrack = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
-    return grad2 - grad2.swapaxes(-4, -3) - rbrack
-
-
 def ricci(c, gamma):
     """Ricci tensor Ric(X, Y) = sum_i <R(e_i, X) Y, e_i> of the connection gamma.
 
-    Contracted term by term from the curvature formula of riemann_tensor,
-    without forming the 4-index tensor:
+    Contracted term by term from the curvature
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, without forming the
+    4-index tensor (tests/helpers.py keeps it, riemann_tensor, as the reference):
     Ric[j,k] = sum_m gamma[j,k,m] t[m] - sum_im gamma[i,k,m] gamma[j,m,i]
                - sum_im c[i,j,m] gamma[m,k,i],
     with t[m] = sum_i gamma[i,m,i].

@@ -103,6 +103,15 @@ def nabla_phi_reference(gamma, phi):
     return -(mixed.reshape(lead + (DIM, -1)) @ WEDGE[(1, 2)].reshape(-1, DIMS[3])).swapaxes(-1, -2)
 
 
+def riemann_tensor(c, gamma):
+    """Curvature R[i,j,k,l] of the connection gamma: component l of R(e_i, e_j) e_k, with
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z; (N, 7, 7, 7, 7) for
+    a stack of N.  The 4-index tensor whose contraction riemann.ricci takes term by term."""
+    grad2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+    rbrack = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+    return grad2 - grad2.swapaxes(-4, -3) - rbrack
+
+
 # -- the dense operators, one entry at a time, as references --------------------
 
 def merge_sign(left, right):

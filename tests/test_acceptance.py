@@ -30,9 +30,9 @@ from g2abc.gabc import (
     generate_many,
 )
 from g2abc.liealg import ce_diff
-from g2abc.riemann import div_torsion, levi_civita, riemann_tensor
+from g2abc.riemann import div_torsion, levi_civita
 
-from helpers import ZERO4, e_matrix, unstack
+from helpers import ZERO4, e_matrix, riemann_tensor, unstack
 
 ACCEPT_SEED = 20250810
 TRIALS = 100

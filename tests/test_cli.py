@@ -17,12 +17,24 @@ from g2abc.exterior import Form
 from helpers import python_dash_m_env
 
 ZERO = [[0.0] * 4 for _ in range(4)]
+DEEP = json.loads("[" * 200 + "0" + "]" * 200)  # too deep for a numpy array
 DIAG_A = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
 
 
 def write_triple(path, A=ZERO, B=ZERO, C=ZERO):
     path.write_text(json.dumps({"A": A, "B": B, "C": C}))
     return str(path)
+
+
+def assert_rejected(capsys, argv, error, out=None):
+    """main(argv) exits 1, prints nothing to stdout, writes no file at out and prints one
+    error line, which starts with error; a rejected option's value prints the usage first."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and not (out and out.exists())
+    errors = [line for line in captured.err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(error), captured.err
+    assert captured.err.startswith("usage: g2abc ") == error.startswith("error: argument ")
 
 
 # -- analyze -----------------------------------------------------------------
@@ -97,8 +109,14 @@ def test_analyze_rejects_json_nested_too_deep_for_the_decoder(tmp_path, capsys):
                        "invalid start byte"),
     (b"[1, 2, 3]", "{} must hold a JSON object with matrices A, B, C"),
     (b"42", "{} must hold a JSON object with matrices A, B, C"),
-    (b'{"A": [], "B": [], "C": "x"}',
-     "{} holds non-numeric matrix data: could not convert string to float: 'x'"),
+    # the matrices go to TripleABC as they are, which names the first bad one
+    pytest.param(json.dumps({"A": ZERO, "B": ZERO, "C": "x"}).encode(),
+                 "matrix C has an entry that is not a real number", id="matrix-C-a-string"),
+    (b'{"A": [], "B": [], "C": "x"}', "matrix A must be 4x4, got (0,)"),
+    # numpy's own words, whose limit on dimensions depends on its version
+    pytest.param(json.dumps({"A": DEEP, "B": [], "C": []}).encode(),
+                 f"matrix A must be 4x4: {pytest.raises(ValueError, np.asarray, DEEP).value}",
+                 id="nested-deeper-than-numpy-allows"),
 ])
 def test_analyze_rejects_malformed_file(tmp_path, capsys, content, message):
     path = tmp_path / "t.json"
@@ -108,7 +126,7 @@ def test_analyze_rejects_malformed_file(tmp_path, capsys, content, message):
     assert captured.err == f"error: {message.format(path)}\n" and not captured.out
 
 
-NOT_A_NUMBER = "has an entry that is a string, a boolean or null"
+NOT_A_NUMBER = "has an entry that is not a real number"
 
 
 @pytest.mark.parametrize("matrices, message", [
@@ -116,13 +134,13 @@ NOT_A_NUMBER = "has an entry that is a string, a boolean or null"
     ({"A": [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, "-1", 0], [0, 0, 0, "-1"]]}, f"matrix A {NOT_A_NUMBER}"),
     ({"A": [[True, 0, 0, 0], [0, True, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}, f"matrix A {NOT_A_NUMBER}"),
     ({"B": [[None, 0, 0, 0]] + ZERO[1:]}, f"matrix B {NOT_A_NUMBER}"),
-    ({"C": [[10 ** 400, 0, 0, 0]] + ZERO[1:]}, "int too large to convert to float"),
+    ({"C": [[10 ** 400, 0, 0, 0]] + ZERO[1:]}, "matrix C has an entry too large for a float64"),
 ])
 def test_analyze_rejects_entries_that_are_not_json_numbers(tmp_path, capsys, matrices, message):
     path = write_triple(tmp_path / "t.json", **matrices)
     assert main(["analyze", "--input", path]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {path} holds non-numeric matrix data: {message}\n"
+    assert captured.err == f"error: {message}\n"
     assert not captured.out
 
 
@@ -184,25 +202,26 @@ def test_verify_unknown_case_is_input_error(capsys):
 
 @pytest.mark.parametrize("trials", ["-3", "0"])
 def test_verify_rejects_trials_below_one(capsys, trials):
-    assert main(["verify", "--case", "diag", "--trials", trials]) == 1
-    assert "--trials" in capsys.readouterr().err
+    assert_rejected(capsys, ["verify", "--case", "diag", "--trials", trials],
+                    "error: argument --trials: ")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "abc"])
 def test_verify_rejects_bad_tolerance(capsys, tol):
-    assert main(["verify", "--case", "diag", "--trials", "1", "--tol", tol]) == 1
-    assert "--tol" in capsys.readouterr().err
+    assert_rejected(capsys, ["verify", "--case", "diag", "--trials", "1", "--tol", tol],
+                    "error: argument --tol: ")
 
 
 @pytest.mark.parametrize("option", ["--trials", "--seed"])
 def test_verify_rejects_a_non_integer(capsys, option):
-    assert main(["verify", "--case", "diag", option, "x"]) == 1
-    assert capsys.readouterr().err.endswith(f"error: argument {option}: 'x' is not an integer\n")
+    low = {"--trials": 1, "--seed": 0}[option]
+    assert_rejected(capsys, ["verify", "--case", "diag", option, "x"],
+                    f"error: argument {option}: 'x' is not an integer of at least {low}")
 
 
 def test_verify_rejects_negative_seed(capsys):
-    assert main(["verify", "--case", "diag", "--trials", "1", "--seed", "-1"]) == 1
-    assert "error: argument --seed" in capsys.readouterr().err
+    assert_rejected(capsys, ["verify", "--case", "diag", "--trials", "1", "--seed", "-1"],
+                    "error: argument --seed: ")
 
 
 def test_verify_json_reports_worst_deviations_per_case(capsys):
@@ -409,27 +428,25 @@ def test_gen_trial_is_the_trial_verify_checks(tmp_path, capsys):
 def test_gen_rejects_a_trial_above_the_largest(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["gen", "--case", "diag", "--out", str(out), "--trial"]
-    assert main(argv + [str(gabc.MAX_TRIAL + 1)]) == 1
-    assert capsys.readouterr().err == \
-        f"error: trial index {gabc.MAX_TRIAL + 1} is not an integer in [0, {gabc.MAX_TRIAL}]\n"
-    assert not out.exists()
+    # the library's message, as the error of the option
+    assert_rejected(capsys, argv + [str(gabc.MAX_TRIAL + 1)],
+                    f"error: argument --trial: trial index {gabc.MAX_TRIAL + 1} is not an integer "
+                    f"in [0, {gabc.MAX_TRIAL}]", out)
     assert main(argv + [str(gabc.MAX_TRIAL)]) == 0
     assert json.loads(out.read_text())["trial"] == gabc.MAX_TRIAL
 
 
 def test_gen_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert main(["gen", "--case", "diag", "--seed", "-1", "--out", str(out)]) == 1
-    assert "error: argument --seed" in capsys.readouterr().err
-    assert not out.exists()
+    assert_rejected(capsys, ["gen", "--case", "diag", "--seed", "-1", "--out", str(out)],
+                    "error: argument --seed: ", out)
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big", "1e308"])
 def test_gen_rejects_bad_scale(tmp_path, capsys, scale):
     out = tmp_path / "x.json"
-    assert main(["gen", "--case", "diag", "--scale", scale, "--out", str(out)]) == 1
-    assert "error: argument --scale" in capsys.readouterr().err
-    assert not out.exists()
+    assert_rejected(capsys, ["gen", "--case", "diag", "--scale", scale, "--out", str(out)],
+                    "error: argument --scale: ", out)
 
 
 def test_gen_unwritable_path(capsys):
@@ -444,6 +461,31 @@ def test_gen_analyze_round_trip(tmp_path, capsys, case):
     assert main(["analyze", "--input", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
+
+
+# -- rejected values --------------------------------------------------------------
+
+VERIFY = ["verify", "--case", "diag", "--trials", "1"]
+ANALYZE = ["analyze", "--input", "{triple}"]
+GEN = ["gen", "--case", "diag", "--out", "{out}"]
+
+
+# the values that the tests of each command above do not hold
+@pytest.mark.parametrize("option, value, argv", [
+    *[("--tol", tol, ANALYZE) for tol in ("nan", "inf", "-0.5", "abc")],
+    *[("--trial", trial, GEN) for trial in ("-1", "1.5", "x")],
+    ("--seed", "x", GEN),
+    *[("G2ABC_TOL", tol, command) for tol in ("nan", "-1") for command in (VERIFY, ANALYZE)],
+])
+def test_a_rejected_value_exits_1_with_one_error_that_names_its_option(tmp_path, capsys, monkeypatch,
+                                                                       option, value, argv):
+    out = tmp_path / "out.json"
+    argv = [arg.format(out=out, triple=write_triple(tmp_path / "t.json")) for arg in argv]
+    if option == "G2ABC_TOL":
+        monkeypatch.setenv(option, value)
+        assert_rejected(capsys, argv, "error: G2ABC_TOL: ", out)
+    else:
+        assert_rejected(capsys, argv + [option, value], f"error: argument {option}: ", out)
 
 
 # -- environment ------------------------------------------------------------------
@@ -463,10 +505,9 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
 
 def test_malformed_env_tolerance_is_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("G2ABC_TOL", "1e-9x")
-    assert main(["verify", "--case", "diag", "--trials", "1"]) == 1
-    assert "G2ABC_TOL" in capsys.readouterr().err
+    assert_rejected(capsys, ["verify", "--case", "diag", "--trials", "1"], "error: G2ABC_TOL: ")
     path = write_triple(tmp_path / "t.json", A=DIAG_A)
-    assert main(["analyze", "--input", path]) == 1
+    assert_rejected(capsys, ["analyze", "--input", path], "error: G2ABC_TOL: ")
 
 
 def test_analyze_rejects_non_finite_matrix(tmp_path, capsys):

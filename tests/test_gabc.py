@@ -350,6 +350,11 @@ def test_theta_rejects_support_outside_ideal():
      "matrix B has an entry that is not a real number"),
     (lambda: make(C=[[0.0] * 4] * 3 + [[0.0, None, 0.0, 0.0]]),
      "matrix C has an entry that is not a real number"),
+    # numpy reads a True among the numbers of a list as 1
+    (lambda: make(C=[[0, True, 0, 0]] + [[0] * 4] * 3),
+     "matrix C has an entry that is not a real number"),
+    (lambda: make(B=[[0, 10 ** 400, 0, 0]] + [[0] * 4] * 3),
+     "matrix B has an entry too large for a float64"),
     (lambda: make(A=[[0.0] * 4] * 3 + [[0.0]]),
      "matrix A must be 4x4, got rows of unequal lengths"),
     (lambda: theta(DIAG_A, Form.monomial((3,))), "theta acts on 2-forms"),

@@ -189,6 +189,13 @@ def so3_constants(dtype=np.float64):
     return c
 
 
+def so3_list_with(entry):
+    """so3_constants as nested lists of ints, with entry in place of c[0, 1, 2] = 1."""
+    c = so3_constants(int).tolist()
+    c[0][1][2] = entry
+    return c
+
+
 @pytest.mark.parametrize("entries, message", [
     # antisymmetric and Jacobi as complex numbers; a float64 cast would drop the 1j
     (so3_constants() * (1 + 1j), "has complex entries"),
@@ -200,6 +207,8 @@ def so3_constants(dtype=np.float64):
      "has an entry that is not a real number"),
     ([[[0.0] * 7] * 7] * 6 + [[[0.0] * 7] * 6 + [[0.0]]],
      "must be 7x7x7, got rows of unequal lengths"),
+    (so3_list_with(True), "has an entry that is not a real number"),  # numpy reads it as 1
+    (so3_list_with(10 ** 400), "has an entry too large for a float64"),
 ])
 def test_lie_algebra_rejects_entries_that_are_not_real_numbers(entries, message):
     # no ComplexWarning or other warning on the way: the input is refused as it is

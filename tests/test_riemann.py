@@ -4,14 +4,9 @@ from g2abc.exterior import contractions
 from g2abc.g2core import STANDARD_PSI, torsion_data
 from g2abc.gabc import FamilyKind, TripleABC, build, generate, generate_many
 from g2abc.liealg import LieAlgebra7
-from g2abc.riemann import (
-    div_torsion,
-    levi_civita,
-    ricci,
-    riemann_tensor,
-)
+from g2abc.riemann import div_torsion, levi_civita, ricci
 
-from helpers import ZERO4, stack_of
+from helpers import ZERO4, riemann_tensor, stack_of
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
