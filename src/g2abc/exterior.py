@@ -23,7 +23,7 @@ Conventions:
 import numpy as np
 
 from ._tables import COMBS, CONTRACT, DIM, DIMS, RANK, STAR, WEDGE
-from .errors import DegreeError
+from .errors import DegreeError, ValidationError
 
 def canonical_indices(indices):
     """Normalise an index tuple to ascending order.
@@ -97,7 +97,11 @@ class Form:
 
     @property
     def coeffs(self):
-        """Sparse view: ascending index tuple -> nonzero coefficient."""
+        """Sparse view: ascending index tuple -> nonzero coefficient, of one form; a
+        stack of forms is a ValidationError."""
+        if self._vals.ndim > 1:
+            raise ValidationError(
+                f"coeffs reads one form; this one holds a stack of {len(self._vals)}")
         return {COMBS[self.degree][r]: float(v) for r, v in enumerate(self._vals) if v != 0.0}
 
     @property

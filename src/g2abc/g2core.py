@@ -224,7 +224,8 @@ def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
 #: The blocks of the torsion tail in column order, with the width of one structure's block:
 #: the stars of dphi and dpsi, the torsion forms, iota_{tau1}(phi), tau27, T, the two
 #: reconstruction residuals, and the type products tau2 ^ psi, tau3 ^ phi and tau3 ^ psi.
-#: tau0..tau3 and iota_{tau1}(phi) are consecutive, in the order of gabc's torsion tables.
+#: Every reader, gabc's oracle gather too, finds a block by its name in TAIL_COLUMNS, so
+#: the order is free.
 _TAIL_WIDTHS = {
     "star_dphi": DIMS[3], "star_dpsi": DIMS[2], "tau0": 1, "tau1": DIMS[1], "tau2": DIMS[2],
     "tau3": DIMS[3], "iota_tau1_phi": DIMS[2], "tau27": DIM ** 2, "T": DIM ** 2,

@@ -17,11 +17,11 @@ A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
 triples as one (N, 3, 4, 4) array.
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
-entries with an operator built once per process from the formula text.  That
-operator keeps only the 286 of its 830 columns that the text does not leave
-identically zero, and one zero column for the rest; ``tabulated_values`` puts
-the product's columns back at their 830 places, and a pass reads the ones it
-compares from the narrow product directly.
+entries with an operator built at import from the formula text.  Each compared
+block of the layout ``_BLOCKS`` names its oracle, the generic-route block it is
+compared with; the operator keeps the live columns of the blocks a pass reads,
+and a pass gathers every oracle in one ``take``.  ``closed_form_torsion``
+evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
 triple (a form, there and in ``ClosedFormTorsion``, is its coefficient
@@ -355,6 +355,9 @@ def _derivatives_text(th):
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormTorsion:
+    """The torsion forms and iota_{tau1}(phi) of a torsion table, evaluated from its text
+    by closed_form_torsion; equality and hashing are by identity."""
+
     tau0: float | np.ndarray  # an (N,) array for a stack of N triples
     tau1: np.ndarray  # the (..., C(7,k)) coefficient arrays of the forms
     tau2: np.ndarray
@@ -568,135 +571,136 @@ def _torsion_antidiagonal(t):
 
 
 def closed_form_torsion(t, kind=FamilyKind.GENERAL):
-    """Torsion forms from the tabulated coefficient formulas.
+    """Torsion forms from the tabulated coefficient formulas, evaluated from their text.
 
     The family-specific tables require the matching matrix shape; the
     symmetric case has no table of its own and dispatches to the general one.
-    The values are those of tabulated_values.
+    For a stack of N triples tau0 is an (N,) array and each form an (N, C(7,k))
+    array.  A pass reads the same formulas through the tabulated operator
+    compiled from this text, whose values may differ from these in the last bit.
     """
     _check_kinds([kind])
     if not _shapes(t.abc)[..., _FAMILIES.index(kind)].all():
         raise ValidationError(f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
-    values = tabulated_values(t)
-    tau0, *forms = (values[..., _COLUMNS[f"{part}[{table}]"]] for part, _ in _TORSION_PARTS)
-    return ClosedFormTorsion(tau0[..., 0], *forms)
+    tau0, *forms = globals()[f"_torsion_{table}"](t)  # by name when called, as in _text_values
+    # the diagonal table's tau0, tau1 and iota_tau1_phi are constants: broadcast to the stack
+    lead = t.abc.shape[:-3]
+    return ClosedFormTorsion(tau0 + np.zeros(lead),
+                             *(np.broadcast_to(f.values, lead + f.values.shape[-1:]) for f in forms))
 
 
 # -- the tabulated formulas as one linear operator ------------------------------
 
 _TABLES = (FamilyKind.GENERAL, FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL)
 _THETA_PAIRS = tuple((name, which) for name in "ABC" for which in (7, 1, 2))
-_DERIVATIVES = ("dphi", 4, None), ("star_dphi", 3, None), ("dpsi", 5, None), ("star_dpsi", 2, None)
+_DERIVATIVES = ("dphi", 4), ("star_dphi", 3), ("dpsi", 5), ("star_dpsi", 2)
 _TORSION_PARTS = ("tau0", 0), ("tau1", 1), ("tau2", 2), ("tau3", 3), ("iota_tau1_phi", 2)
-#: The column blocks of tabulated_values: (formula, degree, the family whose triples
-#: dual-report it, or None).  A triple's dual reports come in column order.
+#: The column blocks of the tabulated layout: (formula, degree, the family whose triples
+#: dual-report it or None, its oracle).  The oracle is the generic-route block a pass
+#: compares the formula with: a block of g2core's TAIL_COLUMNS, "dphi" or "dpsi", or, for
+#: a tabulated theta expansion, its definitional theta block.  The compared blocks, those
+#: with an oracle, come first, so a triple's dual reports come in their column order; the
+#: definitional theta blocks, oracles only, follow.  The family tables' iota_tau1_phi is
+#: compared with nothing and stays out (closed_form_torsion returns it from the text).
 _BLOCKS = (
-    *((f"{part}[{kind.value}]", degree, None if part == "iota_tau1_phi" else kind)
-      for kind in _TABLES for part, degree in _TORSION_PARTS),
-    *((f"theta_omega{which}[{name}]", 2, FamilyKind.GENERAL) for name, which in _THETA_PAIRS),
-    *_DERIVATIVES, *((f"theta(omega{which})[{name}]", 2, None) for name, which in _THETA_PAIRS))
-_STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _ in _BLOCKS])
-_COLUMNS = {formula: slice(a, b) for (formula, _, _), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
+    *((f"{part}[{kind.value}]", degree, None if part == "iota_tau1_phi" else kind, part)
+      for kind in _TABLES for part, degree in _TORSION_PARTS
+      if kind is FamilyKind.GENERAL or part != "iota_tau1_phi"),
+    *((f"theta_omega{which}[{name}]", 2, FamilyKind.GENERAL, f"theta(omega{which})[{name}]")
+      for name, which in _THETA_PAIRS),
+    *((name, degree, None, name) for name, degree in _DERIVATIVES),
+    *((f"theta(omega{which})[{name}]", 2, None, None) for name, which in _THETA_PAIRS))
+_STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _, _ in _BLOCKS])
+_COLUMNS = {formula: slice(a, b) for (formula, *_), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
+#: The number of compared columns, the first ones of the layout.
+_N_COMPARED = sum(DIMS[degree] for _, degree, _, oracle in _BLOCKS if oracle)
 #: The tabulated formulas whose differences from their oracles gate every triple.
 _GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
           "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
-#: The columns of tabulated_values compared with an oracle, in column order: those a gate
-#: reads or a triple may dual-report.  The rest are the family tables' iota_tau1_phi, which
-#: only closed_form_torsion returns, and the definitional theta, the oracle of the expansions.
-_COMPARED = np.flatnonzero(np.repeat([kind is not None or formula in _GATED
-                                      for formula, _, kind in _BLOCKS], np.diff(_STARTS)))
 #: Per compared column, whether any triple dual-reports it, and the column of _shapes that picks
 #: those that do: for a family table the triples of its shape, for the rest of them all triples.
-_REPORTED = np.repeat([kind is not None for _, _, kind in _BLOCKS], np.diff(_STARTS))[_COMPARED]
-_REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for _, _, kind in _BLOCKS],
-                         np.diff(_STARTS))[_COMPARED]
+_REPORTED = np.repeat([kind is not None for *_, kind, _ in _BLOCKS], np.diff(_STARTS))[:_N_COMPARED]
+_REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for *_, kind, _ in _BLOCKS],
+                         np.diff(_STARTS))[:_N_COMPARED]
 #: A triple's shape pattern is sum_f 2^f shapes[f] over the 4 shapes f of _FAMILIES[:-1], and
 #: _DUAL_MASKS[pattern] is shapes[_REPORTED_ON] & _REPORTED, the compared columns it may
 #: dual-report; _PATTERN_SHAPES[pattern] is its shapes, GENERAL always true.
 _PATTERN_BITS = 1 << np.arange(len(_FAMILIES) - 1)
 _PATTERN_SHAPES = np.c_[(np.arange(16)[:, None] & _PATTERN_BITS) > 0, np.ones(16, dtype=bool)]
 _DUAL_MASKS = _PATTERN_SHAPES[:, _REPORTED_ON] & _REPORTED
-#: The definitional theta columns, the oracle of the tabulated theta expansions.
-_THETA_DEFINED = slice(_COLUMNS["theta(omega7)[A]"].start, None)
-#: The oracles of the general table's _TORSION_PARTS, and of a family table's (all but
-#: iota_tau1_phi), in the torsion tail, which holds them consecutively in that order.
-_GENERAL_PARTS = slice(TAIL_COLUMNS["tau0"].start, TAIL_COLUMNS["iota_tau1_phi"].stop)
-_FAMILY_PARTS = slice(TAIL_COLUMNS["tau0"].start, TAIL_COLUMNS["tau3"].stop)
 
 
 def _text_values(t):
-    """The columns of tabulated_values, evaluated from the formula text on the stack t."""
+    """The columns of the tabulated layout, evaluated from the formula text on the stack t."""
     named = dict(zip("ABC", t.matrices()))
     named.update((name + "t", _transpose(M)) for name, M in zip("ABC", t.matrices()))
     th = {(name, i): theta(M, OMEGA[i]) for name, M in named.items() for i in (7, 1, 2)}
-    columns = []
-    for table in (_torsion_general, _torsion_skew, _torsion_diagonal, _torsion_antidiagonal):
-        tau0, *forms = table(t)  # the parts of _TORSION_PARTS
-        columns += [np.reshape(tau0, (-1, 1)), *(f.values for f in forms)]
-    columns += [theta_omega_tabulated(named[name], which).values for name, which in _THETA_PAIRS]
-    columns += [f.values for f in (*_derivatives_text(th), *(th[pair] for pair in _THETA_PAIRS))]
-    return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[-1])) for v in columns], 1)
+    # each table looked up by its name when called, so that a traced or patched one is evaluated
+    text = {f"{part}[{kind.value}]": value for kind in _TABLES  # a form, or tau0 as a number
+            for (part, _), value in zip(_TORSION_PARTS, globals()[f"_torsion_{kind.value}"](t))}
+    for name, which in _THETA_PAIRS:
+        text[f"theta_omega{which}[{name}]"] = theta_omega_tabulated(named[name], which)
+        text[f"theta(omega{which})[{name}]"] = th[name, which]
+    text.update(zip((name for name, _ in _DERIVATIVES), _derivatives_text(th)))
+    values = [np.reshape(getattr(text[f], "values", text[f]), (-1, DIMS[d])) for f, d, *_ in _BLOCKS]
+    return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[1])) for v in values], 1)
 
 
-class _LiveOperator(typing.NamedTuple):
-    """The operator of tabulated_values on its live columns, those the formula text does not
-    leave identically zero: ``matrix`` holds them in column order, then one zero column that
-    stands for all the others; ``at[k]`` is the column of matrix that holds column k of
-    tabulated_values, and ``compared`` and ``theta_defined`` are ``at`` of the columns of
-    _COMPARED and _THETA_DEFINED."""
+def _oracle_gather(at):
+    """The column of each compared column's oracle in a pass's concatenation [torsion
+    tail, dphi, dpsi, P], where column at[k] of the product P holds column k of the layout."""
+    width = TAIL.shape[1]
+    sources = {name: np.arange(width)[columns] for name, columns in TAIL_COLUMNS.items()}
+    sources.update(dphi=width + np.arange(DIMS[4]), dpsi=width + DIMS[4] + np.arange(DIMS[5]))
+    # of the layout, only the oracle-only blocks: a compared one such as star_dphi would
+    # shadow the tail's block of its name and compare a formula with itself
+    sources.update((formula, width + DIMS[4] + DIMS[5] + at[_COLUMNS[formula]])
+                   for formula, _, _, oracle in _BLOCKS if oracle is None)
+    return np.concatenate([sources[oracle] for *_, oracle in _BLOCKS if oracle])
 
-    matrix: np.ndarray
-    at: np.ndarray
-    compared: np.ndarray
-    theta_defined: np.ndarray
 
-
-@functools.cache
 def _operator():
-    """The _LiveOperator of the (48, K) operator of tabulated_values, whose row k is the
-    formula text on unit triple k.  286 of its 830 columns are live; the rest are the
-    monomials a formula leaves out."""
+    """The tabulated operator and the two gathers of a pass, all read-only.
+
+    Row k of the (48, K) operator of the layout is the formula text on unit triple k.  Its
+    L live columns, those the text does not leave identically zero, are kept in column
+    order, then one zero column that stands for the others: a pass's product P is the
+    (n, 48) entries of its stack times this (48, L + 1) matrix.  With it come the column
+    of P that holds each compared column, and _oracle_gather of the layout's columns in P.
+    """
     units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
     values = _text_values(TripleABC._of_validated(units))
-    if constant := [f for f, _, _ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
+    if constant := [f for f, *_ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
         raise ValidationError(f"tabulated formulas with a constant term: {', '.join(constant)}")
     live = np.flatnonzero(values[1:].any(axis=0))
     # C-ordered like the full operator: numpy's product then sums each column in the same
     # order, so a live column's values are bit-identical to the full operator's
     matrix = np.zeros((48, len(live) + 1))
     matrix[:, :-1] = values[1:, live]
-    at = np.full(values.shape[1], len(live))
+    at = np.full(values.shape[1], len(live))  # the column of P that holds a column of the layout
     at[live] = np.arange(len(live))
-    operator = _LiveOperator(matrix, at, at[_COMPARED], at[_THETA_DEFINED])
+    operator = matrix, at[:_N_COMPARED], _oracle_gather(at)
     for array in operator:
         array.flags.writeable = False
     return operator
 
 
-_operator()  # built at import, so that every pass, the first one too, does the same work
+#: Built at import, so that every pass, the first one too, does the same work.
+_OPERATOR, _COMPARED_AT, _ORACLE_GATHER = _operator()
 
 
 @functools.cache
 def _column_labels():
-    """(formula, component) of every column of tabulated_values, as a dual report names it."""
+    """(formula, component) of every column of the tabulated layout, as a dual report names it."""
     return [(formula, "e" + "".join(map(str, key)) if degree else "")
-            for formula, degree, _ in _BLOCKS for key in COMBS[degree]]
+            for formula, degree, _, _ in _BLOCKS for key in COMBS[degree]]
 
 
 def _live_values(t):
-    """The (n, L + 1) live columns of the tabulated values of the stack t and the
-    _LiveOperator that places them: the (n, 48) entries of (A, B, C) times its matrix, row
-    by row so that a triple's values do not depend on its stack."""
-    operator = _operator()
-    return _vecmat(t.abc.reshape(-1, 48), operator.matrix), operator
-
-
-def tabulated_values(t):
-    """Every linear tabulated formula of t in the columns of _BLOCKS, a row per triple
-    of a stack: the live columns of _live_values, each put back at its place."""
-    values, operator = _live_values(t)
-    return values.take(operator.at, axis=1).reshape(t.abc.shape[:-3] + operator.at.shape)
+    """The (n, L + 1) product P of the stack t: the (n, 48) entries of (A, B, C) times
+    _OPERATOR, row by row so that a triple's values do not depend on its stack."""
+    return _vecmat(t.abc.reshape(-1, 48), _OPERATOR)
 
 
 # -- closed-form connection, Ricci, divergence ---------------------------------
@@ -973,7 +977,8 @@ class ReferenceCheck:
 
     @classmethod
     def of_column(cls, column, tabulated, computed):
-        """The check of a column of tabulated_values, named by its (formula, component)."""
+        """The check of a compared column of the tabulated layout, named by its
+        (formula, component)."""
         return cls(*_column_labels()[column], tabulated, computed)
 
 
@@ -1007,7 +1012,7 @@ class CrossValidationArrays(typing.NamedTuple):
     triple n where ``applies[n, q]`` holds (the family-specific quantities
     apply to the triples of their family only).  The columns of ``flags``
     are the closed, coclosed and torsion-free flags, ``dual_reports`` the
-    arrays (trial, column of tabulated_values, tabulated, computed), and
+    arrays (trial, compared column of the tabulated layout, tabulated, computed), and
     tau1-tau3 the (n, C(7,k)) coefficient arrays of the torsion forms.  ``flags`` is
     computed from tau0-tau3 and tol when it is read, so a pass that only aggregates
     deviations never computes it.  (A named tuple, not a dataclass: building a
@@ -1089,7 +1094,7 @@ def _pass_layout():
     starts open each quantity's block for np.maximum.reduceat.
     """
     widths = {  # of one triple's source
-        "delta": len(_COMPARED),  # tabulated minus oracle, on the compared columns
+        "delta": _N_COMPARED,  # tabulated minus oracle, on the compared columns of the layout
         "tail": TAIL.shape[1],  # the generic route's torsion tail
         "torsion_routes": DIM ** 2, "connection": DIM ** 3, "ricci": DIM ** 2,
         "divergence": DIM, "div": DIM,  # div T's residual, and div T
@@ -1097,11 +1102,9 @@ def _pass_layout():
     ends = np.cumsum(list(widths.values()))
     at = {name: np.arange(end - width, end) for (name, width), end in zip(widths.items(), ends)}
     at.update((name, at["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
-    in_delta = np.full(_STARTS[-1], -1)  # column of tabulated_values -> column of delta
-    in_delta[_COMPARED] = at["delta"]
     tau27 = at["tau27"].reshape(DIM, DIM)
     columns = {
-        **{formula.split("[")[0]: in_delta[_COLUMNS[formula]] for formula in _GATED},
+        **{formula.split("[")[0]: at["delta"][_COLUMNS[formula]] for formula in _GATED},
         **{name: at[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
                                        "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
         "support_iota_tau1_phi": at["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
@@ -1134,8 +1137,11 @@ def cross_validate(t, tol=DEFAULT_TOL):
     Gated quantities (the ``deviations`` dict) are the ones the two routes
     must agree on; tabulated formulas known to carry misprints are compared
     coefficient-wise into ``dual_reports`` instead and never gate.  This is
-    cross_validate_stack, run on the triple as a stack of one.
+    cross_validate_stack, run on the triple as a stack of one; a stack of several
+    is a ValidationError, as one report cannot hold them.
     """
+    if t.abc.ndim > 3 and len(t.abc) > 1:
+        raise ValidationError(f"a stack of {len(t.abc)} triples needs cross_validate_stack")
     return cross_validate_stack(t, tol).reports()[0]
 
 
@@ -1143,9 +1149,10 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The CrossValidationArrays of t, a stack of n triples (a single triple is a
     stack of one), from one pass of both routes over a leading trial axis: the
     generic route from torsion_data and the connection, the tabulated one from
-    the live columns of the tabulated values (_live_values) and the closed forms.  A gated quantity is the largest
-    magnitude of its residual, an (n, k) block; one gather of the import-time
-    layout _GATHER collects every block and one reduction takes all.
+    the product of the tabulated operator (_live_values) and the closed forms.  A
+    gated quantity is the largest magnitude of its residual, an (n, k) block; one
+    gather of the import-time layout _GATHER collects every block and one
+    reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
     _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
@@ -1162,21 +1169,18 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     ric = ricci(c, gamma)
     div = div_torsion(gamma, td.T)
 
-    # each compared tabulated value vs its counterpart, in column order: the tables vs the
-    # torsion forms, theta vs its definition, the derivatives vs the Chevalley-Eilenberg oracle
-    live, operator = _live_values(t)
-    compared = live.take(operator.compared, axis=1)
-    derivatives = [s.dphi, tail[:, TAIL_COLUMNS["star_dphi"]], s.dpsi,
-                   tail[:, TAIL_COLUMNS["star_dpsi"]]]
-    oracle = np.concatenate([tail[:, _GENERAL_PARTS], *[tail[:, _FAMILY_PARTS]] * (len(_TABLES) - 1),
-                             live.take(operator.theta_defined, axis=1), *derivatives], axis=1)
+    # each compared tabulated value vs the oracle _BLOCKS names for it: the compared columns
+    # of the product, and one gather of the oracles from [torsion tail, dphi, dpsi, product]
+    live = _live_values(t)
+    compared = live.take(_COMPARED_AT, axis=1)
+    oracle = np.concatenate([tail, s.dphi, s.dpsi, live], axis=1).take(_ORACLE_GATHER, axis=1)
     delta = compared - oracle
     # dual reports: every coefficient beyond tol, a family table only on its shape
     reported = np.abs(delta) > tol
     reported &= _DUAL_MASKS[shapes[:, :-1] @ _PATTERN_BITS]
     at = np.flatnonzero(reported)
-    rows, columns = np.divmod(at, len(_COMPARED))
-    duals = (rows, _COMPARED[columns], compared.take(at), oracle.take(at))
+    rows, columns = np.divmod(at, _N_COMPARED)
+    duals = (rows, columns, compared.take(at), oracle.take(at))
 
     div_cf = closed_form_divergence(t, td.tau27)
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))

@@ -7,7 +7,9 @@ import numpy as np
 
 from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP, WEDGE
 from g2abc.exterior import Form, contractions
-from g2abc.gabc import _ABC_ROWS, _COLUMNS, _DERIVATIVES, TripleABC, _skew, _sym, tabulated_values
+from g2abc import gabc
+from g2abc.g2core import TAIL_COLUMNS, torsion_data
+from g2abc.gabc import _ABC_ROWS, _DERIVATIVES, OMEGA, TripleABC, _skew, _sym, build, theta
 from g2abc.liealg import _PAIR_I, _PAIR_J, _jacobi_residuals
 
 
@@ -73,11 +75,33 @@ def stack_of(triples):
     return TripleABC._of_validated(np.stack([t.abc for t in triples]))
 
 
+def operator_columns(t, formula):
+    """The columns of the compared block formula of the tabulated layout as a pass reads
+    them: the product of the entries of t with gabc's operator, at the pass's columns."""
+    values = gabc._live_values(t).take(gabc._COMPARED_AT, axis=1)[:, gabc._COLUMNS[formula]]
+    return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
+
+
 def tabulated_derivatives(t):
     """(dphi, star dphi, dpsi, star dpsi) of the theta-action formulas, as Forms
-    read from their columns of tabulated_values."""
-    values = tabulated_values(t)
-    return tuple(Form(degree, values[..., _COLUMNS[f]]) for f, degree, _ in _DERIVATIVES)
+    read from their columns of the tabulated operator."""
+    return tuple(Form(degree, operator_columns(t, f)) for f, degree in _DERIVATIVES)
+
+
+def oracle_reference(t):
+    """The oracles of a pass's compared columns on the stack t, concatenated by hand in
+    the order of the tabulated layout: the general table's torsion forms and
+    iota_tau1_phi and each family table's torsion forms, from the torsion tail; theta of
+    each of A, B and C on omega7, omega1 and omega2, from its definition; then dphi,
+    star dphi, dpsi and star dpsi.  The reference of gabc's oracle gather."""
+    _, s = build(t)
+    tail = torsion_data(s).tail
+    forms = lambda *parts: [tail[:, TAIL_COLUMNS[part]] for part in parts]
+    tables = forms("tau0", "tau1", "tau2", "tau3", "iota_tau1_phi") + 3 * forms(
+        "tau0", "tau1", "tau2", "tau3")
+    thetas = [theta(M, OMEGA[which]).values for M in t.matrices() for which in (7, 1, 2)]
+    derivatives = [s.dphi, *forms("star_dphi"), s.dpsi, *forms("star_dpsi")]
+    return np.concatenate(tables + thetas + derivatives, axis=1)
 
 
 # -- the generic route's products in two steps, as references ------------------

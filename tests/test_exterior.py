@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from g2abc import _tables
 from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
-from g2abc.errors import DegreeError
+from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import (
     Form,
     contractions,
@@ -120,6 +120,16 @@ def test_form_keeps_tiny_coefficients_in_a_float64_copy():
     assert b.values.dtype == np.float64
     values[0] = 2  # the form holds a copy
     assert b.coeffs == {(1,): 1.0}
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_coeffs_of_a_stack_of_forms_is_a_validation_error(count):
+    stack = Form(2, np.ones((count, DIMS[2])))
+    message = f"^coeffs reads one form; this one holds a stack of {count}$"
+    with pytest.raises(ValidationError, match=message):
+        stack.coeffs
+    every = itertools.combinations(range(1, 8), 2)
+    assert Form(2, stack.values[0]).coeffs == dict.fromkeys(every, 1.0)
 
 
 # -- wedge ----------------------------------------------------------------------

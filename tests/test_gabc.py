@@ -52,6 +52,8 @@ from helpers import (
     form_inner,
     is_unimodular,
     jacobi_residual,
+    operator_columns,
+    oracle_reference,
     shapes_reference,
     stack_of,
     tabulated_derivatives,
@@ -446,6 +448,19 @@ def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
         assert type(err.value) is ValidationError and str(err.value) == message
 
 
+def test_cross_validate_rejects_a_stack_of_several(monkeypatch):
+    monkeypatch.setattr(gabc, "build", lambda t: pytest.fail("the pass ran"))
+    with pytest.raises(ValidationError, match="^a stack of 3 triples needs cross_validate_stack$"):
+        cross_validate(generate_many(FamilyKind.SKEW, 1, range(3)))
+    with pytest.raises(ValidationError, match="needs at least one triple"):  # the pass's own error
+        cross_validate(generate_many(FamilyKind.SKEW, 1, []))
+
+
+def test_cross_validate_takes_a_stack_of_one():
+    one, t = generate_many(FamilyKind.SKEW, 1, [0]), generate(FamilyKind.SKEW, 1)
+    assert_same_report(cross_validate(one), cross_validate(t), tol=0.0)
+
+
 def test_cross_validate_stack_rejects_an_empty_stack():
     with pytest.raises(ValidationError, match="needs at least one triple"):
         cross_validate_stack(generate_many(FamilyKind.DIAGONAL, 0, []))
@@ -536,6 +551,29 @@ def test_antidiagonal_table_spot_values():
     assert not np.any(cf.tau1)
 
 
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_closed_form_torsion_of_a_stack_is_that_of_each_triple(kind):
+    t = generate_many(kind, 3, range(6))
+    cf = closed_form_torsion(t, kind)
+    assert cf.tau0.shape == (6,)
+    for part, degree in (("tau1", 1), ("tau2", 2), ("tau3", 3), ("iota_tau1_phi", 2)):
+        assert getattr(cf, part).shape == (6, len(COMBS[degree])), part
+    for n, triple in enumerate(unstack(t)):
+        one = closed_form_torsion(triple, kind)
+        assert all(np.array_equal(getattr(cf, part)[n], getattr(one, part))
+                   for part in vars(one)), n
+    # the symmetric family has no table of its own: the general one, read by the pass too
+    table = FamilyKind.GENERAL if kind is FamilyKind.SYMMETRIC else kind
+    if table is not kind:
+        general = closed_form_torsion(t, table)
+        assert all(np.array_equal(getattr(cf, part), getattr(general, part)) for part in vars(cf))
+    parts = ["tau0", "tau1", "tau2", "tau3"] + ["iota_tau1_phi"] * (table is FamilyKind.GENERAL)
+    text = np.concatenate([np.reshape(getattr(cf, part), (6, -1)) for part in parts], axis=1)
+    read = np.concatenate([operator_columns(t, f"{part}[{table.value}]") for part in parts], axis=1)
+    err = np.abs(text - read).max(axis=1)
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1)))
+
+
 def test_family_kind_shape_mismatch_rejected():
     with pytest.raises(ValidationError, match="shape"):
         closed_form_torsion(make(A=DIAG_A), FamilyKind.SKEW)
@@ -553,14 +591,33 @@ def test_general_table_tau1_tau2_match_oracle():
 
 # -- the tabulated formulas as one operator --------------------------------------------
 
+def pass_reads(t, product, compared_at, gather):
+    """(compared, oracle): what a pass on the stack t reads of the tabulated product, its
+    compared columns at compared_at and their oracles, gathered from [torsion tail, dphi,
+    dpsi, product]."""
+    _, s = build(t)
+    sources = np.concatenate([torsion_data(s).tail, s.dphi, s.dpsi, product], axis=1)
+    return product.take(compared_at, axis=1), sources.take(gather, axis=1)
+
+
+def full_layout(product):
+    """The gathers of pass_reads for a product that holds every column of the layout."""
+    return product, np.arange(gabc._N_COMPARED), gabc._oracle_gather(np.arange(gabc._STARTS[-1]))
+
+
+def operator_reads(t):
+    """pass_reads of the pass's own product, from the live operator."""
+    return pass_reads(t, gabc._live_values(t), gabc._COMPARED_AT, gabc._ORACLE_GATHER)
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_tabulated_values_agree_with_the_formula_text(scale):
+def test_operator_reads_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
         t = generate_many(kind, 0, range(50), scale)
-        text = gabc._text_values(t)
-        err = np.abs(gabc.tabulated_values(t) - text).max(axis=1)
-        # relative to each triple's largest value, which reaches ~3.5x its largest entry
-        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1))), kind
+        for read, text in zip(operator_reads(t), pass_reads(t, *full_layout(gabc._text_values(t)))):
+            err = np.abs(read - text).max(axis=1)
+            # relative to each triple's largest value, which reaches ~3.5x its largest entry
+            assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1))), kind
 
 
 def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
@@ -568,25 +625,34 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
     monkeypatch.setattr(gabc, "_torsion_skew",
                         lambda t: (table(t)[0] + 1.0, *table(t)[1:]))
     with pytest.raises(ValidationError, match=re.escape("constant term: tau0[skew]") + "$"):
-        gabc._operator.__wrapped__()
+        gabc._operator()
 
 
 def full_operator():
-    """The (48, 830) operator of the formula text on the unit triples, every column kept."""
+    """The (48, 767) operator of the formula text on the unit triples, every column kept."""
     units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
     return gabc._text_values(gabc.TripleABC._of_validated(units))[1:]
 
 
 def test_live_operator_holds_the_live_columns_of_the_full_one():
-    full, operator = full_operator(), gabc._operator()
+    full = full_operator()
     live = full.any(axis=0)
-    assert operator.matrix.shape == (48, live.sum() + 1) == (48, 287)
-    assert operator.matrix.flags.c_contiguous and not operator.matrix[:, -1].any()
-    assert np.array_equal(operator.matrix[:, operator.at], full)
-    assert np.array_equal(operator.at[~live], np.full((~live).sum(), 286))
-    assert np.array_equal(operator.compared, operator.at[gabc._COMPARED])
-    assert np.array_equal(operator.theta_defined, operator.at[gabc._THETA_DEFINED])
-    assert not any(array.flags.writeable for array in operator)
+    operator = gabc._OPERATOR
+    assert operator.shape == (48, live.sum() + 1) == (48, 272)
+    assert operator.flags.c_contiguous and not operator[:, -1].any()
+    assert np.array_equal(operator[:, gabc._COMPARED_AT], full[:, :gabc._N_COMPARED])
+    compared_live = live[:gabc._N_COMPARED]
+    assert np.array_equal(gabc._COMPARED_AT[~compared_live], np.full((~compared_live).sum(), 271))
+    # the oracles the product holds, the definitional theta, at the columns the gather reads
+    offset = g2core.TAIL.shape[1] + len(COMBS[4]) + len(COMBS[5])  # the product's first column
+    full_gather = gabc._oracle_gather(np.arange(full.shape[1]))
+    in_product = full_gather >= offset
+    assert in_product.sum() == 9 * 21
+    assert np.array_equal(gabc._ORACLE_GATHER[~in_product], full_gather[~in_product])
+    assert np.array_equal(operator[:, gabc._ORACLE_GATHER[in_product] - offset],
+                          full[:, full_gather[in_product] - offset])
+    assert not any(array.flags.writeable
+                   for array in (operator, gabc._COMPARED_AT, gabc._ORACLE_GATHER))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -597,23 +663,29 @@ def test_live_product_is_the_full_product_bit_for_bit(scale):
     abc = generate_many(kinds, 24, range(len(kinds)), scale).abc
     dense = np.random.default_rng(24).uniform(-scale, scale, (7, 3, 4, 4))
     for t in (gabc.TripleABC._of_validated(abc), gabc.TripleABC._of_validated(dense)):
-        expected = _vecmat(t.abc.reshape(-1, 48), full)
-        values = gabc.tabulated_values(t)
-        assert np.array_equal(values, expected) and np.array_equal(np.signbit(values),
-                                                                   np.signbit(expected))
+        expected = pass_reads(t, *full_layout(_vecmat(t.abc.reshape(-1, 48), full)))
+        for read, want in zip(operator_reads(t), expected):
+            assert np.array_equal(read, want) and np.array_equal(np.signbit(read),
+                                                                 np.signbit(want))
 
 
-def test_tabulated_values_and_dual_reports_do_not_depend_on_the_pass():
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_oracle_gather_is_the_hand_ordered_concatenation(scale):
+    kinds = list(FamilyKind) * 4
+    for seed in range(5):
+        t = generate_many(kinds, seed, range(len(kinds)), scale)
+        _, oracle = operator_reads(t)
+        assert np.array_equal(oracle, oracle_reference(t)), seed
+
+
+def test_operator_product_and_dual_reports_do_not_depend_on_the_pass():
     triples = mixed_triples(9, 7)  # 35 triples: passes of 32 and 3, or of 2
-    alone = np.array([gabc.tabulated_values(t) for t in triples])
-    live_alone = np.concatenate([gabc._live_values(t)[0] for t in triples])
+    live_alone = np.concatenate([gabc._live_values(t) for t in triples])
     reports = [cross_validate(t) for t in triples]
     assert any(rep.dual_reports for rep in reports)
     for size in (32, 2):
         passes = [stack_of(triples[i:i + size]) for i in range(0, len(triples), size)]
-        in_passes = [gabc.tabulated_values(t) for t in passes]
-        assert np.array_equal(np.concatenate(in_passes), alone), size
-        live_in_passes = [gabc._live_values(t)[0] for t in passes]
+        live_in_passes = [gabc._live_values(t) for t in passes]
         assert np.array_equal(np.concatenate(live_in_passes), live_alone), size
         per_pass = [rep for t in passes for rep in cross_validate_stack(t).reports()]
         for rep, ref in zip(per_pass, reports, strict=True):
@@ -753,7 +825,7 @@ def pass_residuals(t):
     gamma = levi_civita(c)
     div = div_torsion(gamma, td.T)
     iota = block("iota_tau1_phi")
-    general = closed_form_torsion(t)
+    general = lambda part: operator_columns(t, f"{part}[general]")  # as the pass reads it
     # the coefficients of the monomials outside a support
     outside = lambda form, support: form[:, [key not in support for key in COMBS[len(support[0])]]]
     tau3 = td.tau3
@@ -761,9 +833,9 @@ def pass_residuals(t):
         **{name: tab.values - f for name, tab, f in zip(
             ("dphi", "star_dphi", "dpsi", "star_dpsi"), tabulated_derivatives(t),
             (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi))},
-        "tau1": general.tau1 - td.tau1,
-        "tau2": general.tau2 - td.tau2,
-        "iota_tau1_phi": general.iota_tau1_phi - iota,
+        "tau1": general("tau1") - td.tau1,
+        "tau2": general("tau2") - td.tau2,
+        "iota_tau1_phi": general("iota_tau1_phi") - iota,
         **{name: block(name) for name in ("reconstruction_dphi", "reconstruction_dpsi",
                                           "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
         "support_iota_tau1_phi": outside(iota, gabc.TWO_FORM_SUPPORT),
@@ -793,40 +865,40 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 
 
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
-    # one triple per family; each column of tabulated_values moved by 1 in turn.  The pass
-    # reads the live columns of _live_values through its operator's indices; it gets all
-    # 830 columns here, with the indices of that full layout, so that each moves alone
+    # one triple per family; each column of the layout moved by 1 in turn.  The pass reads
+    # the live columns of its product through the operator's gathers; it gets the full
+    # operator's product here, all 767 columns, with the gathers of that full layout, so
+    # that each column moves alone
     t = stack_of(mixed_triples(9, 1))
-    values = gabc.tabulated_values(t)
+    values, compared_at, gather = full_layout(_vecmat(t.abc.reshape(-1, 48), full_operator()))
     reference = cross_validate_stack(t)
-    full = np.arange(values.shape[1])
-    layout = gabc._LiveOperator(None, full, gabc._COMPARED, full[gabc._THETA_DEFINED])
-    monkeypatch.setattr(gabc, "_live_values", lambda t: (values, layout))
+    monkeypatch.setattr(gabc, "_COMPARED_AT", compared_at)
+    monkeypatch.setattr(gabc, "_ORACLE_GATHER", gather)
+    monkeypatch.setattr(gabc, "_live_values", lambda t: values)
     unmoved = cross_validate_stack(t)
     assert np.array_equal(unmoved.deviations, reference.deviations)
     assert all(np.array_equal(x, y) for x, y in zip(unmoved.dual_reports, reference.dual_reports))
     labels = gabc._column_labels()
     seen = []
-    for column in full:
+    for column in range(values.shape[1]):
         moved = values.copy()
         moved[:, column] += 1.0
-        monkeypatch.setattr(gabc, "_live_values", lambda t: (moved, layout))
+        monkeypatch.setattr(gabc, "_live_values", lambda t: moved)
         arrays = cross_validate_stack(t)
         gated = not np.array_equal(arrays.deviations[arrays.applies],
                                    reference.deviations[reference.applies])
         reported = column in arrays.dual_reports[1].tolist()
-        if column in gabc._COMPARED:
+        if column < gabc._N_COMPARED:
             assert gated or reported, labels[column]
         seen.append(gated or reported or not all(
             np.array_equal(x, y) for x, y in zip(arrays.dual_reports, reference.dual_reports)))
-    # the columns a pass does not read: the family tables' iota_tau1_phi
-    unread = {labels[column][0] for column, read in enumerate(seen) if not read}
-    assert unread == {f"iota_tau1_phi[{kind}]" for kind in ("skew", "diagonal", "antidiagonal")}
-    assert len(gabc._COMPARED) == 641 - 63
+    # every column is read: the compared ones, and the definitional theta as their oracles
+    assert [labels[column] for column, read in enumerate(seen) if not read] == []
+    assert gabc._N_COMPARED == 641 - 63 and len(labels) == 830 - 63
 
 
 def test_dual_report_masks_are_those_of_every_shape_pattern():
-    assert gabc._DUAL_MASKS.shape == (16, len(gabc._COMPARED))
+    assert gabc._DUAL_MASKS.shape == (16, gabc._N_COMPARED)
     for pattern in range(16):
         shapes = np.array([[pattern >> f & 1 for f in range(4)] + [1]], dtype=bool)
         assert shapes[:, :-1] @ gabc._PATTERN_BITS == [pattern]
@@ -1030,15 +1102,14 @@ def one_pass_runs():
 
 
 def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
-    # the formula text runs once per process, at import, to build the operator of
-    # tabulated_values; no pass evaluates it again, the first one neither
+    # the formula text runs once per process, at import, to build the tabulated operator;
+    # no pass evaluates it again or rebuilds the operator, the first one neither
     calls = count_calls(monkeypatch, gabc, (
         "theta", "theta_omega_tabulated", "_torsion_general", "_torsion_skew",
-        "_torsion_diagonal", "_torsion_antidiagonal"))
+        "_torsion_diagonal", "_torsion_antidiagonal", "_text_values", "_operator"))
     for label, run in one_pass_runs():
         run()
         assert not calls, label
-    assert gabc._operator.cache_info().misses == 1
 
 
 def test_a_pass_builds_no_layout_after_a_warm_up(monkeypatch):
