@@ -2,15 +2,7 @@
 
 
 class G2ABCError(ValueError):
-    """Base class for all validation and computation errors."""
-
-
-class DegreeError(G2ABCError):
-    """Form degree out of range for the requested operation."""
-
-
-class ValidationError(G2ABCError):
-    """Input data violates a declared invariant.
+    """Base class for all validation and computation errors.
 
     An error about trial n of a stack carries ``trial`` = n and ``reason``,
     its message without the trial."""
@@ -22,6 +14,14 @@ class ValidationError(G2ABCError):
         error = cls(f"trial {n}: {reason}" if count > 1 else reason)
         error.trial, error.reason = n, reason
         return error
+
+
+class DegreeError(G2ABCError):
+    """Form degree out of range for the requested operation."""
+
+
+class ValidationError(G2ABCError):
+    """Input data violates a declared invariant."""
 
 
 class TorsionSolveError(G2ABCError):

@@ -8,7 +8,9 @@ structure constants, yields (N, ...) arrays throughout.  The stages exchange a k
 as its (..., C(7,k)) coefficient array, and multiply it by phi, psi or the
 star as one product with PHI_WEDGE, PSI_WEDGE or ``_tables.STAR``; the
 derivatives of a G2Structure and the forms of a TorsionData are such arrays
-too.  ``Form`` is left for phi and psi and for the differential ``ce_diff``.
+too.  A G2Structure holds c, dphi and dpsi; the stepwise stages read only dphi and
+dpsi, and form their stars where they use them.  ``Form`` is left for phi and psi
+and for the differential ``ce_diff``.
 
 The maps into the generic route are fixed operators as well: phi and psi keep the
 operators of their ``ce_diff`` on the structure constants, built here at import, and
@@ -71,7 +73,8 @@ _PAIR_TOP = (WEDGE[(2, 2)].reshape(-1, DIMS[4]) @ WEDGE[(4, 3)][:, :, 0]).T
 @dataclass(frozen=True, eq=False)
 class G2Structure:
     """The standard 3-form on the algebra of the structure constants c with the arrays
-    of dphi, star dphi, dpsi and star dpsi; equality and hashing are by identity."""
+    of dphi and dpsi, which are all the stepwise stages read; equality and hashing are
+    by identity."""
 
     c: np.ndarray
     phi: ClassVar[Form] = STANDARD_PHI
@@ -85,14 +88,6 @@ class G2Structure:
     @cached_property
     def dpsi(self):
         return ce_diff(self.c, self.psi).values
-
-    @cached_property
-    def star_dphi(self):
-        return self.dphi @ STAR[4].T
-
-    @cached_property
-    def star_dpsi(self):
-        return self.dpsi @ STAR[5].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +114,11 @@ def torsion_forms(s):
     tau2 = -star(dpsi) + 4 star(tau1 ^ psi)
     tau3 = star(dphi) - tau0 phi - 3 star(tau1 ^ phi)
     """
+    star_dphi, star_dpsi = s.dphi @ STAR[4].T, s.dpsi @ STAR[5].T
     tau0 = (_vecmat(s.dphi, PHI_WEDGE[4]) @ STAR[7].T)[..., 0] / 7.0
-    tau1 = (-1.0 / 12.0) * (_vecmat(s.star_dphi, PHI_WEDGE[3]) @ STAR[6].T)
-    tau2 = -s.star_dpsi + 4.0 * (_vecmat(tau1, PSI_WEDGE[1]) @ STAR[5].T)
-    tau3 = s.star_dphi - np.asarray(tau0)[..., None] * STANDARD_PHI.values \
+    tau1 = (-1.0 / 12.0) * (_vecmat(star_dphi, PHI_WEDGE[3]) @ STAR[6].T)
+    tau2 = -star_dpsi + 4.0 * (_vecmat(tau1, PSI_WEDGE[1]) @ STAR[5].T)
+    tau3 = star_dphi - np.asarray(tau0)[..., None] * STANDARD_PHI.values \
         - 3.0 * (_vecmat(tau1, PHI_WEDGE[1]) @ STAR[4].T)
     return tau0, tau1, tau2, tau3
 
@@ -185,7 +181,8 @@ def full_torsion_from_nabla(gamma):
     with NABLA_PHI.  The 35x7 system, with one right-hand side per e_i, is solved in the
     least-squares sense as PSI_COLUMNS^T rhs / 4.  A residual above
     SOLVE_TOL * max(1, max|gamma|) on any connection of a stack (the right-hand
-    side is linear in gamma) signals an inconsistent connection/structure pair.
+    side is linear in gamma) signals an inconsistent connection/structure pair; on a stack
+    of several the error names the first such connection as its trial.
     """
     # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
     # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
@@ -196,9 +193,9 @@ def full_torsion_from_nabla(gamma):
     bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
     bad = np.ravel(residual > bound)
     if bad.any():
-        n = bad.argmax()
-        raise TorsionSolveError(
-            f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
+        n = int(bad.argmax())
+        raise TorsionSolveError.of_trial(
+            n, bad.size, f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
     # row i of T is v[:, i]
     return v.swapaxes(-1, -2)
 
@@ -242,8 +239,9 @@ def _tail_stages(s):
     by the stepwise definitions."""
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(tau3)
-    return (s.star_dphi, s.star_dpsi, tau0, tau1, tau2, tau3, _vecmat(tau1, PHI_CONTRACTIONS),
-            tau27, full_torsion_from_forms(tau0, tau1, tau2, tau27),
+    return (s.dphi @ STAR[4].T, s.dpsi @ STAR[5].T, tau0, tau1, tau2, tau3,
+            _vecmat(tau1, PHI_CONTRACTIONS), tau27,
+            full_torsion_from_forms(tau0, tau1, tau2, tau27),
             *reconstruction_residuals(s, tau0, tau1, tau2, tau3),
             _vecmat(tau2, PSI_WEDGE[2]), _vecmat(tau3, PHI_WEDGE[3]), _vecmat(tau3, PSI_WEDGE[3]))
 
@@ -257,9 +255,7 @@ def _tail_operator():
     virtual machine."""
     width = DIMS[4] + DIMS[5]
     units = np.eye(width + 1, width, k=-1)[:, None, :]  # the zero row, then the unit rows
-    dphi, dpsi = units[..., :DIMS[4]], units[..., DIMS[4]:]
-    s = SimpleNamespace(dphi=dphi, dpsi=dpsi, star_dphi=dphi @ STAR[4].T,
-                        star_dpsi=dpsi @ STAR[5].T)
+    s = SimpleNamespace(dphi=units[..., :DIMS[4]], dpsi=units[..., DIMS[4]:])
     blocks = [np.reshape(b, (width + 1, -1)) for b in _tail_stages(s)]
     if constant := [name for name, b in zip(_TAIL_WIDTHS, blocks) if b[0].any()]:  # not linear
         raise ValidationError(f"torsion stages with a constant term: {', '.join(constant)}")

@@ -573,15 +573,18 @@ def _torsion_antidiagonal(t):
 def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     """Torsion forms from the tabulated coefficient formulas, evaluated from their text.
 
-    The family-specific tables require the matching matrix shape; the
+    The family-specific tables require the matching matrix shape, and on a stack
+    of several the error names the first triple without it as its trial; the
     symmetric case has no table of its own and dispatches to the general one.
     For a stack of N triples tau0 is an (N,) array and each form an (N, C(7,k))
     array.  A pass reads the same formulas through the tabulated operator
     compiled from this text, whose values may differ from these in the last bit.
     """
     _check_kinds([kind])
-    if not _shapes(t.abc)[..., _FAMILIES.index(kind)].all():
-        raise ValidationError(f"triple does not have the {kind.value} shape")
+    bad = ~np.ravel(_shapes(t.abc)[..., _FAMILIES.index(kind)])
+    if bad.any():
+        n = int(bad.argmax())
+        raise ValidationError.of_trial(n, bad.size, f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
     tau0, *forms = globals()[f"_torsion_{table}"](t)  # by name when called, as in _text_values
     # the diagonal table's tau0, tau1 and iota_tau1_phi are constants: broadcast to the stack

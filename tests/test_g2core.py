@@ -5,7 +5,7 @@ import pytest
 
 from g2abc import g2core
 from g2abc.errors import TorsionSolveError, ValidationError
-from g2abc._tables import DIM, DIMS, STAR
+from g2abc._tables import DIM, DIMS
 from g2abc.exterior import Form, _vecmat, contractions, hodge, matrix_coaction, wedge
 from g2abc.g2core import (
     NABLA_PHI,
@@ -119,9 +119,20 @@ TAIL_EPS = 16
 
 def derivatives_of(x):
     """The stand-in for a G2Structure whose [dphi, dpsi] is x, for the stepwise stages."""
-    dphi, dpsi = x[..., :DIMS[4]], x[..., DIMS[4]:]
-    return SimpleNamespace(dphi=dphi, dpsi=dpsi, star_dphi=dphi @ STAR[4].T,
-                           star_dpsi=dpsi @ STAR[5].T)
+    return SimpleNamespace(dphi=x[..., :DIMS[4]], dpsi=x[..., DIMS[4]:])
+
+
+def test_stepwise_stages_read_only_dphi_and_dpsi():
+    kinds = list(FamilyKind)
+    _, s = build(generate_many(kinds, 5, range(len(kinds))))
+    bare = SimpleNamespace(dphi=s.dphi, dpsi=s.dpsi)
+    forms = torsion_forms(s)
+    for got, expected in ((torsion_forms(bare), forms),
+                          (reconstruction_residuals(bare, *forms),
+                           reconstruction_residuals(s, *forms)),
+                          (g2core._tail_stages(bare), g2core._tail_stages(s))):
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -206,6 +217,19 @@ def test_torsion_solve_rejects_inconsistent_connection(rng):
     # below max|gamma| = 1 the bound stays tol itself
     with pytest.raises(TorsionSolveError, match=r"torsion solve failed: .* > 1e-09$"):
         full_torsion_from_nabla(1e-8 * bogus / np.abs(bogus).max())
+
+
+def test_torsion_solve_of_a_stack_names_its_first_inconsistent_connection(rng):
+    c, _ = build(generate_many(FamilyKind.GENERAL, 0, range(3)))
+    gamma = levi_civita(c) + 0.0
+    gamma[1:] += rng.standard_normal((2, 7, 7, 7))  # rows 1 and 2 are inconsistent
+    with pytest.raises(TorsionSolveError, match="^trial 1: torsion solve failed: ") as err:
+        full_torsion_from_nabla(gamma)
+    assert err.value.trial == 1 and str(err.value) == f"trial 1: {err.value.reason}"
+    # a single connection is named as before
+    with pytest.raises(TorsionSolveError, match="^torsion solve failed: ") as err:
+        full_torsion_from_nabla(gamma[1])
+    assert err.value.trial == 0 and str(err.value) == err.value.reason
 
 
 @pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])

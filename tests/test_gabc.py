@@ -579,6 +579,17 @@ def test_family_kind_shape_mismatch_rejected():
         closed_form_torsion(make(A=DIAG_A), FamilyKind.SKEW)
 
 
+def test_family_kind_shape_mismatch_names_the_first_failing_triple_of_a_stack():
+    t = generate_many([FamilyKind.SKEW, FamilyKind.GENERAL, FamilyKind.SKEW], 0, [0, 0, 1])
+    reason = "triple does not have the skew shape"
+    with pytest.raises(ValidationError, match=f"^trial 1: {reason}$") as err:
+        closed_form_torsion(t, FamilyKind.SKEW)
+    assert err.value.trial == 1 and err.value.reason == reason
+    # a single triple is named as before
+    with pytest.raises(ValidationError, match=f"^{reason}$"):
+        closed_form_torsion(unstack(t)[1], FamilyKind.SKEW)
+
+
 def test_general_table_tau1_tau2_match_oracle():
     for seed in range(6):
         t = generate(FamilyKind.GENERAL, 200 + seed)
@@ -832,7 +843,7 @@ def pass_residuals(t):
     return {
         **{name: tab.values - f for name, tab, f in zip(
             ("dphi", "star_dphi", "dpsi", "star_dpsi"), tabulated_derivatives(t),
-            (s.dphi, s.star_dphi, s.dpsi, s.star_dpsi))},
+            (s.dphi, s.dphi @ STAR[4].T, s.dpsi, s.dpsi @ STAR[5].T))},
         "tau1": general("tau1") - td.tau1,
         "tau2": general("tau2") - td.tau2,
         "iota_tau1_phi": general("iota_tau1_phi") - iota,
