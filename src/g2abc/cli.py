@@ -281,10 +281,9 @@ def cmd_verify(args):
     passed = failures == 0
     if args.json:
         print(_dumps({
-            "cases": {c: {"trials": n, "worst": w, "worst_quantity": k,
-                          "worst_deviations": dict(sorted(devs.items()))}
+            "cases": {c: {"trials": n, "worst": w, "worst_quantity": k, "worst_deviations": devs}
                       for c, n, w, k, devs in summary},
-            "worst_deviations": {k: v for k, v in sorted(worst.items())},
+            "worst_deviations": worst,
             "dual_reports": [vars(r) for r in notes],
             "tol": args.tol,
             "failing_trials": failures,

@@ -19,9 +19,11 @@ Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
 entries with an operator built at import from the formula text.  Each compared
 block of the layout ``_BLOCKS`` names its oracle, the generic-route block it is
-compared with; the operator keeps the live columns of the blocks a pass reads,
-and a pass gathers every oracle in one ``take``.  ``closed_form_torsion``
-evaluates a table's text directly.
+compared with, and the operator keeps the live columns of the blocks a pass
+reads.  A pass concatenates its arrays once, as the table ``_SOURCES`` lists
+them, and reads every compared value, oracle and gated residual from that one
+array, at columns ``_pass_layout`` derives from the table.
+``closed_form_torsion`` evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
 triple (a form, there and in ``ClosedFormTorsion``, is its coefficient
@@ -650,27 +652,14 @@ def _text_values(t):
     return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[1])) for v in values], 1)
 
 
-def _oracle_gather(at):
-    """The column of each compared column's oracle in a pass's concatenation [torsion
-    tail, dphi, dpsi, P], where column at[k] of the product P holds column k of the layout."""
-    width = TAIL.shape[1]
-    sources = {name: np.arange(width)[columns] for name, columns in TAIL_COLUMNS.items()}
-    sources.update(dphi=width + np.arange(DIMS[4]), dpsi=width + DIMS[4] + np.arange(DIMS[5]))
-    # of the layout, only the oracle-only blocks: a compared one such as star_dphi would
-    # shadow the tail's block of its name and compare a formula with itself
-    sources.update((formula, width + DIMS[4] + DIMS[5] + at[_COLUMNS[formula]])
-                   for formula, _, _, oracle in _BLOCKS if oracle is None)
-    return np.concatenate([sources[oracle] for *_, oracle in _BLOCKS if oracle])
-
-
 def _operator():
-    """The tabulated operator and the two gathers of a pass, all read-only.
+    """The tabulated operator and its live-column map, both read-only.
 
     Row k of the (48, K) operator of the layout is the formula text on unit triple k.  Its
     L live columns, those the text does not leave identically zero, are kept in column
     order, then one zero column that stands for the others: a pass's product P is the
-    (n, 48) entries of its stack times this (48, L + 1) matrix.  With it come the column
-    of P that holds each compared column, and _oracle_gather of the layout's columns in P.
+    (n, 48) entries of its stack times this (48, L + 1) matrix.  The map holds the column
+    of P of each column of the layout.
     """
     units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
     values = _text_values(TripleABC._of_validated(units))
@@ -681,16 +670,15 @@ def _operator():
     # order, so a live column's values are bit-identical to the full operator's
     matrix = np.zeros((48, len(live) + 1))
     matrix[:, :-1] = values[1:, live]
-    at = np.full(values.shape[1], len(live))  # the column of P that holds a column of the layout
+    at = np.full(values.shape[1], len(live))
     at[live] = np.arange(len(live))
-    operator = matrix, at[:_N_COMPARED], _oracle_gather(at)
-    for array in operator:
+    for array in (matrix, at):
         array.flags.writeable = False
-    return operator
+    return matrix, at
 
 
 #: Built at import, so that every pass, the first one too, does the same work.
-_OPERATOR, _COMPARED_AT, _ORACLE_GATHER = _operator()
+_OPERATOR, _LIVE_AT = _operator()
 
 
 @functools.cache
@@ -819,9 +807,11 @@ def _traceless(d):
     return np.concatenate([d, -d.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-#: Largest ``scale`` of generate: entries are drawn from [-scale, scale],
-#: whose width must be a finite float.
-MAX_SCALE = np.finfo(np.float64).max / 2
+#: Largest ``scale`` of generate: entries are drawn from [-scale, scale].  The checks of
+#: TripleABC and a pass square entries (commutators, the Ricci tensor) and sum a few such
+#: products, so the bound sits below sqrt(finfo.max) = 1.34e154 with room to spare: at it,
+#: every family generates and goes through cross_validate_stack with no overflow.
+MAX_SCALE = 1e150
 
 
 def _check_kinds(kinds):
@@ -1088,50 +1078,65 @@ _FAMILY_DEVIATIONS = {
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
 
 
-def _pass_layout():
-    """The layout of a pass's gated deviations, which depends on no triple.
+#: Every array a pass concatenates, in order, with its width for one triple: the product of
+#: the tabulated operator (_live_values), the generic route's torsion tail, dphi and dpsi,
+#: the residuals of the two routes' torsion tensor, connection, Ricci tensor and divergence,
+#: and div T.  A pass reads every column at the place _pass_layout derives from this table.
+_SOURCES = {"product": _OPERATOR.shape[1], "tail": TAIL.shape[1], "dphi": DIMS[4],
+            "dpsi": DIMS[5], "torsion_routes": DIM ** 2, "connection": DIM ** 3,
+            "ricci": DIM ** 2, "divergence": DIM, "div": DIM}
 
-    A pass concatenates the sources below, one row per triple, in this order.  Each
-    gated quantity reads some columns of one source; the returned column index gathers
-    every quantity's columns from the concatenation, quantity by quantity, and the
-    starts open each quantity's block for np.maximum.reduceat.
+
+def _pass_layout(sources, at):
+    """The columns a pass reads of its concatenation of sources, a table like _SOURCES,
+    when column at[k] of the product holds column k of the tabulated layout.  No triple
+    changes them.
+
+    Returns the gated quantities; the columns of the compared tabulated values and of the
+    oracles _BLOCKS names for them; the columns of every gated residual, quantity by
+    quantity, and the oracles of the first of them, the gated formulas', whose residual is
+    tabulated minus oracle; the start of each quantity's block for np.maximum.reduceat; and
+    applies[f, q], whether quantity q gates family _FAMILIES[f].
     """
-    widths = {  # of one triple's source
-        "delta": _N_COMPARED,  # tabulated minus oracle, on the compared columns of the layout
-        "tail": TAIL.shape[1],  # the generic route's torsion tail
-        "torsion_routes": DIM ** 2, "connection": DIM ** 3, "ricci": DIM ** 2,
-        "divergence": DIM, "div": DIM,  # div T's residual, and div T
-    }
-    ends = np.cumsum(list(widths.values()))
-    at = {name: np.arange(end - width, end) for (name, width), end in zip(widths.items(), ends)}
-    at.update((name, at["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
-    tau27 = at["tau27"].reshape(DIM, DIM)
+    ends = np.cumsum(list(sources.values()))
+    named = {name: np.arange(end - width, end) for (name, width), end in zip(sources.items(), ends)}
+    named.update((name, named["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
+    product = named["product"][at]  # the column of each column of the tabulated layout
+    # of the layout, only the oracle-only blocks: a compared one such as star_dphi would
+    # shadow the tail's block of its name and compare a formula with itself
+    oracles = {**named, **{formula: product[_COLUMNS[formula]]
+                           for formula, *_, name in _BLOCKS if name is None}}
+    compared = product[:_N_COMPARED]
+    oracle = np.concatenate([oracles[name] for *_, name in _BLOCKS if name])
+    tau27 = named["tau27"].reshape(DIM, DIM)
     columns = {
-        **{formula.split("[")[0]: at["delta"][_COLUMNS[formula]] for formula in _GATED},
-        **{name: at[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
-                                       "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
-        "support_iota_tau1_phi": at["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
-        "support_tau2": at["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
-        "support_tau3": at["tau3"][_off_support(3, TAU3_SUPPORT)],
+        **{formula.split("[")[0]: compared[_COLUMNS[formula]] for formula in _GATED},
+        **{name: named[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
+                                          "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
+        "support_iota_tau1_phi": named["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
+        "support_tau2": named["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
+        "support_tau3": named["tau3"][_off_support(3, TAU3_SUPPORT)],
         "tau27_mixed_block": tau27[_ABC_ROWS, 2:6],
-        **{name: at[name] for name in ("torsion_routes", "connection", "ricci", "divergence")},
+        **{name: named[name] for name in ("torsion_routes", "connection", "ricci", "divergence")},
         # the quantities of _FAMILY_DEVIATIONS, which gate only the triples of their families
-        "divergence_free": at["div"],
+        "divergence_free": named["div"],
         "tau27_diagonal_nn": np.diagonal(tau27)[2:6],
-        "support_tau3_diagonal": at["tau3"][_off_support(3, TAU3_SUPPORT_DIAGONAL)],
+        "support_tau3_diagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_DIAGONAL)],
         "tau27_antidiagonal_pairs": tau27[_ANTIDIAG_PAIRS],
-        "support_tau3_antidiagonal": at["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
+        "support_tau3_antidiagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
     }
+    gated_oracles = np.concatenate([oracle[_COLUMNS[formula]] for formula in _GATED])
     applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in columns] for f in _FAMILIES]
     starts = np.cumsum([0] + [block.size for block in columns.values()][:-1])
-    return (tuple(columns), np.concatenate([np.ravel(block) for block in columns.values()]),
+    return (tuple(columns), compared, oracle,
+            np.concatenate([np.ravel(block) for block in columns.values()]), gated_oracles,
             starts, np.array(applies))
 
 
-#: The gated quantities; the columns of the pass's concatenated sources that hold their
-#: residuals, quantity by quantity; the start of each quantity's block in those columns
-#: (no block is empty); and _APPLIES[f, q], whether quantity q gates family _FAMILIES[f].
-_QUANTITIES, _GATHER, _QUANTITY_STARTS, _APPLIES = _pass_layout()
+#: The layout of every pass, from its table and the operator's live-column map (no
+#: quantity's block is empty).
+(_QUANTITIES, _COMPARED, _ORACLES, _GATHER, _GATED_ORACLES, _QUANTITY_STARTS,
+ _APPLIES) = _pass_layout(_SOURCES, _LIVE_AT)
 
 
 def cross_validate(t, tol=DEFAULT_TOL):
@@ -1152,10 +1157,11 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The CrossValidationArrays of t, a stack of n triples (a single triple is a
     stack of one), from one pass of both routes over a leading trial axis: the
     generic route from torsion_data and the connection, the tabulated one from
-    the product of the tabulated operator (_live_values) and the closed forms.  A
-    gated quantity is the largest magnitude of its residual, an (n, k) block; one
-    gather of the import-time layout _GATHER collects every block and one
-    reduction takes all.
+    the product of the tabulated operator (_live_values) and the closed forms.
+    The pass concatenates the arrays of _SOURCES once, in that order, and takes
+    every compared value, oracle and residual from that one array at the columns of
+    the import-time layout.  A gated quantity is the largest magnitude of its
+    residual, an (n, k) block; one reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
     _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
@@ -1167,16 +1173,19 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
 
     # generic route
     td = torsion_data(s)
-    tail = td.tail
     gamma = levi_civita(c)
     ric = ricci(c, gamma)
     div = div_torsion(gamma, td.T)
+    div_cf = closed_form_divergence(t, td.tau27)
+    # the pass's arrays by their names in _SOURCES, concatenated once in its order
+    arrays = {"product": _live_values(t), "tail": td.tail, "dphi": s.dphi, "dpsi": s.dpsi,
+              "torsion_routes": td.T - full_torsion_from_nabla(gamma),
+              "connection": closed_form_connection(t) - gamma,
+              "ricci": closed_form_ricci(t) - ric, "divergence": div_cf - div, "div": div}
+    x = np.concatenate([arrays[name].reshape(n, -1) for name in _SOURCES], axis=1)
 
-    # each compared tabulated value vs the oracle _BLOCKS names for it: the compared columns
-    # of the product, and one gather of the oracles from [torsion tail, dphi, dpsi, product]
-    live = _live_values(t)
-    compared = live.take(_COMPARED_AT, axis=1)
-    oracle = np.concatenate([tail, s.dphi, s.dpsi, live], axis=1).take(_ORACLE_GATHER, axis=1)
+    # each compared tabulated value vs the oracle _BLOCKS names for it
+    compared, oracle = x.take(_COMPARED, axis=1), x.take(_ORACLES, axis=1)
     delta = compared - oracle
     # dual reports: every coefficient beyond tol, a family table only on its shape
     reported = np.abs(delta) > tol
@@ -1185,15 +1194,9 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     rows, columns = np.divmod(at, _N_COMPARED)
     duals = (rows, columns, compared.take(at), oracle.take(at))
 
-    div_cf = closed_form_divergence(t, td.tau27)
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
-    # the sources of the gated residuals, in the order of _pass_layout: the compared
-    # tabulated values, the torsion tail (reconstruction identities, component types, the
-    # forms of the support patterns, tau27), the two routes (torsion tensor, connection,
-    # Ricci, divergence) and div T
-    sources = [delta, tail, td.T - full_torsion_from_nabla(gamma), closed_form_connection(t) - gamma,
-               closed_form_ricci(t) - ric, div_cf - div, div]
-    residuals = np.concatenate([x.reshape(n, -1) for x in sources], axis=1).take(_GATHER, axis=1)
+    residuals = x.take(_GATHER, axis=1)
+    residuals[:, :_GATED_ORACLES.size] -= x.take(_GATED_ORACLES, axis=1)  # tabulated - oracle
     # each start opens the block of its quantity; NaN propagates
     deviations = np.maximum.reduceat(np.abs(residuals, out=residuals), _QUANTITY_STARTS, axis=1)
     return CrossValidationArrays(

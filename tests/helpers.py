@@ -77,8 +77,9 @@ def stack_of(triples):
 
 def operator_columns(t, formula):
     """The columns of the compared block formula of the tabulated layout as a pass reads
-    them: the product of the entries of t with gabc's operator, at the pass's columns."""
-    values = gabc._live_values(t).take(gabc._COMPARED_AT, axis=1)[:, gabc._COLUMNS[formula]]
+    them: the product of the entries of t with gabc's operator, at the columns its
+    live-column map gives the block."""
+    values = gabc._live_values(t).take(gabc._LIVE_AT[gabc._COLUMNS[formula]], axis=1)
     return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
 
 
@@ -93,7 +94,8 @@ def oracle_reference(t):
     the order of the tabulated layout: the general table's torsion forms and
     iota_tau1_phi and each family table's torsion forms, from the torsion tail; theta of
     each of A, B and C on omega7, omega1 and omega2, from its definition; then dphi,
-    star dphi, dpsi and star dpsi.  The reference of gabc's oracle gather."""
+    star dphi, dpsi and star dpsi.  The reference of the oracles a pass reads at the
+    columns gabc._ORACLES of its concatenation."""
     _, s = build(t)
     tail = torsion_data(s).tail
     forms = lambda *parts: [tail[:, TAIL_COLUMNS[part]] for part in parts]

@@ -442,7 +442,7 @@ def test_gen_rejects_negative_seed(tmp_path, capsys):
                     "error: argument --seed: ", out)
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big", "1e308"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "big", "1e200", "1e308"])
 def test_gen_rejects_bad_scale(tmp_path, capsys, scale):
     out = tmp_path / "x.json"
     assert_rejected(capsys, ["gen", "--case", "diag", "--scale", scale, "--out", str(out)],

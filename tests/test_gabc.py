@@ -436,6 +436,16 @@ def test_generate_rejects_a_scale_outside_its_range(kind, scale):
         assert type(err.value) is ValidationError and str(err.value) == message
 
 
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_every_family_generates_and_passes_through_a_pass_at_the_largest_scale(kind):
+    # the suite turns every numpy warning into an error, so an overflow fails here
+    t = generate_many(kind, 0, range(20), MAX_SCALE)
+    assert np.abs(t.abc).max() <= 3 * MAX_SCALE
+    arrays = cross_validate_stack(t)
+    assert arrays.flags.shape == (20, 3) and arrays.passed().shape == (20,)
+    assert np.isfinite(arrays.deviations).all() and np.isfinite(arrays.ricci_matrix).all()
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "1e-9"])
 def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
     # raised before any work: the pass never builds its algebra
@@ -602,30 +612,55 @@ def test_general_table_tau1_tau2_match_oracle():
 
 # -- the tabulated formulas as one operator --------------------------------------------
 
-def pass_reads(t, product, compared_at, gather):
-    """(compared, oracle): what a pass on the stack t reads of the tabulated product, its
-    compared columns at compared_at and their oracles, gathered from [torsion tail, dphi,
-    dpsi, product]."""
+#: The names of gabc's layout constants, in the order _pass_layout returns them.
+LAYOUT = ("_QUANTITIES", "_COMPARED", "_ORACLES", "_GATHER", "_GATED_ORACLES",
+          "_QUANTITY_STARTS", "_APPLIES")
+
+
+def pass_reads(t, product, sources, at):
+    """(compared, oracle): what a pass on the stack t reads of the tabulated product and of
+    the oracles, at the columns of _pass_layout(sources, at), from the concatenation of
+    sources with the product, the torsion tail, dphi and dpsi, and every other source zero."""
     _, s = build(t)
-    sources = np.concatenate([torsion_data(s).tail, s.dphi, s.dpsi, product], axis=1)
-    return product.take(compared_at, axis=1), sources.take(gather, axis=1)
+    arrays = {"product": product, "tail": torsion_data(s).tail, "dphi": s.dphi, "dpsi": s.dpsi}
+    x = np.concatenate([arrays.get(name, np.zeros((len(product), width)))
+                        for name, width in sources.items()], axis=1)
+    _, compared, oracle, *_ = gabc._pass_layout(sources, at)
+    return x.take(compared, axis=1), x.take(oracle, axis=1)
 
 
 def full_layout(product):
-    """The gathers of pass_reads for a product that holds every column of the layout."""
-    return product, np.arange(gabc._N_COMPARED), gabc._oracle_gather(np.arange(gabc._STARTS[-1]))
+    """(sources, at) of a pass whose product holds every column of the layout, in order."""
+    return {**gabc._SOURCES, "product": product.shape[1]}, np.arange(product.shape[1])
 
 
 def operator_reads(t):
     """pass_reads of the pass's own product, from the live operator."""
-    return pass_reads(t, gabc._live_values(t), gabc._COMPARED_AT, gabc._ORACLE_GATHER)
+    return pass_reads(t, gabc._live_values(t), gabc._SOURCES, gabc._LIVE_AT)
+
+
+def use_layout(monkeypatch, sources, at):
+    """Make every pass concatenate the table sources and read it by _pass_layout(sources, at)."""
+    monkeypatch.setattr(gabc, "_SOURCES", sources)
+    for name, value in zip(LAYOUT, gabc._pass_layout(sources, at), strict=True):
+        monkeypatch.setattr(gabc, name, value)
+
+
+def source_columns(sources, columns):
+    """(name, column of that source) of each of the columns of a concatenation of sources."""
+    names, widths = list(sources), list(sources.values())
+    ends = np.cumsum(widths)
+    return [(names[k], int(column - ends[k] + widths[k]))
+            for k, column in zip(np.searchsorted(ends, columns, side="right"), columns)]
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_operator_reads_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
         t = generate_many(kind, 0, range(50), scale)
-        for read, text in zip(operator_reads(t), pass_reads(t, *full_layout(gabc._text_values(t)))):
+        text_values = gabc._text_values(t)
+        for read, text in zip(operator_reads(t), pass_reads(t, text_values,
+                                                          *full_layout(text_values))):
             err = np.abs(read - text).max(axis=1)
             # relative to each triple's largest value, which reaches ~3.5x its largest entry
             assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1))), kind
@@ -649,21 +684,25 @@ def test_live_operator_holds_the_live_columns_of_the_full_one():
     full = full_operator()
     live = full.any(axis=0)
     operator = gabc._OPERATOR
-    assert operator.shape == (48, live.sum() + 1) == (48, 272)
+    assert operator.shape == (48, live.sum() + 1) == (48, 272) == (48, gabc._SOURCES["product"])
     assert operator.flags.c_contiguous and not operator[:, -1].any()
-    assert np.array_equal(operator[:, gabc._COMPARED_AT], full[:, :gabc._N_COMPARED])
-    compared_live = live[:gabc._N_COMPARED]
-    assert np.array_equal(gabc._COMPARED_AT[~compared_live], np.full((~compared_live).sum(), 271))
-    # the oracles the product holds, the definitional theta, at the columns the gather reads
-    offset = g2core.TAIL.shape[1] + len(COMBS[4]) + len(COMBS[5])  # the product's first column
-    full_gather = gabc._oracle_gather(np.arange(full.shape[1]))
-    in_product = full_gather >= offset
-    assert in_product.sum() == 9 * 21
-    assert np.array_equal(gabc._ORACLE_GATHER[~in_product], full_gather[~in_product])
-    assert np.array_equal(operator[:, gabc._ORACLE_GATHER[in_product] - offset],
-                          full[:, full_gather[in_product] - offset])
-    assert not any(array.flags.writeable
-                   for array in (operator, gabc._COMPARED_AT, gabc._ORACLE_GATHER))
+    # the map takes each column of the layout to its live column, a dead one to the zero column
+    assert np.array_equal(operator[:, gabc._LIVE_AT], full)
+    assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 271))
+    # the pass's constants are its layout, which reads the sources the full layout reads,
+    # a column of the product through the map
+    for name, value in zip(LAYOUT, gabc._pass_layout(gabc._SOURCES, gabc._LIVE_AT), strict=True):
+        assert np.array_equal(getattr(gabc, name), value), name
+    sources, at = full_layout(full)
+    _, full_compared, full_oracle, *_ = gabc._pass_layout(sources, at)
+    for columns, full_columns in ((gabc._COMPARED, full_compared), (gabc._ORACLES, full_oracle)):
+        expected = [(name, gabc._LIVE_AT[column] if name == "product" else column)
+                    for name, column in source_columns(sources, full_columns)]
+        assert source_columns(gabc._SOURCES, columns) == expected
+    # the oracles the product holds: the definitional theta
+    assert [name for name, _ in source_columns(gabc._SOURCES, gabc._ORACLES)].count(
+        "product") == 9 * 21
+    assert not any(array.flags.writeable for array in (operator, gabc._LIVE_AT))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -674,14 +713,15 @@ def test_live_product_is_the_full_product_bit_for_bit(scale):
     abc = generate_many(kinds, 24, range(len(kinds)), scale).abc
     dense = np.random.default_rng(24).uniform(-scale, scale, (7, 3, 4, 4))
     for t in (gabc.TripleABC._of_validated(abc), gabc.TripleABC._of_validated(dense)):
-        expected = pass_reads(t, *full_layout(_vecmat(t.abc.reshape(-1, 48), full)))
+        product = _vecmat(t.abc.reshape(-1, 48), full)
+        expected = pass_reads(t, product, *full_layout(product))
         for read, want in zip(operator_reads(t), expected):
             assert np.array_equal(read, want) and np.array_equal(np.signbit(read),
                                                                  np.signbit(want))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_oracle_gather_is_the_hand_ordered_concatenation(scale):
+def test_pass_oracles_are_the_hand_ordered_concatenation(scale):
     kinds = list(FamilyKind) * 4
     for seed in range(5):
         t = generate_many(kinds, seed, range(len(kinds)), scale)
@@ -877,14 +917,13 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
     # one triple per family; each column of the layout moved by 1 in turn.  The pass reads
-    # the live columns of its product through the operator's gathers; it gets the full
-    # operator's product here, all 767 columns, with the gathers of that full layout, so
-    # that each column moves alone
+    # the live columns of its product through the operator's live-column map; it gets the
+    # full operator's product here, all 767 columns, with the layout of that full product,
+    # so that each column moves alone
     t = stack_of(mixed_triples(9, 1))
-    values, compared_at, gather = full_layout(_vecmat(t.abc.reshape(-1, 48), full_operator()))
+    values = _vecmat(t.abc.reshape(-1, 48), full_operator())
     reference = cross_validate_stack(t)
-    monkeypatch.setattr(gabc, "_COMPARED_AT", compared_at)
-    monkeypatch.setattr(gabc, "_ORACLE_GATHER", gather)
+    use_layout(monkeypatch, *full_layout(values))
     monkeypatch.setattr(gabc, "_live_values", lambda t: values)
     unmoved = cross_validate_stack(t)
     assert np.array_equal(unmoved.deviations, reference.deviations)
@@ -906,6 +945,38 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
     # every column is read: the compared ones, and the definitional theta as their oracles
     assert [labels[column] for column, read in enumerate(seen) if not read] == []
     assert gabc._N_COMPARED == 641 - 63 and len(labels) == 830 - 63
+
+
+def same_bits(x, y):
+    """Whether x and y are equal, arrays bit for bit (dtype, shape, signs of zero), dicts,
+    lists and tuples item by item."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same_bits(x[key], y[key]) for key in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(same_bits, x, y))
+    return x == y
+
+
+def test_a_pass_does_not_depend_on_the_order_of_its_sources(monkeypatch):
+    # the pass builds its arrays by name and reads them where _pass_layout puts them, so
+    # with _SOURCES reversed every array of a mixed pass is the same, signs of zero included
+    kinds = list(FamilyKind) * 3
+    stacks = [generate_many(kinds, 11, range(len(kinds)), scale) for scale in (1e-3, 1.0, 1e3)]
+    runs, reads = [], [gabc._COMPARED, gabc._ORACLES, gabc._GATHER]
+    for order in (list, reversed):
+        runs.append([])
+        use_layout(monkeypatch, dict(order(gabc._SOURCES.items())), gabc._LIVE_AT)
+        for t in stacks:
+            arrays = cross_validate_stack(t)
+            runs[-1].append({**arrays._asdict(), "flags": arrays.flags, "passed": arrays.passed()})
+        assert any(len(run["dual_reports"][0]) for run in runs[-1])
+    # reversed, every column the pass reads is elsewhere in its concatenation
+    assert list(gabc._SOURCES)[0] == "div"
+    assert all((old != new).all() for old, new in zip(reads, (gabc._COMPARED, gabc._ORACLES,
+                                                               gabc._GATHER)))
+    assert same_bits(*runs)
 
 
 def test_dual_report_masks_are_those_of_every_shape_pattern():
