@@ -18,11 +18,12 @@ NABLA_PHI takes a connection to the right-hand sides nabla_{e_i} phi of the tors
 
 Every stage from (dphi, dpsi) on is linear.  ``torsion_forms``, ``tau27_tensor``,
 ``full_torsion_from_forms`` and ``reconstruction_residuals`` are the stepwise
-definitions.  At import they run once on the 56 unit vectors of [dphi, dpsi], and
-give the (56, 310) operator TAIL of the torsion tail: the stars, the torsion forms,
-iota_{tau1}(phi), tau27, T, the reconstruction residuals and the type products.
-``torsion_data`` is one product with TAIL.  The build reads nothing of ``gabc``, so
-the generic route borrows nothing from the tabulated one."""
+definitions.  At import ``exterior._linear_operator`` runs them once on the 56 unit
+vectors of [dphi, dpsi], and gives the (56, 310) operator TAIL of the torsion tail: the
+stars, the torsion forms, iota_{tau1}(phi), tau27, T, the reconstruction residuals and
+the type products.  NABLA_PHI is built by the same helper.  ``torsion_data`` is one
+product with TAIL.  The build reads nothing of ``gabc``, so the generic route borrows
+nothing from the tabulated one."""
 
 import itertools
 from dataclasses import dataclass
@@ -33,8 +34,9 @@ from typing import ClassVar
 import numpy as np
 
 from ._tables import DIM, DIMS, STAR, WEDGE
-from .errors import TorsionSolveError, ValidationError
-from .exterior import Form, _iota_rows, _vecmat, contractions, hodge, matrix_coaction
+from .errors import TorsionSolveError
+from .exterior import (Form, _iota_rows, _linear_operator, _vecmat, contractions, hodge,
+                       matrix_coaction)
 from .liealg import _ce_operator, ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -168,9 +170,8 @@ SOLVE_TOL = 1e-9
 #: The (49, 35) operator of nabla phi on one row of a connection: row 7j + k is the 3-form
 #: -e^{j+1} ^ iota_{e_{k+1}}(phi), -matrix_coaction of the unit matrix E_{kj}, so that
 #: gamma[i].ravel() @ NABLA_PHI is nabla_{e_{i+1}} phi.  It is read-only, with entries 0, +-1.
-NABLA_PHI = -matrix_coaction(np.eye(DIM * DIM).reshape(-1, DIM, DIM).swapaxes(-1, -2),
-                             STANDARD_PHI).values
-NABLA_PHI.flags.writeable = False
+NABLA_PHI = _linear_operator(lambda rows: [-matrix_coaction(
+    rows.reshape(-1, DIM, DIM).swapaxes(-1, -2), STANDARD_PHI).values], DIM * DIM, ["nabla_phi"])
 
 
 def full_torsion_from_nabla(gamma):
@@ -234,9 +235,10 @@ TAIL_COLUMNS = {name: slice(end - width, end) for (name, width), end in zip(
     _TAIL_WIDTHS.items(), itertools.accumulate(_TAIL_WIDTHS.values()))}
 
 
-def _tail_stages(s):
-    """The blocks of the torsion tail of the derivatives s, in the order of _TAIL_WIDTHS,
-    by the stepwise definitions."""
+def _tail_stages(rows):
+    """The blocks of the torsion tail of the rows [dphi, dpsi], in the order of
+    _TAIL_WIDTHS, by the stepwise definitions."""
+    s = SimpleNamespace(dphi=rows[..., :DIMS[4]], dpsi=rows[..., DIMS[4]:])
     tau0, tau1, tau2, tau3 = torsion_forms(s)
     tau27 = tau27_tensor(tau3)
     return (s.dphi @ STAR[4].T, s.dpsi @ STAR[5].T, tau0, tau1, tau2, tau3,
@@ -246,28 +248,10 @@ def _tail_stages(s):
             _vecmat(tau2, PSI_WEDGE[2]), _vecmat(tau3, PHI_WEDGE[3]), _vecmat(tau3, PSI_WEDGE[3]))
 
 
-def _tail_operator():
-    """The read-only (56, 310) operator of the torsion tail: row k is _tail_stages on the
-    k-th unit vector of [dphi, dpsi].  The stages run on a zero row too, which must stay
-    zero, since every stage is linear.  Each row is a stack of one, so that every product
-    of the build is taken row by row: as one (57, 35) stack, tau27_tensor's product with
-    _PAIR_TOP went to OpenBLAS's threads and took about 16 ms, not 0.04 ms, on a 2-vCPU
-    virtual machine."""
-    width = DIMS[4] + DIMS[5]
-    units = np.eye(width + 1, width, k=-1)[:, None, :]  # the zero row, then the unit rows
-    s = SimpleNamespace(dphi=units[..., :DIMS[4]], dpsi=units[..., DIMS[4]:])
-    blocks = [np.reshape(b, (width + 1, -1)) for b in _tail_stages(s)]
-    if constant := [name for name, b in zip(_TAIL_WIDTHS, blocks) if b[0].any()]:  # not linear
-        raise ValidationError(f"torsion stages with a constant term: {', '.join(constant)}")
-    values = np.concatenate(blocks, axis=1)[1:]
-    values.flags.writeable = False
-    return values
-
-
-#: The torsion tail of the generic route: [dphi, dpsi] @ TAIL holds the blocks of _TAIL_WIDTHS
-#: at the columns of TAIL_COLUMNS.  It is built from the stepwise stages above, which stay
-#: the definitions, and from nothing of gabc.
-TAIL = _tail_operator()
+#: The read-only (56, 310) torsion tail of the generic route: [dphi, dpsi] @ TAIL holds the
+#: blocks of _TAIL_WIDTHS at the columns of TAIL_COLUMNS.  It is built from the stepwise
+#: stages above, which stay the definitions, and from nothing of gabc.
+TAIL = _linear_operator(_tail_stages, DIMS[4] + DIMS[5], _TAIL_WIDTHS)
 
 
 def torsion_data(s):

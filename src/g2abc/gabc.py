@@ -17,7 +17,8 @@ A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
 triples as one (N, 3, 4, 4) array.
 Both routes then run once over the stack: the generic route through stacked
 structure constants, the tabulated formulas as one product of the (N, 48)
-entries with an operator built at import from the formula text.  Each compared
+entries with an operator built at import from the formula text, by the same
+``exterior._linear_operator`` that builds g2core's operators.  Each compared
 block of the layout ``_BLOCKS`` names its oracle, the generic-route block it is
 compared with, and the operator keeps the live columns of the blocks a pass
 reads.  A pass concatenates its arrays once, as the table ``_SOURCES`` lists
@@ -45,7 +46,7 @@ import numpy as np
 
 from ._tables import COMBS, DIM, DIMS
 from .errors import ValidationError
-from .exterior import Form, _vecmat, matrix_coaction, wedge
+from .exterior import Form, _linear_operator, _vecmat, matrix_coaction, wedge
 from .g2core import (
     DEFAULT_TOL,
     TAIL,
@@ -161,17 +162,18 @@ def _shapes(abc):
 def _checked(abc):
     """abc, the float64 (3, 4, 4) array of the matrices A, B, C of a triple or
     the (N, 3, 4, 4) array of a stack of N, made read-only once every triple
-    passes the checks: finite, traceless, pairwise commuting.
+    passes the checks: finite, no entry beyond MAX_ENTRY, traceless, pairwise commuting.
 
     The error for a stack of several names its first failing trial and gives
     the error that trial would raise on its own, as its ``reason``, and its
     index as ``trial``.
     """
     abc.flags.writeable = False
-    finite_entries = np.isfinite(abc)
-    finite = finite_entries.all(axis=(-2, -1))
-    # a matrix with non-finite entries fails before its trace or commutators are read
-    safe = abc if finite.all() else np.where(finite_entries, abc, 0.0)
+    bounded_entries = np.abs(abc) <= MAX_ENTRY  # a NaN is not
+    bounded = bounded_entries.all(axis=(-2, -1))
+    # a matrix with an entry that is not finite or beyond MAX_ENTRY fails before its trace
+    # or commutators are formed: no product of the checks overflows
+    safe = abc if bounded.all() else np.where(bounded_entries, abc, 0.0)
     trace = np.trace(safe, axis1=-2, axis2=-1)
     left, right = safe[..., [0, 0, 1], :, :], safe[..., [1, 2, 2], :, :]
     commutator = np.abs(left @ right - right @ left).max(axis=(-2, -1))
@@ -179,19 +181,21 @@ def _checked(abc):
     bound = np.maximum(1.0, np.abs(safe).max(axis=(-3, -2, -1)))[..., None]
     bad_trace = ~(np.abs(trace) <= 1e-12 * bound)
     bad_commutator = ~(commutator / bound <= 1e-10 * bound)  # a NaN or inf fails too
-    if not finite.all() or bad_trace.any() or bad_commutator.any():
+    if not bounded.all() or bad_trace.any() or bad_commutator.any():
         # per matrix or pair of a triple first, as _raise_first_failure reads them
         _raise_first_failure(*(np.moveaxis(x, -1, 0) for x in (
-            finite, trace, commutator, bad_trace, bad_commutator)))
+            np.isfinite(abc).all(axis=(-2, -1)), bounded, trace, commutator, bad_trace,
+            bad_commutator)))
     return abc
 
 
-def _raise_first_failure(finite, trace, commutator, bad_trace, bad_commutator):
-    """The error of the first failing trial: the first check it fails, in the
-    order A finite, A traceless, B and C alike, then [A,B], [A,C], [B,C]."""
+def _raise_first_failure(finite, bounded, trace, commutator, bad_trace, bad_commutator):
+    """The error of the first failing trial: the first check it fails, in the order
+    A finite, A within MAX_ENTRY, A traceless, B and C alike, then [A,B], [A,C], [B,C]."""
     checks = []
     for q, name in enumerate("ABC"):
         checks.append((~finite[q], f"matrix {name} has non-finite entries", trace[q]))
+        checks.append((~bounded[q], f"matrix {name} has an entry beyond {MAX_ENTRY:g}", trace[q]))
         checks.append((bad_trace[q], f"matrix {name} is not traceless: tr = {{:g}}", trace[q]))
     for p, pair in enumerate(("A,B", "A,C", "B,C")):
         checks.append((bad_commutator[p],
@@ -636,8 +640,10 @@ _PATTERN_SHAPES = np.c_[(np.arange(16)[:, None] & _PATTERN_BITS) > 0, np.ones(16
 _DUAL_MASKS = _PATTERN_SHAPES[:, _REPORTED_ON] & _REPORTED
 
 
-def _text_values(t):
-    """The columns of the tabulated layout, evaluated from the formula text on the stack t."""
+def _text_values(rows):
+    """The blocks of the tabulated layout, in the order of _BLOCKS, evaluated from the formula
+    text on the triples whose 48 entries are the rows: one (n, width) array per block."""
+    t = TripleABC._of_validated(np.reshape(rows, (-1, 3, 4, 4)))
     named = dict(zip("ABC", t.matrices()))
     named.update((name + "t", _transpose(M)) for name, M in zip("ABC", t.matrices()))
     th = {(name, i): theta(M, OMEGA[i]) for name, M in named.items() for i in (7, 1, 2)}
@@ -649,29 +655,25 @@ def _text_values(t):
         text[f"theta(omega{which})[{name}]"] = th[name, which]
     text.update(zip((name for name, _ in _DERIVATIVES), _derivatives_text(th)))
     values = [np.reshape(getattr(text[f], "values", text[f]), (-1, DIMS[d])) for f, d, *_ in _BLOCKS]
-    return np.concatenate([np.broadcast_to(v, (len(t.abc), v.shape[1])) for v in values], 1)
+    return [np.broadcast_to(v, (len(t.abc), v.shape[1])) for v in values]
 
 
 def _operator():
     """The tabulated operator and its live-column map, both read-only.
 
-    Row k of the (48, K) operator of the layout is the formula text on unit triple k.  Its
-    L live columns, those the text does not leave identically zero, are kept in column
-    order, then one zero column that stands for the others: a pass's product P is the
-    (n, 48) entries of its stack times this (48, L + 1) matrix.  The map holds the column
-    of P of each column of the layout.
+    Row k of the (48, 767) operator of the layout is the formula text on unit triple k, as
+    exterior._linear_operator builds it.  Its L live columns, those the text does not leave
+    identically zero, are kept in column order, then one zero column that stands for the
+    others: a pass's product P is the (n, 48) entries of its stack times this (48, L + 1)
+    matrix.  The map holds the column of P of each column of the layout.
     """
-    units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
-    values = _text_values(TripleABC._of_validated(units))
-    if constant := [f for f, *_ in _BLOCKS if values[0, _COLUMNS[f]].any()]:  # not linear
-        raise ValidationError(f"tabulated formulas with a constant term: {', '.join(constant)}")
-    live = np.flatnonzero(values[1:].any(axis=0))
+    full = _linear_operator(_text_values, 48, [f for f, *_ in _BLOCKS])
+    live = full.any(axis=0)
     # C-ordered like the full operator: numpy's product then sums each column in the same
     # order, so a live column's values are bit-identical to the full operator's
-    matrix = np.zeros((48, len(live) + 1))
-    matrix[:, :-1] = values[1:, live]
-    at = np.full(values.shape[1], len(live))
-    at[live] = np.arange(len(live))
+    matrix = np.zeros((48, live.sum() + 1))
+    matrix[:, :-1] = full[:, live]
+    at = np.where(live, np.cumsum(live) - 1, live.sum())
     for array in (matrix, at):
         array.flags.writeable = False
     return matrix, at
@@ -812,6 +814,10 @@ def _traceless(d):
 #: products, so the bound sits below sqrt(finfo.max) = 1.34e154 with room to spare: at it,
 #: every family generates and goes through cross_validate_stack with no overflow.
 MAX_SCALE = 1e150
+#: Largest magnitude of an entry of a triple, generated or read from a file: the largest
+#: that generate_many draws, 3 * MAX_SCALE on the diagonal and symmetric families.  The
+#: checks of TripleABC reject a larger one before they form a product of entries.
+MAX_ENTRY = 3 * MAX_SCALE
 
 
 def _check_kinds(kinds):
@@ -822,14 +828,15 @@ def _check_kinds(kinds):
 
 def _check_scale(scale):
     """Raise a ValidationError unless scale is a real number with 0 < scale <= MAX_SCALE;
-    NaN fails it too."""
-    if not (isinstance(scale, numbers.Real) and 0.0 < scale <= MAX_SCALE):
+    NaN and a bool fail it too."""
+    if isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and 0 < scale <= MAX_SCALE):
         raise ValidationError(f"scale {scale!r} is not in (0, {MAX_SCALE:g}]")
 
 
 def _check_tol(tol):
-    """Raise a ValidationError unless tol is a real number with 0 <= tol < inf; NaN fails it too."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+    """Raise a ValidationError unless tol is a real number with 0 <= tol < inf; NaN and a
+    bool fail it too."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
         raise ValidationError(f"tolerance {tol!r} is not a number in [0, inf)")
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 
 from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP, WEDGE
-from g2abc.exterior import Form, contractions
-from g2abc import gabc
+from g2abc.exterior import Form, _linear_operator, contractions
+from g2abc import g2core, gabc
 from g2abc.g2core import TAIL_COLUMNS, torsion_data
 from g2abc.gabc import _ABC_ROWS, _DERIVATIVES, OMEGA, TripleABC, _skew, _sym, build, theta
 from g2abc.liealg import _PAIR_I, _PAIR_J, _jacobi_residuals
@@ -58,6 +58,29 @@ def is_unimodular(c, tol=1e-12):
     """True when every adjoint map ad_{e_i} of the algebra of the structure constants c
     is traceless within tol."""
     return bool(np.max(np.abs(np.einsum("...ikk->...i", c))) <= tol)
+
+
+def tail_operator():
+    """TAIL built again from g2core's stepwise stages as they are now, as g2core builds it
+    at import: a test that patches a stage rebuilds the operator that composes it."""
+    return _linear_operator(g2core._tail_stages, DIMS[4] + DIMS[5], g2core._TAIL_WIDTHS)
+
+
+def isometric_directions(phi):
+    """The (7, 7, 7) array of the xi_m, (xi_m)_ij = phi(e_m, e_i, e_j), of the 3-form phi:
+    for the standard phi they span the R^7 of so(7) = g2 + R^7."""
+    xi = np.zeros((DIM, DIM, DIM))
+    for r, (i, j) in enumerate(COMBS[2]):
+        xi[:, i - 1, j - 1] = contractions(phi)[:, r]
+        xi[:, j - 1, i - 1] = -contractions(phi)[:, r]
+    return xi
+
+
+def act(xi, c):
+    """(xi . c)_ijk = sum_l xi_kl c_ijl - xi_li c_ljk - xi_lj c_ilk: the derivative at t = 0
+    of the structure constants c rotated by exp(t xi), for a matrix xi of so(7)."""
+    return (np.einsum("kl,...ijl->...ijk", xi, c) - np.einsum("li,...ljk->...ijk", xi, c)
+            - np.einsum("lj,...ilk->...ijk", xi, c))
 
 
 def jacobi_residual(c):

@@ -1,14 +1,18 @@
-"""Print one sha256 over every array of 1800 cross-validation passes.
+"""Print one sha256 over every array of 1800 cross-validation passes, then one over the
+operators built at import.
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/pass_digest.py
 
 For each seed 0-99 and scale 1e-3, 1 and 1e3, the passes are a stack of 4 triples of each
-family and one stack of 20 that cycles through the five families.  The digest covers every
-field of each pass's ``CrossValidationArrays``, and its ``flags`` and ``passed()``: each
-array with its dtype and shape, each family, quantity and key by its repr.  Two trees that
-print the same digest give the same pass arrays, bit for bit, signs of zero included, so a
-change that must keep every pass output can be checked by comparing the two lines (about
-3 s).  pytest does not collect this file.
+family and one stack of 20 that cycles through the five families.  The first digest covers
+every field of each pass's ``CrossValidationArrays``, and its ``flags`` and ``passed()``:
+each array with its dtype and shape, each family, quantity and key by its repr.  The second
+covers, each with its dtype and shape, g2core's TAIL, the tabulated operator
+``gabc._OPERATOR`` and its live-column map ``gabc._LIVE_AT``, g2core's NABLA_PHI, and the
+operators of ``ce_diff`` of the standard phi and psi.  Two trees that print the same lines
+give the same pass arrays and operators, bit for bit, signs of zero included, so a change
+that must keep them can be checked by comparing the output (about 3 s).  pytest does not
+collect this file.
 """
 
 import hashlib
@@ -16,7 +20,10 @@ import sys
 
 import numpy as np
 
+from g2abc import gabc
+from g2abc.g2core import NABLA_PHI, STANDARD_PHI, STANDARD_PSI, TAIL
 from g2abc.gabc import FamilyKind, cross_validate_stack, generate_many
+from g2abc.liealg import _ce_operator
 
 SEEDS = range(100)
 SCALES = (1e-3, 1.0, 1e3)
@@ -62,6 +69,10 @@ def main():
         update(digest, arrays.flags)
         update(digest, arrays.passed())
     print(digest.hexdigest())
+    operators = hashlib.sha256()
+    update(operators, [TAIL, gabc._OPERATOR, gabc._LIVE_AT, NABLA_PHI,
+                       _ce_operator(STANDARD_PHI), _ce_operator(STANDARD_PSI)])
+    print(operators.hexdigest())
     return 0
 
 

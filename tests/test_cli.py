@@ -155,13 +155,18 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "family: diagonal" in out and "passed: True" in out
 
 
-def test_analyze_text_output_names_a_nan_deviation_as_the_worst(tmp_path, capsys):
-    # at 1e160 the Ricci tensor overflows to NaN; the other deviations are 0
-    path = write_triple(tmp_path / "t.json", A=(1e160 * np.array(DIAG_A)).tolist())
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["analyze", "--input", path]) == 2
-        text = capsys.readouterr().out
-        assert main(["analyze", "--input", path, "--json"]) == 2
+def nan_ricci(t):
+    """A closed-form Ricci tensor that is NaN throughout: a stage that broke."""
+    return np.full(t.abc.shape[:-3] + (7, 7), np.nan)
+
+
+def test_analyze_text_output_names_a_nan_deviation_as_the_worst(tmp_path, capsys, monkeypatch):
+    # the closed Ricci tensor is NaN, so its deviation is; the other deviations are 0
+    monkeypatch.setattr(gabc, "closed_form_ricci", nan_ricci)
+    path = write_triple(tmp_path / "t.json", A=DIAG_A)
+    assert main(["analyze", "--input", path]) == 2
+    text = capsys.readouterr().out
+    assert main(["analyze", "--input", path, "--json"]) == 2
     assert np.isnan(json.loads(capsys.readouterr().out)["deviations"]["ricci"])
     assert "cross-validation: worst deviation nan (ricci), tol 1e-09\n" in text
     assert text.endswith("passed: False\n")
@@ -519,6 +524,29 @@ def test_analyze_rejects_non_finite_matrix(tmp_path, capsys):
     assert "matrix A has non-finite entries" in capsys.readouterr().err
 
 
+def commuting_diagonals(s):
+    """A = diag(s, -s, 0, 0), B = diag(0, 0, s, -s), C = diag(s, 0, -s, 0): they commute
+    exactly, but a product of two of their entries overflows beyond s = 1.34e154."""
+    return {name: np.diag(d).tolist() for name, d in
+            zip("ABC", ([s, -s, 0.0, 0.0], [0.0, 0.0, s, -s], [s, 0.0, -s, 0.0]))}
+
+
+def test_analyze_rejects_an_entry_beyond_the_largest_before_any_product(tmp_path, capsys):
+    # the suite turns every numpy warning into an error: no commutator is formed
+    path = write_triple(tmp_path / "t.json", **commuting_diagonals(1e160))
+    assert_rejected(capsys, ["analyze", "--input", path],
+                    f"error: matrix A has an entry beyond {gabc.MAX_ENTRY:g}")
+
+
+def test_analyze_takes_a_triple_at_the_largest_entry(tmp_path, capsys, monkeypatch):
+    # not an input error; the gates fail on round-off against the absolute tol (ROADMAP 2)
+    monkeypatch.delenv("G2ABC_TOL", raising=False)
+    path = write_triple(tmp_path / "t.json", **commuting_diagonals(gabc.MAX_ENTRY))
+    assert main(["analyze", "--input", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.err and json.loads(captured.out)["family"] == "diagonal"
+
+
 def test_analyze_rejects_missing_matrix_key(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"A": ZERO, "B": ZERO}))
@@ -563,19 +591,19 @@ def test_writer_lays_out_any_tree_as_json_dumps_with_indent_2(tree):
 @pytest.mark.parametrize("argv", [
     ["verify", "--case", "all", "--trials", "2", "--json"],
     ["analyze", "--input", "{zero}", "--json"],
-    # README's example at 1e160: the Ricci tensor overflows, so the report holds NaN
-    ["analyze", "--input", "{diag_1e160}", "--json"],
+    # README's example with a closed Ricci tensor that is NaN, so the report holds NaN
+    ["analyze", "--input", "{diag_nan_ricci}", "--json"],
     ["gen", "--case", "general", "--seed", "5", "--trial", "3", "--out", "{out}"],
 ])
 def test_requests_write_the_stdlib_bytes_through_json_s_c_encoder(tmp_path, capsys,
                                                                   monkeypatch, argv):
     inputs = {"zero": write_triple(tmp_path / "zero.json"),
-              "diag_1e160": write_triple(tmp_path / "big.json",
-                                         A=(1e160 * np.array(DIAG_A)).tolist())}
+              "diag_nan_ricci": write_triple(tmp_path / "diag.json", A=DIAG_A)}
+    if "{diag_nan_ricci}" in argv:
+        monkeypatch.setattr(gabc, "closed_form_ricci", nan_ricci)
 
     def run(out):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([arg.format(out=out, **inputs) for arg in argv])
+        code = main([arg.format(out=out, **inputs) for arg in argv])
         return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
 
     with monkeypatch.context() as m:
@@ -591,7 +619,7 @@ def test_requests_write_the_stdlib_bytes_through_json_s_c_encoder(tmp_path, caps
     code, stdout, written = got
     if "{zero}" in argv:
         assert '"tau1": {},' in stdout and '"dual_reports": [],' in stdout
-    if "{diag_1e160}" in argv:
+    if "{diag_nan_ricci}" in argv:
         assert code == 2 and "NaN" in stdout
     if "{out}" in argv:
         assert written.endswith(b"\n}\n") and json.loads(written)["trial"] == 3

@@ -12,6 +12,7 @@ from g2abc._tables import CONTRACT, DIM, DIMS, STAR, WEDGE
 from g2abc.errors import DegreeError, ValidationError
 from g2abc.exterior import (
     Form,
+    _linear_operator,
     contractions,
     hodge,
     matrix_coaction,
@@ -472,3 +473,18 @@ def test_stacks_from_coefficient_arrays_scale_and_norm_per_form(rng):
     assert_rows(s * STANDARD_PHI, lambda n: s[n] * STANDARD_PHI)
     assert_rows(STANDARD_PHI * s, lambda n: STANDARD_PHI * s[n])
     assert np.array_equal(stacked.norm_inf(), [member(stacked, n).norm_inf() for n in range(4)])
+
+
+def test_linear_operator_is_the_stage_on_the_unit_rows_each_a_stack_of_one(rng):
+    m = rng.standard_normal((5, 3))
+    shapes = []
+
+    def stage(rows):
+        shapes.append(rows.shape)
+        return rows @ m, 2.0 * rows[..., :2]
+
+    op = _linear_operator(stage, 5, ["product", "double"])
+    assert shapes == [(6, 1, 5)]
+    assert np.array_equal(op, np.concatenate([m, 2.0 * np.eye(5, 2)], axis=1))
+    assert not op.flags.writeable
+

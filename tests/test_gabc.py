@@ -9,7 +9,7 @@ import pytest
 from g2abc import cli, exterior, g2core, gabc, liealg
 from g2abc._tables import COMBS, STAR
 from g2abc.errors import ValidationError
-from g2abc.exterior import Form, _vecmat, contractions, hodge, wedge
+from g2abc.exterior import Form, _linear_operator, _vecmat, contractions, hodge, wedge
 from g2abc.g2core import (
     STANDARD_PHI,
     STANDARD_PSI,
@@ -110,6 +110,12 @@ def test_non_finite_matrix_rejected(bad):
 
 @pytest.mark.parametrize("entries, message", [
     ({(1, 1, 2, 3): np.inf}, "trial 1: matrix B has non-finite entries"),
+    # an entry beyond MAX_ENTRY fails after the finite check and before the trace
+    ({(1, 1, 2, 3): 1e160, (1, 1, 0, 0): 1.0, (1, 1, 0, 1): np.nan},
+     "trial 1: matrix B has non-finite entries"),
+    ({(1, 1, 2, 3): -1e160, (1, 1, 0, 0): 1.0},
+     "trial 1: matrix B has an entry beyond 3e+150"),
+    ({(0, 0, 0, 0): 1.0, (1, 1, 2, 3): -1e160}, "trial 0: matrix A is not traceless: tr = 1"),
     ({(2, 2, 0, 0): 1.0}, "trial 2: matrix C is not traceless: tr = 1"),
     ({(1, 0, 0, 1): 1.0, (1, 1, 1, 2): 1.0},  # A = e34, B = e45
      "trial 1: pairwise commutation violated: max |[A,B]| = 1"),
@@ -426,7 +432,8 @@ def test_generate_many_takes_a_numpy_array_of_kinds_as_a_kind_per_trial():
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
-@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf, 1e308, "2", 1j])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf, 1e308, "2", 1j, True,
+                                   False])
 def test_generate_rejects_a_scale_outside_its_range(kind, scale):
     message = f"scale {scale!r} is not in (0, {MAX_SCALE:g}]"
     # raised before any draw, so also without a numpy warning (warnings fail tier-1)
@@ -446,7 +453,7 @@ def test_every_family_generates_and_passes_through_a_pass_at_the_largest_scale(k
     assert np.isfinite(arrays.deviations).all() and np.isfinite(arrays.ricci_matrix).all()
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "1e-9"])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "1e-9", True, False])
 def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
     # raised before any work: the pass never builds its algebra
     monkeypatch.setattr(gabc, "build", lambda t: pytest.fail("the pass ran"))
@@ -658,7 +665,7 @@ def source_columns(sources, columns):
 def test_operator_reads_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
         t = generate_many(kind, 0, range(50), scale)
-        text_values = gabc._text_values(t)
+        text_values = np.concatenate(gabc._text_values(t.abc.reshape(-1, 48)), axis=1)
         for read, text in zip(operator_reads(t), pass_reads(t, text_values,
                                                           *full_layout(text_values))):
             err = np.abs(read - text).max(axis=1)
@@ -676,8 +683,7 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
 
 def full_operator():
     """The (48, 767) operator of the formula text on the unit triples, every column kept."""
-    units = np.concatenate([np.zeros((1, 48)), np.eye(48)]).reshape(49, 3, 4, 4)
-    return gabc._text_values(gabc.TripleABC._of_validated(units))[1:]
+    return _linear_operator(gabc._text_values, 48, [formula for formula, *_ in gabc._BLOCKS])
 
 
 def test_live_operator_holds_the_live_columns_of_the_full_one():

@@ -1,12 +1,15 @@
 import numpy as np
+import pytest
 
+from g2abc import g2core
 from g2abc.exterior import contractions
-from g2abc.g2core import STANDARD_PSI, torsion_data
-from g2abc.gabc import FamilyKind, TripleABC, build, generate, generate_many
+from g2abc.g2core import STANDARD_PHI, STANDARD_PSI, G2Structure, torsion_data
+from g2abc.gabc import (FamilyKind, TripleABC, build, cross_validate_stack, generate,
+                        generate_many, structure_constants)
 from g2abc.liealg import LieAlgebra7
 from g2abc.riemann import div_torsion, levi_civita, ricci
 
-from helpers import ZERO4, riemann_tensor, stack_of
+from helpers import ZERO4, act, isometric_directions, riemann_tensor, stack_of, tail_operator
 
 DIAG_A = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -190,3 +193,60 @@ def test_psi_velocity_vanishes_exactly_where_div_t_does():
     rows = contractions(STANDARD_PSI)
     assert np.array_equal(rows @ rows.T, 4.0 * np.eye(7))
     assert not np.any(np.zeros(7) @ rows)
+
+
+# -- div T as the gradient of the isometric energy --------------------------------------
+
+#: The seven xi_m of the standard phi, the isometric directions outside g2.
+XI = isometric_directions(STANDARD_PHI)
+
+
+def energy_gradient(c):
+    """(..., 7): the derivative of E = sum_ij T_ij^2 along each xi_m at the constants c,
+    2 <T(c), T(xi_m . c)>, since T is linear in c."""
+    T = torsion_data(G2Structure(c)).T
+    moved = [torsion_data(G2Structure(act(xi, c))).T for xi in XI]
+    return np.stack([2.0 * np.einsum("...ij,...ij->...", T, Tm) for Tm in moved], axis=-1)
+
+
+def gradient_gap(c, divergence):
+    """(...,): the largest |grad E - 6 div T| of each algebra of the constants c."""
+    return np.abs(energy_gradient(c) - 6.0 * divergence).max(axis=-1)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_div_torsion_is_the_gradient_of_the_energy_along_the_isometric_directions(scale):
+    # the critical points of the isometric flow (arXiv:1904.10068) are those with div T = 0
+    for kind in FamilyKind:
+        t = generate_many(kind, 0, range(8), scale)
+        c, s = build(t)
+        bound = 1e-13 * np.maximum(1.0, np.abs(t.abc).max(axis=(-3, -2, -1))) ** 2
+        gap = gradient_gap(c, div_torsion(levi_civita(c), torsion_data(s).T))
+        assert np.all(gap <= bound), (kind, gap / bound)
+
+
+def test_the_energy_gradient_holds_on_traceless_triples_that_do_not_commute(rng):
+    # not a Lie algebra, but unimodular: an identity on the whole traceless span
+    m = rng.standard_normal((30, 3, 4, 4))
+    m -= np.trace(m, axis1=-2, axis2=-1)[..., None, None] / 4.0 * np.eye(4)
+    c = structure_constants(m[:, 0], m[:, 1], m[:, 2])
+    div = div_torsion(levi_civita(c), torsion_data(G2Structure(c)).T)
+    assert np.abs(div).max() > 1.0
+    bound = 1e-13 * np.maximum(1.0, np.abs(m).max(axis=(-3, -2, -1))) ** 2
+    assert np.all(gradient_gap(c, div) <= bound)
+
+
+def test_the_energy_gradient_catches_a_wrong_tau27_that_the_pass_s_divergence_misses(
+        monkeypatch):
+    # a tau27 of half its size, TAIL built again from the stages: the pass's gated divergence
+    # compares the generic div T with the closed form of the generic tau27, so it agrees
+    # with itself, while the gradient identity misses on every family
+    stepwise = g2core.tau27_tensor
+    monkeypatch.setattr(g2core, "tau27_tensor", lambda tau3: 0.5 * stepwise(tau3))
+    monkeypatch.setattr(g2core, "TAIL", tail_operator())
+    for kind in FamilyKind:
+        t = generate_many(kind, 0, range(8))
+        c, s = build(t)
+        assert gradient_gap(c, div_torsion(levi_civita(c), torsion_data(s).T)).max() >= 1.0
+        arrays = cross_validate_stack(t)
+        assert arrays.deviations[:, arrays.quantities.index("divergence")].max() <= 1e-15
