@@ -8,6 +8,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -253,17 +254,19 @@ def cmd_verify(args):
             raise ValidationError(f"case {cases[i]}, trial {k}: {exc.reason}") from None
         arrays = cross_validate_stack(stack, tol=args.tol)
         failures += int(np.count_nonzero(~arrays.passed()))
-        # as a maximum taken from 0.0, NaN and quantities that do not apply never win
-        devs = np.where(arrays.applies & ~np.isnan(arrays.deviations), arrays.deviations, 0.0)
+        # as a maximum taken from 0.0, quantities that do not apply never win; a NaN does,
+        # as in analyze's report, since np.maximum, max and argmax all take a NaN first
+        devs = np.where(arrays.applies, arrays.deviations, 0.0)
         start = 0
         for i, group in itertools.groupby(i for i, _ in chunk):  # the rows of each case, in order
             stop = start + len(list(group))
             rows = devs[start:stop]
             case_max[i] = np.maximum(case_max.get(i, 0.0), rows.max(axis=0))
             case_has[i] = case_has.get(i, False) | arrays.applies[start:stop].any(axis=0)
-            j = int(rows.argmax())  # the first maximum in (trial, quantity) order
-            if rows.flat[j] > case_worst[i][0]:
-                case_worst[i] = (float(rows.flat[j]), arrays.quantities[j % rows.shape[1]])
+            j = int(rows.argmax())  # the first maximum, or NaN, in (trial, quantity) order
+            worst = float(rows.flat[j])
+            if (math.isnan(worst), worst) > (math.isnan(case_worst[i][0]), case_worst[i][0]):
+                case_worst[i] = (worst, arrays.quantities[j % rows.shape[1]])
             start = stop
         for column, x, y in zip(*(a.tolist() for a in arrays.dual_reports[1:])):
             if column not in duals or duals[column][0] < abs(x - y):
@@ -271,7 +274,7 @@ def cmd_verify(args):
     quantities = arrays.quantities
     case_devs = [dict(itertools.compress(zip(quantities, case_max[i].tolist()), case_has[i].tolist()))
                  for i in range(len(cases))]
-    # every entry of case_max is at least 0.0, and 0.0 where the case lacks the quantity
+    # every entry of case_max is at least 0.0 or NaN, and 0.0 where the case lacks the quantity
     all_max = np.max(list(case_max.values()), axis=0).tolist()
     all_has = np.any(list(case_has.values()), axis=0).tolist()
     worst = dict(itertools.compress(zip(quantities, all_max), all_has))

@@ -14,7 +14,7 @@ text of the tabulated formulas; the stages of the torsion pass exchange the
 bare coefficient arrays instead, and every result object holds them.
 ``_linear_operator`` builds the matrix of a linear stage from its values on the
 unit vectors; every operator built at import (g2core's TAIL and NABLA_PHI, gabc's
-tabulated operator) is one call of it.
+tabulated and generic operators) is one call of it.
 
 Conventions:
   * monomials are orthonormal,
@@ -168,6 +168,13 @@ def _linear_operator(stage, width, names):
     values = np.concatenate(blocks, axis=1)[1:]
     values.flags.writeable = False
     return values
+
+
+def _block_columns(widths):
+    """{name: the slice of its columns} of blocks side by side in the order of widths, a
+    {name: width} table such as the names of a _linear_operator."""
+    ends = np.cumsum(list(widths.values())).tolist()
+    return {name: slice(end - width, end) for (name, width), end in zip(widths.items(), ends)}
 
 
 #: CONTRACT[k] reshaped so that one product gives every iota_{e_m}: (C(7,k), 7 * C(7,k-1)).

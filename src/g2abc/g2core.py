@@ -15,6 +15,8 @@ and for the differential ``ce_diff``.
 The maps into the generic route are fixed operators as well: phi and psi keep the
 operators of their ``ce_diff`` on the structure constants, built here at import, and
 NABLA_PHI takes a connection to the right-hand sides nabla_{e_i} phi of the torsion solve.
+``gabc`` builds its generic operator from ``_torsion_solve``, the solve without its check,
+and checks there once that the solve's residual is exactly zero.
 
 Every stage from (dphi, dpsi) on is linear.  ``torsion_forms``, ``tau27_tensor``,
 ``full_torsion_from_forms`` and ``reconstruction_residuals`` are the stepwise
@@ -25,7 +27,6 @@ the type products.  NABLA_PHI is built by the same helper.  ``torsion_data`` is 
 product with TAIL.  The build reads nothing of ``gabc``, so the generic route borrows
 nothing from the tabulated one."""
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -35,8 +36,8 @@ import numpy as np
 
 from ._tables import DIM, DIMS, STAR, WEDGE
 from .errors import TorsionSolveError
-from .exterior import (Form, _iota_rows, _linear_operator, _vecmat, contractions, hodge,
-                       matrix_coaction)
+from .exterior import (Form, _block_columns, _iota_rows, _linear_operator, _vecmat,
+                       contractions, hodge, matrix_coaction)
 from .liealg import _ce_operator, ce_diff
 
 #: The reference positive 3-form; the basis e_1..e_7 is orthonormal for it.
@@ -174,6 +175,19 @@ NABLA_PHI = _linear_operator(lambda rows: [-matrix_coaction(
     rows.reshape(-1, DIM, DIM).swapaxes(-1, -2), STANDARD_PHI).values], DIM * DIM, ["nabla_phi"])
 
 
+def _torsion_solve(gamma):
+    """(T, residual) of the torsion solve of the connection gamma, without its check: the
+    least-squares T of full_torsion_from_nabla and the (..., 35, 7) residual
+    PSI_COLUMNS T^T - rhs, column i that of nabla_{e_{i+1}} phi."""
+    # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
+    # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
+    gamma = np.asarray(gamma)
+    rhs = (gamma.reshape(gamma.shape[:-2] + (DIM * DIM,)) @ NABLA_PHI).swapaxes(-1, -2)
+    v = 0.25 * (PSI_COLUMNS.T @ rhs)
+    # row i of T is v[:, i]
+    return v.swapaxes(-1, -2), PSI_COLUMNS @ v - rhs
+
+
 def full_torsion_from_nabla(gamma):
     """Full torsion tensor from the Levi-Civita connection gamma (nabla_{e_i} e_j =
     sum_k gamma[i, j, k] e_k): solves iota_{T(e_i)}(psi) = nabla_{e_i} phi.
@@ -185,20 +199,15 @@ def full_torsion_from_nabla(gamma):
     side is linear in gamma) signals an inconsistent connection/structure pair; on a stack
     of several the error names the first such connection as its trial.
     """
-    # nabla phi of an invariant form: (nabla_X phi)(Y,..) = -sum phi(..,nabla_X Y_t,..),
-    # i.e. column i is -matrix_coaction(gamma[i].T, phi) = -sum_jk gamma[i,j,k] e^j ^ iota_{e_k} phi
-    gamma = np.asarray(gamma)
-    rhs = (gamma.reshape(gamma.shape[:-2] + (DIM * DIM,)) @ NABLA_PHI).swapaxes(-1, -2)
-    v = 0.25 * (PSI_COLUMNS.T @ rhs)
-    residual = np.abs(PSI_COLUMNS @ v - rhs).max(axis=(-2, -1))
+    T, residual = _torsion_solve(gamma)
+    residual = np.abs(residual).max(axis=(-2, -1))
     bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
     bad = np.ravel(residual > bound)
     if bad.any():
         n = int(bad.argmax())
         raise TorsionSolveError.of_trial(
             n, bad.size, f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
-    # row i of T is v[:, i]
-    return v.swapaxes(-1, -2)
+    return T
 
 
 def reconstruction_residuals(s, tau0, tau1, tau2, tau3):
@@ -231,8 +240,7 @@ _TAIL_WIDTHS = {
     "tau2_type14": DIMS[6], "tau3_type27_phi": DIMS[6], "tau3_type27_psi": DIMS[7],
 }
 #: TAIL_COLUMNS[name]: the slice of the columns of the torsion tail that hold block name.
-TAIL_COLUMNS = {name: slice(end - width, end) for (name, width), end in zip(
-    _TAIL_WIDTHS.items(), itertools.accumulate(_TAIL_WIDTHS.values()))}
+TAIL_COLUMNS = _block_columns(_TAIL_WIDTHS)
 
 
 def _tail_stages(rows):

@@ -15,15 +15,19 @@ generic route; such coefficients are dual-reported, never silently fixed.
 
 A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
 triples as one (N, 3, 4, 4) array.
-Both routes then run once over the stack: the generic route through stacked
-structure constants, the tabulated formulas as one product of the (N, 48)
-entries with an operator built at import from the formula text, by the same
-``exterior._linear_operator`` that builds g2core's operators.  Each compared
-block of the layout ``_BLOCKS`` names its oracle, the generic-route block it is
-compared with, and the operator keeps the live columns of the blocks a pass
-reads.  A pass concatenates its arrays once, as the table ``_SOURCES`` lists
-them, and reads every compared value, oracle and gated residual from that one
-array, at columns ``_pass_layout`` derives from the table.
+Both routes then run once over the stack, each from one product of the (N, 48)
+entries with an operator built at import by the same ``exterior._linear_operator``
+that builds g2core's operators.  The generic operator runs the stepwise stages
+``structure_constants``, ``riemann.levi_civita`` and the torsion solve of
+``g2core.full_torsion_from_nabla`` on the unit triples: its product gives c, the
+connection and T by nabla, and the pass differentiates phi and psi on that c and
+multiplies [dphi, dpsi] by g2core's TAIL.  The tabulated operator is the formula text and
+the closed-form connection.  Each compared block of the layout ``_BLOCKS`` names
+its oracle, the generic-route block it is compared with, and each operator keeps
+its live columns.  A pass concatenates its arrays once, as the table ``_SOURCES``
+lists them, and takes every compared value with its oracle and every gated
+residual from that one array in one gather of the (left, right) column pairs that
+``_pass_layout`` derives from the table.
 ``closed_form_torsion`` evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
@@ -45,19 +49,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tables import COMBS, DIM, DIMS
-from .errors import ValidationError
-from .exterior import Form, _linear_operator, _vecmat, matrix_coaction, wedge
+from . import g2core
+from .errors import TorsionSolveError, ValidationError
+from .exterior import Form, _block_columns, _linear_operator, _vecmat, matrix_coaction, wedge
 from .g2core import (
     DEFAULT_TOL,
-    TAIL,
+    STANDARD_PHI,
+    STANDARD_PSI,
     TAIL_COLUMNS,
     G2Structure,
     TorsionClass,
     _flags,
-    full_torsion_from_nabla,
-    torsion_data,
+    _torsion_solve,
 )
-from .liealg import _real_array, ce_diff  # noqa: F401  (gabc.ce_diff stays importable)
+from .liealg import _real_array, ce_diff
 from .riemann import div_torsion, levi_civita, ricci
 
 N_INDICES = (3, 4, 5, 6)
@@ -620,8 +625,11 @@ _BLOCKS = (
       for name, which in _THETA_PAIRS),
     *((name, degree, None, name) for name, degree in _DERIVATIVES),
     *((f"theta(omega{which})[{name}]", 2, None, None) for name, which in _THETA_PAIRS))
-_STARTS = np.cumsum([0] + [DIMS[degree] for _, degree, _, _ in _BLOCKS])
-_COLUMNS = {formula: slice(a, b) for (formula, *_), a, b in zip(_BLOCKS, _STARTS, _STARTS[1:])}
+#: The width of each block of the tabulated layout, in column order: the blocks of _BLOCKS,
+#: then the closed-form connection (closed_form_connection), which is no table's formula and
+#: is compared with the generic connection as the gated quantity "connection".
+_WIDTHS = {**{formula: DIMS[degree] for formula, degree, *_ in _BLOCKS}, "connection": DIM ** 3}
+_COLUMNS = _block_columns(_WIDTHS)
 #: The number of compared columns, the first ones of the layout.
 _N_COMPARED = sum(DIMS[degree] for _, degree, _, oracle in _BLOCKS if oracle)
 #: The tabulated formulas whose differences from their oracles gate every triple.
@@ -629,9 +637,10 @@ _GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
           "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
 #: Per compared column, whether any triple dual-reports it, and the column of _shapes that picks
 #: those that do: for a family table the triples of its shape, for the rest of them all triples.
-_REPORTED = np.repeat([kind is not None for *_, kind, _ in _BLOCKS], np.diff(_STARTS))[:_N_COMPARED]
+_REPORTED = np.repeat([kind is not None for *_, kind, _ in _BLOCKS],
+                      [_WIDTHS[formula] for formula, *_ in _BLOCKS])[:_N_COMPARED]
 _REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for *_, kind, _ in _BLOCKS],
-                         np.diff(_STARTS))[:_N_COMPARED]
+                         [_WIDTHS[formula] for formula, *_ in _BLOCKS])[:_N_COMPARED]
 #: A triple's shape pattern is sum_f 2^f shapes[f] over the 4 shapes f of _FAMILIES[:-1], and
 #: _DUAL_MASKS[pattern] is shapes[_REPORTED_ON] & _REPORTED, the compared columns it may
 #: dual-report; _PATTERN_SHAPES[pattern] is its shapes, GENERAL always true.
@@ -654,24 +663,25 @@ def _text_values(rows):
         text[f"theta_omega{which}[{name}]"] = theta_omega_tabulated(named[name], which)
         text[f"theta(omega{which})[{name}]"] = th[name, which]
     text.update(zip((name for name, _ in _DERIVATIVES), _derivatives_text(th)))
-    values = [np.reshape(getattr(text[f], "values", text[f]), (-1, DIMS[d])) for f, d, *_ in _BLOCKS]
+    text["connection"] = closed_form_connection(t)
+    values = [np.reshape(getattr(text[f], "values", text[f]), (-1, width))
+              for f, width in _WIDTHS.items()]
     return [np.broadcast_to(v, (len(t.abc), v.shape[1])) for v in values]
 
 
-def _operator():
-    """The tabulated operator and its live-column map, both read-only.
+def _live_columns(full):
+    """The operator of the live columns of the read-only operator full, and its live-column
+    map, both read-only.
 
-    Row k of the (48, 767) operator of the layout is the formula text on unit triple k, as
-    exterior._linear_operator builds it.  Its L live columns, those the text does not leave
-    identically zero, are kept in column order, then one zero column that stands for the
-    others: a pass's product P is the (n, 48) entries of its stack times this (48, L + 1)
-    matrix.  The map holds the column of P of each column of the layout.
+    Its L live columns, those not identically zero, are kept in column order, then one zero
+    column that stands for the others: a pass's product P is the (n, 48) entries of its
+    stack times this (48, L + 1) matrix.  The map holds the column of P of each column of
+    full.
     """
-    full = _linear_operator(_text_values, 48, [f for f, *_ in _BLOCKS])
     live = full.any(axis=0)
     # C-ordered like the full operator: numpy's product then sums each column in the same
     # order, so a live column's values are bit-identical to the full operator's
-    matrix = np.zeros((48, live.sum() + 1))
+    matrix = np.zeros((len(full), live.sum() + 1))
     matrix[:, :-1] = full[:, live]
     at = np.where(live, np.cumsum(live) - 1, live.sum())
     for array in (matrix, at):
@@ -679,13 +689,17 @@ def _operator():
     return matrix, at
 
 
-#: Built at import, so that every pass, the first one too, does the same work.
-_OPERATOR, _LIVE_AT = _operator()
+def _operator():
+    """The tabulated operator and its live-column map (_live_columns): row k of the
+    (48, 1110) operator of the layout is the formula text and the closed-form connection on
+    unit triple k, as exterior._linear_operator builds it."""
+    return _live_columns(_linear_operator(_text_values, 48, _WIDTHS))
 
 
 @functools.cache
 def _column_labels():
-    """(formula, component) of every column of the tabulated layout, as a dual report names it."""
+    """(formula, component) of every column of the blocks of _BLOCKS, the tabulated layout
+    but its closed-form connection, as a dual report names it."""
     return [(formula, "e" + "".join(map(str, key)) if degree else "")
             for formula, degree, _, _ in _BLOCKS for key in COMBS[degree]]
 
@@ -753,6 +767,51 @@ def closed_form_divergence(t, tau27):
     div = np.zeros(block.shape[:-3] + (DIM,))
     div[..., _ABC_ROWS] = -(t._symmetric * block).sum(axis=(-2, -1))
     return div
+
+
+# -- the two routes' linear halves as operators ---------------------------------------
+
+#: The blocks of the generic operator with their widths, in column order: the structure
+#: constants c, the Levi-Civita connection gamma, and the torsion solve's T and residual.
+_GENERIC_WIDTHS = {"c": DIM ** 3, "gamma": DIM ** 3, "T_nabla": DIM ** 2,
+                   "solve_residual": DIMS[3] * DIM}
+_GENERIC_COLUMNS = _block_columns(_GENERIC_WIDTHS)
+
+
+def _generic_stages(rows):
+    """The blocks of the generic operator on the triples whose 48 entries are the rows, in
+    the order of _GENERIC_WIDTHS, by the stepwise definitions: structure_constants,
+    riemann.levi_civita and the torsion solve of g2core.full_torsion_from_nabla."""
+    abc = rows.reshape(rows.shape[:-1] + (3, 4, 4))
+    c = structure_constants(abc[..., 0, :, :], abc[..., 1, :, :], abc[..., 2, :, :])
+    gamma = levi_civita(c)
+    return (c, gamma, *_torsion_solve(gamma))
+
+
+def _generic_operator():
+    """The generic operator and its live-column map (_live_columns): row k of the (48, 980)
+    operator is _generic_stages on unit triple k, as exterior._linear_operator builds it.
+    It reads nothing of the tabulated side, so the two routes share no result.
+
+    The torsion solve's residual is identically zero: for the Levi-Civita connection of
+    every G2-structure, nabla_X phi = iota_{T(X)} psi (Karigiannis, Flows of G2-structures
+    I, arXiv:math/0702077), and gamma is linear in the entries.  So the check that
+    full_torsion_from_nabla makes on every connection is made once, here, on the operator:
+    a residual block that is not exactly zero raises TorsionSolveError.
+    """
+    full = _linear_operator(_generic_stages, 48, _GENERIC_WIDTHS)
+    residual = np.abs(full[:, _GENERIC_COLUMNS["solve_residual"]]).max()
+    if residual:
+        raise TorsionSolveError(
+            f"torsion solve failed: the residual of the generic operator reaches {residual:g}")
+    return _live_columns(full)
+
+
+#: Both built at import, so that every pass, the first one too, does the same work.
+_OPERATOR, _LIVE_AT = _operator()
+_GENERIC, _GENERIC_AT = _generic_operator()
+#: The columns of the generic product that hold c, then gamma.
+_C_GAMMA_AT = _GENERIC_AT[:_GENERIC_COLUMNS["gamma"].stop]
 
 
 # -- family generators ----------------------------------------------------------
@@ -1085,29 +1144,35 @@ _FAMILY_DEVIATIONS = {
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
 
 
-#: Every array a pass concatenates, in order, with its width for one triple: the product of
-#: the tabulated operator (_live_values), the generic route's torsion tail, dphi and dpsi,
-#: the residuals of the two routes' torsion tensor, connection, Ricci tensor and divergence,
-#: and div T.  A pass reads every column at the place _pass_layout derives from this table.
-_SOURCES = {"product": _OPERATOR.shape[1], "tail": TAIL.shape[1], "dphi": DIMS[4],
-            "dpsi": DIMS[5], "torsion_routes": DIM ** 2, "connection": DIM ** 3,
-            "ricci": DIM ** 2, "divergence": DIM, "div": DIM}
+#: Every array a pass concatenates, in order, with its width for one triple: the products of
+#: the tabulated operator (_live_values) and of the generic operator, the generic route's
+#: torsion tail, dphi and dpsi, the two routes' Ricci tensors and divergences, the closed
+#: form's first, and div T.  A pass reads every column at the place _pass_layout derives
+#: from this table.
+_SOURCES = {"product": _OPERATOR.shape[1], "generic": _GENERIC.shape[1],
+            "tail": g2core.TAIL.shape[1], "dphi": DIMS[4], "dpsi": DIMS[5],
+            "closed_ricci": DIM ** 2, "ricci": DIM ** 2, "closed_divergence": DIM, "div": DIM}
 
 
 def _pass_layout(sources, at):
     """The columns a pass reads of its concatenation of sources, a table like _SOURCES,
-    when column at[k] of the product holds column k of the tabulated layout.  No triple
+    when column at[k] of the tabulated product holds column k of the tabulated layout, and
+    column _GENERIC_AT[k] of the generic product column k of the generic layout.  No triple
     changes them.
 
-    Returns the gated quantities; the columns of the compared tabulated values and of the
-    oracles _BLOCKS names for them; the columns of every gated residual, quantity by
-    quantity, and the oracles of the first of them, the gated formulas', whose residual is
-    tabulated minus oracle; the start of each quantity's block for np.maximum.reduceat; and
-    applies[f, q], whether quantity q gates family _FAMILIES[f].
+    Returns the gated quantities; the (2, K) pairs (left, right) of columns whose
+    differences the pass takes: first each compared tabulated value and the oracle _BLOCKS
+    names for it, then the residual of every gated quantity, quantity by quantity, with the
+    generic product's zero column on the right of a residual that is one array already; the
+    start of each quantity's block among the K for np.maximum.reduceat; and applies[f, q],
+    whether quantity q gates family _FAMILIES[f].
     """
     ends = np.cumsum(list(sources.values()))
     named = {name: np.arange(end - width, end) for (name, width), end in zip(sources.items(), ends)}
     named.update((name, named["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
+    named.update((name, named["generic"][_GENERIC_AT[columns]])
+                 for name, columns in _GENERIC_COLUMNS.items())
+    zero = named["generic"][-1]
     product = named["product"][at]  # the column of each column of the tabulated layout
     # of the layout, only the oracle-only blocks: a compared one such as star_dphi would
     # shadow the tail's block of its name and compare a formula with itself
@@ -1116,15 +1181,19 @@ def _pass_layout(sources, at):
     compared = product[:_N_COMPARED]
     oracle = np.concatenate([oracles[name] for *_, name in _BLOCKS if name])
     tau27 = named["tau27"].reshape(DIM, DIM)
-    columns = {
-        **{formula.split("[")[0]: compared[_COLUMNS[formula]] for formula in _GATED},
+    pairs = {
+        **{formula.split("[")[0]: (compared[_COLUMNS[formula]], oracle[_COLUMNS[formula]])
+           for formula in _GATED},
         **{name: named[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
                                           "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
         "support_iota_tau1_phi": named["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
         "support_tau2": named["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
         "support_tau3": named["tau3"][_off_support(3, TAU3_SUPPORT)],
         "tau27_mixed_block": tau27[_ABC_ROWS, 2:6],
-        **{name: named[name] for name in ("torsion_routes", "connection", "ricci", "divergence")},
+        "torsion_routes": (named["T"], named["T_nabla"]),
+        "connection": (product[_COLUMNS["connection"]], named["gamma"]),
+        "ricci": (named["closed_ricci"], named["ricci"]),
+        "divergence": (named["closed_divergence"], named["div"]),
         # the quantities of _FAMILY_DEVIATIONS, which gate only the triples of their families
         "divergence_free": named["div"],
         "tau27_diagonal_nn": np.diagonal(tau27)[2:6],
@@ -1132,18 +1201,18 @@ def _pass_layout(sources, at):
         "tau27_antidiagonal_pairs": tau27[_ANTIDIAG_PAIRS],
         "support_tau3_antidiagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
     }
-    gated_oracles = np.concatenate([oracle[_COLUMNS[formula]] for formula in _GATED])
-    applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in columns] for f in _FAMILIES]
-    starts = np.cumsum([0] + [block.size for block in columns.values()][:-1])
-    return (tuple(columns), compared, oracle,
-            np.concatenate([np.ravel(block) for block in columns.values()]), gated_oracles,
-            starts, np.array(applies))
+    # a residual that is one array already is the difference from the zero column
+    pairs = {q: np.reshape(pair if isinstance(pair, tuple) else (pair, np.full_like(pair, zero)),
+                           (2, -1)) for q, pair in pairs.items()}
+    starts = _N_COMPARED + np.cumsum([0] + [pair.shape[1] for pair in pairs.values()][:-1])
+    applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in pairs] for f in _FAMILIES]
+    return (tuple(pairs), np.concatenate([(compared, oracle), *pairs.values()], axis=1), starts,
+            np.array(applies))
 
 
 #: The layout of every pass, from its table and the operator's live-column map (no
 #: quantity's block is empty).
-(_QUANTITIES, _COMPARED, _ORACLES, _GATHER, _GATED_ORACLES, _QUANTITY_STARTS,
- _APPLIES) = _pass_layout(_SOURCES, _LIVE_AT)
+_QUANTITIES, _PAIRS, _QUANTITY_STARTS, _APPLIES = _pass_layout(_SOURCES, _LIVE_AT)
 
 
 def cross_validate(t, tol=DEFAULT_TOL):
@@ -1162,53 +1231,58 @@ def cross_validate(t, tol=DEFAULT_TOL):
 
 def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The CrossValidationArrays of t, a stack of n triples (a single triple is a
-    stack of one), from one pass of both routes over a leading trial axis: the
-    generic route from torsion_data and the connection, the tabulated one from
-    the product of the tabulated operator (_live_values) and the closed forms.
-    The pass concatenates the arrays of _SOURCES once, in that order, and takes
-    every compared value, oracle and residual from that one array at the columns of
-    the import-time layout.  A gated quantity is the largest magnitude of its
-    residual, an (n, k) block; one reduction takes all.
+    stack of one), from one pass of both routes over a leading trial axis.  Each route
+    makes one row-by-row product of the (n, 48) entries with its import-time operator: the
+    generic one gives c, gamma and T by nabla, the tabulated one (_live_values) the formula
+    text and the closed-form connection.  The generic route differentiates phi and psi on
+    that c with ce_diff and multiplies [dphi, dpsi] by g2core.TAIL; the quadratic stages and
+    the closed-form Ricci tensor and divergence run on the stack.  The pass concatenates
+    the arrays of _SOURCES once, in that order, takes every (left, right) pair of columns of
+    the import-time layout in one gather, and one subtraction and one np.abs give both the
+    compared columns and the gated residuals.  A gated quantity is the largest magnitude of
+    its residual, an (n, k) block; one reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
     _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
     if not len(t.abc):
         raise ValidationError("a cross-validation pass needs at least one triple")
-    c, s = build(t)
     shapes = _shapes(t.abc)
     n, family = len(shapes), shapes.argmax(axis=1)  # family: each triple's index in _FAMILIES
 
-    # generic route
-    td = torsion_data(s)
-    gamma = levi_civita(c)
+    # generic route: the linear half from its product and TAIL, then the quadratic stages
+    generic = _vecmat(t.abc.reshape(n, 48), _GENERIC)
+    c_gamma = generic.take(_C_GAMMA_AT, axis=1).reshape(n, 2, DIM, DIM, DIM)
+    c, gamma = c_gamma[:, 0], c_gamma[:, 1]
+    dphi, dpsi = ce_diff(c, STANDARD_PHI).values, ce_diff(c, STANDARD_PSI).values
+    tail = _vecmat(np.concatenate((dphi, dpsi), axis=1), g2core.TAIL)
+    tau27, T = (tail[:, TAIL_COLUMNS[name]].reshape(n, DIM, DIM) for name in ("tau27", "T"))
     ric = ricci(c, gamma)
-    div = div_torsion(gamma, td.T)
-    div_cf = closed_form_divergence(t, td.tau27)
+    div = div_torsion(gamma, T)
+    div_cf = closed_form_divergence(t, tau27)
     # the pass's arrays by their names in _SOURCES, concatenated once in its order
-    arrays = {"product": _live_values(t), "tail": td.tail, "dphi": s.dphi, "dpsi": s.dpsi,
-              "torsion_routes": td.T - full_torsion_from_nabla(gamma),
-              "connection": closed_form_connection(t) - gamma,
-              "ricci": closed_form_ricci(t) - ric, "divergence": div_cf - div, "div": div}
+    arrays = {"product": _live_values(t), "generic": generic, "tail": tail, "dphi": dphi,
+              "dpsi": dpsi, "closed_ricci": closed_form_ricci(t), "ricci": ric,
+              "closed_divergence": div_cf, "div": div}
     x = np.concatenate([arrays[name].reshape(n, -1) for name in _SOURCES], axis=1)
 
-    # each compared tabulated value vs the oracle _BLOCKS names for it
-    compared, oracle = x.take(_COMPARED, axis=1), x.take(_ORACLES, axis=1)
-    delta = compared - oracle
+    # every (left, right) pair: each compared tabulated value vs its oracle, then each
+    # gated residual
+    pairs = x.take(_PAIRS, axis=1)
+    magnitude = pairs[:, 0] - pairs[:, 1]
+    np.abs(magnitude, out=magnitude)
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    reported = np.abs(delta) > tol
+    reported = magnitude[:, :_N_COMPARED] > tol
     reported &= _DUAL_MASKS[shapes[:, :-1] @ _PATTERN_BITS]
-    at = np.flatnonzero(reported)
-    rows, columns = np.divmod(at, _N_COMPARED)
-    duals = (rows, columns, compared.take(at), oracle.take(at))
+    rows, columns = np.nonzero(reported)
+    duals = (rows, columns, pairs[rows, 0, columns], pairs[rows, 1, columns])
 
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
-    residuals = x.take(_GATHER, axis=1)
-    residuals[:, :_GATED_ORACLES.size] -= x.take(_GATED_ORACLES, axis=1)  # tabulated - oracle
     # each start opens the block of its quantity; NaN propagates
-    deviations = np.maximum.reduceat(np.abs(residuals, out=residuals), _QUANTITY_STARTS, axis=1)
+    deviations = np.maximum.reduceat(magnitude, _QUANTITY_STARTS, axis=1)
+    at = TAIL_COLUMNS
     return CrossValidationArrays(
         tol=tol, families=[_FAMILIES[f] for f in family.tolist()], quantities=_QUANTITIES,
         deviations=deviations, applies=_APPLIES[family],
         exact_checks={"div_components_3_to_6_zero": div_zero}, dual_reports=duals,
-        tau0=td.tau0, tau1=td.tau1, tau2=td.tau2, tau3=td.tau3,
-        torsion_matrix=td.T, divergence=div, ricci_matrix=ric)
+        tau0=tail[:, at["tau0"].start], tau1=tail[:, at["tau1"]], tau2=tail[:, at["tau2"]],
+        tau3=tail[:, at["tau3"]], torsion_matrix=T, divergence=div, ricci_matrix=ric)

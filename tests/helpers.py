@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from g2abc._tables import COMBS, DIM, DIMS, RANK, TOP, WEDGE
-from g2abc.exterior import Form, _linear_operator, contractions
+from g2abc.exterior import Form, _linear_operator, _vecmat, contractions
 from g2abc import g2core, gabc
 from g2abc.g2core import TAIL_COLUMNS, torsion_data
 from g2abc.gabc import _ABC_ROWS, _DERIVATIVES, OMEGA, TripleABC, _skew, _sym, build, theta
@@ -103,6 +103,15 @@ def operator_columns(t, formula):
     them: the product of the entries of t with gabc's operator, at the columns its
     live-column map gives the block."""
     values = gabc._live_values(t).take(gabc._LIVE_AT[gabc._COLUMNS[formula]], axis=1)
+    return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
+
+
+def generic_columns(t, block):
+    """The columns of the block "c", "gamma" or "T_nabla" of the generic layout as a pass
+    reads them: the product of the entries of t with gabc's generic operator, at the columns
+    its live-column map gives the block."""
+    values = _vecmat(t.abc.reshape(-1, 48), gabc._GENERIC).take(
+        gabc._GENERIC_AT[gabc._GENERIC_COLUMNS[block]], axis=1)
     return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
 
 

@@ -2,11 +2,15 @@
 
     PYTHONPATH=src python tests/request_set.py > requests.txt
 
-Each line holds a request's argv, its exit code, the sha256 of its stdout and, for a
-request that runs ``gen``, the sha256 of the file it wrote.  Two trees that give the same
-lines give the same exit codes, reports and triple files on every request of the set, so
-a change that must keep every output can be checked with ``diff`` of the two runs.  The
-set:
+Each line holds a request's argv, its exit code, the sha256 of its stdout, the sha256 of
+its stdout with every float value replaced by one marker and, for a request that runs
+``gen``, the sha256 of the file it wrote.  Two trees that give the same lines give the
+same exit codes, reports and triple files on every request of the set, so a change that
+must keep every output can be checked with ``diff`` of the two runs.  The second digest
+covers everything of a report but its float values: the exit codes, keys, strings, list
+lengths, dual-report columns and worst-quantity names.  So a change that may move round-off
+only, and must keep everything else, keeps the second digests of the parent's run while
+its first ones may differ.  The set:
 
 - ``verify --json --trials 9`` over the six cases, seeds 0-7 and ``--tol`` 1e-9 and
   1e-14 (96 requests);
@@ -23,6 +27,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import sys
 import tempfile
 
@@ -30,6 +35,10 @@ from g2abc import cli
 
 TOLS = ("1e-9", "1e-14")
 SCALES = ("1e-8", "1e-6", "1e-3", "1", "1e3")
+#: A float value as json writes one, unquoted: a number with a fraction or an exponent,
+#: NaN or an infinity.  A digit inside a string, such as a monomial's name, is preceded
+#: by a word character or a quote, and an integer such as a trial count has neither part.
+FLOAT = re.compile(r'(?<![\w".])-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|Infinity)|\bNaN\b')
 
 
 def requests():
@@ -46,11 +55,12 @@ def requests():
 
 def run(steps):
     """The exit code of cli.main on each argv of steps, in turn, and the sha256 of what
-    they printed to stdout."""
+    they printed to stdout, then of that text with every float value replaced by "#"."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         codes = [cli.main(argv) for argv in steps]
-    return codes, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    text = out.getvalue()
+    return codes, *(hashlib.sha256(x.encode()).hexdigest() for x in (text, FLOAT.sub("#", text)))
 
 
 def main():
@@ -60,9 +70,10 @@ def main():
         os.chdir(tmp)  # the gen files get the relative names their argv shows
         try:
             for steps, path in requests():
-                codes, digest = run(steps)
+                codes, digest, floats_out = run(steps)
                 line = (f"{' && '.join(' '.join(argv) for argv in steps)}"
-                        f"\texit {' '.join(map(str, codes))}\tstdout {digest}")
+                        f"\texit {' '.join(map(str, codes))}\tstdout {digest}"
+                        f"\tfloat-free {floats_out}")
                 if path is not None:
                     with open(path, "rb") as fh:
                         line += f"\tfile {hashlib.sha256(fh.read()).hexdigest()}"

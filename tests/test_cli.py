@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -173,6 +174,41 @@ def test_analyze_text_output_names_a_nan_deviation_as_the_worst(tmp_path, capsys
 
 
 # -- verify ------------------------------------------------------------------
+
+def test_verify_names_a_nan_deviation_as_the_worst(capsys, monkeypatch):
+    # as in analyze's report, the NaN of the closed Ricci tensor wins its quantity's maximum
+    # and its case's worst, in the text and in the JSON, and fails both trials
+    monkeypatch.setattr(gabc, "closed_form_ricci", nan_ricci)
+    argv = ["verify", "--case", "diag", "--trials", "2"]
+    assert main(argv) == 2
+    text = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert text.startswith("case diag: 2 trials, worst deviation nan (ricci)\n")
+    assert re.search(r"^  ricci +nan  FAIL$", text, re.MULTILINE)
+    assert text.endswith("verdict: FAIL (2 failing trials)\n")
+    case = report["cases"]["diag"]
+    assert (case["worst_quantity"], report["failing_trials"]) == ("ricci", 2)
+    assert all(map(np.isnan, (case["worst"], case["worst_deviations"]["ricci"],
+                              report["worst_deviations"]["ricci"])))
+    others = [value for key, value in report["worst_deviations"].items() if key != "ricci"]
+    assert others and not any(map(np.isnan, others))
+
+
+def test_verify_never_names_a_quantity_that_does_not_apply(capsys, monkeypatch):
+    # a NaN where a quantity does not apply to the triple neither fails nor wins
+    run = cli.cross_validate_stack
+
+    def nan_where_it_does_not_apply(stack, tol):
+        arrays = run(stack, tol=tol)
+        return arrays._replace(deviations=np.where(arrays.applies, arrays.deviations, np.nan))
+
+    monkeypatch.setattr(cli, "cross_validate_stack", nan_where_it_does_not_apply)
+    assert main(["verify", "--case", "diag", "--trials", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and not any(map(np.isnan, report["worst_deviations"].values()))
+    assert "tau27_antidiagonal_pairs" not in report["worst_deviations"]
+    assert report["cases"]["diag"]["worst_quantity"] in report["worst_deviations"]
 
 def test_verify_skew_small_campaign(capsys):
     assert main(["verify", "--case", "skew", "--trials", "5", "--seed", "7"]) == 0

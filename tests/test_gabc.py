@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from g2abc import cli, exterior, g2core, gabc, liealg
-from g2abc._tables import COMBS, STAR
-from g2abc.errors import ValidationError
+from g2abc._tables import COMBS, DIM, STAR
+from g2abc.errors import TorsionSolveError, ValidationError
 from g2abc.exterior import Form, _linear_operator, _vecmat, contractions, hodge, wedge
 from g2abc.g2core import (
     STANDARD_PHI,
@@ -50,6 +50,7 @@ from helpers import (
     closed_form_ricci_reference,
     e_matrix,
     form_inner,
+    generic_columns,
     is_unimodular,
     jacobi_residual,
     operator_columns,
@@ -455,8 +456,8 @@ def test_every_family_generates_and_passes_through_a_pass_at_the_largest_scale(k
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "1e-9", True, False])
 def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
-    # raised before any work: the pass never builds its algebra
-    monkeypatch.setattr(gabc, "build", lambda t: pytest.fail("the pass ran"))
+    # raised before any work: the pass never reaches its first stage, the family shapes
+    monkeypatch.setattr(gabc, "_shapes", lambda abc: pytest.fail("the pass ran"))
     message = f"tolerance {tol!r} is not a number in [0, inf)"
     t = generate(FamilyKind.GENERAL, 0)
     for call in (lambda: cross_validate(t, tol=tol), lambda: cross_validate_stack(t, tol)):
@@ -466,7 +467,7 @@ def test_cross_validate_rejects_a_tolerance_outside_its_range(tol, monkeypatch):
 
 
 def test_cross_validate_rejects_a_stack_of_several(monkeypatch):
-    monkeypatch.setattr(gabc, "build", lambda t: pytest.fail("the pass ran"))
+    monkeypatch.setattr(gabc, "_shapes", lambda abc: pytest.fail("the pass ran"))
     with pytest.raises(ValidationError, match="^a stack of 3 triples needs cross_validate_stack$"):
         cross_validate(generate_many(FamilyKind.SKEW, 1, range(3)))
     with pytest.raises(ValidationError, match="needs at least one triple"):  # the pass's own error
@@ -620,8 +621,7 @@ def test_general_table_tau1_tau2_match_oracle():
 # -- the tabulated formulas as one operator --------------------------------------------
 
 #: The names of gabc's layout constants, in the order _pass_layout returns them.
-LAYOUT = ("_QUANTITIES", "_COMPARED", "_ORACLES", "_GATHER", "_GATED_ORACLES",
-          "_QUANTITY_STARTS", "_APPLIES")
+LAYOUT = ("_QUANTITIES", "_PAIRS", "_QUANTITY_STARTS", "_APPLIES")
 
 
 def pass_reads(t, product, sources, at):
@@ -632,7 +632,8 @@ def pass_reads(t, product, sources, at):
     arrays = {"product": product, "tail": torsion_data(s).tail, "dphi": s.dphi, "dpsi": s.dpsi}
     x = np.concatenate([arrays.get(name, np.zeros((len(product), width)))
                         for name, width in sources.items()], axis=1)
-    _, compared, oracle, *_ = gabc._pass_layout(sources, at)
+    _, pairs, *_ = gabc._pass_layout(sources, at)
+    compared, oracle = pairs[:, :gabc._N_COMPARED]
     return x.take(compared, axis=1), x.take(oracle, axis=1)
 
 
@@ -682,32 +683,35 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
 
 
 def full_operator():
-    """The (48, 767) operator of the formula text on the unit triples, every column kept."""
-    return _linear_operator(gabc._text_values, 48, [formula for formula, *_ in gabc._BLOCKS])
+    """The (48, 1110) operator of the formula text and the closed-form connection on the
+    unit triples, every column kept."""
+    return _linear_operator(gabc._text_values, 48, gabc._WIDTHS)
 
 
 def test_live_operator_holds_the_live_columns_of_the_full_one():
     full = full_operator()
     live = full.any(axis=0)
     operator = gabc._OPERATOR
-    assert operator.shape == (48, live.sum() + 1) == (48, 272) == (48, gabc._SOURCES["product"])
+    assert operator.shape == (48, live.sum() + 1) == (48, 404) == (48, gabc._SOURCES["product"])
     assert operator.flags.c_contiguous and not operator[:, -1].any()
+    # 132 of the live columns are the closed-form connection's
+    assert live[gabc._COLUMNS["connection"]].sum() == 132
     # the map takes each column of the layout to its live column, a dead one to the zero column
     assert np.array_equal(operator[:, gabc._LIVE_AT], full)
-    assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 271))
+    assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 403))
     # the pass's constants are its layout, which reads the sources the full layout reads,
     # a column of the product through the map
     for name, value in zip(LAYOUT, gabc._pass_layout(gabc._SOURCES, gabc._LIVE_AT), strict=True):
         assert np.array_equal(getattr(gabc, name), value), name
     sources, at = full_layout(full)
-    _, full_compared, full_oracle, *_ = gabc._pass_layout(sources, at)
-    for columns, full_columns in ((gabc._COMPARED, full_compared), (gabc._ORACLES, full_oracle)):
+    _, full_pairs, *_ = gabc._pass_layout(sources, at)
+    for columns, full_columns in zip(gabc._PAIRS, full_pairs, strict=True):
         expected = [(name, gabc._LIVE_AT[column] if name == "product" else column)
                     for name, column in source_columns(sources, full_columns)]
         assert source_columns(gabc._SOURCES, columns) == expected
     # the oracles the product holds: the definitional theta
-    assert [name for name, _ in source_columns(gabc._SOURCES, gabc._ORACLES)].count(
-        "product") == 9 * 21
+    oracles = gabc._PAIRS[1, :gabc._N_COMPARED]
+    assert [name for name, _ in source_columns(gabc._SOURCES, oracles)].count("product") == 9 * 21
     assert not any(array.flags.writeable for array in (operator, gabc._LIVE_AT))
 
 
@@ -747,6 +751,88 @@ def test_operator_product_and_dual_reports_do_not_depend_on_the_pass():
         per_pass = [rep for t in passes for rep in cross_validate_stack(t).reports()]
         for rep, ref in zip(per_pass, reports, strict=True):
             assert (rep.dual_reports, rep.deviations) == (ref.dual_reports, ref.deviations), size
+
+
+# -- the generic route's linear half as one operator ------------------------------------
+
+def generic_full_operator():
+    """The (48, 980) generic operator on the unit triples, every column kept."""
+    return _linear_operator(gabc._generic_stages, 48, gabc._GENERIC_WIDTHS)
+
+
+def family_stacks(scale):
+    """A stack of 8 triples of each family at the scale."""
+    return [generate_many(kind, 31, range(8), scale) for kind in FamilyKind]
+
+
+def test_generic_operator_holds_the_live_columns_of_the_full_one():
+    full = generic_full_operator()
+    live = full.any(axis=0)
+    assert {name: int(live[columns].sum()) for name, columns in gabc._GENERIC_COLUMNS.items()} \
+        == {"c": 96, "gamma": 132, "T_nabla": 25, "solve_residual": 0}
+    operator = gabc._GENERIC
+    assert operator.shape == (48, live.sum() + 1) == (48, gabc._SOURCES["generic"])
+    assert operator.flags.c_contiguous and not operator[:, -1].any()
+    assert np.array_equal(operator[:, gabc._GENERIC_AT], full)
+    assert not any(array.flags.writeable for array in (operator, gabc._GENERIC_AT))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_generic_operator_is_the_stepwise_route(scale):
+    # c and gamma bit for bit, c with no -0.0; T by nabla to round-off, and the torsion
+    # solve's residual zero on every triple
+    eps = np.finfo(np.float64).eps
+    residual = generic_full_operator()[:, gabc._GENERIC_COLUMNS["solve_residual"]]
+    for t in family_stacks(scale):
+        c, _ = build(t)
+        gamma = levi_civita(c)
+        got = {name: generic_columns(t, name).reshape((len(c), DIM, DIM, DIM)[:shape])
+               for name, shape in (("c", 4), ("gamma", 4), ("T_nabla", 3))}
+        assert same_bits(got["c"], c) and not np.signbit(got["c"][got["c"] == 0.0]).any()
+        assert same_bits(got["gamma"], gamma)
+        bound = 16 * eps * np.maximum(1.0, np.abs(t.abc).max(axis=(-3, -2, -1)))
+        gap = np.abs(got["T_nabla"] - full_torsion_from_nabla(gamma)).max(axis=(-2, -1))
+        assert np.all(gap <= bound), gap / bound
+        assert not _vecmat(t.abc.reshape(-1, 48), residual).any()
+
+
+def test_a_nabla_phi_with_one_sign_flipped_on_a_live_row_of_gamma_does_not_build(monkeypatch):
+    # row 7j + k of NABLA_PHI meets gamma[i, j, k]: one sign flipped where g_{A,B,C} has a
+    # nonzero gamma breaks nabla phi = iota_T psi, and the build raises; where every
+    # gamma[i, j, k] of g_{A,B,C} is zero, the operator is the same
+    gamma = generic_full_operator()[:, gabc._GENERIC_COLUMNS["gamma"]]
+    live_rows = gamma.any(axis=0).reshape(DIM, DIM * DIM).any(axis=0)
+    nabla_phi = g2core.NABLA_PHI
+    broken = []
+    for flat in np.flatnonzero(nabla_phi)[:40]:
+        flipped = nabla_phi.copy()
+        flipped.flat[flat] *= -1.0
+        monkeypatch.setattr(g2core, "NABLA_PHI", flipped)
+        try:
+            operator = gabc._generic_operator()
+        except TorsionSolveError as err:
+            assert str(err).startswith("torsion solve failed: the residual of the generic "
+                                       "operator reaches ")
+            broken.append(True)
+        else:
+            assert all(map(np.array_equal, operator, (gabc._GENERIC, gabc._GENERIC_AT)))
+            broken.append(False)
+        assert broken[-1] == live_rows[flat // nabla_phi.shape[1]], flat
+    assert broken.count(True) == 23
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_a_pass_s_generic_results_are_the_stepwise_route_s_bit_for_bit(scale):
+    kinds = list(FamilyKind) * 4
+    for t in [*family_stacks(scale), generate_many(kinds, 32, range(len(kinds)), scale)]:
+        c, s = build(t)
+        td, gamma = torsion_data(s), levi_civita(c)
+        arrays = cross_validate_stack(t)
+        expected = {"tau0": td.tau0, "tau1": td.tau1, "tau2": td.tau2, "tau3": td.tau3,
+                    "torsion_matrix": td.T, "ricci_matrix": ricci(c, gamma),
+                    "divergence": div_torsion(gamma, td.T)}
+        for name, value in expected.items():
+            assert same_bits(np.ascontiguousarray(getattr(arrays, name)), value), name
 
 
 # -- closed-form connection / Ricci / divergence ---------------------------------------
@@ -875,7 +961,7 @@ def test_closed_forms_of_a_triple_do_not_depend_on_its_stack():
 def pass_residuals(t):
     """The raw residual of every gated quantity of the pass on the stack t, each
     recomputed here from the public stages and the blocks of the torsion tail, in the
-    pass's order."""
+    pass's order; T by nabla is the generic operator's block, as the pass reads it."""
     c, s = build(t)
     td = torsion_data(s)
     block = lambda name: td.tail[:, TAIL_COLUMNS[name]]
@@ -899,7 +985,7 @@ def pass_residuals(t):
         "support_tau2": outside(td.tau2, gabc.TWO_FORM_SUPPORT),
         "support_tau3": outside(tau3, gabc.TAU3_SUPPORT),
         "tau27_mixed_block": td.tau27[:, [6, 0, 1], 2:6],
-        "torsion_routes": td.T - full_torsion_from_nabla(gamma),
+        "torsion_routes": td.T - generic_columns(t, "T_nabla").reshape(td.T.shape),
         "connection": closed_form_connection(t) - gamma,
         "ricci": closed_form_ricci(t) - ricci(c, gamma),
         "divergence": closed_form_divergence(t, td.tau27) - div,
@@ -924,8 +1010,8 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
     # one triple per family; each column of the layout moved by 1 in turn.  The pass reads
     # the live columns of its product through the operator's live-column map; it gets the
-    # full operator's product here, all 767 columns, with the layout of that full product,
-    # so that each column moves alone
+    # full operator's product here, all 1110 columns, with the layout of that full product,
+    # so that each column moves alone.  The last 343 are the closed-form connection's
     t = stack_of(mixed_triples(9, 1))
     values = _vecmat(t.abc.reshape(-1, 48), full_operator())
     reference = cross_validate_stack(t)
@@ -934,7 +1020,7 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
     unmoved = cross_validate_stack(t)
     assert np.array_equal(unmoved.deviations, reference.deviations)
     assert all(np.array_equal(x, y) for x, y in zip(unmoved.dual_reports, reference.dual_reports))
-    labels = gabc._column_labels()
+    labels = gabc._column_labels() + [("connection", k) for k in range(DIM ** 3)]
     seen = []
     for column in range(values.shape[1]):
         moved = values.copy()
@@ -948,9 +1034,10 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
             assert gated or reported, labels[column]
         seen.append(gated or reported or not all(
             np.array_equal(x, y) for x, y in zip(arrays.dual_reports, reference.dual_reports)))
-    # every column is read: the compared ones, and the definitional theta as their oracles
+    # every column is read: the compared ones, the definitional theta as their oracles, and
+    # the closed-form connection, dead columns too, as the gated connection
     assert [labels[column] for column, read in enumerate(seen) if not read] == []
-    assert gabc._N_COMPARED == 641 - 63 and len(labels) == 830 - 63
+    assert gabc._N_COMPARED == 641 - 63 and len(labels) == 830 - 63 + DIM ** 3
 
 
 def same_bits(x, y):
@@ -970,7 +1057,7 @@ def test_a_pass_does_not_depend_on_the_order_of_its_sources(monkeypatch):
     # with _SOURCES reversed every array of a mixed pass is the same, signs of zero included
     kinds = list(FamilyKind) * 3
     stacks = [generate_many(kinds, 11, range(len(kinds)), scale) for scale in (1e-3, 1.0, 1e3)]
-    runs, reads = [], [gabc._COMPARED, gabc._ORACLES, gabc._GATHER]
+    runs, reads = [], gabc._PAIRS
     for order in (list, reversed):
         runs.append([])
         use_layout(monkeypatch, dict(order(gabc._SOURCES.items())), gabc._LIVE_AT)
@@ -980,8 +1067,7 @@ def test_a_pass_does_not_depend_on_the_order_of_its_sources(monkeypatch):
         assert any(len(run["dual_reports"][0]) for run in runs[-1])
     # reversed, every column the pass reads is elsewhere in its concatenation
     assert list(gabc._SOURCES)[0] == "div"
-    assert all((old != new).all() for old, new in zip(reads, (gabc._COMPARED, gabc._ORACLES,
-                                                               gabc._GATHER)))
+    assert (reads != gabc._PAIRS).all()
     assert same_bits(*runs)
 
 
@@ -1332,7 +1418,8 @@ def test_cross_validate_stars_dphi_and_dpsi_once_per_pass(monkeypatch):
             starred.append(x)
             return x @ self.op
 
-    monkeypatch.setattr(g2core, "ce_diff", recorded)
+    for module in (g2core, gabc):  # under every name the package binds it by
+        monkeypatch.setattr(module, "ce_diff", recorded)
     stars = {k: SimpleNamespace(T=Star(op.T)) for k, op in STAR.items()}
     monkeypatch.setattr(g2core, "STAR", stars)
     for label, run in one_pass_runs():
@@ -1370,6 +1457,7 @@ def test_cross_validate_stack_is_one_pass_that_matches_cross_validate_one_at_a_t
     triples = mixed_triples(7, 8)  # 40 triples, more than the command line puts in a pass
     assert len(triples) > cli.PASS_SIZE
     calls = count_calls(monkeypatch, g2core, ("ce_diff",))
+    monkeypatch.setattr(gabc, "ce_diff", g2core.ce_diff)  # same counter under gabc's name
     arrays = cross_validate_stack(stack_of(triples))
     assert isinstance(arrays, gabc.CrossValidationArrays)
     assert calls == {"ce_diff": 2}
@@ -1390,6 +1478,7 @@ def test_cross_validate_stack_does_not_depend_on_order_or_pass_size(monkeypatch)
         assert_same_report(reference[i], rep)
     # 15 triples in passes of at most 4: four passes, two CE differentials each
     calls = count_calls(monkeypatch, g2core, ("ce_diff",))
+    monkeypatch.setattr(gabc, "ce_diff", g2core.ce_diff)  # same counter under gabc's name
     in_passes = [rep for start in range(0, len(triples), 4)
                  for rep in cross_validate_stack(stack_of(triples[start:start + 4])).reports()]
     for ref, rep in zip(reference, in_passes, strict=True):

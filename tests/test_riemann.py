@@ -240,7 +240,8 @@ def test_the_energy_gradient_catches_a_wrong_tau27_that_the_pass_s_divergence_mi
         monkeypatch):
     # a tau27 of half its size, TAIL built again from the stages: the pass's gated divergence
     # compares the generic div T with the closed form of the generic tau27, so it agrees
-    # with itself, while the gradient identity misses on every family
+    # with itself, while the gradient identity misses on every family.  The pass reads
+    # g2core.TAIL when it runs, so it sees the mutant: its T by forms leaves T by nabla
     stepwise = g2core.tau27_tensor
     monkeypatch.setattr(g2core, "tau27_tensor", lambda tau3: 0.5 * stepwise(tau3))
     monkeypatch.setattr(g2core, "TAIL", tail_operator())
@@ -250,3 +251,4 @@ def test_the_energy_gradient_catches_a_wrong_tau27_that_the_pass_s_divergence_mi
         assert gradient_gap(c, div_torsion(levi_civita(c), torsion_data(s).T)).max() >= 1.0
         arrays = cross_validate_stack(t)
         assert arrays.deviations[:, arrays.quantities.index("divergence")].max() <= 1e-15
+        assert arrays.deviations[:, arrays.quantities.index("torsion_routes")].min() >= 1e-3
