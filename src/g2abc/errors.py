@@ -15,6 +15,14 @@ class G2ABCError(ValueError):
         error.trial, error.reason = n, reason
         return error
 
+    @classmethod
+    def raise_first_failing(cls, failing, reason):
+        """Raise the error of the first trial whose entry of the boolean numpy array failing
+        is true, if any: of_trial of its flat index n among failing.size, and reason(n)."""
+        if failing.any():
+            n = int(failing.argmax())
+            raise cls.of_trial(n, failing.size, reason(n))
+
 
 class DegreeError(G2ABCError):
     """Form degree out of range for the requested operation."""

@@ -202,11 +202,9 @@ def full_torsion_from_nabla(gamma):
     T, residual = _torsion_solve(gamma)
     residual = np.abs(residual).max(axis=(-2, -1))
     bound = SOLVE_TOL * np.maximum(1.0, np.abs(gamma).max(axis=(-3, -2, -1)))
-    bad = np.ravel(residual > bound)
-    if bad.any():
-        n = int(bad.argmax())
-        raise TorsionSolveError.of_trial(
-            n, bad.size, f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
+    TorsionSolveError.raise_first_failing(
+        residual > bound,
+        lambda n: f"torsion solve failed: residual {residual.flat[n]:g} > {bound.flat[n]:g}")
     return T
 
 

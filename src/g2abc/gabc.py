@@ -25,9 +25,10 @@ multiplies [dphi, dpsi] by g2core's TAIL.  The tabulated operator is the formula
 the closed-form connection.  Each compared block of the layout ``_BLOCKS`` names
 its oracle, the generic-route block it is compared with, and each operator keeps
 its live columns.  A pass concatenates its arrays once, as the table ``_SOURCES``
-lists them, and takes every compared value with its oracle and every gated
-residual from that one array in one gather of the (left, right) column pairs that
-``_pass_layout`` derives from the table.
+lists them, and takes every compared value that a triple may dual-report with its
+oracle and every gated residual from that one array in one gather of the (left, right)
+column pairs that ``_pass_layout`` derives from the table; a pair of two zero columns,
+which reads 0 for every triple, is not among them.
 ``closed_form_torsion`` evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
@@ -592,10 +593,8 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     compiled from this text, whose values may differ from these in the last bit.
     """
     _check_kinds([kind])
-    bad = ~np.ravel(_shapes(t.abc)[..., _FAMILIES.index(kind)])
-    if bad.any():
-        n = int(bad.argmax())
-        raise ValidationError.of_trial(n, bad.size, f"triple does not have the {kind.value} shape")
+    ValidationError.raise_first_failing(~_shapes(t.abc)[..., _FAMILIES.index(kind)],
+                                        lambda n: f"triple does not have the {kind.value} shape")
     table = "general" if kind is FamilyKind.SYMMETRIC else kind.value
     tau0, *forms = globals()[f"_torsion_{table}"](t)  # by name when called, as in _text_values
     # the diagonal table's tau0, tau1 and iota_tau1_phi are constants: broadcast to the stack
@@ -630,23 +629,9 @@ _BLOCKS = (
 #: is compared with the generic connection as the gated quantity "connection".
 _WIDTHS = {**{formula: DIMS[degree] for formula, degree, *_ in _BLOCKS}, "connection": DIM ** 3}
 _COLUMNS = _block_columns(_WIDTHS)
-#: The number of compared columns, the first ones of the layout.
-_N_COMPARED = sum(DIMS[degree] for _, degree, _, oracle in _BLOCKS if oracle)
 #: The tabulated formulas whose differences from their oracles gate every triple.
 _GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
           "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
-#: Per compared column, whether any triple dual-reports it, and the column of _shapes that picks
-#: those that do: for a family table the triples of its shape, for the rest of them all triples.
-_REPORTED = np.repeat([kind is not None for *_, kind, _ in _BLOCKS],
-                      [_WIDTHS[formula] for formula, *_ in _BLOCKS])[:_N_COMPARED]
-_REPORTED_ON = np.repeat([_FAMILIES.index(kind or FamilyKind.GENERAL) for *_, kind, _ in _BLOCKS],
-                         [_WIDTHS[formula] for formula, *_ in _BLOCKS])[:_N_COMPARED]
-#: A triple's shape pattern is sum_f 2^f shapes[f] over the 4 shapes f of _FAMILIES[:-1], and
-#: _DUAL_MASKS[pattern] is shapes[_REPORTED_ON] & _REPORTED, the compared columns it may
-#: dual-report; _PATTERN_SHAPES[pattern] is its shapes, GENERAL always true.
-_PATTERN_BITS = 1 << np.arange(len(_FAMILIES) - 1)
-_PATTERN_SHAPES = np.c_[(np.arange(16)[:, None] & _PATTERN_BITS) > 0, np.ones(16, dtype=bool)]
-_DUAL_MASKS = _PATTERN_SHAPES[:, _REPORTED_ON] & _REPORTED
 
 
 def _text_values(rows):
@@ -1071,7 +1056,8 @@ class CrossValidationArrays(typing.NamedTuple):
     triple n where ``applies[n, q]`` holds (the family-specific quantities
     apply to the triples of their family only).  The columns of ``flags``
     are the closed, coclosed and torsion-free flags, ``dual_reports`` the
-    arrays (trial, compared column of the tabulated layout, tabulated, computed), and
+    arrays (trial, compared column of the tabulated layout, tabulated, computed) of each
+    coefficient beyond tol that the triple's family shapes let it report, and
     tau1-tau3 the (n, C(7,k)) coefficient arrays of the torsion forms.  ``flags`` is
     computed from tau0-tau3 and tol when it is read, so a pass that only aggregates
     deviations never computes it.  (A named tuple, not a dataclass: building a
@@ -1161,11 +1147,16 @@ def _pass_layout(sources, at):
     changes them.
 
     Returns the gated quantities; the (2, K) pairs (left, right) of columns whose
-    differences the pass takes: first each compared tabulated value and the oracle _BLOCKS
-    names for it, then the residual of every gated quantity, quantity by quantity, with the
-    generic product's zero column on the right of a residual that is one array already; the
-    start of each quantity's block among the K for np.maximum.reduceat; and applies[f, q],
-    whether quantity q gates family _FAMILIES[f].
+    differences the pass takes: first each compared tabulated value that a triple may
+    dual-report and the oracle _BLOCKS names for it, then the residual of every gated
+    quantity, quantity by quantity, with the generic product's zero column on the right of a
+    residual that is one array already; the start of each quantity's block among the K for
+    np.maximum.reduceat; applies[f, q], whether quantity q gates family _FAMILIES[f]; and
+    for each compared pair its column of the tabulated layout and the column of _shapes
+    whose triples may dual-report it.  A gated-only formula is compared in its gated block
+    alone.  A pair of two zero columns, each the last column of a product, reads 0 on every
+    triple and is left out; a quantity left with no pair raises an AssertionError, since
+    np.maximum.reduceat would read the next quantity's first pair for it.
     """
     ends = np.cumsum(list(sources.values()))
     named = {name: np.arange(end - width, end) for (name, width), end in zip(sources.items(), ends)}
@@ -1178,12 +1169,15 @@ def _pass_layout(sources, at):
     # shadow the tail's block of its name and compare a formula with itself
     oracles = {**named, **{formula: product[_COLUMNS[formula]]
                            for formula, *_, name in _BLOCKS if name is None}}
-    compared = product[:_N_COMPARED]
     oracle = np.concatenate([oracles[name] for *_, name in _BLOCKS if name])
+    compared = product[:len(oracle)], oracle
+    # per compared column, the column of _shapes whose triples may dual-report it (a family
+    # table's family, GENERAL for the others), or -1 for a gated-only formula
+    on = np.repeat([_FAMILIES.index(kind) if kind else -1 for _, _, kind, name in _BLOCKS if name],
+                   [_WIDTHS[formula] for formula, *_, name in _BLOCKS if name])
     tau27 = named["tau27"].reshape(DIM, DIM)
     pairs = {
-        **{formula.split("[")[0]: (compared[_COLUMNS[formula]], oracle[_COLUMNS[formula]])
-           for formula in _GATED},
+        **{f.split("[")[0]: tuple(x[_COLUMNS[f]] for x in compared) for f in _GATED},
         **{name: named[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
                                           "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
         "support_iota_tau1_phi": named["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
@@ -1202,17 +1196,25 @@ def _pass_layout(sources, at):
         "support_tau3_antidiagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
     }
     # a residual that is one array already is the difference from the zero column
-    pairs = {q: np.reshape(pair if isinstance(pair, tuple) else (pair, np.full_like(pair, zero)),
-                           (2, -1)) for q, pair in pairs.items()}
-    starts = _N_COMPARED + np.cumsum([0] + [pair.shape[1] for pair in pairs.values()][:-1])
+    blocks = [np.reshape(pair if isinstance(pair, tuple) else (pair, np.full_like(pair, zero)),
+                         (2, -1)) for pair in (compared, *pairs.values())]
+    all_pairs = np.concatenate(blocks, axis=1)
+    # kept: every pair but those of two zero columns, each a product's last, which read 0 on
+    # every triple, and of the compared ones only those that a triple may dual-report
+    keep = ~((all_pairs == zero) | (all_pairs == named["product"][-1])).all(axis=0)
+    keep[:len(on)] &= on >= 0
+    kept = np.cumsum(keep)[np.cumsum([block.shape[1] for block in blocks]) - 1]  # by block end
+    if empty := [q for q, count in zip(pairs, np.diff(kept)) if not count]:
+        raise AssertionError(f"the pass layout leaves no pair of {', '.join(empty)}")
+    reported = np.flatnonzero(keep[:len(on)])
     applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in pairs] for f in _FAMILIES]
-    return (tuple(pairs), np.concatenate([(compared, oracle), *pairs.values()], axis=1), starts,
-            np.array(applies))
+    return (tuple(pairs), all_pairs[:, keep], kept[:-1], np.array(applies), reported,
+            on[reported])
 
 
-#: The layout of every pass, from its table and the operator's live-column map (no
-#: quantity's block is empty).
-_QUANTITIES, _PAIRS, _QUANTITY_STARTS, _APPLIES = _pass_layout(_SOURCES, _LIVE_AT)
+#: The layout of every pass, from its table and the operator's live-column map.
+_QUANTITIES, _PAIRS, _QUANTITY_STARTS, _APPLIES, _REPORTED, _REPORTED_ON = _pass_layout(
+    _SOURCES, _LIVE_AT)
 
 
 def cross_validate(t, tol=DEFAULT_TOL):
@@ -1239,8 +1241,10 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     the closed-form Ricci tensor and divergence run on the stack.  The pass concatenates
     the arrays of _SOURCES once, in that order, takes every (left, right) pair of columns of
     the import-time layout in one gather, and one subtraction and one np.abs give both the
-    compared columns and the gated residuals.  A gated quantity is the largest magnitude of
-    its residual, an (n, k) block; one reduction takes all.
+    compared columns and the gated residuals.  A compared column beyond tol is dual-reported
+    where the triple has the shape _REPORTED_ON names for it, one gather of _shapes, and
+    _REPORTED names its column of the tabulated layout.  A gated quantity is the largest
+    magnitude of its residual, an (n, k) block; one reduction takes all.
     A tol outside 0 <= tol < inf is a ValidationError."""
     _check_tol(tol)
     t = TripleABC._of_validated(t.abc.reshape(-1, 3, 4, 4))
@@ -1271,10 +1275,10 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     magnitude = pairs[:, 0] - pairs[:, 1]
     np.abs(magnitude, out=magnitude)
     # dual reports: every coefficient beyond tol, a family table only on its shape
-    reported = magnitude[:, :_N_COMPARED] > tol
-    reported &= _DUAL_MASKS[shapes[:, :-1] @ _PATTERN_BITS]
-    rows, columns = np.nonzero(reported)
-    duals = (rows, columns, pairs[rows, 0, columns], pairs[rows, 1, columns])
+    reported = magnitude[:, :len(_REPORTED)] > tol
+    reported &= shapes[:, _REPORTED_ON]
+    rows, k = np.nonzero(reported)
+    duals = (rows, _REPORTED[k], pairs[rows, 0, k], pairs[rows, 1, k])
 
     div_zero = ~(div[:, 2:6].any(axis=1) | div_cf[:, 2:6].any(axis=1))
     # each start opens the block of its quantity; NaN propagates

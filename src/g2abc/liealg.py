@@ -83,12 +83,10 @@ class LieAlgebra7:
         arr.flags.writeable = False
         self.c = arr
         res, b = _jacobi_residuals(arr), np.maximum(1.0, np.abs(arr).max(axis=(-3, -2, -1)))
-        bad = np.ravel(~(res / b <= JACOBI_TOL * b))  # per algebra; b * b could overflow
-        if bad.any():
-            n = int(bad.argmax())
-            raise ValidationError.of_trial(
-                n, bad.size, f"Jacobi identity violated: residual {res.flat[n]:g} > "
-                             f"{JACOBI_TOL * b.flat[n] ** 2:g}")
+        ValidationError.raise_first_failing(
+            ~(res / b <= JACOBI_TOL * b),  # per algebra; b * b could overflow
+            lambda n: f"Jacobi identity violated: residual {res.flat[n]:g} > "
+                      f"{JACOBI_TOL * b.flat[n] ** 2:g}")
 
 
 def _ce_operator(a):

@@ -126,8 +126,8 @@ def oracle_reference(t):
     the order of the tabulated layout: the general table's torsion forms and
     iota_tau1_phi and each family table's torsion forms, from the torsion tail; theta of
     each of A, B and C on omega7, omega1 and omega2, from its definition; then dphi,
-    star dphi, dpsi and star dpsi.  The reference of the oracles a pass reads at the
-    columns gabc._ORACLES of its concatenation."""
+    star dphi, dpsi and star dpsi.  The reference of the oracles that test_gabc's
+    pass_reads gives: a pair the pass leaves out is two zero columns, read there as zero."""
     _, s = build(t)
     tail = torsion_data(s).tail
     forms = lambda *parts: [tail[:, TAIL_COLUMNS[part]] for part in parts]

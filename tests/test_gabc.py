@@ -621,25 +621,51 @@ def test_general_table_tau1_tau2_match_oracle():
 # -- the tabulated formulas as one operator --------------------------------------------
 
 #: The names of gabc's layout constants, in the order _pass_layout returns them.
-LAYOUT = ("_QUANTITIES", "_PAIRS", "_QUANTITY_STARTS", "_APPLIES")
+LAYOUT = ("_QUANTITIES", "_PAIRS", "_QUANTITY_STARTS", "_APPLIES", "_REPORTED", "_REPORTED_ON")
+#: The compared columns of the tabulated layout, the first ones, and those of its formulas
+#: that only gate: the general table's iota_tau1_phi and the four derivatives.
+N_COMPARED = sum(gabc._WIDTHS[formula] for formula, *_, oracle in gabc._BLOCKS if oracle)
+GATED_ONLY = [formula for formula, _, kind, oracle in gabc._BLOCKS if oracle and not kind]
+
+
+def compared_columns(sources, at):
+    """(2, N_COMPARED): the columns of a concatenation of sources where a pass with the
+    layout _pass_layout(sources, at) reads each compared column of the tabulated layout and
+    its oracle, in layout order.  A column some triple may dual-report is read from the
+    compared pairs, a gated-only formula from its gated block; a pair the pass leaves out,
+    two zero columns, reads the product's zero column on both sides here."""
+    quantities, pairs, starts, _, reported, _ = gabc._pass_layout(sources, at)
+    ends = dict(zip(sources, np.cumsum(list(sources.values()))))
+    columns = np.full((2, N_COMPARED), ends["product"] - 1)  # the product's zero column
+    columns[:, reported] = pairs[:, :len(reported)]
+    for formula in GATED_ONLY:
+        block = gabc._COLUMNS[formula]
+        start = starts[quantities.index(formula.split("[")[0])]
+        columns[:, block] = pairs[:, start:start + block.stop - block.start]
+    return columns
 
 
 def pass_reads(t, product, sources, at):
     """(compared, oracle): what a pass on the stack t reads of the tabulated product and of
-    the oracles, at the columns of _pass_layout(sources, at), from the concatenation of
-    sources with the product, the torsion tail, dphi and dpsi, and every other source zero."""
+    the oracles, at compared_columns(sources, at), from the concatenation of sources with the
+    product, the torsion tail, dphi and dpsi, and every other source zero."""
     _, s = build(t)
     arrays = {"product": product, "tail": torsion_data(s).tail, "dphi": s.dphi, "dpsi": s.dpsi}
     x = np.concatenate([arrays.get(name, np.zeros((len(product), width)))
                         for name, width in sources.items()], axis=1)
-    _, pairs, *_ = gabc._pass_layout(sources, at)
-    compared, oracle = pairs[:, :gabc._N_COMPARED]
+    compared, oracle = compared_columns(sources, at)
     return x.take(compared, axis=1), x.take(oracle, axis=1)
 
 
 def full_layout(product):
-    """(sources, at) of a pass whose product holds every column of the layout, in order."""
-    return {**gabc._SOURCES, "product": product.shape[1]}, np.arange(product.shape[1])
+    """(sources, at) of a pass whose product holds every column of the layout, in order,
+    then one zero column, as the live operator ends."""
+    return {**gabc._SOURCES, "product": product.shape[1]}, np.arange(product.shape[1] - 1)
+
+
+def with_zero_column(values):
+    """values with one zero column appended."""
+    return np.concatenate([values, np.zeros((len(values), 1))], axis=1)
 
 
 def operator_reads(t):
@@ -662,11 +688,30 @@ def source_columns(sources, columns):
             for k, column in zip(np.searchsorted(ends, columns, side="right"), columns)]
 
 
+def in_pass(sources, columns):
+    """The columns of a concatenation of the sources of full_layout, moved to where the
+    pass's own concatenation holds the same values: a column of the full product through
+    the live-column map, its zero column to the live product's, any other by its source."""
+    live_at = np.append(gabc._LIVE_AT, gabc._SOURCES["product"] - 1)
+    offsets = dict(zip(gabc._SOURCES, np.cumsum([0, *gabc._SOURCES.values()])))
+    moved = [offsets[name] + (live_at[column] if name == "product" else column)
+             for name, column in source_columns(sources, np.ravel(columns))]
+    return np.reshape(moved, np.shape(columns))
+
+
+def pass_zero_columns():
+    """The columns of the pass's own concatenation that hold a product's zero column: the
+    last of the tabulated product and the last of the generic one."""
+    ends = dict(zip(gabc._SOURCES, np.cumsum(list(gabc._SOURCES.values()))))
+    return [ends["product"] - 1, ends["generic"] - 1]
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_operator_reads_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
         t = generate_many(kind, 0, range(50), scale)
-        text_values = np.concatenate(gabc._text_values(t.abc.reshape(-1, 48)), axis=1)
+        text_values = with_zero_column(
+            np.concatenate(gabc._text_values(t.abc.reshape(-1, 48)), axis=1))
         for read, text in zip(operator_reads(t), pass_reads(t, text_values,
                                                           *full_layout(text_values))):
             err = np.abs(read - text).max(axis=1)
@@ -700,18 +745,21 @@ def test_live_operator_holds_the_live_columns_of_the_full_one():
     assert np.array_equal(operator[:, gabc._LIVE_AT], full)
     assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 403))
     # the pass's constants are its layout, which reads the sources the full layout reads,
-    # a column of the product through the map
+    # a column of the product through the map, but the pairs of two zero columns
     for name, value in zip(LAYOUT, gabc._pass_layout(gabc._SOURCES, gabc._LIVE_AT), strict=True):
         assert np.array_equal(getattr(gabc, name), value), name
-    sources, at = full_layout(full)
-    _, full_pairs, *_ = gabc._pass_layout(sources, at)
-    for columns, full_columns in zip(gabc._PAIRS, full_pairs, strict=True):
-        expected = [(name, gabc._LIVE_AT[column] if name == "product" else column)
-                    for name, column in source_columns(sources, full_columns)]
-        assert source_columns(gabc._SOURCES, columns) == expected
+    sources, at = full_layout(with_zero_column(full))
+    quantities, pairs, starts, applies, reported, reported_on = gabc._pass_layout(sources, at)
+    moved = in_pass(sources, pairs)
+    kept = ~np.isin(moved, pass_zero_columns()).all(axis=0)
+    assert np.array_equal(gabc._PAIRS, moved[:, kept])
+    assert gabc._QUANTITIES == quantities and np.array_equal(gabc._APPLIES, applies)
+    assert np.array_equal(gabc._QUANTITY_STARTS, [kept[:start].sum() for start in starts])
+    assert np.array_equal(gabc._REPORTED, reported[kept[:len(reported)]])
+    assert np.array_equal(gabc._REPORTED_ON, reported_on[kept[:len(reported)]])
     # the oracles the product holds: the definitional theta
-    oracles = gabc._PAIRS[1, :gabc._N_COMPARED]
-    assert [name for name, _ in source_columns(gabc._SOURCES, oracles)].count("product") == 9 * 21
+    oracles = pairs[1, :len(reported)]
+    assert [name for name, _ in source_columns(sources, oracles)].count("product") == 9 * 21
     assert not any(array.flags.writeable for array in (operator, gabc._LIVE_AT))
 
 
@@ -723,11 +771,53 @@ def test_live_product_is_the_full_product_bit_for_bit(scale):
     abc = generate_many(kinds, 24, range(len(kinds)), scale).abc
     dense = np.random.default_rng(24).uniform(-scale, scale, (7, 3, 4, 4))
     for t in (gabc.TripleABC._of_validated(abc), gabc.TripleABC._of_validated(dense)):
-        product = _vecmat(t.abc.reshape(-1, 48), full)
+        product = with_zero_column(_vecmat(t.abc.reshape(-1, 48), full))
         expected = pass_reads(t, product, *full_layout(product))
         for read, want in zip(operator_reads(t), expected):
             assert np.array_equal(read, want) and np.array_equal(np.signbit(read),
                                                                  np.signbit(want))
+
+
+def test_every_pair_the_pass_leaves_out_is_gated_only_or_of_two_zero_columns():
+    # with every column of the layout in its product, no pair is of two zero columns: the
+    # compared pairs are then every column a triple may dual-report, and each gated formula
+    # is compared in full in its gated block
+    sources, at = full_layout(with_zero_column(full_operator()))
+    quantities, pairs, starts, _, reported, _ = gabc._pass_layout(sources, at)
+    may_report = [np.arange(N_COMPARED)[gabc._COLUMNS[formula]]
+                  for formula, _, kind, oracle in gabc._BLOCKS if oracle and kind]
+    assert np.array_equal(reported, np.concatenate(may_report))
+    widths = np.diff([*starts, pairs.shape[1]])
+    assert sum(gabc._WIDTHS[formula] for formula in GATED_ONLY) == N_COMPARED - len(reported) == 133
+    for formula in gabc._GATED:
+        columns = np.arange(N_COMPARED)[gabc._COLUMNS[formula]]
+        q = quantities.index(formula.split("[")[0])
+        gated = pairs[:, starts[q]:starts[q] + widths[q]]
+        assert source_columns(sources, gated[0]) == [("product", k) for k in columns]
+        if formula not in GATED_ONLY:  # dual-reported too, with the same oracle
+            assert np.array_equal(gated, pairs[:, np.searchsorted(reported, columns)])
+    # the pass's own layout leaves out of these exactly the pairs of two zero columns: 135
+    # compared ones, each a dead theta expansion column against its dead definitional theta,
+    # and 211 of the connection, the coefficients both connections leave zero on g_{A,B,C}
+    zero = np.isin(in_pass(sources, pairs), pass_zero_columns()).all(axis=0)
+    assert pairs.shape[1] == 1368 - 133 and zero.sum() == 346
+    assert zero[:len(reported)].sum() == 135
+    assert all(gabc._column_labels()[k][0].startswith("theta_omega")
+               for k in reported[zero[:len(reported)]])
+    q = quantities.index("connection")
+    assert zero[starts[q]:starts[q] + widths[q]].sum() == 211
+    assert gabc._PAIRS.shape == (2, 889) and len(gabc._REPORTED) == 310
+    assert np.all(np.diff([*gabc._QUANTITY_STARTS, gabc._PAIRS.shape[1]]) > 0)
+
+
+def test_a_layout_that_leaves_a_quantity_no_pair_raises_and_names_it(monkeypatch):
+    # every column of both products at its zero column: the connection is then two zero
+    # columns throughout, and np.maximum.reduceat would read the next block's first pair
+    monkeypatch.setattr(gabc, "_GENERIC_AT", np.full_like(gabc._GENERIC_AT,
+                                                          gabc._SOURCES["generic"] - 1))
+    at = np.full_like(gabc._LIVE_AT, gabc._SOURCES["product"] - 1)
+    with pytest.raises(AssertionError, match="^the pass layout leaves no pair of connection$"):
+        gabc._pass_layout(gabc._SOURCES, at)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -1010,10 +1100,11 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
     # one triple per family; each column of the layout moved by 1 in turn.  The pass reads
     # the live columns of its product through the operator's live-column map; it gets the
-    # full operator's product here, all 1110 columns, with the layout of that full product,
-    # so that each column moves alone.  The last 343 are the closed-form connection's
+    # full operator's product here, all 1110 columns and one zero column, with the layout of
+    # that full product, so that each column moves alone.  The last 343 before the zero
+    # column are the closed-form connection's
     t = stack_of(mixed_triples(9, 1))
-    values = _vecmat(t.abc.reshape(-1, 48), full_operator())
+    values = with_zero_column(_vecmat(t.abc.reshape(-1, 48), full_operator()))
     reference = cross_validate_stack(t)
     use_layout(monkeypatch, *full_layout(values))
     monkeypatch.setattr(gabc, "_live_values", lambda t: values)
@@ -1022,7 +1113,7 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
     assert all(np.array_equal(x, y) for x, y in zip(unmoved.dual_reports, reference.dual_reports))
     labels = gabc._column_labels() + [("connection", k) for k in range(DIM ** 3)]
     seen = []
-    for column in range(values.shape[1]):
+    for column in range(values.shape[1] - 1):  # the appended zero column is no column's
         moved = values.copy()
         moved[:, column] += 1.0
         monkeypatch.setattr(gabc, "_live_values", lambda t: moved)
@@ -1030,14 +1121,14 @@ def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypa
         gated = not np.array_equal(arrays.deviations[arrays.applies],
                                    reference.deviations[reference.applies])
         reported = column in arrays.dual_reports[1].tolist()
-        if column < gabc._N_COMPARED:
+        if column < N_COMPARED:
             assert gated or reported, labels[column]
         seen.append(gated or reported or not all(
             np.array_equal(x, y) for x, y in zip(arrays.dual_reports, reference.dual_reports)))
     # every column is read: the compared ones, the definitional theta as their oracles, and
     # the closed-form connection, dead columns too, as the gated connection
     assert [labels[column] for column, read in enumerate(seen) if not read] == []
-    assert gabc._N_COMPARED == 641 - 63 and len(labels) == 830 - 63 + DIM ** 3
+    assert N_COMPARED == 641 - 63 and len(labels) == 830 - 63 + DIM ** 3
 
 
 def same_bits(x, y):
@@ -1071,13 +1162,27 @@ def test_a_pass_does_not_depend_on_the_order_of_its_sources(monkeypatch):
     assert same_bits(*runs)
 
 
-def test_dual_report_masks_are_those_of_every_shape_pattern():
-    assert gabc._DUAL_MASKS.shape == (16, gabc._N_COMPARED)
-    for pattern in range(16):
-        shapes = np.array([[pattern >> f & 1 for f in range(4)] + [1]], dtype=bool)
-        assert shapes[:, :-1] @ gabc._PATTERN_BITS == [pattern]
-        expected = shapes[:, gabc._REPORTED_ON] & gabc._REPORTED
-        assert np.array_equal(gabc._DUAL_MASKS[[pattern]], expected), pattern
+def test_dual_report_mask_is_the_shape_pattern_table_s_on_every_shape_pattern():
+    # the (16, 578) table of masks by shape pattern that a pass used to read, recomputed:
+    # per compared column of the layout whether any triple dual-reports it, and the column
+    # of _shapes that picks those that do
+    widths = [gabc._WIDTHS[formula] for formula, *_ in gabc._BLOCKS]
+    reported = np.repeat([kind is not None for *_, kind, _ in gabc._BLOCKS], widths)[:N_COMPARED]
+    reported_on = np.repeat([gabc._FAMILIES.index(kind or FamilyKind.GENERAL)
+                             for *_, kind, _ in gabc._BLOCKS], widths)[:N_COMPARED]
+    bits = 1 << np.arange(4)
+    pattern_shapes = np.c_[(np.arange(16)[:, None] & bits) > 0, np.ones(16, dtype=bool)]
+    table = pattern_shapes[:, reported_on] & reported
+    left_out = np.setdiff1d(np.arange(N_COMPARED), gabc._REPORTED)
+    gated_only = np.concatenate([np.arange(N_COMPARED)[gabc._COLUMNS[f]] for f in GATED_ONLY])
+    for pattern, shapes in enumerate(pattern_shapes):
+        # the pass's mask is one gather of the triple's shapes on the columns it compares
+        assert np.array_equal(shapes[gabc._REPORTED_ON], table[pattern, gabc._REPORTED]), pattern
+        # of the others, the table masks no gated-only column, and only dead ones, which the
+        # pass leaves out as pairs of two zero columns that read 0 on every triple
+        assert not table[pattern, gated_only].any()
+        masked = left_out[table[pattern, left_out]]
+        assert np.all(gabc._LIVE_AT[masked] == gabc._SOURCES["product"] - 1), pattern
 
 
 def test_a_verify_request_computes_no_flags(monkeypatch, capsys):
