@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .gabc import (
     _check_tol,
     _trial_indices,
     classify_triple,
-    cross_validate,
     cross_validate_stack,
     generate_many,
 )
@@ -108,6 +108,10 @@ def _form_map(degree, values):
 
 
 _CONTAINERS = (dict, list, tuple)
+#: The exact types that a container of scalars may hold: what json's C encoder writes as
+#: its pure-Python encoder does.  Any other item, numpy's float64 or a dict subclass too,
+#: is laid out on its own.
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 @functools.cache
@@ -117,39 +121,31 @@ def _encoder(depth):
                             separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _scalars(children):
-    """Whether no item of the iterable children is a container."""
-    return not any(map(isinstance, children, itertools.repeat(_CONTAINERS)))
-
-
-def _rows_of_scalars(x):
-    """Whether the list x holds non-empty rows of scalars, all of them dicts or all lists."""
-    kind = type(x[0])
-    return (kind in (dict, list) and set(map(type, x)) == {kind} and all(x) and _scalars(
-        itertools.chain.from_iterable(map(dict.values, x) if kind is dict else x)))
-
-
 def _dumps(x, depth=0):
     """``json.dumps(x, sort_keys=True, indent=2)`` for a tree with str keys, from blocks
     that json's C encoder lays out.
 
-    An indent sends json to its pure-Python encoder. Here a container of scalars is one
-    call of the C encoder, whose item separator is the line break and indent. So is a
-    list of rows of scalars (a matrix, or the dual reports), at the rows' depth:
-    ensure_ascii escapes every newline in a string, so a closing bracket, the separator
-    and an opening bracket occur together only between two rows, where one replace puts
-    in the rows' own lines. Anything else is laid out child by child.
+    An indent sends json to its pure-Python encoder. Here a container's layout follows
+    from one set of the exact types of its items. A container of scalars is one call of
+    the C encoder, whose item separator is the line break and indent. So is a list of
+    non-empty rows of scalars, all of them dicts or all lists (a matrix, or the dual
+    reports), at the rows' depth: ensure_ascii escapes every newline in a string, so a
+    closing bracket, the separator and an opening bracket occur together only between two
+    rows, where one replace puts in the rows' own lines. Anything else is laid out child
+    by child, a dict's keys through json's own string encoder.
     """
     if not isinstance(x, _CONTAINERS) or not x:
         return _encoder(depth)(x)
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     is_dict = isinstance(x, dict)
-    if _scalars(x.values() if is_dict else x):
+    kinds = set(map(type, x.values() if is_dict else x))
+    if kinds <= _SCALARS:
         body = _encoder(depth + 1)(x)[1:-1]
     elif is_dict:
-        body = ("," + inner).join([f"{_encoder(0)(key)}: {_dumps(value, depth + 1)}"
+        body = ("," + inner).join([f"{encode_basestring_ascii(key)}: {_dumps(value, depth + 1)}"
                                    for key, value in sorted(x.items())])
-    elif _rows_of_scalars(x):
+    elif kinds in ({dict}, {list}) and all(x) and set(map(type, itertools.chain.from_iterable(
+            map(dict.values, x) if kinds == {dict} else x))) <= _SCALARS:
         text = _encoder(depth + 2)(x)
         opener, closer = text[1], text[-2]
         rows = text[2:-2].replace(closer + ",\n" + "  " * (depth + 2) + opener,
@@ -177,32 +173,42 @@ def load_triple(path):
     return TripleABC(data["A"], data["B"], data["C"])
 
 
+def _dual_name(formula, component):
+    """A dual report's name in text: the formula, then the component if there is one."""
+    return f"{formula} {component}" if component else formula
+
+
 def build_report(t, tol):
-    rep = cross_validate(t, tol=tol)
+    """The report of analyze on the triple t at the tolerance tol: the matrices, the torsion
+    forms and tensors, and the plain parts that ``CrossValidationArrays.rows()`` reads from
+    the arrays of its one-triple pass.  It is the report ``cross_validate(t, tol)`` gives,
+    as plain dicts and lists."""
+    arrays = cross_validate_stack(t, tol)
+    (row,) = arrays.rows()
     return {
         "input": {"A": t.A.tolist(), "B": t.B.tolist(), "C": t.C.tolist()},
-        "family": rep.family,
+        "family": row["family"],
         "tol": tol,
-        "tau0": rep.tau0,
-        "tau1": _form_map(1, rep.tau1),
-        "tau2": _form_map(2, rep.tau2),
-        "tau3": _form_map(3, rep.tau3),
-        "torsion_matrix": rep.torsion_matrix.tolist(),
-        "div_torsion": rep.divergence.tolist(),
-        "ricci": rep.ricci_matrix.tolist(),
+        "tau0": arrays.tau0.tolist()[0],
+        "tau1": _form_map(1, arrays.tau1[0]),
+        "tau2": _form_map(2, arrays.tau2[0]),
+        "tau3": _form_map(3, arrays.tau3[0]),
+        "torsion_matrix": arrays.torsion_matrix[0].tolist(),
+        "div_torsion": arrays.divergence[0].tolist(),
+        "ricci": arrays.ricci_matrix[0].tolist(),
         "ricci_block_order": RICCI_A_BLOCK_ORDER,
-        "flags": vars(rep.flags),
-        "deviations": {k: float(v) for k, v in rep.deviations.items()},
-        "exact_checks": dict(rep.exact_checks),
-        "dual_reports": [vars(r) for r in rep.dual_reports],
-        "passed": rep.passed,
+        "flags": row["flags"],
+        "deviations": row["deviations"],
+        "exact_checks": row["exact_checks"],
+        "dual_reports": row["dual_reports"],
+        "passed": row["passed"],
     }
 
 
 def _print_text_report(report):
     print(f"family: {report['family']}")
     flags = report["flags"]
-    kinds = [name for name in ("closed", "coclosed", "torsion_free") if flags[name]]
+    kinds = [name for name, on in flags.items() if on]
     print(f"class: {', '.join(kinds) if kinds else 'generic (none of closed/coclosed)'}")
     print(f"tau0 = {report['tau0']:.12g}")
     for name in ("tau1", "tau2", "tau3"):
@@ -219,7 +225,7 @@ def _print_text_report(report):
     print(f"cross-validation: worst deviation {worst[1]:.3e} ({worst[0]}), "
           f"tol {report['tol']:g}")
     for dual in report["dual_reports"]:
-        print(f"  note: {dual['formula']} {dual['component']}: tabulated "
+        print(f"  note: {_dual_name(dual['formula'], dual['component'])}: tabulated "
               f"{dual['tabulated']:.12g} vs computed {dual['computed']:.12g}")
     print(f"passed: {report['passed']}")
 
@@ -302,7 +308,7 @@ def cmd_verify(args):
         if notes:
             print("tabulated-formula mismatches (dual reports; generic route adjudicates):")
             for r in notes:
-                print(f"  {r.formula} {r.component}: tabulated {r.tabulated:+.12g}"
+                print(f"  {_dual_name(r.formula, r.component)}: tabulated {r.tabulated:+.12g}"
                       f" vs computed {r.computed:+.12g}")
         print("verdict:", "PASS" if passed else f"FAIL ({failures} failing trials)")
     return EXIT_OK if passed else EXIT_MISMATCH

@@ -45,7 +45,7 @@ import functools
 import math
 import numbers
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -218,6 +218,13 @@ class TripleABC:
     one read-only (3, 4, 4) array ``abc``; ``A``, ``B`` and ``C`` are read-only
     views of it.
 
+    The matrices are converted to float64, and their entries checked to be real numbers,
+    as one (3, 4, 4) array of one numeric type.  Only if that fails are they converted one
+    by one, as each error names its matrix; matrices that pass alone are then stacked.
+    Matrices that numpy holds as objects together (Fractions, ints beyond int64, or a
+    timedelta matrix next to a float one, whose entries as objects may be ints) take the
+    per-matrix path only.
+
     ``generate_many`` makes stacks of N validated triples, ``abc`` of shape
     (N, 3, 4, 4) and matrices of shape (N, 4, 4), which every function of the
     module accepts too.  Equality and hashing are by identity.
@@ -226,13 +233,21 @@ class TripleABC:
     abc: np.ndarray
 
     def __init__(self, A, B, C):
-        mats = []
-        for name, m in zip("ABC", (A, B, C)):
-            m = _real_array(f"matrix {name}", m, "4x4")
-            if m.shape != (4, 4):
-                raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
-            mats.append(m)
-        object.__setattr__(self, "abc", _checked(np.stack(mats)))
+        try:  # the three as one array, in one conversion and one check of the entries' types
+            abc = _real_array("matrices A, B, C", (A, B, C), "3x4x4", kinds="iuf")
+        except ValidationError:  # the per-matrix conversions below raise it, naming the matrix
+            abc = None
+        if abc is None or abc.shape != (3, 4, 4):
+            abc = np.stack([self._matrix(name, m) for name, m in zip("ABC", (A, B, C))])
+        object.__setattr__(self, "abc", _checked(abc))
+
+    @staticmethod
+    def _matrix(name, m):
+        """The float64 4x4 array of the matrix m, named name in an error."""
+        m = _real_array(f"matrix {name}", m, "4x4")
+        if m.shape != (4, 4):
+            raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
+        return m
 
     A = property(lambda self: self.abc[..., 0, :, :])
     B = property(lambda self: self.abc[..., 1, :, :])
@@ -1026,6 +1041,10 @@ class ReferenceCheck:
         return cls(*_column_labels()[column], tabulated, computed)
 
 
+#: The names of the torsion flags, in the order of the columns of CrossValidationArrays.flags.
+_FLAG_NAMES = tuple(f.name for f in fields(TorsionClass))
+
+
 @dataclass(eq=False)
 class CrossValidationReport:
     """One triple's results, as CrossValidationArrays.reports makes them: the
@@ -1050,7 +1069,8 @@ class CrossValidationReport:
 
 class CrossValidationArrays(typing.NamedTuple):
     """The results of one cross-validation pass over n triples, as arrays
-    with a leading trial axis; ``reports()`` makes one report per triple.
+    with a leading trial axis; ``rows()`` reads each triple's report as plain values,
+    and ``reports()`` makes one CrossValidationReport per triple of them.
 
     Column q of ``deviations`` is the quantity ``quantities[q]``; it gates
     triple n where ``applies[n, q]`` holds (the family-specific quantities
@@ -1091,24 +1111,39 @@ class CrossValidationArrays(typing.NamedTuple):
             ok &= check
         return ok
 
-    def reports(self):
+    def rows(self):
+        """Per triple, the parts of its report as plain values: ``family`` (its name),
+        ``passed``, the ``deviations`` that gate it, its ``exact_checks``, its
+        ``dual_reports`` as dicts of the fields of ReferenceCheck, named by their columns of
+        the tabulated layout, and its ``flags`` as a dict of the fields of TorsionClass.
+        ``reports()`` wraps them; analyze writes them as they are."""
         passed = self.passed().tolist()
         dev_rows, applies = self.deviations.tolist(), self.applies.tolist()
-        flag_rows = self.flags.tolist()
         exact_rows = {key: check.tolist() for key, check in self.exact_checks.items()}
+        labels = _column_labels()
         duals = [[] for _ in self.families]
-        for n, *check in zip(*(a.tolist() for a in self.dual_reports)):
-            duals[n].append(ReferenceCheck.of_column(*check))
+        for n, column, x, y in zip(*(a.tolist() for a in self.dual_reports)):
+            formula, component = labels[column]
+            duals[n].append({"formula": formula, "component": component,
+                             "tabulated": x, "computed": y})
+        return [{"family": family.value, "passed": passed[n],
+                 "deviations": {q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n])
+                                if a},
+                 "exact_checks": {key: values[n] for key, values in exact_rows.items()},
+                 "dual_reports": duals[n],
+                 "flags": dict(zip(_FLAG_NAMES, flags))}
+                for n, (family, flags) in enumerate(zip(self.families, self.flags.tolist()))]
+
+    def reports(self):
         return [CrossValidationReport(
-            family=family.value, tol=self.tol, passed=passed[n],
-            deviations={q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n]) if a},
-            exact_checks={key: rows[n] for key, rows in exact_rows.items()},
-            dual_reports=duals[n],
-            flags=TorsionClass(*flag_rows[n]),
+            family=row["family"], tol=self.tol, passed=row["passed"],
+            deviations=row["deviations"], exact_checks=row["exact_checks"],
+            dual_reports=[ReferenceCheck(**check) for check in row["dual_reports"]],
+            flags=TorsionClass(**row["flags"]),
             tau0=float(self.tau0[n]), tau1=self.tau1[n], tau2=self.tau2[n], tau3=self.tau3[n],
             torsion_matrix=self.torsion_matrix[n], divergence=self.divergence[n],
             ricci_matrix=self.ricci_matrix[n])
-            for n, family in enumerate(self.families)]
+            for n, row in enumerate(self.rows())]
 
 
 def _off_support(degree, support):

@@ -40,11 +40,12 @@ def _jacobi_residuals(arr):
     return np.abs(cyc, out=cyc).max(axis=(-2, -1))
 
 
-def _real_array(what, x, shape):
+def _real_array(what, x, shape, kinds="iufO"):
     """The float64 array of x, the entries of what, which must be real numbers (held as
     Python objects, a Fraction is one) within float64 range: a float64 cast would drop
     imaginary parts, and take "1" and True as numbers.  shape names the expected shape,
-    for nested sequences numpy cannot shape."""
+    for nested sequences numpy cannot shape.  kinds are the dtype kinds that numpy may give
+    x; without "O", x must be of one numeric type."""
     try:
         arr = np.asarray(x)
     except ValueError as exc:  # rows of unequal lengths, or nested deeper than numpy's limit
@@ -52,9 +53,10 @@ def _real_array(what, x, shape):
         raise ValidationError(f"{what} must be {shape}{why}") from None
     if arr.dtype.kind == "c":
         raise ValidationError(f"{what} has complex entries")
-    # numpy reads a True among a sequence's numbers as 1: test its entries as they are
+    # the array's own kind first, as a datetime or timedelta array at ns resolution holds ints
+    # as objects; then, as numpy reads a True among a sequence's numbers as 1, its entries
     entries = arr if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-    if entries.dtype.kind not in "iufO" or entries.dtype.kind == "O" and not all(
+    if arr.dtype.kind not in kinds or entries.dtype.kind == "O" and not all(
             issubclass(kind, numbers.Real) and not issubclass(kind, bool)
             for kind in set(map(type, entries.flat))):
         raise ValidationError(f"{what} has an entry that is not a real number")

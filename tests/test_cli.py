@@ -1,9 +1,10 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -156,6 +157,24 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "family: diagonal" in out and "passed: True" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{path}"],
+    ["verify", "--case", "general", "--trials", "1"],
+])
+def test_text_dual_reports_name_a_scalar_formula_without_a_component(tmp_path, capsys, argv):
+    # tau0 is a number, whose component is "": no space before the colon, as for tau3's
+    path = tmp_path / "t.json"
+    assert main(["gen", "--case", "general", "--seed", "1", "--out", str(path)]) == 0
+    main([arg.format(path=path) for arg in argv])
+    text = capsys.readouterr().out
+    prefix = "  note: " if argv[0] == "analyze" else "  "
+    number = r"[-+]?\d\.\d+(e[-+]\d+)?"
+    for name in (r"tau0\[general\]", r"tau3\[general\] e134"):
+        assert re.search(f"^{re.escape(prefix)}{name}: tabulated {number} vs computed {number}$",
+                         text, re.MULTILINE), (name, text)
+    assert " :" not in text
+
+
 def nan_ricci(t):
     """A closed-form Ricci tensor that is NaN throughout: a stage that broke."""
     return np.full(t.abc.shape[:-3] + (7, 7), np.nan)
@@ -171,6 +190,57 @@ def test_analyze_text_output_names_a_nan_deviation_as_the_worst(tmp_path, capsys
     assert np.isnan(json.loads(capsys.readouterr().out)["deviations"]["ricci"])
     assert "cross-validation: worst deviation nan (ricci), tol 1e-09\n" in text
     assert text.endswith("passed: False\n")
+
+
+def report_of_cross_validate(t, tol):
+    """analyze's report as it was built from the public per-triple API, cross_validate."""
+    rep = gabc.cross_validate(t, tol=tol)
+    return {
+        "input": {"A": t.A.tolist(), "B": t.B.tolist(), "C": t.C.tolist()},
+        "family": rep.family,
+        "tol": tol,
+        "tau0": rep.tau0,
+        "tau1": cli._form_map(1, rep.tau1),
+        "tau2": cli._form_map(2, rep.tau2),
+        "tau3": cli._form_map(3, rep.tau3),
+        "torsion_matrix": rep.torsion_matrix.tolist(),
+        "div_torsion": rep.divergence.tolist(),
+        "ricci": rep.ricci_matrix.tolist(),
+        "ricci_block_order": gabc.RICCI_A_BLOCK_ORDER,
+        "flags": vars(rep.flags),
+        "deviations": {k: float(v) for k, v in rep.deviations.items()},
+        "exact_checks": dict(rep.exact_checks),
+        "dual_reports": [vars(r) for r in rep.dual_reports],
+        "passed": rep.passed,
+    }
+
+
+def exact(x):
+    """x with its dicts as lists of items, in order, and each leaf as its type and value, a
+    float's value as its bytes: equal for two trees with the same keys, order and bits."""
+    if isinstance(x, dict):
+        return [(key, exact(value)) for key, value in x.items()]
+    if isinstance(x, list):
+        return [exact(value) for value in x]
+    return type(x), struct.pack("<d", x) if type(x) is float else x
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["as-is", "nan-ricci"])
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_report_is_the_one_of_cross_validate(monkeypatch, tol, nan):
+    # at tol 0 every round-off difference of a tabulated coefficient is dual-reported
+    if nan:
+        monkeypatch.setattr(gabc, "closed_form_ricci", nan_ricci)
+    reported = 0
+    for kind in cli.CASES.values():
+        for seed, scale in enumerate((1e-3, 1.0, 1e3)):
+            t = gabc.TripleABC(*gabc.generate_many(kind, seed, [0], scale).abc[0])
+            report, reference = cli.build_report(t, tol), report_of_cross_validate(t, tol)
+            assert exact(report) == exact(reference), (kind, scale)
+            assert cli._dumps(report) == cli._dumps(reference)
+            reported += len(report["dual_reports"])
+            assert not (nan and report["passed"])
+    assert reported > 0
 
 
 # -- verify ------------------------------------------------------------------
@@ -599,18 +669,28 @@ def stdlib_dumps(x):
 
 # quotes, brackets, braces, a newline, a backslash and non-ASCII, which json escapes
 JSON_TEXT = st.text(st.sampled_from('ab"[]{},: \n\\é☃\U0001f600'), max_size=5)
+# numpy's float64, a float subclass, which json writes as a float
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2**200, 2**200), st.floats(), JSON_TEXT,
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310, 1e308]))
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310, 1e308]),
+    st.floats().map(np.float64))
+
+
+def json_dicts(keys, values, **kwargs):
+    """dicts of keys and values, some of them OrderedDicts: a dict subclass, which json
+    writes as a dict."""
+    return st.dictionaries(keys, values, **kwargs) | st.dictionaries(
+        keys, values, **kwargs).map(OrderedDict)
+
+
 # containers of scalars, the empty ones too, and lists of them: the matrices and the
 # dual reports, with an empty row among them now and then
-JSON_ROWS = st.lists(JSON_SCALARS, max_size=4) | st.dictionaries(JSON_TEXT, JSON_SCALARS,
-                                                                  max_size=4)
+JSON_ROWS = st.lists(JSON_SCALARS, max_size=4) | json_dicts(JSON_TEXT, JSON_SCALARS, max_size=4)
 JSON_TREES = st.recursive(
     JSON_SCALARS | JSON_ROWS | st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=4)
-    | st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), max_size=4),
+    | st.lists(json_dicts(JSON_TEXT, JSON_SCALARS, max_size=3), max_size=4),
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    | json_dicts(JSON_TEXT, children, max_size=4),
     max_leaves=40)
 
 
@@ -620,6 +700,7 @@ JSON_TREES = st.recursive(
 @example([[1.0, float("nan")], [], [-0.0, 1e308]])
 @example([{"a": "]"}, {"b": "\n[", "c": [[]]}])
 @example({"tau1": {}, "dual_reports": [], "x": [[[], []], [[], []]]})
+@example([[np.float64(0.1), 1.0], OrderedDict(b=[np.float64("nan")], a=OrderedDict(c=1))])
 def test_writer_lays_out_any_tree_as_json_dumps_with_indent_2(tree):
     assert cli._dumps(tree) == stdlib_dumps(tree)
 

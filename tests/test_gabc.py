@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from collections import Counter
@@ -381,6 +382,133 @@ def test_a_matrix_of_python_real_numbers_is_taken_as_floats():
     entries = np.diag([Fraction(1, 2), Fraction(-1, 2), 0, 0])  # an object array
     assert entries.dtype == object
     assert make(A=entries).abc.tobytes() == make(A=np.diag([0.5, -0.5, 0.0, 0.0])).abc.tobytes()
+
+
+def triple_by_matrix(A, B, C):
+    """TripleABC's conversion one matrix at a time, as it was before the one-array
+    conversion: each matrix converted and its shape checked, then the stack checked."""
+    mats = []
+    for name, m in zip("ABC", (A, B, C)):
+        m = liealg._real_array(f"matrix {name}", m, "4x4")
+        if m.shape != (4, 4):
+            raise ValidationError(f"matrix {name} must be 4x4, got {m.shape}")
+        mats.append(m)
+    return gabc._checked(np.stack(mats))
+
+
+def outcome(call):
+    """The bytes of the array call returns, or the type and text of the error it raises."""
+    try:
+        return call().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ZERO_ROWS = [[0] * 4 for _ in range(4)]
+
+
+def with_entry(value, at=(0, 1)):
+    """The zero matrix as a list of rows, with value at the entry at."""
+    rows = [list(row) for row in ZERO_ROWS]
+    rows[at[0]][at[1]] = value
+    return rows
+
+
+# each rejected input pinned by this module or the command line's tests
+REJECTED = {
+    "complex-array": 1j * np.diag([1.0, -1.0, 0.0, 0.0]),
+    "complex-entry": with_entry(1j),
+    "complex-objects": np.full((4, 4), 0j, dtype=object),
+    "bool-array": np.zeros((4, 4), dtype=bool),
+    "bool-entry": with_entry(True),
+    "string-array": np.full((4, 4), "1"),
+    "string-entry": with_entry("1"),
+    "string-objects": np.full((4, 4), "a", dtype=object),
+    "a-string": "x",
+    "none-entry": with_entry(None),
+    "too-large-int": with_entry(10 ** 400),
+    "ragged-rows": [[0.0] * 4] * 3 + [[0.0]],
+    "empty": [],
+    "3x3": np.zeros((3, 3)),
+    "2x4x4": np.zeros((2, 4, 4)),
+    "5x4": [[0.0] * 4] * 5,
+    "datetime-array": np.zeros((4, 4), dtype="datetime64[s]"),
+    # at ns resolution numpy's object cast gives Python ints, and next to a float matrix the
+    # three are held as objects
+    "datetime-ns-array": np.zeros((4, 4), dtype="datetime64[ns]"),
+    "timedelta-ns-array": np.zeros((4, 4), dtype="timedelta64[ns]"),
+    "timedelta-ns-rows": [np.zeros(4, dtype="timedelta64[ns]")] * 4,
+    "nested-too-deep": json.loads("[" * 200 + "0" + "]" * 200),
+    "nan-entry": with_entry(np.nan),
+    "beyond-max-entry": with_entry(1e160),
+    "not-traceless": with_entry(1.0, at=(0, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", REJECTED.values(), ids=REJECTED.keys())
+def test_one_array_conversion_rejects_as_each_matrix_alone(bad):
+    # in every slot, and in two slots at once, where the first is named, next to zero
+    # matrices of ints in lists and of floats in arrays
+    for zero, slots in itertools.product((ZERO_ROWS, np.zeros((4, 4))), ((0,), (1,), (2,), (1, 2))):
+        mats = [bad if q in slots else zero for q in range(3)]
+        expected = outcome(lambda: triple_by_matrix(*mats))
+        assert expected[0] is ValidationError and f"matrix {'ABC'[slots[0]]} " in expected[1]
+        assert outcome(lambda: TripleABC(*mats).abc) == expected, (type(zero), slots)
+
+
+def accepted_forms():
+    """Diagonal traceless matrices, each in another container or entry type, whose float64
+    values some of them reach only by rounding."""
+    from fractions import Fraction
+    d32 = np.array([0.1, -0.1, 0.3, -0.3], dtype=np.float32)
+    big = 3 ** 40  # not a float64, and beyond int64
+    return {
+        "floats": np.diag([0.25, -0.5, 0.125, 0.125]).tolist(),
+        "tuples-of-ints": tuple(tuple(row) for row in np.diag([2, -1, -1, 0]).tolist()),
+        "float32-array": np.diag(d32),
+        "int-array": np.diag(np.array([7, -3, -4, 0], dtype=np.int64)),
+        "fractions": [[Fraction(1, 3) if i == j == 0 else Fraction(-1, 3) if i == j == 1
+                       else 0 for j in range(4)] for i in range(4)],
+        "fraction-objects": np.diag([Fraction(1, 10), Fraction(-1, 10), 0, 0]),
+        "numpy-scalars": [[diagonal if i == j else np.int16(0) for j in range(4)]
+                          for i, diagonal in enumerate((np.float32(0.5), np.float64(-0.75),
+                                                        np.int16(0), np.float16(0.25)))],
+        "float16-array": np.diag(np.array([0.1, -0.1, 0.0, 0.0], dtype=np.float16)),
+        "big-ints": np.diag(np.array([big, -big, 0, 0], dtype=object)).tolist(),
+        "ints-and-floats": [[1, 0.0, 0, 0], [0, -0.5, 0, 0], [0, 0, -0.5, 0], [0, 0, 0, 0]],
+    }
+
+
+@pytest.mark.parametrize("shift", range(3))
+def test_one_array_conversion_keeps_the_bits_of_each_matrix_alone(shift):
+    forms = list(accepted_forms().items())
+    for n in range(len(forms)):
+        names, mats = zip(*(forms[(n + shift * q + q) % len(forms)] for q in range(3)))
+        t = TripleABC(*mats)
+        expected = np.stack([liealg._real_array(f"matrix {name}", m, "4x4")
+                             for name, m in zip("ABC", mats)])
+        assert t.abc.dtype == np.float64 and t.abc.tobytes() == expected.tobytes(), names
+
+
+def test_numeric_input_takes_one_conversion_and_rejected_input_names_its_matrix(monkeypatch):
+    calls = []
+    real_array = gabc._real_array
+
+    def counted(what, x, shape, **kwargs):
+        calls.append(what)
+        return real_array(what, x, shape, **kwargs)
+    monkeypatch.setattr(gabc, "_real_array", counted)
+    TripleABC(*list(accepted_forms().values())[1:4])
+    assert calls == ["matrices A, B, C"]
+    calls.clear()
+    with pytest.raises(ValidationError, match="^matrix B has complex entries$"):
+        TripleABC(ZERO_ROWS, with_entry(1j), ZERO_ROWS)
+    assert calls == ["matrices A, B, C", "matrix A", "matrix B"]
+    calls.clear()
+    # Fractions are objects together, as a timedelta matrix next to a float one would be
+    forms = accepted_forms()
+    TripleABC(forms["fractions"], forms["floats"], forms["floats"])
+    assert calls == ["matrices A, B, C", "matrix A", "matrix B", "matrix C"]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "a", [0, -2]])
