@@ -22,10 +22,10 @@ from .gabc import (
     MAX_TRIAL,
     RICCI_A_BLOCK_ORDER,
     FamilyKind,
-    ReferenceCheck,
     TripleABC,
     _check_scale,
     _check_tol,
+    _dual_report,
     _trial_indices,
     classify_triple,
     cross_validate_stack,
@@ -285,15 +285,15 @@ def cmd_verify(args):
     all_has = np.any(list(case_has.values()), axis=0).tolist()
     worst = dict(itertools.compress(zip(quantities, all_max), all_has))
     summary = [(case, args.trials, *case_worst[i], case_devs[i]) for i, case in enumerate(cases)]
-    notes = sorted((ReferenceCheck.of_column(column, x, y) for column, (_, x, y) in duals.items()),
-                   key=lambda r: (r.formula, r.component))
+    notes = sorted((_dual_report(column, x, y) for column, (_, x, y) in duals.items()),
+                   key=lambda r: (r["formula"], r["component"]))
     passed = failures == 0
     if args.json:
         print(_dumps({
             "cases": {c: {"trials": n, "worst": w, "worst_quantity": k, "worst_deviations": devs}
                       for c, n, w, k, devs in summary},
             "worst_deviations": worst,
-            "dual_reports": [vars(r) for r in notes],
+            "dual_reports": notes,
             "tol": args.tol,
             "failing_trials": failures,
             "passed": passed,
@@ -308,8 +308,8 @@ def cmd_verify(args):
         if notes:
             print("tabulated-formula mismatches (dual reports; generic route adjudicates):")
             for r in notes:
-                print(f"  {_dual_name(r.formula, r.component)}: tabulated {r.tabulated:+.12g}"
-                      f" vs computed {r.computed:+.12g}")
+                print(f"  {_dual_name(r['formula'], r['component'])}: tabulated "
+                      f"{r['tabulated']:+.12g} vs computed {r['computed']:+.12g}")
         print("verdict:", "PASS" if passed else f"FAIL ({failures} failing trials)")
     return EXIT_OK if passed else EXIT_MISMATCH
 

@@ -207,9 +207,9 @@ def _raise_first_failure(finite, bounded, trace, commutator, bad_trace, bad_comm
         checks.append((bad_commutator[p],
                        f"pairwise commutation violated: max |[{pair}]| = {{:g}}", commutator[p]))
     bad = np.array([np.ravel(fails) for fails, _, _ in checks])  # (check, trial)
-    n = int(np.argmax(bad.any(axis=0)))
-    _, message, values = checks[int(np.argmax(bad[:, n]))]
-    raise ValidationError.of_trial(n, bad.shape[1], message.format(np.ravel(values)[n]))
+    ValidationError.raise_first_failing(bad.any(axis=0), lambda n: next(
+        message.format(np.ravel(values)[n])
+        for fails, (_, message, values) in zip(bad[:, n], checks) if fails))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -219,11 +219,9 @@ class TripleABC:
     views of it.
 
     The matrices are converted to float64, and their entries checked to be real numbers,
-    as one (3, 4, 4) array of one numeric type.  Only if that fails are they converted one
-    by one, as each error names its matrix; matrices that pass alone are then stacked.
-    Matrices that numpy holds as objects together (Fractions, ints beyond int64, or a
-    timedelta matrix next to a float one, whose entries as objects may be ints) take the
-    per-matrix path only.
+    by one conversion of the three as one (3, 4, 4) array, Fractions and ints beyond int64
+    included, under the one rule of liealg._real_array.  Only if that conversion raises or
+    gives another shape are they converted one by one, so that the error names its matrix.
 
     ``generate_many`` makes stacks of N validated triples, ``abc`` of shape
     (N, 3, 4, 4) and matrices of shape (N, 4, 4), which every function of the
@@ -234,7 +232,7 @@ class TripleABC:
 
     def __init__(self, A, B, C):
         try:  # the three as one array, in one conversion and one check of the entries' types
-            abc = _real_array("matrices A, B, C", (A, B, C), "3x4x4", kinds="iuf")
+            abc = _real_array("matrices A, B, C", (A, B, C), "3x4x4")
         except ValidationError:  # the per-matrix conversions below raise it, naming the matrix
             abc = None
         if abc is None or abc.shape != (3, 4, 4):
@@ -844,6 +842,8 @@ _QUATERNION_SIGNS = np.array([
     [[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]],  # left, by p
     [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]],  # right, by q
 ])
+#: (1 - u0, u0) = u0 * _RADIUS_SIGNS + _RADIUS_SHIFTS, the squared radii of _rotations.
+_RADIUS_SIGNS, _RADIUS_SHIFTS = np.array([-1.0, 1.0]), np.array([1.0, 0.0])
 
 
 def _rotations(u):
@@ -856,7 +856,7 @@ def _rotations(u):
     (p, q) -> L(p) R(q) is the double cover S^3 x S^3 -> SO(4), g is Haar.
     """
     u = u.reshape(u.shape[:-1] + (2, 3))  # p's uniforms, then q's
-    radius = np.sqrt(u[..., :1] * [-1.0, 1.0] + [1.0, 0.0])  # sqrt(1 - u0), sqrt(u0)
+    radius = np.sqrt(u[..., :1] * _RADIUS_SIGNS + _RADIUS_SHIFTS)  # sqrt(1 - u0), sqrt(u0)
     angle = (2.0 * np.pi) * u[..., 1:]
     pq = np.concatenate([radius * np.sin(angle), radius * np.cos(angle)], axis=-1)
     left_right = pq[..., _QUATERNION_INDEX] * _QUATERNION_SIGNS
@@ -988,7 +988,7 @@ def _family_matrices(kind, u, scale):
         # g J g^T for J = t1 (e4 e3^T - e3 e4^T) + t2 (e6 e5^T - e5 e6^T): W - W^T, with
         # W = t1 g4 g3^T + t2 g6 g5^T for the columns g3..g6 of g, is exactly skew
         g = p["rotation"][:, None]
-        w = (g[..., [1, 3]] * p["angles"][..., None, :]) @ _transpose(g[..., [0, 2]])
+        w = (g[..., 1::2] * p["angles"][..., None, :]) @ _transpose(g[..., 0::2])
         return w - _transpose(w)
     if kind is FamilyKind.DIAGONAL:
         mats = np.zeros(p["diagonals"].shape[:-1] + (16,))
@@ -1034,11 +1034,13 @@ class ReferenceCheck:
     def delta(self):
         return abs(self.tabulated - self.computed)
 
-    @classmethod
-    def of_column(cls, column, tabulated, computed):
-        """The check of a compared column of the tabulated layout, named by its
-        (formula, component)."""
-        return cls(*_column_labels()[column], tabulated, computed)
+
+def _dual_report(column, tabulated, computed):
+    """The dual report of a compared column of the tabulated layout, as a dict of the
+    fields of ReferenceCheck, named by the column's (formula, component)."""
+    formula, component = _column_labels()[column]
+    return {"formula": formula, "component": component, "tabulated": tabulated,
+            "computed": computed}
 
 
 #: The names of the torsion flags, in the order of the columns of CrossValidationArrays.flags.
@@ -1120,12 +1122,9 @@ class CrossValidationArrays(typing.NamedTuple):
         passed = self.passed().tolist()
         dev_rows, applies = self.deviations.tolist(), self.applies.tolist()
         exact_rows = {key: check.tolist() for key, check in self.exact_checks.items()}
-        labels = _column_labels()
         duals = [[] for _ in self.families]
         for n, column, x, y in zip(*(a.tolist() for a in self.dual_reports)):
-            formula, component = labels[column]
-            duals[n].append({"formula": formula, "component": component,
-                             "tabulated": x, "computed": y})
+            duals[n].append(_dual_report(column, x, y))
         return [{"family": family.value, "passed": passed[n],
                  "deviations": {q: v for q, v, a in zip(self.quantities, dev_rows[n], applies[n])
                                 if a},

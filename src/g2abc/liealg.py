@@ -40,12 +40,14 @@ def _jacobi_residuals(arr):
     return np.abs(cyc, out=cyc).max(axis=(-2, -1))
 
 
-def _real_array(what, x, shape, kinds="iufO"):
+def _real_array(what, x, shape):
     """The float64 array of x, the entries of what, which must be real numbers (held as
     Python objects, a Fraction is one) within float64 range: a float64 cast would drop
     imaginary parts, and take "1" and True as numbers.  shape names the expected shape,
-    for nested sequences numpy cannot shape.  kinds are the dtype kinds that numpy may give
-    x; without "O", x must be of one numeric type."""
+    for nested sequences numpy cannot shape.  One rule judges every input: an array by its
+    own dtype kind, and a list or tuple by the types of its entries and, when numpy can
+    hold it only as objects, each of its parts by this rule, so that an array inside it is
+    judged by its own kind before numpy casts it to objects."""
     try:
         arr = np.asarray(x)
     except ValueError as exc:  # rows of unequal lengths, or nested deeper than numpy's limit
@@ -53,13 +55,17 @@ def _real_array(what, x, shape, kinds="iufO"):
         raise ValidationError(f"{what} must be {shape}{why}") from None
     if arr.dtype.kind == "c":
         raise ValidationError(f"{what} has complex entries")
-    # the array's own kind first, as a datetime or timedelta array at ns resolution holds ints
-    # as objects; then, as numpy reads a True among a sequence's numbers as 1, its entries
+    # the array's own kind first; then, as numpy reads a True among a sequence's numbers as
+    # 1, its entries
     entries = arr if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-    if arr.dtype.kind not in kinds or entries.dtype.kind == "O" and not all(
+    if arr.dtype.kind not in "iufO" or entries.dtype.kind == "O" and not all(
             issubclass(kind, numbers.Real) and not issubclass(kind, bool)
             for kind in set(map(type, entries.flat))):
         raise ValidationError(f"{what} has an entry that is not a real number")
+    if arr.dtype.kind == "O" and isinstance(x, (list, tuple)):
+        # the object cast turns a datetime or timedelta array at ns resolution into ints
+        for part in x:
+            _real_array(what, part, shape)
     try:
         return np.asarray(arr, dtype=np.float64)
     except OverflowError:  # an integer, or a Fraction, beyond the largest float64

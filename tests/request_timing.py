@@ -4,13 +4,14 @@
     PYTHONPATH=src python tests/request_timing.py --against OTHER_TREE
 
 numpy runs on one OpenBLAS thread and G2ABC_TOL is unset.  The requests have the shapes
-of the benchmark's three workloads and run through ``cli.main`` with their output
-captured.  One cycle is, in this order:
+of the benchmark's three workloads, named as they are, and run through ``cli.main`` with
+their output captured.  One cycle is, in this order:
 
-- ``analyze --json`` of each of 5 general-family triple files, written by ``gen`` with
-  seeds 0-4 at scales 1e-2, 1e-1, 1, 1e1 and 1e2;
-- ``verify --case all --trials 2 --json`` with seeds 0 and 1;
-- ``verify --case diag --trials 4 --json`` with seeds 0 and 1.
+- analyze_requests: ``analyze --json`` of each of 5 general-family triple files, written
+  by ``gen`` with seeds 0-4 at scales 1e-2, 1e-1, 1, 1e1 and 1e2;
+- campaign: ``verify --case all --trials 2 --json`` with seeds 0 and 1;
+- sparse_families: ``verify --case diag --trials 4 --json`` and then the same with
+  ``--case adiag``, with seed 0 and then seed 1.
 
 Without --against, the script times named stages inside every request by wrapping the
 functions that ``cli`` calls for them.  For ``analyze`` they are parse (argparse's
@@ -26,10 +27,11 @@ microsecond per wrapped call.
 With --against OTHER_TREE, it copies that tree's package (OTHER_TREE/src/g2abc) under
 another name, imports it next to this one, and runs --cycles whole cycles on each tree,
 alternately, the first tree of each pair taking turns.  Both trees analyze the same
-files.  It prints the median ratio of this tree's cycle time to the other's, with its
-quartiles, and how many cycles each tree won.  Drift of the host moves both sides of a
-pair alike, so it cancels in the ratio; a run against a copy of this same tree reads
-about 1.00.
+files.  For each request shape, and for the whole cycle, it prints the median ratio of
+this tree's time to the other's, with its quartiles, and how many cycles each tree won.
+A change can move one shape and not another, which the cycle's ratio alone would hide.
+Drift of the host moves both sides of a pair alike, so it cancels in the ratio; a run
+against a copy of this same tree reads about 1.00.
 
 The figures are a record, not a gate.  pytest does not collect this file.
 """
@@ -54,9 +56,11 @@ from pathlib import Path
 from g2abc import cli
 
 SCALES = ("1e-2", "1e-1", "1", "1e1", "1e2")
-VERIFY = (["verify", "--case", "all", "--trials", "2"],
-          ["verify", "--case", "diag", "--trials", "4"])
-#: The stages of each request shape: stage -> (the object whose attribute is wrapped, the
+#: The verify request shapes: shape -> the argv of each of its requests but the seed.
+VERIFY = {"campaign": [["verify", "--case", "all", "--trials", "2"]],
+          "sparse_families": [["verify", "--case", case, "--trials", "4"]
+                              for case in ("diag", "adiag")]}
+#: The stages of each command: stage -> (the object whose attribute is wrapped, the
 #: attribute's name); main parses with the one parser that cli builds at import.
 STAGES = {
     "analyze": {"parse": (cli._parser(), "parse_args"), "load": (cli, "load_triple"),
@@ -83,9 +87,10 @@ def write_triples(directory):
 
 def cycle(paths):
     """(shape, argv) of each request of one cycle."""
-    return ([("analyze", ["analyze", "--input", str(path), "--json"]) for path in paths]
-            + [(argv[0], argv + ["--seed", str(seed), "--json"])
-               for argv in VERIFY for seed in (0, 1)])
+    return ([("analyze_requests", ["analyze", "--input", str(path), "--json"])
+             for path in paths]
+            + [(shape, argv + ["--seed", str(seed), "--json"])
+               for shape, argvs in VERIFY.items() for seed in (0, 1) for argv in argvs])
 
 
 def run(main, argv):
@@ -138,18 +143,18 @@ class Stages:
 def stage_table(paths, cycles):
     """Print the median time of each stage of each request shape, per request."""
     requests = cycle(paths)
-    samples = {shape: defaultdict(list) for shape in STAGES}
+    samples = defaultdict(lambda: defaultdict(list))
     for n in range(cycles + 1):  # the first cycle warms up and is not kept
         for shape, argv in requests:
             stages = Stages()
-            for stage, (owner, name) in STAGES[shape].items():
+            for stage, (owner, name) in STAGES[argv[0]].items():
                 stages.wrap(owner, name, stage)
             try:
                 total = run(cli.main, argv)
             finally:
                 stages.unwrap()
             if n:
-                for stage in STAGES[shape]:
+                for stage in STAGES[argv[0]]:
                     samples[shape][stage].append(stages.times[stage])
                 samples[shape]["rest"].append(total - sum(stages.times.values()))
     for shape, stages in samples.items():
@@ -163,7 +168,8 @@ def stage_table(paths, cycles):
 
 
 def against(paths, other, cycles):
-    """Print this tree's cycle time over the other tree's, cycle by cycle, alternately."""
+    """Print this tree's time over the other tree's, per request shape and per cycle, from
+    whole cycles run on each tree alternately."""
     source = Path(other) / "src" / "g2abc"
     if not (source / "cli.py").is_file():
         raise SystemExit(f"{other} has no package src/g2abc")
@@ -175,24 +181,32 @@ def against(paths, other, cycles):
             other_cli = importlib.import_module("g2abc_against.cli")
         finally:
             sys.path.remove(scratch)
-        requests = [argv for _, argv in cycle(paths)]
+        requests = cycle(paths)
         mains = (cli.main, other_cli.main)
 
-        def cycle_time(main):
-            return sum(run(main, argv) for argv in requests)
+        def shape_times(main):
+            """The time of each request shape in one cycle of main, and of the cycle."""
+            times = defaultdict(float)
+            for shape, argv in requests:
+                times[shape] += run(main, argv)
+            times["cycle"] = sum(times.values())
+            return times
 
         for main in mains:  # warm both up
-            cycle_time(main)
-        ratios = []
+            shape_times(main)
+        ratios = defaultdict(list)
         for n in range(cycles):
             order = mains if n % 2 == 0 else mains[::-1]
-            times = dict(zip(order, (cycle_time(main) for main in order)))
-            ratios.append(times[cli.main] / times[other_cli.main])
-    quartiles = statistics.quantiles(ratios, n=4)
-    won = sum(ratio < 1.0 for ratio in ratios)
-    print(f"this tree over {other}: median ratio {statistics.median(ratios):.3f} "
-          f"(quartiles {quartiles[0]:.3f}-{quartiles[2]:.3f}) over {cycles} cycles of "
-          f"{len(requests)} requests; this tree won {won}, the other {cycles - won}")
+            times = dict(zip(order, (shape_times(main) for main in order)))
+            for shape, seconds in times[cli.main].items():
+                ratios[shape].append(seconds / times[other_cli.main][shape])
+    print(f"this tree over {other}, {cycles} cycles of {len(requests)} requests:")
+    for shape, values in ratios.items():
+        quartiles = statistics.quantiles(values, n=4)
+        won = sum(ratio < 1.0 for ratio in values)
+        print(f"  {shape:16s} median ratio {statistics.median(values):.3f} (quartiles "
+              f"{quartiles[0]:.3f}-{quartiles[2]:.3f}); this tree won {won}, "
+              f"the other {cycles - won}")
 
 
 def main():

@@ -406,24 +406,25 @@ def test_verify_json_does_not_depend_on_pass_size(capsys, monkeypatch):
 def test_verify_draws_checks_and_names_dual_reports_once_per_pass(capsys, monkeypatch, json_flag):
     # 35 triples in passes of 32 and 3: the first holds every case, the second only
     # general triples; each pass keys one Philox stream and draws no per-trial generator
-    calls, built = Counter(), []
+    calls, named = Counter(), []
     for module, name in ((gabc, "_checked"), (np.random, "Philox"), (np.random, "SeedSequence"),
                          (np.random, "default_rng"), (np.linalg, "qr")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    init = gabc.ReferenceCheck.__init__
+    dual_report = gabc._dual_report
 
-    def recorded(self, *args):
-        built.append(args)
-        init(self, *args)
-    monkeypatch.setattr(gabc.ReferenceCheck, "__init__", recorded)
+    def recorded(*args):
+        named.append(args)
+        return dual_report(*args)
+    for module in (gabc, cli):
+        monkeypatch.setattr(module, "_dual_report", recorded)
     assert main(["verify", "--case", "all", "--trials", "7", "--seed", "2", *json_flag]) == 0
     out = capsys.readouterr().out
     printed = len(json.loads(out)["dual_reports"]) if json_flag else out.count(" vs computed ")
     assert calls == {"_checked": 2, "Philox": 2}
-    assert printed > 0 and len(built) == printed
+    assert printed > 0 and len(named) == printed
 
 
 @pytest.mark.parametrize("case, pass_size", [("sym", 32), ("all", 32), ("all", 2)])

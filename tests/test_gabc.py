@@ -433,11 +433,15 @@ REJECTED = {
     "2x4x4": np.zeros((2, 4, 4)),
     "5x4": [[0.0] * 4] * 5,
     "datetime-array": np.zeros((4, 4), dtype="datetime64[s]"),
-    # at ns resolution numpy's object cast gives Python ints, and next to a float matrix the
-    # three are held as objects
+    # at ns resolution numpy's object cast gives Python ints, and next to float rows or a
+    # float matrix the array is held as objects
     "datetime-ns-array": np.zeros((4, 4), dtype="datetime64[ns]"),
     "timedelta-ns-array": np.zeros((4, 4), dtype="timedelta64[ns]"),
     "timedelta-ns-rows": [np.zeros(4, dtype="timedelta64[ns]")] * 4,
+    "timedelta-ns-row-among-floats": [np.zeros(4, dtype="timedelta64[ns]")] + [[0.0] * 4] * 3,
+    "datetime-ns-row-among-floats": [[0.0] * 4] * 3 + [np.zeros(4, dtype="datetime64[ns]")],
+    "timedelta-ns-entry-among-floats": [[0.0, np.timedelta64(1, "ns"), 0.0, 0.0]]
+                                       + [[0.0] * 4] * 3,
     "nested-too-deep": json.loads("[" * 200 + "0" + "]" * 200),
     "nan-entry": with_entry(np.nan),
     "beyond-max-entry": with_entry(1e160),
@@ -494,21 +498,20 @@ def test_numeric_input_takes_one_conversion_and_rejected_input_names_its_matrix(
     calls = []
     real_array = gabc._real_array
 
-    def counted(what, x, shape, **kwargs):
+    def counted(what, x, shape):
         calls.append(what)
-        return real_array(what, x, shape, **kwargs)
+        return real_array(what, x, shape)
     monkeypatch.setattr(gabc, "_real_array", counted)
-    TripleABC(*list(accepted_forms().values())[1:4])
-    assert calls == ["matrices A, B, C"]
+    # every accepted form, Fractions and ints beyond int64 too, in every slot
+    forms = list(accepted_forms().values())
+    for n in range(len(forms)):
+        calls.clear()
+        TripleABC(*(forms[(n + q) % len(forms)] for q in range(3)))
+        assert calls == ["matrices A, B, C"], n
     calls.clear()
     with pytest.raises(ValidationError, match="^matrix B has complex entries$"):
         TripleABC(ZERO_ROWS, with_entry(1j), ZERO_ROWS)
     assert calls == ["matrices A, B, C", "matrix A", "matrix B"]
-    calls.clear()
-    # Fractions are objects together, as a timedelta matrix next to a float one would be
-    forms = accepted_forms()
-    TripleABC(forms["fractions"], forms["floats"], forms["floats"])
-    assert calls == ["matrices A, B, C", "matrix A", "matrix B", "matrix C"]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "a", [0, -2]])

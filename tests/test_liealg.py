@@ -196,6 +196,14 @@ def so3_list_with(entry):
     return c
 
 
+def so3_with_row(row):
+    """so3_constants as nested lists of floats, with the array row in place of c[6, 6]:
+    numpy holds the whole as objects, and at ns resolution casts row's entries to ints."""
+    c = so3_constants().tolist()
+    c[6][6] = row
+    return c
+
+
 @pytest.mark.parametrize("entries, message", [
     # antisymmetric and Jacobi as complex numbers; a float64 cast would drop the 1j
     (so3_constants() * (1 + 1j), "has complex entries"),
@@ -209,6 +217,8 @@ def so3_list_with(entry):
      "must be 7x7x7, got rows of unequal lengths"),
     (so3_list_with(True), "has an entry that is not a real number"),  # numpy reads it as 1
     (so3_list_with(10 ** 400), "has an entry too large for a float64"),
+    (so3_with_row(np.zeros(7, dtype="timedelta64[ns]")), "has an entry that is not a real number"),
+    (so3_with_row(np.zeros(7, dtype="datetime64[ns]")), "has an entry that is not a real number"),
 ])
 def test_lie_algebra_rejects_entries_that_are_not_real_numbers(entries, message):
     # no ComplexWarning or other warning on the way: the input is refused as it is
