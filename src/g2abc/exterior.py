@@ -13,8 +13,8 @@ form against a stack.  ``Form`` is the type of this public API and of the
 text of the tabulated formulas; the stages of the torsion pass exchange the
 bare coefficient arrays instead, and every result object holds them.
 ``_linear_operator`` builds the matrix of a linear stage from its values on the
-unit vectors; every operator built at import (g2core's TAIL and NABLA_PHI, gabc's
-tabulated and generic operators) is one call of it.
+unit vectors; every operator built at import (g2core's TAIL and NABLA_PHI, and each of
+the two halves of gabc's operator) is one call of it.
 
 Conventions:
   * monomials are orthonormal,

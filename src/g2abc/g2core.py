@@ -15,8 +15,8 @@ and for the differential ``ce_diff``.
 The maps into the generic route are fixed operators as well: phi and psi keep the
 operators of their ``ce_diff`` on the structure constants, built here at import, and
 NABLA_PHI takes a connection to the right-hand sides nabla_{e_i} phi of the torsion solve.
-``gabc`` builds its generic operator from ``_torsion_solve``, the solve without its check,
-and checks there once that the solve's residual is exactly zero.
+``gabc`` builds the generic half of its operator from ``_torsion_solve``, the solve without
+its check, and checks there once that the solve's residual is exactly zero.
 
 Every stage from (dphi, dpsi) on is linear.  ``torsion_forms``, ``tau27_tensor``,
 ``full_torsion_from_forms`` and ``reconstruction_residuals`` are the stepwise

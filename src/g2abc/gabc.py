@@ -15,20 +15,21 @@ generic route; such coefficients are dual-reported, never silently fixed.
 
 A ``TripleABC`` holds its matrices as one (3, 4, 4) array, or a stack of N
 triples as one (N, 3, 4, 4) array.
-Both routes then run once over the stack, each from one product of the (N, 48)
-entries with an operator built at import by the same ``exterior._linear_operator``
-that builds g2core's operators.  The generic operator runs the stepwise stages
-``structure_constants``, ``riemann.levi_civita`` and the torsion solve of
-``g2core.full_torsion_from_nabla`` on the unit triples: its product gives c, the
+Both routes then take their linear halves from one product of the (N, 48) entries
+with one operator built at import, whose two halves side by side are each built by the
+same ``exterior._linear_operator`` that builds g2core's operators.  The tabulated half is
+the formula text and the closed-form connection.  The generic half runs the stepwise
+stages ``structure_constants``, ``riemann.levi_civita`` and the torsion solve of
+``g2core.full_torsion_from_nabla`` on the unit triples: its columns give c, the
 connection and T by nabla, and the pass differentiates phi and psi on that c and
-multiplies [dphi, dpsi] by g2core's TAIL.  The tabulated operator is the formula text and
-the closed-form connection.  Each compared block of the layout ``_BLOCKS`` names
-its oracle, the generic-route block it is compared with, and each operator keeps
-its live columns.  A pass concatenates its arrays once, as the table ``_SOURCES``
-lists them, and takes every compared value that a triple may dual-report with its
-oracle and every gated residual from that one array in one gather of the (left, right)
-column pairs that ``_pass_layout`` derives from the table; a pair of two zero columns,
-which reads 0 for every triple, is not among them.
+multiplies [dphi, dpsi] by g2core's TAIL.  The operator keeps its live columns and one
+zero column, and one column map reads every block of either half, as the table
+``_COLUMNS`` places them.  Each compared block of the layout ``_BLOCKS`` names its
+oracle, the generic-route block it is compared with.  A pass concatenates its arrays
+once, as the table ``_SOURCES`` lists them, and takes every compared value that a triple
+may dual-report with its oracle and every gated residual from that one array in one
+gather of the (left, right) column pairs that ``_pass_layout`` derives from the table; a
+pair of two zero columns, which reads 0 for every triple, is not among them.
 ``closed_form_torsion`` evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
@@ -602,7 +603,7 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
     of several the error names the first triple without it as its trial; the
     symmetric case has no table of its own and dispatches to the general one.
     For a stack of N triples tau0 is an (N,) array and each form an (N, C(7,k))
-    array.  A pass reads the same formulas through the tabulated operator
+    array.  A pass reads the same formulas through the tabulated half of the operator
     compiled from this text, whose values may differ from these in the last bit.
     """
     _check_kinds([kind])
@@ -641,7 +642,6 @@ _BLOCKS = (
 #: then the closed-form connection (closed_form_connection), which is no table's formula and
 #: is compared with the generic connection as the gated quantity "connection".
 _WIDTHS = {**{formula: DIMS[degree] for formula, degree, *_ in _BLOCKS}, "connection": DIM ** 3}
-_COLUMNS = _block_columns(_WIDTHS)
 #: The tabulated formulas whose differences from their oracles gate every triple.
 _GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
           "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
@@ -668,8 +668,8 @@ def _text_values(rows):
 
 
 def _live_columns(full):
-    """The operator of the live columns of the read-only operator full, and its live-column
-    map, both read-only.
+    """The operator of the live columns of the operator full, and its live-column map, both
+    read-only.
 
     Its L live columns, those not identically zero, are kept in column order, then one zero
     column that stands for the others: a pass's product P is the (n, 48) entries of its
@@ -687,25 +687,12 @@ def _live_columns(full):
     return matrix, at
 
 
-def _operator():
-    """The tabulated operator and its live-column map (_live_columns): row k of the
-    (48, 1110) operator of the layout is the formula text and the closed-form connection on
-    unit triple k, as exterior._linear_operator builds it."""
-    return _live_columns(_linear_operator(_text_values, 48, _WIDTHS))
-
-
 @functools.cache
 def _column_labels():
     """(formula, component) of every column of the blocks of _BLOCKS, the tabulated layout
     but its closed-form connection, as a dual report names it."""
     return [(formula, "e" + "".join(map(str, key)) if degree else "")
             for formula, degree, _, _ in _BLOCKS for key in COMBS[degree]]
-
-
-def _live_values(t):
-    """The (n, L + 1) product P of the stack t: the (n, 48) entries of (A, B, C) times
-    _OPERATOR, row by row so that a triple's values do not depend on its stack."""
-    return _vecmat(t.abc.reshape(-1, 48), _OPERATOR)
 
 
 # -- closed-form connection, Ricci, divergence ---------------------------------
@@ -767,17 +754,19 @@ def closed_form_divergence(t, tau27):
     return div
 
 
-# -- the two routes' linear halves as operators ---------------------------------------
+# -- the two routes' linear halves as one operator --------------------------------------
 
-#: The blocks of the generic operator with their widths, in column order: the structure
+#: The blocks of the generic half with their widths, in column order: the structure
 #: constants c, the Levi-Civita connection gamma, and the torsion solve's T and residual.
 _GENERIC_WIDTHS = {"c": DIM ** 3, "gamma": DIM ** 3, "T_nabla": DIM ** 2,
                    "solve_residual": DIMS[3] * DIM}
-_GENERIC_COLUMNS = _block_columns(_GENERIC_WIDTHS)
+#: The columns of every block of the operator's layout: the tabulated half, then the generic
+#: half, whose names are none of the tabulated ones.
+_COLUMNS = _block_columns({**_WIDTHS, **_GENERIC_WIDTHS})
 
 
 def _generic_stages(rows):
-    """The blocks of the generic operator on the triples whose 48 entries are the rows, in
+    """The blocks of the generic half on the triples whose 48 entries are the rows, in
     the order of _GENERIC_WIDTHS, by the stepwise definitions: structure_constants,
     riemann.levi_civita and the torsion solve of g2core.full_torsion_from_nabla."""
     abc = rows.reshape(rows.shape[:-1] + (3, 4, 4))
@@ -786,10 +775,13 @@ def _generic_stages(rows):
     return (c, gamma, *_torsion_solve(gamma))
 
 
-def _generic_operator():
-    """The generic operator and its live-column map (_live_columns): row k of the (48, 980)
-    operator is _generic_stages on unit triple k, as exterior._linear_operator builds it.
-    It reads nothing of the tabulated side, so the two routes share no result.
+def _operator():
+    """The operator of both routes' linear halves and its live-column map (_live_columns).
+    Row k of the (48, 2090) operator of the layout _COLUMNS is, on unit triple k, the
+    tabulated half, the formula text and the closed-form connection (_text_values), then the
+    generic half, the stepwise stages (_generic_stages), each half as
+    exterior._linear_operator builds it.  The generic half reads nothing of the tabulated
+    side, so the two routes share no result.
 
     The torsion solve's residual is identically zero: for the Levi-Civita connection of
     every G2-structure, nabla_X phi = iota_{T(X)} psi (Karigiannis, Flows of G2-structures
@@ -797,19 +789,19 @@ def _generic_operator():
     full_torsion_from_nabla makes on every connection is made once, here, on the operator:
     a residual block that is not exactly zero raises TorsionSolveError.
     """
-    full = _linear_operator(_generic_stages, 48, _GENERIC_WIDTHS)
-    residual = np.abs(full[:, _GENERIC_COLUMNS["solve_residual"]]).max()
+    full = np.concatenate([_linear_operator(_text_values, 48, _WIDTHS),
+                           _linear_operator(_generic_stages, 48, _GENERIC_WIDTHS)], axis=1)
+    residual = np.abs(full[:, _COLUMNS["solve_residual"]]).max()
     if residual:
         raise TorsionSolveError(
             f"torsion solve failed: the residual of the generic operator reaches {residual:g}")
     return _live_columns(full)
 
 
-#: Both built at import, so that every pass, the first one too, does the same work.
+#: Built at import, so that every pass, the first one too, does the same work.
 _OPERATOR, _LIVE_AT = _operator()
-_GENERIC, _GENERIC_AT = _generic_operator()
-#: The columns of the generic product that hold c, then gamma.
-_C_GAMMA_AT = _GENERIC_AT[:_GENERIC_COLUMNS["gamma"].stop]
+#: The columns of the product that hold c, then gamma.
+_C_GAMMA_AT = _LIVE_AT[_COLUMNS["c"].start:_COLUMNS["gamma"].stop]
 
 
 # -- family generators ----------------------------------------------------------
@@ -1164,46 +1156,43 @@ _FAMILY_DEVIATIONS = {
 _ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
 
 
-#: Every array a pass concatenates, in order, with its width for one triple: the products of
-#: the tabulated operator (_live_values) and of the generic operator, the generic route's
-#: torsion tail, dphi and dpsi, the two routes' Ricci tensors and divergences, the closed
-#: form's first, and div T.  A pass reads every column at the place _pass_layout derives
-#: from this table.
-_SOURCES = {"product": _OPERATOR.shape[1], "generic": _GENERIC.shape[1],
-            "tail": g2core.TAIL.shape[1], "dphi": DIMS[4], "dpsi": DIMS[5],
-            "closed_ricci": DIM ** 2, "ricci": DIM ** 2, "closed_divergence": DIM, "div": DIM}
+#: Every array a pass concatenates, in order, with its width for one triple: the product of
+#: the operator, the generic route's torsion tail, dphi and dpsi, the two routes' Ricci
+#: tensors and divergences, the closed form's first, and div T.  A pass reads every column
+#: at the place _pass_layout derives from this table.
+_SOURCES = {"product": _OPERATOR.shape[1], "tail": g2core.TAIL.shape[1], "dphi": DIMS[4],
+            "dpsi": DIMS[5], "closed_ricci": DIM ** 2, "ricci": DIM ** 2, "closed_divergence": DIM,
+            "div": DIM}
 
 
 def _pass_layout(sources, at):
     """The columns a pass reads of its concatenation of sources, a table like _SOURCES,
-    when column at[k] of the tabulated product holds column k of the tabulated layout, and
-    column _GENERIC_AT[k] of the generic product column k of the generic layout.  No triple
-    changes them.
+    when column at[k] of the product holds column k of the operator's layout _COLUMNS, a
+    block of either half.  No triple changes them.
 
     Returns the gated quantities; the (2, K) pairs (left, right) of columns whose
     differences the pass takes: first each compared tabulated value that a triple may
     dual-report and the oracle _BLOCKS names for it, then the residual of every gated
-    quantity, quantity by quantity, with the generic product's zero column on the right of a
+    quantity, quantity by quantity, with the product's zero column on the right of a
     residual that is one array already; the start of each quantity's block among the K for
     np.maximum.reduceat; applies[f, q], whether quantity q gates family _FAMILIES[f]; and
     for each compared pair its column of the tabulated layout and the column of _shapes
     whose triples may dual-report it.  A gated-only formula is compared in its gated block
-    alone.  A pair of two zero columns, each the last column of a product, reads 0 on every
-    triple and is left out; a quantity left with no pair raises an AssertionError, since
+    alone.  A pair of two zero columns, each the product's last, reads 0 on every triple and
+    is left out; a quantity left with no pair raises an AssertionError, since
     np.maximum.reduceat would read the next quantity's first pair for it.
     """
     ends = np.cumsum(list(sources.values()))
     named = {name: np.arange(end - width, end) for (name, width), end in zip(sources.items(), ends)}
     named.update((name, named["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
-    named.update((name, named["generic"][_GENERIC_AT[columns]])
-                 for name, columns in _GENERIC_COLUMNS.items())
-    zero = named["generic"][-1]
-    product = named["product"][at]  # the column of each column of the tabulated layout
-    # of the layout, only the oracle-only blocks: a compared one such as star_dphi would
-    # shadow the tail's block of its name and compare a formula with itself
-    oracles = {**named, **{formula: product[_COLUMNS[formula]]
-                           for formula, *_, name in _BLOCKS if name is None}}
-    oracle = np.concatenate([oracles[name] for *_, name in _BLOCKS if name])
+    zero = named["product"][-1]
+    product = named["product"][at]  # the column of each column of the layout
+    # of the layout's blocks, the generic half's and the tabulated oracle-only ones: a
+    # compared one such as star_dphi would shadow the tail's block of its name and compare
+    # a formula with itself
+    named.update((name, product[_COLUMNS[name]]) for name in (
+        *_GENERIC_WIDTHS, *(formula for formula, *_, name in _BLOCKS if name is None)))
+    oracle = np.concatenate([named[name] for *_, name in _BLOCKS if name])
     compared = product[:len(oracle)], oracle
     # per compared column, the column of _shapes whose triples may dual-report it (a family
     # table's family, GENERAL for the others), or -1 for a gated-only formula
@@ -1233,9 +1222,9 @@ def _pass_layout(sources, at):
     blocks = [np.reshape(pair if isinstance(pair, tuple) else (pair, np.full_like(pair, zero)),
                          (2, -1)) for pair in (compared, *pairs.values())]
     all_pairs = np.concatenate(blocks, axis=1)
-    # kept: every pair but those of two zero columns, each a product's last, which read 0 on
-    # every triple, and of the compared ones only those that a triple may dual-report
-    keep = ~((all_pairs == zero) | (all_pairs == named["product"][-1])).all(axis=0)
+    # kept: every pair but those of two zero columns, each the product's last, which read 0
+    # on every triple, and of the compared ones only those that a triple may dual-report
+    keep = ~(all_pairs == zero).all(axis=0)
     keep[:len(on)] &= on >= 0
     kept = np.cumsum(keep)[np.cumsum([block.shape[1] for block in blocks]) - 1]  # by block end
     if empty := [q for q, count in zip(pairs, np.diff(kept)) if not count]:
@@ -1267,11 +1256,11 @@ def cross_validate(t, tol=DEFAULT_TOL):
 
 def cross_validate_stack(t, tol=DEFAULT_TOL):
     """The CrossValidationArrays of t, a stack of n triples (a single triple is a
-    stack of one), from one pass of both routes over a leading trial axis.  Each route
-    makes one row-by-row product of the (n, 48) entries with its import-time operator: the
-    generic one gives c, gamma and T by nabla, the tabulated one (_live_values) the formula
-    text and the closed-form connection.  The generic route differentiates phi and psi on
-    that c with ce_diff and multiplies [dphi, dpsi] by g2core.TAIL; the quadratic stages and
+    stack of one), from one pass of both routes over a leading trial axis.  One row-by-row
+    product of the (n, 48) entries with the import-time operator gives both routes' linear
+    halves: c, gamma and T by nabla of the generic route, and the formula text and the
+    closed-form connection.  The generic route differentiates phi and psi on that c with
+    ce_diff and multiplies [dphi, dpsi] by g2core.TAIL; the quadratic stages and
     the closed-form Ricci tensor and divergence run on the stack.  The pass concatenates
     the arrays of _SOURCES once, in that order, takes every (left, right) pair of columns of
     the import-time layout in one gather, and one subtraction and one np.abs give both the
@@ -1287,9 +1276,10 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     shapes = _shapes(t.abc)
     n, family = len(shapes), shapes.argmax(axis=1)  # family: each triple's index in _FAMILIES
 
-    # generic route: the linear half from its product and TAIL, then the quadratic stages
-    generic = _vecmat(t.abc.reshape(n, 48), _GENERIC)
-    c_gamma = generic.take(_C_GAMMA_AT, axis=1).reshape(n, 2, DIM, DIM, DIM)
+    # both routes' linear halves, row by row so that a triple's values do not depend on its
+    # stack; the generic route then takes TAIL and the quadratic stages
+    product = _vecmat(t.abc.reshape(n, 48), _OPERATOR)
+    c_gamma = product.take(_C_GAMMA_AT, axis=1).reshape(n, 2, DIM, DIM, DIM)
     c, gamma = c_gamma[:, 0], c_gamma[:, 1]
     dphi, dpsi = ce_diff(c, STANDARD_PHI).values, ce_diff(c, STANDARD_PSI).values
     tail = _vecmat(np.concatenate((dphi, dpsi), axis=1), g2core.TAIL)
@@ -1298,9 +1288,9 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     div = div_torsion(gamma, T)
     div_cf = closed_form_divergence(t, tau27)
     # the pass's arrays by their names in _SOURCES, concatenated once in its order
-    arrays = {"product": _live_values(t), "generic": generic, "tail": tail, "dphi": dphi,
-              "dpsi": dpsi, "closed_ricci": closed_form_ricci(t), "ricci": ric,
-              "closed_divergence": div_cf, "div": div}
+    arrays = {"product": product, "tail": tail, "dphi": dphi, "dpsi": dpsi,
+              "closed_ricci": closed_form_ricci(t), "ricci": ric, "closed_divergence": div_cf,
+              "div": div}
     x = np.concatenate([arrays[name].reshape(n, -1) for name in _SOURCES], axis=1)
 
     # every (left, right) pair: each compared tabulated value vs its oracle, then each

@@ -56,10 +56,11 @@ def _real_array(what, x, shape):
     if arr.dtype.kind == "c":
         raise ValidationError(f"{what} has complex entries")
     # the array's own kind first; then, as numpy reads a True among a sequence's numbers as
-    # 1, its entries
+    # 1, its entries.  numpy registers np.timedelta64 as a signed integer, so a Real check
+    # alone would take such a scalar as its count of units
     entries = arr if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
     if arr.dtype.kind not in "iufO" or entries.dtype.kind == "O" and not all(
-            issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+            issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.timedelta64))
             for kind in set(map(type, entries.flat))):
         raise ValidationError(f"{what} has an entry that is not a real number")
     if arr.dtype.kind == "O" and isinstance(x, (list, tuple)):

@@ -98,27 +98,20 @@ def stack_of(triples):
     return TripleABC._of_validated(np.stack([t.abc for t in triples]))
 
 
-def operator_columns(t, formula):
-    """The columns of the compared block formula of the tabulated layout as a pass reads
-    them: the product of the entries of t with gabc's operator, at the columns its
-    live-column map gives the block."""
-    values = gabc._live_values(t).take(gabc._LIVE_AT[gabc._COLUMNS[formula]], axis=1)
-    return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
-
-
-def generic_columns(t, block):
-    """The columns of the block "c", "gamma" or "T_nabla" of the generic layout as a pass
-    reads them: the product of the entries of t with gabc's generic operator, at the columns
-    its live-column map gives the block."""
-    values = _vecmat(t.abc.reshape(-1, 48), gabc._GENERIC).take(
-        gabc._GENERIC_AT[gabc._GENERIC_COLUMNS[block]], axis=1)
+def product_columns(t, block, operator=None):
+    """The columns of a block of gabc's operator layout, of either half, as a pass reads
+    them: the product of the entries of t with the operator (gabc's own, or a copy of it),
+    at the columns its live-column map gives the block."""
+    operator = gabc._OPERATOR if operator is None else operator
+    values = _vecmat(t.abc.reshape(-1, 48), operator).take(
+        gabc._LIVE_AT[gabc._COLUMNS[block]], axis=1)
     return values.reshape(t.abc.shape[:-3] + values.shape[-1:])
 
 
 def tabulated_derivatives(t):
     """(dphi, star dphi, dpsi, star dpsi) of the theta-action formulas, as Forms
-    read from their columns of the tabulated operator."""
-    return tuple(Form(degree, operator_columns(t, f)) for f, degree in _DERIVATIVES)
+    read from their columns of the operator."""
+    return tuple(Form(degree, product_columns(t, f)) for f, degree in _DERIVATIVES)
 
 
 def oracle_reference(t):

@@ -7,10 +7,9 @@ For each seed 0-99 and scale 1e-3, 1 and 1e3, the passes are a stack of 4 triple
 family and one stack of 20 that cycles through the five families.  The first digest covers
 every field of each pass's ``CrossValidationArrays``, and its ``flags`` and ``passed()``:
 each array with its dtype and shape, each family, quantity and key by its repr.  The second
-covers, each with its dtype and shape, g2core's TAIL, the tabulated operator
-``gabc._OPERATOR`` and its live-column map ``gabc._LIVE_AT``, the generic operator
-``gabc._GENERIC`` and its live-column map ``gabc._GENERIC_AT``, g2core's NABLA_PHI, and the
-operators of ``ce_diff`` of the standard phi and psi.  Two trees that print the same lines
+covers, each with its dtype and shape, g2core's TAIL, the operator ``gabc._OPERATOR`` of
+both routes' linear halves and its live-column map ``gabc._LIVE_AT``, g2core's NABLA_PHI,
+and the operators of ``ce_diff`` of the standard phi and psi.  Two trees that print the same lines
 give the same pass arrays and operators, bit for bit, signs of zero included, so a change
 that must keep them can be checked by comparing the output (about 3 s).  pytest does not
 collect this file.
@@ -71,8 +70,8 @@ def main():
         update(digest, arrays.passed())
     print(digest.hexdigest())
     operators = hashlib.sha256()
-    update(operators, [TAIL, gabc._OPERATOR, gabc._LIVE_AT, gabc._GENERIC, gabc._GENERIC_AT,
-                       NABLA_PHI, _ce_operator(STANDARD_PHI), _ce_operator(STANDARD_PSI)])
+    update(operators, [TAIL, gabc._OPERATOR, gabc._LIVE_AT, NABLA_PHI, _ce_operator(STANDARD_PHI),
+                       _ce_operator(STANDARD_PSI)])
     print(operators.hexdigest())
     return 0
 

@@ -51,11 +51,10 @@ from helpers import (
     closed_form_ricci_reference,
     e_matrix,
     form_inner,
-    generic_columns,
     is_unimodular,
     jacobi_residual,
-    operator_columns,
     oracle_reference,
+    product_columns,
     shapes_reference,
     stack_of,
     tabulated_derivatives,
@@ -414,6 +413,14 @@ def with_entry(value, at=(0, 1)):
     return rows
 
 
+def objects_with_entry(value, at=(0, 1)):
+    """The zero matrix as an array of Python floats held as objects, with value at the entry
+    at, assigned as it is: numpy's casts (np.where, np.array) turn a timedelta64 into an int."""
+    m = np.full((4, 4), 0.0, dtype=object)
+    m[at] = value
+    return m
+
+
 # each rejected input pinned by this module or the command line's tests
 REJECTED = {
     "complex-array": 1j * np.diag([1.0, -1.0, 0.0, 0.0]),
@@ -442,6 +449,8 @@ REJECTED = {
     "datetime-ns-row-among-floats": [[0.0] * 4] * 3 + [np.zeros(4, dtype="datetime64[ns]")],
     "timedelta-ns-entry-among-floats": [[0.0, np.timedelta64(1, "ns"), 0.0, 0.0]]
                                        + [[0.0] * 4] * 3,
+    # numpy registers np.timedelta64 as a signed integer: not taken as its count of ns
+    "timedelta-ns-entry-in-objects": objects_with_entry(np.timedelta64(5, "ns")),
     "nested-too-deep": json.loads("[" * 200 + "0" + "]" * 200),
     "nan-entry": with_entry(np.nan),
     "beyond-max-entry": with_entry(1e160),
@@ -718,7 +727,7 @@ def test_closed_form_torsion_of_a_stack_is_that_of_each_triple(kind):
         assert all(np.array_equal(getattr(cf, part), getattr(general, part)) for part in vars(cf))
     parts = ["tau0", "tau1", "tau2", "tau3"] + ["iota_tau1_phi"] * (table is FamilyKind.GENERAL)
     text = np.concatenate([np.reshape(getattr(cf, part), (6, -1)) for part in parts], axis=1)
-    read = np.concatenate([operator_columns(t, f"{part}[{table.value}]") for part in parts], axis=1)
+    read = np.concatenate([product_columns(t, f"{part}[{table.value}]") for part in parts], axis=1)
     err = np.abs(text - read).max(axis=1)
     assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(text).max(axis=1)))
 
@@ -789,8 +798,8 @@ def pass_reads(t, product, sources, at):
 
 
 def full_layout(product):
-    """(sources, at) of a pass whose product holds every column of the layout, in order,
-    then one zero column, as the live operator ends."""
+    """(sources, at) of a pass whose product holds every column of the operator's layout, in
+    order, then one zero column, as the live operator ends."""
     return {**gabc._SOURCES, "product": product.shape[1]}, np.arange(product.shape[1] - 1)
 
 
@@ -799,14 +808,22 @@ def with_zero_column(values):
     return np.concatenate([values, np.zeros((len(values), 1))], axis=1)
 
 
+def live_product(t):
+    """The pass's product of the stack t: its (n, 48) entries times the live operator."""
+    return _vecmat(t.abc.reshape(-1, 48), gabc._OPERATOR)
+
+
 def operator_reads(t):
     """pass_reads of the pass's own product, from the live operator."""
-    return pass_reads(t, gabc._live_values(t), gabc._SOURCES, gabc._LIVE_AT)
+    return pass_reads(t, live_product(t), gabc._SOURCES, gabc._LIVE_AT)
 
 
 def use_layout(monkeypatch, sources, at):
-    """Make every pass concatenate the table sources and read it by _pass_layout(sources, at)."""
+    """Make every pass concatenate the table sources and read it by _pass_layout(sources, at),
+    c and gamma too at the columns at gives them."""
     monkeypatch.setattr(gabc, "_SOURCES", sources)
+    c_gamma = slice(gabc._COLUMNS["c"].start, gabc._COLUMNS["gamma"].stop)
+    monkeypatch.setattr(gabc, "_C_GAMMA_AT", at[c_gamma])
     for name, value in zip(LAYOUT, gabc._pass_layout(sources, at), strict=True):
         monkeypatch.setattr(gabc, name, value)
 
@@ -830,19 +847,25 @@ def in_pass(sources, columns):
     return np.reshape(moved, np.shape(columns))
 
 
-def pass_zero_columns():
-    """The columns of the pass's own concatenation that hold a product's zero column: the
-    last of the tabulated product and the last of the generic one."""
+def pass_zero_column():
+    """The column of the pass's own concatenation that holds the product's zero column."""
     ends = dict(zip(gabc._SOURCES, np.cumsum(list(gabc._SOURCES.values()))))
-    return [ends["product"] - 1, ends["generic"] - 1]
+    return ends["product"] - 1
+
+
+def stage_values(rows):
+    """Every block of the operator's layout evaluated by its stages on the triples whose 48
+    entries are the rows: the formula text and the closed-form connection, then the generic
+    route's stepwise stages."""
+    blocks = [*gabc._text_values(rows), *gabc._generic_stages(rows)]
+    return np.concatenate([np.reshape(b, (len(rows), -1)) for b in blocks], axis=1)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_operator_reads_agree_with_the_formula_text(scale):
     for kind in FamilyKind:
         t = generate_many(kind, 0, range(50), scale)
-        text_values = with_zero_column(
-            np.concatenate(gabc._text_values(t.abc.reshape(-1, 48)), axis=1))
+        text_values = with_zero_column(stage_values(t.abc.reshape(-1, 48)))
         for read, text in zip(operator_reads(t), pass_reads(t, text_values,
                                                           *full_layout(text_values))):
             err = np.abs(read - text).max(axis=1)
@@ -858,23 +881,32 @@ def test_operator_rejects_a_table_with_a_constant_term(monkeypatch):
         gabc._operator()
 
 
+def generic_full_operator():
+    """The (48, 980) generic half of the operator on the unit triples, every column kept."""
+    return _linear_operator(gabc._generic_stages, 48, gabc._GENERIC_WIDTHS)
+
+
 def full_operator():
-    """The (48, 1110) operator of the formula text and the closed-form connection on the
-    unit triples, every column kept."""
-    return _linear_operator(gabc._text_values, 48, gabc._WIDTHS)
+    """The (48, 2090) operator on the unit triples, every column kept: the (48, 1110) formula
+    text and closed-form connection, then the generic half."""
+    return np.concatenate([_linear_operator(gabc._text_values, 48, gabc._WIDTHS),
+                           generic_full_operator()], axis=1)
 
 
 def test_live_operator_holds_the_live_columns_of_the_full_one():
     full = full_operator()
     live = full.any(axis=0)
     operator = gabc._OPERATOR
-    assert operator.shape == (48, live.sum() + 1) == (48, 404) == (48, gabc._SOURCES["product"])
+    assert operator.shape == (48, live.sum() + 1) == (48, 657) == (48, gabc._SOURCES["product"])
     assert operator.flags.c_contiguous and not operator[:, -1].any()
+    # one table places the blocks of both halves, no name of one half shadowing the other's
+    assert len(gabc._COLUMNS) == len(gabc._WIDTHS) + len(gabc._GENERIC_WIDTHS)
+    assert gabc._COLUMNS["solve_residual"].stop == full.shape[1] == len(gabc._LIVE_AT)
     # 132 of the live columns are the closed-form connection's
     assert live[gabc._COLUMNS["connection"]].sum() == 132
     # the map takes each column of the layout to its live column, a dead one to the zero column
     assert np.array_equal(operator[:, gabc._LIVE_AT], full)
-    assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 403))
+    assert np.array_equal(gabc._LIVE_AT[~live], np.full((~live).sum(), 656))
     # the pass's constants are its layout, which reads the sources the full layout reads,
     # a column of the product through the map, but the pairs of two zero columns
     for name, value in zip(LAYOUT, gabc._pass_layout(gabc._SOURCES, gabc._LIVE_AT), strict=True):
@@ -882,7 +914,7 @@ def test_live_operator_holds_the_live_columns_of_the_full_one():
     sources, at = full_layout(with_zero_column(full))
     quantities, pairs, starts, applies, reported, reported_on = gabc._pass_layout(sources, at)
     moved = in_pass(sources, pairs)
-    kept = ~np.isin(moved, pass_zero_columns()).all(axis=0)
+    kept = ~(moved == pass_zero_column()).all(axis=0)
     assert np.array_equal(gabc._PAIRS, moved[:, kept])
     assert gabc._QUANTITIES == quantities and np.array_equal(gabc._APPLIES, applies)
     assert np.array_equal(gabc._QUANTITY_STARTS, [kept[:start].sum() for start in starts])
@@ -930,7 +962,7 @@ def test_every_pair_the_pass_leaves_out_is_gated_only_or_of_two_zero_columns():
     # the pass's own layout leaves out of these exactly the pairs of two zero columns: 135
     # compared ones, each a dead theta expansion column against its dead definitional theta,
     # and 211 of the connection, the coefficients both connections leave zero on g_{A,B,C}
-    zero = np.isin(in_pass(sources, pairs), pass_zero_columns()).all(axis=0)
+    zero = (in_pass(sources, pairs) == pass_zero_column()).all(axis=0)
     assert pairs.shape[1] == 1368 - 133 and zero.sum() == 346
     assert zero[:len(reported)].sum() == 135
     assert all(gabc._column_labels()[k][0].startswith("theta_omega")
@@ -941,11 +973,44 @@ def test_every_pair_the_pass_leaves_out_is_gated_only_or_of_two_zero_columns():
     assert np.all(np.diff([*gabc._QUANTITY_STARTS, gabc._PAIRS.shape[1]]) > 0)
 
 
-def test_a_layout_that_leaves_a_quantity_no_pair_raises_and_names_it(monkeypatch):
-    # every column of both products at its zero column: the connection is then two zero
+def test_the_one_product_keeps_the_routes_apart():
+    # the live columns of one half of a copy of the operator set to NaN, the generic half,
+    # then the tabulated one: every column read for a block of the other half, by the test
+    # reader or by the pass's layout, stays finite, and every live column of a block of the
+    # poisoned half reads NaN, so the one map and zero column wire no column to the other route
+    t = stack_of(mixed_triples(3, 2))
+    live = full_operator().any(axis=0)  # per column of the layout, whatever the map says
+    zero = gabc._SOURCES["product"] - 1
+    # of the pairs of the pass's layout, the columns of the generic half it reads: gamma and T
+    # by nabla, on the right of the connection and of the two routes' torsion
+    ends = dict(zip(gabc._QUANTITIES, [*gabc._QUANTITY_STARTS[1:], gabc._PAIRS.shape[1]]))
+    reads_generic = np.zeros(gabc._PAIRS.shape, dtype=bool)
+    for quantity in ("connection", "torsion_routes"):
+        start = gabc._QUANTITY_STARTS[gabc._QUANTITIES.index(quantity)]
+        reads_generic[1, start:ends[quantity]] = True
+    start = dict(zip(gabc._SOURCES, np.cumsum([0, *gabc._SOURCES.values()])))["product"]
+    in_product = (gabc._PAIRS >= start) & (gabc._PAIRS < start + zero)  # but its zero column
+    for half in (gabc._GENERIC_WIDTHS, gabc._WIDTHS):
+        operator = gabc._OPERATOR.copy()
+        for block in half:
+            operator[:, gabc._LIVE_AT[gabc._COLUMNS[block]][live[gabc._COLUMNS[block]]]] = np.nan
+        for block, columns in gabc._COLUMNS.items():
+            nan = np.isnan(product_columns(t, block, operator))
+            expected = live[columns] & (block in half)
+            assert np.array_equal(nan, np.broadcast_to(expected, nan.shape)), block
+        # the layout, on the concatenation of that product with every other source zero
+        product = _vecmat(t.abc.reshape(-1, 48), operator)
+        x = np.concatenate([product if name == "product" else np.zeros((len(product), width))
+                            for name, width in gabc._SOURCES.items()], axis=1)
+        nan = np.isnan(x.take(gabc._PAIRS, axis=1))
+        expected = in_product & (reads_generic == (half is gabc._GENERIC_WIDTHS))
+        assert np.array_equal(nan, np.broadcast_to(expected, nan.shape))
+        assert expected.any() and (~expected & in_product).any()
+
+
+def test_a_layout_that_leaves_a_quantity_no_pair_raises_and_names_it():
+    # every column of the product at its zero column: the connection is then two zero
     # columns throughout, and np.maximum.reduceat would read the next block's first pair
-    monkeypatch.setattr(gabc, "_GENERIC_AT", np.full_like(gabc._GENERIC_AT,
-                                                          gabc._SOURCES["generic"] - 1))
     at = np.full_like(gabc._LIVE_AT, gabc._SOURCES["product"] - 1)
     with pytest.raises(AssertionError, match="^the pass layout leaves no pair of connection$"):
         gabc._pass_layout(gabc._SOURCES, at)
@@ -962,24 +1027,19 @@ def test_pass_oracles_are_the_hand_ordered_concatenation(scale):
 
 def test_operator_product_and_dual_reports_do_not_depend_on_the_pass():
     triples = mixed_triples(9, 7)  # 35 triples: passes of 32 and 3, or of 2
-    live_alone = np.concatenate([gabc._live_values(t) for t in triples])
+    live_alone = np.concatenate([live_product(t) for t in triples])
     reports = [cross_validate(t) for t in triples]
     assert any(rep.dual_reports for rep in reports)
     for size in (32, 2):
         passes = [stack_of(triples[i:i + size]) for i in range(0, len(triples), size)]
-        live_in_passes = [gabc._live_values(t) for t in passes]
+        live_in_passes = [live_product(t) for t in passes]
         assert np.array_equal(np.concatenate(live_in_passes), live_alone), size
         per_pass = [rep for t in passes for rep in cross_validate_stack(t).reports()]
         for rep, ref in zip(per_pass, reports, strict=True):
             assert (rep.dual_reports, rep.deviations) == (ref.dual_reports, ref.deviations), size
 
 
-# -- the generic route's linear half as one operator ------------------------------------
-
-def generic_full_operator():
-    """The (48, 980) generic operator on the unit triples, every column kept."""
-    return _linear_operator(gabc._generic_stages, 48, gabc._GENERIC_WIDTHS)
-
+# -- the generic route's linear half, the operator's generic half ------------------------
 
 def family_stacks(scale):
     """A stack of 8 triples of each family at the scale."""
@@ -987,15 +1047,15 @@ def family_stacks(scale):
 
 
 def test_generic_operator_holds_the_live_columns_of_the_full_one():
+    # the generic half, read through the operator's one map, is the half built alone
     full = generic_full_operator()
-    live = full.any(axis=0)
-    assert {name: int(live[columns].sum()) for name, columns in gabc._GENERIC_COLUMNS.items()} \
+    at = gabc._LIVE_AT[gabc._COLUMNS["c"].start:]
+    zero = gabc._SOURCES["product"] - 1
+    assert {name: int((gabc._LIVE_AT[gabc._COLUMNS[name]] != zero).sum())
+            for name in gabc._GENERIC_WIDTHS} \
         == {"c": 96, "gamma": 132, "T_nabla": 25, "solve_residual": 0}
-    operator = gabc._GENERIC
-    assert operator.shape == (48, live.sum() + 1) == (48, gabc._SOURCES["generic"])
-    assert operator.flags.c_contiguous and not operator[:, -1].any()
-    assert np.array_equal(operator[:, gabc._GENERIC_AT], full)
-    assert not any(array.flags.writeable for array in (operator, gabc._GENERIC_AT))
+    assert np.array_equal(gabc._OPERATOR[:, at], full)
+    assert np.array_equal(at == zero, ~full.any(axis=0))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -1003,11 +1063,11 @@ def test_generic_operator_is_the_stepwise_route(scale):
     # c and gamma bit for bit, c with no -0.0; T by nabla to round-off, and the torsion
     # solve's residual zero on every triple
     eps = np.finfo(np.float64).eps
-    residual = generic_full_operator()[:, gabc._GENERIC_COLUMNS["solve_residual"]]
+    residual = full_operator()[:, gabc._COLUMNS["solve_residual"]]
     for t in family_stacks(scale):
         c, _ = build(t)
         gamma = levi_civita(c)
-        got = {name: generic_columns(t, name).reshape((len(c), DIM, DIM, DIM)[:shape])
+        got = {name: product_columns(t, name).reshape((len(c), DIM, DIM, DIM)[:shape])
                for name, shape in (("c", 4), ("gamma", 4), ("T_nabla", 3))}
         assert same_bits(got["c"], c) and not np.signbit(got["c"][got["c"] == 0.0]).any()
         assert same_bits(got["gamma"], gamma)
@@ -1021,7 +1081,7 @@ def test_a_nabla_phi_with_one_sign_flipped_on_a_live_row_of_gamma_does_not_build
     # row 7j + k of NABLA_PHI meets gamma[i, j, k]: one sign flipped where g_{A,B,C} has a
     # nonzero gamma breaks nabla phi = iota_T psi, and the build raises; where every
     # gamma[i, j, k] of g_{A,B,C} is zero, the operator is the same
-    gamma = generic_full_operator()[:, gabc._GENERIC_COLUMNS["gamma"]]
+    gamma = full_operator()[:, gabc._COLUMNS["gamma"]]
     live_rows = gamma.any(axis=0).reshape(DIM, DIM * DIM).any(axis=0)
     nabla_phi = g2core.NABLA_PHI
     broken = []
@@ -1030,13 +1090,13 @@ def test_a_nabla_phi_with_one_sign_flipped_on_a_live_row_of_gamma_does_not_build
         flipped.flat[flat] *= -1.0
         monkeypatch.setattr(g2core, "NABLA_PHI", flipped)
         try:
-            operator = gabc._generic_operator()
+            operator = gabc._operator()
         except TorsionSolveError as err:
             assert str(err).startswith("torsion solve failed: the residual of the generic "
                                        "operator reaches ")
             broken.append(True)
         else:
-            assert all(map(np.array_equal, operator, (gabc._GENERIC, gabc._GENERIC_AT)))
+            assert all(map(np.array_equal, operator, (gabc._OPERATOR, gabc._LIVE_AT)))
             broken.append(False)
         assert broken[-1] == live_rows[flat // nabla_phi.shape[1]], flat
     assert broken.count(True) == 23
@@ -1189,7 +1249,7 @@ def pass_residuals(t):
     gamma = levi_civita(c)
     div = div_torsion(gamma, td.T)
     iota = block("iota_tau1_phi")
-    general = lambda part: operator_columns(t, f"{part}[general]")  # as the pass reads it
+    general = lambda part: product_columns(t, f"{part}[general]")  # as the pass reads it
     # the coefficients of the monomials outside a support
     outside = lambda form, support: form[:, [key not in support for key in COMBS[len(support[0])]]]
     tau3 = td.tau3
@@ -1206,7 +1266,7 @@ def pass_residuals(t):
         "support_tau2": outside(td.tau2, gabc.TWO_FORM_SUPPORT),
         "support_tau3": outside(tau3, gabc.TAU3_SUPPORT),
         "tau27_mixed_block": td.tau27[:, [6, 0, 1], 2:6],
-        "torsion_routes": td.T - generic_columns(t, "T_nabla").reshape(td.T.shape),
+        "torsion_routes": td.T - product_columns(t, "T_nabla").reshape(td.T.shape),
         "connection": closed_form_connection(t) - gamma,
         "ricci": closed_form_ricci(t) - ricci(c, gamma),
         "divergence": closed_form_divergence(t, td.tau27) - div,
@@ -1229,25 +1289,26 @@ def test_each_deviation_is_the_largest_magnitude_of_its_own_residual():
 
 
 def test_every_compared_column_gates_or_is_dual_reported_on_some_family(monkeypatch):
-    # one triple per family; each column of the layout moved by 1 in turn.  The pass reads
-    # the live columns of its product through the operator's live-column map; it gets the
-    # full operator's product here, all 1110 columns and one zero column, with the layout of
-    # that full product, so that each column moves alone.  The last 343 before the zero
-    # column are the closed-form connection's
+    # one triple per family; each column of the tabulated layout moved by 1 in turn.  The
+    # pass reads the live columns of its product through the operator's live-column map; it
+    # gets the full operator's product here, all 2090 columns and one zero column, with the
+    # layout of that full product, so that each column moves alone.  The last 343 of the
+    # tabulated half are the closed-form connection's
     t = stack_of(mixed_triples(9, 1))
     values = with_zero_column(_vecmat(t.abc.reshape(-1, 48), full_operator()))
     reference = cross_validate_stack(t)
     use_layout(monkeypatch, *full_layout(values))
-    monkeypatch.setattr(gabc, "_live_values", lambda t: values)
+    product = [values]  # what the pass's product of the entries gives
+    monkeypatch.setattr(gabc, "_vecmat", lambda x, m: product[0] if m is gabc._OPERATOR
+                        else _vecmat(x, m))
     unmoved = cross_validate_stack(t)
     assert np.array_equal(unmoved.deviations, reference.deviations)
     assert all(np.array_equal(x, y) for x, y in zip(unmoved.dual_reports, reference.dual_reports))
     labels = gabc._column_labels() + [("connection", k) for k in range(DIM ** 3)]
     seen = []
-    for column in range(values.shape[1] - 1):  # the appended zero column is no column's
-        moved = values.copy()
-        moved[:, column] += 1.0
-        monkeypatch.setattr(gabc, "_live_values", lambda t: moved)
+    for column in range(len(labels)):
+        product[0] = values.copy()
+        product[0][:, column] += 1.0
         arrays = cross_validate_stack(t)
         gated = not np.array_equal(arrays.deviations[arrays.applies],
                                    reference.deviations[reference.applies])

@@ -196,6 +196,14 @@ def so3_list_with(entry):
     return c
 
 
+def so3_objects_with(entry):
+    """so3_constants as an array of Python ints held as objects, with entry assigned as it
+    is in place of c[0, 1, 2] = 1 (numpy's casts turn a timedelta64 into an int)."""
+    c = so3_constants(object)
+    c[0, 1, 2] = entry
+    return c
+
+
 def so3_with_row(row):
     """so3_constants as nested lists of floats, with the array row in place of c[6, 6]:
     numpy holds the whole as objects, and at ns resolution casts row's entries to ints."""
@@ -219,6 +227,8 @@ def so3_with_row(row):
     (so3_list_with(10 ** 400), "has an entry too large for a float64"),
     (so3_with_row(np.zeros(7, dtype="timedelta64[ns]")), "has an entry that is not a real number"),
     (so3_with_row(np.zeros(7, dtype="datetime64[ns]")), "has an entry that is not a real number"),
+    (so3_objects_with(np.timedelta64(1, "ns")),  # numpy registers it as a signed integer
+     "has an entry that is not a real number"),
 ])
 def test_lie_algebra_rejects_entries_that_are_not_real_numbers(entries, message):
     # no ComplexWarning or other warning on the way: the input is refused as it is
