@@ -25,11 +25,14 @@ connection and T by nabla, and the pass differentiates phi and psi on that c and
 multiplies [dphi, dpsi] by g2core's TAIL.  The operator keeps its live columns and one
 zero column, and one column map reads every block of either half, as the table
 ``_COLUMNS`` places them.  Each compared block of the layout ``_BLOCKS`` names its
-oracle, the generic-route block it is compared with.  A pass concatenates its arrays
-once, as the table ``_SOURCES`` lists them, and takes every compared value that a triple
-may dual-report with its oracle and every gated residual from that one array in one
-gather of the (left, right) column pairs that ``_pass_layout`` derives from the table; a
-pair of two zero columns, which reads 0 for every triple, is not among them.
+oracle, the block it is compared with.  Every gated quantity is defined once, as a row of
+the one table ``_QUANTITY_TABLE``: its two sides, the families it gates and its kind, which
+says whether it compares the two routes or holds one route to itself.  A pass
+concatenates its arrays once, as the table ``_SOURCES`` lists them, and takes every
+compared value that a triple may dual-report with its oracle and every gated residual from
+that one array in one gather of the (left, right) column pairs that ``_pass_layout``
+derives from those tables; a pair of two zero columns, which reads 0 for every triple, is
+not among them.
 ``closed_form_torsion`` evaluates a table's text directly.
 ``cross_validate_stack`` cross-validates a stack that way in one pass and
 returns the results as arrays, from which ``reports()`` makes one report per
@@ -621,30 +624,32 @@ def closed_form_torsion(t, kind=FamilyKind.GENERAL):
 
 _TABLES = (FamilyKind.GENERAL, FamilyKind.SKEW, FamilyKind.DIAGONAL, FamilyKind.ANTIDIAGONAL)
 _THETA_PAIRS = tuple((name, which) for name in "ABC" for which in (7, 1, 2))
-_DERIVATIVES = ("dphi", 4), ("star_dphi", 3), ("dpsi", 5), ("star_dpsi", 2)
+#: The derivative formulas, each with its degree and its oracle (a side, as below).
+_DERIVATIVES = (("dphi", 4, ("dphi",)), ("star_dphi", 3, ("tail", "star_dphi")),
+                ("dpsi", 5, ("dpsi",)), ("star_dpsi", 2, ("tail", "star_dpsi")))
 _TORSION_PARTS = ("tau0", 0), ("tau1", 1), ("tau2", 2), ("tau3", 3), ("iota_tau1_phi", 2)
 #: The column blocks of the tabulated layout: (formula, degree, the family whose triples
-#: dual-report it or None, its oracle).  The oracle is the generic-route block a pass
-#: compares the formula with: a block of g2core's TAIL_COLUMNS, "dphi" or "dpsi", or, for
-#: a tabulated theta expansion, its definitional theta block.  The compared blocks, those
-#: with an oracle, come first, so a triple's dual reports come in their column order; the
-#: definitional theta blocks, oracles only, follow.  The family tables' iota_tau1_phi is
-#: compared with nothing and stays out (closed_form_torsion returns it from the text).
+#: dual-report it or None, its oracle).  The oracle is the block a pass compares the formula
+#: with, as a side of _QUANTITY_TABLE: a block of g2core's torsion tail, the generic dphi or
+#: dpsi, or, for a tabulated theta expansion, its definitional theta block of the product.
+#: The compared blocks, those with an oracle, come first, so a triple's dual reports come in
+#: their column order; the definitional theta blocks, oracles only, follow.  The family
+#: tables' iota_tau1_phi is compared with nothing and stays out (closed_form_torsion returns
+#: it from the text).
 _BLOCKS = (
-    *((f"{part}[{kind.value}]", degree, None if part == "iota_tau1_phi" else kind, part)
+    *((f"{part}[{kind.value}]", degree, None if part == "iota_tau1_phi" else kind, ("tail", part))
       for kind in _TABLES for part, degree in _TORSION_PARTS
       if kind is FamilyKind.GENERAL or part != "iota_tau1_phi"),
-    *((f"theta_omega{which}[{name}]", 2, FamilyKind.GENERAL, f"theta(omega{which})[{name}]")
-      for name, which in _THETA_PAIRS),
-    *((name, degree, None, name) for name, degree in _DERIVATIVES),
+    *((f"theta_omega{which}[{name}]", 2, FamilyKind.GENERAL,
+       ("product", f"theta(omega{which})[{name}]")) for name, which in _THETA_PAIRS),
+    *((name, degree, None, oracle) for name, degree, oracle in _DERIVATIVES),
     *((f"theta(omega{which})[{name}]", 2, None, None) for name, which in _THETA_PAIRS))
 #: The width of each block of the tabulated layout, in column order: the blocks of _BLOCKS,
 #: then the closed-form connection (closed_form_connection), which is no table's formula and
 #: is compared with the generic connection as the gated quantity "connection".
 _WIDTHS = {**{formula: DIMS[degree] for formula, degree, *_ in _BLOCKS}, "connection": DIM ** 3}
-#: The tabulated formulas whose differences from their oracles gate every triple.
-_GATED = ("dphi", "star_dphi", "dpsi", "star_dpsi",
-          "tau1[general]", "tau2[general]", "iota_tau1_phi[general]")
+#: The oracle of each compared formula, by its name.
+_ORACLES = {formula: oracle for formula, *_, oracle in _BLOCKS if oracle}
 
 
 def _text_values(rows):
@@ -660,7 +665,7 @@ def _text_values(rows):
     for name, which in _THETA_PAIRS:
         text[f"theta_omega{which}[{name}]"] = theta_omega_tabulated(named[name], which)
         text[f"theta(omega{which})[{name}]"] = th[name, which]
-    text.update(zip((name for name, _ in _DERIVATIVES), _derivatives_text(th)))
+    text.update(zip((name for name, *_ in _DERIVATIVES), _derivatives_text(th)))
     text["connection"] = closed_form_connection(t)
     values = [np.reshape(getattr(text[f], "values", text[f]), (-1, width))
               for f, width in _WIDTHS.items()]
@@ -1066,7 +1071,8 @@ class CrossValidationArrays(typing.NamedTuple):
     with a leading trial axis; ``rows()`` reads each triple's report as plain values,
     and ``reports()`` makes one CrossValidationReport per triple of them.
 
-    Column q of ``deviations`` is the quantity ``quantities[q]``; it gates
+    Column q of ``deviations`` is the quantity ``quantities[q]``, row q of the one table
+    _QUANTITY_TABLE, which defines its two sides, its families and its kind; it gates
     triple n where ``applies[n, q]`` holds (the family-specific quantities
     apply to the triples of their family only).  The columns of ``flags``
     are the closed, coclosed and torsion-free flags, ``dual_reports`` the
@@ -1137,25 +1143,6 @@ class CrossValidationArrays(typing.NamedTuple):
             for n, row in enumerate(self.rows())]
 
 
-def _off_support(degree, support):
-    """Mask of the degree-k monomials outside ``support``."""
-    allowed = set(support)
-    return np.array([key not in allowed for key in COMBS[degree]])
-
-
-#: Gated deviations that apply to the triples of some families only, with those families.
-_FAMILY_DEVIATIONS = {
-    "divergence_free": _FAMILIES[:-1],  # the four families of the theorem, all but GENERAL
-    "tau27_diagonal_nn": (FamilyKind.DIAGONAL,),
-    "support_tau3_diagonal": (FamilyKind.DIAGONAL,),
-    "tau27_antidiagonal_pairs": (FamilyKind.ANTIDIAGONAL,),
-    "support_tau3_antidiagonal": (FamilyKind.ANTIDIAGONAL,),
-}
-
-#: (row, column) of the pairs tau27(e_m, e_{9-m}), m in 3..6
-_ANTIDIAG_PAIRS = ([m - 1 for m in N_INDICES], [9 - m - 1 for m in N_INDICES])
-
-
 #: Every array a pass concatenates, in order, with its width for one triple: the product of
 #: the operator, the generic route's torsion tail, dphi and dpsi, the two routes' Ricci
 #: tensors and divergences, the closed form's first, and div T.  A pass reads every column
@@ -1164,75 +1151,101 @@ _SOURCES = {"product": _OPERATOR.shape[1], "tail": g2core.TAIL.shape[1], "dphi":
             "dpsi": DIMS[5], "closed_ricci": DIM ** 2, "ricci": DIM ** 2, "closed_divergence": DIM,
             "div": DIM}
 
+#: The column selectors of the table below: the monomials outside a support, and of tau27,
+#: a 7x7 tensor row by row, the a x n block (rows in the order of _ABC_ROWS), the diagonal
+#: on n, and the pairs (e_m, e_{9-m}), m in 3..6.
+_OFF_TWO_FORM, _OFF_TAU3, _OFF_TAU3_DIAG, _OFF_TAU3_ADIAG = (
+    np.flatnonzero([key not in support for key in COMBS[len(support[0])]]) for support in (
+        TWO_FORM_SUPPORT, TAU3_SUPPORT, TAU3_SUPPORT_DIAGONAL, TAU3_SUPPORT_ANTIDIAGONAL))
+_TAU27_MIXED = (DIM * _ABC_ROWS[:, None] + np.arange(2, 6)).ravel()
+_TAU27_DIAG_NN = (DIM + 1) * np.arange(2, 6)
+_TAU27_ADIAG_PAIRS = DIM * np.arange(2, 6) + np.arange(5, 1, -1)
+
+_ALL, _DIAG, _ADIAG = _FAMILIES, (FamilyKind.DIAGONAL,), (FamilyKind.ANTIDIAGONAL,)
+_CROSS, _INVARIANT = "cross-route", "generic invariant"
+
+#: The one table of the gated quantities, in the order a pass reports them (analyze names
+#: the first worst one in it): (name, left, right, the families whose triples it gates,
+#: kind).  A quantity is the largest magnitude of left - right.  A side is (source, block,
+#: columns): an array of _SOURCES, optionally one block of it by name ("product" through the
+#: operator's layout _COLUMNS, "tail" through g2core's TAIL_COLUMNS), optionally columns of
+#: that; None is zero.  The kind says which routes the sides read: "cross-route", the
+#: tabulated route against the generic one; "generic invariant", the generic route against
+#: zero; "generic vs generic", two generic routes; "mixed", a side that reads both (the
+#: closed divergence reads the generic tau27).  A test derives each kind by setting one
+#: route's inputs to NaN.
+_QUANTITY_TABLE = (
+    # the gated formulas, each against the oracle _BLOCKS names for it
+    *((formula.split("[")[0], ("product", formula), _ORACLES[formula], _ALL, _CROSS)
+      for formula in ("dphi", "star_dphi", "dpsi", "star_dpsi", "tau1[general]",
+                      "tau2[general]", "iota_tau1_phi[general]")),
+    # blocks of the torsion tail that are identities of the generic route
+    *((name, ("tail", name), None, _ALL, _INVARIANT) for name in (
+        "reconstruction_dphi", "reconstruction_dpsi", "tau2_type14", "tau3_type27_phi",
+        "tau3_type27_psi")),
+    ("support_iota_tau1_phi", ("tail", "iota_tau1_phi", _OFF_TWO_FORM), None, _ALL, _INVARIANT),
+    ("support_tau2", ("tail", "tau2", _OFF_TWO_FORM), None, _ALL, _INVARIANT),
+    ("support_tau3", ("tail", "tau3", _OFF_TAU3), None, _ALL, _INVARIANT),
+    ("tau27_mixed_block", ("tail", "tau27", _TAU27_MIXED), None, _ALL, _INVARIANT),
+    ("torsion_routes", ("tail", "T"), ("product", "T_nabla"), _ALL, "generic vs generic"),
+    ("connection", ("product", "connection"), ("product", "gamma"), _ALL, _CROSS),
+    ("ricci", ("closed_ricci",), ("ricci",), _ALL, _CROSS),
+    ("divergence", ("closed_divergence",), ("div",), _ALL, "mixed"),
+    ("divergence_free", ("div",), None, _FAMILIES[:-1], _INVARIANT),  # the theorem's families
+    ("tau27_diagonal_nn", ("tail", "tau27", _TAU27_DIAG_NN), None, _DIAG, _INVARIANT),
+    ("support_tau3_diagonal", ("tail", "tau3", _OFF_TAU3_DIAG), None, _DIAG, _INVARIANT),
+    ("tau27_antidiagonal_pairs", ("tail", "tau27", _TAU27_ADIAG_PAIRS), None, _ADIAG, _INVARIANT),
+    ("support_tau3_antidiagonal", ("tail", "tau3", _OFF_TAU3_ADIAG), None, _ADIAG, _INVARIANT),
+)
+
 
 def _pass_layout(sources, at):
     """The columns a pass reads of its concatenation of sources, a table like _SOURCES,
     when column at[k] of the product holds column k of the operator's layout _COLUMNS, a
     block of either half.  No triple changes them.
 
-    Returns the gated quantities; the (2, K) pairs (left, right) of columns whose
-    differences the pass takes: first each compared tabulated value that a triple may
-    dual-report and the oracle _BLOCKS names for it, then the residual of every gated
-    quantity, quantity by quantity, with the product's zero column on the right of a
-    residual that is one array already; the start of each quantity's block among the K for
-    np.maximum.reduceat; applies[f, q], whether quantity q gates family _FAMILIES[f]; and
-    for each compared pair its column of the tabulated layout and the column of _shapes
-    whose triples may dual-report it.  A gated-only formula is compared in its gated block
-    alone.  A pair of two zero columns, each the product's last, reads 0 on every triple and
-    is left out; a quantity left with no pair raises an AssertionError, since
-    np.maximum.reduceat would read the next quantity's first pair for it.
+    Returns the gated quantities of _QUANTITY_TABLE; the (2, K) pairs (left, right) of
+    columns whose differences the pass takes: first each compared tabulated value that a
+    triple may dual-report and the oracle _BLOCKS names for it, then each side of every
+    gated quantity, quantity by quantity, the product's zero column for a zero side; the
+    start of each quantity's block among the K for np.maximum.reduceat; applies[f, q],
+    whether quantity q gates family _FAMILIES[f]; and for each compared pair its column of
+    the tabulated layout and the column of _shapes whose triples may dual-report it.  A
+    gated-only formula is compared in its gated block alone.  A pair of two zero columns,
+    each the product's last, reads 0 on every triple and is left out; a quantity left with
+    no pair raises an AssertionError, since np.maximum.reduceat would read the next
+    quantity's first pair for it.
     """
     ends = np.cumsum(list(sources.values()))
     named = {name: np.arange(end - width, end) for (name, width), end in zip(sources.items(), ends)}
-    named.update((name, named["tail"][columns]) for name, columns in TAIL_COLUMNS.items())
     zero = named["product"][-1]
-    product = named["product"][at]  # the column of each column of the layout
-    # of the layout's blocks, the generic half's and the tabulated oracle-only ones: a
-    # compared one such as star_dphi would shadow the tail's block of its name and compare
-    # a formula with itself
-    named.update((name, product[_COLUMNS[name]]) for name in (
-        *_GENERIC_WIDTHS, *(formula for formula, *_, name in _BLOCKS if name is None)))
-    oracle = np.concatenate([named[name] for *_, name in _BLOCKS if name])
-    compared = product[:len(oracle)], oracle
+    named["product"] = named["product"][at]  # the column of each column of the layout
+    tables = {"product": _COLUMNS, "tail": TAIL_COLUMNS}  # the blocks of each, by name
+
+    def read(source, block=None, selected=slice(None)):  # the columns of a side
+        return (named[source] if block is None else named[source][tables[source][block]])[selected]
+
+    oracle = np.concatenate([read(*oracle) for *_, oracle in _BLOCKS if oracle])
     # per compared column, the column of _shapes whose triples may dual-report it (a family
     # table's family, GENERAL for the others), or -1 for a gated-only formula
     on = np.repeat([_FAMILIES.index(kind) if kind else -1 for _, _, kind, name in _BLOCKS if name],
                    [_WIDTHS[formula] for formula, *_, name in _BLOCKS if name])
-    tau27 = named["tau27"].reshape(DIM, DIM)
-    pairs = {
-        **{f.split("[")[0]: tuple(x[_COLUMNS[f]] for x in compared) for f in _GATED},
-        **{name: named[name] for name in ("reconstruction_dphi", "reconstruction_dpsi",
-                                          "tau2_type14", "tau3_type27_phi", "tau3_type27_psi")},
-        "support_iota_tau1_phi": named["iota_tau1_phi"][_off_support(2, TWO_FORM_SUPPORT)],
-        "support_tau2": named["tau2"][_off_support(2, TWO_FORM_SUPPORT)],
-        "support_tau3": named["tau3"][_off_support(3, TAU3_SUPPORT)],
-        "tau27_mixed_block": tau27[_ABC_ROWS, 2:6],
-        "torsion_routes": (named["T"], named["T_nabla"]),
-        "connection": (product[_COLUMNS["connection"]], named["gamma"]),
-        "ricci": (named["closed_ricci"], named["ricci"]),
-        "divergence": (named["closed_divergence"], named["div"]),
-        # the quantities of _FAMILY_DEVIATIONS, which gate only the triples of their families
-        "divergence_free": named["div"],
-        "tau27_diagonal_nn": np.diagonal(tau27)[2:6],
-        "support_tau3_diagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_DIAGONAL)],
-        "tau27_antidiagonal_pairs": tau27[_ANTIDIAG_PAIRS],
-        "support_tau3_antidiagonal": named["tau3"][_off_support(3, TAU3_SUPPORT_ANTIDIAGONAL)],
-    }
-    # a residual that is one array already is the difference from the zero column
-    blocks = [np.reshape(pair if isinstance(pair, tuple) else (pair, np.full_like(pair, zero)),
-                         (2, -1)) for pair in (compared, *pairs.values())]
+    # the compared pairs, then each gated quantity's sides, the zero column for a zero side
+    blocks = [np.stack(np.broadcast_arrays(*pair)) for pair in (
+        (named["product"][:len(oracle)], oracle),
+        *((read(*left), read(*right) if right else zero) for _, left, right, *_ in _QUANTITY_TABLE))]
     all_pairs = np.concatenate(blocks, axis=1)
     # kept: every pair but those of two zero columns, each the product's last, which read 0
     # on every triple, and of the compared ones only those that a triple may dual-report
     keep = ~(all_pairs == zero).all(axis=0)
     keep[:len(on)] &= on >= 0
     kept = np.cumsum(keep)[np.cumsum([block.shape[1] for block in blocks]) - 1]  # by block end
-    if empty := [q for q, count in zip(pairs, np.diff(kept)) if not count]:
+    names = tuple(name for name, *_ in _QUANTITY_TABLE)
+    if empty := [q for q, count in zip(names, np.diff(kept)) if not count]:
         raise AssertionError(f"the pass layout leaves no pair of {', '.join(empty)}")
     reported = np.flatnonzero(keep[:len(on)])
-    applies = [[f in _FAMILY_DEVIATIONS.get(q, _FAMILIES) for q in pairs] for f in _FAMILIES]
-    return (tuple(pairs), all_pairs[:, keep], kept[:-1], np.array(applies), reported,
-            on[reported])
+    applies = [[f in families for *_, families, _ in _QUANTITY_TABLE] for f in _FAMILIES]
+    return names, all_pairs[:, keep], kept[:-1], np.array(applies), reported, on[reported]
 
 
 #: The layout of every pass, from its table and the operator's live-column map.
@@ -1264,7 +1277,8 @@ def cross_validate_stack(t, tol=DEFAULT_TOL):
     the closed-form Ricci tensor and divergence run on the stack.  The pass concatenates
     the arrays of _SOURCES once, in that order, takes every (left, right) pair of columns of
     the import-time layout in one gather, and one subtraction and one np.abs give both the
-    compared columns and the gated residuals.  A compared column beyond tol is dual-reported
+    compared columns and the gated residuals; the layout reads the sides of every gated
+    quantity from the one table _QUANTITY_TABLE.  A compared column beyond tol is dual-reported
     where the triple has the shape _REPORTED_ON names for it, one gather of _shapes, and
     _REPORTED names its column of the tabulated layout.  A gated quantity is the largest
     magnitude of its residual, an (n, k) block; one reduction takes all.

@@ -111,7 +111,7 @@ def product_columns(t, block, operator=None):
 def tabulated_derivatives(t):
     """(dphi, star dphi, dpsi, star dpsi) of the theta-action formulas, as Forms
     read from their columns of the operator."""
-    return tuple(Form(degree, product_columns(t, f)) for f, degree in _DERIVATIVES)
+    return tuple(Form(degree, product_columns(t, f)) for f, degree, _ in _DERIVATIVES)
 
 
 def oracle_reference(t):

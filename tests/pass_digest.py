@@ -1,5 +1,5 @@
 """Print one sha256 over every array of 1800 cross-validation passes, then one over the
-operators built at import.
+operators built at import, then one over the layout of every pass.
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/pass_digest.py
 
@@ -9,10 +9,13 @@ every field of each pass's ``CrossValidationArrays``, and its ``flags`` and ``pa
 each array with its dtype and shape, each family, quantity and key by its repr.  The second
 covers, each with its dtype and shape, g2core's TAIL, the operator ``gabc._OPERATOR`` of
 both routes' linear halves and its live-column map ``gabc._LIVE_AT``, g2core's NABLA_PHI,
-and the operators of ``ce_diff`` of the standard phi and psi.  Two trees that print the same lines
-give the same pass arrays and operators, bit for bit, signs of zero included, so a change
-that must keep them can be checked by comparing the output (about 3 s).  pytest does not
-collect this file.
+and the operators of ``ce_diff`` of the standard phi and psi.  The third covers the layout
+that gabc derives at import from its table of the gated quantities: ``_QUANTITIES``,
+``_PAIRS``, ``_QUANTITY_STARTS``, ``_APPLIES``, ``_REPORTED`` and ``_REPORTED_ON``.  Two trees
+that print the same lines give the same pass arrays, operators and layout, bit for bit, signs
+of zero included, so a change that must keep them can be checked by comparing the output,
+and one that changes the layout on purpose shows it in one line (about 3 s).  pytest does
+not collect this file.
 """
 
 import hashlib
@@ -73,6 +76,10 @@ def main():
     update(operators, [TAIL, gabc._OPERATOR, gabc._LIVE_AT, NABLA_PHI, _ce_operator(STANDARD_PHI),
                        _ce_operator(STANDARD_PSI)])
     print(operators.hexdigest())
+    layout = hashlib.sha256()
+    update(layout, [gabc._QUANTITIES, gabc._PAIRS, gabc._QUANTITY_STARTS, gabc._APPLIES,
+                    gabc._REPORTED, gabc._REPORTED_ON])
+    print(layout.hexdigest())
     return 0
 
 

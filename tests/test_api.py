@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import g2abc
+from g2abc import gabc
 
 from helpers import python_dash_m_env
 
@@ -63,3 +64,24 @@ def test_readme_example_triple_has_its_stated_properties(tmp_path):
     assert report["flags"]["closed"]
     assert report["tau2"] == {"34": -2.0, "56": 2.0}
     assert report["div_torsion"] == [0.0] * 7
+
+
+def side_text(side):
+    """A side of gabc's table of the gated quantities as README writes it: `source: block`,
+    then the gabc constant that selects its columns, if any; 0 for the zero side."""
+    if side is None:
+        return "0"
+    text = f"`{': '.join(side[:2])}`"
+    for selected in side[2:]:
+        text += " at `" + next(name for name, value in vars(gabc).items() if value is selected) + "`"
+    return text
+
+
+def test_readme_shows_the_table_of_the_gated_quantities():
+    rows = [line for line in readme_section("The gated quantities").splitlines()
+            if line.startswith("|")]
+    assert rows[:2] == ["| quantity | left | right | families | kind |", "|---|---|---|---|---|"]
+    families = lambda kinds: "all" if kinds == gabc._FAMILIES else ", ".join(k.value for k in kinds)
+    assert rows[2:] == [f"| `{name}` | {side_text(left)} | {side_text(right)} | "
+                        f"{families(kinds)} | {kind} |"
+                        for name, left, right, kinds, kind in gabc._QUANTITY_TABLE]

@@ -952,9 +952,15 @@ def test_every_pair_the_pass_leaves_out_is_gated_only_or_of_two_zero_columns():
     assert np.array_equal(reported, np.concatenate(may_report))
     widths = np.diff([*starts, pairs.shape[1]])
     assert sum(gabc._WIDTHS[formula] for formula in GATED_ONLY) == N_COMPARED - len(reported) == 133
-    for formula in gabc._GATED:
+    # the gated formulas: the table's rows whose right side is the oracle _BLOCKS names
+    formulas = [(name, left[1]) for name, left, right, *_ in gabc._QUANTITY_TABLE
+                if left[0] == "product" and right == gabc._ORACLES.get(left[1])]
+    assert [formula for _, formula in formulas] == ["dphi", "star_dphi", "dpsi", "star_dpsi",
+                                                    "tau1[general]", "tau2[general]",
+                                                    "iota_tau1_phi[general]"]
+    for name, formula in formulas:
         columns = np.arange(N_COMPARED)[gabc._COLUMNS[formula]]
-        q = quantities.index(formula.split("[")[0])
+        q = quantities.index(name)
         gated = pairs[:, starts[q]:starts[q] + widths[q]]
         assert source_columns(sources, gated[0]) == [("product", k) for k in columns]
         if formula not in GATED_ONLY:  # dual-reported too, with the same oracle
@@ -1006,6 +1012,87 @@ def test_the_one_product_keeps_the_routes_apart():
         expected = in_product & (reads_generic == (half is gabc._GENERIC_WIDTHS))
         assert np.array_equal(nan, np.broadcast_to(expected, nan.shape))
         assert expected.any() and (~expected & in_product).any()
+
+
+#: The two routes, as the taint test sets the inputs of one of them to NaN.
+ROUTES = ("generic", "tabulated")
+
+
+def poison(monkeypatch, route):
+    """Set the inputs of one route of every pass to NaN.  generic: the live columns of the
+    generic half of a copy of the operator, so c, gamma, T by nabla and all that the pass
+    derives from them.  tabulated: the live columns of the tabulated half, closed_form_ricci
+    and the S(M) of the triple (TripleABC._symmetric) that closed_form_divergence reads."""
+    zero = gabc._SOURCES["product"] - 1
+    operator = gabc._OPERATOR.copy()
+    for block in gabc._GENERIC_WIDTHS if route == "generic" else gabc._WIDTHS:
+        at = gabc._LIVE_AT[gabc._COLUMNS[block]]
+        operator[:, at[at != zero]] = np.nan
+    monkeypatch.setattr(gabc, "_OPERATOR", operator)
+    if route == "tabulated":
+        closed = gabc.closed_form_ricci
+        monkeypatch.setattr(gabc, "closed_form_ricci", lambda t: np.full_like(closed(t), np.nan))
+        monkeypatch.setattr(TripleABC, "_symmetric",
+                            property(lambda t: np.full(t.abc.shape, np.nan)))
+
+
+def routes_read():
+    """{route: (2, K) bool}: whether each side of each pair of the pass's layout reads NaN
+    with that route poisoned.  Each side is read on its own: a real pass runs with a layout
+    whose pairs are every side of the pass's pairs against the product's zero column, each
+    pair a quantity of its own, on a stack of every family; every triple reads alike."""
+    t = stack_of(mixed_triples(41, 2))
+    sides = gabc._PAIRS.ravel()
+    reads = {}
+    for route in ROUTES:
+        with pytest.MonkeyPatch.context() as mp:
+            poison(mp, route)
+            mp.setattr(gabc, "_PAIRS", np.stack([sides, np.full_like(sides, pass_zero_column())]))
+            mp.setattr(gabc, "_QUANTITY_STARTS", np.arange(len(sides)))
+            nan = np.isnan(cross_validate_stack(t).deviations)
+        assert (nan == nan[0]).all(), route
+        reads[route] = nan[0].reshape(gabc._PAIRS.shape)
+    return reads
+
+
+def side_routes(reads, side, columns):
+    """The routes that a side (0 left, 1 right) of the pairs at columns reads: "generic",
+    "tabulated", "both", or "zero" for none."""
+    read = [route for route in ROUTES if reads[route][side, columns].any()]
+    if len(read) == len(ROUTES):
+        return "both"
+    return read[0] if read else "zero"
+
+
+#: The kind of a gated quantity by the routes its two sides read.
+KIND_OF_SIDES = {("tabulated", "generic"): "cross-route", ("generic", "zero"): "generic invariant",
+                 ("generic", "generic"): "generic vs generic"}
+
+
+def test_each_gated_quantity_s_kind_is_what_its_sides_read():
+    # the table's kind of every gated quantity, derived from a real pass with one route's
+    # inputs set to NaN at a time: a side that reads NaN reads that route
+    reads = routes_read()
+    ends = [*gabc._QUANTITY_STARTS[1:], gabc._PAIRS.shape[1]]
+    derived = {}
+    for name, start, end in zip(gabc._QUANTITIES, gabc._QUANTITY_STARTS, ends):
+        sides = tuple(side_routes(reads, side, slice(start, end)) for side in (0, 1))
+        derived[name] = "mixed" if "both" in sides else KIND_OF_SIDES[sides]
+    assert derived == {name: kind for name, *_, kind in gabc._QUANTITY_TABLE}
+    assert Counter(derived.values()) == {"cross-route": 9, "generic invariant": 14,
+                                         "generic vs generic": 1, "mixed": 1}
+    assert [name for name, kind in derived.items() if kind == "mixed"] == ["divergence"]
+    # the compared region, column by column: a table against the generic route, its own
+    # column live or the product's zero column (a monomial the table leaves out), or a
+    # theta expansion against the definitional theta, both of the tabulated half
+    compared = Counter(tuple(side_routes(reads, side, [k]) for side in (0, 1))
+                       for k in range(len(gabc._REPORTED)))
+    assert compared == {("tabulated", "generic"): 106, ("zero", "generic"): 150,
+                        ("tabulated", "tabulated"): 54}
+    against_theta = [k for k in range(len(gabc._REPORTED))
+                     if side_routes(reads, 1, [k]) == "tabulated"]
+    assert all(gabc._column_labels()[gabc._REPORTED[k]][0].startswith("theta_omega")
+               for k in against_theta)
 
 
 def test_a_layout_that_leaves_a_quantity_no_pair_raises_and_names_it():
@@ -1585,12 +1672,12 @@ def test_cross_validate_evaluates_each_theta_map_once(monkeypatch):
 
 def test_a_pass_builds_no_layout_after_a_warm_up(monkeypatch):
     # the gather of the gated residuals, its reduceat starts and the applies rows
-    # are built once at import: a pass looks up no support mask and sums no widths
+    # are built once at import: a pass derives no layout and sums no widths
     stacks = [generate(kind, 0) for kind in FamilyKind]
     stacks += [stack_of(mixed_triples(1, trials)) for trials in (1, 3)]
     cross_validate_stack(stacks[0])
     calls = Counter()
-    for module, name in ((gabc, "_off_support"), (np, "cumsum"), (np, "hstack")):
+    for module, name in ((gabc, "_pass_layout"), (np, "cumsum"), (np, "hstack")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
